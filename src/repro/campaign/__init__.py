@@ -37,7 +37,6 @@ from repro.campaign.reports import (
     format_status,
     format_telemetry,
 )
-from repro.campaign.staging import StagingArea, default_stage_dir
 from repro.campaign.spec import (
     CampaignSpec,
     prefix_key,
@@ -45,7 +44,7 @@ from repro.campaign.spec import (
     spec_from_dict,
     spec_to_dict,
 )
-from repro.campaign.store import ResultStore
+from repro.campaign.store import ResultStore, default_stage_dir
 
 __all__ = [
     "CampaignExecutor",
@@ -57,7 +56,6 @@ __all__ = [
     "ResultStore",
     "RetryPolicy",
     "RunOutcome",
-    "StagingArea",
     "campaign_report",
     "campaign_status",
     "campaign_telemetry",

@@ -32,10 +32,11 @@ into completed entries in a :class:`ResultStore`:
   driver left and **resume** its in-flight runs instead of restarting
   them,
 - when a store save fails (or exceeds the policy's latency budget),
-  the result spills to a local staging dir and the campaign keeps
-  going in degraded mode; a reconciler folds the spills back in once
-  the store recovers — a flaky shared filesystem slows a campaign
-  instead of killing it.
+  the result spills to a local staging store (a second
+  :class:`ResultStore`) and the campaign keeps going in degraded
+  mode; a reconciler saves the spills into the store once it recovers
+  and discards them from staging — a flaky shared filesystem slows a
+  campaign instead of killing it.
 
 Results always travel driver-ward over the executor pipe; only the
 driver process writes the store.
@@ -65,14 +66,17 @@ from typing import (
 )
 
 from repro.analysis.runner import ExperimentRunner, RunSpec
-from repro.campaign.faults import maybe_crash_or_hang, reset_fault_cache
+from repro.campaign.faults import (
+    claim_fault,
+    maybe_crash_or_hang,
+    reset_fault_cache,
+)
 from repro.campaign.resilience import (
     failure_signature,
     ResiliencePolicy,
 )
 from repro.campaign.spec import CampaignSpec, run_key
-from repro.campaign.staging import StagingArea, default_stage_dir
-from repro.campaign.store import ResultStore
+from repro.campaign.store import ResultStore, default_stage_dir
 from repro.errors import ConfigurationError
 from repro.obs.resilience import ResilienceStats
 from repro.sched.engine import SimulationResult
@@ -262,10 +266,10 @@ BatchSimulationEngine` batches of up to ``batch_size`` lanes; runs
         exactly once (an in-process crash would take the driver down
         with it, so retrying there buys nothing).
     stage_dir:
-        Local spill directory for degraded-mode operation (default:
-        ``<store root>.staging``, a sibling of the store so it stays
-        writable when the store's filesystem fails). Only meaningful
-        with a store attached.
+        Root of the local spill store for degraded-mode operation
+        (default: ``<store root>.staging``, a sibling of the store so
+        it stays writable when the store's filesystem fails). Only
+        meaningful with a store attached.
 
     After each ``run_campaign``/``run_specs`` call, ``stats`` holds the
     resilience counters of that execution (also merged into the store's
@@ -329,11 +333,12 @@ BatchSimulationEngine` batches of up to ``batch_size`` lanes; runs
         self.resilience = resilience
         self.stats = ResilienceStats()
         self._leased: Set[str] = set()
-        self.staging: Optional[StagingArea] = None
+        self._stage_root: Optional[Path] = None
         if store is not None:
-            root = Path(stage_dir) if stage_dir is not None \
+            self._stage_root = Path(stage_dir) if stage_dir is not None \
                 else default_stage_dir(store.root)
-            self.staging = StagingArea(root, owner=store.owner)
+        #: The staging store, opened on demand (see _open_staging).
+        self.staging: Optional[ResultStore] = None
         self._degraded = False
         self._heartbeat_every = 0.0
 
@@ -363,21 +368,19 @@ BatchSimulationEngine` batches of up to ``batch_size`` lanes; runs
         )
         if self.store is not None:
             loaded: Dict[str, SimulationResult] = {}
+            staging = self._open_staging()
             for o in outcomes:
                 if self.store.has(o.key):
                     loaded[o.key] = self.store.load(o.key)
-                    continue
-                # Degraded-mode fallback: the result spilled to staging
-                # and the store never recovered during this campaign.
-                staged = (
-                    self.staging.load(o.key)
-                    if self.staging is not None else None
-                )
-                if staged is None:
+                elif staging is not None and staging.has(o.key):
+                    # Degraded-mode fallback: the result spilled to
+                    # staging and the store never recovered during this
+                    # campaign.
+                    loaded[o.key] = staging.load(o.key)
+                else:
                     raise ConfigurationError(
                         f"run {o.key!r} is neither stored nor staged"
                     )
-                loaded[o.key] = staged
             return loaded
         return {o.key: results[o.key] for o in outcomes}
 
@@ -502,8 +505,8 @@ BatchSimulationEngine` batches of up to ``batch_size`` lanes; runs
                             )
                             self._emit("leased", key, holder)
                             continue
-                if (self.staging is not None
-                        and self.staging.has_spill(key)):
+                staging = self._open_staging()
+                if staging is not None and staging.has(key):
                     # A degraded driver already computed this unit and
                     # spilled it before releasing the lease, so the
                     # acquire-then-check order above makes this
@@ -514,19 +517,14 @@ BatchSimulationEngine` batches of up to ``batch_size`` lanes; runs
                     self._emit("cached", key, "staged")
                     self._release_lease(key)
                     continue
-                if self.store is not None and self.store.probe(key):
-                    # A concurrent driver saved this unit after our
-                    # index was read (our view was stale).  The probe
-                    # re-reads the shard journal under the lease we now
-                    # hold — a durable save always lands in the journal
-                    # before its lease is released, so lease-then-probe
-                    # cannot miss a completed unit and recomputing (a
-                    # double charge) is ruled out.  Spill-check first,
-                    # probe second: a reconciler removes a spill only
-                    # AFTER its fold's put is durable, so a vanished
-                    # spill is always visible to the later probe.
+                if leasing and self.store.has(key):
+                    # A peer saved this unit between our first check and
+                    # our lease. A save is published before its lease is
+                    # released, so lease-then-check cannot miss it.
+                    # Staging first, store second: a reconciler discards
+                    # a spill only after saving it into the store.
                     outcome_by_key[key] = RunOutcome(key, spec, "cached")
-                    self._emit("cached", key, "probed")
+                    self._emit("cached", key, "rechecked")
                     self._release_lease(key)
                     continue
                 pending.append((key, spec))
@@ -552,9 +550,6 @@ BatchSimulationEngine` batches of up to ``batch_size`` lanes; runs
                 self._try_reconcile()
                 if self._heartbeat_every > 0:
                     self._remove_heartbeat()
-                stale = self.store.take_stale_reads()
-                if stale:
-                    self.stats.stale_read(stale)
                 tally = self.stats.snapshot()
                 if any(tally.values()):
                     try:
@@ -627,76 +622,110 @@ BatchSimulationEngine` batches of up to ``batch_size`` lanes; runs
         except OSError:
             pass
 
+    def _open_staging(self, create: bool = False) -> Optional[ResultStore]:
+        """The staging store, once its dir exists (or ``create``).
+
+        Opened on demand, so a campaign that never spills leaves no
+        staging dir behind; re-checked on every call while unopened, so
+        a peer's first spill is seen as soon as it lands.
+        """
+        if self.staging is None and self._stage_root is not None \
+                and (create or self._stage_root.is_dir()):
+            self.staging = ResultStore(self._stage_root,
+                                       owner=self.store.owner)
+        return self.staging
+
+    def _save_to_store(self, key: str, spec: RunSpec,
+                       result: SimulationResult) -> None:
+        """``store.save`` behind the ``store_save`` fault point.
+
+        The fault sits here rather than in ``ResultStore.save`` so it
+        hits the shared store only, never the staging store.
+        """
+        fault = claim_fault("store_save", key)
+        if fault is not None and fault.action == "fail_io":
+            # Injected fault: the shared store is unreachable.
+            raise OSError(f"injected store_save failure for {key}")
+        if fault is not None and fault.action == "slow_io":
+            # Injected fault: the store is up but slow; the save
+            # lands, blowing any configured latency budget.
+            time.sleep(fault.delay_s)
+        self.store.save(spec, result)
+
     def _store_save(self, key: str, spec: RunSpec,
                     result: SimulationResult) -> str:
         """Persist to the store, spilling to staging when degraded.
 
-        Returns ``"ok"`` when the result reached the store and this
-        driver won the charge (its put landed first in the shard
-        journal), ``"stored"`` when it is durable but a racing driver
-        charged it first, and ``"spilled"`` when it went to staging.
-        Entering degraded mode happens on an ``OSError`` from the save
-        or on a save slower than the policy's latency budget (that
-        save itself still landed); leaving it happens when a reconcile
-        probe drains the staging area.  Before spilling, the key's
-        shard journal is probed: spilling a unit a peer already saved
-        would charge it twice when the spill is counted.
+        Returns ``"ok"`` when this driver's save published the unit's
+        run dir (and so is charged with it), ``"spilled"`` when its
+        spill did the same in staging, and ``"stored"`` when a peer's
+        copy was published first. Entering degraded mode happens on an
+        ``OSError`` from the save or on a save slower than the policy's
+        latency budget (that save itself still landed); leaving it
+        happens when a reconcile probe drains the staging store.
+        Before spilling, both stores are checked: spilling a unit a
+        peer already saved would charge it twice.
         """
-        if self._degraded:
-            if self._already_charged(key):
-                return "stored"
-            self._spill(key, spec, result)
-            return "spilled"
-        started = time.monotonic()
-        try:
-            self.store.save(spec, result)
-        except OSError:
-            self._degraded = True
-            if self._already_charged(key):
-                return "stored"
-            self._spill(key, spec, result)
-            return "spilled"
-        budget = self.resilience.store_latency_budget_s
-        if budget is not None and time.monotonic() - started > budget:
-            self._degraded = True
-        return "ok" if self.store.last_save_charged else "stored"
-
-    def _already_charged(self, key: str) -> bool:
-        """Whether a peer already durably committed (and charged) ``key``.
-
-        Spill-check first, journal-probe second: a reconciler removes
-        a spill only after its fold's put is durable, so a spill that
-        vanished between the two checks is caught by the probe.
-        """
-        if self.staging is not None and self.staging.has_spill(key):
-            return True
-        try:
-            return self.store.probe(key)
-        except OSError:
-            return False  # store unreadable too; spill as usual
-
-    def _spill(self, key: str, spec: RunSpec,
-               result: SimulationResult) -> None:
-        self.staging.spill(spec, result)
+        if not self._degraded:
+            started = time.monotonic()
+            try:
+                self._save_to_store(key, spec, result)
+            except OSError:
+                self._degraded = True
+            else:
+                budget = self.resilience.store_latency_budget_s
+                if budget is not None \
+                        and time.monotonic() - started > budget:
+                    self._degraded = True
+                return "ok" if self.store.last_save_charged else "stored"
+        staging = self._open_staging(create=True)
+        if staging.has(key) or self.store.has(key):
+            return "stored"
+        staging.save(spec, result)
+        if not staging.last_save_charged:
+            return "stored"
         self.stats.spill()
         self._emit("spilled", key)
+        return "spilled"
 
-    def _try_reconcile(self) -> int:
-        """Fold committed spills into the store; returns how many."""
-        if self.store is None or self.staging is None:
-            return 0
-        folded = self.staging.reconcile(self.store)
-        for key in folded:
+    def _try_reconcile(self) -> None:
+        """Fold every staged spill into the store, then drop it.
+
+        Spills of *any* driver sharing the staging root are folded — a
+        surviving driver drains a dead one's staging. Each spill is
+        saved into the store before it is discarded from staging, so a
+        unit is never in neither. A store failure stops the pass and
+        keeps (or puts) the driver in degraded mode; a pass that
+        drains staging ends it.
+        """
+        self._degraded = False
+        staging = self._open_staging()
+        if staging is None:
+            return
+        staging.refresh()
+        for key in staging.keys():
+            if not staging.has(key):
+                continue  # torn spill, or a peer is folding it
+            if not self.store.has(key):
+                try:
+                    result = staging.load(key)
+                    spec = staging.load_spec(key)
+                except (OSError, ConfigurationError):
+                    # A concurrent reconciler folded and discarded this
+                    # spill between our check and our read.
+                    continue
+                try:
+                    self._save_to_store(key, spec, result)
+                except OSError:
+                    self._degraded = True
+                    return
+            staging.discard(key)
             self.stats.reconcile()
             try:
                 self.store.discard_checkpoint(key)
             except OSError:
                 pass
             self._emit("reconciled", key)
-        # Still-pending spills mean the store rejected a fold: stay (or
-        # go) degraded; an empty staging area means it is healthy.
-        self._degraded = bool(self.staging.pending())
-        return len(folded)
 
     def _record_ok(
         self,
@@ -722,10 +751,10 @@ BatchSimulationEngine` batches of up to ``batch_size`` lanes; runs
         if state == "ok":
             self._emit("ok", key)
         elif state == "stored":
-            # A racing driver's put landed first (we were presumed
-            # dead mid-compute and reclaimed, or its spill beat our
-            # degraded retry); identical result, but the charge
-            # belongs to the first durable writer.
+            # A racing driver's run dir was published first (we were
+            # presumed dead mid-compute and reclaimed, or its spill
+            # beat our degraded retry); identical result, but the
+            # charge belongs to the rename winner.
             self._emit("cached", key, "save-race")
 
     def _record_error(

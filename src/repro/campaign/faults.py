@@ -21,25 +21,15 @@ Injection points:
     process; ``crash`` kills the whole driver mid-campaign (leases,
     heartbeat, and checkpoints are left behind for another driver to
     reclaim), ``hang`` wedges it
-``index_flush``
-    fires inside ``ResultStore._flush_shard``; ``torn_index`` /
-    ``torn_shard`` replace the atomic shard write with a truncated
-    non-atomic one, simulating power loss mid-write; ``slow_io``
-    sleeps ``delay_s`` before the write (flaky-filesystem latency)
-``shard_load``
-    fires when a shard snapshot is read on store open; ``stale_read``
-    makes the snapshot read as empty — an NFS-style stale
-    read-after-write that journal replay must correct (the claim key
-    is the two-hex-char shard id)
 ``store_save``
-    fires at the top of ``ResultStore.save``; ``fail_io`` raises
-    ``OSError`` (store write failure → the executor spills to its
-    staging dir), ``slow_io`` sleeps ``delay_s`` first (latency-budget
-    breach → degraded mode)
+    fires in the executor before each save into the shared store (not
+    the staging store); ``fail_io`` raises ``OSError`` (store write
+    failure → the executor spills to its staging store), ``slow_io``
+    sleeps ``delay_s`` first (latency-budget breach → degraded mode)
 ``payload_save``
-    fires inside ``ResultStore.save`` between payload write and index
-    commit; ``corrupt_payload`` truncates one payload file and skips
-    the journal commit, simulating a crash mid-save
+    fires inside ``ResultStore.save`` just before the run dir is
+    published; ``corrupt_payload`` empties one payload file, so the
+    published run reads as absent — a save torn by a host crash
 ``heartbeat``
     fires inside ``ResultStore.write_heartbeat``; ``skew`` offsets the
     written timestamp by ``skew_s``, simulating driver clock skew
@@ -81,13 +71,13 @@ ENV_STATE = "REPRO_FAULT_STATE"
 CRASH_EXIT_CODE = 86
 
 _ACTIONS = frozenset({
-    "crash", "hang", "torn_index", "corrupt_payload",
+    "crash", "hang", "corrupt_payload",
     # cross-driver fault kinds (multi-driver fabric)
-    "stale_read", "torn_shard", "slow_io", "skew", "fail_io",
+    "slow_io", "skew", "fail_io",
 })
 _POINTS = frozenset({
-    "worker_run", "index_flush", "payload_save",
-    "driver_wave", "shard_load", "store_save", "heartbeat",
+    "worker_run", "payload_save",
+    "driver_wave", "store_save", "heartbeat",
 })
 
 
@@ -243,8 +233,9 @@ def claim_fault(point: str, key: str = "*") -> Optional[FaultSpec]:
     """Claim a matching fault firing; ``None`` when faults are disabled.
 
     The caller is responsible for *acting* on the returned spec — used
-    by the store hooks, which implement ``torn_index`` /
-    ``corrupt_payload`` themselves because only they know the paths.
+    by the store and executor hooks, which implement
+    ``corrupt_payload`` / ``fail_io`` / ``slow_io`` / ``skew``
+    themselves because only they know the paths and timings.
     """
     inj = _injector()
     if inj is None:

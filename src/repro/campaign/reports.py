@@ -8,19 +8,19 @@ delay against the campaign's baseline policy run on the same
 ``campaign_telemetry`` folds the per-run ``telemetry.json`` sidecars
 (if any) into one tick-phase profile and job-statistics roll-up.
 ``fabric_health`` snapshots the multi-driver fabric — live driver
-heartbeats, held leases, shard occupancy, and pending staged spills.
+heartbeats, held leases, stored entries, and pending staged spills.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
+from pathlib import Path
 from typing import Dict, List, Optional
 
 from repro.analysis.runner import RunSpec
 from repro.analysis.tables import format_table
 from repro.campaign.spec import CampaignSpec, run_key
-from repro.campaign.staging import StagingArea, default_stage_dir
-from repro.campaign.store import ResultStore
+from repro.campaign.store import STATUS_ERROR, ResultStore, default_stage_dir
 from repro.metrics.report import summarize
 from repro.obs.profiler import merge_phase_summaries
 
@@ -32,37 +32,32 @@ DEFAULT_STALE_AFTER_S = 60.0
 
 def fabric_health(
     store: ResultStore,
-    staging: Optional[StagingArea] = None,
+    stage_dir: Optional[Path] = None,
     stale_after_s: float = DEFAULT_STALE_AFTER_S,
 ) -> Dict[str, object]:
     """Snapshot of the multi-driver fabric behind a store.
 
     Returns ``{"drivers", "live_drivers", "stale_drivers",
-    "held_leases", "n_leases", "shards", "shard_entries",
-    "busiest_shard", "staged"}`` — driver name -> heartbeat age,
-    live/stale owner lists, owner -> held lease keys, the shard
-    topology, and the keys of committed-but-unreconciled spills.
-    When ``staging`` is omitted the store's default sibling staging
-    dir is inspected.
+    "held_leases", "n_leases", "entries", "staged"}`` — driver name ->
+    heartbeat age, live/stale owner lists, owner -> held lease keys,
+    the number of stored entries, and the keys of unreconciled spills
+    in the staging store at ``stage_dir`` (default: the store's
+    sibling), which is not created when absent.
     """
-    if staging is None:
-        staging = StagingArea(default_stage_dir(store.root),
-                              owner=store.owner)
+    stage_dir = Path(stage_dir or default_stage_dir(store.root))
+    staged = ResultStore(stage_dir).keys() if stage_dir.is_dir() else []
     heartbeats = store.heartbeats()
     live = sorted(o for o, age in heartbeats.items()
                   if age <= stale_after_s)
     leases = store.held_leases()
-    sizes = store.shard_sizes()
     return {
         "drivers": heartbeats,
         "live_drivers": live,
         "stale_drivers": sorted(set(heartbeats) - set(live)),
         "held_leases": {owner: keys for owner, keys in sorted(leases.items())},
         "n_leases": sum(len(keys) for keys in leases.values()),
-        "shards": store.shards,
-        "shard_entries": sum(sizes.values()),
-        "busiest_shard": max(sizes.values()) if sizes else 0,
-        "staged": staging.pending(),
+        "entries": len(store.keys()),
+        "staged": sorted(staged),
     }
 
 
@@ -74,8 +69,7 @@ def format_fabric(health: Dict[str, object]) -> str:
     lines = [
         f"fabric: {len(live)} live driver(s), "
         f"{health['n_leases']} held lease(s), "
-        f"{health['shard_entries']} entries over "
-        f"{health['shards']} shards, "
+        f"{health['entries']} entries, "
         f"{len(staged)} staged spill(s)"
     ]
     for owner in sorted(drivers):
@@ -94,7 +88,7 @@ def format_fabric(health: Dict[str, object]) -> str:
 def campaign_status(
     store: ResultStore,
     campaign: CampaignSpec,
-    staging: Optional[StagingArea] = None,
+    stage_dir: Optional[Path] = None,
 ) -> Dict[str, object]:
     """Coverage of ``campaign`` in ``store``.
 
@@ -104,6 +98,7 @@ def campaign_status(
     is a :func:`fabric_health` snapshot.  A quarantined key counts
     only as quarantined, never as a plain failure, even though the
     executor records an error entry alongside the quarantine mark.
+    A run counts as done only when its payload is complete on disk.
     """
     ok = 0
     failures: Dict[str, str] = {}
@@ -116,12 +111,12 @@ def campaign_status(
         entry = store.entry(key)
         if key in quarantined:
             quarantines[key] = str(quarantined[key].get("error", ""))
-        elif entry is None:
-            pending.append(key)
-        elif entry["status"] == "ok":
+        elif store.has(key):
             ok += 1
-        else:
+        elif entry is not None and entry["status"] == STATUS_ERROR:
             failures[key] = str(entry.get("error", ""))
+        else:
+            pending.append(key)
     return {
         "name": campaign.name,
         "total": len(specs),
@@ -132,7 +127,7 @@ def campaign_status(
         "failures": failures,
         "quarantines": quarantines,
         "pending_keys": pending,
-        "fabric": fabric_health(store, staging=staging),
+        "fabric": fabric_health(store, stage_dir=stage_dir),
     }
 
 
@@ -266,7 +261,8 @@ def campaign_report(
         ]
         if not store.has(key):
             entry = store.entry(key)
-            state = "FAILED" if entry is not None else "pending"
+            failed = entry is not None and entry["status"] == STATUS_ERROR
+            state = "FAILED" if failed else "pending"
             rows.append(prefix + [state, "--", "--", "--", "--"])
             continue
         result = (

@@ -88,7 +88,7 @@ class ResiliencePolicy:
     leases become reclaimable (:meth:`ResultStore.takeover_lease`).
     ``store_latency_budget_s`` arms degraded mode: a store save slower
     than the budget (or failing outright) flips the executor to
-    spilling results into its local staging dir until a reconcile
+    spilling results into its local staging store until a reconcile
     probe finds the store healthy again.
     """
 

@@ -2,50 +2,49 @@
 
 Layout under the store root::
 
-    store.json                      — store metadata (shard count),
-                                      created O_EXCL by the first
-                                      driver to open the root
-    index/<pp>.json                 — manifest shards: run key -> entry,
-                                      partitioned by key-hash prefix
-    journal/<pp>.jsonl              — per-shard append-only write-ahead
-                                      journal of every index mutation
     runs/<key>/result_*.csv/.json   — one saved SimulationResult
                                       (see analysis/result_io.py)
+    runs/<key>/telemetry.json       — optional telemetry sidecar
+    runs/<key>/entry.json           — the run's record: status, spec,
+                                      key version, duration, prefix key
+    failures/<key>.json             — last failure of a key that has
+                                      no result
+    quarantine/<key>.json           — keys retired after deterministic
+                                      failures (resume skips them)
     checkpoints/<key>.ckpt          — engine checkpoint sidecars
-                                      (outside runs/, which save()
-                                      clears wholesale)
     leases/<key>.lease              — multi-driver work claims
     drivers/<owner>.hb              — driver heartbeats (liveness for
                                       lease takeover)
-    quarantine.json                 — keys retired after deterministic
-                                      failures (resume skips them)
     resilience.json                 — cumulative resilience tally
     indices/exp<E>_<R>x<C>.json     — thermal indices per (exp, grid)
 
-Each entry records the originating :class:`RunSpec`, a status (``ok``
-or ``error``), and — for failures — the error text, so a campaign that
-loses runs to worker crashes still produces a complete manifest. Every
-shard snapshot is rewritten atomically (temp file + rename) after a
-mutation of one of its keys, but atomic-rename alone cannot survive a
-crash *between* payload write and index flush, nor merge several
-drivers' updates — that is what the journal adds: every mutation is
-appended to the key's shard journal (``begin`` before payload files,
-``put``/``del`` after) and replayed over the shard snapshot on open.
-Replay recovers a torn or corrupt shard, adopts orphaned runs whose
-payload completed but whose index flush never happened, sweeps
-incomplete orphans, and — because every driver appends to the same
-shard journals — doubles as the multi-driver merge. Sharding by key
-hash spreads that write hotspot: concurrent drivers usually flush
-*different* shards, and a lost race on the same shard is repaired by
-the next replay (counted in :attr:`ResultStore.stale_reads`). Journals
-are never compacted; at one line per run completion they stay far
-smaller than the payloads they protect.
+The run directory is the record. :meth:`ResultStore.save` writes the
+payload, the sidecar and ``entry.json`` into a hidden temp dir under
+``runs/`` and publishes it with one ``rename``. Renaming onto a
+non-empty directory fails, so when several drivers save one key the
+filesystem picks the winner: it is charged with the unit
+(:attr:`ResultStore.last_save_charged`) and the others discard their
+identical copies (a save of a *different* payload under the key
+replaces the published one). The in-memory index is only a read
+cache, built on open from ``runs/`` and ``failures/``;
+:meth:`ResultStore.has` checks the payload on disk, so another
+driver's save is visible at once. A complete run dir always wins over
+a failure file.
 
-Stores created before sharding (a monolithic ``index.json`` +
-``journal.jsonl`` at the root) are migrated losslessly on first open:
-legacy recovery runs once, every surviving entry is re-journaled into
-its shard, the shard snapshots are flushed, and the legacy files are
-renamed to ``*.migrated`` backups.
+Every small file is written through :func:`atomic_write` (temp file +
+``os.replace``), so a reader sees the old file or the new one, never a
+torn mix.
+
+Durability: nothing is fsynced. A save survives a process kill at any
+point — an unpublished temp dir is not a record, and an open sweeps
+old ones — but not a host crash, which can leave published files
+empty. ``has`` treats an empty payload file as absent, so such a run is
+recomputed instead of served.
+
+Stores in an older layout (a sharded ``index/`` + ``journal/`` with
+``store.json``, or a monolithic ``index.json`` + ``journal.jsonl``) are
+refused, not migrated: results are deterministic, so a fresh store
+recomputes them.
 
 Thermal indices (the per-(exp, grid) steady-state characterization that
 every run on the same stack shares) are persisted here too, so repeated
@@ -54,7 +53,7 @@ campaigns and worker processes never redo the solve.
 
 from __future__ import annotations
 
-import hashlib
+import errno
 import json
 import os
 import re
@@ -63,7 +62,7 @@ import socket
 import tempfile
 import time
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.analysis.result_io import load_result, save_result, truncate_result
 from repro.analysis.runner import RunSpec
@@ -81,14 +80,8 @@ from repro.sched.engine import SimulationResult
 STATUS_OK = "ok"
 STATUS_ERROR = "error"
 
-_INDEX_VERSION = 1
-
-#: shard count recorded into store.json when the store is first created
-DEFAULT_SHARDS = 16
-_MAX_SHARDS = 256
-
-#: age beyond which an unreadable lease file or an orphaned takeover
-#: guard is presumed crashed mid-write (not mid-create) and swept
+#: age beyond which an unreadable lease file, an orphaned takeover
+#: guard or a hidden temp file/dir is presumed abandoned and swept
 _GUARD_STALE_S = 60.0
 
 #: age beyond which a driver heartbeat is swept on store open; far
@@ -96,17 +89,90 @@ _GUARD_STALE_S = 60.0
 #: decision that might read it
 DEFAULT_HEARTBEAT_SWEEP_S = 3600.0
 
-#: Files save_result() writes per run; has() verifies they all exist
-#: and are non-empty so a crash between payload write and index flush
-#: (or a manually pruned run dir, or a torn zero-byte write) reads as
-#: "absent" instead of surfacing a broken load later.
-_RESULT_SUFFIXES = (
-    "_temps.csv",
-    "_cores.csv",
-    "_jobs.csv",
-    "_series.csv",
-    "_meta.json",
+_ENTRY = "entry.json"
+
+#: Files every published run dir holds; has() requires each to exist
+#: and be non-empty, so a torn save or a manually pruned run dir reads
+#: as "absent" instead of surfacing a broken load later.
+_RUN_FILES = (
+    _ENTRY,
+    "result_temps.csv",
+    "result_cores.csv",
+    "result_jobs.csv",
+    "result_series.csv",
+    "result_meta.json",
 )
+
+#: Top-level names of retired store layouts; a root holding any of
+#: them is refused on open.
+_OLD_LAYOUT = ("store.json", "index", "journal", "index.json",
+               "journal.jsonl")
+
+
+def default_stage_dir(store_root: Union[str, Path]) -> Path:
+    """Spill store root for a store root (``<root>.staging``).
+
+    Deliberately *outside* the store root: the spill store must stay
+    writable when the store's filesystem is the thing that is failing.
+    """
+    return Path(str(Path(store_root)) + ".staging")
+
+
+def atomic_write(path: Path, text: str, exclusive: bool = False) -> None:
+    """Write ``text`` to ``path`` through a temp file in the same dir.
+
+    The temp file is published with ``os.replace``, so readers see the
+    old content or the new, never a torn file. With ``exclusive`` it is
+    published with ``os.link`` instead, which raises
+    ``FileExistsError`` when ``path`` already exists.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=".tmp-")
+    try:
+        with os.fdopen(fd, "w") as handle:
+            handle.write(text)
+        if exclusive:
+            os.link(tmp, str(path))
+        else:
+            os.replace(tmp, str(path))
+    finally:
+        _unlink(Path(tmp))
+
+
+def _unlink(path: Path) -> None:
+    try:
+        path.unlink()
+    except FileNotFoundError:
+        pass
+
+
+def _listdir(path: Path) -> List[str]:
+    try:
+        return sorted(os.listdir(path))
+    except (FileNotFoundError, NotADirectoryError):
+        return []
+
+
+def _read_json(path: Union[str, Path]) -> Optional[Dict[str, Any]]:
+    """A JSON object file's content, or None if missing or unreadable."""
+    try:
+        with open(path) as handle:
+            data = json.load(handle)
+    except (OSError, ValueError):
+        return None
+    return data if isinstance(data, dict) else None
+
+
+def _refuse_old_layout(root: Path) -> None:
+    for name in _OLD_LAYOUT:
+        path = root / name
+        if path.exists():
+            raise ConfigurationError(
+                f"{path} belongs to a retired result-store layout that "
+                "this version does not read; start a fresh store (a new "
+                "--store directory, or delete this one). Results are "
+                "deterministic, so the fresh store recomputes them."
+            )
 
 
 class ResultStore:
@@ -114,11 +180,11 @@ class ResultStore:
 
     def __init__(self, root: Union[str, Path],
                  owner: Optional[str] = None,
-                 shards: Optional[int] = None,
                  heartbeat_sweep_s: float = DEFAULT_HEARTBEAT_SWEEP_S) -> None:
         self.root = Path(root)
+        _refuse_old_layout(self.root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self._index: Dict[str, Dict[str, Any]] = {}
+        self._runs = self.root / "runs"
         # Lease identity of this driver (hostname:pid unless given).
         self.owner = owner or f"{socket.gethostname()}:{os.getpid()}"
         self.heartbeat_sweep_s = float(heartbeat_sweep_s)
@@ -126,565 +192,189 @@ class ResultStore:
         # campaign telemetry summaries; counts serve_prefix() hits over
         # this store instance's lifetime.
         self.prefix_hits = 0
-        # Recovery tallies of the open that built this instance:
-        # orphaned-but-complete runs adopted from the journal,
-        # incomplete orphans swept, legacy entries migrated to shards,
-        # and journal entries a clean-but-behind snapshot was missing
-        # (stale read-after-write / lost flush race).
-        self.recovered_runs = 0
-        self.swept_runs = 0
-        self.migrated_runs = 0
-        self.stale_reads = 0
-        self._stale_reads_taken = 0
         # Fabric hygiene tallies of the open-time sweep.
         self.swept_leases = 0
         self.swept_heartbeats = 0
-        # Whether the most recent save() was the *first* durable put of
-        # its key (see save's charge arbitration); True between saves.
+        # Whether the most recent save() published its run dir (won the
+        # rename) and so is charged with the unit; True between saves.
         self.last_save_charged = True
-        self.shards = self._init_meta(shards)
-        self._migrate_legacy()
-        self._load_shards()
+        self._index: Dict[str, Dict[str, Any]] = {}
+        self.refresh()
         self._sweep_fabric()
 
     # ------------------------------------------------------------------
-    # shard topology
+    # read cache
 
-    def _init_meta(self, requested: Optional[int]) -> int:
-        """Resolve the shard count, recording it on first create.
-
-        The count is fixed at store creation (``store.json`` is written
-        with ``O_CREAT | O_EXCL`` so concurrent first-openers agree) and
-        ignored afterwards: rehashing an existing store would strand
-        entries in shards nobody reads.
-        """
-        if requested is not None and not 1 <= int(requested) <= _MAX_SHARDS:
-            raise ConfigurationError(
-                f"shards must be in [1, {_MAX_SHARDS}], got {requested}"
-            )
-        path = self.root / "store.json"
-        if path.exists():
-            try:
-                recorded = int(json.loads(path.read_text())["shards"])
-                return min(max(recorded, 1), _MAX_SHARDS)
-            except (json.JSONDecodeError, OSError, ValueError,
-                    KeyError, TypeError):
-                return int(requested) if requested else DEFAULT_SHARDS
-        count = int(requested) if requested else DEFAULT_SHARDS
-        payload = json.dumps({"version": 1, "shards": count},
-                             sort_keys=True) + "\n"
-        try:
-            fd = os.open(str(path), os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            # Another driver created the store between our check and
-            # our create; their recorded count wins.
-            return self._init_meta(None)
-        with os.fdopen(fd, "w") as handle:
-            handle.write(payload)
-        return count
-
-    def shard_of(self, key: str) -> str:
-        """Two-hex-char shard id of ``key`` (stable across processes)."""
-        digest = hashlib.sha256(key.encode("utf-8")).digest()
-        return format(digest[0] % self.shards, "02x")
-
-    def shard_sizes(self) -> Dict[str, int]:
-        """Shard id -> number of entries currently mapped to it."""
-        sizes: Dict[str, int] = {}
-        for key in self._index:
-            pp = self.shard_of(key)
-            sizes[pp] = sizes.get(pp, 0) + 1
-        return sizes
-
-    def _shard_index_path(self, pp: str) -> Path:
-        return self.root / "index" / f"{pp}.json"
-
-    def _shard_journal_path(self, pp: str) -> Path:
-        return self.root / "journal" / f"{pp}.jsonl"
-
-    # ------------------------------------------------------------------
-    # manifest shards + write-ahead journals
-
-    def _load_shards(self) -> None:
-        """Build the merged in-memory index from every shard on disk.
-
-        Each shard recovers independently: snapshot read, journal
-        replay, orphan adoption/sweep (see :meth:`_replay`). The merged
-        view is what every reader uses — sharding is a write-side
-        partitioning, invisible above this method.
-        """
-        shard_id = re.compile(r"^[0-9a-f]{2}$")
-        present: set = set()
-        index_dir = self.root / "index"
-        journal_dir = self.root / "journal"
-        if index_dir.is_dir():
-            present.update(p.stem for p in index_dir.glob("*.json")
-                           if shard_id.match(p.stem))
-        if journal_dir.is_dir():
-            present.update(p.stem for p in journal_dir.glob("*.jsonl")
-                           if shard_id.match(p.stem))
-        merged: Dict[str, Dict[str, Any]] = {}
-        for pp in sorted(present):
-            snapshot: Dict[str, Any] = {}
-            snapshot_ok = True
-            path = self._shard_index_path(pp)
-            fault = claim_fault("shard_load", pp)
-            if fault is not None and fault.action == "stale_read":
-                # Injected fault: NFS-style stale read-after-write —
-                # the snapshot reads as empty but well-formed, and
-                # journal replay must rebuild (and count) the shard.
-                pass
-            elif path.exists():
-                try:
-                    snapshot = json.loads(path.read_text()).get("runs", {})
-                except (json.JSONDecodeError, OSError):
-                    # Torn/corrupt shard: rebuild purely from its journal.
-                    snapshot_ok = False
-            ops = self._read_journal(self._shard_journal_path(pp))
-            shard, dirty, stale = self._replay(
-                snapshot, snapshot_ok, ops,
-                lambda op, _pp=pp: self._append_journal(_pp, op),
-            )
-            self.stale_reads += stale
-            merged.update(shard)
-            if dirty:
-                self._write_shard_snapshot(pp, shard)
-        self._index = merged
-
-    def _replay(
-        self,
-        snapshot: Dict[str, Any],
-        snapshot_ok: bool,
-        ops: Iterable[Dict[str, Any]],
-        append_op: Callable[[Dict[str, Any]], None],
-    ) -> Tuple[Dict[str, Any], bool, int]:
-        """Replay journal ops over a snapshot.
-
-        Returns ``(index, dirty, stale_fills)``. The snapshot is a
-        (possibly stale, possibly torn) cache; the journal is the
-        recovery record. Replay rebuilds a corrupt snapshot from
-        scratch and merges entries another driver committed after the
-        snapshot was written. The merge never *downgrades* a clean
-        snapshot: a journal ``put`` only fills a missing key or
-        upgrades a non-ok entry to ok — so an operator edit of a
-        healthy shard (a supported escape hatch) survives reopening.
-        A ``begin`` with no later ``put`` marks an interrupted save:
-        if its payload files are complete the entry is adopted (the
-        crash hit after the payload, before the commit) via
-        ``append_op``, otherwise the partial run dir is swept.
-
-        ``stale_fills`` counts keys whose final entry differs from a
-        *clean* snapshot's — evidence some reader saw the index behind
-        the journal (stale read-after-write, or a lost flush race with
-        a concurrent driver). Adopted orphans are recoveries, not
-        staleness, and are excluded.
-        """
-        index: Dict[str, Dict[str, Any]] = dict(snapshot)
-        began: Dict[str, Dict[str, Any]] = {}
-        for op in ops:
-            kind = op.get("op")
-            key = op.get("key")
-            if not key:
-                continue
-            if kind == "begin":
-                began[key] = op.get("entry") or {}
-            elif kind == "put":
-                entry = op.get("entry")
-                current = index.get(key)
-                if entry and (
-                    not snapshot_ok  # pure rebuild: last put wins
-                    or current is None
-                    or (current.get("status") != STATUS_OK
-                        and entry.get("status") == STATUS_OK)
-                ):
+    def refresh(self) -> None:
+        """Rebuild the in-memory index from ``runs/`` and ``failures/``."""
+        index: Dict[str, Dict[str, Any]] = {}
+        for key in _listdir(self._runs):
+            if not key.startswith("."):
+                entry = _read_json(f"{self._runs}/{key}/{_ENTRY}")
+                if entry is not None:
                     index[key] = entry
-                began.pop(key, None)
-            elif kind == "del":
-                index.pop(key, None)
-                began.pop(key, None)
-        dirty = not snapshot_ok
-        adopted: set = set()
-        for key, entry in began.items():
-            if (entry.get("status") == STATUS_OK
-                    and self._payload_complete(entry)):
-                index[key] = entry
-                append_op({"op": "put", "key": key, "entry": entry})
-                adopted.add(key)
-                self.recovered_runs += 1
-            else:
-                # save() cleared the run dir before this begin, so any
-                # older entry for the key points at nothing — drop both
-                # the partial payload and the stale entry.
-                self._clear_run_dir(key)
-                index.pop(key, None)
-                self.swept_runs += 1
-            dirty = True
-        stale = 0
-        if snapshot_ok:
-            stale = sum(
-                1 for key, entry in index.items()
-                if key not in adopted and snapshot.get(key) != entry
-            )
-            if stale:
-                dirty = True
-        return index, dirty, stale
-
-    def _migrate_legacy(self) -> None:
-        """One-shot lossless migration from the pre-shard layout.
-
-        Runs the legacy monolithic recovery (same replay algorithm),
-        re-journals every surviving entry into its shard, flushes the
-        shard snapshots, and retires ``index.json``/``journal.jsonl``
-        to ``*.migrated`` backups. Idempotent: once renamed, nothing
-        is left to migrate, and the re-journaled puts are no-ops if a
-        crash forces the replication to rerun.
-        """
-        legacy_index = self.root / "index.json"
-        legacy_journal = self.root / "journal.jsonl"
-        if not legacy_index.exists() and not legacy_journal.exists():
-            return
-        snapshot: Dict[str, Any] = {}
-        snapshot_ok = True
-        if legacy_index.exists():
-            try:
-                snapshot = json.loads(legacy_index.read_text()).get("runs", {})
-            except (json.JSONDecodeError, OSError):
-                snapshot_ok = False
-        ops = self._read_journal(legacy_journal)
-        index, _dirty, _stale = self._replay(
-            snapshot, snapshot_ok, ops,
-            lambda op: self._append_journal(self.shard_of(op["key"]), op),
-        )
-        touched: set = set()
-        for key, entry in index.items():
-            pp = self.shard_of(key)
-            self._append_journal(pp, {"op": "put", "key": key,
-                                      "entry": entry})
-            touched.add(pp)
-        for pp in sorted(touched):
-            self._write_shard_snapshot(pp, {
-                key: entry for key, entry in index.items()
-                if self.shard_of(key) == pp
-            })
-        self.migrated_runs = len(index)
-        for path in (legacy_index, legacy_journal):
-            if path.exists():
-                os.replace(str(path), str(path) + ".migrated")
-
-    def _read_journal(self, path: Path) -> List[Dict[str, Any]]:
-        """Every parseable journal op, in append order.
-
-        A torn final line (crash mid-append) parses as garbage and is
-        skipped; all committed ops are whole lines and survive.
-        """
-        if not path.exists():
-            return []
-        ops: List[Dict[str, Any]] = []
-        with path.open("r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    op = json.loads(line)
-                except json.JSONDecodeError:
-                    continue
-                if isinstance(op, dict):
-                    ops.append(op)
-        return ops
-
-    def _append_journal(self, pp: str, op: Dict[str, Any]) -> None:
-        path = self._shard_journal_path(pp)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        line = json.dumps(op, sort_keys=True, separators=(",", ":"))
-        with path.open("a", encoding="utf-8") as handle:
-            handle.write(line + "\n")
-            handle.flush()
-
-    def _payload_complete(self, entry: Dict[str, Any]) -> bool:
-        stem = self.root / entry.get("stem", "")
-        if not entry.get("stem"):
-            return False
-        for suffix in _RESULT_SUFFIXES:
-            path = stem.with_name(stem.name + suffix)
-            try:
-                if path.stat().st_size == 0:
-                    return False
-            except OSError:
-                return False
-        return True
-
-    def _flush_index(self) -> None:
-        """Rewrite every shard snapshot from the merged in-memory index."""
-        for pp in sorted({self.shard_of(key) for key in self._index}):
-            self._flush_shard(pp)
-
-    def _flush_shard(self, pp: str) -> None:
-        self._write_shard_snapshot(pp, {
-            key: entry for key, entry in self._index.items()
-            if self.shard_of(key) == pp
-        })
-
-    def _write_shard_snapshot(self, pp: str,
-                              runs: Dict[str, Any]) -> None:
-        fault = claim_fault("index_flush", pp)
-        if fault is not None and fault.action == "slow_io":
-            # Injected fault: flaky-filesystem latency; the write
-            # itself still lands atomically afterwards.
-            time.sleep(fault.delay_s)
-            fault = None
-        path = self._shard_index_path(pp)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        payload = json.dumps(
-            {"version": _INDEX_VERSION, "shard": pp, "runs": runs},
-            indent=2,
-            sort_keys=True,
-        )
-        if fault is not None and fault.action in ("torn_index",
-                                                  "torn_shard"):
-            # Injected fault: simulate power loss mid-write of a
-            # NON-atomic shard update — half the payload, no rename.
-            path.write_text(payload[: len(payload) // 2])
-            return
-        fd, tmp = tempfile.mkstemp(
-            dir=str(path.parent), prefix=f".{pp}-", suffix=".json"
-        )
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(payload + "\n")
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
-
-    def take_stale_reads(self) -> int:
-        """Stale-read fills detected since the last call (read-and-reset).
-
-        The executor folds this delta into the ``campaign.stale_reads``
-        counter; :attr:`stale_reads` itself keeps the instance-lifetime
-        total for direct inspection.
-        """
-        delta = self.stale_reads - self._stale_reads_taken
-        self._stale_reads_taken = self.stale_reads
-        return delta
+        failures = self.root / "failures"
+        for name in _listdir(failures):
+            key = name[: -len(".json")]
+            if name.endswith(".json") and key not in index:
+                entry = _read_json(failures / name)
+                if entry is not None:
+                    index[key] = entry
+        self._index = index
 
     def keys(self) -> List[str]:
         """Every recorded run key (both ok and error entries)."""
         return list(self._index)
 
     def entry(self, key: str) -> Optional[Dict[str, Any]]:
-        """The manifest entry for ``key``, or None."""
+        """The cached record for ``key``, or None."""
         return self._index.get(key)
-
-    def status_counts(self) -> Dict[str, int]:
-        """Number of entries per status."""
-        counts: Dict[str, int] = {}
-        for entry in self._index.values():
-            counts[entry["status"]] = counts.get(entry["status"], 0) + 1
-        return counts
 
     # ------------------------------------------------------------------
     # results
 
+    def _run_dir(self, key: str) -> Path:
+        return self._runs / key
+
+    def _failure_path(self, key: str) -> Path:
+        return self.root / "failures" / f"{key}.json"
+
     def has(self, key: str) -> bool:
-        """Whether ``key`` holds a successfully completed, loadable run.
+        """Whether ``key`` holds a complete, loadable run on disk.
 
-        Tolerates a manifest entry whose payload files are missing
-        (e.g. a run dir lost to a crash or manual cleanup): such an
-        entry reads as absent, so the campaign re-runs the spec instead
-        of failing at load time.
+        Every payload file must exist and be non-empty: a run dir torn
+        by a host crash, pruned by hand, or published incomplete reads
+        as absent, so the campaign re-runs the spec instead of failing
+        at load time. A complete run saved by another store instance is
+        adopted into this one's cache.
         """
+        base = f"{self._runs}/{key}/"
+        for name in _RUN_FILES:
+            try:
+                if os.stat(base + name).st_size == 0:
+                    return False
+            except OSError:
+                return False
         entry = self._index.get(key)
-        if not entry or entry["status"] != STATUS_OK:
-            return False
-        if not entry.get("stem"):
-            entry = dict(entry, stem=f"runs/{key}/result")
-        return self._payload_complete(entry)
-
-    def probe(self, key: str) -> bool:
-        """Authoritative on-disk re-check that ``key`` completed.
-
-        :meth:`has` trusts the index merged at open time, which can
-        lag a concurrent driver's save (or a stale snapshot read).
-        The probe re-reads the key's shard *journal* — the append-only
-        commit record every durable save lands in before its lease is
-        released — so lease-then-probe is race-free where
-        has-then-acquire is not: if we hold the key's lease and its
-        journal shows no completed put, nobody has computed it.  A
-        discovered entry is adopted into the in-memory index.
-        """
-        if self.has(key):
-            return True
-        entry: Optional[Dict[str, Any]] = None
-        for op in self._read_journal(
-                self._shard_journal_path(self.shard_of(key))):
-            if op.get("key") != key:
-                continue
-            kind = op.get("op")
-            if kind == "put":
-                entry = op.get("entry")
-            elif kind == "del":
-                entry = None
-        if not entry or entry.get("status") != STATUS_OK:
-            return False
-        if not entry.get("stem"):
-            entry = dict(entry, stem=f"runs/{key}/result")
-        if not self._payload_complete(entry):
-            return False
-        self._index[key] = entry
+        if entry is None or entry.get("status") != STATUS_OK:
+            entry = _read_json(self._run_dir(key) / _ENTRY)
+            if entry is None:
+                return False
+            self._index[key] = entry
         return True
-
-    def _stem(self, key: str) -> Path:
-        return self.root / "runs" / key / "result"
-
-    def _clear_run_dir(self, key: str) -> None:
-        """Drop any stale payload under ``runs/<key>/``.
-
-        A previous ``save`` that crashed between ``save_result`` and
-        the shard flush can leave partial files behind; clearing first
-        guarantees a later ``load`` never mixes files from two saves.
-        Errors are ignored: a concurrent driver clearing (or
-        republishing) the same content-addressed key is not a failure.
-        """
-        shutil.rmtree(self.root / "runs" / key, ignore_errors=True)
-
-    def _publish_run_dir(self, tmp_dir: Path, key: str) -> None:
-        """Atomically move a fully written payload dir into place.
-
-        Saves build the payload in a hidden temp dir and publish it
-        with one ``rename``, so a concurrent driver saving the same
-        key never interleaves writes into one half-readable dir.
-        Losing the publish race is fine: the winner's payload is the
-        same deterministic result under the same content-addressed
-        key, so ours is simply discarded.
-        """
-        try:
-            os.rename(str(tmp_dir), str(self.root / "runs" / key))
-        except OSError:
-            shutil.rmtree(tmp_dir, ignore_errors=True)
 
     def save(self, spec: RunSpec, result: SimulationResult) -> str:
         """Persist one completed run; returns its key.
 
-        Besides the payload, the manifest entry records the key version,
+        Besides the payload, ``entry.json`` records the key version,
         the duration, and the duration-less :func:`prefix_key`, which is
         what lets later campaigns serve shorter-duration requests of the
-        same spec family by truncation (:meth:`serve_prefix`).
-
-        Raises ``OSError`` when the backing filesystem fails (or the
-        ``store_save``/``fail_io`` fault is armed) — the executor
-        catches that and spills to its local staging dir.
+        same spec family by truncation (:meth:`serve_prefix`). Sets
+        :attr:`last_save_charged` to whether this call published the
+        run dir. Raises ``OSError`` when the backing filesystem fails.
         """
         key = run_key(spec)
-        fault = claim_fault("store_save", key)
-        if fault is not None:
-            if fault.action == "fail_io":
-                # Injected fault: the shared store is unreachable.
-                raise OSError(f"injected store_save failure for {key}")
-            if fault.action == "slow_io":
-                # Injected fault: the store is up but slow; the save
-                # lands, blowing any configured latency budget.
-                time.sleep(fault.delay_s)
-        self._clear_run_dir(key)
-        stem = self._stem(key)
         entry = {
             "status": STATUS_OK,
             "spec": spec_to_dict(spec),
-            "stem": str(stem.relative_to(self.root)),
             "v": KEY_VERSION,
             "duration_s": float(spec.duration_s),
             "prefix": prefix_key(spec),
         }
-        pp = self.shard_of(key)
-        # Write-ahead: the begin line carries the full prospective entry
-        # so recovery can adopt the run if we crash after the payload
-        # lands but before the put/flush below.
-        self._append_journal(pp, {"op": "begin", "key": key, "entry": entry})
-        runs_dir = self.root / "runs"
-        runs_dir.mkdir(parents=True, exist_ok=True)
-        # Build the payload in a hidden temp dir and publish it with one
-        # rename (_publish_run_dir): a concurrent driver saving the same
-        # key can then never interleave writes into one torn dir.
-        tmp_dir = Path(tempfile.mkdtemp(dir=str(runs_dir),
-                                        prefix=f".{key}-"))
-        save_result(result, tmp_dir / "result")
-        if result.telemetry is not None:
-            # Optional sidecar, deliberately NOT in _RESULT_SUFFIXES: a
-            # run saved without telemetry must still read as present.
-            (tmp_dir / "telemetry.json").write_text(
-                json.dumps(result.telemetry, indent=2, sort_keys=True)
-                + "\n"
-            )
+        self._runs.mkdir(parents=True, exist_ok=True)
+        tmp = Path(tempfile.mkdtemp(dir=str(self._runs), prefix=f".{key}-"))
+        try:
+            save_result(result, tmp / "result")
+            if result.telemetry is not None:
+                # Optional sidecar, deliberately NOT in _RUN_FILES: a
+                # run saved without telemetry must still read as present.
+                (tmp / "telemetry.json").write_text(
+                    json.dumps(result.telemetry, indent=2, sort_keys=True)
+                    + "\n"
+                )
+            (tmp / _ENTRY).write_text(json.dumps(entry, sort_keys=True))
+        except BaseException:
+            shutil.rmtree(tmp, ignore_errors=True)
+            raise
         fault = claim_fault("payload_save", key)
         if fault is not None and fault.action == "corrupt_payload":
-            # Injected fault: simulate a crash mid-save — one payload
-            # file torn to zero bytes and no put/flush, leaving an
-            # uncommitted begin for recovery to sweep.
-            (tmp_dir / "result_meta.json").write_text("")
-            self._publish_run_dir(tmp_dir, key)
-            return key
-        self._publish_run_dir(tmp_dir, key)
+            # Injected fault: a save torn by a host crash — one payload
+            # file published empty.
+            (tmp / "result_meta.json").write_text("")
+        self.last_save_charged = self._publish(tmp, key)
         self._index[key] = entry
-        # Charge arbitration: two drivers racing the same key (a slow
-        # driver mistaken for dead, then reclaimed) both save — the
-        # results are identical, but the unit must be *charged* once.
-        # Journal appends give a total order, so tag our put with a
-        # unique token and let the first durable ok-put win; the loser
-        # reads the winner's token back and reports not-charged.
-        token = f"{os.getpid()}-{os.urandom(6).hex()}"
-        self._append_journal(
-            pp, {"op": "put", "key": key, "entry": entry, "by": token})
-        self._flush_shard(pp)
-        first = self._first_ok_put_by(pp, key)
-        self.last_save_charged = first is None or first == token
+        _unlink(self._failure_path(key))
         return key
 
-    def _first_ok_put_by(self, pp: str, key: str) -> Optional[str]:
-        """Writer token of ``key``'s first *tokened* ok-status put.
+    def _publish(self, tmp: Path, key: str) -> bool:
+        """Rename a finished temp dir to ``runs/<key>``; True if it won.
 
-        A ``del`` resets the generation: a discard-then-recompute is a
-        fresh charge, not a replay of the old one.  Untokened puts are
-        skipped entirely — they come from orphan adoption, legacy
-        migration, and replication, which *re-record* an existing save
-        rather than compete for its charge.  (Adoption can even race a
-        live save: a concurrent store open that replays the shard
-        between our payload publish and our tokened append sees a
-        begin-without-put with a complete payload and journals an
-        adoption put ahead of ours.  Counting it would leave the unit
-        charged by nobody — every racer would read "someone untokened
-        was first" and report not-charged.)
+        The rename fails when ``runs/<key>`` is a non-empty directory,
+        so of several drivers saving one key exactly one wins; the rest
+        discard their copies, which hold the same deterministic result.
+        A published dir with an incomplete payload (a torn save), or
+        with a different one (a deliberate overwrite of the key), is
+        retired and the rename retried.
         """
-        first: Optional[str] = None
-        for op in self._read_journal(self._shard_journal_path(pp)):
-            if op.get("key") != key:
-                continue
-            kind = op.get("op")
-            if kind == "del":
-                first = None
-            elif kind == "put" and first is None:
-                entry = op.get("entry") or {}
-                if entry.get("status") == STATUS_OK and op.get("by"):
-                    first = str(op["by"])
-        return first
+        while True:
+            try:
+                os.rename(tmp, self._run_dir(key))
+                return True
+            except OSError as exc:
+                if exc.errno not in (errno.ENOTEMPTY, errno.EEXIST):
+                    shutil.rmtree(tmp, ignore_errors=True)
+                    raise
+            if self.has(key) and self._same_record(tmp, key):
+                shutil.rmtree(tmp, ignore_errors=True)
+                return False
+            self._retire(key)
+
+    def _same_record(self, tmp: Path, key: str) -> bool:
+        """Whether ``tmp`` holds byte-identical run files to ``runs/<key>``.
+
+        The telemetry sidecar is left out: it carries wall-clock
+        timings, so two drivers computing one unit never agree on it.
+        """
+        published = self._run_dir(key)
+        try:
+            return all((tmp / name).read_bytes()
+                       == (published / name).read_bytes()
+                       for name in _RUN_FILES)
+        except OSError:
+            return False  # retired under us; the next rename decides
+
+    def _retire(self, key: str) -> None:
+        """Unpublish ``runs/<key>`` with one rename, then delete it.
+
+        The hidden name it is moved to is swept by a later open if this
+        process dies mid-delete.
+        """
+        trash = self._runs / f".{key}-{os.urandom(4).hex()}.old"
+        try:
+            os.rename(self._run_dir(key), trash)
+        except FileNotFoundError:
+            return
+        shutil.rmtree(trash, ignore_errors=True)
 
     def record_failure(self, spec: RunSpec, error: str) -> str:
         """Record a failed run without a result payload; returns its key.
 
-        Any stale payload from an earlier crashed save of the same key
-        is removed, so the manifest and the run dirs stay consistent.
+        A complete run dir of the key wins: the failure is then not
+        recorded. Any incomplete payload of a torn save is removed, so
+        the failure record and the run dirs stay consistent.
         """
         key = run_key(spec)
-        self._clear_run_dir(key)
+        if self.has(key):
+            return key
+        self._retire(key)
         entry = {
             "status": STATUS_ERROR,
             "spec": spec_to_dict(spec),
             "error": error,
         }
-        pp = self.shard_of(key)
+        atomic_write(self._failure_path(key),
+                     json.dumps(entry, sort_keys=True))
         self._index[key] = entry
-        self._append_journal(pp, {"op": "put", "key": key, "entry": entry})
-        self._flush_shard(pp)
         return key
 
     def load(self, key: str) -> SimulationResult:
@@ -694,20 +384,21 @@ class ResultStore:
         sidecar is re-attached to the returned result.
         """
         entry = self._index.get(key)
-        if entry is None:
-            raise ConfigurationError(f"store has no run {key!r}")
-        if entry["status"] != STATUS_OK:
+        if (entry is None or entry["status"] != STATUS_OK) \
+                and not self.has(key):
+            if entry is None:
+                raise ConfigurationError(f"store has no run {key!r}")
             raise ConfigurationError(
                 f"run {key!r} failed: {entry.get('error', 'unknown error')}"
             )
-        result = load_result(self.root / entry["stem"])
+        result = load_result(self._run_dir(key) / "result")
         telemetry = self.load_telemetry(key)
         if telemetry is not None:
             result.telemetry = telemetry
         return result
 
     def _telemetry_path(self, key: str) -> Path:
-        return self.root / "runs" / key / "telemetry.json"
+        return self._run_dir(key) / "telemetry.json"
 
     def has_telemetry(self, key: str) -> bool:
         """Whether ``key`` holds a telemetry sidecar."""
@@ -723,19 +414,17 @@ class ResultStore:
     def load_spec(self, key: str) -> RunSpec:
         """Reconstruct the RunSpec recorded for ``key``."""
         entry = self._index.get(key)
+        if entry is None and self.has(key):
+            entry = self._index[key]
         if entry is None:
             raise ConfigurationError(f"store has no run {key!r}")
         return spec_from_dict(entry["spec"])
 
     def discard(self, key: str) -> None:
-        """Drop an entry (e.g. to force a re-run of a failed key)."""
-        if key not in self._index:
-            return
-        del self._index[key]
-        self._clear_run_dir(key)
-        pp = self.shard_of(key)
-        self._append_journal(pp, {"op": "del", "key": key})
-        self._flush_shard(pp)
+        """Drop a key's run and failure record (e.g. to force a re-run)."""
+        self._index.pop(key, None)
+        self._retire(key)
+        _unlink(self._failure_path(key))
 
     def query(
         self,
@@ -821,24 +510,23 @@ class ResultStore:
     # ------------------------------------------------------------------
     # quarantine (deterministically failing keys resume must skip)
 
-    def _quarantine_path(self) -> Path:
-        return self.root / "quarantine.json"
+    def _quarantine_path(self, key: str) -> Path:
+        return self.root / "quarantine" / f"{key}.json"
 
     def quarantined(self) -> Dict[str, Dict[str, Any]]:
         """Key -> {spec, error} for every quarantined run.
 
-        A corrupt quarantine file reads as empty — the worst outcome is
+        An unreadable quarantine file is skipped — the worst outcome is
         re-attempting a broken run, never losing a good one.
         """
-        path = self._quarantine_path()
-        if not path.exists():
-            return {}
-        try:
-            data = json.loads(path.read_text())
-        except (json.JSONDecodeError, OSError):
-            return {}
-        runs = data.get("runs", {})
-        return runs if isinstance(runs, dict) else {}
+        out: Dict[str, Dict[str, Any]] = {}
+        folder = self.root / "quarantine"
+        for name in _listdir(folder):
+            if name.endswith(".json"):
+                data = _read_json(folder / name)
+                if data is not None:
+                    out[name[: -len(".json")]] = data
+        return out
 
     def quarantine(self, spec: RunSpec, error: str) -> str:
         """Retire a run after a deterministic failure; returns its key.
@@ -848,52 +536,26 @@ class ResultStore:
         with :meth:`unquarantine`.
         """
         key = run_key(spec)
-        runs = self.quarantined()
-        runs[key] = {"spec": spec_to_dict(spec), "error": error}
-        self._write_quarantine(runs)
+        atomic_write(self._quarantine_path(key), json.dumps(
+            {"spec": spec_to_dict(spec), "error": error}, sort_keys=True))
         return key
 
     def unquarantine(self, key: str) -> None:
         """Release a key back into circulation (e.g. after a code fix)."""
-        runs = self.quarantined()
-        if key in runs:
-            del runs[key]
-            self._write_quarantine(runs)
+        _unlink(self._quarantine_path(key))
 
     def is_quarantined(self, key: str) -> bool:
-        return key in self.quarantined()
-
-    def _write_quarantine(self, runs: Dict[str, Dict[str, Any]]) -> None:
-        payload = json.dumps(
-            {"version": 1, "runs": runs}, indent=2, sort_keys=True
-        )
-        fd, tmp = tempfile.mkstemp(
-            dir=str(self.root), prefix=".quarantine-", suffix=".json"
-        )
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(payload + "\n")
-            os.replace(tmp, self._quarantine_path())
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        return self._quarantine_path(key).exists()
 
     # ------------------------------------------------------------------
     # driver heartbeats (liveness signal behind lease takeover)
 
-    @staticmethod
-    def _owner_slug(owner: str) -> str:
-        return re.sub(r"[^A-Za-z0-9_.:+-]", "_", owner)
-
-    def _drivers_dir(self) -> Path:
-        return self.root / "drivers"
-
     def _heartbeat_path(self, owner: str) -> Path:
-        return self._drivers_dir() / f"{self._owner_slug(owner)}.hb"
+        slug = re.sub(r"[^A-Za-z0-9_.:+-]", "_", owner)
+        return self.root / "drivers" / f"{slug}.hb"
 
     def write_heartbeat(self, owner: Optional[str] = None) -> None:
-        """Refresh this driver's liveness beacon (atomic replace).
+        """Refresh this driver's liveness beacon.
 
         Written by the executor's wave loop; a driver whose beacon goes
         stale is presumed dead and its leases become reclaimable via
@@ -906,33 +568,22 @@ class ResultStore:
             # Injected fault: driver clock skew — the beacon timestamp
             # is offset, so liveness decisions read a shifted age.
             now += fault.skew_s
-        path = self._heartbeat_path(owner)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        payload = json.dumps(
+        atomic_write(self._heartbeat_path(owner), json.dumps(
             {"owner": owner, "time": now, "pid": os.getpid(),
              "host": socket.gethostname()}
-        )
-        fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=".hb-")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(payload)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        ))
 
     def heartbeats(self) -> Dict[str, float]:
         """Owner -> seconds since their last heartbeat (unreadable
         beacons are skipped)."""
         out: Dict[str, float] = {}
-        drivers = self._drivers_dir()
-        if not drivers.is_dir():
-            return out
         now = time.time()
-        for path in drivers.glob("*.hb"):
+        drivers = self.root / "drivers"
+        for name in _listdir(drivers):
+            if not name.endswith(".hb"):
+                continue
             try:
-                data = json.loads(path.read_text())
+                data = json.loads((drivers / name).read_text())
                 out[str(data["owner"])] = now - float(data["time"])
             except (OSError, ValueError, KeyError, TypeError):
                 continue
@@ -952,11 +603,7 @@ class ResultStore:
 
     def remove_heartbeat(self, owner: Optional[str] = None) -> None:
         """Retire a beacon on clean driver exit."""
-        owner = owner or self.owner
-        try:
-            self._heartbeat_path(owner).unlink()
-        except FileNotFoundError:
-            pass
+        _unlink(self._heartbeat_path(owner or self.owner))
 
     # ------------------------------------------------------------------
     # leases (multi-driver work claiming)
@@ -983,24 +630,13 @@ class ResultStore:
         """
         owner = owner or self.owner
         path = self._lease_path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        payload = json.dumps(
-            {"owner": owner, "expires": time.time() + ttl_s}
-        )
-        fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=".lease-")
         try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(payload)
-            try:
-                os.link(tmp, str(path))
-                return True
-            except FileExistsError:
-                pass
-        finally:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
+            atomic_write(path, json.dumps(
+                {"owner": owner, "expires": time.time() + ttl_s}
+            ), exclusive=True)
+            return True
+        except FileExistsError:
+            pass
         holder = self._read_lease(path)
         if holder is not None:
             live = holder[1] > time.time()
@@ -1035,7 +671,7 @@ class ResultStore:
         if holder is None or holder[0] != owner \
                 or holder[1] <= time.time():
             return False
-        self._write_lease(path, json.dumps(
+        atomic_write(path, json.dumps(
             {"owner": owner, "expires": time.time() + ttl_s}
         ))
         confirmed = self._read_lease(path)
@@ -1078,16 +714,13 @@ class ResultStore:
                     and holder[1] > time.time()
                     and holder[0] not in (owner, dead_owner)):
                 return False  # lease changed hands while we decided
-            self._write_lease(path, json.dumps(
+            atomic_write(path, json.dumps(
                 {"owner": owner, "expires": time.time() + ttl_s}
             ))
             confirmed = self._read_lease(path)
             return confirmed is not None and confirmed[0] == owner
         finally:
-            try:
-                guard.unlink()
-            except FileNotFoundError:
-                pass
+            _unlink(guard)
 
     def release_lease(self, key: str, owner: Optional[str] = None) -> None:
         """Drop a held lease (no-op if not held by ``owner``)."""
@@ -1095,10 +728,7 @@ class ResultStore:
         path = self._lease_path(key)
         holder = self._read_lease(path)
         if holder is not None and holder[0] == owner:
-            try:
-                path.unlink()
-            except FileNotFoundError:
-                pass
+            _unlink(path)
 
     def lease_holder(self, key: str) -> Optional[str]:
         """Owner of a live (unexpired) lease on ``key``, or None."""
@@ -1110,19 +740,15 @@ class ResultStore:
     def held_leases(self) -> Dict[str, List[str]]:
         """Owner -> sorted keys of every live (unexpired) lease."""
         out: Dict[str, List[str]] = {}
-        leases = self.root / "leases"
-        if not leases.is_dir():
-            return out
         now = time.time()
-        for path in leases.glob("*.lease"):
-            holder = self._read_lease(path)
+        leases = self.root / "leases"
+        for name in _listdir(leases):
+            if not name.endswith(".lease"):
+                continue
+            holder = self._read_lease(leases / name)
             if holder is None or holder[1] <= now:
                 continue
-            out.setdefault(holder[0], []).append(
-                path.name[: -len(".lease")]
-            )
-        for keys in out.values():
-            keys.sort()
+            out.setdefault(holder[0], []).append(name[: -len(".lease")])
         return out
 
     @staticmethod
@@ -1133,94 +759,70 @@ class ResultStore:
         except (OSError, ValueError, KeyError, TypeError):
             return None
 
-    @staticmethod
-    def _write_lease(path: Path, payload: str) -> None:
-        fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=".lease-")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(payload)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
-
     def _sweep_fabric(self) -> None:
-        """Open-time hygiene: drop dead leases, guards, and beacons.
+        """Open-time hygiene: drop dead leases, guards, beacons, temps.
 
         Long campaigns acquire one lease per unit per wave; without a
         sweep ``leases/`` grows unbounded with expired files.  Swept:
-        expired leases, unreadable leases old enough that they cannot
-        be mid-create, orphaned takeover guards, and heartbeats older
-        than ``heartbeat_sweep_s`` (far beyond any takeover threshold,
-        so no liveness decision ever misses a beacon it needed).
+        expired leases, unreadable leases and leaked ``.tmp-*`` files
+        old enough that they cannot be mid-write, orphaned takeover
+        guards, live leases on complete keys, heartbeats older than
+        ``heartbeat_sweep_s`` (far beyond any takeover threshold, so no
+        liveness decision ever misses a beacon it needed), and old
+        hidden temp dirs under ``runs/``.
         """
         now = time.time()
         leases = self.root / "leases"
-        if leases.is_dir():
-            for path in leases.iterdir():
-                try:
-                    if path.name.endswith(".tk"):
-                        if now - path.stat().st_mtime > _GUARD_STALE_S:
-                            path.unlink()
-                        continue
-                    if not path.name.endswith(".lease"):
-                        # ".lease-XXXX" staging temps leaked by a driver
-                        # killed mid-write; old ones cannot be in flight.
-                        if (path.name.startswith(".lease-")
-                                and now - path.stat().st_mtime
-                                > _GUARD_STALE_S):
-                            path.unlink()
-                        continue
-                    holder = self._read_lease(path)
-                    if holder is None:
-                        if now - path.stat().st_mtime > _GUARD_STALE_S:
-                            path.unlink()
-                            self.swept_leases += 1
-                    elif holder[1] <= now:
-                        path.unlink()
-                        self.swept_leases += 1
-                    elif self.probe(path.name[: -len(".lease")]):
-                        # Live lease on a durably complete key: a driver
-                        # killed between its save and its release leaks
-                        # the lease, and because every scan
-                        # short-circuits at the cached check before the
-                        # lease branch, no survivor ever takes it over
-                        # or releases it — it would linger for its full
-                        # TTL.  The lease protects nothing (a holder
-                        # racing this unlink no-op-releases on the
-                        # missing file), so drop it now.
-                        path.unlink()
-                        self.swept_leases += 1
-                except OSError:
-                    continue  # lost a race with another sweeper
-        drivers = self._drivers_dir()
-        if drivers.is_dir():
-            for path in drivers.glob("*.hb"):
-                try:
-                    data = json.loads(path.read_text())
-                    stamp = float(data["time"])
-                except (OSError, ValueError, KeyError, TypeError):
-                    try:
-                        stamp = path.stat().st_mtime
-                    except OSError:
-                        continue
-                try:
-                    if now - stamp > self.heartbeat_sweep_s:
-                        path.unlink()
-                        self.swept_heartbeats += 1
-                except OSError:
-                    continue
-        runs_dir = self.root / "runs"
-        if runs_dir.is_dir():
-            # Hidden temp dirs are saves that crashed before publishing;
-            # old enough ones cannot be in flight.
-            for path in runs_dir.glob(".*"):
-                try:
+        for name in _listdir(leases):
+            path = leases / name
+            try:
+                if not name.endswith(".lease"):
+                    # ".tk" takeover guards and ".tmp-*" lease temps
+                    # left by a driver killed mid-takeover/mid-write.
                     if now - path.stat().st_mtime > _GUARD_STALE_S:
-                        shutil.rmtree(path, ignore_errors=True)
-                except OSError:
+                        path.unlink()
                     continue
+                holder = self._read_lease(path)
+                if holder is None:
+                    if now - path.stat().st_mtime > _GUARD_STALE_S:
+                        path.unlink()
+                        self.swept_leases += 1
+                elif holder[1] <= now or self.has(name[: -len(".lease")]):
+                    # Expired, or live on a complete key: a driver
+                    # killed between its save and its release leaks the
+                    # lease, and because every scan short-circuits at
+                    # the cached check before the lease branch, no
+                    # survivor would ever release it before its TTL.
+                    # It protects nothing (a holder racing this unlink
+                    # no-op-releases on the missing file).
+                    path.unlink()
+                    self.swept_leases += 1
+            except OSError:
+                continue  # lost a race with another sweeper
+        drivers = self.root / "drivers"
+        for name in _listdir(drivers):
+            if not name.endswith(".hb"):
+                continue
+            path = drivers / name
+            try:
+                data = _read_json(path) or {}
+                stamp = float(data.get("time", path.stat().st_mtime))
+                if now - stamp > self.heartbeat_sweep_s:
+                    path.unlink()
+                    self.swept_heartbeats += 1
+            except (OSError, ValueError, TypeError):
+                continue
+        for name in _listdir(self._runs):
+            # Hidden temp dirs are saves that died before publishing
+            # and retired dirs whose delete died; old ones are inert.
+            if not name.startswith("."):
+                continue
+            path = self._runs / name
+            try:
+                if now - path.stat().st_mtime > _GUARD_STALE_S:
+                    shutil.rmtree(path, ignore_errors=True)
+            except OSError:
+                continue
 
     # ------------------------------------------------------------------
     # engine checkpoint sidecars
@@ -1228,10 +830,10 @@ class ResultStore:
     def checkpoint_path(self, key: str) -> Path:
         """Sidecar path of ``key``'s engine checkpoint.
 
-        Lives under ``checkpoints/``, not ``runs/<key>/``: ``save``
-        clears the run dir wholesale, and a checkpoint must survive
-        exactly until its run completes.  Keyed by run key, so a driver
-        that reclaims a dead driver's lease adopts its checkpoint and
+        Lives under ``checkpoints/``, not ``runs/<key>/``: a run dir is
+        published whole by ``save``, and a checkpoint must exist exactly
+        until its run completes.  Keyed by run key, so a driver that
+        reclaims a dead driver's lease adopts its checkpoint and
         resumes instead of restarting.
         """
         return self.root / "checkpoints" / f"{key}.ckpt"
@@ -1241,10 +843,7 @@ class ResultStore:
 
     def discard_checkpoint(self, key: str) -> None:
         """Drop ``key``'s checkpoint (called once its run completed)."""
-        try:
-            self.checkpoint_path(key).unlink()
-        except FileNotFoundError:
-            pass
+        _unlink(self.checkpoint_path(key))
 
     # ------------------------------------------------------------------
     # cumulative resilience tally (read by `campaign report`)
@@ -1254,13 +853,7 @@ class ResultStore:
 
     def resilience_tally(self) -> Dict[str, int]:
         """Lifetime resilience counters merged over every campaign."""
-        path = self._resilience_path()
-        if not path.exists():
-            return {}
-        try:
-            data = json.loads(path.read_text())
-        except (json.JSONDecodeError, OSError):
-            return {}
+        data = _read_json(self._resilience_path()) or {}
         return {
             str(name): int(value)
             for name, value in data.items()
@@ -1272,10 +865,8 @@ class ResultStore:
         merged = self.resilience_tally()
         for name, value in tally.items():
             merged[name] = merged.get(name, 0) + int(value)
-        path = self._resilience_path()
-        path.write_text(
-            json.dumps(merged, indent=2, sort_keys=True) + "\n"
-        )
+        atomic_write(self._resilience_path(),
+                     json.dumps(merged, indent=2, sort_keys=True) + "\n")
 
     # ------------------------------------------------------------------
     # thermal indices (shared per (exp_id, grid) characterization)
@@ -1287,18 +878,14 @@ class ResultStore:
         self, exp_id: int, grid: Tuple[int, int], indices: Dict[str, float]
     ) -> None:
         """Persist a (exp_id, grid) thermal-index characterization."""
-        path = self._indices_path(exp_id, grid)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(indices, indent=2, sort_keys=True) + "\n")
+        atomic_write(self._indices_path(exp_id, grid),
+                     json.dumps(indices, indent=2, sort_keys=True) + "\n")
 
     def load_thermal_indices(
         self, exp_id: int, grid: Tuple[int, int]
     ) -> Optional[Dict[str, float]]:
-        """The stored characterization, or None if absent."""
-        path = self._indices_path(exp_id, grid)
-        if not path.exists():
+        """The stored characterization, or None if absent or unreadable."""
+        data = _read_json(self._indices_path(exp_id, grid))
+        if data is None:
             return None
-        return {
-            str(name): float(value)
-            for name, value in json.loads(path.read_text()).items()
-        }
+        return {str(name): float(value) for name, value in data.items()}

@@ -174,16 +174,7 @@ def _load_campaign(args: argparse.Namespace):
 
     spec = CampaignSpec.from_json(args.spec)
     store_dir = args.store or Path("campaigns") / spec.name
-    return spec, ResultStore(store_dir,
-                             shards=getattr(args, "shards", None))
-
-
-def _load_staging(args: argparse.Namespace, store):
-    from repro.campaign import StagingArea, default_stage_dir
-
-    stage_dir = getattr(args, "stage_dir", None)
-    return StagingArea(stage_dir or default_stage_dir(store.root),
-                       owner=store.owner)
+    return spec, ResultStore(store_dir)
 
 
 def _print_campaign_telemetry(store, spec) -> None:
@@ -261,7 +252,7 @@ def cmd_campaign_run(args: argparse.Namespace) -> int:
         return 2
     run = executor.run_campaign(spec)
     print(format_status(campaign_status(store, spec,
-                                        staging=executor.staging)))
+                                        stage_dir=args.stage_dir)))
     _print_campaign_telemetry(store, spec)
     counts = run.counts()
     failed = counts.get("error", 0) + counts.get("quarantined", 0)
@@ -276,8 +267,8 @@ def cmd_campaign_status(args: argparse.Namespace) -> int:
     except ConfigurationError as exc:
         print(exc, file=sys.stderr)
         return 2
-    staging = _load_staging(args, store)
-    print(format_status(campaign_status(store, spec, staging=staging)))
+    print(format_status(campaign_status(store, spec,
+                                        stage_dir=args.stage_dir)))
     _print_campaign_telemetry(store, spec)
     return 0
 
@@ -290,8 +281,7 @@ def cmd_campaign_drivers(args: argparse.Namespace) -> int:
     except ConfigurationError as exc:
         print(exc, file=sys.stderr)
         return 2
-    staging = _load_staging(args, store)
-    print(format_fabric(fabric_health(store, staging=staging)))
+    print(format_fabric(fabric_health(store, stage_dir=args.stage_dir)))
     return 0
 
 
@@ -384,12 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
         parser.add_argument("--store", type=Path, default=None,
                             help="result store directory "
                                  "(default: campaigns/<name>)")
-        parser.add_argument("--shards", type=int, default=None,
-                            help="index shard count when creating a new "
-                                 "store (default 16; ignored for existing "
-                                 "stores, whose count is fixed at creation)")
         parser.add_argument("--stage-dir", type=Path, default=None,
-                            help="local staging directory for degraded-mode "
+                            help="local staging store for degraded-mode "
                                  "spills (default: <store>.staging)")
 
     campaign_run = campaign_sub.add_parser(
@@ -458,8 +444,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     campaign_drivers_parser = campaign_sub.add_parser(
         "drivers",
-        help="show fabric health: live drivers, held leases, shard "
-             "occupancy, staged spills",
+        help="show fabric health: live drivers, held leases, stored "
+             "entries, staged spills",
     )
     _add_campaign_arguments(campaign_drivers_parser)
     campaign_drivers_parser.set_defaults(func=cmd_campaign_drivers)

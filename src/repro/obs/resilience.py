@@ -36,7 +36,6 @@ RESILIENCE_COUNTERS = (
     "campaign.takeovers",
     "campaign.spills",
     "campaign.reconciles",
-    "campaign.stale_reads",
 )
 
 
@@ -86,10 +85,6 @@ class ResilienceStats:
         """A staged result was folded back into the recovered store."""
         self.registry.counter("campaign.reconciles").inc(n)
 
-    def stale_read(self, n: int = 1) -> None:
-        """A shard snapshot read behind its journal (replay repaired it)."""
-        self.registry.counter("campaign.stale_reads").inc(n)
-
     def snapshot(self) -> Dict[str, int]:
         """Flat ``{short_name: count}`` view of the resilience counters."""
         counters = self.registry.snapshot()["counters"]
@@ -135,9 +130,6 @@ class _NullResilienceStats:
         pass
 
     def reconcile(self, n: int = 1) -> None:
-        pass
-
-    def stale_read(self, n: int = 1) -> None:
         pass
 
     def snapshot(self) -> Dict[str, int]:

@@ -58,19 +58,21 @@ interval execution reproduces the eager reference semantics:
   heap events. The span machinery supplies the lazy per-core state and
   the trusted completion heap; every whole-tick stretch up to the next
   heap event (arrival or completion) is crossed in one jump with no
-  settledness gate and no horizon cap. Inside a jump the thermal state
-  advances tick-by-tick through the same ``step_vector`` call the
-  eager loop makes, with leakage repriced each tick from the evolving
-  unit readback via the affine power decomposition
+  settledness gate and no horizon cap. The thermal state advances
+  tick-by-tick in the run-persistent reduced-order modal basis
+  (:class:`~repro.thermal.model.ModalJump`, a truncated eigenbasis of
+  the propagator) — falling back to the dense ``step_vector`` only when
+  the assembly has no accepted basis — with leakage repriced each tick
+  from the evolving unit readback via the affine power decomposition
   (:meth:`~repro.power.chip_power.ChipPowerModel.quiet_power_factors`),
-  so per-tick recording stays dense and the only tolerance source is
-  the closed-form utilization fill. Sensor/DPM/policy control calls
-  are skipped for the prefix of the jump where they are provably
-  no-ops (ideal sensors, identity policy tick, DPM sleep horizon
-  bounded by bisection) and run on reconstructed observations after
-  that; the first mutation closes the jump at the acting tick. Shares
-  the span tolerance contract; harness in
-  ``tests/test_engine_event.py``.
+  so per-tick recording stays dense; the tolerance sources are the
+  closed-form utilization fill and the basis truncation.
+  Sensor/DPM/policy control calls are skipped for the prefix of the
+  jump where they are provably no-ops (ideal sensors, identity policy
+  tick, DPM sleep horizon bounded by bisection) and run on
+  reconstructed observations after that; the first mutation closes the
+  jump at the acting tick. Shares the span tolerance contract; harness
+  in ``tests/test_engine_event.py``.
 """
 
 from __future__ import annotations

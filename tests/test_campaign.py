@@ -1,5 +1,6 @@
 """Campaign subsystem tests: keys, specs, store, executors, reports."""
 
+import json
 import os
 import subprocess
 import sys
@@ -955,8 +956,10 @@ class TestPrefixCache:
         runner = ExperimentRunner()
         long_spec = tiny_spec(duration_s=4.0)
         key = store.save(long_spec, runner.run(long_spec))
-        store._index[key].pop("v")
-        store._flush_index()
+        entry_path = tmp_path / "runs" / key / "entry.json"
+        entry = json.loads(entry_path.read_text())
+        entry.pop("v")
+        entry_path.write_text(json.dumps(entry))
         reopened = ResultStore(tmp_path)
         assert reopened.find_prefix(tiny_spec(duration_s=2.0)) is None
 

@@ -1,12 +1,14 @@
-"""Multi-driver campaign fabric tests: sharded store index, heartbeat
+"""Multi-driver campaign fabric tests: run-dir records, heartbeat
 failover, degraded-mode staging, and cross-driver chaos.
 
-The fast slice (sharding, migration, leases, heartbeats, degraded
-mode, and a 2-driver chaos smoke) runs in tier-1; the 3-driver mixed
-fault storm carries ``@pytest.mark.slow`` and runs in the weekly job
+The fast slice (run-dir records, old-layout fencing, leases,
+heartbeats, degraded mode, and a 2-driver chaos smoke) runs in
+tier-1; the 3-driver mixed fault storm carries ``@pytest.mark.slow``
+and runs in the weekly job
 (``pytest -m slow tests/test_campaign_fabric.py``).
 """
 
+import io
 import json
 import multiprocessing
 import os
@@ -22,7 +24,6 @@ from repro.campaign import (
     FaultSpec,
     ResiliencePolicy,
     ResultStore,
-    StagingArea,
     default_stage_dir,
     fabric_health,
     format_fabric,
@@ -31,7 +32,7 @@ from repro.campaign import (
     run_key,
 )
 from repro.campaign import faults
-from repro.campaign.store import DEFAULT_SHARDS
+from repro.campaign import store as store_module
 from repro.cli import main as cli_main
 from repro.errors import ConfigurationError
 
@@ -59,227 +60,190 @@ def tiny_result():
     return ExperimentRunner().run(tiny_spec())
 
 
-@pytest.fixture(scope="module")
-def tiny_loaded(tmp_path_factory, tiny_result):
-    """Store round-trip of ``tiny_result`` — the comparison baseline
-    for anything reloaded from disk (CSV serialization quantizes the
-    last float bit, so round-trips compare against round-trips)."""
-    store = ResultStore(tmp_path_factory.mktemp("roundtrip"))
-    return store.load(store.save(tiny_spec(), tiny_result))
-
-
 # ---------------------------------------------------------------------------
-# sharded index
+# the run directory is the record
 # ---------------------------------------------------------------------------
 
 
-class TestShardedIndex:
-    def test_layout_reopen_and_shard_sizes(self, tmp_path, tiny_result):
-        store = ResultStore(tmp_path / "store")
-        assert store.shards == DEFAULT_SHARDS
+def _file_states(root: Path) -> dict:
+    """Relative path -> (inode, mtime, bytes) of every file under root."""
+    states = {}
+    for folder, _, names in os.walk(root):
+        for name in names:
+            path = Path(folder) / name
+            stat = path.stat()
+            states[str(path.relative_to(root))] = (
+                stat.st_ino, stat.st_mtime_ns, path.read_bytes())
+    return states
+
+
+def _race_save(root, spec, result, barrier, out_path):
+    store = ResultStore(root)
+    barrier.wait(timeout=30)
+    store.save(spec, result)
+    Path(out_path).write_text(
+        "charged" if store.last_save_charged else "lost")
+
+
+class TestRunDirRecord:
+    def test_layout_and_reopen(self, tmp_path, tiny_result):
+        root = tmp_path / "store"
+        store = ResultStore(root)
         keys = [
             store.save(tiny_spec(seed=seed), tiny_result)
             for seed in range(1, 7)
         ]
-        # Sharded layout: per-prefix snapshots + journals, a store.json
-        # meta file, and no monolithic index at the root.
-        assert (tmp_path / "store" / "store.json").exists()
-        assert not (tmp_path / "store" / "index.json").exists()
-        shards = {store.shard_of(key) for key in keys}
-        for pp in shards:
-            assert (tmp_path / "store" / "index" / f"{pp}.json").exists()
-            assert (tmp_path / "store" / "journal" / f"{pp}.jsonl").exists()
-        sizes = store.shard_sizes()
-        assert sum(sizes.values()) == len(keys)
-        assert set(sizes) == shards
+        # One self-describing dir per result; no index, journal or
+        # topology file beside them.
+        assert sorted(os.listdir(root)) == ["runs"]
+        for key in keys:
+            entry = json.loads((root / "runs" / key / "entry.json").read_text())
+            assert entry == store.entry(key)
+            assert entry["status"] == "ok"
 
-        reopened = ResultStore(tmp_path / "store")
+        reopened = ResultStore(root)
         assert sorted(reopened.keys()) == sorted(keys)
         for key in keys:
             assert reopened.has(key)
             assert reopened.entry(key) == store.entry(key)
 
-    def test_shard_count_fixed_at_creation(self, tmp_path, tiny_result):
-        store = ResultStore(tmp_path / "store", shards=4)
-        assert store.shards == 4
-        key = store.save(tiny_spec(), tiny_result)
-        # A later open asking for a different count is ignored —
-        # rehashing would strand existing entries in unread shards.
-        reopened = ResultStore(tmp_path / "store", shards=64)
-        assert reopened.shards == 4
-        assert reopened.has(key)
-
-    def test_shard_count_validated(self, tmp_path):
-        with pytest.raises(ConfigurationError):
-            ResultStore(tmp_path / "a", shards=0)
-        with pytest.raises(ConfigurationError):
-            ResultStore(tmp_path / "b", shards=1000)
-
-    def test_shard_of_is_stable_across_instances(self, tmp_path):
-        a = ResultStore(tmp_path / "store")
-        b = ResultStore(tmp_path / "store")
-        for seed in range(8):
-            key = run_key(tiny_spec(seed=seed))
-            assert a.shard_of(key) == b.shard_of(key)
-            assert len(a.shard_of(key)) == 2
-
-    def test_torn_shard_recovered_from_journal(
-        self, tmp_path, monkeypatch, tiny_result, tiny_loaded
-    ):
-        store = ResultStore(tmp_path / "store")
-        install_plan(monkeypatch, tmp_path / "faults",
-                     FaultSpec("t1", "index_flush", "torn_shard"))
-        key = store.save(tiny_spec(), tiny_result)
-        pp = store.shard_of(key)
-        shard_path = tmp_path / "store" / "index" / f"{pp}.json"
-        with pytest.raises(json.JSONDecodeError):
-            json.loads(shard_path.read_text())
-        # Reopening replays the shard journal over the torn snapshot
-        # and flushes a clean one.
-        reopened = ResultStore(tmp_path / "store")
-        assert reopened.has(key)
-        assert_results_identical(reopened.load(key), tiny_loaded)
-        json.loads(shard_path.read_text())
-
-    def test_stale_read_repaired_and_counted(
-        self, tmp_path, monkeypatch, tiny_result
-    ):
-        store = ResultStore(tmp_path / "store")
-        key = store.save(tiny_spec(), tiny_result)
-        install_plan(monkeypatch, tmp_path / "faults",
-                     FaultSpec("s1", "shard_load", "stale_read",
-                               key=store.shard_of(key)))
-        reopened = ResultStore(tmp_path / "store")
-        assert reopened.has(key)
-        assert reopened.stale_reads >= 1
-        # take_stale_reads is a read-and-reset delta for the executor.
-        assert reopened.take_stale_reads() == reopened.stale_reads
-        assert reopened.take_stale_reads() == 0
-
-    def test_concurrent_instances_merge_via_journal(
+    def test_concurrent_instances_see_each_others_saves(
         self, tmp_path, tiny_result
     ):
-        # Two store instances open concurrently; with a single shard
-        # every key contends on the same snapshot, so the second
-        # instance's flush loses the first one's entry. The journal
-        # repairs the lost race on the next open and counts it.
-        a = ResultStore(tmp_path / "store", owner="a", shards=1)
-        b = ResultStore(tmp_path / "store", owner="b", shards=1)
+        # has() reads the disk, so a save by another open instance is
+        # visible without reopening.
+        a = ResultStore(tmp_path / "store", owner="a")
+        b = ResultStore(tmp_path / "store", owner="b")
         key_a = a.save(tiny_spec(seed=1), tiny_result)
-        key_b = b.save(tiny_spec(seed=2), tiny_result)  # clobbers a's flush
-        snapshot = json.loads(
-            (tmp_path / "store" / "index" / "00.json").read_text()
-        )
-        assert key_a not in snapshot["runs"]  # the lost race, on disk
+        key_b = b.save(tiny_spec(seed=2), tiny_result)
+        assert a.has(key_b) and b.has(key_a)
+        assert a.load_spec(key_b) == tiny_spec(seed=2)
         fresh = ResultStore(tmp_path / "store")
-        assert fresh.has(key_a)
-        assert fresh.has(key_b)
-        assert fresh.stale_reads >= 1
+        assert sorted(fresh.keys()) == sorted([key_a, key_b])
 
-    def test_save_charge_survives_adoption_race(
+    def test_concurrent_save_charges_exactly_once(
         self, tmp_path, tiny_result
     ):
-        # A concurrent store open replaying the shard between a save's
-        # payload publish and its tokened journal append sees a
-        # begin-without-put with a complete payload and journals an
-        # untokened adoption put ahead of the saver's own. The adoption
-        # re-records the saver's work — it must not win the charge
-        # arbitration, or every racer reads "someone untokened was
-        # first" and the unit ends up charged by nobody.
+        # Two processes save one key at once: the rename onto a
+        # non-empty run dir fails for the loser, so exactly one is
+        # charged, and the stored payload equals a serial save.
+        root = tmp_path / "store"
+        spec = tiny_spec(seed=1)
+        ctx = multiprocessing.get_context("fork")
+        barrier = ctx.Barrier(2)
+        procs = [
+            ctx.Process(target=_race_save,
+                        args=(root, spec, tiny_result, barrier,
+                              tmp_path / f"save-{i}"))
+            for i in range(2)
+        ]
+        for proc in procs:
+            proc.start()
+        for proc in procs:
+            proc.join(timeout=30)
+            assert proc.exitcode == 0
+        outcomes = sorted(
+            (tmp_path / f"save-{i}").read_text() for i in range(2)
+        )
+        assert outcomes == ["charged", "lost"]
+
+        serial = ResultStore(tmp_path / "serial")
+        key = serial.save(spec, tiny_result)
+        raced = _file_states(root / "runs" / key)
+        reference = _file_states(serial.root / "runs" / key)
+        assert sorted(raced) == sorted(reference)
+        for name in raced:
+            assert raced[name][2] == reference[name][2], name
+        # The loser discarded its temp copy.
+        assert os.listdir(root / "runs") == [key]
+
+    def test_save_of_a_different_payload_replaces_the_record(
+        self, tmp_path, tiny_result
+    ):
+        # Only byte-identical copies lose the rename race; saving a
+        # different result under a key overwrites the published one.
         store = ResultStore(tmp_path / "store")
         spec = tiny_spec(seed=1)
-        key = run_key(spec)
-        store._append_journal(store.shard_of(key), {
-            "op": "put", "key": key,
-            "entry": {"status": "ok", "spec": {},
-                      "stem": f"runs/{key}/result"},
-        })
+        key = store.save(spec, ExperimentRunner().run(tiny_spec(seed=2)))
         store.save(spec, tiny_result)
-        assert store.last_save_charged is True
+        assert store.last_save_charged
+        reference = ResultStore(tmp_path / "reference")
+        assert_results_identical(store.load(key),
+                                 reference.load(reference.save(spec, tiny_result)))
+        assert os.listdir(tmp_path / "store" / "runs") == [key]
 
+    def test_save_touches_only_its_run_dir(self, tmp_path, tiny_result):
+        # Save cost must not grow with the store: after 50 saves, one
+        # more writes nothing outside runs/<key>/ (it may drop the
+        # key's own failure record).
+        store = ResultStore(tmp_path / "store")
+        for seed in range(50):
+            store.save(tiny_spec(seed=seed), tiny_result)
+        spec = tiny_spec(seed=50)
+        key = store.record_failure(spec, "boom")
+        before = _file_states(store.root)
+        store.save(spec, tiny_result)
+        after = _file_states(store.root)
+        changed = {path for path in after if before.get(path) != after[path]}
+        assert changed
+        assert all(path.startswith(f"runs/{key}/") for path in changed)
+        assert set(before) - set(after) <= {f"failures/{key}.json"}
+        assert store.has(key) and not store.failures()
 
-# ---------------------------------------------------------------------------
-# legacy (monolithic) store migration
-# ---------------------------------------------------------------------------
-
-
-def _shardless_to_legacy(root: Path) -> None:
-    """Rewrite a sharded store as the pre-shard monolithic layout."""
-    runs = {}
-    ops = []
-    for path in sorted((root / "index").glob("*.json")):
-        runs.update(json.loads(path.read_text())["runs"])
-    for path in sorted((root / "journal").glob("*.jsonl")):
-        ops.extend(
-            line for line in path.read_text().splitlines() if line.strip()
-        )
-    (root / "index.json").write_text(
-        json.dumps({"version": 1, "runs": runs}, indent=2, sort_keys=True)
-    )
-    (root / "journal.jsonl").write_text("\n".join(ops) + "\n")
-    for path in list((root / "index").glob("*")):
-        path.unlink()
-    (root / "index").rmdir()
-    for path in list((root / "journal").glob("*")):
-        path.unlink()
-    (root / "journal").rmdir()
-    (root / "store.json").unlink()
-
-
-class TestLegacyMigration:
-    def test_monolithic_store_migrates_losslessly(
-        self, tmp_path, tiny_result, tiny_loaded
-    ):
+    @pytest.mark.parametrize("layout", [
+        ("store.json", "index/00.json", "journal/00.jsonl"),
+        ("index.json", "journal.jsonl"),
+    ], ids=["sharded", "monolithic"])
+    def test_old_layouts_refused_untouched(self, tmp_path, layout):
         root = tmp_path / "store"
-        seed_store = ResultStore(root)
-        keys = [
-            seed_store.save(tiny_spec(seed=seed), tiny_result)
-            for seed in (1, 2, 3)
-        ]
-        failed = seed_store.record_failure(
-            tiny_spec(seed=9), "boom"
-        )
-        _shardless_to_legacy(root)
+        for name in layout + ("runs/exp1-default-0123456789ab/result_meta.json",):
+            (root / name).parent.mkdir(parents=True, exist_ok=True)
+            (root / name).write_text("{}")
+        before = _file_states(root)
+        with pytest.raises(ConfigurationError, match="fresh store") as info:
+            ResultStore(root)
+        assert str(root) in str(info.value)
+        assert _file_states(root) == before
+        assert sorted(os.listdir(root)) == sorted(
+            {name.split("/")[0] for name in layout} | {"runs"})
 
-        migrated = ResultStore(root)
-        assert migrated.migrated_runs == len(keys) + 1
-        for key in keys:
-            assert migrated.has(key)
-            assert_results_identical(migrated.load(key), tiny_loaded)
-        assert migrated.entry(failed)["status"] == "error"
-        # Legacy files retired to backups; sharded layout in place.
-        assert (root / "index.json.migrated").exists()
-        assert (root / "journal.jsonl.migrated").exists()
-        assert not (root / "index.json").exists()
-        assert not (root / "journal.jsonl").exists()
-        assert (root / "index").is_dir()
-
-        # Round trip: a further reopen sees the same store, migrates
-        # nothing, and every entry still loads bit-identically.
-        again = ResultStore(root)
-        assert again.migrated_runs == 0
-        assert sorted(again.keys()) == sorted(migrated.keys())
-        for key in keys:
-            assert_results_identical(again.load(key), tiny_loaded)
-
-    def test_migration_adopts_journal_only_entries(
-        self, tmp_path, tiny_result, tiny_loaded
+    def test_torn_indices_write_keeps_previous_file(
+        self, tmp_path, monkeypatch
     ):
-        # A legacy store that crashed after journaling a put but before
-        # flushing index.json: the entry exists only in the journal.
-        root = tmp_path / "store"
-        seed_store = ResultStore(root)
-        kept = seed_store.save(tiny_spec(seed=1), tiny_result)
-        orphan = seed_store.save(tiny_spec(seed=2), tiny_result)
-        _shardless_to_legacy(root)
-        snapshot = json.loads((root / "index.json").read_text())
-        del snapshot["runs"][orphan]
-        (root / "index.json").write_text(json.dumps(snapshot))
+        # A second driver may open the store while the first rewrites
+        # the thermal indices: a write that dies halfway must leave the
+        # previous file whole.
+        store = ResultStore(tmp_path / "store")
+        store.save_thermal_indices(1, (4, 4), {"c0": 0.25})
+        real_open = io.open
 
-        migrated = ResultStore(root)
-        assert migrated.has(kept)
-        assert migrated.has(orphan)
-        assert_results_identical(migrated.load(orphan), tiny_loaded)
+        class TornWriter:
+            def __init__(self, handle):
+                self.handle = handle
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.handle.close()
+
+            def write(self, text):
+                self.handle.write(text[: len(text) // 2])
+                self.handle.flush()
+                raise OSError("disk full")
+
+        def torn_open(file, mode="r", *args, **kwargs):
+            handle = real_open(file, mode, *args, **kwargs)
+            return TornWriter(handle) if "w" in mode else handle
+
+        monkeypatch.setattr(io, "open", torn_open)
+        with pytest.raises(OSError):
+            store.save_thermal_indices(1, (4, 4), {"c0": 0.5, "c1": 0.75})
+        monkeypatch.undo()
+        reopened = ResultStore(tmp_path / "store")
+        assert reopened.load_thermal_indices(1, (4, 4)) == {"c0": 0.25}
+        assert os.listdir(tmp_path / "store" / "indices") == [
+            "exp1_4x4.json"]
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +257,7 @@ class TestLeaseFabric:
     ):
         store = ResultStore(tmp_path / "store", owner="us")
         assert store.acquire_lease("k1", ttl_s=30.0)
-        real_write = ResultStore._write_lease
+        real_write = store_module.atomic_write
 
         def hijacked(path, payload):
             # A takeover lands immediately after our renewal write —
@@ -303,8 +267,7 @@ class TestLeaseFabric:
                 {"owner": "thief", "expires": time.time() + 99.0}
             ))
 
-        monkeypatch.setattr(ResultStore, "_write_lease",
-                            staticmethod(hijacked))
+        monkeypatch.setattr(store_module, "atomic_write", hijacked)
         assert store.renew_lease("k1", ttl_s=30.0) is False
 
     def test_renew_refuses_expired_lease(self, tmp_path):
@@ -412,7 +375,7 @@ class TestLeaseFabric:
         assert ResultStore(root).lease_holder("fresh") \
             == f"driver-{winner}"
         # No staging temps leaked by the losers.
-        assert not list((root / "leases").glob(".lease-*"))
+        assert not list((root / "leases").glob(".tmp-*"))
 
     def test_open_sweeps_live_lease_on_completed_key(
         self, tmp_path, tiny_result
@@ -599,7 +562,7 @@ class TestDegradedMode:
         assert events.count("reconciled") == 2
         for spec in campaign.expand():
             assert store.has(run_key(spec))
-        assert executor.staging.pending() == []
+        assert executor.staging.keys() == []
 
     def test_latency_budget_breach_degrades(self, tmp_path, monkeypatch):
         root = tmp_path / "store"
@@ -639,7 +602,7 @@ class TestDegradedMode:
         assert sorted(results) == sorted(run_key(s) for s in specs)
         for spec in specs:
             assert not store.has(run_key(spec))
-        assert len(executor.staging.pending()) == 2
+        assert len(executor.staging.keys()) == 2
         assert_results_identical(
             results[run_key(specs[0])], ref.load(run_key(specs[0]))
         )
@@ -691,18 +654,15 @@ class TestFabricReporting:
         key = store.save(tiny_spec(), tiny_result)
         store.write_heartbeat()
         assert store.acquire_lease("busy-key", ttl_s=60.0)
-        staging = StagingArea(default_stage_dir(store.root),
-                              owner=store.owner)
-        staging.spill(tiny_spec(seed=7), tiny_result)
+        staging = ResultStore(default_stage_dir(store.root))
+        staging.save(tiny_spec(seed=7), tiny_result)
 
         health = fabric_health(store)
         assert health["live_drivers"] == ["drv-a"]
         assert health["stale_drivers"] == []
         assert health["held_leases"] == {"drv-a": ["busy-key"]}
         assert health["n_leases"] == 1
-        assert health["shards"] == DEFAULT_SHARDS
-        assert health["shard_entries"] == 1
-        assert health["busiest_shard"] == 1
+        assert health["entries"] == 1
         assert health["staged"] == [run_key(tiny_spec(seed=7))]
 
         text = format_fabric(health)
@@ -719,7 +679,7 @@ class TestFabricReporting:
         store.save(tiny_spec(seed=1), tiny_result)
         campaign = tiny_campaign(policies=("Default",), seeds=(1,))
         status = campaign_status(store, campaign)
-        assert status["fabric"]["shard_entries"] == 1
+        assert status["fabric"]["entries"] == 1
         # Quiet fabric (no drivers/leases/spills): the classic one-line
         # status is unchanged.
         assert "fabric:" not in format_status(status)
@@ -741,21 +701,7 @@ class TestFabricReporting:
         ]) == 0
         out = capsys.readouterr().out
         assert "fabric: 1 live driver(s)" in out
-        assert f"over {DEFAULT_SHARDS} shards" in out
-
-    def test_cli_shards_flag_sets_new_store_topology(
-        self, tmp_path, capsys
-    ):
-        spec_path = tiny_campaign(
-            policies=("Default",), seeds=(1,)
-        ).to_json(tmp_path / "campaign.json")
-        store_dir = tmp_path / "store"
-        assert cli_main([
-            "campaign", "drivers", str(spec_path),
-            "--store", str(store_dir), "--shards", "4",
-        ]) == 0
-        assert "over 4 shards" in capsys.readouterr().out
-        assert ResultStore(store_dir).shards == 4
+        assert "1 entries" in out
 
 
 # ---------------------------------------------------------------------------
@@ -793,7 +739,7 @@ def _drive_campaign(store_dir, stage_dir, owner, campaign_kwargs,
             executor.run_campaign(campaign)
             check = ResultStore(store_dir, owner=owner)
             if (all(check.has(key) for key in keys)
-                    and not executor.staging.pending()):
+                    and not ResultStore(stage_dir).keys()):
                 return
             time.sleep(0.05)
     raise RuntimeError(f"driver {owner} did not converge in {max_s}s")
@@ -873,8 +819,7 @@ class TestCrossDriverChaos:
                 store_latency_budget_s=0.1,
             ),
             fault_specs=[
-                FaultSpec("smoke-torn", "index_flush", "torn_shard"),
-                FaultSpec("smoke-stale", "shard_load", "stale_read"),
+                FaultSpec("smoke-fail", "store_save", "fail_io"),
                 FaultSpec("smoke-slow", "store_save", "slow_io",
                           delay_s=0.3),
             ],
@@ -888,15 +833,15 @@ class TestCrossDriverChaos:
             assert_results_identical(store.load(key), ref_store.load(key))
         _assert_one_charge_each(log_paths, [run_key(s) for s in specs])
         assert store.held_leases() == {}
-        assert StagingArea(tmp_path / "staging").pending() == []
+        assert ResultStore(tmp_path / "staging").keys() == []
 
     @pytest.mark.slow
     def test_three_driver_fault_storm_converges_bit_identical(
         self, tmp_path
     ):
-        # The full mixed storm of ISSUE 10's acceptance criteria:
-        # driver kill + torn shard write + slow-IO + stale read, three
-        # real driver processes, one store, seeded fault plan.
+        # The full mixed storm: driver kill + failed store writes
+        # (spill and reconcile) + slow-IO, three real driver processes,
+        # one store, seeded fault plan.
         campaign_kwargs = dict(policies=("Default", "Adapt3D"),
                                seeds=(1, 2, 3))
         campaign = tiny_campaign(**campaign_kwargs)
@@ -919,9 +864,7 @@ class TestCrossDriverChaos:
             ),
             fault_specs=[
                 FaultSpec("storm-kill", "driver_wave", "crash"),
-                FaultSpec("storm-torn", "index_flush", "torn_shard",
-                          times=2),
-                FaultSpec("storm-stale", "shard_load", "stale_read",
+                FaultSpec("storm-fail", "store_save", "fail_io",
                           times=2),
                 FaultSpec("storm-slow", "store_save", "slow_io",
                           delay_s=0.3),
@@ -939,5 +882,5 @@ class TestCrossDriverChaos:
             assert_results_identical(store.load(key), ref_store.load(key))
         _assert_one_charge_each(log_paths, [run_key(s) for s in specs])
         assert store.held_leases() == {}
-        assert StagingArea(tmp_path / "staging").pending() == []
+        assert ResultStore(tmp_path / "staging").keys() == []
         assert not store.quarantined()

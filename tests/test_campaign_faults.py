@@ -1,12 +1,12 @@
 """Campaign resilience tests: fault injection, watchdog, retry,
-quarantine, leases, journal recovery, and checkpoint/resume identity.
+quarantine, leases, torn-save recovery, and checkpoint/resume identity.
 
 The fast slice runs in tier-1 as a chaos smoke; the full fault matrix
 and the resume bit-identity sweep carry ``@pytest.mark.slow`` and run
 in the weekly job (``pytest -m slow tests/test_campaign_faults.py``).
 """
 
-import json
+import os
 
 import numpy as np
 import pytest
@@ -153,7 +153,6 @@ class TestResilienceStats:
             "retries": 1, "timeouts": 2, "crashes": 0,
             "quarantines": 0, "checkpoints": 0, "lease_skips": 0,
             "takeovers": 0, "spills": 0, "reconciles": 0,
-            "stale_reads": 0,
         }
 
     def test_null_twin_is_inert(self):
@@ -177,7 +176,7 @@ class TestFaultPlan:
         assert injector.claim("worker_run", "any").fault_id == "c1"
         assert injector.claim("worker_run", "any").fault_id == "c1"
         assert injector.claim("worker_run", "any") is None  # budget spent
-        assert injector.claim("index_flush", "any") is None  # wrong point
+        assert injector.claim("store_save", "any") is None  # wrong point
 
     def test_key_prefix_matching(self, tmp_path):
         plan = FaultPlan(faults=(
@@ -328,21 +327,6 @@ class TestLeases:
 
 
 class TestStoreFaults:
-    def test_torn_index_recovered_from_journal(
-        self, tmp_path, monkeypatch, tiny_result
-    ):
-        store = ResultStore(tmp_path / "store")
-        install_plan(monkeypatch, tmp_path / "faults",
-                     FaultSpec("t1", "index_flush", "torn_index"))
-        key = store.save(tiny_spec(), tiny_result)
-        # The index write was torn mid-file; reopening replays the
-        # journal and flushes a clean snapshot.
-        reopened = ResultStore(tmp_path / "store")
-        assert reopened.has(key)
-        pp = reopened.shard_of(key)
-        json.loads(
-            (tmp_path / "store" / "index" / f"{pp}.json").read_text())
-
     def test_corrupt_payload_swept_then_healed(
         self, tmp_path, monkeypatch, tiny_result
     ):
@@ -350,14 +334,16 @@ class TestStoreFaults:
         install_plan(monkeypatch, tmp_path / "faults",
                      FaultSpec("p1", "payload_save", "corrupt_payload"))
         key = store.save(tiny_spec(), tiny_result)
-        assert not store.has(key)  # truncated payload reads as absent
+        assert not store.has(key)  # emptied payload file reads as absent
 
         reopened = ResultStore(tmp_path / "store")
-        assert reopened.swept_runs == 1
         assert not reopened.has(key)
-        # The fault budget is spent; a re-run heals the store.
+        # The fault budget is spent; a re-run moves the torn run dir
+        # aside, publishes its own, and is charged with the unit.
         assert reopened.save(tiny_spec(), tiny_result) == key
+        assert reopened.last_save_charged
         assert reopened.has(key)
+        assert os.listdir(tmp_path / "store" / "runs") == [key]
 
 
 class TestCheckpointResume:
@@ -478,11 +464,11 @@ class TestChaosCampaign:
         return run
 
     def test_chaos_smoke(self, tmp_path, monkeypatch):
-        # One crash plus one torn index write, two runs.
+        # One crash plus one torn save, two runs.
         install_plan(
             monkeypatch, tmp_path / "faults",
             FaultSpec("c1", "worker_run", "crash"),
-            FaultSpec("t1", "index_flush", "torn_index"),
+            FaultSpec("p1", "payload_save", "corrupt_payload"),
         )
         campaign = tiny_campaign()
         store = ResultStore(tmp_path / "store")
@@ -506,14 +492,13 @@ class TestChaosCampaign:
 
     @pytest.mark.slow
     def test_chaos_full_matrix(self, tmp_path, monkeypatch):
-        # Crash storm + hang + torn index + corrupt payload across a
-        # four-run campaign with checkpointing armed.
+        # Crash storm + hang + torn saves across a four-run campaign
+        # with checkpointing armed.
         install_plan(
             monkeypatch, tmp_path / "faults",
             FaultSpec("c1", "worker_run", "crash", times=2),
             FaultSpec("h1", "worker_run", "hang", hang_s=60.0),
-            FaultSpec("t1", "index_flush", "torn_index"),
-            FaultSpec("p1", "payload_save", "corrupt_payload"),
+            FaultSpec("p1", "payload_save", "corrupt_payload", times=2),
         )
         campaign = tiny_campaign(seeds=(1, 2))  # 4 runs
         store = ResultStore(tmp_path / "store")
