@@ -11,14 +11,11 @@ Measures the campaign-shaped workload the batch engine exists for — a
 - ``batch exact`` — :class:`BatchSimulationEngine` with column-exact
   dense products (bit-identical to ``serial``);
 - ``batch gemm`` — the fused one-GEMM thermal propagation;
-- ``batch span`` — ``fidelity="span"`` lanes on the gemm propagation:
-  lazy per-core span execution, trusted completion events, and the
-  across-lane probabilistic policy tick (docs/ENGINE.md);
 - ``batch event`` — ``fidelity="event"`` lanes on the gemm
-  propagation: event lanes ride the same span substrate inside a
-  batch (the serial jump machinery stays out of the fused loop — the
-  batch amortizes the tick boundary instead), so this row tracks that
-  the event axis costs nothing when batched on busy workloads.
+  propagation: lazy per-core span execution, trusted completion
+  events, and the across-lane probabilistic policy tick
+  (docs/ENGINE.md). The serial clock-jump machinery stays out of the
+  fused loop — the batch amortizes the tick boundary instead.
 
 Where the eager ceiling comes from (measured on the bench machine, see
 docs/ENGINE.md): a serial EXP-4 tick spends ~57% of its time in the
@@ -26,9 +23,9 @@ per-run scalar scheduler (interval sweep, dispatch, policy, workload
 generator) that batching cannot amortize, so by Amdahl the *eager*
 batch speedup over the shipping serial engine saturates near
 ``1 / 0.57 ~ 1.75x`` regardless of batch width — the measured 16-lane
-figures are ~1.45x (exact) and ~1.6x (gemm). Span fidelity attacks the
+figures are ~1.45x (exact) and ~1.6x (gemm). Event lanes attack the
 scalar term itself instead of the batched boundary, which is what
-breaks the cap: the measured 16-lane span+gemm figure is ~2.6x vs the
+breaks the cap: the measured 16-lane event+gemm figure is ~2.6x vs the
 shipping serial engine (gated at 2.5x below). Against the legacy-scan
 replay (the engine the ROADMAP's batching target was originally framed
 against) the fused loop clears 3x. Every ratio is gated against its
@@ -68,12 +65,8 @@ REPS = 1 if SMOKE else 2
 GATE_GEMM_VS_SCAN = 2.6
 GATE_GEMM_VS_SERIAL = 1.35
 GATE_EXACT_VS_SERIAL = 1.2
-#: The span-compiled scheduler fast path must clear the eager Amdahl
-#: cap (~1.75x) with room to spare: measured ~2.6x on the bench
-#: machine.
-GATE_SPAN_VS_SERIAL = 2.5
-#: Event lanes batch as span lanes on this busy sweep; the same gate
-#: keeps the event axis from regressing the fused loop.
+#: Event lanes (the span substrate) must clear the eager Amdahl cap
+#: (~1.75x) with room to spare: measured ~2.6x on the bench machine.
 GATE_EVENT_VS_SERIAL = 2.5
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -119,7 +112,6 @@ def test_batch_engine_throughput(results_dir):
         "scan": replay_scan,
         "batch_exact": lambda: run_batch("exact"),
         "batch_gemm": lambda: run_batch("gemm"),
-        "batch_span": lambda: run_batch("gemm", fidelity="span"),
         "batch_event": lambda: run_batch("gemm", fidelity="event"),
     }
     # Interleaved rounds: each round times every config once, the
@@ -134,7 +126,6 @@ def test_batch_engine_throughput(results_dir):
     scan_s = rows["scan"]
     exact_s = rows["batch_exact"]
     gemm_s = rows["batch_gemm"]
-    span_s = rows["batch_span"]
     event_s = rows["batch_event"]
 
     n_runs = len(specs)
@@ -151,23 +142,22 @@ def test_batch_engine_throughput(results_dir):
         np.testing.assert_array_equal(a.unit_temps_k, b.unit_temps_k)
         assert a.energy_j == b.energy_j
 
-    # Span/event tolerance spot check: both fast paths must track the
-    # serial reference within the documented contract (full matrices in
-    # tests/test_engine_span.py and tests/test_engine_event.py).
-    for fidelity in ("span", "event"):
-        fast_lanes = []
-        for spec in check_specs:
-            engine = runner.build_engine(spec)
-            engine.config = replace(engine.config, fidelity=fidelity)
-            fast_lanes.append(engine)
-        for a, b in zip(serial_results,
-                        BatchSimulationEngine(fast_lanes,
-                                              propagation="gemm").run()):
-            np.testing.assert_allclose(
-                a.unit_temps_k, b.unit_temps_k, rtol=0.0, atol=1e-3
-            )
-            np.testing.assert_array_equal(a.vf_indices, b.vf_indices)
-            assert len(a.completed_jobs()) == len(b.completed_jobs())
+    # Event tolerance spot check: event lanes must track the serial
+    # reference within the documented contract (full matrix in
+    # tests/test_engine_event.py).
+    event_lanes = []
+    for spec in check_specs:
+        engine = runner.build_engine(spec)
+        engine.config = replace(engine.config, fidelity="event")
+        event_lanes.append(engine)
+    for a, b in zip(serial_results,
+                    BatchSimulationEngine(event_lanes,
+                                          propagation="gemm").run()):
+        np.testing.assert_allclose(
+            a.unit_temps_k, b.unit_temps_k, rtol=0.0, atol=1e-3
+        )
+        np.testing.assert_array_equal(a.vf_indices, b.vf_indices)
+        assert len(a.completed_jobs()) == len(b.completed_jobs())
 
     payload_section = {
         "n_seeds": n_runs,
@@ -179,13 +169,11 @@ def test_batch_engine_throughput(results_dir):
         "speedup_gemm_vs_serial": round(serial_s / gemm_s, 2),
         "speedup_exact_vs_serial": round(serial_s / exact_s, 2),
         "speedup_gemm_vs_scan": round(scan_s / gemm_s, 2),
-        "speedup_span_vs_serial": round(serial_s / span_s, 2),
         "speedup_event_vs_serial": round(serial_s / event_s, 2),
         "gates": {
             "gemm_vs_scan": GATE_GEMM_VS_SCAN,
             "gemm_vs_serial": GATE_GEMM_VS_SERIAL,
             "exact_vs_serial": GATE_EXACT_VS_SERIAL,
-            "span_vs_serial": GATE_SPAN_VS_SERIAL,
             "event_vs_serial": GATE_EVENT_VS_SERIAL,
         },
     }
@@ -212,7 +200,7 @@ def test_batch_engine_throughput(results_dir):
         f"{'config':14s} {'total s':>9s} {'runs/s':>8s} {'speedup':>8s}",
     ]
     for name in ("scan", "serial", "batch_exact", "batch_gemm",
-                 "batch_span", "batch_event"):
+                 "batch_event"):
         lines.append(
             f"{name:14s} {rows[name]:9.2f} {runs_per_s[name]:8.2f} "
             f"{serial_s / rows[name]:7.2f}x"
@@ -222,8 +210,8 @@ def test_batch_engine_throughput(results_dir):
         f"(gate {GATE_GEMM_VS_SCAN}x); "
         f"gemm vs serial: {serial_s / gemm_s:.2f}x "
         f"(gate {GATE_GEMM_VS_SERIAL}x); "
-        f"span vs serial: {serial_s / span_s:.2f}x "
-        f"(gate {GATE_SPAN_VS_SERIAL}x)"
+        f"event vs serial: {serial_s / event_s:.2f}x "
+        f"(gate {GATE_EVENT_VS_SERIAL}x)"
     )
     emit(results_dir, "batch_engine", "\n".join(lines))
 
@@ -240,10 +228,6 @@ def test_batch_engine_throughput(results_dir):
     assert serial_s / exact_s >= GATE_EXACT_VS_SERIAL, (
         f"exact batch {serial_s / exact_s:.2f}x vs serial replay missed "
         f"the {GATE_EXACT_VS_SERIAL}x gate"
-    )
-    assert serial_s / span_s >= GATE_SPAN_VS_SERIAL, (
-        f"span batch {serial_s / span_s:.2f}x vs serial replay missed "
-        f"the {GATE_SPAN_VS_SERIAL}x gate"
     )
     assert serial_s / event_s >= GATE_EVENT_VS_SERIAL, (
         f"event batch {serial_s / event_s:.2f}x vs serial replay missed "

@@ -254,7 +254,7 @@ def test_engine_event_idle(results_dir):
             times[label] = min(times[label], time.perf_counter() - start)
             results[label] = result
 
-    # Event must honour the span tolerance contract on the exact runs
+    # Event must honour its tolerance contract on the exact runs
     # just measured: discrete planes bitwise, thermal within 1e-3 K,
     # energy within 0.1%.
     a, b = results["serial"], results["event"]

@@ -70,13 +70,12 @@ class RunSpec:
         ``benchmark_mix``.
     fidelity:
         Interval-execution fidelity: ``"eager"`` (default, the
-        bit-identity reference semantics), ``"span"`` (lazy
-        span-compiled scheduling, approximately equal within the
-        tolerance documented in docs/ENGINE.md and markedly faster in
-        batched campaigns) or ``"event"`` (event-driven time advance:
-        the clock jumps between heap events over a reduced-order
-        modal thermal stepper — same tolerance contract as span,
-        fastest on idle-heavy scenarios).
+        bit-identity reference semantics) or ``"event"`` (event-driven
+        time advance: lazy per-core spans, and the clock jumps between
+        heap events over a reduced-order modal thermal stepper;
+        approximately equal within the tolerance documented in
+        docs/ENGINE.md, fastest on idle-heavy scenarios and markedly
+        faster in batched campaigns).
     telemetry:
         Collect engine telemetry (metrics registry, per-job latency
         stats, tick-phase profile) during the run. Strictly
@@ -256,7 +255,7 @@ class ExperimentRunner:
         same stack and grid (one :class:`ThermalAssembly`), same
         transient solver, the same duration (the fused loop advances
         every lane the same number of ticks) and the same fidelity
-        (span and eager lanes advance their intervals differently).
+        (eager and event lanes advance their intervals differently).
         Policies, seeds, DPM, mixes and sensor noise may differ within
         a group.
         """

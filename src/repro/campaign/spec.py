@@ -25,6 +25,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.analysis.runner import RunSpec
 from repro.errors import ConfigurationError
+from repro.sched.engine import FIDELITY_MODES
 
 # Bump when RunSpec serialization changes incompatibly; stored results
 # keyed under an older version are simply recomputed.
@@ -163,10 +164,10 @@ class CampaignSpec:
             if not getattr(self, axis):
                 raise ConfigurationError(f"campaign axis {axis!r} is empty")
         for fidelity in self.fidelities:
-            if fidelity not in ("eager", "span", "event"):
+            if fidelity not in FIDELITY_MODES:
                 raise ConfigurationError(
                     f"unknown fidelity {fidelity!r}; "
-                    "expected 'eager', 'span' or 'event'"
+                    f"expected one of {FIDELITY_MODES}"
                 )
 
     # ------------------------------------------------------------------

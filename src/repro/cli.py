@@ -33,6 +33,7 @@ from repro.core.registry import policy_names
 from repro.errors import ConfigurationError
 from repro.floorplan.experiments import EXPERIMENT_IDS, build_experiment
 from repro.metrics.report import summarize
+from repro.sched.engine import FIDELITY_MODES
 
 
 def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
@@ -49,13 +50,12 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
                         help="transient integrator (exponential is exact "
                              "under piecewise-constant power)")
     parser.add_argument("--fidelity", default="eager",
-                        choices=("eager", "span", "event"),
+                        choices=FIDELITY_MODES,
                         help="interval-execution fidelity: eager "
-                             "(bit-identity reference), span "
-                             "(span-compiled scheduling, approximate "
-                             "within the documented tolerance, faster) "
-                             "or event (event-driven clock jumps, same "
-                             "tolerance, fastest on idle-heavy runs)")
+                             "(bit-identity reference) or event "
+                             "(event-driven clock jumps, approximate "
+                             "within the documented tolerance, fastest "
+                             "on idle-heavy runs)")
 
 
 def _report_lines(report, with_delay: bool) -> List[List[object]]:
@@ -196,7 +196,7 @@ def cmd_campaign_run(args: argparse.Namespace) -> int:
 
     if args.fidelity is not None:
         # Override the spec's fidelity axis for this invocation; run
-        # keys include the fidelity, so span results live alongside
+        # keys include the fidelity, so event results live alongside
         # (not instead of) eager ones in the store.
         from dataclasses import replace as dc_replace
 
@@ -403,14 +403,13 @@ def build_parser() -> argparse.ArgumentParser:
                                    "batching, fastest, ~1e-13 K "
                                    "deviation)")
     campaign_run.add_argument("--fidelity", default=None,
-                              choices=("eager", "span", "event"),
+                              choices=FIDELITY_MODES,
                               help="override the campaign's fidelity axis "
-                                   "for every run: eager (reference), "
-                                   "span (span-compiled scheduling, "
-                                   "approximate, fastest with the batched "
-                                   "backend) or event (event-driven clock "
-                                   "jumps, fastest serial on idle-heavy "
-                                   "runs)")
+                                   "for every run: eager (reference) or "
+                                   "event (event-driven clock jumps, "
+                                   "approximate, fastest serial on "
+                                   "idle-heavy runs and with the batched "
+                                   "backend)")
     campaign_run.add_argument("--telemetry", action="store_true",
                               help="collect engine telemetry (metrics, job "
                                    "stats, tick-phase profile) per run; "

@@ -31,7 +31,6 @@ __all__ = ["Manifest"]
 # ---------------------------------------------------------------------------
 HOT_PATH_FUNCTIONS: Tuple[Tuple[str, str], ...] = (
     ("src/repro/sched/engine.py", "SimulationEngine._run_heap_ticks"),
-    ("src/repro/sched/engine.py", "SimulationEngine._run_span_ticks"),
     ("src/repro/sched/engine.py", "SimulationEngine._run_event_ticks"),
     ("src/repro/sched/engine.py", "SimulationEngine._quiet_ticks_event"),
     ("src/repro/sched/engine.py", "SimulationEngine._advance_interval_heap"),

@@ -1,6 +1,6 @@
 """Rule config-coverage: every engine knob meets a differential harness.
 
-The heap-vs-scan, span-vs-eager, and batch-vs-serial harnesses are the
+The heap-vs-scan, event-vs-eager, and batch-vs-serial harnesses are the
 repo's correctness backstop — but only for the configuration space
 they actually sweep.  A knob that no harness parametrization touches
 is a code path whose equivalence contract is unproven.  This rule

@@ -2,7 +2,7 @@
 
 One :class:`TickProfiler` accumulates wall time into a fixed set of
 phases (interval maintenance, power, thermal step, sensors, DPM,
-policy, recording, span fast-forward).  The engine calls ``begin()``
+policy, recording, event-mode clock jumps).  The engine calls ``begin()``
 at the top of each tick and ``lap(phase)`` after each section — a lap
 is two float reads and an add, cheap enough to leave on for whole
 campaigns.  When profiling is off the engine holds
@@ -28,7 +28,6 @@ __all__ = [
     "PH_DPM",
     "PH_POLICY",
     "PH_RECORD",
-    "PH_FAST_FORWARD",
     "PH_EVENT_JUMP",
     "TickProfiler",
     "NULL_PROFILER",
@@ -43,7 +42,6 @@ PHASES = (
     "dpm",            # sleep-state transitions
     "policy",         # DTM policy decisions (V/f, gating, migration)
     "record",         # per-tick series bookkeeping
-    "fast_forward",   # span quiet-stretch multi-tick jumps
     "event_jump",     # event-mode clock jumps between heap events
 )
 
@@ -54,8 +52,7 @@ PH_SENSORS = 3
 PH_DPM = 4
 PH_POLICY = 5
 PH_RECORD = 6
-PH_FAST_FORWARD = 7
-PH_EVENT_JUMP = 8
+PH_EVENT_JUMP = 7
 
 
 class TickProfiler:

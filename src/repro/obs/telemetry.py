@@ -11,8 +11,7 @@ trace ring buffer.
 
 Hooks fire at *decision* sites only (dispatch, start-of-execution,
 completion, migration, DPM/V-f/gating transitions, span close,
-fast-forward, event jump) — all of which are microsecond-scale code
-paths already,
+event jump) — all of which are microsecond-scale code paths already,
 so instrumenting them cannot perturb the simulation: telemetry reads
 engine state, never writes it, and eager runs stay bit-identical with
 telemetry enabled (asserted in the differential harnesses).
@@ -33,7 +32,6 @@ from repro.obs.trace import (
     EV_DPM_SLEEP,
     EV_DPM_WAKE,
     EV_EVENT_JUMP,
-    EV_FAST_FORWARD,
     EV_GATE,
     EV_MIGRATION,
     EV_SPAN_CLOSE,
@@ -72,7 +70,6 @@ class EngineTelemetry:
         "config", "registry", "stats", "trace", "profiler",
         "_c_dispatch", "_c_complete", "_c_migration", "_c_preempt",
         "_c_sleep", "_c_wake", "_c_vf", "_c_gate", "_c_span_close",
-        "_c_ff_spans", "_c_ff_ticks",
         "_c_ev_jumps", "_c_ev_jump_ticks", "_c_ev_skipped",
         "_h_response", "_h_queue_wait",
     )
@@ -100,8 +97,6 @@ class EngineTelemetry:
         self._c_vf = reg.counter("policy.vf_changes")
         self._c_gate = reg.counter("policy.gate_changes")
         self._c_span_close = reg.counter("span.closes")
-        self._c_ff_spans = reg.counter("span.fast_forwards")
-        self._c_ff_ticks = reg.counter("span.fast_forward_ticks")
         self._c_ev_jumps = reg.counter("event.jumps")
         self._c_ev_jump_ticks = reg.counter("event.jump_ticks")
         self._c_ev_skipped = reg.counter("event.skipped_ticks")
@@ -178,16 +173,11 @@ class EngineTelemetry:
         self._c_gate.inc()
         self.trace.emit(t, EV_GATE, core_idx, -1, 1.0 if gated else 0.0)
 
-    # -- span fidelity -------------------------------------------------
+    # -- event fidelity ------------------------------------------------
 
     def span_close(self, t: float, core_idx: int) -> None:
         self._c_span_close.inc()
         self.trace.emit(t, EV_SPAN_CLOSE, core_idx)
-
-    def fast_forward(self, t: float, ticks: int) -> None:
-        self._c_ff_spans.inc()
-        self._c_ff_ticks.inc(ticks)
-        self.trace.emit(t, EV_FAST_FORWARD, -1, -1, float(ticks))
 
     def event_jump(self, t: float, ticks: int, skipped: int) -> None:
         self._c_ev_jumps.inc()
@@ -272,9 +262,6 @@ class _NullTelemetry:
         pass
 
     def span_close(self, t, core_idx):
-        pass
-
-    def fast_forward(self, t, ticks):
         pass
 
     def event_jump(self, t, ticks, skipped):

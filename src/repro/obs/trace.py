@@ -32,7 +32,6 @@ __all__ = [
     "EV_VF_CHANGE",
     "EV_GATE",
     "EV_SPAN_CLOSE",
-    "EV_FAST_FORWARD",
     "EV_EVENT_JUMP",
     "EVENT_NAMES",
     "TraceRecorder",
@@ -50,8 +49,7 @@ EV_DPM_WAKE = 7
 EV_VF_CHANGE = 8
 EV_GATE = 9
 EV_SPAN_CLOSE = 10
-EV_FAST_FORWARD = 11
-EV_EVENT_JUMP = 12
+EV_EVENT_JUMP = 11
 
 EVENT_NAMES: Dict[int, str] = {
     EV_ARRIVAL: "arrival",
@@ -64,7 +62,6 @@ EVENT_NAMES: Dict[int, str] = {
     EV_VF_CHANGE: "vf_change",
     EV_GATE: "gate",
     EV_SPAN_CLOSE: "span_close",
-    EV_FAST_FORWARD: "fast_forward",
     EV_EVENT_JUMP: "event_jump",
 }
 

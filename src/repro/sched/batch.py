@@ -27,21 +27,22 @@ structure-of-arrays bookkeeping is re-homed onto rows of batch-owned
 ``(R, n_cores)`` matrices at construction, so the boundary reads them
 with zero per-lane gathering.
 
-With ``EngineConfig(fidelity="span")`` or ``fidelity="event"`` lanes
-(uniform across the batch), the per-lane interval advance switches to
-the span-compiled fast path — lazy per-core spans, trusted completion
-events — and two further batch-level fusions engage: ideal-sensor
-reads become one gather over the peak block, and batches whose
-policies are all plain probabilistic allocators — or all the same
-plain §III-A DVFS policy — tick their per-lane policy state through
-one stacked ``(R, n_cores)`` update (:class:`_ProbabilisticBatchTick`
-/ :class:`_DVFSBatchTick`) instead of R per-lane ``on_tick`` sweeps.
-Event lanes batch as span lanes: the serial event loop's clock jumps
-are an alternative to the batch's amortization, not an addition to it. This is what breaks the
-eager batch's scalar Amdahl cap (docs/ENGINE.md): measured ~2.6x over
-the shipping serial engine on the 16-seed EXP-4 bench, vs ~1.6x for
-eager gemm lanes. Span fidelity trades the bit-identity contract for a
-documented tolerance (``tests/test_engine_span.py``).
+With ``EngineConfig(fidelity="event")`` lanes (uniform across the
+batch), the per-lane interval advance switches to the span substrate —
+lazy per-core spans, trusted completion events — and two further
+batch-level fusions engage: ideal-sensor reads become one gather over
+the peak block, and batches whose policies are all plain probabilistic
+allocators — or all the same plain §III-A DVFS policy — tick their
+per-lane policy state through one stacked ``(R, n_cores)`` update
+(:class:`_ProbabilisticBatchTick` / :class:`_DVFSBatchTick`) instead of
+R per-lane ``on_tick`` sweeps. The serial event loop's clock jumps do
+not engage in the fused loop: they are an alternative to the batch's
+amortization, not an addition to it. Shrinking the per-lane scalar
+term is what breaks the eager batch's Amdahl cap (docs/ENGINE.md):
+measured ~2.6x over the shipping serial engine on the 16-seed EXP-4
+bench, vs ~1.6x for eager gemm lanes. Event lanes trade the
+bit-identity contract for the documented event tolerance
+(``tests/test_engine_span.py``).
 
 Bit-identity
 ------------
@@ -103,7 +104,7 @@ PROPAGATION_MODES = ("exact", "gemm")
 
 
 class _ProbabilisticBatchTick:
-    """One §III-B probability update per tick for a whole span batch.
+    """One §III-B probability update per tick for a whole event batch.
 
     When every lane's policy is a plain probabilistic allocator (base
     ``on_tick``, or Adapt3D without the online index estimator), the
@@ -114,7 +115,7 @@ class _ProbabilisticBatchTick:
     batch — row ``r`` evolves exactly as lane ``r``'s own ``on_tick``
     would evolve it (all operations are row-independent), and the
     allocators issue no tick actions, so the per-lane policy sweep
-    disappears entirely. Span fidelity only; the eager batch keeps the
+    disappears entirely. Event fidelity only; the eager batch keeps the
     per-lane calls that its bit-identity contract is proven against.
     """
 
@@ -203,7 +204,7 @@ class _ProbabilisticBatchTick:
 
 
 class _DVFSBatchTick:
-    """One stacked §III-A DVFS update per tick for a whole span batch.
+    """One stacked §III-A DVFS update per tick for a whole event batch.
 
     When every lane runs the same plain DVFS policy
     (:class:`DVFSTemperatureTriggered`, :class:`DVFSUtilizationBased`
@@ -218,7 +219,7 @@ class _DVFSBatchTick:
     the serial loop iterates ``actions.vf_settings`` in (core order for
     TT/Util, susceptibility-ranked order for FLP) so event-heap
     invalidation sequence numbers — and therefore same-time event
-    tie-breaks — match the serial engine. Span/event fidelity only.
+    tie-breaks — match the serial engine. Event fidelity only.
     """
 
     @staticmethod
@@ -426,9 +427,8 @@ class BatchSimulationEngine:
                 )
             if lane.config.fidelity != base.config.fidelity:
                 raise SchedulerError(
-                    "batched runs must share the fidelity mode; eager, "
-                    "span and event lanes advance their intervals "
-                    "differently"
+                    "batched runs must share the fidelity mode; eager "
+                    "and event lanes advance their intervals differently"
                 )
         for lane in lanes:
             if lane.config.event_loop != "event_heap":
@@ -457,15 +457,14 @@ class BatchSimulationEngine:
         n_lanes = len(lanes)
         base = lanes[0]
         exact = self.propagation == "exact"
-        # Span and event lanes advance event-to-event (lazy per-core
-        # spans, trusted completion heap) and report utilization from
-        # span anchors; the fused boundary below is identical in all
-        # fidelities. The serial engine's quiet-stretch fast-forward
-        # and the event loop's clock jumps do not engage here — the
-        # batch already amortizes the boundary they would skip, and R
-        # lanes are almost never quiet simultaneously — so event lanes
-        # batch exactly as span lanes do.
-        use_span = base.config.fidelity in ("span", "event")
+        # Event lanes advance event-to-event on the span substrate
+        # (lazy per-core spans, trusted completion heap) and report
+        # utilization from span anchors; the fused boundary below is
+        # identical in both fidelities. The serial event loop's clock
+        # jumps do not engage here — the batch already amortizes the
+        # boundary they would skip, and R lanes are almost never quiet
+        # simultaneously.
+        use_span = base.config.fidelity == "event"
 
         shapes = [lane._prepare_run() for lane in lanes]
         n_ticks, dt = shapes[0]
@@ -514,7 +513,7 @@ class BatchSimulationEngine:
         recs = [_Recording.allocate(lane, n_ticks) for lane in lanes]
         core_cols = recs[0].core_cols
         die_starts = recs[0].die_starts
-        # Span batches of plain probabilistic allocators tick their
+        # Event batches of plain probabilistic allocators tick their
         # probability state once per tick for the whole batch; batches
         # of plain DVFS policies stack their level math the same way.
         policy_batch = (
@@ -612,7 +611,7 @@ class BatchSimulationEngine:
             elif dvfs_batch is not None:
                 dvfs_batch.tick(t1, temps_mat, util_mat, ql_mat, vf_mat)
             elif use_span:
-                # Span lanes view their live batch rows through one
+                # Event lanes view their live batch rows through one
                 # persistent per-lane context (no snapshot copies).
                 for lane in lanes:
                     lane._run_policy(t1)

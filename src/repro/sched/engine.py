@@ -42,23 +42,16 @@ interval execution reproduces the eager reference semantics:
 
 - ``"eager"`` (default): the loops above, with their bit-identity
   contracts (heap vs scan, batch vs serial) intact.
-- ``"span"`` (opt-in, approximate-equality): each core's work between
-  its own boundary events — dispatch, completion, migration, DPM or
-  V/f/gating transition, stall expiry — is compiled into a lazy span:
-  the head job's remaining work is decremented in one closed-form
-  update when the next event or readback *materializes* the span,
-  utilization is accumulated from span timestamps instead of per-event
-  execution sweeps, cached completion events are trusted (no
-  recompute-on-pop), and fully quiet multi-tick stretches fast-forward
-  through the thermal model's multi-interval propagator with
-  span-compiled readback rows. Deviations from eager execution are
-  bounded at the documented tolerance (``docs/ENGINE.md``); the
-  differential harness lives in ``tests/test_engine_span.py``.
 - ``"event"`` (opt-in, approximate-equality): the clock jumps between
-  heap events. The span machinery supplies the lazy per-core state and
-  the trusted completion heap; every whole-tick stretch up to the next
-  heap event (arrival or completion) is crossed in one jump with no
-  settledness gate and no horizon cap. The thermal state advances
+  heap events. It runs on the *span substrate*: each core's work
+  between its own boundary events — dispatch, completion, migration,
+  DPM or V/f/gating transition, stall expiry — is a lazy span whose
+  head job is decremented in one closed-form update when the next
+  event or readback *materializes* it, utilization is accumulated from
+  span timestamps instead of per-event execution sweeps, and cached
+  completion events are trusted (no recompute-on-pop). Every
+  whole-tick stretch up to the next heap event (arrival or completion)
+  is crossed in one jump. The thermal state advances
   tick-by-tick in the run-persistent reduced-order modal basis
   (:class:`~repro.thermal.model.ModalJump`, a truncated eigenbasis of
   the propagator) — falling back to the dense ``step_vector`` only when
@@ -71,8 +64,9 @@ interval execution reproduces the eager reference semantics:
   jump where they are provably no-ops (ideal sensors, identity policy
   tick, DPM sleep horizon bounded by bisection) and run on
   reconstructed observations after that; the first mutation closes the
-  jump at the acting tick. Shares the span tolerance contract; harness
-  in ``tests/test_engine_event.py``.
+  jump at the acting tick. Deviations from eager execution are bounded
+  at the documented tolerance (``docs/ENGINE.md``); the differential
+  harness lives in ``tests/test_engine_event.py``.
 """
 
 from __future__ import annotations
@@ -102,7 +96,6 @@ from repro.obs.profiler import (
     NULL_PROFILER,
     PH_DPM,
     PH_EVENT_JUMP,
-    PH_FAST_FORWARD,
     PH_INTERVAL,
     PH_POLICY,
     PH_POWER,
@@ -138,14 +131,7 @@ DEFAULT_MIGRATION_COST_S = 0.001
 
 EVENT_LOOPS = ("event_heap", "legacy_scan")
 
-FIDELITY_MODES = ("eager", "span", "event")
-
-#: Default cap (in ticks) on one quiet-stretch fast-forward of the span
-#: engine. Power is held constant across the stretch, so the cap bounds
-#: the leakage-feedback lag error (measured well under 1e-3 K at 8
-#: ticks on all four paper stacks) and the size of the span-compiled
-#: readback cache on the shared assembly.
-DEFAULT_SPAN_HORIZON_TICKS = 8
+FIDELITY_MODES = ("eager", "event")
 
 
 @dataclass(frozen=True)
@@ -180,27 +166,11 @@ class EngineConfig:
         contract), ``"backward_euler"`` or ``"crank_nicolson"``.
     fidelity:
         ``"eager"`` (default — per-event execution sweeps, keeps the
-        bit-identity contracts), ``"span"`` (lazy per-core span
-        execution with trusted completion events and quiet-stretch
-        fast-forward; approximately equal to eager within the
-        documented tolerance), or ``"event"`` (the clock jumps between
-        heap events over the span substrate: no settledness gate, no
-        horizon cap, control calls skipped where provably no-ops; same
-        tolerance contract as span). Span and event modes require the
-        event-heap loop.
-    span_horizon_ticks:
-        Cap on one quiet-stretch fast-forward in span mode (see
-        :data:`DEFAULT_SPAN_HORIZON_TICKS`).
-    span_settle_k:
-        Thermal settledness gate of the fast-forward: a quiet stretch
-        only compiles when the last tick moved every unit readback by
-        less than this many kelvin AND the second difference (the
-        drift's change per tick) is equally small — drift alone is
-        fooled by the slow-moving extremum right after a transient.
-        Holding power constant is then exact to well under the
-        documented tolerance (leakage feedback lags by at most the
-        residual drift); lowering it tightens span-vs-eager agreement
-        at the cost of fewer compiled spans.
+        bit-identity contracts) or ``"event"`` (lazy per-core span
+        execution with trusted completion events; the clock jumps
+        between heap events, control calls skipped where provably
+        no-ops; approximately equal to eager within the documented
+        tolerance). Event mode requires the event-heap loop.
     telemetry:
         Optional :class:`~repro.obs.telemetry.TelemetryConfig`. ``None``
         (default) disables all instrumentation — the engine holds the
@@ -222,8 +192,6 @@ class EngineConfig:
     event_loop: str = "event_heap"
     thermal_solver: str = "exponential"
     fidelity: str = "eager"
-    span_horizon_ticks: int = DEFAULT_SPAN_HORIZON_TICKS
-    span_settle_k: float = 0.001
     telemetry: Optional[TelemetryConfig] = None
 
 
@@ -261,15 +229,15 @@ class _CoreRuntime:
         # Generation counter of this core's cached event-heap entry;
         # entries whose sequence number is stale are discarded on pop.
         self.heap_seq = 0
-        # Span-fidelity bookkeeping: simulation time up to which the
-        # head job's progress has been materialized, and up to which
-        # busy time has been accounted into busy_in_tick. Between a
-        # core's own events the job is untouched; both anchors advance
-        # at materialization sites only.
+        # Span-substrate bookkeeping (event fidelity): simulation time
+        # up to which the head job's progress has been materialized,
+        # and up to which busy time has been accounted into
+        # busy_in_tick. Between a core's own events the job is
+        # untouched; both anchors advance at materialization sites only.
         self.span_start = 0.0
         self.busy_anchor = 0.0
         # Head job's memory intensity (None when idle) — feeds the
-        # span engine's incremental mix-intensity accumulator.
+        # span substrate's incremental mix-intensity accumulator.
         self.head_mem: Optional[float] = None
 
     def executing(self, now: float) -> bool:
@@ -467,13 +435,13 @@ class SimulationEngine:
         # these instead of rescanning every core).
         self._finished_cores: List[_CoreRuntime] = []
 
-        # Span-fidelity state: incremental head-job memory-intensity
-        # accumulator (maintained at the same invalidation sites that
-        # change queue heads), the mutation flag that closes a quiet
-        # fast-forward, and the flag suppressing busy accounting while
-        # fast-forward ticks record utilization in closed form.
+        # Span-substrate state (event fidelity): incremental head-job
+        # memory-intensity accumulator (maintained at the same
+        # invalidation sites that change queue heads), the mutation flag
+        # that closes a clock jump, and the flag suppressing busy
+        # accounting while jumped ticks record utilization in closed
+        # form.
         self._use_span = False
-        self._use_event = False
         self._mem_sum = 0.0
         self._mem_count = 0
         self._span_dirty = False
@@ -488,13 +456,12 @@ class SimulationEngine:
         # re-derive identical (base, leak_mul) pairs — key them by the
         # exact inputs. Values are read-only to every consumer.
         self._qpf_cache: Dict[tuple, Tuple[np.ndarray, np.ndarray]] = {}
-        # Span mode reuses one AllocationContext / TickContext shell
-        # per run (the payloads are live array views; only the scalar
-        # fields change between calls), rebuilt whenever the backing
-        # arrays are re-homed.
+        # The span substrate reuses one AllocationContext / TickContext
+        # shell per run (the payloads are live array views; only the
+        # scalar fields change between calls), rebuilt whenever the
+        # backing arrays are re-homed.
         self._span_alloc_ctx: Optional[AllocationContext] = None
         self._span_tick_ctx: Optional[TickContext] = None
-        self._span_snap: Optional[TickArrays] = None
 
         # Structure-of-arrays core bookkeeping (event_heap mode). Every
         # array is indexed by _CoreRuntime.idx and maintained at the
@@ -560,16 +527,10 @@ class SimulationEngine:
         self._ob_heap_recompute = 0
         self._ob_span_touch = 0
         self._ob_span_close = 0
-        self._ob_ff_spans = 0
-        self._ob_ff_ticks = 0
         self._ob_event_jumps = 0
         self._ob_event_jump_ticks = 0
         self._ob_event_skipped = 0
         self._ob_arrival_pop = 0
-        # Propagator-cache baseline: the thermal assembly (and its A^k
-        # cache) is shared across runs, so per-run hit/miss counts are
-        # deltas against the value at arm time.
-        self._ob_cache0 = (0, 0)
 
     def _default_system_view(self) -> SystemView:
         config = self.thermal.config
@@ -612,13 +573,11 @@ class SimulationEngine:
                 f"unknown fidelity {cfg.fidelity!r}; "
                 f"expected one of {FIDELITY_MODES}"
             )
-        if cfg.fidelity in ("span", "event") and cfg.event_loop != "event_heap":
+        if cfg.fidelity == "event" and cfg.event_loop != "event_heap":
             raise SchedulerError(
-                f"{cfg.fidelity} fidelity compiles the event-heap state "
-                "machine; it cannot drive the legacy_scan loop"
+                "event fidelity compiles the event-heap state machine; "
+                "it cannot drive the legacy_scan loop"
             )
-        if cfg.fidelity == "span" and cfg.span_horizon_ticks < 1:
-            raise SchedulerError("span_horizon_ticks must be >= 1")
         dt = cfg.sampling_interval_s
         n_ticks = int(round(cfg.duration_s / dt))
         if n_ticks < 1:
@@ -632,21 +591,17 @@ class SimulationEngine:
             self._obs = NULL_TELEMETRY
         self._prof = self._obs.profiler
         self._reset_micro_counters()
-        self._ob_cache0 = self.thermal.propagator_cache_stats()
         self._use_heap = cfg.event_loop == "event_heap"
         # Event fidelity runs entirely on the span substrate (lazy
-        # spans, trusted heap, materialize-on-touch), so every
-        # _use_span site serves both modes; _use_event only selects
-        # the outer tick loop.
-        self._use_span = cfg.fidelity in ("span", "event")
-        self._use_event = cfg.fidelity == "event"
+        # spans, trusted heap, materialize-on-touch): every _use_span
+        # site is an event-mode site.
+        self._use_span = cfg.fidelity == "event"
         self._event_heap = []
         self._finished_cores = []
         self._mem_sum = 0.0
         self._mem_count = 0
         self._span_alloc_ctx = None
         self._span_tick_ctx = None
-        self._span_snap = None
         self._util_buf = np.zeros(len(self._core_list))
         if self._use_heap:
             for core in self._core_list:
@@ -666,7 +621,6 @@ class SimulationEngine:
             rec.utilization.mean(axis=0) if rec.utilization.size else None
         )
         snap = self._obs.snapshot(self._core_names_tuple, occupancy)
-        hits, misses = self.thermal.propagator_cache_stats()
         snap["engine"] = {
             "event_loop": self.config.event_loop,
             "fidelity": self.config.fidelity,
@@ -682,8 +636,6 @@ class SimulationEngine:
                 "heap_recompute_on_pop": self._ob_heap_recompute,
                 "span_touch": self._ob_span_touch,
                 "span_close": self._ob_span_close,
-                "fast_forward_spans": self._ob_ff_spans,
-                "fast_forward_ticks": self._ob_ff_ticks,
                 "event_jumps": self._ob_event_jumps,
                 "event_jump_ticks": self._ob_event_jump_ticks,
                 "event_skipped_ticks": self._ob_event_skipped,
@@ -693,8 +645,6 @@ class SimulationEngine:
                 ),
                 "event_pop_arrivals": self._ob_arrival_pop,
                 "event_pop_completions": self._ob_heap_pop,
-                "propagator_cache_hits": hits - self._ob_cache0[0],
-                "propagator_cache_misses": misses - self._ob_cache0[1],
             },
         }
         return snap
@@ -749,8 +699,8 @@ class SimulationEngine:
         are execution-infrastructure arguments, not :class:`RunSpec`
         fields, so they are key-neutral by construction — like
         telemetry, they can never change what a result *is*.
-        Checkpointing requires the event-heap loop (eager, span or
-        event fidelity); the legacy scan loop predates the snapshotable
+        Checkpointing requires the event-heap loop (eager or event
+        fidelity); the legacy scan loop predates the snapshotable
         structure-of-arrays state and raises.
         """
         if (checkpoint_every > 0 or resume is not None) and (
@@ -764,30 +714,21 @@ class SimulationEngine:
         rec = _Recording.allocate(self, n_ticks)
         start_tick = 0
         energy0 = 0.0
-        rows: Tuple = (None, None, None)
+        unit_row: Optional[np.ndarray] = None
         if resume is not None:
-            start_tick, energy0, rows = self._restore_checkpoint(
+            start_tick, energy0, unit_row = self._restore_checkpoint(
                 resume, rec, n_ticks, dt
             )
-        if self._use_event:
-            if resume is None:
-                self._temps_arr[:] = self.sensors.read_cores_vector()
+        if self._use_heap and resume is None:
+            # The priming sensor read advances the noise RNG; on resume
+            # the restored RNG state already accounts for it.
+            self._temps_arr[:] = self.sensors.read_cores_vector()
+        if self._use_span:
             energy = self._run_event_ticks(
-                rec, n_ticks, dt, start_tick, energy0, rows,
-                checkpoint_every, checkpoint_sink,
-            )
-        elif self._use_span:
-            if resume is None:
-                # The priming sensor read advances the noise RNG; on
-                # resume the restored RNG state already accounts for it.
-                self._temps_arr[:] = self.sensors.read_cores_vector()
-            energy = self._run_span_ticks(
-                rec, n_ticks, dt, start_tick, energy0, rows,
+                rec, n_ticks, dt, start_tick, energy0, unit_row,
                 checkpoint_every, checkpoint_sink,
             )
         elif self._use_heap:
-            if resume is None:
-                self._temps_arr[:] = self.sensors.read_cores_vector()
             energy = self._run_heap_ticks(
                 rec, n_ticks, dt, start_tick, energy0,
                 checkpoint_every, checkpoint_sink,
@@ -809,9 +750,7 @@ class SimulationEngine:
         energy: float,
         dt: float,
         n_ticks: int,
-        prev2_row: Optional[np.ndarray],
-        prev_row: Optional[np.ndarray],
-        unit_row: Optional[np.ndarray],
+        unit_row: np.ndarray,
     ) -> bytes:
         """Serialize the full run state at a tick boundary.
 
@@ -821,7 +760,7 @@ class SimulationEngine:
         preserved by pickle's memo table and re-materialize as shared
         on restore.  The recording prefix, the thermal node-state
         vector, the structure-of-arrays rows, the sensor RNG state and
-        the span loop's settledness window ride along.  Called from the
+        the loop's current unit readback row ride along.  Called from the
         hot tick loops but only every ``checkpoint_every`` ticks; the
         dict display below is the checkpoint cost itself, not per-tick
         overhead (the method is deliberately not in the hot-path
@@ -875,18 +814,15 @@ class SimulationEngine:
             "voltage_arr": self._voltage_arr.copy(),
             "ql_list": list(self._ql_list),
             "state_list": list(self._state_list),
-            # span settledness window exactly as carried by the loop (a
-            # 1-tick fast-forward leaves it offset from the recorded
-            # rows, so it cannot be reconstructed from the recording)
-            "prev2_row": None if prev2_row is None else prev2_row.copy(),
-            "prev_row": None if prev_row is None else prev_row.copy(),
-            "unit_row": None if unit_row is None else unit_row.copy(),
+            # the unit readback row exactly as carried by the loop (the
+            # event loop's modal row is not the node state's readback)
+            "unit_row": unit_row.copy(),
         }
         return pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
 
     def _restore_checkpoint(
         self, blob: bytes, rec: _Recording, n_ticks: int, dt: float
-    ) -> Tuple[int, float, Tuple]:
+    ) -> Tuple[int, float, np.ndarray]:
         """Overwrite the freshly prepared run state from a checkpoint.
 
         Must be called after :meth:`_prepare_run` (which re-arms the
@@ -963,13 +899,9 @@ class SimulationEngine:
         # array buffers; the dirty flags start a resumed tick clean.
         self._span_alloc_ctx = None
         self._span_tick_ctx = None
-        self._span_snap = None
         self._span_dirty = False
         self._in_fast_forward = False
-        rows = (
-            payload["prev2_row"], payload["prev_row"], payload["unit_row"]
-        )
-        return next_tick, float(payload["energy"]), rows
+        return next_tick, float(payload["energy"]), payload["unit_row"]
 
     def _gather_utilization(self, dt: float) -> np.ndarray:
         """Per-core busy fraction of the elapsed interval (resets the
@@ -1029,8 +961,7 @@ class SimulationEngine:
             if tick >= next_ckpt:
                 checkpoint_sink(
                     self._checkpoint_payload(
-                        rec, tick, energy, dt, n_ticks,
-                        None, None, unit_row,
+                        rec, tick, energy, dt, n_ticks, unit_row
                     ),
                     tick,
                 )
@@ -1079,248 +1010,11 @@ class SimulationEngine:
         return energy
 
     # ------------------------------------------------------------------
-    # span-fidelity execution
-
-    def _run_span_ticks(self, rec: _Recording, n_ticks: int, dt: float,
-                        start_tick: int = 0, energy0: float = 0.0,
-                        resume_rows: Tuple = (None, None, None),
-                        checkpoint_every: int = 0, checkpoint_sink=None
-                        ) -> float:
-        """Tick loop of the span fidelity mode.
-
-        Identical tick-boundary pipeline to the heap loop (power,
-        thermal step, sensors, DPM, policy, recording), but interval
-        execution is lazy per-core spans and provably quiet multi-tick
-        stretches fast-forward through the thermal model's
-        span-compiled closed forms.
-        """
-        energy = energy0
-        powers_buf = np.zeros(len(self.thermal.unit_names))
-        prof = self._prof
-        next_ckpt = n_ticks + 1
-        if checkpoint_every > 0 and checkpoint_sink is not None:
-            next_ckpt = start_tick + checkpoint_every
-        # On resume the settledness window comes from the checkpoint
-        # verbatim (it is NOT always reconstructable from the recording
-        # — a 1-tick fast-forward leaves prev2 offset from the rows).
-        prev2_row, prev_row, unit_row = resume_rows
-        if unit_row is None:
-            unit_row = self.thermal.unit_temperature_vector()
-        tick = start_tick
-        while tick < n_ticks:
-            if tick >= next_ckpt:
-                checkpoint_sink(
-                    self._checkpoint_payload(
-                        rec, tick, energy, dt, n_ticks,
-                        prev2_row, prev_row, unit_row,
-                    ),
-                    tick,
-                )
-                next_ckpt = tick + checkpoint_every
-            t0 = tick * dt
-            quiet = self._quiet_ticks(t0, dt, n_ticks - tick)
-            if quiet >= 2:
-                # Thermal settledness gate: holding power constant is
-                # only tolerance-clean once the leakage inputs have
-                # stopped moving (see EngineConfig.span_settle_k). Both
-                # the first difference (drift) and the second
-                # difference (curvature) must be under the threshold —
-                # a trajectory can pass through a slow-moving extremum
-                # right after a transient, where drift alone looks
-                # settled but the stretch is anything but.
-                settle = self.config.span_settle_k
-                if (
-                    prev_row is None
-                    or prev2_row is None
-                    or np.abs(unit_row - prev_row).max() > settle
-                    or np.abs(
-                        unit_row - 2.0 * prev_row + prev2_row
-                    ).max() > settle
-                ):
-                    quiet = 0
-            if quiet >= 2:
-                prof.begin()
-                consumed, span_energy, ff_rows = self._fast_forward(
-                    rec, tick, dt, quiet, powers_buf, unit_row
-                )
-                prof.lap(PH_FAST_FORWARD)
-                if consumed:
-                    energy += span_energy
-                    prev2_row, prev_row, unit_row = ff_rows
-                    tick += consumed
-                    prof.tick_done(consumed)
-                    continue
-            t1 = t0 + dt
-            prof.begin()
-            self._advance_interval_span(t0, t1)
-            util_arr = self._span_utilization(dt, t1)
-            prof.lap(PH_INTERVAL)
-
-            powers_vec = self.power.unit_power_vector(
-                self._state_arr,
-                util_arr,
-                self._dyn_scale_arr,
-                self._voltage_arr,
-                unit_row,
-                self._memory_intensity(),
-                out=powers_buf,
-            )
-            prof.lap(PH_POWER)
-            self.thermal.step_vector(powers_vec)
-            peak_row = self.thermal.unit_max_vector()
-            prof.lap(PH_THERMAL)
-            self._temps_arr[:] = self.sensors.read_cores_vector(peak_row)
-            prof.lap(PH_SENSORS)
-
-            self._apply_dpm(t1)
-            prof.lap(PH_DPM)
-            self._run_policy(t1, util_arr)
-            prof.lap(PH_POLICY)
-
-            prev2_row = prev_row
-            prev_row = unit_row
-            unit_row = self.thermal.unit_temperature_vector()
-            tick_power = self.power.total_power(powers_vec)
-            self._record_tick(
-                rec, tick, t1, unit_row, peak_row, util_arr, tick_power
-            )
-            energy += tick_power * dt
-            prof.lap(PH_RECORD)
-            tick += 1
-            prof.tick_done()
-        return energy
-
-    def _quiet_ticks(self, t0: float, dt: float, max_ticks: int) -> int:
-        """Whole upcoming ticks guaranteed free of scheduler events.
-
-        Returns 0 when fast-forwarding is not worthwhile or not safe:
-        pending completion flags, a stalled busy core (its utilization
-        would flip mid-stretch when the stall expires), or an event
-        within the next two ticks.
-        """
-        if self._finished_cores:
-            return 0
-        horizon: Optional[float] = None
-        if self._arrivals:
-            horizon = self._arrivals[0][0]
-        heap = self._event_heap
-        cores = self._cores
-        while heap:
-            cached_time, seq, name = heap[0]
-            if cores[name].heap_seq != seq:
-                heapq.heappop(heap)
-                self._ob_heap_stale += 1
-                continue
-            if horizon is None or cached_time < horizon:
-                horizon = cached_time
-            break
-        cap = self.config.span_horizon_ticks
-        if max_ticks < cap:
-            cap = max_ticks
-        if horizon is None:
-            quiet = cap
-        else:
-            quiet = int((horizon - t0 - _TIME_EPS) / dt)
-            if quiet > cap:
-                quiet = cap
-        if quiet < 2:
-            return 0
-        for core in self._core_list:
-            if (
-                core.jobs
-                and not core.halted
-                and core.stall_until > t0 + _TIME_EPS
-            ):
-                return 0
-        return quiet
-
-    def _fast_forward(
-        self,
-        rec: _Recording,
-        tick: int,
-        dt: float,
-        quiet: int,
-        powers_buf: np.ndarray,
-        unit_row: np.ndarray,
-    ) -> Tuple[int, float, np.ndarray]:
-        """Advance up to ``quiet`` event-free ticks in closed form.
-
-        Power is held at its span-start value (the documented
-        approximation — leakage feedback lags by at most the span
-        cap), the per-tick recorded/sensed readbacks come from the
-        assembly's span-compiled rows, and the node state jumps to the
-        consumed interval through the multi-interval propagator.
-        Sensors, DPM and the policy still run every tick on the
-        reconstructed observations; the first mutation any of them
-        makes closes the span at that tick. Returns ``(ticks_consumed,
-        energy, last_three_rows)`` (the caller's settledness window) —
-        zero consumed when the active solver has no exponential
-        propagator.
-        """
-        t0 = tick * dt
-        core_list = self._core_list
-        util_arr = self._util_buf
-        util_arr.fill(0.0)
-        for core in core_list:
-            if core.jobs and not core.halted:
-                util_arr[core.idx] = 1.0
-        powers_vec = self.power.unit_power_vector(
-            self._state_arr,
-            util_arr,
-            self._dyn_scale_arr,
-            self._voltage_arr,
-            unit_row,
-            self._memory_intensity(),
-            out=powers_buf,
-        )
-        cursor = self.thermal.span_cursor(powers_vec, quiet)
-        if cursor is None:
-            return 0, 0.0, (unit_row, unit_row, unit_row)
-        tick_power = self.power.total_power(powers_vec)
-        self._span_dirty = False
-        self._in_fast_forward = True
-        consumed = 0
-        rows = (unit_row, unit_row, unit_row)
-        try:
-            for i in range(1, quiet + 1):
-                # Same float arithmetic as the per-tick loops (t0 + dt
-                # for the absolute tick), so recorded times and policy
-                # timestamps match the eager recording bitwise.
-                t_i = (tick + i - 1) * dt + dt
-                mean_row, peak_row = cursor.rows(i)
-                rows = (rows[1], rows[2], mean_row)
-                self._temps_arr[:] = self.sensors.read_cores_vector(peak_row)
-                self._apply_dpm(t_i)
-                self._run_policy(t_i, util_arr)
-                self._record_tick(
-                    rec, tick + i - 1, t_i, mean_row, peak_row, util_arr,
-                    tick_power,
-                )
-                consumed = i
-                if self._span_dirty:
-                    break
-            # Jump the node state to the consumed interval and
-            # materialize every core there (busy accounting stays off:
-            # the consumed ticks' utilization was recorded in closed
-            # form above).
-            cursor.finish(consumed)
-            t_end = (tick + consumed - 1) * dt + dt
-            for core in core_list:
-                self._touch_core(core, t_end)
-                core.busy_in_tick = 0.0
-        finally:
-            self._in_fast_forward = False
-        self._ob_ff_spans += 1
-        self._ob_ff_ticks += consumed
-        self._obs.fast_forward(t_end, consumed)
-        return consumed, tick_power * dt * consumed, rows
-
-    # ------------------------------------------------------------------
     # event-fidelity execution
 
     def _run_event_ticks(self, rec: _Recording, n_ticks: int, dt: float,
                          start_tick: int = 0, energy0: float = 0.0,
-                         resume_rows: Tuple = (None, None, None),
+                         resume_row: Optional[np.ndarray] = None,
                          checkpoint_every: int = 0, checkpoint_sink=None
                          ) -> float:
         """Tick loop of the event fidelity mode.
@@ -1328,11 +1022,11 @@ class SimulationEngine:
         The clock jumps from heap event to heap event: every stretch of
         whole ticks guaranteed free of scheduler events (arrivals,
         completions, stall expiries) is crossed by one
-        :meth:`_fast_forward_event` call — no settledness gate, no
-        horizon cap. Ticks that do contain events run the span-fidelity
-        per-tick pipeline, so the within-tick event ordering (interval,
-        power, thermal, sensors, DPM, policy, record) is exactly the
-        eager/span one whenever an event and a tick boundary coincide.
+        :meth:`_fast_forward_event` call, however long. Ticks that do
+        contain events run the per-tick pipeline on the span substrate,
+        so the within-tick event ordering (interval, power, thermal,
+        sensors, DPM, policy, record) is exactly the eager one whenever
+        an event and a tick boundary coincide.
 
         The thermal state lives in one persistent
         :class:`~repro.thermal.model.ModalJump` for the whole run when
@@ -1348,7 +1042,7 @@ class SimulationEngine:
         next_ckpt = n_ticks + 1
         if checkpoint_every > 0 and checkpoint_sink is not None:
             next_ckpt = start_tick + checkpoint_every
-        unit_row = resume_rows[2]
+        unit_row = resume_row
         if unit_row is None:
             unit_row = self.thermal.unit_temperature_vector()
         modal = self.thermal.modal_jump()
@@ -1361,8 +1055,7 @@ class SimulationEngine:
                     modal.close()
                 checkpoint_sink(
                     self._checkpoint_payload(
-                        rec, tick, energy, dt, n_ticks,
-                        None, None, unit_row,
+                        rec, tick, energy, dt, n_ticks, unit_row
                     ),
                     tick,
                 )
@@ -1437,11 +1130,12 @@ class SimulationEngine:
                            ) -> int:
         """Whole upcoming ticks guaranteed free of scheduler events.
 
-        The event-mode twin of :meth:`_quiet_ticks`: the only cap is
-        the end of the run — the clock may jump all the way to the next
-        heap event. Settledness is not consulted (the event
-        fast-forward reprices leakage every tick, so it needs no
-        thermal gate).
+        Returns 0 when a jump is not worthwhile or not safe: pending
+        completion flags, a stalled busy core (its utilization would
+        flip mid-stretch when the stall expires), or an event within the
+        next two ticks. The only cap is the end of the run — the clock
+        may jump all the way to the next heap event. No thermal gate is
+        needed: the jump reprices leakage every tick.
         """
         if self._finished_cores:
             return 0
@@ -1554,10 +1248,8 @@ class SimulationEngine:
     ) -> Tuple[int, float, np.ndarray]:
         """Cross up to ``quiet`` event-free ticks in one clock jump.
 
-        Unlike the span fast-forward there is no settledness gate and
-        no horizon cap: the jump always proceeds and covers the whole
-        stretch unless a control call mutates state, which closes it at
-        the acting tick.
+        The jump always proceeds and covers the whole stretch unless a
+        control call mutates state, which closes it at the acting tick.
 
         Power is repriced every tick: the temperature-dependent leakage
         is re-evaluated at the evolving unit readback through the
@@ -1678,9 +1370,9 @@ class SimulationEngine:
         return consumed, energy, mean_row
 
     def _advance_interval_span(self, t0: float, t1: float) -> None:
-        """Span-mode interval loop: trusted event pops, lazy execution.
+        """Span-substrate interval loop: trusted event pops, lazy execution.
 
-        Cached completion times are exact in span mode — nothing
+        Cached completion times are exact on the span substrate — nothing
         touches a running job between its own invalidation sites — so
         the loop pops events straight off the heap (no
         recompute-on-pop) and materializes only the affected cores;
@@ -1747,7 +1439,7 @@ class SimulationEngine:
         — dispatch, completion, migration, V/f or gating change, DPM
         transition — and at due completion events. Decrements the head
         job's remaining work in one closed-form update and accounts
-        the unaccounted busy time (suppressed during fast-forward,
+        the unaccounted busy time (suppressed during a clock jump,
         which records utilization in closed form instead).
         """
         start = core.span_start
@@ -2016,7 +1708,7 @@ class SimulationEngine:
         if self._use_span:
             # Incremental head-job memory-intensity accumulator: queue
             # heads only change at sites that sync this row, so the
-            # span engine reads the mix intensity in O(1) instead of
+            # span substrate reads the mix intensity in O(1) instead of
             # sweeping every core each tick.
             new_mem = jobs[0].benchmark.memory_intensity if jobs else None
             old_mem = core.head_mem
@@ -2059,7 +1751,6 @@ class SimulationEngine:
         volt_row[:] = self._voltage_arr
         self._span_alloc_ctx = None  # views below are re-homed
         self._span_tick_ctx = None
-        self._span_snap = None
         self._ql_arr = ql_row
         self._state_arr = state_row
         self._vf_arr = vf_row
@@ -2093,7 +1784,7 @@ class SimulationEngine:
         self._ob_heap_invalidate += 1
         if self._use_span:
             # Invalidation implies a state mutation — close any open
-            # fast-forward — and the fresh event is computed from the
+            # clock jump — and the fresh event is computed from the
             # span anchor (every mutation site materializes first, so
             # the cached time stays exact until the next invalidation).
             self._span_dirty = True
@@ -2318,9 +2009,10 @@ class SimulationEngine:
         arrays: Optional[TickArrays] = None,
     ) -> None:
         if self._use_span:
-            # Span mode hands policies live views of the engine's own
-            # row state through one persistent context shell: no
-            # snapshot copies, no per-tick context objects. Values at
+            # The span substrate hands policies live views of the
+            # engine's own row state through one persistent context
+            # shell: no snapshot copies, no per-tick context objects.
+            # Values at
             # ``on_tick`` time equal the eager snapshots (nothing
             # mutates between the gather and the call); policies must
             # not hold the arrays across ticks (the registry policies
@@ -2341,7 +2033,6 @@ class SimulationEngine:
                     arrays=snap,
                 )
                 self._span_tick_ctx = ctx
-                self._span_snap = snap
             else:
                 object.__setattr__(ctx, "time", now)
         elif self._use_heap:

@@ -54,7 +54,7 @@ class DispatchQueue:
     def pop_head(self) -> Job:
         """Remove and return the head job without the finished check.
 
-        The span engine's completion path pops only heads it has just
+        The span substrate's completion path pops only heads it has just
         materialized to zero remaining work, so the re-verification in
         :meth:`pop_finished` would be pure per-event overhead there.
         """

@@ -126,14 +126,6 @@ class ThermalAssembly:
         self._exponential_step: Optional[
             Tuple[np.ndarray, np.ndarray, np.ndarray]
         ] = None
-        # Span-compiled readback rows (see span_readback_rows): entry
-        # i-1 holds (mean_weights @ A^i, A^i[max_node_idx]) so a quiet
-        # i-th interval's recorded mean/max rows are two small GEMVs
-        # against the span-start deviation instead of a full-state
-        # propagator step. Grown lazily, shared by every run on the
-        # assembly.
-        self._span_mean_rows: List[np.ndarray] = []
-        self._span_max_rows: List[np.ndarray] = []
         # Truncated eigenbasis of the propagator (see modal_step_basis).
         # False = not built yet, None = built and rejected.
         self._modal_basis: object = False
@@ -184,42 +176,6 @@ class ThermalAssembly:
             )
             self._exponential_step = (solver.propagator, gain, ambient)
         return self._exponential_step
-
-    def span_readback_rows(
-        self, n_intervals: int
-    ) -> Tuple[List[np.ndarray], List[np.ndarray]]:
-        """Per-interval readback factors of a quiet span, grown to
-        ``n_intervals``.
-
-        Under constant power the deviation from steady state evolves as
-        ``D_i = A^i D_0``, so the recorded mean row of interval ``i`` is
-        ``(M_mean A^i) D_0 + M_mean T_inf`` and the max-readback gather
-        values are ``(A^i[max_cells]) D_0 + T_inf[max_cells]``. The
-        factor matrices ``M_mean A^i`` (n_units x n_nodes) and
-        ``A^i[max_cells]`` (n_gather x n_nodes) depend only on the
-        assembly, so they are compiled once here (by right-multiplying
-        the previous factor with ``A`` — no dense propagator powers
-        needed) and reused by every span of every run. Entry ``i-1``
-        serves interval ``i``.
-        """
-        if self.transient_solver("exponential").resolved_method != "exponential":
-            raise ThermalModelError(
-                "span readback rows require the exponential propagator"
-            )
-        propagator = self.transient_solver("exponential").propagator
-        rb = self.readback
-        while len(self._span_mean_rows) < n_intervals:
-            if not self._span_mean_rows:
-                self._span_mean_rows.append(rb.mean_weights @ propagator)
-                self._span_max_rows.append(propagator[rb.max_node_idx])
-            else:
-                self._span_mean_rows.append(
-                    self._span_mean_rows[-1] @ propagator
-                )
-                self._span_max_rows.append(
-                    self._span_max_rows[-1] @ propagator
-                )
-        return self._span_mean_rows, self._span_max_rows
 
     def modal_step_basis(self) -> Optional[Dict[str, np.ndarray]]:
         """Truncated eigenbasis of the propagator for reduced stepping.
@@ -485,13 +441,6 @@ class ThermalModel:
         """Requested method of the active transient solver."""
         return self._transient.method
 
-    @property
-    def exponential_ready(self) -> bool:
-        """True when the active solver exposes the exponential
-        propagator, i.e. closed-form multi-interval jumps
-        (:meth:`step_vector_multi`, :meth:`span_cursor`) are available."""
-        return self._exp_step is not None
-
     def use_solver(self, method: str) -> TransientSolver:
         """Select the transient integrator (cached per assembly).
 
@@ -508,16 +457,6 @@ class ThermalModel:
         # rebuild lazily after a switch. False = not built yet.
         self._modal_pack: object = False
         return self._transient
-
-    def propagator_cache_stats(self) -> Tuple[int, int]:
-        """``(hits, misses)`` of the active solver's A^k propagator
-        cache — cumulative over the shared assembly; telemetry consumers
-        take per-run deltas."""
-        transient = self._transient
-        if transient is None:
-            return (0, 0)
-        return (transient.propagator_cache_hits,
-                transient.propagator_cache_misses)
 
     def die_mapper(self, die_ordinal: int) -> GridMapper:
         """The grid mapper of die ``die_ordinal`` (0 = nearest the sink)."""
@@ -615,56 +554,17 @@ class ThermalModel:
             self.temperatures, self.node_powers_from_vector(unit_power_vec)
         )
 
-    def step_vector_multi(
-        self, unit_power_vec: np.ndarray, n_intervals: int
-    ) -> None:
-        """Advance ``n_intervals`` sampling intervals in one jump.
-
-        Exact under power held constant over the whole stretch: the
-        multi-interval propagator ``A^k`` (cached per ``k`` on the
-        assembly's exponential solver) turns k ticks of thermal
-        evolution into a single GEMV. One :class:`SpanCursor` jump —
-        the same closing step the span-compiled engine uses — so there
-        is a single implementation of the multi-interval math. Requires
-        the exponential propagator.
-        """
-        if n_intervals == 1:
-            self.step_vector(unit_power_vec)
-            return
-        cursor = self.span_cursor(unit_power_vec, n_intervals)
-        if cursor is None:
-            raise ThermalModelError(
-                "multi-interval stepping requires the exponential solver"
-            )
-        cursor.finish(n_intervals)
-
-    def span_cursor(
-        self, unit_power_vec: np.ndarray, max_intervals: int
-    ) -> Optional["SpanCursor"]:
-        """Open a quiet-span readback cursor, or ``None`` if the active
-        solver has no exponential propagator (implicit methods, or the
-        dense-propagator node-limit fallback).
-
-        The cursor serves per-interval mean/max readback rows from the
-        assembly's span-compiled factors without advancing the state;
-        :meth:`SpanCursor.finish` then jumps the state to the chosen
-        interval with one multi-dt propagator GEMV.
-        """
-        if self._exp_step is None:
-            return None
-        return SpanCursor(self, unit_power_vec, max_intervals)
-
     def modal_jump(self) -> Optional["ModalJump"]:
         """Open a reduced-order per-tick stepper, or ``None`` when the
         assembly has no accepted modal basis (no exponential
         propagator, or truncation error above
         :data:`MODAL_BASIS_ERR_MAX`).
 
-        Unlike :class:`SpanCursor`, power may change every tick (the
-        leakage feedback loop keeps running): each :meth:`ModalJump.\
-advance` reprices the steady point exactly and advances the deviation
-        in the truncated eigenbasis. :meth:`ModalJump.close` writes the
-        full node state back to the model.
+        Power may change every tick (the leakage feedback loop keeps
+        running): each :meth:`ModalJump.advance` reprices the steady
+        point exactly and advances the deviation in the truncated
+        eigenbasis. :meth:`ModalJump.close` writes the full node state
+        back to the model.
         """
         pack = self._modal_pack
         if pack is False:
@@ -933,78 +833,6 @@ unit_power_matrix` result).
             for d in range(self.n_dies)
         ]
         return float(max(values))
-
-
-class SpanCursor:
-    """Per-interval readback of one quiet constant-power stretch.
-
-    Compiled against the span-start state: ``rows(i)`` returns the
-    (mean, max) per-unit readback rows the engine would record at the
-    end of interval ``i`` — two small GEMVs against the span-start
-    deviation using the assembly's span-compiled factors, instead of a
-    full propagator step per tick — and ``finish(j)`` advances the
-    model state to the end of interval ``j`` with one multi-interval
-    propagator GEMV. The cursor never mutates the model until
-    ``finish``, so a span can be closed early (policy or DPM action)
-    at any interval without having over-stepped.
-    """
-
-    def __init__(
-        self,
-        model: "ThermalModel",
-        unit_power_vec: np.ndarray,
-        max_intervals: int,
-    ) -> None:
-        propagator, gain, ambient = model._exp_step
-        self._model = model
-        self._max_intervals = int(max_intervals)
-        t_inf = gain @ unit_power_vec
-        t_inf += ambient
-        self._t_inf = t_inf
-        self._deviation = model.temperatures - t_inf
-        rb = model._readback
-        self._rb = rb
-        self._mean_t_inf = rb.mean_weights @ t_inf
-        self._max_t_inf = t_inf[rb.max_node_idx]
-        # The per-interval readback factors are built on first rows()
-        # call — a cursor used only for its finish() jump (e.g.
-        # step_vector_multi) never touches them.
-        self._mean_rows: Optional[List[np.ndarray]] = None
-        self._max_rows: Optional[List[np.ndarray]] = None
-
-    def rows(self, interval: int) -> Tuple[np.ndarray, np.ndarray]:
-        """(mean, max) per-unit readback rows after ``interval`` steps."""
-        if not 1 <= interval <= self._max_intervals:
-            raise ThermalModelError(
-                f"span interval {interval} outside 1..{self._max_intervals}"
-            )
-        if self._mean_rows is None:
-            self._mean_rows, self._max_rows = (
-                self._model.assembly.span_readback_rows(self._max_intervals)
-            )
-        deviation = self._deviation
-        mean_row = self._mean_rows[interval - 1] @ deviation
-        mean_row += self._mean_t_inf
-        rb = self._rb
-        max_row = np.full(rb.n_units, np.nan)
-        if rb.max_node_idx.size:
-            gathered = self._max_rows[interval - 1] @ deviation
-            gathered += self._max_t_inf
-            max_row[rb.max_scatter] = np.maximum.reduceat(
-                gathered, rb.max_offsets
-            )
-        return mean_row, max_row
-
-    def finish(self, interval: int) -> None:
-        """Jump the model state to the end of interval ``interval``."""
-        if not 1 <= interval <= self._max_intervals:
-            raise ThermalModelError(
-                f"span interval {interval} outside 1..{self._max_intervals}"
-            )
-        propagator_k = self._model._transient.propagator_power(interval)
-        state = propagator_k @ self._deviation
-        state += self._t_inf
-        self._model.temperatures = state
 
 
 class ModalJump:

@@ -47,16 +47,6 @@ _IMPLICIT_METHODS = ("backward_euler", "crank_nicolson")
 #: resolves to backward Euler. The paper grids are 257-385 nodes.
 DENSE_PROPAGATOR_NODE_LIMIT = 1024
 
-#: Composite multi-interval propagators (``A^k`` for arbitrary k) kept
-#: per solver.  Span-mode jumps draw from a handful of horizon-bounded
-#: k values, but event-fidelity runs ask for whatever interval the heap
-#: dictates, so the composite cache is a bounded LRU rather than an
-#: unbounded memo — irregular dt's recycle the least-recently-jumped
-#: entries instead of growing a dense matrix per distinct k.  The
-#: powers-of-two ladder (at most ``log2(k_max)`` matrices) is kept
-#: separately and never evicted.
-PROPAGATOR_LRU_CAPACITY = 32
-
 
 def build_propagator(network: ThermalNetwork, dt: float) -> np.ndarray:
     """The dense interval propagator ``expm(-C^-1 G dt)``.
@@ -145,21 +135,6 @@ class TransientSolver:
         self.resolved_method = resolved
 
         self._propagator: Optional[np.ndarray] = None
-        # Multi-interval propagators ``A^k = expm(-C^-1 G k dt)``,
-        # keyed by k and built on demand (the span-compiled engine jumps
-        # a quiet k-tick stretch in one GEMV; the event engine jumps
-        # arbitrary heap-dictated intervals). Two tiers: an unbounded
-        # powers-of-two ladder (log-sized by construction) that binary
-        # exponentiation composes from, and a bounded LRU of composite
-        # k values (insertion-ordered dict, least-recently-used first).
-        self._propagator_pow2: dict = {}
-        self._propagator_powers: dict = {}
-        self._propagator_lru_capacity = PROPAGATOR_LRU_CAPACITY
-        # Plain-int cache effectiveness counters, read by the engine's
-        # telemetry snapshot (per-run deltas; the solver is shared
-        # across every run on the same assembly).
-        self.propagator_cache_hits = 0
-        self.propagator_cache_misses = 0
         self._steady_lu = None
         self._explicit: Optional[sparse.csc_matrix] = None
         self._c_over_h: Optional[np.ndarray] = None
@@ -184,73 +159,6 @@ class TransientSolver:
     def propagator(self) -> Optional[np.ndarray]:
         """Dense interval propagator (exponential method only)."""
         return self._propagator
-
-    def propagator_power(self, n_intervals: int) -> np.ndarray:
-        """The multi-interval propagator ``A^k``, cached per ``k``.
-
-        Because the matrix exponential satisfies
-        ``expm(-C^-1 G * k dt) = expm(-C^-1 G dt)^k``, the k-interval
-        jump under constant power is exactly ``T' = T_inf + A^k (T -
-        T_inf)`` — the span/event engines' way of crossing a quiet
-        stretch without touching the intermediate states. Powers are
-        composed by binary exponentiation over a never-evicted
-        powers-of-two ladder (at most ``log2 k`` GEMMs for a first-seen
-        ``k``, ~log that many matrices resident), and composite results
-        land in a bounded LRU keyed by ``k`` — i.e. by the total jump
-        ``k*dt`` — so the irregular interval lengths an event-driven
-        clock produces recycle cache slots instead of accreting a dense
-        matrix per distinct jump. Repeated requests for a resident
-        ``k`` return the same array object. Exponential method only.
-        """
-        if self.resolved_method != "exponential":
-            raise ThermalModelError(
-                "multi-interval propagators require the exponential "
-                f"method (resolved method is {self.resolved_method!r})"
-            )
-        if n_intervals < 1:
-            raise ThermalModelError(
-                f"n_intervals must be >= 1, got {n_intervals}"
-            )
-        if n_intervals == 1:
-            self.propagator_cache_hits += 1
-            return self._propagator
-        lru = self._propagator_powers
-        cached = lru.get(n_intervals)
-        if cached is not None:
-            self.propagator_cache_hits += 1
-            # Refresh recency: re-insert at the most-recent end.
-            del lru[n_intervals]
-            lru[n_intervals] = cached
-            return cached
-        self.propagator_cache_misses += 1
-        cached = self._compose_propagator_power(n_intervals)
-        lru[n_intervals] = cached
-        while len(lru) > self._propagator_lru_capacity:
-            del lru[next(iter(lru))]
-        return cached
-
-    def _pow2_propagator(self, exponent: int) -> np.ndarray:
-        """``A^(2^exponent)`` by repeated squaring; ladder never evicted."""
-        if exponent == 0:
-            return self._propagator
-        cached = self._propagator_pow2.get(exponent)
-        if cached is None:
-            half = self._pow2_propagator(exponent - 1)
-            cached = half @ half
-            self._propagator_pow2[exponent] = cached
-        return cached
-
-    def _compose_propagator_power(self, k: int) -> np.ndarray:
-        """``A^k`` from the binary expansion of ``k`` (k >= 2)."""
-        result = None
-        exponent = 0
-        while k:
-            if k & 1:
-                block = self._pow2_propagator(exponent)
-                result = block if result is None else result @ block
-            k >>= 1
-            exponent += 1
-        return result
 
     def step(self, temps: np.ndarray, node_powers: np.ndarray) -> np.ndarray:
         """Advance one external step ``dt`` under constant power.

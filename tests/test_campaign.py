@@ -83,7 +83,7 @@ class TestRunKey:
             replace(base, policy_params=(("beta_inc", 0.02),)),
             replace(base, sensor_noise_sigma=0.5),
             replace(base, workload_mix="web_heavy"),
-            replace(base, fidelity="span"),
+            replace(base, fidelity="event"),
         ]
         keys = {run_key(spec) for spec in [base] + variants}
         assert len(keys) == len(variants) + 1
@@ -147,10 +147,10 @@ class TestGoldenKey:
         thermal_solver="exponential",
         sensor_noise_sigma=0.5,
         workload_mix="server",
-        fidelity="span",
+        fidelity="event",
     )
-    GOLDEN_RUN_KEY = "exp4-adapt3d_dvfs_tt-fc63c8928ca3"
-    GOLDEN_PREFIX_KEY = "exp4-adapt3d_dvfs_tt-pfx-c9a7fd913c0f"
+    GOLDEN_RUN_KEY = "exp4-adapt3d_dvfs_tt-b79c2928f430"
+    GOLDEN_PREFIX_KEY = "exp4-adapt3d_dvfs_tt-pfx-dd932056e672"
 
     def test_run_key_matches_frozen_digest(self):
         assert run_key(RunSpec(**self.GOLDEN_SPEC_KWARGS)) == self.GOLDEN_RUN_KEY
@@ -207,11 +207,11 @@ class TestCampaignSpec:
             CampaignSpec.from_dict({"name": "x", "nope": 1})
 
     def test_fidelity_axis_expands_and_round_trips(self, tmp_path):
-        campaign = tiny_campaign(fidelities=("eager", "span"))
+        campaign = tiny_campaign(fidelities=("eager", "event"))
         specs = campaign.expand()
         assert len(specs) == 4
-        assert {s.fidelity for s in specs} == {"eager", "span"}
-        # Span and eager runs address different store entries.
+        assert {s.fidelity for s in specs} == {"eager", "event"}
+        # Event and eager runs address different store entries.
         assert len(set(campaign.keys())) == 4
         loaded = CampaignSpec.from_json(
             campaign.to_json(tmp_path / "spec.json")
@@ -753,12 +753,17 @@ class TestProgressEvents:
             by_key.setdefault(key, []).append(event)
         for spec in tiny_campaign().expand():
             assert by_key[run_key(spec)] == ["start", "ok"]
-        assert by_key[run_key(bad)] == ["start", "error"]
+        # A deterministic failure is retried once, then quarantined when
+        # the second attempt fails with the same signature.
+        assert by_key[run_key(bad)] == [
+            "start", "retry", "start", "quarantined",
+        ]
 
     @pytest.mark.slow
     def test_batched_poisoned_batch_event_sequence(self, tmp_path):
         """Batch mates of a failing spec re-emit start on the singleton
-        retry and still end with exactly one ok."""
+        retry and still end with exactly one ok; the failing spec is
+        retried once as a singleton, then quarantined."""
         bad = tiny_spec(seed=5, benchmark_mix=(("not-a-benchmark", 4),))
         events = []
         run = CampaignExecutor(
@@ -766,7 +771,7 @@ class TestProgressEvents:
             batch_size=8, progress=self._record(events),
         ).run_campaign(tiny_campaign(policies=("Default",), seeds=(1, 2),
                                      extra_runs=(bad,)))
-        assert run.counts() == {"ok": 2, "error": 1}
+        assert run.counts() == {"ok": 2, "quarantined": 1}
         by_key = {}
         for event, key in events:
             by_key.setdefault(key, []).append(event)
@@ -774,7 +779,9 @@ class TestProgressEvents:
             key = run_key(spec)
             # One start from the batch attempt, one from the retry.
             assert by_key[key] == ["start", "start", "ok"]
-        assert by_key[run_key(bad)] == ["start", "start", "error"]
+        assert by_key[run_key(bad)] == [
+            "start", "start", "retry", "start", "quarantined",
+        ]
 
 
 @pytest.mark.slow
@@ -804,7 +811,7 @@ class TestParallelExecutor:
         run = CampaignExecutor(
             store=store, backend="parallel", max_workers=2
         ).run_campaign(campaign)
-        assert run.counts() == {"ok": 1, "error": 1}
+        assert run.counts() == {"ok": 1, "quarantined": 1}
         assert "not-a-benchmark" in store.failures()[run_key(bad)]
 
     def test_parallel_resume(self, tmp_path):
@@ -1037,7 +1044,7 @@ class TestBatchedExecutor:
         run = CampaignExecutor(
             store=store, backend="batched", max_workers=2, batch_size=8,
         ).run_campaign(campaign)
-        assert run.counts() == {"ok": 2, "error": 1}
+        assert run.counts() == {"ok": 2, "quarantined": 1}
         assert "not-a-benchmark" in store.failures()[run_key(bad)]
 
     def test_batched_resume(self, tmp_path):

@@ -3,9 +3,9 @@
 The event engine (``EngineConfig(fidelity="event")``) advances the
 clock between heap events: every stretch of whole ticks provably free
 of scheduler events is crossed by one :meth:`_fast_forward_event` call
-over the run-persistent reduced-order modal thermal stepper — no
-settledness gate, no horizon cap. The contract mirrors span's, with
-a third column in the differential:
+over the run-persistent reduced-order modal thermal stepper, however
+long the stretch. Its contract (docs/ENGINE.md) is not bit-identity
+but bounded agreement with the eager reference:
 
 - the discrete planes (V/f indices, core states) and the job stream
   are identical to eager,
@@ -90,7 +90,7 @@ def assert_event_close(eager, event):
 
 def count_event_jumps(monkeypatch):
     """Patch the event fast-forward to count jumps/ticks it consumes."""
-    calls = {"jumps": 0, "ticks": 0, "lengths": []}
+    calls = {"jumps": 0, "ticks": 0, "lengths": [], "starts": []}
     original = SimulationEngine._fast_forward_event
 
     def wrapper(self, rec, tick, dt, quiet, powers_buf, unit_row):
@@ -99,6 +99,7 @@ def count_event_jumps(monkeypatch):
             calls["jumps"] += 1
             calls["ticks"] += result[0]
             calls["lengths"].append(result[0])
+            calls["starts"].append(tick)
         return result
 
     monkeypatch.setattr(SimulationEngine, "_fast_forward_event", wrapper)
@@ -106,7 +107,7 @@ def count_event_jumps(monkeypatch):
 
 
 class TestEventDifferentialFast:
-    """Tier-1 smoke slice of the three-column fidelity differential."""
+    """Tier-1 smoke slice of the event-vs-eager differential."""
 
     @pytest.mark.parametrize("exp_id", [1, 4])
     @pytest.mark.parametrize("policy", ["Default", "Adapt3D"])
@@ -115,22 +116,6 @@ class TestEventDifferentialFast:
         assert_event_close(
             run_fidelity(spec, "eager"), run_fidelity(spec, "event")
         )
-
-    def test_three_fidelity_columns_agree(self):
-        """Eager, span and event on one spec: span and event both hold
-        the tolerance against eager, and their discrete planes are all
-        identical — the fidelity ladder, one rung per column."""
-        spec = RunSpec(exp_id=2, policy="Default", duration_s=10.0, seed=5,
-                       benchmark_mix=QUIET_MIX)
-        eager = run_fidelity(spec, "eager")
-        span = run_fidelity(spec, "span")
-        event = run_fidelity(spec, "event")
-        assert_event_close(eager, span)
-        assert_event_close(eager, event)
-        for name in DISCRETE_ARRAYS:
-            np.testing.assert_array_equal(
-                getattr(span, name), getattr(event, name), err_msg=name
-            )
 
     def test_event_matches_eager_with_dpm(self):
         spec = RunSpec(exp_id=1, policy="Migr", duration_s=6.0,
@@ -182,24 +167,26 @@ class TestEventJump:
         assert_event_close(eager, event)
 
     def test_no_horizon_cap(self, monkeypatch):
-        """span_horizon_ticks caps span fast-forwards, never event
-        jumps: a jump runs to the next heap event however far."""
+        """A jump runs to the next heap event however far: the long
+        idle stretches of this run are crossed in single jumps of 5 s
+        or more."""
         calls = count_event_jumps(monkeypatch)
         spec = RunSpec(exp_id=2, policy="Default", duration_s=30.0, seed=5,
                        benchmark_mix=QUIET_MIX)
-        run_fidelity(spec, "event", span_horizon_ticks=3)
-        assert calls["lengths"] and max(calls["lengths"]) > 3
+        run_fidelity(spec, "event")
+        assert calls["lengths"] and max(calls["lengths"]) >= 50
 
     def test_no_settle_gate(self, monkeypatch):
-        """Unsettled transients don't block jumps (span's settle gate
-        is not consulted): the dense-event EXP-4 startup still jumps
-        wherever the heap allows."""
+        """Unsettled transients don't block jumps: the clock jumps in
+        the first second, while the stack still moves away from its
+        warm-up steady state, wherever the heap allows."""
         calls = count_event_jumps(monkeypatch)
         spec = RunSpec(exp_id=2, policy="Default", duration_s=30.0, seed=5,
                        benchmark_mix=QUIET_MIX)
         eager = run_fidelity(spec, "eager")
-        event = run_fidelity(spec, "event", span_settle_k=0.0)
+        event = run_fidelity(spec, "event")
         assert calls["jumps"] > 0
+        assert min(calls["starts"]) < 10
         assert_event_close(eager, event)
 
     def test_implicit_solver_dense_fallback(self, monkeypatch):
@@ -369,10 +356,9 @@ class TestEventConfigValidation:
 
     def test_batch_group_key_separates_fidelities(self):
         eager = RunSpec(exp_id=1, policy="Default", duration_s=2.0)
-        span = replace(eager, fidelity="span")
         event = replace(eager, fidelity="event")
-        groups = ExperimentRunner.group_batchable([eager, span, event])
-        assert groups == [[0], [1], [2]]
+        groups = ExperimentRunner.group_batchable([eager, event])
+        assert groups == [[0], [1]]
 
     def test_campaign_fidelity_axis_accepts_event(self):
         from repro.campaign.spec import CampaignSpec
@@ -527,7 +513,7 @@ class TestQuietPowerEval:
 
 @pytest.mark.slow
 class TestEventDifferentialMatrix:
-    """Full stack x policy x DPM three-column matrix (weekly in CI)."""
+    """Full stack x policy x DPM event-vs-eager matrix (weekly in CI)."""
 
     @pytest.mark.parametrize("exp_id", [1, 2, 3, 4])
     @pytest.mark.parametrize("policy", [

@@ -1,20 +1,17 @@
-"""Span-fidelity differential harness and span-primitive unit tests.
+"""The span substrate: lazy per-core spans under event fidelity.
 
-The span engine (``EngineConfig(fidelity="span")``) is an opt-in
-approximate-equality mode: lazy per-core span execution, trusted
-completion events, and quiet-stretch fast-forward through the thermal
-model's multi-interval propagator. Its contract (docs/ENGINE.md) is not
-bit-identity but bounded agreement with the eager reference:
+Event fidelity (``EngineConfig(fidelity="event")``) executes each
+core's work between its own boundary events as one lazy span — the
+head job is decremented in a closed-form update only when an event
+materializes it, utilization comes from span anchors, and cached
+completion events are trusted. The clock jumps themselves are covered
+by ``tests/test_engine_event.py``; this module covers the substrate:
 
-- identical completed-job counts and migration counts,
-- identical discrete planes (V/f levels, state codes) in practice,
-- recorded thermal planes within ``SPAN_TOL_K`` (1e-3 K),
-- energy within ``SPAN_TOL_ENERGY`` (0.1%).
-
-A fast slice of the differential matrix runs in tier-1; the full
-stack x policy x DPM matrix runs under ``-m slow`` (weekly in CI).
-The thermal-primitive tests pin the multi-interval propagator cache and
-the span-compiled readback rows against sequential stepping.
+- telemetry counters of the substrate (span touches and closes);
+- fidelity validation at the engine and batch level;
+- batched event lanes, which run on the substrate but never jump,
+  against serial references — including the stacked probabilistic and
+  DVFS policy ticks only event batches take.
 """
 
 from dataclasses import replace
@@ -23,260 +20,47 @@ import numpy as np
 import pytest
 
 from repro.analysis.runner import ExperimentRunner, RunSpec
-from repro.errors import SchedulerError, ThermalModelError
-from repro.floorplan.experiments import build_experiment
+from repro.errors import SchedulerError
+from repro.obs.telemetry import TelemetryConfig
 from repro.sched.batch import (
     BatchSimulationEngine,
     _DVFSBatchTick,
     _ProbabilisticBatchTick,
 )
-from repro.sched.engine import EngineConfig, SimulationEngine
-from repro.thermal.model import ThermalModel
+from tests.test_engine_event import (
+    DISCRETE_ARRAYS,
+    QUIET_MIX,
+    assert_event_close,
+    run_fidelity,
+)
 
 RUNNER = ExperimentRunner()
 
-#: Documented span-vs-eager tolerance (docs/ENGINE.md).
-SPAN_TOL_K = 1e-3
-SPAN_TOL_ENERGY = 1e-3
-
-THERMAL_ARRAYS = (
-    "unit_temps_k",
-    "core_temps_k",
-    "core_peak_temps_k",
-    "layer_spreads_k",
-)
-
-DISCRETE_ARRAYS = ("vf_indices", "core_states")
-
-#: Two long-running threads leave multi-tick event-free stretches once
-#: the stack settles — the workload shape the fast-forward compiles.
-QUIET_MIX = (("gcc", 2),)
-
-
-def run_fidelity(spec, fidelity, **config_overrides):
-    engine = RUNNER.build_engine(spec)
-    engine.config = replace(
-        engine.config, fidelity=fidelity, **config_overrides
-    )
-    return engine.run()
-
-
-def assert_span_close(eager, span):
-    """Assert the documented span-vs-eager agreement contract."""
-    np.testing.assert_array_equal(eager.times, span.times)
-    for name in DISCRETE_ARRAYS:
-        np.testing.assert_array_equal(
-            getattr(eager, name), getattr(span, name), err_msg=name
-        )
-    for name in THERMAL_ARRAYS:
-        np.testing.assert_allclose(
-            getattr(eager, name), getattr(span, name),
-            rtol=0.0, atol=SPAN_TOL_K, err_msg=name,
-        )
-    np.testing.assert_allclose(
-        eager.utilization, span.utilization, rtol=0.0, atol=1e-9
-    )
-    assert abs(eager.energy_j - span.energy_j) <= (
-        SPAN_TOL_ENERGY * eager.energy_j
-    )
-    assert eager.migrations == span.migrations
-    assert len(eager.completed_jobs()) == len(span.completed_jobs())
-    for je, js in zip(eager.jobs, span.jobs):
-        assert je.core == js.core
-        if je.finished and js.finished:
-            assert abs(je.completion_time - js.completion_time) <= 1e-6
-
-
-def count_fast_forwards(monkeypatch):
-    """Patch the fast-forward to count spans/ticks it consumes."""
-    calls = {"spans": 0, "ticks": 0}
-    original = SimulationEngine._fast_forward
-
-    def wrapper(self, rec, tick, dt, quiet, powers_buf, unit_row):
-        result = original(self, rec, tick, dt, quiet, powers_buf, unit_row)
-        if result[0]:
-            calls["spans"] += 1
-            calls["ticks"] += result[0]
-        return result
-
-    monkeypatch.setattr(SimulationEngine, "_fast_forward", wrapper)
-    return calls
-
-
-class TestSpanDifferentialFast:
-    """Tier-1 smoke slice of the span-vs-eager differential."""
-
-    @pytest.mark.parametrize("exp_id", [1, 4])
-    @pytest.mark.parametrize("policy", ["Default", "Adapt3D"])
-    def test_span_matches_eager(self, exp_id, policy):
-        spec = RunSpec(exp_id=exp_id, policy=policy, duration_s=6.0, seed=3)
-        assert_span_close(
-            run_fidelity(spec, "eager"), run_fidelity(spec, "span")
-        )
-
-    def test_span_matches_eager_with_dpm(self):
-        spec = RunSpec(exp_id=1, policy="Migr", duration_s=6.0,
-                       with_dpm=True, seed=3)
-        assert_span_close(
-            run_fidelity(spec, "eager"), run_fidelity(spec, "span")
-        )
-
-    def test_span_matches_eager_tight_settle_gate(self):
-        """span_settle_k=0.0 can never pass the settledness gate, so no
-        stretch fast-forwards: lazy span execution alone must hold the
-        tolerance contract (config-coverage of the settle knob)."""
-        spec = RunSpec(exp_id=1, policy="Adapt3D", duration_s=6.0, seed=3,
-                       benchmark_mix=QUIET_MIX)
-        assert_span_close(
-            run_fidelity(spec, "eager"),
-            run_fidelity(spec, "span", span_settle_k=0.0),
-        )
-
-    def test_span_matches_eager_with_sensor_noise(self):
-        """Noisy sensors draw per tick in both modes, so the RNG streams
-        stay aligned and decisions agree."""
-        spec = RunSpec(exp_id=4, policy="Adapt3D", duration_s=6.0, seed=3,
-                       sensor_noise_sigma=1.0)
-        assert_span_close(
-            run_fidelity(spec, "eager"), run_fidelity(spec, "span")
-        )
-
-    def test_span_matches_eager_dvfs(self):
-        spec = RunSpec(exp_id=2, policy="Adapt3D&DVFS_TT", duration_s=6.0,
-                       with_dpm=True, seed=3)
-        assert_span_close(
-            run_fidelity(spec, "eager"), run_fidelity(spec, "span")
-        )
-
-
-class TestSpanFastForward:
-    """The quiet-stretch fast-forward: triggers, closes, stays in
-    tolerance."""
-
-    def test_quiet_workload_fast_forwards(self, monkeypatch):
-        calls = count_fast_forwards(monkeypatch)
-        spec = RunSpec(exp_id=2, policy="Default", duration_s=30.0, seed=5,
-                       benchmark_mix=QUIET_MIX)
-        eager = run_fidelity(spec, "eager")
-        span = run_fidelity(spec, "span")
-        assert calls["spans"] > 0
-        assert calls["ticks"] > 2 * calls["spans"] - calls["spans"]
-        assert_span_close(eager, span)
-
-    def test_fast_forward_with_dpm_and_policy(self, monkeypatch):
-        """DPM transitions and policy actions mid-span close the span
-        at the acting tick; the recording stays within tolerance."""
-        calls = count_fast_forwards(monkeypatch)
-        spec = RunSpec(exp_id=2, policy="Adapt3D", duration_s=30.0, seed=5,
-                       with_dpm=True, benchmark_mix=QUIET_MIX)
-        eager = run_fidelity(spec, "eager")
-        span = run_fidelity(spec, "span")
-        assert calls["spans"] > 0
-        assert_span_close(eager, span)
-
-    def test_settle_gate_blocks_unsettled_spans(self, monkeypatch):
-        """During fast transients the settledness gate must keep the
-        engine on the exact per-tick path."""
-        calls = count_fast_forwards(monkeypatch)
-        spec = RunSpec(exp_id=4, policy="Adapt3D", duration_s=6.0, seed=3)
-        run_fidelity(spec, "span")
-        assert calls["spans"] == 0  # dense-event workload: nothing quiet
-
-    def test_implicit_solver_disables_fast_forward(self, monkeypatch):
-        """No exponential propagator -> span mode still runs (lazy
-        spans), just without multi-tick jumps."""
-        calls = count_fast_forwards(monkeypatch)
-        spec = RunSpec(exp_id=1, policy="Default", duration_s=10.0, seed=5,
-                       benchmark_mix=QUIET_MIX,
-                       thermal_solver="backward_euler")
-        eager = run_fidelity(spec, "eager")
-        span = run_fidelity(spec, "span")
-        assert calls["ticks"] == 0
-        assert_span_close(eager, span)
-
-    def test_span_horizon_cap_respected(self, monkeypatch):
-        spans = []
-        original = SimulationEngine._fast_forward
-
-        def wrapper(self, rec, tick, dt, quiet, powers_buf, unit_row):
-            result = original(
-                self, rec, tick, dt, quiet, powers_buf, unit_row
-            )
-            if result[0]:
-                spans.append(result[0])
-            return result
-
-        monkeypatch.setattr(SimulationEngine, "_fast_forward", wrapper)
-        spec = RunSpec(exp_id=2, policy="Default", duration_s=30.0, seed=5,
-                       benchmark_mix=QUIET_MIX)
-        run_fidelity(spec, "span", span_horizon_ticks=3)
-        assert spans and max(spans) <= 3
-
 
 class TestSpanTelemetry:
-    """Telemetry on the span engine: non-perturbing, and the span/FF
-    counters agree with what actually happened."""
-
-    def test_span_unperturbed_by_telemetry(self):
-        from repro.obs.telemetry import TelemetryConfig
-
-        spec = RunSpec(exp_id=4, policy="Adapt3D", duration_s=6.0, seed=3)
-        plain = run_fidelity(spec, "span")
-        telem = run_fidelity(spec, "span",
-                             telemetry=TelemetryConfig(trace=True))
-        np.testing.assert_array_equal(plain.vf_indices, telem.vf_indices)
-        np.testing.assert_array_equal(plain.core_states, telem.core_states)
-        np.testing.assert_array_equal(plain.unit_temps_k, telem.unit_temps_k)
-        assert plain.energy_j == telem.energy_j
-        assert telem.telemetry is not None
+    """Telemetry on the span substrate: counters agree with what
+    actually happened."""
 
     def test_counters_match_result_and_eager(self):
-        from repro.obs.telemetry import TelemetryConfig
-
         spec = RunSpec(exp_id=1, policy="Default", duration_s=10.0, seed=5,
                        benchmark_mix=QUIET_MIX)
         eager = run_fidelity(spec, "eager",
                              telemetry=TelemetryConfig())
-        span = run_fidelity(spec, "span",
-                            telemetry=TelemetryConfig())
-        for result in (eager, span):
+        event = run_fidelity(spec, "event",
+                             telemetry=TelemetryConfig())
+        for result in (eager, event):
             stats = result.telemetry["job_stats"]
             assert stats["completions"] == len(result.completed_jobs())
             assert stats["migrations"] == result.migrations
         assert (eager.telemetry["job_stats"]["completions"]
-                == span.telemetry["job_stats"]["completions"])
-
-    def test_fast_forward_counters(self, monkeypatch):
-        from repro.obs.telemetry import TelemetryConfig
-
-        calls = count_fast_forwards(monkeypatch)
-        spec = RunSpec(exp_id=2, policy="Default", duration_s=30.0, seed=5,
-                       benchmark_mix=QUIET_MIX)
-        result = run_fidelity(spec, "span",
-                              telemetry=TelemetryConfig())
-        counters = result.telemetry["engine"]["counters"]
-        assert counters["fast_forward_spans"] == calls["spans"] > 0
-        assert counters["fast_forward_ticks"] == calls["ticks"]
-        # A^k propagator cache serves the jumps: every span consults it.
-        assert (counters["propagator_cache_hits"]
-                + counters["propagator_cache_misses"]) >= calls["spans"]
-        # Registry mirrors of the micro counters agree.
-        reg = result.telemetry["registry"]["counters"]
-        assert reg["span.fast_forwards"] == calls["spans"]
-        assert reg["span.fast_forward_ticks"] == calls["ticks"]
-        # Profiler credits the fast-forwarded ticks too.
-        phases = result.telemetry["phases"]
-        assert phases["ticks"] == result.n_ticks
-        assert "fast_forward" in phases["phases"]
+                == event.telemetry["job_stats"]["completions"])
 
     def test_span_close_counter(self):
-        from repro.obs.telemetry import TelemetryConfig
-
         spec = RunSpec(exp_id=4, policy="Adapt3D", duration_s=6.0, seed=3)
-        result = run_fidelity(spec, "span",
+        result = run_fidelity(spec, "event",
                               telemetry=TelemetryConfig())
         counters = result.telemetry["engine"]["counters"]
-        assert counters["span_touch"] >= 0
+        assert counters["span_touch"] > 0
         assert counters["span_close"] > 0
         assert result.telemetry["registry"]["counters"]["span.closes"] == (
             counters["span_close"]
@@ -292,38 +76,23 @@ class TestSpanConfigValidation:
         with pytest.raises(SchedulerError):
             engine.run()
 
-    def test_span_requires_event_heap(self):
-        engine = RUNNER.build_engine(
-            RunSpec(exp_id=1, policy="Default", duration_s=2.0)
-        )
-        engine.config = replace(
-            engine.config, fidelity="span", event_loop="legacy_scan"
-        )
-        with pytest.raises(SchedulerError):
-            engine.run()
-
     def test_batch_rejects_mixed_fidelity(self):
         spec = RunSpec(exp_id=1, policy="Default", duration_s=2.0)
         eager_lane = RUNNER.build_engine(spec)
-        span_lane = RUNNER.build_engine(replace(spec, seed=2))
-        span_lane.config = replace(span_lane.config, fidelity="span")
+        event_lane = RUNNER.build_engine(replace(spec, seed=2))
+        event_lane.config = replace(event_lane.config, fidelity="event")
         with pytest.raises(SchedulerError):
-            BatchSimulationEngine([eager_lane, span_lane])
-
-    def test_batch_group_key_separates_fidelity(self):
-        eager = RunSpec(exp_id=1, policy="Default", duration_s=2.0)
-        span = replace(eager, fidelity="span")
-        groups = ExperimentRunner.group_batchable([eager, span])
-        assert groups == [[0], [1]]
+            BatchSimulationEngine([eager_lane, event_lane])
 
 
 class TestSpanBatch:
-    """Batched span lanes against serial eager references."""
+    """Batched event lanes (span substrate, no clock jumps) against
+    serial references."""
 
     def seed_sweep(self, policy, n_seeds=3, **overrides):
         return [
             RunSpec(exp_id=4, policy=policy, duration_s=6.0,
-                    seed=2009 + i, fidelity="span", **overrides)
+                    seed=2009 + i, fidelity="event", **overrides)
             for i in range(n_seeds)
         ]
 
@@ -334,11 +103,11 @@ class TestSpanBatch:
         batched = BatchSimulationEngine(lanes, propagation=propagation).run()
         for spec, result in zip(specs, batched):
             eager = RUNNER.run(replace(spec, fidelity="eager"))
-            assert_span_close(eager, result)
+            assert_event_close(eager, result)
 
     def test_batch_span_matches_serial_span(self):
         """The across-lane probability tick must evolve each lane
-        exactly as its own on_tick would."""
+        exactly as its own on_tick does in a serial event run."""
         specs = self.seed_sweep("Adapt3D")
         lanes = [RUNNER.build_engine(spec) for spec in specs]
         batched = BatchSimulationEngine(lanes, propagation="exact").run()
@@ -358,14 +127,14 @@ class TestSpanBatch:
         """Non-probabilistic lanes keep the per-lane policy sweep."""
         specs = [
             RunSpec(exp_id=4, policy=policy, duration_s=6.0, seed=2009,
-                    fidelity="span")
+                    fidelity="event")
             for policy in ("Default", "Adapt3D", "DVFS_TT")
         ]
         lanes = [RUNNER.build_engine(spec) for spec in specs]
         assert _ProbabilisticBatchTick.build(lanes) is None
         batched = BatchSimulationEngine(lanes).run()
         for spec, result in zip(specs, batched):
-            assert_span_close(
+            assert_event_close(
                 RUNNER.run(replace(spec, fidelity="eager")), result
             )
 
@@ -375,7 +144,7 @@ class TestSpanBatch:
         lanes = [RUNNER.build_engine(spec) for spec in specs]
         batched = BatchSimulationEngine(lanes).run()
         for spec, result in zip(specs, batched):
-            assert_span_close(
+            assert_event_close(
                 RUNNER.run(replace(spec, fidelity="eager")), result
             )
 
@@ -388,11 +157,11 @@ class TestDVFSBatch:
     #: DVFS_Util's level churn inside the batch tick.
     BUSY_MIX = (("Web-high", 4), ("gcc", 3), ("Database", 2))
 
-    def seed_sweep(self, policy, fidelity="span", n_seeds=3):
+    def seed_sweep(self, policy, n_seeds=3):
         return [
             RunSpec(exp_id=1, policy=policy, duration_s=8.0,
                     seed=7 + i, benchmark_mix=self.BUSY_MIX,
-                    fidelity=fidelity, with_dpm=(i == 2))
+                    fidelity="event", with_dpm=(i == 2))
             for i in range(n_seeds)
         ]
 
@@ -416,13 +185,13 @@ class TestDVFSBatch:
                 assert js.core == jb.core
 
     def test_batch_dvfs_event_lanes(self):
-        """Event-fidelity lanes batch on the span substrate and take
-        the stacked DVFS tick too."""
-        specs = self.seed_sweep("DVFS_Util", fidelity="event")
+        """The stacked DVFS tick on the one-GEMM propagation: the
+        discrete stream still matches the serial event runs."""
+        specs = self.seed_sweep("DVFS_Util")
         serial = [RUNNER.run(spec) for spec in specs]
         lanes = [RUNNER.build_engine(spec) for spec in specs]
         assert _DVFSBatchTick.build(lanes) is not None
-        batched = BatchSimulationEngine(lanes, propagation="exact").run()
+        batched = BatchSimulationEngine(lanes, propagation="gemm").run()
         for s, b in zip(serial, batched):
             for name in DISCRETE_ARRAYS:
                 np.testing.assert_array_equal(
@@ -435,7 +204,7 @@ class TestDVFSBatch:
         (and hybrids never take the stacked tick)."""
         specs = [
             RunSpec(exp_id=1, policy=policy, duration_s=4.0, seed=7,
-                    fidelity="span")
+                    fidelity="event")
             for policy in ("DVFS_TT", "DVFS_Util")
         ]
         lanes = [RUNNER.build_engine(spec) for spec in specs]
@@ -443,7 +212,7 @@ class TestDVFSBatch:
         hybrid = [
             RUNNER.build_engine(
                 RunSpec(exp_id=1, policy="Adapt3D&DVFS_TT", duration_s=4.0,
-                        seed=7, fidelity="span")
+                        seed=7, fidelity="event")
             )
         ]
         assert _DVFSBatchTick.build(hybrid) is None
@@ -455,7 +224,7 @@ class TestDVFSBatch:
         lanes = [
             RUNNER.build_engine(
                 RunSpec(exp_id=1, policy="DVFS_TT", duration_s=2.0,
-                        seed=7 + i, fidelity="span")
+                        seed=7 + i, fidelity="event")
             )
             for i in range(2)
         ]
@@ -488,7 +257,7 @@ class TestDVFSBatch:
         lanes = [
             RUNNER.build_engine(
                 RunSpec(exp_id=1, policy="DVFS_Util", duration_s=2.0,
-                        seed=7, fidelity="span")
+                        seed=7, fidelity="event")
             )
         ]
         tick = _DVFSBatchTick.build(lanes)
@@ -509,109 +278,3 @@ class TestDVFSBatch:
                 )
 
 
-class TestSpanThermalPrimitives:
-    """Multi-interval propagator cache and span-compiled readback."""
-
-    @pytest.fixture(scope="class")
-    def model(self):
-        return ThermalModel(build_experiment(2))
-
-    def _settled_state(self, model):
-        model.initialize_steady_state(
-            {name: 0.4 for name in model.unit_names}
-        )
-
-    def test_propagator_power_caches_matrix_powers(self, model):
-        solver = model.assembly.transient_solver("exponential")
-        base = solver.propagator_power(1)
-        assert base is solver.propagator
-        squared = solver.propagator_power(2)
-        np.testing.assert_allclose(squared, base @ base, atol=1e-15)
-        assert solver.propagator_power(2) is squared  # cached
-        with pytest.raises(ThermalModelError):
-            solver.propagator_power(0)
-
-    def test_propagator_power_requires_exponential(self, model):
-        solver = model.assembly.transient_solver("backward_euler")
-        with pytest.raises(ThermalModelError):
-            solver.propagator_power(2)
-
-    def test_step_vector_multi_matches_sequential(self, model):
-        self._settled_state(model)
-        rng = np.random.default_rng(7)
-        powers = rng.uniform(0.1, 2.0, len(model.unit_names))
-        reference = ThermalModel(model.config, assembly=model.assembly)
-        reference.temperatures = model.temperatures.copy()
-        for _ in range(5):
-            reference.step_vector(powers)
-        model.step_vector_multi(powers, 5)
-        np.testing.assert_allclose(
-            model.temperatures, reference.temperatures,
-            rtol=0.0, atol=1e-9,
-        )
-
-    def test_span_cursor_rows_match_sequential_readbacks(self, model):
-        self._settled_state(model)
-        rng = np.random.default_rng(11)
-        powers = rng.uniform(0.1, 2.0, len(model.unit_names))
-        reference = ThermalModel(model.config, assembly=model.assembly)
-        reference.temperatures = model.temperatures.copy()
-        cursor = model.span_cursor(powers, 4)
-        assert cursor is not None
-        for i in range(1, 5):
-            reference.step_vector(powers)
-            mean_row, max_row = cursor.rows(i)
-            np.testing.assert_allclose(
-                mean_row, reference.unit_temperature_vector(),
-                rtol=0.0, atol=1e-9,
-            )
-            np.testing.assert_allclose(
-                max_row, reference.unit_max_vector(),
-                rtol=0.0, atol=1e-9,
-            )
-        cursor.finish(4)
-        np.testing.assert_allclose(
-            model.temperatures, reference.temperatures,
-            rtol=0.0, atol=1e-9,
-        )
-
-    def test_span_cursor_interval_bounds(self, model):
-        powers = np.full(len(model.unit_names), 0.5)
-        cursor = model.span_cursor(powers, 3)
-        with pytest.raises(ThermalModelError):
-            cursor.rows(0)
-        with pytest.raises(ThermalModelError):
-            cursor.rows(4)
-
-    def test_implicit_model_has_no_cursor(self):
-        model = ThermalModel(
-            build_experiment(1), solver_method="backward_euler"
-        )
-        powers = np.full(len(model.unit_names), 0.5)
-        assert model.span_cursor(powers, 4) is None
-
-
-@pytest.mark.slow
-class TestSpanDifferentialMatrix:
-    """Full stack x policy x DPM span-vs-eager matrix (weekly in CI)."""
-
-    @pytest.mark.parametrize("exp_id", [1, 2, 3, 4])
-    @pytest.mark.parametrize("policy", [
-        "Default", "AdaptRand", "Adapt3D", "Migr", "DVFS_TT",
-        "Adapt3D&DVFS_TT",
-    ])
-    @pytest.mark.parametrize("with_dpm", [False, True])
-    def test_span_matches_eager(self, exp_id, policy, with_dpm):
-        spec = RunSpec(exp_id=exp_id, policy=policy, duration_s=6.0,
-                       with_dpm=with_dpm, seed=2009)
-        assert_span_close(
-            run_fidelity(spec, "eager"), run_fidelity(spec, "span")
-        )
-
-    @pytest.mark.parametrize("policy", ["Default", "Adapt3D", "DVFS_TT"])
-    def test_quiet_span_matrix(self, policy):
-        spec = RunSpec(exp_id=2, policy=policy, duration_s=30.0, seed=5,
-                       with_dpm=True, benchmark_mix=QUIET_MIX)
-        assert_span_close(
-            run_fidelity(spec, "eager"), run_fidelity(spec, "span")
-        )

@@ -1,7 +1,7 @@
 """Unit tests for the observability layer (repro.obs).
 
 Engine-integrated behaviour (counter cross-checks, bit-identity with
-telemetry on) lives in test_engine_heap.py / test_engine_span.py; this
+telemetry on) lives in test_engine_heap.py / test_engine_event.py; this
 file covers the primitives: metrics registry, trace ring buffer and
 Chrome-trace export, tick-phase profiler, job statistics, and the
 telemetry facade.
@@ -211,7 +211,7 @@ class TestTraceRecorder:
         assert NULL_TRACE.events() == []
 
     def test_event_names_cover_all_types(self):
-        assert sorted(EVENT_NAMES) == list(range(1, 13))
+        assert sorted(EVENT_NAMES) == list(range(1, 12))
 
 
 class TestTickProfiler:
@@ -265,7 +265,7 @@ class TestTickProfiler:
         assert NULL_PROFILER.summary()["ticks"] == 0
 
     def test_phase_constants_match_names(self):
-        assert len(PHASES) == 9
+        assert len(PHASES) == 8
         assert PHASES[PH_THERMAL] == "thermal"
         assert PHASES[PH_POLICY] == "policy"
 
@@ -356,7 +356,6 @@ class TestTelemetryFacade:
         job = make_job()
         NULL_TELEMETRY.job_arrival(0.0, job)
         NULL_TELEMETRY.job_complete(1.0, job, 0)
-        NULL_TELEMETRY.fast_forward(1.0, 5)
         assert not NULL_TELEMETRY.enabled
         assert NULL_TELEMETRY.profiler is NULL_PROFILER
 
@@ -400,7 +399,6 @@ class TestNullParity:
         t.vf_change(2.0, 0, 1)
         t.gate_change(2.0, 0, True)
         t.span_close(2.0, 0)
-        t.fast_forward(2.0, 3)
         snap = t.snapshot(("c0",))
         assert snap["registry"] == {
             "counters": {}, "gauges": {}, "histograms": {},
