@@ -1,25 +1,25 @@
-"""CSV export and reload of simulation results.
+"""Saving and reloading simulation results.
 
-``export_result`` writes three artifacts next to each other:
+``save_result`` / ``load_result`` are the result store's payload codec.
+A saved result is three files next to its stem (:data:`PAYLOAD_SUFFIXES`):
+every per-tick series as one float64 matrix (``_planes.npy``, columns in
+:data:`_PLANES` order), one float64 row per completed job (``_jobs.npy``,
+columns in :data:`_JOB_COLUMNS` order), and the scalars with every name
+list (``_meta.json``). float64 holds every recorded value and integer
+exactly, so the round trip is bit for bit, and one result always gives
+the same bytes, which the store's rename arbitration relies on. Only
+*completed* jobs are kept: every metric in :mod:`repro.metrics` uses
+completed jobs only. A stem saved in the CSV format of earlier versions
+fails the meta ``version`` check with :class:`ConfigurationError`.
+
+``export_result`` writes CSV artifacts for plotting outside this
+library, and ``load_temperature_csv`` reads the temperature table back:
 
 - ``<stem>_temps.csv``   — per-tick unit temperatures (kelvin),
 - ``<stem>_cores.csv``   — per-tick core peak temperature, utilization,
   V/f index and state code,
 - ``<stem>_jobs.csv``    — one row per completed job (arrival, work,
   response time, migrations).
-
-``load_temperature_csv`` reads the temperature table back into arrays;
-round-tripping is covered by the test suite, so the CSVs double as a
-stable interchange format for plotting outside this library.
-
-``save_result`` / ``load_result`` extend the export into a full
-:class:`SimulationResult` round trip (adding ``<stem>_series.csv`` for
-total power and per-layer spreads, and ``<stem>_meta.json`` for
-scalars). The campaign result store is built on this pair. Two losses
-are inherent to the format: values are quantized to the CSV precision
-(0.1 mK for temperatures), and only *completed* jobs survive — every
-metric in :mod:`repro.metrics` uses completed jobs only, so reports
-computed from a reloaded result match the in-memory ones.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ import hashlib
 import json
 import os
 import tempfile
+from operator import attrgetter
 from pathlib import Path
 from typing import List, Optional, Tuple, Union
 
@@ -38,6 +39,29 @@ from repro.errors import ConfigurationError
 from repro.sched.engine import SimulationResult
 from repro.workload.benchmarks import benchmark
 from repro.workload.job import Job
+
+#: Files :func:`save_result` writes, as suffixes of its stem: the
+#: per-tick planes, the completed jobs and the metadata.
+PAYLOAD_SUFFIXES = ("_planes.npy", "_jobs.npy", "_meta.json")
+
+#: Meta ``version`` of the payload format; 1 was the CSV codec.
+FORMAT_VERSION = 2
+
+#: Per-tick result fields in planes column order, with the width of
+#: each: one column, or one per unit, core or die.
+_PLANES = (
+    ("times", "one"), ("unit_temps_k", "units"), ("core_temps_k", "cores"),
+    ("core_peak_temps_k", "cores"), ("layer_spreads_k", "dies"),
+    ("utilization", "cores"), ("vf_indices", "cores"),
+    ("core_states", "cores"), ("total_power_w", "one"),
+)
+
+#: Planes the engine records as ``int``; every other plane is float64.
+_INT_PLANES = ("vf_indices", "core_states")
+
+#: Numeric job fields in jobs column order.
+_JOB_COLUMNS = ("job_id", "thread_id", "arrival_time", "work_s",
+                "remaining_s", "completion_time", "migrations")
 
 #: Engine checkpoint sidecar framing: magic, then a SHA-256 of the
 #: pickle blob, then the blob. The digest turns every torn or corrupted
@@ -152,133 +176,105 @@ def export_result(result: SimulationResult, stem: Union[str, Path]) -> List[Path
     return paths
 
 
+def _payload_paths(stem: Union[str, Path]) -> List[Path]:
+    """The files :func:`save_result` writes for ``stem``, in
+    :data:`PAYLOAD_SUFFIXES` order."""
+    stem = Path(stem)
+    return [stem.with_name(stem.name + suffix) for suffix in PAYLOAD_SUFFIXES]
+
+
 def save_result(result: SimulationResult, stem: Union[str, Path]) -> List[Path]:
     """Persist ``result`` so :func:`load_result` can reconstruct it.
 
-    Writes the three :func:`export_result` CSVs plus ``<stem>_series.csv``
-    (total power and per-layer spreads) and ``<stem>_meta.json``
-    (scalars and name lists). Returns every written path.
+    Writes the three payload files (see the module docstring) and
+    returns their paths.
     """
-    stem = Path(stem)
-    paths = export_result(result, stem)
-
-    series_path = stem.with_name(stem.name + "_series.csv")
-    n_dies = result.layer_spreads_k.shape[1]
-    with series_path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(
-            ["time_s", "total_power_w"]
-            + [f"spread_die{d}_k" for d in range(n_dies)]
-        )
-        for tick in range(result.n_ticks):
-            writer.writerow(
-                [f"{result.times[tick]:.3f}", f"{result.total_power_w[tick]:.6f}"]
-                + [f"{value:.4f}" for value in result.layer_spreads_k[tick]]
-            )
-    paths.append(series_path)
-
-    meta_path = stem.with_name(stem.name + "_meta.json")
+    planes_path, jobs_path, meta_path = paths = _payload_paths(stem)
+    planes_path.parent.mkdir(parents=True, exist_ok=True)
+    jobs = result.completed_jobs()
+    planes = np.column_stack([getattr(result, name) for name, _ in _PLANES])
+    rows = np.array(list(map(attrgetter(*_JOB_COLUMNS), jobs)),
+                    dtype=np.float64)
+    for path, matrix in ((planes_path, planes),
+                         (jobs_path, rows.reshape(-1, len(_JOB_COLUMNS)))):
+        with path.open("wb") as handle:
+            np.save(handle, matrix, allow_pickle=False)
     meta = {
-        "version": 1,
+        "version": FORMAT_VERSION,
         "policy_name": result.policy_name,
         "sampling_interval_s": result.sampling_interval_s,
         "energy_j": result.energy_j,
         "migrations": result.migrations,
+        "unit_names": list(result.unit_names),
         "core_names": list(result.core_names),
+        "n_dies": result.layer_spreads_k.shape[1],
+        "job_benchmarks": [job.benchmark.name for job in jobs],
+        "job_cores": [job.core for job in jobs],
     }
-    meta_path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
-    paths.append(meta_path)
+    meta_path.write_text(json.dumps(meta, sort_keys=True) + "\n")
     return paths
+
+
+def _read_payload(path: Path):
+    """A payload file's content; ConfigurationError if unreadable."""
+    try:
+        if path.suffix == ".npy":
+            return np.load(path, allow_pickle=False)
+        return json.loads(path.read_text())
+    except (OSError, ValueError, EOFError) as exc:
+        raise ConfigurationError(
+            f"{path}: no readable saved result ({exc})"
+        ) from None
 
 
 def load_result(stem: Union[str, Path]) -> SimulationResult:
     """Reconstruct a :class:`SimulationResult` written by :func:`save_result`."""
-    stem = Path(stem)
-    meta_path = stem.with_name(stem.name + "_meta.json")
-    if not meta_path.exists():
-        raise ConfigurationError(f"{meta_path}: no saved result at this stem")
-    meta = json.loads(meta_path.read_text())
-    core_names: List[str] = list(meta["core_names"])
-
-    times, unit_names, unit_temps = load_temperature_csv(
-        stem.with_name(stem.name + "_temps.csv")
-    )
-    unit_columns = {name: col for col, name in enumerate(unit_names)}
-    try:
-        core_cols = [unit_columns[name] for name in core_names]
-    except KeyError as exc:
+    planes_path, jobs_path, meta_path = _payload_paths(stem)
+    meta = _read_payload(meta_path)
+    if not isinstance(meta, dict) or meta.get("version") != FORMAT_VERSION:
         raise ConfigurationError(
-            f"{stem}: core {exc} missing from temperature export"
-        ) from None
-    core_temps = unit_temps[:, core_cols]
+            f"{meta_path}: not a result in format version {FORMAT_VERSION} "
+            "(CSV results of earlier versions are not read; re-run them)"
+        )
+    planes = _read_payload(planes_path)
+    rows = _read_payload(jobs_path)
+    names, cores = meta["job_benchmarks"], meta["job_cores"]
+    width = {"one": 1, "units": len(meta["unit_names"]),
+             "cores": len(meta["core_names"]), "dies": meta["n_dies"]}
+    bounds = np.cumsum([width[kind] for _, kind in _PLANES])
+    if (planes.ndim != 2 or planes.shape[1] != bounds[-1]
+            or rows.shape != (len(names), len(_JOB_COLUMNS))
+            or len(cores) != len(names)):
+        raise ConfigurationError(
+            f"{stem}: payload shapes {planes.shape} and {rows.shape} "
+            "disagree with its name lists"
+        )
+    fields = {
+        name: np.ascontiguousarray(block[:, 0] if kind == "one" else block,
+                                   dtype=int if name in _INT_PLANES else float)
+        for (name, kind), block in zip(
+            _PLANES, np.split(planes, bounds[:-1], axis=1))
+    }
 
-    n_ticks = times.shape[0]
-    n_cores = len(core_names)
-    core_peaks = np.zeros((n_ticks, n_cores))
-    utilization = np.zeros((n_ticks, n_cores))
-    vf_indices = np.zeros((n_ticks, n_cores), dtype=int)
-    core_states = np.zeros((n_ticks, n_cores), dtype=int)
-    cores_path = stem.with_name(stem.name + "_cores.csv")
-    with cores_path.open() as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if not header or len(header) != 1 + 4 * n_cores:
-            raise ConfigurationError(f"{cores_path}: not a core export")
-        for tick, row in enumerate(reader):
-            for c in range(n_cores):
-                base = 1 + 4 * c
-                core_peaks[tick, c] = float(row[base])
-                utilization[tick, c] = float(row[base + 1])
-                vf_indices[tick, c] = int(row[base + 2])
-                core_states[tick, c] = int(row[base + 3])
-
-    series_path = stem.with_name(stem.name + "_series.csv")
-    with series_path.open() as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if not header or header[:2] != ["time_s", "total_power_w"]:
-            raise ConfigurationError(f"{series_path}: not a series export")
-        n_dies = len(header) - 2
-        total_power = np.zeros(n_ticks)
-        spreads = np.zeros((n_ticks, n_dies))
-        for tick, row in enumerate(reader):
-            total_power[tick] = float(row[1])
-            spreads[tick] = [float(v) for v in row[2:]]
-
+    specs = {name: benchmark(name) for name in set(names)}
     jobs: List[Job] = []
-    jobs_path = stem.with_name(stem.name + "_jobs.csv")
-    with jobs_path.open() as handle:
-        for row in csv.DictReader(handle):
-            job = Job(
-                job_id=int(row["job_id"]),
-                thread_id=int(row["thread_id"]),
-                benchmark=benchmark(row["benchmark"]),
-                arrival_time=float(row["arrival_s"]),
-                work_s=float(row["work_s"]),
-            )
-            job.completion_time = job.arrival_time + float(row["response_s"])
-            job.remaining_s = 0.0
-            job.migrations = int(row["migrations"])
-            job.core = row["core"] or None
-            jobs.append(job)
+    for (job_id, thread_id, arrival, work, remaining, completion,
+         migrations), name, core in zip(rows.tolist(), names, cores):
+        job = Job(int(job_id), int(thread_id), specs[name], arrival, work,
+                  core=core, completion_time=completion,
+                  migrations=int(migrations))
+        job.remaining_s = remaining
+        jobs.append(job)
 
     return SimulationResult(
-        times=times,
-        unit_names=unit_names,
-        unit_temps_k=unit_temps,
-        core_names=core_names,
-        core_temps_k=core_temps,
-        core_peak_temps_k=core_peaks,
-        layer_spreads_k=spreads,
-        utilization=utilization,
-        vf_indices=vf_indices,
-        core_states=core_states,
-        total_power_w=total_power,
-        energy_j=float(meta["energy_j"]),
+        unit_names=meta["unit_names"],
+        core_names=meta["core_names"],
+        energy_j=meta["energy_j"],
         jobs=jobs,
-        migrations=int(meta["migrations"]),
-        policy_name=str(meta["policy_name"]),
-        sampling_interval_s=float(meta["sampling_interval_s"]),
+        migrations=meta["migrations"],
+        policy_name=meta["policy_name"],
+        sampling_interval_s=meta["sampling_interval_s"],
+        **fields,
     )
 
 
@@ -292,12 +288,13 @@ def truncate_result(
     run of the same spec would produce — which is what makes the result
     store's prefix cache sound. Per-tick series are sliced; jobs are
     filtered to those completed within the horizon. Two scalar fields
-    are recomputed rather than replayed: ``energy_j`` is re-accumulated
-    from the (possibly CSV-quantized) power series in the engine's
-    left-fold order, and ``migrations`` is re-counted from the surviving
-    jobs — both are documented approximations of what a fresh short run
-    would record (a running job's migrations are not attributable after
-    the fact).
+    are recomputed rather than replayed. ``energy_j`` is re-accumulated
+    from the power series in the eager engine's left-fold order, so it
+    is exact for eager runs; an event run sums each clock jump's energy
+    apart, so there it agrees to float rounding. ``migrations`` is
+    re-counted from the surviving jobs, an approximation of what a fresh
+    short run would record (a running job's migrations are not
+    attributable after the fact).
     """
     dt = result.sampling_interval_s
     n = int(round(duration_s / dt))

@@ -242,7 +242,7 @@ def campaign_report(
     """
     rows: List[List[object]] = []
     # Baseline runs are shared by every other policy row of the same
-    # grid point; cache them instead of re-parsing the CSVs per row.
+    # grid point; cache them instead of reloading them per row.
     baselines: Dict[str, object] = {}
 
     def load_cached(key: str):

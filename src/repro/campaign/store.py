@@ -2,8 +2,9 @@
 
 Layout under the store root::
 
-    runs/<key>/result_*.csv/.json   — one saved SimulationResult
-                                      (see analysis/result_io.py)
+    runs/<key>/result_planes.npy,   — one saved SimulationResult, in
+               result_jobs.npy,       the lossless binary codec of
+               result_meta.json       analysis/result_io.py
     runs/<key>/telemetry.json       — optional telemetry sidecar
     runs/<key>/entry.json           — the run's record: status, spec,
                                       key version, duration, prefix key
@@ -39,7 +40,9 @@ Durability: nothing is fsynced. A save survives a process kill at any
 point — an unpublished temp dir is not a record, and an open sweeps
 old ones — but not a host crash, which can leave published files
 empty. ``has`` treats an empty payload file as absent, so such a run is
-recomputed instead of served.
+recomputed instead of served. A run dir saved in the CSV format of
+earlier versions lacks the binary payload files, so it reads as absent
+too, and the next save of its key replaces it.
 
 Stores in an older layout (a sharded ``index/`` + ``journal/`` with
 ``store.json``, or a monolithic ``index.json`` + ``journal.jsonl``) are
@@ -64,7 +67,8 @@ import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
-from repro.analysis.result_io import load_result, save_result, truncate_result
+from repro.analysis.result_io import (PAYLOAD_SUFFIXES, load_result,
+                                      save_result, truncate_result)
 from repro.analysis.runner import RunSpec
 from repro.campaign.faults import claim_fault
 from repro.campaign.spec import (
@@ -91,17 +95,15 @@ DEFAULT_HEARTBEAT_SWEEP_S = 3600.0
 
 _ENTRY = "entry.json"
 
+#: Stem of the saved result inside a run dir, and the files its save
+#: writes (result_io decides the format).
+_RESULT = "result"
+_PAYLOAD = tuple(_RESULT + suffix for suffix in PAYLOAD_SUFFIXES)
+
 #: Files every published run dir holds; has() requires each to exist
 #: and be non-empty, so a torn save or a manually pruned run dir reads
 #: as "absent" instead of surfacing a broken load later.
-_RUN_FILES = (
-    _ENTRY,
-    "result_temps.csv",
-    "result_cores.csv",
-    "result_jobs.csv",
-    "result_series.csv",
-    "result_meta.json",
-)
+_RUN_FILES = (_ENTRY,) + _PAYLOAD
 
 #: Top-level names of retired store layouts; a root holding any of
 #: them is refused on open.
@@ -284,7 +286,7 @@ class ResultStore:
         self._runs.mkdir(parents=True, exist_ok=True)
         tmp = Path(tempfile.mkdtemp(dir=str(self._runs), prefix=f".{key}-"))
         try:
-            save_result(result, tmp / "result")
+            save_result(result, tmp / _RESULT)
             if result.telemetry is not None:
                 # Optional sidecar, deliberately NOT in _RUN_FILES: a
                 # run saved without telemetry must still read as present.
@@ -300,7 +302,7 @@ class ResultStore:
         if fault is not None and fault.action == "corrupt_payload":
             # Injected fault: a save torn by a host crash — one payload
             # file published empty.
-            (tmp / "result_meta.json").write_text("")
+            (tmp / _PAYLOAD[0]).write_text("")
         self.last_save_charged = self._publish(tmp, key)
         self._index[key] = entry
         _unlink(self._failure_path(key))
@@ -391,7 +393,7 @@ class ResultStore:
             raise ConfigurationError(
                 f"run {key!r} failed: {entry.get('error', 'unknown error')}"
             )
-        result = load_result(self._run_dir(key) / "result")
+        result = load_result(self._run_dir(key) / _RESULT)
         telemetry = self.load_telemetry(key)
         if telemetry is not None:
             result.telemetry = telemetry
@@ -405,11 +407,12 @@ class ResultStore:
         return self._telemetry_path(key).exists()
 
     def load_telemetry(self, key: str) -> Optional[Dict[str, Any]]:
-        """The telemetry snapshot saved with ``key``, or None."""
-        path = self._telemetry_path(key)
-        if not path.exists():
-            return None
-        return json.loads(path.read_text())
+        """The telemetry snapshot saved with ``key``, or None.
+
+        The sidecar is outside ``_RUN_FILES``, so a host crash can leave
+        it empty in a present run; an unreadable one counts as none.
+        """
+        return _read_json(self._telemetry_path(key))
 
     def load_spec(self, key: str) -> RunSpec:
         """Reconstruct the RunSpec recorded for ``key``."""
@@ -493,11 +496,11 @@ class ResultStore:
 
         On a hit the truncated result is saved under ``spec``'s exact
         key (so subsequent lookups are plain cache hits) and returned;
-        on a miss returns ``None``. Per-tick series of a served result
-        are identical to what simulating ``spec`` would store; see
-        :func:`repro.analysis.result_io.truncate_result` for the two
-        scalar approximations (energy tail precision, migrations of
-        still-running jobs).
+        on a miss returns ``None``. Per-tick series and completed jobs
+        of a served result are identical to what simulating ``spec``
+        would store; see :func:`repro.analysis.result_io.truncate_result`
+        for the two recomputed scalars (energy, exact under eager, and
+        migrations of still-running jobs).
         """
         source = self.find_prefix(spec)
         if source is None:

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.analysis.result_io import load_result, save_result
+from repro.analysis.result_io import export_result, load_result, save_result
 from repro.analysis.runner import ExperimentRunner, RunSpec
 from repro.analysis.sweep import sweep
 from repro.campaign import (
@@ -228,38 +228,98 @@ def tiny_result():
     return ExperimentRunner().run(tiny_spec())
 
 
+RESULT_ARRAYS = (
+    "times", "unit_temps_k", "core_temps_k", "core_peak_temps_k",
+    "layer_spreads_k", "utilization", "vf_indices", "core_states",
+    "total_power_w",
+)
+
+
+def assert_bit_identical(loaded, original):
+    """Every field of ``loaded`` equals ``original``'s in every bit: the
+    arrays with their dtypes, the completed jobs' fields (Job equality
+    compares all of them), names and scalars."""
+    for name in RESULT_ARRAYS:
+        a, b = getattr(loaded, name), getattr(original, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+    assert loaded.jobs == original.completed_jobs()
+    for name in ("unit_names", "core_names", "energy_j", "migrations",
+                 "policy_name", "sampling_interval_s"):
+        assert getattr(loaded, name) == getattr(original, name), name
+
+
+def round_trip(result, stem):
+    save_result(result, stem)
+    return load_result(stem)
+
+
 class TestResultRoundTrip:
     def test_save_load_preserves_arrays(self, tiny_result, tmp_path):
-        save_result(tiny_result, tmp_path / "run")
-        loaded = load_result(tmp_path / "run")
-        assert loaded.unit_names == tiny_result.unit_names
-        assert loaded.core_names == tiny_result.core_names
-        np.testing.assert_allclose(
-            loaded.unit_temps_k, tiny_result.unit_temps_k, atol=1e-3)
-        np.testing.assert_allclose(
-            loaded.core_peak_temps_k, tiny_result.core_peak_temps_k, atol=1e-3)
-        np.testing.assert_allclose(
-            loaded.layer_spreads_k, tiny_result.layer_spreads_k, atol=1e-3)
-        np.testing.assert_allclose(
-            loaded.total_power_w, tiny_result.total_power_w, atol=1e-4)
-        np.testing.assert_array_equal(
-            loaded.vf_indices, tiny_result.vf_indices)
-        np.testing.assert_array_equal(
-            loaded.core_states, tiny_result.core_states)
-        assert loaded.energy_j == pytest.approx(tiny_result.energy_j)
-        assert loaded.policy_name == tiny_result.policy_name
+        assert_bit_identical(round_trip(tiny_result, tmp_path / "run"),
+                             tiny_result)
 
     def test_completed_jobs_survive(self, tiny_result, tmp_path):
-        save_result(tiny_result, tmp_path / "run")
-        loaded = load_result(tmp_path / "run")
+        loaded = round_trip(tiny_result, tmp_path / "run")
         original = tiny_result.completed_jobs()
-        assert len(loaded.completed_jobs()) == len(original)
-        assert loaded.completed_jobs()[0].response_time == pytest.approx(
-            original[0].response_time, abs=1e-3)
+        assert original and loaded.completed_jobs() == original
+        assert [job.response_time for job in loaded.jobs] == [
+            job.response_time for job in original]
+
+    @pytest.mark.parametrize("source", ["event", "batch_lane"])
+    def test_round_trip_is_bit_exact(self, source, tmp_path):
+        runner = ExperimentRunner()
+        if source == "event":
+            result = runner.run(tiny_spec(fidelity="event", with_dpm=True))
+        else:
+            result = runner.run_batch(
+                [tiny_spec(seed=1), tiny_spec(policy="Adapt3D", seed=2)],
+                propagation="exact")[1]
+        assert_bit_identical(round_trip(result, tmp_path / "run"), result)
+
+    def test_two_saves_give_the_same_bytes(self, tiny_result, tmp_path):
+        first = save_result(tiny_result, tmp_path / "a" / "run")
+        second = save_result(tiny_result, tmp_path / "b" / "run")
+        assert [path.name for path in first] == [
+            path.name for path in second]
+        for a, b in zip(first, second):
+            assert a.read_bytes() == b.read_bytes(), a.name
+
+    @pytest.mark.parametrize("tampered", ["meta", "jobs"])
+    def test_shape_disagreeing_with_name_lists_raises(self, tiny_result,
+                                                       tampered, tmp_path):
+        stem = tmp_path / "run"
+        _, jobs_path, meta_path = save_result(tiny_result, stem)
+        if tampered == "meta":
+            meta = json.loads(meta_path.read_text())
+            meta["unit_names"] = meta["unit_names"][:-1]
+            meta_path.write_text(json.dumps(meta))
+        else:
+            np.save(jobs_path, np.zeros((1, 7)))
+        with pytest.raises(ConfigurationError, match="disagree"):
+            load_result(stem)
+
+    def test_csv_era_stem_raises(self, tiny_result, tmp_path):
+        stem = write_csv_era_result(tiny_result, tmp_path / "run")
+        with pytest.raises(ConfigurationError, match="format version"):
+            load_result(stem)
 
     def test_load_missing_stem_raises(self, tmp_path):
         with pytest.raises(ConfigurationError):
             load_result(tmp_path / "nothing")
+
+
+def write_csv_era_result(result, stem):
+    """The file set the CSV codec of earlier versions saved at ``stem``."""
+    export_result(result, stem)
+    stem.with_name(stem.name + "_series.csv").write_text(
+        "time_s,total_power_w\n0.100,1.0\n")
+    stem.with_name(stem.name + "_meta.json").write_text(json.dumps(
+        {"version": 1, "policy_name": result.policy_name,
+         "sampling_interval_s": result.sampling_interval_s,
+         "energy_j": result.energy_j, "migrations": result.migrations,
+         "core_names": result.core_names}))
+    return stem
 
 
 class TestResultStore:
@@ -304,6 +364,43 @@ class TestResultStore:
         store.discard(key)
         assert not store.has(key)
         assert not (tmp_path / "runs" / key).exists()
+
+    def test_save_and_load_call_the_codec_through_store_globals(
+        self, tiny_result, tmp_path, monkeypatch
+    ):
+        # The per-layer benchmark times result_io by wrapping these two
+        # module globals of the store; a store that stopped calling
+        # them would read as zero codec time.
+        from repro.campaign import store as store_module
+
+        calls = []
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("save_result", "load_result"):
+            monkeypatch.setattr(store_module, name,
+                                counting(name, getattr(store_module, name)))
+        store = ResultStore(tmp_path)
+        key = store.save(tiny_spec(), tiny_result)
+        assert calls == ["save_result"]
+        store.load(key)
+        assert calls == ["save_result", "load_result"]
+
+    def test_unreadable_telemetry_sidecar_counts_as_none(self, tiny_result,
+                                                         tmp_path):
+        # The sidecar is outside the run files has() checks, so a host
+        # crash can leave it empty in a run that reads as present.
+        store = ResultStore(tmp_path)
+        key = store.save(tiny_spec(),
+                         replace(tiny_result, telemetry={"phases": {}}))
+        (tmp_path / "runs" / key / "telemetry.json").write_text("")
+        assert store.has(key)
+        assert store.load_telemetry(key) is None
+        assert store.load(key).telemetry is None
 
     def test_thermal_indices_round_trip(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -493,6 +590,26 @@ class TestStoreStalePayloads:
         key = store.save(spec, tiny_result)
         (store.root / "runs" / key / "result_meta.json").unlink()
         assert not store.has(key)
+
+    def test_csv_era_run_dir_reads_absent_and_is_replaced(
+        self, tiny_result, tmp_path
+    ):
+        store = ResultStore(tmp_path)
+        spec = tiny_spec()
+        key = store.save(spec, tiny_result)
+        run_dir = tmp_path / "runs" / key
+        for path in run_dir.glob("result_*"):
+            path.unlink()
+        write_csv_era_result(tiny_result, run_dir / "result")
+        reopened = ResultStore(tmp_path)
+        assert not reopened.has(key)
+        assert campaign_status(reopened, tiny_campaign(
+            policies=("Default",)))["pending"] == 1
+        reopened.save(spec, tiny_result)
+        assert reopened.last_save_charged
+        assert reopened.has(key)
+        assert not list(run_dir.glob("*.csv"))
+        assert_bit_identical(reopened.load(key), tiny_result)
 
     def test_missing_payload_triggers_rerun(self, tmp_path):
         import shutil
@@ -846,30 +963,43 @@ class TestPrefixCache:
             tiny_spec(duration_s=2.0, policy="Adapt3D")
         ) is None
 
-    def test_serve_prefix_series_match_fresh_run(self, tmp_path):
-        """A served prefix stores exactly the per-tick series a fresh
-        short run of the same spec would store."""
+    @staticmethod
+    def _served_match_fresh(tmp_path, fidelity):
+        """Serve a 2 s prefix of a stored 4 s run; check that it, and its
+        stored copy, equal a fresh 2 s run in memory in every per-tick
+        array and completed job. Returns both and the fresh run."""
         store = ResultStore(tmp_path)
         runner = ExperimentRunner()
-        long_spec = tiny_spec(duration_s=4.0)
+        long_spec = tiny_spec(duration_s=4.0, fidelity=fidelity)
         store.save(long_spec, runner.run(long_spec))
-        short_spec = tiny_spec(duration_s=2.0)
-        served = store.serve_prefix(short_spec)
-        assert served is not None
-        assert store.has(run_key(short_spec))
+        short_spec = replace(long_spec, duration_s=2.0)
+        served = (store.serve_prefix(short_spec),
+                  store.load(run_key(short_spec)))
         fresh = runner.run(short_spec)
-        stem = tmp_path / "fresh" / "result"
-        save_result(fresh, stem)
-        fresh_rt = load_result(stem)
-        for name in ("times", "unit_temps_k", "core_temps_k",
-                     "core_peak_temps_k", "layer_spreads_k", "utilization",
-                     "vf_indices", "core_states", "total_power_w"):
-            np.testing.assert_array_equal(
-                getattr(store.load(run_key(short_spec)), name),
-                getattr(fresh_rt, name),
-                err_msg=name,
-            )
-        assert len(served.completed_jobs()) == len(fresh_rt.completed_jobs())
+        for result in served:
+            for name in RESULT_ARRAYS:
+                np.testing.assert_array_equal(
+                    getattr(result, name), getattr(fresh, name),
+                    err_msg=name)
+            assert [(j.job_id, j.core, j.completion_time)
+                    for j in result.completed_jobs()] == [
+                (j.job_id, j.core, j.completion_time)
+                for j in fresh.completed_jobs()]
+        return served, fresh
+
+    def test_serve_prefix_series_match_fresh_run(self, tmp_path):
+        """The store keeps the simulated values, so a served eager
+        prefix is the fresh short run, energy included."""
+        served, fresh = self._served_match_fresh(tmp_path, "eager")
+        assert [result.energy_j for result in served] == [fresh.energy_j] * 2
+
+    def test_event_prefix_matches_fresh_run(self, tmp_path):
+        """An event run sums each clock jump's energy apart, so the
+        re-accumulated energy of its prefix agrees to rounding."""
+        served, fresh = self._served_match_fresh(tmp_path, "event")
+        for result in served:
+            assert result.energy_j == pytest.approx(fresh.energy_j,
+                                                    rel=1e-12)
 
     def test_executor_serves_prefix_and_reports_it(self, tmp_path):
         store = ResultStore(tmp_path)
