@@ -4,7 +4,7 @@ Runs each benchmark's synthetic workload uncontended and reports the
 measured average utilization next to the published value, plus the
 L2 miss / FP metadata carried by the model. The measured utilization
 must track Table I — that is the substitution-validity check for the
-synthetic traces (DESIGN.md §3).
+synthetic traces (EXPERIMENTS.md, "Substitutions").
 """
 
 import pytest

@@ -9,8 +9,8 @@ Top-level convenience imports cover the common workflow::
     result = runner.run(RunSpec(exp_id=3, policy="Adapt3D", with_dpm=True))
     print(summarize(result))
 
-See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-paper-vs-measured record.
+See docs/ for the engine, campaign, telemetry and contract designs and
+EXPERIMENTS.md for the paper-vs-measured record.
 """
 
 from repro.analysis.runner import ExperimentRunner, RunSpec

@@ -23,7 +23,7 @@ from typing import Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 import numpy as np
 
 from repro.errors import PolicyError
-from repro.power.states import CODE_STATE, CoreState
+from repro.power.states import CODE_STATE, STATE_CODE, CoreState
 from repro.power.vf import VFTable
 from repro.thermal.materials import kelvin
 from repro.workload.job import Job
@@ -121,10 +121,10 @@ def state_from_code(code) -> CoreState:
 class TickArrays:
     """Structure-of-arrays twin of the per-core tick snapshots.
 
-    All arrays are indexed by position in ``core_names``. Policies that
-    understand arrays (the probabilistic allocators) vectorize over
-    these directly; everything else reads the lazily materialized
-    :class:`CoreSnapshot` mapping built on top.
+    All arrays are indexed by position in ``core_names``. Every
+    registered policy decides on these arrays (or plain-list unloads of
+    them); the :class:`CoreSnapshot` mapping built on top is the
+    interface for custom policies.
     """
 
     core_names: Tuple[str, ...]
@@ -138,9 +138,9 @@ class TickArrays:
 class SnapshotArrayMapping(Mapping):
     """Mapping of name -> :class:`CoreSnapshot` materialized on access.
 
-    Backed by a :class:`TickArrays`; policies that inspect only a few
-    cores (or none) no longer pay for building every snapshot object
-    each tick.
+    Backed by a :class:`TickArrays`: a custom policy reading
+    ``ctx.cores`` pays only for the snapshots it touches, and the
+    registered policies, which read the arrays, pay for none.
     """
 
     __slots__ = ("_arrays", "_index")
@@ -196,36 +196,37 @@ class CoreSnapshot:
 class TickContext:
     """Everything a policy sees at a sampling tick.
 
-    ``arrays`` is the optional structure-of-arrays view the engine's
-    hot path provides; ``cores`` is always available (materialized
-    lazily when arrays back the context).
+    ``arrays`` is the structure-of-arrays view every registered policy
+    decides on; ``cores`` is the per-core :class:`CoreSnapshot` mapping
+    custom policies may read instead (materialized on access when the
+    engine builds the context). A context built from ``cores`` alone
+    (tests, custom harnesses, the ``legacy_scan`` engine) gets its
+    ``arrays`` packed once, here, in mapping order.
     """
 
     time: float
     cores: Mapping[str, CoreSnapshot]
     arrays: Optional[TickArrays] = None
 
+    def __post_init__(self) -> None:
+        if self.arrays is None:
+            snaps = list(self.cores.values())
+            object.__setattr__(self, "arrays", TickArrays(
+                core_names=tuple(self.cores),
+                temperature_k=np.array(
+                    [s.temperature_k for s in snaps], dtype=np.float64),
+                utilization=np.array(
+                    [s.utilization for s in snaps], dtype=np.float64),
+                state_codes=np.array(
+                    [STATE_CODE[s.state] for s in snaps], dtype=np.int64),
+                vf_index=np.array([s.vf_index for s in snaps], dtype=np.int64),
+                queue_length=np.array(
+                    [s.queue_length for s in snaps], dtype=np.int64),
+            ))
+
     def temperature(self, core: str) -> float:
         """Sensor temperature (K) of one core."""
         return self.cores[core].temperature_k
-
-    def hottest_first(self) -> List[str]:
-        """Core names sorted hottest to coolest (stable on ties)."""
-        if self.arrays is not None:
-            names = self.arrays.core_names
-            order = np.argsort(-self.arrays.temperature_k, kind="stable")
-            return [names[i] for i in order]
-        return sorted(
-            self.cores, key=lambda c: self.cores[c].temperature_k, reverse=True
-        )
-
-    def coolest_first(self) -> List[str]:
-        """Core names sorted coolest to hottest (stable on ties)."""
-        if self.arrays is not None:
-            names = self.arrays.core_names
-            order = np.argsort(self.arrays.temperature_k, kind="stable")
-            return [names[i] for i in order]
-        return sorted(self.cores, key=lambda c: self.cores[c].temperature_k)
 
 
 @dataclass(frozen=True, slots=True)
@@ -244,18 +245,16 @@ class AllocationContext:
         Current core states.
     last_core:
         Where the job's thread ran previously (locality hint), if known.
-    core_names, queue_lengths_vec, temperatures_vec, state_codes:
-        Optional structure-of-arrays view of the same data (positions
-        follow ``core_names``); the engine's hot path sets these so
-        vectorized policies skip the Mapping interface entirely. The
-        arrays are live views of engine state — valid for the duration
-        of the ``select_core`` call.
-    queue_lengths_list, state_codes_list:
-        Optional plain-list mirrors of ``queue_lengths_vec`` /
-        ``state_codes`` (same positions, live). Scalar scoring loops
-        (the probabilistic allocators) consume lists; the engine
-        maintains these at the same sync sites as the arrays so
-        per-dispatch ``tolist()`` unloads disappear.
+    core_names, temperatures_vec, queue_lengths_list, state_codes_list:
+        Structure-of-arrays view of the same data, positions following
+        ``core_names``: an array of temperatures, and plain lists of
+        queue lengths and :data:`~repro.power.states.STATE_CODE` state
+        codes. Every registered policy decides on
+        these; the Mappings above are the interface for custom
+        policies. The engine passes live views of its own state (valid
+        for the duration of the ``select_core`` call), in the system's
+        core order; a context built from the Mappings alone gets them
+        packed once, here, in mapping order.
     """
 
     time: float
@@ -264,11 +263,21 @@ class AllocationContext:
     states: Mapping[str, CoreState]
     last_core: Optional[str] = None
     core_names: Optional[Tuple[str, ...]] = None
-    queue_lengths_vec: Optional[np.ndarray] = None
     temperatures_vec: Optional[np.ndarray] = None
-    state_codes: Optional[np.ndarray] = None
     queue_lengths_list: Optional[List[int]] = None
     state_codes_list: Optional[List[int]] = None
+
+    def __post_init__(self) -> None:
+        if self.core_names is None:
+            names = tuple(self.queue_lengths)
+            pack = object.__setattr__
+            pack(self, "core_names", names)
+            pack(self, "temperatures_vec", np.array(
+                [self.temperatures_k[n] for n in names], dtype=np.float64))
+            pack(self, "queue_lengths_list",
+                 [self.queue_lengths[n] for n in names])
+            pack(self, "state_codes_list",
+                 [STATE_CODE[self.states[n]] for n in names])
 
 
 @dataclass(frozen=True, slots=True)

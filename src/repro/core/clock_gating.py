@@ -20,9 +20,10 @@ class ClockGating(DefaultLoadBalancing):
     def on_tick(self, ctx: TickContext) -> PolicyActions:
         actions = super().on_tick(ctx)
         threshold = self.system.thermal_threshold_k
+        temps = ctx.arrays.temperature_k.tolist()
         actions.gated = [
             core
-            for core, snap in ctx.cores.items()
-            if snap.temperature_k >= threshold
+            for core, temp in zip(ctx.arrays.core_names, temps)
+            if temp >= threshold
         ]
         return actions

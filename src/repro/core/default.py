@@ -16,11 +16,14 @@ from repro.core.base import (
     PolicyActions,
     TickContext,
 )
-from repro.power.states import CoreState
+from repro.errors import PolicyError
+from repro.power.states import STATE_CODE, CoreState
 from repro.workload.job import Job
 
 # Queue-length difference that counts as "significant imbalance".
 IMBALANCE_THRESHOLD = 2
+
+_SLEEP_CODE = STATE_CODE[CoreState.SLEEP]
 
 
 class DefaultLoadBalancing(Policy):
@@ -37,40 +40,52 @@ class DefaultLoadBalancing(Policy):
         self._rr_next = 0
 
     def select_core(self, job: Job, ctx: AllocationContext) -> str:
-        if ctx.last_core is not None and ctx.last_core in ctx.queue_lengths:
+        cores = self.system.core_names
+        if ctx.core_names != cores:
+            raise PolicyError(
+                f"{self.name}: allocation context cores are not in system order"
+            )
+        queue = ctx.queue_lengths_list
+        last = ctx.last_core
+        if last is not None and last in cores:
             # Locality rule: return to the previous core unless its queue
             # is significantly longer than the best alternative.
-            shortest = min(ctx.queue_lengths.values())
-            if ctx.queue_lengths[ctx.last_core] - shortest < IMBALANCE_THRESHOLD:
-                return ctx.last_core
-        return self._least_loaded(ctx)
-
-    def _least_loaded(self, ctx: AllocationContext) -> str:
-        # Prefer awake cores on ties so DPM sleep is not cut short
-        # needlessly; round-robin order breaks remaining ties.
-        cores = self.system.core_names
+            if queue[cores.index(last)] - min(queue) < IMBALANCE_THRESHOLD:
+                return last
+        # Least loaded. Prefer awake cores on ties so DPM sleep is not
+        # cut short needlessly; round-robin order breaks remaining ties
+        # (the first core from the pointer wins).
+        codes = ctx.state_codes_list
         n = len(cores)
-        best = None
-        best_key = None
-        for offset in range(n):
-            core = cores[(self._rr_next + offset) % n]
-            sleeping = ctx.states[core] is CoreState.SLEEP
-            key = (ctx.queue_lengths[core], sleeping)
-            if best_key is None or key < best_key:
-                best = core
-                best_key = key
-        self._rr_next = (cores.index(best) + 1) % n
-        return best
+        i = best = self._rr_next % n
+        best_length = queue[i]
+        best_sleeping = codes[i] == _SLEEP_CODE
+        for _ in range(n - 1):
+            i += 1
+            if i == n:
+                i = 0
+            length = queue[i]
+            if length < best_length or (
+                length == best_length
+                and best_sleeping
+                and codes[i] != _SLEEP_CODE
+            ):
+                best = i
+                best_length = length
+                best_sleeping = codes[i] == _SLEEP_CODE
+        self._rr_next = (best + 1) % n
+        return cores[best]
 
     def on_tick(self, ctx: TickContext) -> PolicyActions:
         actions = PolicyActions()
-        longest = max(ctx.cores, key=lambda c: ctx.cores[c].queue_length)
-        shortest = min(ctx.cores, key=lambda c: ctx.cores[c].queue_length)
-        if (
-            ctx.cores[longest].queue_length - ctx.cores[shortest].queue_length
-            >= IMBALANCE_THRESHOLD
-        ):
-            actions.migrations.append(
-                Migration(longest, shortest, move_running=False, swap=False)
-            )
+        queue = ctx.arrays.queue_length.tolist()
+        longest = max(queue)
+        shortest = min(queue)
+        if longest - shortest >= IMBALANCE_THRESHOLD:
+            # First longest / first shortest in core order on ties.
+            names = ctx.arrays.core_names
+            actions.migrations.append(Migration(
+                names[queue.index(longest)], names[queue.index(shortest)],
+                move_running=False, swap=False,
+            ))
         return actions

@@ -33,12 +33,14 @@ class DVFSTemperatureTriggered(DefaultLoadBalancing):
         actions = super().on_tick(ctx)
         table = self.system.vf_table
         threshold = self.system.thermal_threshold_k
-        for core, snap in ctx.cores.items():
-            level = self._levels[core]
-            if snap.temperature_k >= threshold:
-                level = table.step_down(level)
+        temps = ctx.arrays.temperature_k.tolist()
+        levels = self._levels
+        vf_settings = actions.vf_settings
+        for core, temp in zip(ctx.arrays.core_names, temps):
+            if temp >= threshold:
+                level = table.step_down(levels[core])
             else:
-                level = table.step_up(level)
-            self._levels[core] = level
-            actions.vf_settings[core] = level
+                level = table.step_up(levels[core])
+            levels[core] = level
+            vf_settings[core] = level
         return actions

@@ -18,7 +18,9 @@ class DVFSUtilizationBased(DefaultLoadBalancing):
 
     def on_tick(self, ctx: TickContext) -> PolicyActions:
         actions = super().on_tick(ctx)
-        table = self.system.vf_table
-        for core, snap in ctx.cores.items():
-            actions.vf_settings[core] = table.lowest_covering(snap.utilization)
+        covering = self.system.vf_table.lowest_covering
+        utils = ctx.arrays.utilization.tolist()
+        vf_settings = actions.vf_settings
+        for core, util in zip(ctx.arrays.core_names, utils):
+            vf_settings[core] = covering(util)
         return actions

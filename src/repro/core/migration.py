@@ -9,7 +9,7 @@ activity-migration techniques [Heo'03, Gomaa'04] to the multicore case.
 
 from __future__ import annotations
 
-from typing import Set
+from typing import List, Optional, Set
 
 from repro.core.base import Migration, PolicyActions, TickContext
 from repro.core.default import DefaultLoadBalancing
@@ -25,29 +25,41 @@ class MigrationPolicy(DefaultLoadBalancing):
         # purely thermal for this policy.
         actions = PolicyActions()
         threshold = self.system.thermal_threshold_k
-        received: Set[str] = set()
-        for hot in ctx.hottest_first():
-            snap = ctx.cores[hot]
-            if snap.temperature_k < threshold:
+        arrays = ctx.arrays
+        temps = arrays.temperature_k.tolist()
+        if max(temps) < threshold:
+            return actions
+        queue = arrays.queue_length.tolist()
+        names = arrays.core_names
+        # Stable sorts: equally hot (or cool) cores keep core order.
+        order = range(len(temps))
+        by_temp = sorted(order, key=temps.__getitem__)
+        received: Set[int] = set()
+        for hot in sorted(order, key=temps.__getitem__, reverse=True):
+            if temps[hot] < threshold:
                 break
-            if snap.queue_length == 0:
+            if queue[hot] == 0:
                 continue
-            destination = self._coolest_available(ctx, exclude=received | {hot})
+            destination = self._coolest_available(by_temp, temps, received)
             if destination is None:
                 break
             received.add(destination)
             actions.migrations.append(
-                Migration(hot, destination, move_running=True, swap=True)
+                Migration(names[hot], names[destination],
+                          move_running=True, swap=True)
             )
         return actions
 
-    def _coolest_available(self, ctx: TickContext, exclude: Set[str]):
+    def _coolest_available(
+        self, by_temp: List[int], temps: List[float], received: Set[int]
+    ) -> Optional[int]:
         # A destination must itself be below the threshold — shuffling
-        # jobs between two hot cores burns migration cost for nothing.
+        # jobs between two hot cores burns migration cost for nothing
+        # (so the hot source itself never qualifies).
         threshold = self.system.thermal_threshold_k
-        candidates = [
-            core
-            for core in ctx.coolest_first()
-            if core not in exclude and ctx.cores[core].temperature_k < threshold
-        ]
-        return candidates[0] if candidates else None
+        for i in by_temp:
+            if temps[i] >= threshold:
+                return None  # coolest first: no later core is cooler
+            if i not in received:
+                return i
+        return None

@@ -24,10 +24,9 @@ Adapt3D uses the offline 3D steady-state indices.
 The whole state lives in NumPy arrays laid out in ``core_names`` order
 (probabilities, circular temperature-history buffer, alphas), so both
 the per-tick update and the per-dispatch scoring are a handful of
-vector expressions. Contexts carrying the engine's structure-of-arrays
-views feed these directly; plain dict-backed contexts (tests, custom
-harnesses) are packed into arrays on entry and take the identical code
-path.
+vector expressions fed by the contexts' structure-of-arrays views
+(the engine's own, or packed once when a context is built from
+dicts), which must follow the system's core order.
 """
 
 from __future__ import annotations
@@ -148,28 +147,16 @@ class ProbabilisticAllocator(Policy):
 
     # --------------------------------------------------------------
 
-    def _tick_temperatures(self, ctx: TickContext) -> np.ndarray:
-        """Per-core sensor temperatures in ``core_names`` order.
-
-        Takes the context's array view when its layout matches the
-        attached system; otherwise packs the snapshot mapping.
-        """
-        arrays = ctx.arrays
-        if arrays is not None and arrays.core_names == self._names:
-            return arrays.temperature_k
-        cores = ctx.cores
-        return np.fromiter(
-            (cores[name].temperature_k for name in self._names),
-            dtype=np.float64,
-            count=len(self._names),
-        )
-
     def on_tick(self, ctx: TickContext) -> PolicyActions:
         system = self.system
-        temps = self._tick_temperatures(ctx)
+        arrays = ctx.arrays
+        if arrays.core_names != self._names:
+            raise PolicyError(
+                f"{self.name}: tick context cores are not in system order"
+            )
+        temps = arrays.temperature_k
         # Stashed so subclasses extending on_tick (Adapt3D's online
-        # index estimator) reuse the packed vector instead of
-        # re-fetching it the same tick.
+        # index estimator) reuse this tick's vector.
         self._last_tick_temps = temps
         self._hist[:, self._hist_pos] = temps
         self._hist_pos = (self._hist_pos + 1) % self.history_window
@@ -206,25 +193,16 @@ class ProbabilisticAllocator(Policy):
         # idle cores heats up — the thermally meaningful choice.
         # Scoring runs on plain Python lists: at the paper's core counts
         # (<= 16) the fixed per-op overhead of NumPy expressions loses
-        # to list comprehensions, so the array views are unloaded with
-        # one tolist() each and scored scalar (measured ~2x faster than
-        # the vectorized form at n=16).
+        # to list comprehensions (measured ~2x faster than the
+        # vectorized form at n=16), so the context's list views are
+        # scored scalar.
         names = self._names
-        if (
-            ctx.queue_lengths_vec is not None
-            and ctx.core_names == names
-        ):
-            queue_lengths = ctx.queue_lengths_list
-            if queue_lengths is None:
-                queue_lengths = ctx.queue_lengths_vec.tolist()
-            codes = ctx.state_codes_list
-            if codes is None:
-                codes = ctx.state_codes.tolist()
-            temps_vec = ctx.temperatures_vec
-        else:
-            queue_lengths = [ctx.queue_lengths[c] for c in names]
-            codes = [STATE_CODE[ctx.states[c]] for c in names]
-            temps_vec = None
+        if ctx.core_names != names:
+            raise PolicyError(
+                f"{self.name}: allocation context cores are not in system order"
+            )
+        queue_lengths = ctx.queue_lengths_list
+        codes = ctx.state_codes_list
         shortest = min(queue_lengths)
         candidates = [
             i for i, length in enumerate(queue_lengths) if length == shortest
@@ -246,9 +224,6 @@ class ProbabilisticAllocator(Policy):
             # Every shortest-queue core is hot: take the coolest of them
             # (never queue behind longer queues — allocation must not
             # cost performance, §V-A).
-            if temps_vec is None:
-                temps = [ctx.temperatures_k[c] for c in names]
-            else:
-                temps = temps_vec.tolist()
+            temps = ctx.temperatures_vec.tolist()
             return names[min(candidates, key=temps.__getitem__)]
         return names[candidates[self._lfsr.choice(weights, total)]]

@@ -1,7 +1,7 @@
 """Rectangular floorplan units.
 
 All geometry is in meters, matching the library-wide SI convention
-(see DESIGN.md §5).
+(see EXPERIMENTS.md, "Conventions").
 """
 
 from __future__ import annotations

@@ -1909,9 +1909,7 @@ class SimulationEngine:
                     states=self._alloc_state_view,
                     last_core=self._thread_last_core.get(job.thread_id),
                     core_names=self._core_names_tuple,
-                    queue_lengths_vec=self._ql_arr,
                     temperatures_vec=self._temps_arr,
-                    state_codes=self._state_arr,
                     queue_lengths_list=self._ql_list,
                     state_codes_list=self._state_list,
                 )
@@ -1935,13 +1933,14 @@ class SimulationEngine:
                 states=self._alloc_state_view,
                 last_core=self._thread_last_core.get(job.thread_id),
                 core_names=self._core_names_tuple,
-                queue_lengths_vec=self._ql_arr,
                 temperatures_vec=self._temps_arr,
-                state_codes=self._state_arr,
                 queue_lengths_list=self._ql_list,
                 state_codes_list=self._state_list,
             )
         else:
+            # Dicts read from the core objects, not the SoA rows; the
+            # context packs its arrays from them, so heap-vs-scan runs
+            # cross-check the rows' sync.
             ctx = AllocationContext(
                 time=now,
                 queue_lengths={
@@ -2036,11 +2035,11 @@ class SimulationEngine:
             else:
                 object.__setattr__(ctx, "time", now)
         elif self._use_heap:
-            # Structure-of-arrays snapshot: the CoreSnapshot mapping is
-            # materialized lazily, so policies that vectorize (or look
-            # at few cores) skip per-core object assembly entirely. The
-            # batch engine passes a prebuilt ``arrays`` (rows of one
-            # per-tick batch copy) so lanes skip the per-run copies.
+            # Structure-of-arrays snapshot: policies decide on the
+            # arrays, and the CoreSnapshot mapping (the custom-policy
+            # interface) is materialized only on access. The batch
+            # engine passes a prebuilt ``arrays`` (rows of one per-tick
+            # batch copy) so lanes skip the per-run copies.
             if arrays is None:
                 arrays = TickArrays(
                     core_names=self._core_names_tuple,
@@ -2056,6 +2055,7 @@ class SimulationEngine:
                 arrays=arrays,
             )
         else:
+            # Packed into arrays by the context, as in _dispatch.
             ctx = TickContext(
                 time=now,
                 cores={
@@ -2072,10 +2072,12 @@ class SimulationEngine:
         actions = self.policy.on_tick(ctx)
 
         for name, level in actions.vf_settings.items():
-            level_speed = self.vf_table[level].frequency  # validates index
             core = self._cores[name]
             if core.vf_index != level:
-                self._apply_vf_level(core, level, level_speed, now)
+                # Indexing the table validates the new level.
+                self._apply_vf_level(
+                    core, level, self.vf_table[level].frequency, now
+                )
 
         gated = set(actions.gated)
         if gated or self._any_gated:

@@ -21,7 +21,8 @@ The paper uses HotSpot v4.2's *default package*. Our sink and spreader
 grids share the die footprint rather than overhanging it, so the package's
 internal spreading/constriction resistance is represented explicitly by
 ``internal_resistance`` between the sink grid and the lumped convection
-node (see DESIGN.md §3 and the calibration test suite).
+node (see EXPERIMENTS.md, "Calibration regime", and the calibration
+test suite).
 """
 
 from __future__ import annotations

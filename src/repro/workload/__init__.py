@@ -2,7 +2,7 @@
 
 The paper profiles eight real benchmarks on an UltraSPARC T1 with
 mpstat/DTrace (Table I). Those traces are not available, so this package
-provides (see DESIGN.md §3):
+provides (see EXPERIMENTS.md, "Substitutions"):
 
 - :mod:`~repro.workload.benchmarks` — the published per-benchmark
   statistics (average utilization, L2 miss rates, FP instruction rates),

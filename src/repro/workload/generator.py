@@ -6,7 +6,7 @@ average utilization. Server benchmarks additionally modulate their think
 times with a two-state (burst/lull) process whose time-average scale is
 one, so bursts appear without shifting the long-run utilization — this
 reproduces the bursty arrivals the paper's SLAMD web traces show without
-the original traces (DESIGN.md §3).
+the original traces (EXPERIMENTS.md, "Substitutions").
 
 The generator is callback-driven: the engine asks for the initial
 arrivals and then, on every job completion, for the thread's next

@@ -1,4 +1,4 @@
-"""Analytic validation of the thermal network (DESIGN.md §3 promise).
+"""Analytic validation of the thermal network (EXPERIMENTS.md, "Substitutions").
 
 On a 1x1 grid the RC network degenerates to a pure series resistance
 chain whose steady state is computable by hand:

@@ -1,7 +1,7 @@
 """Calibration tests: the operating points the reproduction relies on.
 
 These pin the qualitative temperature regime of the four stacks (see
-DESIGN.md §2 "Expected qualitative shapes" and EXPERIMENTS.md). If a
+EXPERIMENTS.md, "Calibration regime"). If a
 model change shifts the calibration, these fail before the figure
 benches silently lose their shape.
 """
