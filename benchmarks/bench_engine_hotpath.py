@@ -173,8 +173,8 @@ def test_engine_hotpath(results_dir):
     text = json.dumps(payload, indent=2) + "\n"
     existing.write_text(text)
     # Mirror to the repo root so the perf trajectory is tracked at top
-    # level alongside BENCH_campaign.json — full runs only; smoke-mode
-    # figures must never replace the tracked trajectory numbers.
+    # level — full runs only; smoke-mode figures must never replace the
+    # tracked trajectory numbers.
     if not SMOKE:
         (REPO_ROOT / "BENCH_engine.json").write_text(text)
 

@@ -32,8 +32,6 @@ from repro.campaign.reports import (
     campaign_report,
     campaign_status,
     campaign_telemetry,
-    fabric_health,
-    format_fabric,
     format_status,
     format_telemetry,
 )
@@ -44,7 +42,7 @@ from repro.campaign.spec import (
     spec_from_dict,
     spec_to_dict,
 )
-from repro.campaign.store import ResultStore, default_stage_dir
+from repro.campaign.store import ResultStore
 
 __all__ = [
     "CampaignExecutor",
@@ -59,9 +57,6 @@ __all__ = [
     "campaign_report",
     "campaign_status",
     "campaign_telemetry",
-    "default_stage_dir",
-    "fabric_health",
-    "format_fabric",
     "format_status",
     "format_telemetry",
     "prefix_key",

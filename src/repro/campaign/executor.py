@@ -3,7 +3,8 @@
 The executor turns a :class:`CampaignSpec` (or explicit RunSpec list)
 into completed entries in a :class:`ResultStore`:
 
-- runs whose key is already in the store are skipped (resume),
+- runs whose key is already in the store are skipped (resume), and a
+  key listed twice runs once,
 - thermal indices are characterized once per (exp_id, grid) in the
   driver, persisted, and seeded into every worker — ``map`` pools
   included — so no process redoes the steady-state solve,
@@ -22,24 +23,12 @@ into completed entries in a :class:`ResultStore`:
   it until ``unquarantine``,
 - with a checkpoint cadence armed, workers persist engine checkpoints
   under the store's ``checkpoints/`` sidecar dir and a retried run
-  resumes mid-simulation, bit-identical to an uninterrupted run,
-- with a lease TTL armed, the driver claims each pending key before
-  running it, so several drivers can chew one store without
-  duplicating work,
-- the wave loop writes a ``drivers/<owner>.hb`` heartbeat; a driver
-  whose beacon goes stale (it died mid-wave) has its leases reclaimed
-  by surviving drivers, which adopt any checkpoint sidecar the dead
-  driver left and **resume** its in-flight runs instead of restarting
-  them,
-- when a store save fails (or exceeds the policy's latency budget),
-  the result spills to a local staging store (a second
-  :class:`ResultStore`) and the campaign keeps going in degraded
-  mode; a reconciler saves the spills into the store once it recovers
-  and discards them from staging — a flaky shared filesystem slows a
-  campaign instead of killing it.
+  resumes mid-simulation, bit-identical to an uninterrupted run.
 
 Results always travel driver-ward over the executor pipe; only the
-driver process writes the store.
+driver process writes the store. A store has one driver: a second
+driver on the same store duplicates work, and the store's
+rename-published run dirs keep each key published and charged once.
 """
 
 from __future__ import annotations
@@ -61,38 +50,29 @@ from typing import (
     List,
     Optional,
     Sequence,
-    Set,
     Tuple,
 )
 
 from repro.analysis.runner import ExperimentRunner, RunSpec
-from repro.campaign.faults import (
-    claim_fault,
-    maybe_crash_or_hang,
-    reset_fault_cache,
-)
+from repro.campaign.faults import maybe_crash_or_hang, reset_fault_cache
 from repro.campaign.resilience import (
     failure_signature,
     ResiliencePolicy,
 )
 from repro.campaign.spec import CampaignSpec, run_key
-from repro.campaign.store import ResultStore, default_stage_dir
+from repro.campaign.store import ResultStore
 from repro.errors import ConfigurationError
 from repro.obs.resilience import ResilienceStats
 from repro.sched.engine import SimulationResult
 
 #: ``progress(event, key, detail)`` with event in {"cached", "prefix",
-#: "quarantined", "leased", "reclaimed", "start", "retry", "ok",
-#: "spilled", "reconciled", "error"}.
+#: "quarantined", "start", "retry", "ok", "error"}.
 ProgressCallback = Callable[[str, str, str], None]
 
 BACKENDS = ("serial", "parallel", "batched")
 
 #: Default lane count per fused batch of the ``batched`` backend.
 DEFAULT_BATCH_SIZE = 16
-
-#: Cadence of store-recovery probes while operating degraded.
-_PROBE_EVERY_S = 2.0
 
 # Per-worker state, created once by the pool initializer and reused for
 # every run the worker executes.
@@ -175,7 +155,7 @@ class RunOutcome:
 
     key: str
     spec: RunSpec
-    status: str  # "ok" | "error" | "cached" | "prefix" | "quarantined" | "leased"
+    status: str  # "ok" | "error" | "cached" | "prefix" | "quarantined"
     error: Optional[str] = None
 
 
@@ -258,18 +238,13 @@ BatchSimulationEngine` batches of up to ``batch_size`` lanes; runs
         run keys ignore the flag, so telemetry-on campaigns still reuse
         plain cached results (those simply lack a telemetry sidecar).
     resilience:
-        Watchdog/retry/checkpoint/lease policy (default:
-        :class:`ResiliencePolicy()` — retries and watchdog on, leasing
-        and checkpointing off). Leasing and checkpointing require a
-        store. The pool backends get the full treatment; the serial
-        backend honors checkpoint/resume and leases but runs each spec
-        exactly once (an in-process crash would take the driver down
-        with it, so retrying there buys nothing).
-    stage_dir:
-        Root of the local spill store for degraded-mode operation
-        (default: ``<store root>.staging``, a sibling of the store so
-        it stays writable when the store's filesystem fails). Only
-        meaningful with a store attached.
+        Watchdog/retry/checkpoint policy (default:
+        :class:`ResiliencePolicy()` — retries and watchdog on,
+        checkpointing off). Checkpointing requires a store. The pool
+        backends get the full treatment; the serial backend honors
+        checkpoint/resume but runs each spec exactly once (an
+        in-process crash would take the driver down with it, so
+        retrying there buys nothing).
 
     After each ``run_campaign``/``run_specs`` call, ``stats`` holds the
     resilience counters of that execution (also merged into the store's
@@ -288,7 +263,6 @@ BatchSimulationEngine` batches of up to ``batch_size`` lanes; runs
         prefix_cache: bool = True,
         telemetry: bool = False,
         resilience: Optional[ResiliencePolicy] = None,
-        stage_dir: Optional[Path] = None,
     ) -> None:
         if backend not in BACKENDS:
             raise ConfigurationError(
@@ -311,16 +285,6 @@ BatchSimulationEngine` batches of up to ``batch_size`` lanes; runs
                 "engine checkpointing requires a result store "
                 "(checkpoints live under the store's checkpoints/ dir)"
             )
-        if store is None and resilience.lease_ttl_s > 0:
-            raise ConfigurationError(
-                "work leasing requires a result store "
-                "(leases live under the store's leases/ dir)"
-            )
-        if store is None and stage_dir is not None:
-            raise ConfigurationError(
-                "staging requires a result store "
-                "(spills reconcile back into it)"
-            )
         self.store = store
         self.backend = backend
         self.max_workers = max_workers or (os.cpu_count() or 1)
@@ -332,22 +296,20 @@ BatchSimulationEngine` batches of up to ``batch_size`` lanes; runs
         self.telemetry = telemetry
         self.resilience = resilience
         self.stats = ResilienceStats()
-        self._leased: Set[str] = set()
-        self._stage_root: Optional[Path] = None
-        if store is not None:
-            self._stage_root = Path(stage_dir) if stage_dir is not None \
-                else default_stage_dir(store.root)
-        #: The staging store, opened on demand (see _open_staging).
-        self.staging: Optional[ResultStore] = None
-        self._degraded = False
-        self._heartbeat_every = 0.0
 
     # ------------------------------------------------------------------
     # public API
 
     def run_campaign(self, campaign: CampaignSpec) -> CampaignRun:
-        """Execute every pending run of ``campaign``; never raises on
-        individual run failures (they become ``error`` outcomes)."""
+        """Execute every pending run of ``campaign``.
+
+        A run that fails becomes an ``error`` (or ``quarantined``)
+        outcome and the campaign goes on. A store error does not: an
+        ``OSError`` from saving a result ends the campaign and
+        propagates. Runs saved before it stay in the store, so the
+        next campaign resumes from them and from any checkpoint
+        sidecars.
+        """
         outcomes, _ = self._execute(campaign.expand(), strict=False,
                                     keep_results=False)
         return CampaignRun(campaign=campaign, outcomes=outcomes)
@@ -357,32 +319,26 @@ BatchSimulationEngine` batches of up to ``batch_size`` lanes; runs
     ) -> Dict[str, SimulationResult]:
         """Execute explicit specs and return their results by run key.
 
-        Strict: the first failing run raises. With a store attached the
-        returned results are store round-trips, so values are identical
-        whether a run was computed now or loaded from a previous
-        campaign.
+        Strict: the first failing run raises, and so does a store
+        error (an ``OSError`` from a save; see :meth:`run_campaign`).
+        With a store attached the returned results are store
+        round-trips, so values are identical whether a run was
+        computed now or loaded from a previous campaign.
         """
-        specs = list(specs)
         outcomes, results = self._execute(
-            specs, strict=True, keep_results=self.store is None
+            list(specs), strict=True, keep_results=self.store is None
         )
-        if self.store is not None:
-            loaded: Dict[str, SimulationResult] = {}
-            staging = self._open_staging()
-            for o in outcomes:
-                if self.store.has(o.key):
-                    loaded[o.key] = self.store.load(o.key)
-                elif staging is not None and staging.has(o.key):
-                    # Degraded-mode fallback: the result spilled to
-                    # staging and the store never recovered during this
-                    # campaign.
-                    loaded[o.key] = staging.load(o.key)
-                else:
-                    raise ConfigurationError(
-                        f"run {o.key!r} is neither stored nor staged"
-                    )
-            return loaded
-        return {o.key: results[o.key] for o in outcomes}
+        if self.store is None:
+            return {o.key: results[o.key] for o in outcomes}
+        loaded: Dict[str, SimulationResult] = {}
+        for o in outcomes:
+            if not self.store.has(o.key):
+                raise ConfigurationError(
+                    f"run {o.key!r} completed but its run dir is "
+                    "incomplete on disk"
+                )
+            loaded[o.key] = self.store.load(o.key)
+        return loaded
 
     def map(self, fn: Callable[[Any], Any], values: Iterable[Any]) -> List[Any]:
         """Apply ``fn`` over ``values`` on this executor's backend.
@@ -421,30 +377,17 @@ BatchSimulationEngine` batches of up to ``batch_size`` lanes; runs
         outcome_by_key: Dict[str, RunOutcome] = {}
         results: Dict[str, SimulationResult] = {}
         self.stats = ResilienceStats()
-        self._leased = set()
-        self._degraded = False
-        self._heartbeat_every = (
-            self.resilience.heartbeat_interval_s()
-            if self.store is not None else 0.0
-        )
-        if self.store is not None:
-            if self._heartbeat_every > 0:
-                self._write_heartbeat()
-            # Fold any spills left by a previous degraded campaign (ours
-            # or a dead driver sharing this staging root) before the
-            # pending scan, so reconciled keys read as cached.
-            self._try_reconcile()
         quarantined = (
             self.store.quarantined() if self.store is not None else {}
         )
-        leasing = self.store is not None and self.resilience.lease_ttl_s > 0
-        stale_after = self.resilience.heartbeat_stale_s()
 
-        pending: List[Tuple[str, RunSpec]] = []
+        keys: List[str] = []  # each key once, in first-listed order
+        pending: Dict[str, RunSpec] = {}
         for spec in specs:
             key = run_key(spec)
-            if key in outcome_by_key:
+            if key in outcome_by_key or key in pending:
                 continue
+            keys.append(key)
             if self.store is not None and self.store.has(key):
                 outcome_by_key[key] = RunOutcome(key, spec, "cached")
                 self._emit("cached", key)
@@ -471,85 +414,21 @@ BatchSimulationEngine` batches of up to ``batch_size`` lanes; runs
                     # Key-neutral: run_key ignores the telemetry flag,
                     # so resume/caching behave exactly as without it.
                     spec = replace(spec, telemetry=True)
-                if leasing:
-                    if self.store.acquire_lease(
-                        key, self.resilience.lease_ttl_s
-                    ):
-                        self._leased.add(key)
-                    else:
-                        holder = self.store.lease_holder(key) or ""
-                        if (
-                            holder
-                            and stale_after > 0
-                            and self.store.driver_alive(
-                                holder, stale_after) is False
-                            and self.store.takeover_lease(
-                                key, self.resilience.lease_ttl_s,
-                                dead_owner=holder)
-                        ):
-                            # The holder's heartbeat is affirmatively
-                            # stale: it died mid-wave. Reclaim its
-                            # lease; any checkpoint sidecar it left is
-                            # keyed by run key, so the run resumes here
-                            # instead of restarting.
-                            self.stats.takeover()
-                            self._leased.add(key)
-                            self._emit("reclaimed", key, holder)
-                        else:
-                            # Another driver is computing this key; it
-                            # will land in the shared store as "cached"
-                            # for the next campaign over it.
-                            self.stats.lease_skip()
-                            outcome_by_key[key] = RunOutcome(
-                                key, spec, "leased"
-                            )
-                            self._emit("leased", key, holder)
-                            continue
-                staging = self._open_staging()
-                if staging is not None and staging.has(key):
-                    # A degraded driver already computed this unit and
-                    # spilled it before releasing the lease, so the
-                    # acquire-then-check order above makes this
-                    # race-free; recomputing would double-charge the
-                    # unit. The fold into the store happens on the
-                    # next reconcile probe.
-                    outcome_by_key[key] = RunOutcome(key, spec, "cached")
-                    self._emit("cached", key, "staged")
-                    self._release_lease(key)
-                    continue
-                if leasing and self.store.has(key):
-                    # A peer saved this unit between our first check and
-                    # our lease. A save is published before its lease is
-                    # released, so lease-then-check cannot miss it.
-                    # Staging first, store second: a reconciler discards
-                    # a spill only after saving it into the store.
-                    outcome_by_key[key] = RunOutcome(key, spec, "cached")
-                    self._emit("cached", key, "rechecked")
-                    self._release_lease(key)
-                    continue
-                pending.append((key, spec))
+                pending[key] = spec
 
         try:
             if pending:
-                seeded = self._share_thermal_indices(pending)
+                pairs = list(pending.items())
+                seeded = self._share_thermal_indices(pairs)
                 if self.backend == "serial":
-                    self._run_serial(pending, strict, outcome_by_key, results)
+                    self._run_serial(pairs, strict, outcome_by_key, results)
                 else:
-                    units = self._make_units(pending)
+                    units = self._make_units(pairs)
                     self._run_pool(
                         units, seeded, strict, outcome_by_key, results
                     )
         finally:
             if self.store is not None:
-                for key in list(self._leased):
-                    try:
-                        self.store.release_lease(key)
-                    except OSError:
-                        pass  # expired leases sweep on the next open
-                self._leased.clear()
-                self._try_reconcile()
-                if self._heartbeat_every > 0:
-                    self._remove_heartbeat()
                 tally = self.stats.snapshot()
                 if any(tally.values()):
                     try:
@@ -557,21 +436,11 @@ BatchSimulationEngine` batches of up to ``batch_size`` lanes; runs
                     except OSError:
                         pass  # telemetry only; never fail the campaign
 
-        ordered = [
-            outcome_by_key[run_key(spec)]
-            for spec in specs
-            if run_key(spec) in outcome_by_key
-        ]
-        # De-duplicate while preserving first-occurrence order.
-        seen: set = set()
-        unique = []
-        for outcome in ordered:
-            if outcome.key not in seen:
-                seen.add(outcome.key)
-                unique.append(outcome)
+        ordered = [outcome_by_key[key] for key in keys
+                   if key in outcome_by_key]
         if not keep_results:
             results = {}
-        return unique, results
+        return ordered, results
 
     def _share_thermal_indices(
         self, pending: List[Tuple[str, RunSpec]]
@@ -605,128 +474,6 @@ BatchSimulationEngine` batches of up to ``batch_size`` lanes; runs
             self.resilience.checkpoint_every_ticks,
         )
 
-    def _release_lease(self, key: str) -> None:
-        if key in self._leased and self.store is not None:
-            self.store.release_lease(key)
-            self._leased.discard(key)
-
-    def _write_heartbeat(self) -> None:
-        try:
-            self.store.write_heartbeat()
-        except OSError:
-            pass  # a missed beacon is survivable; a crashed driver isn't
-
-    def _remove_heartbeat(self) -> None:
-        try:
-            self.store.remove_heartbeat()
-        except OSError:
-            pass
-
-    def _open_staging(self, create: bool = False) -> Optional[ResultStore]:
-        """The staging store, once its dir exists (or ``create``).
-
-        Opened on demand, so a campaign that never spills leaves no
-        staging dir behind; re-checked on every call while unopened, so
-        a peer's first spill is seen as soon as it lands.
-        """
-        if self.staging is None and self._stage_root is not None \
-                and (create or self._stage_root.is_dir()):
-            self.staging = ResultStore(self._stage_root,
-                                       owner=self.store.owner)
-        return self.staging
-
-    def _save_to_store(self, key: str, spec: RunSpec,
-                       result: SimulationResult) -> None:
-        """``store.save`` behind the ``store_save`` fault point.
-
-        The fault sits here rather than in ``ResultStore.save`` so it
-        hits the shared store only, never the staging store.
-        """
-        fault = claim_fault("store_save", key)
-        if fault is not None and fault.action == "fail_io":
-            # Injected fault: the shared store is unreachable.
-            raise OSError(f"injected store_save failure for {key}")
-        if fault is not None and fault.action == "slow_io":
-            # Injected fault: the store is up but slow; the save
-            # lands, blowing any configured latency budget.
-            time.sleep(fault.delay_s)
-        self.store.save(spec, result)
-
-    def _store_save(self, key: str, spec: RunSpec,
-                    result: SimulationResult) -> str:
-        """Persist to the store, spilling to staging when degraded.
-
-        Returns ``"ok"`` when this driver's save published the unit's
-        run dir (and so is charged with it), ``"spilled"`` when its
-        spill did the same in staging, and ``"stored"`` when a peer's
-        copy was published first. Entering degraded mode happens on an
-        ``OSError`` from the save or on a save slower than the policy's
-        latency budget (that save itself still landed); leaving it
-        happens when a reconcile probe drains the staging store.
-        Before spilling, both stores are checked: spilling a unit a
-        peer already saved would charge it twice.
-        """
-        if not self._degraded:
-            started = time.monotonic()
-            try:
-                self._save_to_store(key, spec, result)
-            except OSError:
-                self._degraded = True
-            else:
-                budget = self.resilience.store_latency_budget_s
-                if budget is not None \
-                        and time.monotonic() - started > budget:
-                    self._degraded = True
-                return "ok" if self.store.last_save_charged else "stored"
-        staging = self._open_staging(create=True)
-        if staging.has(key) or self.store.has(key):
-            return "stored"
-        staging.save(spec, result)
-        if not staging.last_save_charged:
-            return "stored"
-        self.stats.spill()
-        self._emit("spilled", key)
-        return "spilled"
-
-    def _try_reconcile(self) -> None:
-        """Fold every staged spill into the store, then drop it.
-
-        Spills of *any* driver sharing the staging root are folded — a
-        surviving driver drains a dead one's staging. Each spill is
-        saved into the store before it is discarded from staging, so a
-        unit is never in neither. A store failure stops the pass and
-        keeps (or puts) the driver in degraded mode; a pass that
-        drains staging ends it.
-        """
-        self._degraded = False
-        staging = self._open_staging()
-        if staging is None:
-            return
-        staging.refresh()
-        for key in staging.keys():
-            if not staging.has(key):
-                continue  # torn spill, or a peer is folding it
-            if not self.store.has(key):
-                try:
-                    result = staging.load(key)
-                    spec = staging.load_spec(key)
-                except (OSError, ConfigurationError):
-                    # A concurrent reconciler folded and discarded this
-                    # spill between our check and our read.
-                    continue
-                try:
-                    self._save_to_store(key, spec, result)
-                except OSError:
-                    self._degraded = True
-                    return
-            staging.discard(key)
-            self.stats.reconcile()
-            try:
-                self.store.discard_checkpoint(key)
-            except OSError:
-                pass
-            self._emit("reconciled", key)
-
     def _record_ok(
         self,
         key: str,
@@ -735,26 +482,24 @@ BatchSimulationEngine` batches of up to ``batch_size`` lanes; runs
         outcomes: Dict[str, RunOutcome],
         results: Dict[str, SimulationResult],
     ) -> None:
-        state = "ok"
+        charged = True
         if self.store is not None:
-            state = self._store_save(key, spec, result)
-            if state != "spilled" and self.store.has_checkpoint(key):
+            self.store.save(spec, result)
+            charged = self.store.last_save_charged
+            if self.store.has_checkpoint(key):
                 # The run checkpointed mid-flight at least once. The
                 # counter is per run, not per blob: blobs are written
-                # in workers, out of the driver's sight. (A spilled
-                # run keeps its checkpoint until the reconcile lands.)
+                # in workers, out of the driver's sight.
                 self.stats.checkpoint()
                 self.store.discard_checkpoint(key)
         results[key] = result
         outcomes[key] = RunOutcome(key, spec, "ok")
-        self._release_lease(key)
-        if state == "ok":
+        if charged:
             self._emit("ok", key)
-        elif state == "stored":
-            # A racing driver's run dir was published first (we were
-            # presumed dead mid-compute and reclaimed, or its spill
-            # beat our degraded retry); identical result, but the
-            # charge belongs to the rename winner.
+        else:
+            # Another process published this key's run dir first;
+            # identical result, but the charge belongs to the rename
+            # winner.
             self._emit("cached", key, "save-race")
 
     def _record_error(
@@ -770,9 +515,8 @@ BatchSimulationEngine` batches of up to ``batch_size`` lanes; runs
             try:
                 self.store.record_failure(spec, message)
             except OSError:
-                pass  # degraded store; the in-memory outcome stands
+                pass  # advisory record; the in-memory outcome stands
         outcomes[key] = RunOutcome(key, spec, "error", error=message)
-        self._release_lease(key)
         self._emit("error", key, message)
 
     def _record_quarantined(
@@ -788,9 +532,8 @@ BatchSimulationEngine` batches of up to ``batch_size`` lanes; runs
                 self.store.record_failure(spec, message)
                 self.store.discard_checkpoint(key)
             except OSError:
-                pass  # degraded store; the in-memory outcome stands
+                pass  # advisory records; the in-memory outcome stands
         outcomes[key] = RunOutcome(key, spec, "quarantined", error=message)
-        self._release_lease(key)
         self._emit("quarantined", key, message)
 
     def _run_serial(
@@ -801,18 +544,7 @@ BatchSimulationEngine` batches of up to ``batch_size`` lanes; runs
         results: Dict[str, SimulationResult],
     ) -> None:
         checkpoint = self._worker_checkpoint()
-        last_beat = time.monotonic()
-        last_probe = last_beat
         for key, spec in pending:
-            maybe_crash_or_hang("driver_wave")
-            now = time.monotonic()
-            if (self._heartbeat_every > 0
-                    and now - last_beat >= self._heartbeat_every):
-                self._write_heartbeat()
-                last_beat = now
-            if self._degraded and now - last_probe >= _PROBE_EVERY_S:
-                self._try_reconcile()
-                last_probe = now
             self._emit("start", key)
             try:
                 if checkpoint is not None:
@@ -888,7 +620,6 @@ batch_group_key`) into units of up to ``batch_size`` lanes that a
         """
         policy = self.resilience
         retry = policy.retry
-        leasing = self.store is not None and policy.lease_ttl_s > 0
         checkpoint = self._worker_checkpoint()
         queue: Deque[_UnitState] = deque(
             _UnitState(unit=unit) for unit in units
@@ -967,22 +698,9 @@ batch_group_key`) into units of up to ``batch_size`` lanes that a
             for pair in state.unit[1:]:
                 queue.append(_UnitState(unit=[pair]))
 
-        last_beat = time.monotonic()
-        last_probe = last_beat
         try:
             while queue or inflight:
-                # Driver-kill injection point: this is where a whole
-                # driver process dies mid-wave, leaving leases, a
-                # heartbeat, and checkpoints for survivors to reclaim.
-                maybe_crash_or_hang("driver_wave")
                 now = time.monotonic()
-                if (self._heartbeat_every > 0
-                        and now - last_beat >= self._heartbeat_every):
-                    self._write_heartbeat()
-                    last_beat = now
-                if self._degraded and now - last_probe >= _PROBE_EVERY_S:
-                    self._try_reconcile()
-                    last_probe = now
                 if pool is None:
                     pool = ProcessPoolExecutor(
                         max_workers=min(
@@ -1007,29 +725,9 @@ batch_group_key`) into units of up to ``batch_size`` lanes that a
                     wake = min(state.not_before for state in queue)
                     time.sleep(min(max(wake - time.monotonic(), 0.0), 1.0))
                     continue
-                if leasing:
-                    for state in inflight.values():
-                        for key, _ in state.unit:
-                            if key in self._leased:
-                                try:
-                                    self.store.renew_lease(
-                                        key, policy.lease_ttl_s
-                                    )
-                                except OSError:
-                                    pass  # degraded FS; retried next wave
                 timeout = min(
                     state.deadline for state in inflight.values()
                 ) - time.monotonic()
-                if leasing:
-                    # Wake often enough to renew leases well inside
-                    # their TTL even when deadlines are far away.
-                    timeout = min(timeout, policy.lease_ttl_s / 3.0)
-                if self._heartbeat_every > 0:
-                    # ... and to keep our liveness beacon fresh, so
-                    # other drivers don't reclaim our leases.
-                    timeout = min(timeout, self._heartbeat_every)
-                if self._degraded:
-                    timeout = min(timeout, _PROBE_EVERY_S)
                 done, _ = wait(
                     set(inflight),
                     timeout=max(timeout, 0.05),

@@ -16,30 +16,17 @@ Injection points:
     fires inside ``_run_in_worker`` / ``_run_batch_in_worker`` before
     the simulation starts; supports ``crash`` (``os._exit``) and
     ``hang`` (sleep until the watchdog kills the worker)
-``driver_wave``
-    fires at the top of the executor's wave loop, in the **driver**
-    process; ``crash`` kills the whole driver mid-campaign (leases,
-    heartbeat, and checkpoints are left behind for another driver to
-    reclaim), ``hang`` wedges it
-``store_save``
-    fires in the executor before each save into the shared store (not
-    the staging store); ``fail_io`` raises ``OSError`` (store write
-    failure → the executor spills to its staging store), ``slow_io``
-    sleeps ``delay_s`` first (latency-budget breach → degraded mode)
 ``payload_save``
     fires inside ``ResultStore.save`` just before the run dir is
     published; ``corrupt_payload`` empties one payload file, so the
     published run reads as absent — a save torn by a host crash
-``heartbeat``
-    fires inside ``ResultStore.write_heartbeat``; ``skew`` offsets the
-    written timestamp by ``skew_s``, simulating driver clock skew
 
 Faults are **fire-once by default** (``times`` raises the budget): a
 marker file is claimed with ``O_CREAT | O_EXCL`` *before* the fault
 acts, so a retried unit does not re-trigger the same fault and chaos
 campaigns converge.  Marker claiming is atomic across processes, which
-makes plans deterministic for a single driver and merely bounded (each
-fault fires at most ``times`` times) under concurrency.
+makes plans deterministic for a serial campaign and merely bounded
+(each fault fires at most ``times`` times) across pool workers.
 
 Everything here is stdlib-only and imports nothing from the rest of
 the package, so the store and executor can call into it without
@@ -70,15 +57,8 @@ ENV_STATE = "REPRO_FAULT_STATE"
 #: exit code used by injected worker crashes (diagnosable in CI logs)
 CRASH_EXIT_CODE = 86
 
-_ACTIONS = frozenset({
-    "crash", "hang", "corrupt_payload",
-    # cross-driver fault kinds (multi-driver fabric)
-    "slow_io", "skew", "fail_io",
-})
-_POINTS = frozenset({
-    "worker_run", "payload_save",
-    "driver_wave", "store_save", "heartbeat",
-})
+_ACTIONS = frozenset({"crash", "hang", "corrupt_payload"})
+_POINTS = frozenset({"worker_run", "payload_save"})
 
 
 @dataclass(frozen=True)
@@ -91,8 +71,6 @@ class FaultSpec:
     key: str = "*"  # run key or key prefix; "*" matches any run
     times: int = 1  # firing budget before the fault is spent
     hang_s: float = 3600.0  # sleep length for the ``hang`` action
-    delay_s: float = 0.25  # injected latency for the ``slow_io`` action
-    skew_s: float = 0.0  # clock offset for the ``skew`` action
 
     def __post_init__(self) -> None:
         if self.point not in _POINTS:
@@ -127,8 +105,6 @@ class FaultPlan:
                     "key": f.key,
                     "times": f.times,
                     "hang_s": f.hang_s,
-                    "delay_s": f.delay_s,
-                    "skew_s": f.skew_s,
                 }
                 for f in self.faults
             ],
@@ -144,8 +120,6 @@ class FaultPlan:
                 key=str(entry.get("key", "*")),
                 times=int(entry.get("times", 1)),
                 hang_s=float(entry.get("hang_s", 3600.0)),
-                delay_s=float(entry.get("delay_s", 0.25)),
-                skew_s=float(entry.get("skew_s", 0.0)),
             )
             for entry in data.get("faults", ())
         )
@@ -233,9 +207,8 @@ def claim_fault(point: str, key: str = "*") -> Optional[FaultSpec]:
     """Claim a matching fault firing; ``None`` when faults are disabled.
 
     The caller is responsible for *acting* on the returned spec — used
-    by the store and executor hooks, which implement
-    ``corrupt_payload`` / ``fail_io`` / ``slow_io`` / ``skew``
-    themselves because only they know the paths and timings.
+    by the store's hook, which implements ``corrupt_payload`` itself
+    because only it knows the paths.
     """
     inj = _injector()
     if inj is None:

@@ -7,95 +7,28 @@ delay against the campaign's baseline policy run on the same
 (exp, duration, DPM, seed, grid, mix) — and renders one table.
 ``campaign_telemetry`` folds the per-run ``telemetry.json`` sidecars
 (if any) into one tick-phase profile and job-statistics roll-up.
-``fabric_health`` snapshots the multi-driver fabric — live driver
-heartbeats, held leases, stored entries, and pending staged spills.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.analysis.runner import RunSpec
 from repro.analysis.tables import format_table
 from repro.campaign.spec import CampaignSpec, run_key
-from repro.campaign.store import STATUS_ERROR, ResultStore, default_stage_dir
+from repro.campaign.store import STATUS_ERROR, ResultStore
 from repro.metrics.report import summarize
 from repro.obs.profiler import merge_phase_summaries
 
-#: Heartbeat age (seconds) beyond which a driver counts as stale in
-#: fabric-health views. Display-only; takeover decisions use the
-#: campaign's ResiliencePolicy thresholds instead.
-DEFAULT_STALE_AFTER_S = 60.0
-
-
-def fabric_health(
-    store: ResultStore,
-    stage_dir: Optional[Path] = None,
-    stale_after_s: float = DEFAULT_STALE_AFTER_S,
-) -> Dict[str, object]:
-    """Snapshot of the multi-driver fabric behind a store.
-
-    Returns ``{"drivers", "live_drivers", "stale_drivers",
-    "held_leases", "n_leases", "entries", "staged"}`` — driver name ->
-    heartbeat age, live/stale owner lists, owner -> held lease keys,
-    the number of stored entries, and the keys of unreconciled spills
-    in the staging store at ``stage_dir`` (default: the store's
-    sibling), which is not created when absent.
-    """
-    stage_dir = Path(stage_dir or default_stage_dir(store.root))
-    staged = ResultStore(stage_dir).keys() if stage_dir.is_dir() else []
-    heartbeats = store.heartbeats()
-    live = sorted(o for o, age in heartbeats.items()
-                  if age <= stale_after_s)
-    leases = store.held_leases()
-    return {
-        "drivers": heartbeats,
-        "live_drivers": live,
-        "stale_drivers": sorted(set(heartbeats) - set(live)),
-        "held_leases": {owner: keys for owner, keys in sorted(leases.items())},
-        "n_leases": sum(len(keys) for keys in leases.values()),
-        "entries": len(store.keys()),
-        "staged": sorted(staged),
-    }
-
-
-def format_fabric(health: Dict[str, object]) -> str:
-    """Human-readable rendering of :func:`fabric_health`."""
-    drivers: Dict[str, float] = dict(health["drivers"])  # type: ignore[arg-type]
-    live = list(health["live_drivers"])  # type: ignore[arg-type]
-    staged = list(health["staged"])  # type: ignore[arg-type]
-    lines = [
-        f"fabric: {len(live)} live driver(s), "
-        f"{health['n_leases']} held lease(s), "
-        f"{health['entries']} entries, "
-        f"{len(staged)} staged spill(s)"
-    ]
-    for owner in sorted(drivers):
-        state = "live" if owner in live else "stale"
-        lines.append(
-            f"  driver {owner}: heartbeat {drivers[owner]:.1f}s ago"
-            f" ({state})"
-        )
-    for owner, keys in dict(health["held_leases"]).items():  # type: ignore[arg-type]
-        lines.append(f"  leases {owner}: {len(keys)}")
-    for key in staged:
-        lines.append(f"  staged {key}")
-    return "\n".join(lines)
-
-
 def campaign_status(
-    store: ResultStore,
-    campaign: CampaignSpec,
-    stage_dir: Optional[Path] = None,
+    store: ResultStore, campaign: CampaignSpec
 ) -> Dict[str, object]:
     """Coverage of ``campaign`` in ``store``.
 
     Returns ``{"name", "total", "ok", "error", "quarantined", "pending",
-    "failures", "quarantines", "pending_keys", "fabric"}`` where
-    failures and quarantines map run key -> error text and ``fabric``
-    is a :func:`fabric_health` snapshot.  A quarantined key counts
+    "failures", "quarantines", "pending_keys"}`` where failures and
+    quarantines map run key -> error text.  A quarantined key counts
     only as quarantined, never as a plain failure, even though the
     executor records an error entry alongside the quarantine mark.
     A run counts as done only when its payload is complete on disk.
@@ -127,7 +60,6 @@ def campaign_status(
         "failures": failures,
         "quarantines": quarantines,
         "pending_keys": pending,
-        "fabric": fabric_health(store, stage_dir=stage_dir),
     }
 
 
@@ -140,12 +72,6 @@ def format_status(status: Dict[str, object]) -> str:
     if status.get("quarantined"):
         line += f", {status['quarantined']} quarantined"
     lines = [line]
-    fabric = status.get("fabric")
-    if fabric and (fabric["live_drivers"] or fabric["n_leases"]
-                   or fabric["staged"]):
-        # Only surface the fabric when something is actually happening
-        # — single-driver, lease-free campaigns keep the old output.
-        lines.append("  " + format_fabric(fabric).splitlines()[0])
     for key, error in sorted(dict(status["failures"]).items()):  # type: ignore[arg-type]
         lines.append(f"  FAILED {key}: {error}")
     for key, error in sorted(dict(status.get("quarantines", {})).items()):  # type: ignore[arg-type]
@@ -307,8 +233,4 @@ def campaign_report(
             f"{name}={value}" for name, value in sorted(tally.items())
         )
         table += f"\nresilience (store lifetime): {pairs}"
-    fabric = status.get("fabric")
-    if fabric and (fabric["live_drivers"] or fabric["n_leases"]
-                   or fabric["staged"]):
-        table += "\n" + format_fabric(fabric).splitlines()[0]
     return table

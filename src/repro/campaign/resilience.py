@@ -7,9 +7,7 @@ attempt)``, so two replays of the same campaign back off identically —
 chaos tests stay reproducible while distinct keys still decorrelate.
 
 :class:`ResiliencePolicy` bundles the retry policy with the per-unit
-watchdog deadline, the lease TTL for multi-driver stores, the engine
-checkpoint cadence, and the multi-driver fabric knobs (heartbeat
-cadence, dead-driver threshold, store latency budget).  Failure
+watchdog deadline and the engine checkpoint cadence.  Failure
 *classification* lives here too:
 
 - ``BrokenProcessPool`` and watchdog timeouts are **transient** — the
@@ -76,31 +74,16 @@ class ResiliencePolicy:
 
     ``unit_timeout_s=None`` derives the watchdog deadline from the
     simulated duration and batch width; an explicit value is used
-    verbatim per unit.  ``lease_ttl_s=0`` / ``checkpoint_every_ticks=0``
-    disable leasing and engine checkpointing respectively, which keeps
-    the fault-free fast path identical to the pre-resilience executor.
-
-    Fabric knobs: ``heartbeat_s=0`` derives the heartbeat cadence from
-    the lease TTL (one beacon per TTL/3, matching the renewal cadence;
-    no leasing → no heartbeat).  ``driver_stale_s=0`` derives the
-    dead-driver threshold as three missed heartbeats.  A driver whose
-    beacon is older than the threshold is presumed dead and its live
-    leases become reclaimable (:meth:`ResultStore.takeover_lease`).
-    ``store_latency_budget_s`` arms degraded mode: a store save slower
-    than the budget (or failing outright) flips the executor to
-    spilling results into its local staging store until a reconcile
-    probe finds the store healthy again.
+    verbatim per unit.  ``checkpoint_every_ticks=0`` disables engine
+    checkpointing, which keeps the fault-free fast path identical to
+    the pre-resilience executor.
     """
 
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     unit_timeout_s: Optional[float] = None
     timeout_scale_s: float = 5.0  # wall seconds per simulated second/lane
     min_timeout_s: float = 60.0
-    lease_ttl_s: float = 0.0
     checkpoint_every_ticks: int = 0
-    heartbeat_s: float = 0.0
-    driver_stale_s: float = 0.0
-    store_latency_budget_s: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.unit_timeout_s is not None and self.unit_timeout_s <= 0:
@@ -108,19 +91,9 @@ class ResiliencePolicy:
         if self.timeout_scale_s <= 0 or self.min_timeout_s <= 0:
             raise ConfigurationError(
                 "timeout_scale_s and min_timeout_s must be positive")
-        if self.lease_ttl_s < 0:
-            raise ConfigurationError("lease_ttl_s must be >= 0")
         if self.checkpoint_every_ticks < 0:
             raise ConfigurationError(
                 "checkpoint_every_ticks must be >= 0")
-        if self.heartbeat_s < 0:
-            raise ConfigurationError("heartbeat_s must be >= 0")
-        if self.driver_stale_s < 0:
-            raise ConfigurationError("driver_stale_s must be >= 0")
-        if (self.store_latency_budget_s is not None
-                and self.store_latency_budget_s <= 0):
-            raise ConfigurationError(
-                "store_latency_budget_s must be positive")
 
     def unit_deadline_s(self, duration_s: float, lanes: int) -> float:
         """Wall-clock budget for one unit (single run or fused batch)."""
@@ -128,21 +101,6 @@ class ResiliencePolicy:
             return self.unit_timeout_s
         return max(self.min_timeout_s,
                    self.timeout_scale_s * duration_s * max(lanes, 1))
-
-    def heartbeat_interval_s(self) -> float:
-        """Seconds between liveness beacons (0 disables heartbeating)."""
-        if self.heartbeat_s > 0:
-            return self.heartbeat_s
-        if self.lease_ttl_s > 0:
-            return self.lease_ttl_s / 3.0
-        return 0.0
-
-    def heartbeat_stale_s(self) -> float:
-        """Beacon age beyond which a driver is presumed dead (0 = never)."""
-        if self.driver_stale_s > 0:
-            return self.driver_stale_s
-        interval = self.heartbeat_interval_s()
-        return 3.0 * interval if interval > 0 else 0.0
 
 
 def failure_signature(exc: BaseException) -> str:

@@ -13,24 +13,29 @@ Layout under the store root::
     quarantine/<key>.json           — keys retired after deterministic
                                       failures (resume skips them)
     checkpoints/<key>.ckpt          — engine checkpoint sidecars
-    leases/<key>.lease              — multi-driver work claims
-    drivers/<owner>.hb              — driver heartbeats (liveness for
-                                      lease takeover)
     resilience.json                 — cumulative resilience tally
     indices/exp<E>_<R>x<C>.json     — thermal indices per (exp, grid)
 
 The run directory is the record. :meth:`ResultStore.save` writes the
 payload, the sidecar and ``entry.json`` into a hidden temp dir under
 ``runs/`` and publishes it with one ``rename``. Renaming onto a
-non-empty directory fails, so when several drivers save one key the
+non-empty directory fails, so when two processes save one key the
 filesystem picks the winner: it is charged with the unit
-(:attr:`ResultStore.last_save_charged`) and the others discard their
-identical copies (a save of a *different* payload under the key
+(:attr:`ResultStore.last_save_charged`) and the other discards its
+identical copy (a save of a *different* payload under the key
 replaces the published one). The in-memory index is only a read
 cache, built on open from ``runs/`` and ``failures/``;
-:meth:`ResultStore.has` checks the payload on disk, so another
-driver's save is visible at once. A complete run dir always wins over
-a failure file.
+:meth:`ResultStore.has` checks the payload on disk, so a save by
+another instance is visible at once. A complete run dir always wins
+over a failure file.
+
+A store has one driver. Nothing stops a second one, and nothing needs
+to: the rename above keeps a key saved by two processes published and
+charged once, so a second driver duplicates work but cannot corrupt
+the store. The work-claim and liveness dirs that older multi-driver
+versions kept beside ``runs/``, and the sibling store they wrote
+results to while this one failed, are ignored, not refused: they hold
+no result the store needs, and a result kept only there is recomputed.
 
 Every small file is written through :func:`atomic_write` (temp file +
 ``os.replace``), so a reader sees the old file or the new one, never a
@@ -59,9 +64,7 @@ from __future__ import annotations
 import errno
 import json
 import os
-import re
 import shutil
-import socket
 import tempfile
 import time
 from pathlib import Path
@@ -84,14 +87,9 @@ from repro.sched.engine import SimulationResult
 STATUS_OK = "ok"
 STATUS_ERROR = "error"
 
-#: age beyond which an unreadable lease file, an orphaned takeover
-#: guard or a hidden temp file/dir is presumed abandoned and swept
-_GUARD_STALE_S = 60.0
-
-#: age beyond which a driver heartbeat is swept on store open; far
-#: larger than any takeover threshold so a beacon outlives every
-#: decision that might read it
-DEFAULT_HEARTBEAT_SWEEP_S = 3600.0
+#: Age beyond which a hidden temp dir under ``runs/`` is presumed
+#: abandoned and swept on open; a save in flight is far younger.
+_TEMP_STALE_S = 60.0
 
 _ENTRY = "entry.json"
 
@@ -111,32 +109,18 @@ _OLD_LAYOUT = ("store.json", "index", "journal", "index.json",
                "journal.jsonl")
 
 
-def default_stage_dir(store_root: Union[str, Path]) -> Path:
-    """Spill store root for a store root (``<root>.staging``).
-
-    Deliberately *outside* the store root: the spill store must stay
-    writable when the store's filesystem is the thing that is failing.
-    """
-    return Path(str(Path(store_root)) + ".staging")
-
-
-def atomic_write(path: Path, text: str, exclusive: bool = False) -> None:
+def atomic_write(path: Path, text: str) -> None:
     """Write ``text`` to ``path`` through a temp file in the same dir.
 
     The temp file is published with ``os.replace``, so readers see the
-    old content or the new, never a torn file. With ``exclusive`` it is
-    published with ``os.link`` instead, which raises
-    ``FileExistsError`` when ``path`` already exists.
+    old content or the new, never a torn file.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=".tmp-")
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
-        if exclusive:
-            os.link(tmp, str(path))
-        else:
-            os.replace(tmp, str(path))
+        os.replace(tmp, str(path))
     finally:
         _unlink(Path(tmp))
 
@@ -180,49 +164,54 @@ def _refuse_old_layout(root: Path) -> None:
 class ResultStore:
     """Persistent map from run key to saved result (or failure record)."""
 
-    def __init__(self, root: Union[str, Path],
-                 owner: Optional[str] = None,
-                 heartbeat_sweep_s: float = DEFAULT_HEARTBEAT_SWEEP_S) -> None:
+    def __init__(self, root: Union[str, Path]) -> None:
         self.root = Path(root)
         _refuse_old_layout(self.root)
         self.root.mkdir(parents=True, exist_ok=True)
         self._runs = self.root / "runs"
-        # Lease identity of this driver (hostname:pid unless given).
-        self.owner = owner or f"{socket.gethostname()}:{os.getpid()}"
-        self.heartbeat_sweep_s = float(heartbeat_sweep_s)
         # Plain-int effectiveness counter for the prefix cache, read by
         # campaign telemetry summaries; counts serve_prefix() hits over
         # this store instance's lifetime.
         self.prefix_hits = 0
-        # Fabric hygiene tallies of the open-time sweep.
-        self.swept_leases = 0
-        self.swept_heartbeats = 0
         # Whether the most recent save() published its run dir (won the
         # rename) and so is charged with the unit; True between saves.
         self.last_save_charged = True
+        # The read cache, built from ``runs/`` and ``failures/``.
         self._index: Dict[str, Dict[str, Any]] = {}
-        self.refresh()
-        self._sweep_fabric()
-
-    # ------------------------------------------------------------------
-    # read cache
-
-    def refresh(self) -> None:
-        """Rebuild the in-memory index from ``runs/`` and ``failures/``."""
-        index: Dict[str, Dict[str, Any]] = {}
         for key in _listdir(self._runs):
             if not key.startswith("."):
                 entry = _read_json(f"{self._runs}/{key}/{_ENTRY}")
                 if entry is not None:
-                    index[key] = entry
+                    self._index[key] = entry
         failures = self.root / "failures"
         for name in _listdir(failures):
             key = name[: -len(".json")]
-            if name.endswith(".json") and key not in index:
+            if name.endswith(".json") and key not in self._index:
                 entry = _read_json(failures / name)
                 if entry is not None:
-                    index[key] = entry
-        self._index = index
+                    self._index[key] = entry
+        self._sweep_temp_dirs()
+
+    def _sweep_temp_dirs(self) -> None:
+        """Remove hidden temp dirs under ``runs/`` older than a minute.
+
+        They are saves that died before publishing and retired dirs
+        whose delete died; neither is a record. A younger one may be a
+        save in flight in another process, so it is left alone.
+        """
+        now = time.time()
+        for name in _listdir(self._runs):
+            if not name.startswith("."):
+                continue
+            path = self._runs / name
+            try:
+                if now - path.stat().st_mtime > _TEMP_STALE_S:
+                    shutil.rmtree(path, ignore_errors=True)
+            except OSError:
+                continue
+
+    # ------------------------------------------------------------------
+    # read cache
 
     def keys(self) -> List[str]:
         """Every recorded run key (both ok and error entries)."""
@@ -312,8 +301,9 @@ class ResultStore:
         """Rename a finished temp dir to ``runs/<key>``; True if it won.
 
         The rename fails when ``runs/<key>`` is a non-empty directory,
-        so of several drivers saving one key exactly one wins; the rest
-        discard their copies, which hold the same deterministic result.
+        so of several processes saving one key exactly one wins; the
+        rest discard their copies, which hold the same deterministic
+        result.
         A published dir with an incomplete payload (a torn save), or
         with a different one (a deliberate overwrite of the key), is
         retired and the rename retried.
@@ -335,7 +325,8 @@ class ResultStore:
         """Whether ``tmp`` holds byte-identical run files to ``runs/<key>``.
 
         The telemetry sidecar is left out: it carries wall-clock
-        timings, so two drivers computing one unit never agree on it.
+        timings, so two processes computing one unit never agree on
+        it.
         """
         published = self._run_dir(key)
         try:
@@ -551,283 +542,6 @@ class ResultStore:
         return self._quarantine_path(key).exists()
 
     # ------------------------------------------------------------------
-    # driver heartbeats (liveness signal behind lease takeover)
-
-    def _heartbeat_path(self, owner: str) -> Path:
-        slug = re.sub(r"[^A-Za-z0-9_.:+-]", "_", owner)
-        return self.root / "drivers" / f"{slug}.hb"
-
-    def write_heartbeat(self, owner: Optional[str] = None) -> None:
-        """Refresh this driver's liveness beacon.
-
-        Written by the executor's wave loop; a driver whose beacon goes
-        stale is presumed dead and its leases become reclaimable via
-        :meth:`takeover_lease`.
-        """
-        owner = owner or self.owner
-        now = time.time()
-        fault = claim_fault("heartbeat", owner)
-        if fault is not None and fault.action == "skew":
-            # Injected fault: driver clock skew — the beacon timestamp
-            # is offset, so liveness decisions read a shifted age.
-            now += fault.skew_s
-        atomic_write(self._heartbeat_path(owner), json.dumps(
-            {"owner": owner, "time": now, "pid": os.getpid(),
-             "host": socket.gethostname()}
-        ))
-
-    def heartbeats(self) -> Dict[str, float]:
-        """Owner -> seconds since their last heartbeat (unreadable
-        beacons are skipped)."""
-        out: Dict[str, float] = {}
-        now = time.time()
-        drivers = self.root / "drivers"
-        for name in _listdir(drivers):
-            if not name.endswith(".hb"):
-                continue
-            try:
-                data = json.loads((drivers / name).read_text())
-                out[str(data["owner"])] = now - float(data["time"])
-            except (OSError, ValueError, KeyError, TypeError):
-                continue
-        return out
-
-    def driver_alive(self, owner: str, stale_s: float) -> Optional[bool]:
-        """Liveness of ``owner`` by heartbeat age.
-
-        ``None`` when the driver has never heartbeated — liveness is
-        *unknown*, and callers must not reclaim on unknown (the holder
-        may be a pre-heartbeat driver or still warming up).
-        """
-        age = self.heartbeats().get(owner)
-        if age is None:
-            return None
-        return age <= stale_s
-
-    def remove_heartbeat(self, owner: Optional[str] = None) -> None:
-        """Retire a beacon on clean driver exit."""
-        _unlink(self._heartbeat_path(owner or self.owner))
-
-    # ------------------------------------------------------------------
-    # leases (multi-driver work claiming)
-
-    def _lease_path(self, key: str) -> Path:
-        return self.root / "leases" / f"{key}.lease"
-
-    def acquire_lease(self, key: str, ttl_s: float,
-                      owner: Optional[str] = None) -> bool:
-        """Claim ``key`` for ``ttl_s`` seconds; False if another driver
-        holds a live lease.
-
-        The payload is staged in a temp file and published with an
-        atomic ``os.link`` — the lease is never observable half-written.
-        A create-then-write (``O_EXCL`` open followed by the payload
-        write) would expose an *empty* lease file for a moment; a
-        contender reading that window sees garbage, concludes the
-        holder is gone, and steals the claim through takeover while the
-        creator's deferred write lands on an already-replaced inode —
-        split-brain, with both drivers computing the unit and the
-        orphaned lease surviving its owner.  An expired or unreadable
-        lease is reclaimed through :meth:`takeover_lease`, whose guard
-        file ensures exactly one contender wins the rewrite.
-        """
-        owner = owner or self.owner
-        path = self._lease_path(key)
-        try:
-            atomic_write(path, json.dumps(
-                {"owner": owner, "expires": time.time() + ttl_s}
-            ), exclusive=True)
-            return True
-        except FileExistsError:
-            pass
-        holder = self._read_lease(path)
-        if holder is not None:
-            live = holder[1] > time.time()
-            if live and holder[0] == owner:
-                return self.renew_lease(key, ttl_s, owner)
-            if live:
-                return False
-        # Expired (or garbage) lease: guarded takeover. An expired
-        # lease is no longer held by anyone — even its old owner
-        # goes through the takeover so contenders race fairly.
-        return self.takeover_lease(
-            key, ttl_s, owner,
-            dead_owner=holder[0] if holder is not None else None,
-        )
-
-    def renew_lease(self, key: str, ttl_s: float,
-                    owner: Optional[str] = None) -> bool:
-        """Extend a held lease; False if it was lost to another driver.
-
-        Ownership is confirmed by re-reading *after* the write: a
-        takeover can land between our pre-read and our replace, and in
-        that race the last writer owns the file — which may not be us.
-        Without the post-write confirm both drivers would believe they
-        hold the lease (the read-then-write race).  An already-expired
-        lease cannot be renewed — it stopped being held the moment it
-        expired, and contenders may be mid-takeover on it; the old
-        holder must re-acquire like everyone else.
-        """
-        owner = owner or self.owner
-        path = self._lease_path(key)
-        holder = self._read_lease(path)
-        if holder is None or holder[0] != owner \
-                or holder[1] <= time.time():
-            return False
-        atomic_write(path, json.dumps(
-            {"owner": owner, "expires": time.time() + ttl_s}
-        ))
-        confirmed = self._read_lease(path)
-        return confirmed is not None and confirmed[0] == owner
-
-    def takeover_lease(self, key: str, ttl_s: float,
-                       owner: Optional[str] = None,
-                       dead_owner: Optional[str] = None) -> bool:
-        """Forcibly reclaim a lease whose holder is expired or dead.
-
-        Rewrite-and-confirm alone is not single-winner: two contenders
-        can interleave write/confirm so each sees its own write.  The
-        takeover is therefore serialized through an ``O_CREAT|O_EXCL``
-        guard file — exactly one contender holds the guard while it
-        rewrites and confirms.  A contender that crashes inside the
-        guard window leaves the marker behind; markers older than
-        ``_GUARD_STALE_S`` are swept on store open.
-
-        The caller decides the holder is gone (expired TTL, or a stale
-        heartbeat via :meth:`driver_alive`) and names it through
-        ``dead_owner``.  That decision is re-validated *inside* the
-        guard: if by then the lease is live and held by some third
-        driver (a faster contender already won the takeover), this one
-        aborts — without the re-check a contender arriving just after
-        the winner released the guard would steal the freshly
-        rewritten lease.
-        """
-        owner = owner or self.owner
-        path = self._lease_path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        guard = path.with_suffix(".tk")
-        try:
-            fd = os.open(str(guard), os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            return False  # another contender is mid-takeover
-        os.close(fd)
-        try:
-            holder = self._read_lease(path)
-            if (holder is not None
-                    and holder[1] > time.time()
-                    and holder[0] not in (owner, dead_owner)):
-                return False  # lease changed hands while we decided
-            atomic_write(path, json.dumps(
-                {"owner": owner, "expires": time.time() + ttl_s}
-            ))
-            confirmed = self._read_lease(path)
-            return confirmed is not None and confirmed[0] == owner
-        finally:
-            _unlink(guard)
-
-    def release_lease(self, key: str, owner: Optional[str] = None) -> None:
-        """Drop a held lease (no-op if not held by ``owner``)."""
-        owner = owner or self.owner
-        path = self._lease_path(key)
-        holder = self._read_lease(path)
-        if holder is not None and holder[0] == owner:
-            _unlink(path)
-
-    def lease_holder(self, key: str) -> Optional[str]:
-        """Owner of a live (unexpired) lease on ``key``, or None."""
-        holder = self._read_lease(self._lease_path(key))
-        if holder is None or holder[1] <= time.time():
-            return None
-        return holder[0]
-
-    def held_leases(self) -> Dict[str, List[str]]:
-        """Owner -> sorted keys of every live (unexpired) lease."""
-        out: Dict[str, List[str]] = {}
-        now = time.time()
-        leases = self.root / "leases"
-        for name in _listdir(leases):
-            if not name.endswith(".lease"):
-                continue
-            holder = self._read_lease(leases / name)
-            if holder is None or holder[1] <= now:
-                continue
-            out.setdefault(holder[0], []).append(name[: -len(".lease")])
-        return out
-
-    @staticmethod
-    def _read_lease(path: Path) -> Optional[Tuple[str, float]]:
-        try:
-            data = json.loads(path.read_text())
-            return str(data["owner"]), float(data["expires"])
-        except (OSError, ValueError, KeyError, TypeError):
-            return None
-
-    def _sweep_fabric(self) -> None:
-        """Open-time hygiene: drop dead leases, guards, beacons, temps.
-
-        Long campaigns acquire one lease per unit per wave; without a
-        sweep ``leases/`` grows unbounded with expired files.  Swept:
-        expired leases, unreadable leases and leaked ``.tmp-*`` files
-        old enough that they cannot be mid-write, orphaned takeover
-        guards, live leases on complete keys, heartbeats older than
-        ``heartbeat_sweep_s`` (far beyond any takeover threshold, so no
-        liveness decision ever misses a beacon it needed), and old
-        hidden temp dirs under ``runs/``.
-        """
-        now = time.time()
-        leases = self.root / "leases"
-        for name in _listdir(leases):
-            path = leases / name
-            try:
-                if not name.endswith(".lease"):
-                    # ".tk" takeover guards and ".tmp-*" lease temps
-                    # left by a driver killed mid-takeover/mid-write.
-                    if now - path.stat().st_mtime > _GUARD_STALE_S:
-                        path.unlink()
-                    continue
-                holder = self._read_lease(path)
-                if holder is None:
-                    if now - path.stat().st_mtime > _GUARD_STALE_S:
-                        path.unlink()
-                        self.swept_leases += 1
-                elif holder[1] <= now or self.has(name[: -len(".lease")]):
-                    # Expired, or live on a complete key: a driver
-                    # killed between its save and its release leaks the
-                    # lease, and because every scan short-circuits at
-                    # the cached check before the lease branch, no
-                    # survivor would ever release it before its TTL.
-                    # It protects nothing (a holder racing this unlink
-                    # no-op-releases on the missing file).
-                    path.unlink()
-                    self.swept_leases += 1
-            except OSError:
-                continue  # lost a race with another sweeper
-        drivers = self.root / "drivers"
-        for name in _listdir(drivers):
-            if not name.endswith(".hb"):
-                continue
-            path = drivers / name
-            try:
-                data = _read_json(path) or {}
-                stamp = float(data.get("time", path.stat().st_mtime))
-                if now - stamp > self.heartbeat_sweep_s:
-                    path.unlink()
-                    self.swept_heartbeats += 1
-            except (OSError, ValueError, TypeError):
-                continue
-        for name in _listdir(self._runs):
-            # Hidden temp dirs are saves that died before publishing
-            # and retired dirs whose delete died; old ones are inert.
-            if not name.startswith("."):
-                continue
-            path = self._runs / name
-            try:
-                if now - path.stat().st_mtime > _GUARD_STALE_S:
-                    shutil.rmtree(path, ignore_errors=True)
-            except OSError:
-                continue
-
-    # ------------------------------------------------------------------
     # engine checkpoint sidecars
 
     def checkpoint_path(self, key: str) -> Path:
@@ -835,9 +549,9 @@ class ResultStore:
 
         Lives under ``checkpoints/``, not ``runs/<key>/``: a run dir is
         published whole by ``save``, and a checkpoint must exist exactly
-        until its run completes.  Keyed by run key, so a driver that
-        reclaims a dead driver's lease adopts its checkpoint and
-        resumes instead of restarting.
+        until its run completes.  Keyed by run key, so the next
+        campaign over a key whose run was killed adopts its checkpoint
+        and resumes instead of restarting.
         """
         return self.root / "checkpoints" / f"{key}.ckpt"
 

@@ -233,7 +233,6 @@ def cmd_campaign_run(args: argparse.Namespace) -> int:
         resilience = ResiliencePolicy(
             retry=RetryPolicy(max_attempts=args.max_attempts),
             unit_timeout_s=args.unit_timeout,
-            lease_ttl_s=args.lease_ttl,
             checkpoint_every_ticks=args.checkpoint_every,
         )
         executor = CampaignExecutor(
@@ -245,14 +244,12 @@ def cmd_campaign_run(args: argparse.Namespace) -> int:
             propagation=args.propagation,
             telemetry=args.telemetry,
             resilience=resilience,
-            stage_dir=args.stage_dir,
         )
     except ConfigurationError as exc:
         print(exc, file=sys.stderr)
         return 2
     run = executor.run_campaign(spec)
-    print(format_status(campaign_status(store, spec,
-                                        stage_dir=args.stage_dir)))
+    print(format_status(campaign_status(store, spec)))
     _print_campaign_telemetry(store, spec)
     counts = run.counts()
     failed = counts.get("error", 0) + counts.get("quarantined", 0)
@@ -267,21 +264,8 @@ def cmd_campaign_status(args: argparse.Namespace) -> int:
     except ConfigurationError as exc:
         print(exc, file=sys.stderr)
         return 2
-    print(format_status(campaign_status(store, spec,
-                                        stage_dir=args.stage_dir)))
+    print(format_status(campaign_status(store, spec)))
     _print_campaign_telemetry(store, spec)
-    return 0
-
-
-def cmd_campaign_drivers(args: argparse.Namespace) -> int:
-    from repro.campaign import fabric_health, format_fabric
-
-    try:
-        _, store = _load_campaign(args)
-    except ConfigurationError as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    print(format_fabric(fabric_health(store, stage_dir=args.stage_dir)))
     return 0
 
 
@@ -374,9 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
         parser.add_argument("--store", type=Path, default=None,
                             help="result store directory "
                                  "(default: campaigns/<name>)")
-        parser.add_argument("--stage-dir", type=Path, default=None,
-                            help="local staging store for degraded-mode "
-                                 "spills (default: <store>.staging)")
 
     campaign_run = campaign_sub.add_parser(
         "run", help="execute pending runs (resumes from the store)"
@@ -424,10 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
                                    "unit in wall seconds (default: scaled "
                                    "from simulated duration and batch "
                                    "width)")
-    campaign_run.add_argument("--lease-ttl", type=float, default=0.0,
-                              help="claim each pending run with a lease of "
-                                   "this many seconds so several drivers "
-                                   "can share one store (0 = off)")
     campaign_run.add_argument("--checkpoint-every", type=int, default=0,
                               help="persist an engine checkpoint every N "
                                    "ticks; a retried or resumed run "
@@ -440,14 +417,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_campaign_arguments(campaign_status_parser)
     campaign_status_parser.set_defaults(func=cmd_campaign_status)
-
-    campaign_drivers_parser = campaign_sub.add_parser(
-        "drivers",
-        help="show fabric health: live drivers, held leases, stored "
-             "entries, staged spills",
-    )
-    _add_campaign_arguments(campaign_drivers_parser)
-    campaign_drivers_parser.set_defaults(func=cmd_campaign_drivers)
 
     campaign_unq_parser = campaign_sub.add_parser(
         "unquarantine",

@@ -32,10 +32,6 @@ RESILIENCE_COUNTERS = (
     "campaign.crashes",
     "campaign.quarantines",
     "campaign.checkpoints",
-    "campaign.lease_skips",
-    "campaign.takeovers",
-    "campaign.spills",
-    "campaign.reconciles",
 )
 
 
@@ -68,22 +64,6 @@ class ResilienceStats:
     def checkpoint(self, n: int = 1) -> None:
         """A run left (or consumed) an engine checkpoint sidecar."""
         self.registry.counter("campaign.checkpoints").inc(n)
-
-    def lease_skip(self, n: int = 1) -> None:
-        """A run was skipped because another driver holds its lease."""
-        self.registry.counter("campaign.lease_skips").inc(n)
-
-    def takeover(self, n: int = 1) -> None:
-        """A dead driver's lease was reclaimed (heartbeat failover)."""
-        self.registry.counter("campaign.takeovers").inc(n)
-
-    def spill(self, n: int = 1) -> None:
-        """A result was staged locally because the store was degraded."""
-        self.registry.counter("campaign.spills").inc(n)
-
-    def reconcile(self, n: int = 1) -> None:
-        """A staged result was folded back into the recovered store."""
-        self.registry.counter("campaign.reconciles").inc(n)
 
     def snapshot(self) -> Dict[str, int]:
         """Flat ``{short_name: count}`` view of the resilience counters."""
@@ -118,18 +98,6 @@ class _NullResilienceStats:
         pass
 
     def checkpoint(self, n: int = 1) -> None:
-        pass
-
-    def lease_skip(self, n: int = 1) -> None:
-        pass
-
-    def takeover(self, n: int = 1) -> None:
-        pass
-
-    def spill(self, n: int = 1) -> None:
-        pass
-
-    def reconcile(self, n: int = 1) -> None:
         pass
 
     def snapshot(self) -> Dict[str, int]:

@@ -857,6 +857,26 @@ class TestProgressEvents:
                             tiny_spec(duration_s=2.0)])
         assert [e for e, _ in events] == ["cached", "prefix"]
 
+    @pytest.mark.parametrize("with_store", [False, True],
+                             ids=["no-store", "store"])
+    @pytest.mark.parametrize("backend", ["serial", "parallel"])
+    def test_duplicate_spec_runs_once(self, tmp_path, backend, with_store):
+        # A key listed twice is one run: one start and one ok, whether
+        # the duplicate arrives while the first copy is still pending.
+        specs = [tiny_spec(), tiny_spec(), tiny_spec(policy="Adapt3D")]
+        events = []
+        results = CampaignExecutor(
+            store=ResultStore(tmp_path) if with_store else None,
+            backend=backend, max_workers=2,
+            progress=self._record(events),
+        ).run_specs(specs)
+        by_key = {}
+        for event, key in events:
+            by_key.setdefault(key, []).append(event)
+        keys = [run_key(tiny_spec()), run_key(tiny_spec(policy="Adapt3D"))]
+        assert by_key == {key: ["start", "ok"] for key in keys}
+        assert list(results) == keys
+
     @pytest.mark.slow
     def test_parallel_event_sequence(self, tmp_path):
         bad = tiny_spec(seed=5, benchmark_mix=(("not-a-benchmark", 4),))

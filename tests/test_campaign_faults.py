@@ -1,5 +1,6 @@
 """Campaign resilience tests: fault injection, watchdog, retry,
-quarantine, leases, torn-save recovery, and checkpoint/resume identity.
+quarantine, torn-save recovery, store failures, and checkpoint/resume
+identity.
 
 The fast slice runs in tier-1 as a chaos smoke; the full fault matrix
 and the resume bit-identity sweep carry ``@pytest.mark.slow`` and run
@@ -136,10 +137,6 @@ class TestRetryPolicy:
             CampaignExecutor(
                 resilience=ResiliencePolicy(checkpoint_every_ticks=5)
             )
-        with pytest.raises(ConfigurationError):
-            CampaignExecutor(
-                resilience=ResiliencePolicy(lease_ttl_s=10.0)
-            )
 
 
 class TestResilienceStats:
@@ -151,8 +148,7 @@ class TestResilienceStats:
         stats.timeout(2)
         assert stats.snapshot() == {
             "retries": 1, "timeouts": 2, "crashes": 0,
-            "quarantines": 0, "checkpoints": 0, "lease_skips": 0,
-            "takeovers": 0, "spills": 0, "reconciles": 0,
+            "quarantines": 0, "checkpoints": 0,
         }
 
     def test_null_twin_is_inert(self):
@@ -176,7 +172,7 @@ class TestFaultPlan:
         assert injector.claim("worker_run", "any").fault_id == "c1"
         assert injector.claim("worker_run", "any").fault_id == "c1"
         assert injector.claim("worker_run", "any") is None  # budget spent
-        assert injector.claim("store_save", "any") is None  # wrong point
+        assert injector.claim("payload_save", "any") is None  # wrong point
 
     def test_key_prefix_matching(self, tmp_path):
         plan = FaultPlan(faults=(
@@ -300,32 +296,6 @@ class TestQuarantine:
         assert store.quarantined() == {}
 
 
-class TestLeases:
-    def test_second_driver_skips_leased_key(self, tmp_path):
-        campaign = tiny_campaign(policies=("Default",))
-        (spec,) = campaign.expand()
-        key = run_key(spec)
-        store_a = ResultStore(tmp_path, owner="driver-a")
-        store_b = ResultStore(tmp_path, owner="driver-b")
-        assert store_b.acquire_lease(key, ttl_s=30.0)
-
-        executor = CampaignExecutor(
-            store=store_a, backend="serial",
-            resilience=ResiliencePolicy(lease_ttl_s=30.0),
-        )
-        run = executor.run_campaign(campaign)
-        assert run.counts() == {"leased": 1}
-        assert executor.stats.snapshot()["lease_skips"] == 1
-        assert store_a.resilience_tally()["lease_skips"] == 1
-
-        # Once the other driver lets go, the campaign picks the key up
-        # and releases its own lease on completion.
-        store_b.release_lease(key)
-        rerun = executor.run_campaign(campaign)
-        assert rerun.counts() == {"ok": 1}
-        assert store_a.lease_holder(key) is None
-
-
 class TestStoreFaults:
     def test_corrupt_payload_swept_then_healed(
         self, tmp_path, monkeypatch, tiny_result
@@ -344,6 +314,36 @@ class TestStoreFaults:
         assert reopened.last_save_charged
         assert reopened.has(key)
         assert os.listdir(tmp_path / "store" / "runs") == [key]
+
+    def test_failed_save_ends_campaign_and_resume_keeps_saved_runs(
+        self, tmp_path, monkeypatch
+    ):
+        # A store error is not a run failure: it ends the campaign. The
+        # run saved before it stays, and a rerun resumes from it.
+        real_save = ResultStore.save
+        calls = []
+
+        def save_fails_second(self, spec, result):
+            calls.append(run_key(spec))
+            if len(calls) == 2:
+                raise OSError("injected: store unwritable")
+            return real_save(self, spec, result)
+
+        campaign = tiny_campaign(policies=("Default",), seeds=(1, 2))
+        executor = CampaignExecutor(store=ResultStore(tmp_path / "store"),
+                                    backend="serial")
+        with monkeypatch.context() as patch:
+            patch.setattr(ResultStore, "save", save_fails_second)
+            with pytest.raises(OSError, match="store unwritable"):
+                executor.run_campaign(campaign)
+        assert len(calls) == 2
+
+        reopened = ResultStore(tmp_path / "store")
+        assert reopened.has(calls[0])
+        assert not reopened.has(calls[1])
+        rerun = CampaignExecutor(store=reopened, backend="serial")
+        assert rerun.run_campaign(campaign).counts() == {
+            "cached": 1, "ok": 1}
 
 
 class TestCheckpointResume:
@@ -551,7 +551,6 @@ class TestResilienceCli:
         assert main([
             "campaign", "run", str(spec_path), "--serial",
             "--max-attempts", "2", "--checkpoint-every", "5",
-            "--lease-ttl", "30",
         ]) == 0
         out = capsys.readouterr().out
         assert "1/1 done" in out
