@@ -9,15 +9,15 @@ through here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.analysis.result_io import load_checkpoint, save_checkpoint
 from repro.core.base import SystemView
 from repro.core.registry import build_policy
 from repro.core.thermal_index import compute_thermal_indices
-from repro.errors import CheckpointError, ConfigurationError
+from repro.errors import CheckpointError, ConfigurationError, ReproError
 from repro.floorplan.experiments import ExperimentConfig, build_experiment
 from repro.obs.telemetry import TelemetryConfig
 from repro.power.chip_power import ChipPowerModel
@@ -101,25 +101,48 @@ class RunSpec:
     telemetry: bool = False
 
 
+#: Key of the per-stack caches: ``(exp_id, (grid_rows, grid_cols))``.
+StackKey = Tuple[int, Tuple[int, int]]
+
+
+@dataclass(frozen=True)
+class RunnerCaches:
+    """The caches of an :class:`ExperimentRunner`, shared, not copied.
+
+    What a campaign driver hands its pool workers: thermal indices and
+    :class:`ThermalAssembly` objects per stack, power models per
+    exp_id. Everything here pickles, for the start methods that send
+    initializer arguments to a worker.
+    """
+
+    indices: Dict[StackKey, Dict[str, float]]
+    assemblies: Dict[StackKey, ThermalAssembly]
+    power: Dict[int, ChipPowerModel]
+
+
 class ExperimentRunner:
     """Builds engines from :class:`RunSpec` values, caching system setup.
 
-    Three caches amortize engine assembly across the runs of a campaign
-    worker, keyed so every run on the same stack shares them:
+    Three caches amortize engine assembly across runs, keyed so every
+    run on the same stack shares them:
 
     - thermal indices per (exp_id, grid) — a steady-state solve that
       every policy on the same stack shares,
     - the :class:`~repro.thermal.model.ThermalAssembly` per (exp_id,
-      grid) — RC network assembly and LU factorizations; the runner
-      always builds stacks from the experiment configuration with the
-      default sampling parameters, so the key fully determines the
-      assembly,
+      grid) — RC network assembly, LU factorizations, the transient
+      solvers and the modal basis; the runner always builds stacks
+      from the experiment configuration with the default sampling
+      parameters, so the key fully determines the assembly,
     - the (stateless) :class:`ChipPowerModel` per exp_id.
+
+    A campaign driver fills them for every pending run
+    (:meth:`prepare`) and installs them in each pool worker's runner
+    (:meth:`caches`, :meth:`install_caches`).
     """
 
     def __init__(self) -> None:
-        self._index_cache: Dict[Tuple[int, Tuple[int, int]], Dict[str, float]] = {}
-        self._assembly_cache: Dict[Tuple[int, Tuple[int, int]], ThermalAssembly] = {}
+        self._index_cache: Dict[StackKey, Dict[str, float]] = {}
+        self._assembly_cache: Dict[StackKey, ThermalAssembly] = {}
         self._power_cache: Dict[int, ChipPowerModel] = {}
 
     # ------------------------------------------------------------------
@@ -202,6 +225,58 @@ class ExperimentRunner:
             config=engine_config,
             system_view=view,
         )
+
+    def prepare(
+        self, specs: Iterable[RunSpec], fused: Iterable[RunSpec] = ()
+    ) -> None:
+        """Build every per-stack operator the given runs will read.
+
+        ``specs`` will run on the per-run engine and ``fused`` as lanes
+        of a :class:`~repro.sched.batch.BatchSimulationEngine`. Per
+        stack this builds the :class:`ThermalAssembly` and the power
+        model, per pending ``thermal_solver`` its transient solver, and
+        the modal basis when an event spec runs on the per-run engine
+        (fused lanes step the dense block and never read it). Thermal
+        indices are left to :meth:`thermal_indices`.
+
+        Operators that fail to build are skipped: the runs that need
+        them raise the same error when they build their engine.
+        """
+        # (exp_id, grid, solver) -> whether a per-run event spec needs
+        # the modal basis.
+        needs: Dict[Tuple[int, Tuple[int, int], str], bool] = {}
+        for per_run, group in ((True, specs), (False, fused)):
+            for spec in group:
+                key = (spec.exp_id, (spec.grid[0], spec.grid[1]),
+                       spec.thermal_solver)
+                needs[key] = needs.get(key, False) or (
+                    per_run and spec.fidelity == "event")
+        for (exp_id, grid, solver), modal in needs.items():
+            try:
+                config = build_experiment(exp_id)
+                self._build_power(exp_id, config)
+                thermal = self._build_thermal(exp_id, grid, config, solver)
+            except ReproError:
+                continue
+            if modal:
+                # The event loop's own entry point: builds the basis
+                # only where that loop would (exponential solver).
+                thermal.modal_jump()
+
+    def caches(self) -> RunnerCaches:
+        """This runner's caches, for :meth:`install_caches` elsewhere."""
+        return RunnerCaches(
+            indices=dict(self._index_cache),
+            assemblies=dict(self._assembly_cache),
+            power=dict(self._power_cache),
+        )
+
+    def install_caches(self, caches: RunnerCaches) -> None:
+        """Adopt another runner's caches (a pool worker adopts its
+        campaign driver's), so runs on those stacks build nothing."""
+        self._index_cache.update(caches.indices)
+        self._assembly_cache.update(caches.assemblies)
+        self._power_cache.update(caches.power)
 
     def run(
         self,
@@ -345,10 +420,9 @@ class ExperimentRunner:
     ) -> Dict[str, float]:
         """Thermal indices for (exp_id, grid), computed once and cached.
 
-        The steady-state solve behind :func:`compute_thermal_indices` is
-        the expensive part of engine assembly; campaigns persist these
-        per (exp_id, grid) and seed worker runners so each process does
-        not redo the solve.
+        Campaigns persist these per (exp_id, grid) in the store and
+        hand them to pool workers with the rest of :meth:`caches`, so
+        no process redoes the steady-state solve.
         """
         key = (exp_id, (grid[0], grid[1]))
         if key not in self._index_cache:
@@ -364,10 +438,8 @@ class ExperimentRunner:
         """Pre-populate the index cache (e.g. from a campaign store)."""
         self._index_cache[(exp_id, (grid[0], grid[1]))] = dict(indices)
 
-    def seeded_indices(
-        self,
-    ) -> Dict[Tuple[int, Tuple[int, int]], Dict[str, float]]:
-        """Snapshot of the whole index cache, in worker-seeding form."""
+    def seeded_indices(self) -> Dict[StackKey, Dict[str, float]]:
+        """Snapshot of the whole index cache, in seeding form."""
         return {key: dict(value) for key, value in self._index_cache.items()}
 
     def _thermal_indices(

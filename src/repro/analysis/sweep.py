@@ -22,12 +22,13 @@ def sweep(
     the sweep out over a process pool — ``run`` and the values must
     then be picklable (module-level function, not a lambda).
 
-    Parallel pools are spawned through the campaign worker initializer,
-    seeded with the executor runner's thermal-index cache; a ``run``
-    that simulates should build its engines via
-    :func:`repro.campaign.worker_runner` to pick up the seeded indices
-    and the per-worker network/solver caches instead of redoing the
-    characterization per process.
+    Parallel pools start through the campaign worker initializer with
+    the executor runner's caches (thermal indices, assemblies, power
+    models); a ``run`` that simulates should build its engines via
+    :func:`repro.campaign.worker_runner` to reuse them instead of
+    rebuilding them per process. Call ``runner.prepare`` on the
+    sweep's specs first to have their operators built once, in the
+    driver.
     """
     from repro.campaign.executor import CampaignExecutor
 

@@ -6,12 +6,15 @@ into completed entries in a :class:`ResultStore`:
 - runs whose key is already in the store are skipped (resume), and a
   key listed twice runs once,
 - thermal indices are characterized once per (exp_id, grid) in the
-  driver, persisted, and seeded into every worker — ``map`` pools
-  included — so no process redoes the steady-state solve,
-- the parallel backend keeps one :class:`ExperimentRunner` per worker
-  process for the whole campaign (thermal assemblies, factorizations,
-  and power models amortize across every run the worker executes;
-  :func:`worker_runner` exposes the same runner to ``map`` payloads),
+  driver and persisted in the store,
+- before any run starts, the driver builds every per-stack operator
+  the pending runs will read (:meth:`ExperimentRunner.prepare`: thermal
+  assemblies, transient solvers, modal bases, power models) and hands
+  these caches with the indices to every pool worker's
+  :class:`ExperimentRunner` — ``map`` pools included — so no worker
+  rebuilds them. Under ``fork`` the workers inherit them
+  copy-on-write; under ``spawn`` and ``forkserver`` they are pickled,
+  and the solvers refactorize their LU factorizations on load,
 - every pool unit runs under a wall-clock **watchdog**; a hung worker
   is killed, innocents are requeued uncharged, and the culprit is
   retried with exponential backoff (see
@@ -53,7 +56,7 @@ from typing import (
     Tuple,
 )
 
-from repro.analysis.runner import ExperimentRunner, RunSpec
+from repro.analysis.runner import ExperimentRunner, RunnerCaches, RunSpec
 from repro.campaign.faults import maybe_crash_or_hang, reset_fault_cache
 from repro.campaign.resilience import (
     failure_signature,
@@ -83,13 +86,17 @@ _WORKER_CHECKPOINT: Optional[Tuple[str, int]] = None
 
 
 def _init_worker(
-    seeded_indices: Dict[Tuple[int, Tuple[int, int]], Dict[str, float]],
+    caches: RunnerCaches,
     checkpoint: Optional[Tuple[str, int]] = None,
 ) -> None:
+    """Pool initializer: a plain runner holding the driver's caches.
+
+    The one code path for every start method: ``fork`` inherits the
+    arguments, ``spawn`` and ``forkserver`` unpickle them.
+    """
     global _WORKER_RUNNER, _WORKER_CHECKPOINT
     _WORKER_RUNNER = ExperimentRunner()
-    for (exp_id, grid), indices in seeded_indices.items():
-        _WORKER_RUNNER.seed_thermal_indices(exp_id, grid, indices)
+    _WORKER_RUNNER.install_caches(caches)
     _WORKER_CHECKPOINT = checkpoint
     # Fault plans are env-driven and fire-once markers live on disk;
     # drop any injector state inherited from a forked parent.
@@ -99,12 +106,12 @@ def _init_worker(
 def worker_runner() -> ExperimentRunner:
     """The process-local :class:`ExperimentRunner` of a pool worker.
 
-    Inside a worker spawned by this module's backends the runner comes
-    pre-seeded with the driver's thermal indices and keeps its
-    network/solver assembly caches warm across every run the worker
-    executes. Called outside a pool (serial backend, driver process,
-    tests) it lazily creates a plain runner, so ``sweep`` functions can
-    use it unconditionally.
+    Inside a worker of this module's pools the runner holds the
+    driver's caches (thermal indices, assemblies with their solvers
+    and modal bases, power models) and keeps every cache warm across
+    the runs the worker executes. Called outside a pool (serial
+    backend, driver process, tests) it lazily creates a plain runner,
+    so ``sweep`` functions can use it unconditionally.
     """
     global _WORKER_RUNNER
     if _WORKER_RUNNER is None:
@@ -347,11 +354,13 @@ BatchSimulationEngine` batches of up to ``batch_size`` lanes; runs
         the parallel backend requires ``fn`` and the values to be
         picklable (module-level functions, not lambdas).
 
-        The parallel pool is spawned through the same
-        :func:`_init_worker` initializer as campaign runs, seeded with
-        this executor's runner's thermal-index cache — a mapped ``fn``
-        that simulates via :func:`worker_runner` skips the per-process
-        steady-state characterization instead of silently redoing it.
+        The pool starts through the same :func:`_init_worker`
+        initializer as campaign runs, with this executor's runner's
+        caches: a mapped ``fn`` that simulates via
+        :func:`worker_runner` reuses every index and operator the
+        runner holds instead of rebuilding it per process. ``map``
+        cannot see which stacks ``fn`` will use; call
+        ``runner.prepare`` first to have them built once.
         """
         values = list(values)
         if self.backend == "serial" or len(values) <= 1:
@@ -360,7 +369,7 @@ BatchSimulationEngine` batches of up to ``batch_size`` lanes; runs
         with ProcessPoolExecutor(
             max_workers=workers,
             initializer=_init_worker,
-            initargs=(self.runner.seeded_indices(),),
+            initargs=(self.runner.caches(),),
         ) as pool:
             return list(pool.map(fn, values))
 
@@ -419,14 +428,18 @@ BatchSimulationEngine` batches of up to ``batch_size`` lanes; runs
         try:
             if pending:
                 pairs = list(pending.items())
-                seeded = self._share_thermal_indices(pairs)
+                self._share_thermal_indices(pairs)
+                units = self._make_units(pairs)
+                self.runner.prepare(
+                    [spec for unit in units if len(unit) == 1
+                     for _, spec in unit],
+                    fused=[spec for unit in units if len(unit) > 1
+                           for _, spec in unit],
+                )
                 if self.backend == "serial":
                     self._run_serial(pairs, strict, outcome_by_key, results)
                 else:
-                    units = self._make_units(pairs)
-                    self._run_pool(
-                        units, seeded, strict, outcome_by_key, results
-                    )
+                    self._run_pool(units, strict, outcome_by_key, results)
         finally:
             if self.store is not None:
                 tally = self.stats.snapshot()
@@ -444,9 +457,8 @@ BatchSimulationEngine` batches of up to ``batch_size`` lanes; runs
 
     def _share_thermal_indices(
         self, pending: List[Tuple[str, RunSpec]]
-    ) -> Dict[Tuple[int, Tuple[int, int]], Dict[str, float]]:
+    ) -> None:
         """Characterize (or reload) indices once per (exp_id, grid)."""
-        seeded: Dict[Tuple[int, Tuple[int, int]], Dict[str, float]] = {}
         combos = []
         for _, spec in pending:
             combo = (spec.exp_id, (spec.grid[0], spec.grid[1]))
@@ -462,8 +474,6 @@ BatchSimulationEngine` batches of up to ``batch_size`` lanes; runs
                 indices = self.runner.thermal_indices(exp_id, grid)
                 if self.store is not None:
                     self.store.save_thermal_indices(exp_id, grid, indices)
-            seeded[(exp_id, grid)] = indices
-        return seeded
 
     def _worker_checkpoint(self) -> Optional[Tuple[str, int]]:
         """Initializer arg arming mid-run checkpoints, or None."""
@@ -566,9 +576,10 @@ BatchSimulationEngine` batches of up to ``batch_size`` lanes; runs
     def _make_units(
         self, pending: List[Tuple[str, RunSpec]]
     ) -> List[List[Tuple[str, RunSpec]]]:
-        """Partition pending runs into pool submission units.
+        """Partition pending runs into submission units.
 
-        The ``parallel`` backend submits one run per unit. The
+        The ``serial`` and ``parallel`` backends take one run per unit
+        (the serial backend only uses the units to prepare). The
         ``batched`` backend groups batch-compatible runs (same exp,
         grid, solver, duration — :meth:`ExperimentRunner.\
 batch_group_key`) into units of up to ``batch_size`` lanes that a
@@ -596,7 +607,6 @@ batch_group_key`) into units of up to ``batch_size`` lanes that a
     def _run_pool(
         self,
         units: List[List[Tuple[str, RunSpec]]],
-        seeded: Dict[Tuple[int, Tuple[int, int]], Dict[str, float]],
         strict: bool,
         outcomes: Dict[str, RunOutcome],
         results: Dict[str, SimulationResult],
@@ -620,7 +630,7 @@ batch_group_key`) into units of up to ``batch_size`` lanes that a
         """
         policy = self.resilience
         retry = policy.retry
-        checkpoint = self._worker_checkpoint()
+        initargs = (self.runner.caches(), self._worker_checkpoint())
         queue: Deque[_UnitState] = deque(
             _UnitState(unit=unit) for unit in units
         )
@@ -707,7 +717,7 @@ batch_group_key`) into units of up to ``batch_size`` lanes that a
                             self.max_workers, max(len(queue), 1)
                         ),
                         initializer=_init_worker,
-                        initargs=(seeded, checkpoint),
+                        initargs=initargs,
                     )
                 # Submit every ready unit up to the pool width; one
                 # bounded rotation, so backing-off units are revisited

@@ -19,7 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -53,6 +53,9 @@ def _canonical(value: Any) -> Any:
     return value
 
 
+_RUNSPEC_FIELDS = tuple(f.name for f in fields(RunSpec))
+
+
 def spec_to_dict(spec: RunSpec) -> Dict[str, Any]:
     """A JSON-serializable dict capturing every *identity* field.
 
@@ -61,8 +64,12 @@ def spec_to_dict(spec: RunSpec) -> Dict[str, Any]:
     not feed :func:`run_key` — a telemetry-enabled campaign can reuse
     results stored by a plain one and vice versa. Excluding it changed
     no keys and needed no ``KEY_VERSION`` bump.
+
+    Field values are read directly, not through ``dataclasses.asdict``,
+    which deep-copies every field: every executor, store and report
+    pass hashes each spec, and ``_canonical`` copies the tuples anyway.
     """
-    data = _canonical(asdict(spec))
+    data = {name: _canonical(getattr(spec, name)) for name in _RUNSPEC_FIELDS}
     data.pop("telemetry", None)
     return data
 

@@ -25,11 +25,12 @@ splitting or concatenation.
 The expensive immutable parts of a model — stack, RC network, the
 factorized solvers, grid mappers, the projection, and the readback
 index — live in a :class:`ThermalAssembly` that can be shared between
-ThermalModel instances of the same configuration. Campaign workers
-reuse one assembly across every run on the same (experiment, grid)
-stack, so repeated runs skip ``build_network``, the LU factorizations
-and the exponential-propagator ``expm``; only the temperature state
-vector is per-instance. The assembly lazily builds and caches one
+ThermalModel instances of the same configuration. A campaign builds
+one assembly per (experiment, grid) stack in its driver and shares it
+with every pool worker, so runs skip ``build_network``, the LU
+factorizations, the exponential-propagator ``expm`` and the modal
+``eig``; only the temperature state vector is per-instance. The
+assembly lazily builds and caches one
 :class:`~repro.thermal.solver.TransientSolver` per method, so runs
 selecting different integrators still share everything else.
 """
@@ -107,6 +108,12 @@ class ThermalAssembly:
     None of it holds simulation state, so one assembly can back any
     number of :class:`ThermalModel` instances — sequentially or
     concurrently — as long as they were built for the same stack.
+
+    An assembly pickles with everything built so far, including the
+    exponential step and the modal basis; only the solvers' SuperLU
+    factorizations are recomputed on load (see
+    :mod:`repro.thermal.solver`), so runs on an unpickled copy are
+    bit-identical to runs on the original.
     """
 
     stack: Stack3D
@@ -585,8 +592,10 @@ class ThermalModel:
         gather keeps only the segments of core units — the per-tick
         peak consumers are all per-core.
         """
+        if self._exp_step is None:
+            return None
         basis = self.assembly.modal_step_basis()
-        if basis is None or self._exp_step is None:
+        if basis is None:
             return None
         _propagator, gain, ambient = self._exp_step
         rb = self._readback

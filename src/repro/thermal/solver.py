@@ -24,7 +24,10 @@ with one of three methods:
 
 All factorizations and the propagator depend only on the network and
 the step size, so they are computed once and reused across the whole
-simulation.
+simulation. Both solvers pickle (a campaign ships them to spawned pool
+workers inside a ``ThermalAssembly``): SuperLU factorizations do not
+pickle, so a pickled solver drops them and refactorizes on load.
+``splu`` is deterministic, so the copy solves bit-identically.
 """
 
 from __future__ import annotations
@@ -64,6 +67,12 @@ class SteadyStateSolver:
     def __init__(self, network: ThermalNetwork) -> None:
         self.network = network
         self._lu = splu(network.conductance)
+
+    def __getstate__(self) -> dict:
+        return {"network": self.network}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__init__(state["network"])
 
     @property
     def lu(self):
@@ -145,15 +154,31 @@ class TransientSolver:
                 network.conductance
             )
         else:
-            h = self.dt / self.substeps
-            c_over_h = sparse.diags(network.capacitance / h)
-            if resolved == "backward_euler":
-                lhs = (c_over_h + network.conductance).tocsc()
-            else:
-                lhs = (c_over_h + 0.5 * network.conductance).tocsc()
-                self._explicit = (c_over_h - 0.5 * network.conductance).tocsc()
-            self._c_over_h = network.capacitance / h
-            self._lu = splu(lhs)
+            self._c_over_h = network.capacitance / (self.dt / self.substeps)
+            if resolved == "crank_nicolson":
+                self._explicit = (
+                    sparse.diags(self._c_over_h) - 0.5 * network.conductance
+                ).tocsc()
+            self._lu = splu(self._implicit_lhs())
+
+    def _implicit_lhs(self) -> sparse.csc_matrix:
+        """The matrix the implicit methods factorize once per solver."""
+        c_over_h = sparse.diags(self._c_over_h)
+        if self.resolved_method == "backward_euler":
+            return (c_over_h + self.network.conductance).tocsc()
+        return (c_over_h + 0.5 * self.network.conductance).tocsc()
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state["_steady_lu"] = state["_lu"] = None
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        if self.resolved_method == "exponential":
+            self._steady_lu = splu(self.network.conductance)
+        else:
+            self._lu = splu(self._implicit_lhs())
 
     @property
     def propagator(self) -> Optional[np.ndarray]:

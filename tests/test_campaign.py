@@ -439,6 +439,18 @@ class TestSerialExecutor:
         # the good run is loadable
         assert store.load(run_key(tiny_spec())).n_ticks == 20
 
+    def test_unbuildable_operator_fails_its_run_only(self, tmp_path):
+        # The driver prepares every pending spec's operators before the
+        # first run; a spec whose solver cannot be built must still fail
+        # as its own run, not end the campaign in the prepare step.
+        bad = tiny_spec(seed=5, thermal_solver="no-such-solver")
+        campaign = tiny_campaign(policies=("Default",), extra_runs=(bad,))
+        run = CampaignExecutor(
+            store=ResultStore(tmp_path), backend="serial"
+        ).run_campaign(campaign)
+        assert run.counts() == {"ok": 1, "error": 1}
+        assert "no-such-solver" in run.failed()[run_key(bad)]
+
     def test_failed_key_retried_after_discard(self, tmp_path):
         bad = tiny_spec(seed=5, benchmark_mix=(("not-a-benchmark", 4),))
         campaign = tiny_campaign(policies=("Default",), extra_runs=(bad,))
@@ -518,11 +530,18 @@ class TestDelegation:
         assert sweep([2, 4], lambda v: v + 1, executor) == [(2, 3), (4, 5)]
 
 
-def _worker_seeded_index_keys(_value):
-    """Module-level map() payload: the worker runner's seeded combos."""
+def _worker_cache_keys(_value):
+    """Module-level map() payload: the stacks of the worker runner's
+    indices and assemblies, and which assemblies carry a modal basis."""
     from repro.campaign.executor import worker_runner
 
-    return sorted(worker_runner().seeded_indices())
+    caches = worker_runner().caches()
+    return (
+        sorted(caches.indices),
+        sorted(caches.assemblies),
+        sorted(key for key, assembly in caches.assemblies.items()
+               if assembly._modal_basis),
+    )
 
 
 class TestMapSeeding:
@@ -535,13 +554,19 @@ class TestMapSeeding:
         runner = ExperimentRunner()
         runner.seed_thermal_indices(1, (4, 4), {"cpu0_0": 1.0})
         runner.seed_thermal_indices(2, (8, 8), {"cpu0_0": 0.5})
+        runner.prepare([tiny_spec(fidelity="event")])
         executor = CampaignExecutor(
             backend="parallel", max_workers=2, runner=runner
         )
-        for keys in executor.map(_worker_seeded_index_keys, [0, 1, 2]):
-            # Every worker ran _init_worker with the driver's cache, so
-            # no process redoes the steady-state characterization.
-            assert keys == [(1, (4, 4)), (2, (8, 8))]
+        for indices, assemblies, modal in executor.map(
+            _worker_cache_keys, [0, 1, 2]
+        ):
+            # Every worker ran _init_worker with the driver's caches, so
+            # no process redoes the steady-state characterization, and
+            # a worker's runner starts empty, so the assembly and its
+            # modal basis are the driver's.
+            assert indices == [(1, (4, 4)), (2, (8, 8))]
+            assert assemblies == modal == [(1, (4, 4))]
 
 
 class TestStoreStalePayloads:
@@ -958,6 +983,122 @@ class TestParallelExecutor:
                                     max_workers=2)
         assert executor.run_campaign(campaign).counts() == {"ok": 2}
         assert executor.run_campaign(campaign).counts() == {"cached": 2}
+
+
+def _two_stack_specs():
+    """Eager and event runs on two stacks. On two batched workers each
+    (stack, fidelity) group of three splits into a 2-lane batch and a
+    singleton, so event runs also take the per-run engine, which reads
+    the modal basis."""
+    return [
+        tiny_spec(exp_id=exp_id, seed=seed, fidelity=fidelity)
+        for exp_id in (1, 2)
+        for fidelity in ("eager", "event")
+        for seed in (1, 2, 3)
+    ]
+
+
+def assert_same_results(got, want):
+    """Two in-memory results agree in every plane, job and scalar."""
+    for name in RESULT_ARRAYS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert got.completed_jobs() == want.completed_jobs()
+    assert got.energy_j == want.energy_j
+
+
+@pytest.mark.slow
+class TestWarmWorkers:
+    """The driver builds every operator once; pool workers build none."""
+
+    @pytest.mark.parametrize("backend", ["parallel", "batched"])
+    def test_workers_build_no_operators(self, backend, tmp_path,
+                                        monkeypatch):
+        import multiprocessing
+
+        from repro.thermal.model import ThermalAssembly
+        from repro.thermal.solver import TransientSolver
+
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("build sites are counted through patches that "
+                        "forked workers inherit")
+        log = tmp_path / "builds.log"
+
+        def record(site):
+            with log.open("a") as handle:
+                handle.write(f"{os.getpid()} {site}\n")
+
+        post_init = ThermalAssembly.__post_init__
+        modal_basis = ThermalAssembly.modal_step_basis
+        solver_init = TransientSolver.__init__
+
+        def counted_post_init(self):
+            record("assembly")
+            post_init(self)
+
+        def counted_modal_basis(self):
+            if self._modal_basis is False:
+                record("modal")
+            return modal_basis(self)
+
+        def counted_solver_init(self, *args, **kwargs):
+            record("solver")
+            solver_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ThermalAssembly, "__post_init__",
+                            counted_post_init)
+        monkeypatch.setattr(ThermalAssembly, "modal_step_basis",
+                            counted_modal_basis)
+        monkeypatch.setattr(TransientSolver, "__init__",
+                            counted_solver_init)
+        results = CampaignExecutor(
+            store=ResultStore(tmp_path / "store"), backend=backend,
+            max_workers=2,
+        ).run_specs(_two_stack_specs())
+        assert len(results) == 12
+        builds = [line.split() for line in log.read_text().splitlines()]
+        driver = str(os.getpid())
+        assert [b for b in builds if b[0] != driver] == []
+        # One assembly, exponential solver and modal basis per stack.
+        assert sorted(site for pid, site in builds if pid == driver) == [
+            "assembly", "assembly", "modal", "modal", "solver", "solver",
+        ]
+
+    @pytest.mark.parametrize("backend", ["parallel", "batched"])
+    def test_spawned_workers_match_serial(self, backend, monkeypatch):
+        """Under ``spawn`` the caches reach the workers pickled; the
+        default ``fork`` never takes that path.
+
+        Every run is compared with the same backend on the default
+        pool. Fused event lanes differ from serial event runs in the
+        last ulps whatever the start method (the dense block step
+        against the modal step; ROADMAP item 1), so only the parallel
+        backend is also compared with the serial one.
+        """
+        import functools
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        import repro.campaign.executor as executor_module
+
+        specs = _two_stack_specs()
+        serial = CampaignExecutor(backend="serial").run_specs(specs)
+        default = CampaignExecutor(
+            backend=backend, max_workers=2
+        ).run_specs(specs)
+        monkeypatch.setattr(
+            executor_module, "ProcessPoolExecutor",
+            functools.partial(ProcessPoolExecutor,
+                              mp_context=multiprocessing.get_context("spawn")),
+        )
+        spawned = CampaignExecutor(
+            backend=backend, max_workers=2
+        ).run_specs(specs)
+        assert sorted(spawned) == sorted(default) == sorted(serial)
+        for key, want in default.items():
+            assert_same_results(spawned[key], want)
+            if backend == "parallel":
+                assert_same_results(spawned[key], serial[key])
 
 
 class TestPrefixCache:

@@ -151,6 +151,58 @@ class TestAssemblySharing:
             )
 
 
+#: Every recorded plane of a SimulationResult.
+RESULT_PLANES = (
+    "times", "unit_temps_k", "core_temps_k", "core_peak_temps_k",
+    "layer_spreads_k", "utilization", "vf_indices", "core_states",
+    "total_power_w",
+)
+
+
+class TestAssemblyPickle:
+    """A pickled assembly is what a spawned campaign worker receives:
+    the LU factorizations are refactorized on load, everything else
+    travels as built, and runs on the copy match the original's."""
+
+    @pytest.mark.parametrize("solver", ["exponential", "backward_euler"])
+    def test_runs_on_unpickled_copy_are_bit_identical(self, solver):
+        import pickle
+
+        from repro.analysis.runner import ExperimentRunner, RunSpec
+
+        specs = [
+            RunSpec(exp_id=1, policy="Adapt3D", duration_s=3.0,
+                    with_dpm=True, thermal_solver=solver, fidelity=fidelity)
+            for fidelity in ("eager", "event")
+        ]
+        original = ExperimentRunner()
+        original.prepare(specs)
+        expected = [original.run(spec) for spec in specs]
+        caches = original.caches()
+        copied = pickle.loads(pickle.dumps(caches))
+        copy_assembly = copied.assemblies[(1, (8, 8))]
+        assert copy_assembly is not caches.assemblies[(1, (8, 8))]
+        assert copy_assembly.transient.method == solver
+        if solver == "exponential":
+            # The operators a worker would otherwise rebuild travel as
+            # built.
+            assert copy_assembly._exponential_step is not None
+            assert copy_assembly._modal_basis
+        else:
+            assert copy_assembly.transient._lu is not None
+        runner = ExperimentRunner()
+        runner.install_caches(copied)
+        for spec, want in zip(specs, expected):
+            got = runner.run(spec)
+            for name in RESULT_PLANES:
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (
+                    spec.fidelity, name)
+            assert got.energy_j == want.energy_j
+            assert got.completed_jobs() == want.completed_jobs()
+        assert runner.caches().assemblies[(1, (8, 8))] is copy_assembly
+
+
 class TestFourTier:
     def test_upper_die_hotter_than_lower(self):
         model = ThermalModel(build_experiment(3), nrows=6, ncols=6)
