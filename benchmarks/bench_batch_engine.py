@@ -5,9 +5,9 @@ Measures the campaign-shaped workload the batch engine exists for — a
 
 - ``serial`` — one-by-one replay through the shipping serial engine
   (event heap + exponential propagator), the strongest serial baseline;
-- ``scan`` — one-by-one replay through the retained legacy-scan loop
-  (the pre-event-heap serial pipeline, kept selectable via
-  ``EngineConfig(event_loop="legacy_scan")``);
+- ``scan`` — one-by-one replay through the legacy-scan loop (the
+  pre-event-heap serial pipeline, now the test-only oracle
+  ``tests/scan_engine.py``, imported from the checkout);
 - ``batch exact`` — :class:`BatchSimulationEngine` with column-exact
   dense products (bit-identical to ``serial``);
 - ``batch gemm`` — the fused one-GEMM thermal propagation;
@@ -49,6 +49,7 @@ from repro.analysis.runner import ExperimentRunner, RunSpec
 from repro.sched.batch import BatchSimulationEngine
 
 from benchmarks.conftest import BENCH_SEED, emit
+from tests.scan_engine import ScanEngine
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
 
@@ -93,10 +94,9 @@ def test_batch_engine_throughput(results_dir):
         for spec in specs:
             engine = runner.build_engine(spec)
             engine.config = replace(
-                engine.config, event_loop="legacy_scan",
-                thermal_solver="backward_euler",
+                engine.config, thermal_solver="backward_euler"
             )
-            engine.run()
+            ScanEngine.from_engine(engine).run()
 
     def run_batch(propagation, fidelity="eager"):
         lanes = []

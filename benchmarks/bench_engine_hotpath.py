@@ -1,10 +1,11 @@
-"""Engine hot-path benchmark: solver x event-loop configurations.
+"""Engine hot-path benchmark: solver x tick-loop configurations.
 
 Runs EXP-1..4 through three configurations (same specs, same seeds):
 
 - ``legacy scan`` — the original all-core rescan loop with the
   dict-based power pipeline and the backward-Euler solver (the PR 2
-  reference pipeline, kept behind ``EngineConfig(event_loop=...)``);
+  reference pipeline, now the test-only oracle
+  ``tests/scan_engine.py``, imported from the checkout);
 - ``implicit heap`` — the event-heap loop with backward Euler, keeping
   the implicit solver path exercised and its regressions visible;
 - ``exponential heap`` — the shipping default: event-heap loop plus the
@@ -35,6 +36,7 @@ from repro.analysis.runner import ExperimentRunner, RunSpec
 from repro.campaign.spec import run_key
 
 from benchmarks.conftest import BENCH_SEED, emit
+from tests.scan_engine import ScanEngine
 
 #: REPRO_BENCH_SMOKE=1 shortens the measurement and skips the timing
 #: gates — CI runs the bench on every push for the BENCH_engine.json
@@ -52,10 +54,11 @@ PR2_HEAP_EXP4_MS = 0.37
 PR2_SCAN_EXP4_MS = 0.57
 TARGET_EXP4_MS = 0.28
 
+#: (label, run on the scan oracle, thermal solver)
 CONFIGS = (
-    ("scan", "legacy_scan", "backward_euler"),
-    ("implicit_heap", "event_heap", "backward_euler"),
-    ("exponential_heap", "event_heap", "exponential"),
+    ("scan", True, "backward_euler"),
+    ("implicit_heap", False, "backward_euler"),
+    ("exponential_heap", False, "exponential"),
 )
 
 #: Idle-heavy scenario for the event-fidelity bench: EXP-4 under the
@@ -88,11 +91,11 @@ def _measure_cells(runner: ExperimentRunner) -> dict:
     cells = {}
     for _ in range(REPS):
         for exp_id in (1, 2, 3, 4):
-            for label, loop, solver in CONFIGS:
+            for label, oracle, solver in CONFIGS:
                 engine = runner.build_engine(_spec(exp_id))
-                engine.config = replace(
-                    engine.config, event_loop=loop, thermal_solver=solver
-                )
+                engine.config = replace(engine.config, thermal_solver=solver)
+                if oracle:
+                    engine = ScanEngine.from_engine(engine)
                 start = time.perf_counter()
                 result = engine.run()
                 elapsed = time.perf_counter() - start
@@ -130,14 +133,13 @@ def test_engine_hotpath(results_dir):
         )
         per_exp[f"exp{exp_id}"] = row
 
-    # The two loops must agree bit for bit under every solver (spot
-    # check; the full matrix lives in tests/test_engine_heap.py).
+    # The engine and the scan oracle must agree bit for bit under every
+    # solver (spot check; the full matrix lives in
+    # tests/test_engine_heap.py).
     for solver in ("exponential", "backward_euler"):
         check = replace(_spec(4), duration_s=6.0, thermal_solver=solver)
         a = runner.build_engine(check)
-        a.config = replace(a.config, event_loop="event_heap")
-        b = runner.build_engine(check)
-        b.config = replace(b.config, event_loop="legacy_scan")
+        b = ScanEngine.from_engine(runner.build_engine(check))
         np.testing.assert_array_equal(
             a.run().unit_temps_k, b.run().unit_temps_k
         )

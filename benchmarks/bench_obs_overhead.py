@@ -14,8 +14,9 @@ shipping configuration) in three telemetry states:
 
 Gates (full runs only; REPRO_BENCH_SMOKE=1 skips the wall-clock
 assertions for CI smoke): telemetry-off EXP-4 within the existing
-hot-path gate (machine-scaled like bench_engine_hotpath.py), and full
-telemetry overhead at or below 10% of the off cost.
+hot-path gate (machine-scaled like bench_engine_hotpath.py, by the
+scan oracle ``tests/scan_engine.py`` and the implicit-solver engine),
+and full telemetry overhead at or below 10% of the off cost.
 
 Emits ``BENCH_obs.json`` and a sample Chrome trace
 (``sample_trace.json``, Perfetto-loadable) into ``benchmarks/results/``;
@@ -36,6 +37,7 @@ from repro.analysis.runner import ExperimentRunner, RunSpec
 from repro.obs.telemetry import TelemetryConfig
 
 from benchmarks.conftest import BENCH_SEED, emit
+from tests.scan_engine import ScanEngine
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
 
@@ -112,14 +114,13 @@ def _measure_references(runner: ExperimentRunner) -> dict:
     """EXP-4 reference configurations for machine scaling."""
     refs = {"scan": float("inf"), "implicit_heap": float("inf")}
     for _ in range(REPS):
-        for label, loop, solver in (
-            ("scan", "legacy_scan", "backward_euler"),
-            ("implicit_heap", "event_heap", "backward_euler"),
-        ):
+        for label, oracle in (("scan", True), ("implicit_heap", False)):
             engine = runner.build_engine(_spec(4))
             engine.config = replace(
-                engine.config, event_loop=loop, thermal_solver=solver
+                engine.config, thermal_solver="backward_euler"
             )
+            if oracle:
+                engine = ScanEngine.from_engine(engine)
             start = time.perf_counter()
             result = engine.run()
             elapsed = time.perf_counter() - start

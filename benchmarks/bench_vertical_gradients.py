@@ -22,25 +22,15 @@ def build_table(runner):
             RunSpec(exp_id=exp_id, policy="Default", duration_s=30.0,
                     seed=BENCH_SEED)
         )
-        # Sample the vertical gradients after every thermal step (the
-        # event-heap loop steps through step_vector, the legacy loop
-        # through step — hook both).
-        original_step = engine.thermal.step
+        # Sample the vertical gradients after every thermal step (an
+        # eager run steps through step_vector).
         original_step_vector = engine.thermal.step_vector
         samples = []
 
-        def sample():
-            samples.append(max(engine.thermal.vertical_gradients()))
-
-        def step(powers):
-            original_step(powers)
-            sample()
-
         def step_vector(unit_power_vec):
             original_step_vector(unit_power_vec)
-            sample()
+            samples.append(max(engine.thermal.vertical_gradients()))
 
-        engine.thermal.step = step
         engine.thermal.step_vector = step_vector
         engine.run()
         rows.append([f"EXP{exp_id}", round(max(samples), 3)])

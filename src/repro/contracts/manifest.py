@@ -25,13 +25,13 @@ __all__ = ["Manifest"]
 #   - SimulationEngine._gather_utilization: eager-loop twin that feeds a
 #     generator expression to np.fromiter — measured faster than any
 #     preallocated alternative at n<=16.
-#   - SimulationEngine._memory_intensity / _dispatch: their legacy
-#     (non-hot) branches build mappings for the Mapping-based policy
-#     interface; the hot branches reuse engine-owned buffers.
+#   - SimulationEngine._memory_intensity: its non-span branch is eager's
+#     per-tick path and gathers the running heads' intensities into a
+#     list (one per tick, not per event); the span branch reads an
+#     incremental accumulator.
 # ---------------------------------------------------------------------------
 HOT_PATH_FUNCTIONS: Tuple[Tuple[str, str], ...] = (
-    ("src/repro/sched/engine.py", "SimulationEngine._run_heap_ticks"),
-    ("src/repro/sched/engine.py", "SimulationEngine._run_event_ticks"),
+    ("src/repro/sched/engine.py", "SimulationEngine._run_ticks"),
     ("src/repro/sched/engine.py", "SimulationEngine._quiet_ticks_event"),
     ("src/repro/sched/engine.py", "SimulationEngine._advance_interval_heap"),
     ("src/repro/sched/engine.py", "SimulationEngine._advance_interval_span"),
@@ -42,6 +42,11 @@ HOT_PATH_FUNCTIONS: Tuple[Tuple[str, str], ...] = (
     ("src/repro/sched/engine.py", "SimulationEngine._sync_queue_state"),
     ("src/repro/sched/engine.py", "SimulationEngine._sync_vf_row"),
     ("src/repro/sched/engine.py", "SimulationEngine._apply_vf_level"),
+    ("src/repro/sched/engine.py", "SimulationEngine._dispatch"),
+    ("src/repro/sched/engine.py", "SimulationEngine._allocation_context"),
+    ("src/repro/sched/engine.py", "SimulationEngine._run_policy"),
+    ("src/repro/sched/engine.py", "SimulationEngine._tick_context"),
+    ("src/repro/sched/engine.py", "SimulationEngine._policy_tick_noop"),
     ("src/repro/thermal/model.py", "ThermalModel.step_vector"),
     ("src/repro/thermal/model.py", "ModalJump.advance"),
     ("src/repro/power/chip_power.py", "ChipPowerModel.unit_power_vector"),

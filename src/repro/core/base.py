@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import (
+    Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
@@ -200,7 +202,7 @@ class TickContext:
     decides on; ``cores`` is the per-core :class:`CoreSnapshot` mapping
     custom policies may read instead (materialized on access when the
     engine builds the context). A context built from ``cores`` alone
-    (tests, custom harnesses, the ``legacy_scan`` engine) gets its
+    (tests, custom harnesses, the test-only scan oracle) gets its
     ``arrays`` packed once, here, in mapping order.
     """
 
@@ -349,3 +351,13 @@ class Policy(abc.ABC):
     def on_tick(self, ctx: TickContext) -> PolicyActions:
         """Per-interval control; the default does nothing."""
         return PolicyActions()
+
+    def tick_is_noop(self, queue_lengths: Sequence[int]) -> bool:
+        """Whether :meth:`on_tick` would provably return no actions and
+        mutate no state, given the per-core ``queue_lengths`` (system
+        core order). The engine then skips the call, which cannot change
+        any result. Only the base no-op qualifies here; a subclass that
+        overrides ``on_tick`` never inherits the skip unless it
+        overrides this hook too.
+        """
+        return type(self).on_tick is Policy.on_tick

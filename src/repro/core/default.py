@@ -9,6 +9,8 @@ longest to the shortest queue.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from repro.core.base import (
     AllocationContext,
     Migration,
@@ -89,3 +91,13 @@ class DefaultLoadBalancing(Policy):
                 move_running=False, swap=False,
             ))
         return actions
+
+    def tick_is_noop(self, queue_lengths: Sequence[int]) -> bool:
+        """Balanced queues make :meth:`on_tick` a no-op: it only
+        compares queue lengths, mutates no state and never gates. A
+        subclass that overrides ``on_tick`` (CGate, the DVFS policies,
+        Migr, user policies) does not inherit the skip."""
+        return (
+            type(self).on_tick is DefaultLoadBalancing.on_tick
+            and max(queue_lengths) - min(queue_lengths) < IMBALANCE_THRESHOLD
+        )

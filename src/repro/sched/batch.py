@@ -35,7 +35,7 @@ the peak block, and batches whose policies are all plain probabilistic
 allocators — or all the same plain §III-A DVFS policy — tick their
 per-lane policy state through one stacked ``(R, n_cores)`` update
 (:class:`_ProbabilisticBatchTick` / :class:`_DVFSBatchTick`) instead of
-R per-lane ``on_tick`` sweeps. The serial event loop's clock jumps do
+R per-lane ``on_tick`` sweeps. The serial engine's event clock jumps do
 not engage in the fused loop: they are an alternative to the batch's
 amortization, not an addition to it. Shrinking the per-lane scalar
 term is what breaks the eager batch's Amdahl cap (docs/ENGINE.md):
@@ -379,9 +379,9 @@ class BatchSimulationEngine:
         :class:`ChipPowerModel` instances (the
         :class:`~repro.analysis.runner.ExperimentRunner` caches
         guarantee this for runs on the same (exp, grid)), the same
-        sampling interval, duration, thermal solver and the
-        ``event_heap`` loop. Policies, workloads, seeds, DPM and sensor
-        noise may differ per lane.
+        sampling interval, duration, thermal solver and fidelity.
+        Policies, workloads, seeds, DPM and sensor noise may differ per
+        lane.
     propagation:
         ``"exact"`` (bit-identical to serial runs, default) or
         ``"gemm"`` (single-GEMM thermal propagation, see module docs).
@@ -430,12 +430,6 @@ class BatchSimulationEngine:
                     "batched runs must share the fidelity mode; eager "
                     "and event lanes advance their intervals differently"
                 )
-        for lane in lanes:
-            if lane.config.event_loop != "event_heap":
-                raise SchedulerError(
-                    "the batched engine drives the event-heap state "
-                    "machine; legacy_scan lanes are not supported"
-                )
         self.lanes = lanes
         self.propagation = propagation
 
@@ -460,7 +454,7 @@ class BatchSimulationEngine:
         # Event lanes advance event-to-event on the span substrate
         # (lazy per-core spans, trusted completion heap) and report
         # utilization from span anchors; the fused boundary below is
-        # identical in both fidelities. The serial event loop's clock
+        # identical in both fidelities. The serial engine's event clock
         # jumps do not engage here — the batch already amortizes the
         # boundary they would skip, and R lanes are almost never quiet
         # simultaneously.

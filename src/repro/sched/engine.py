@@ -18,30 +18,26 @@ Performance model: jobs execute at a rate equal to the core's relative
 frequency (the paper assumes performance scales linearly with f);
 gated and sleeping cores make no progress.
 
-Two interval-execution loops are provided, selected by
-``EngineConfig.event_loop``:
+Interval execution is event-driven over an indexed min-heap: each
+core's next completion time is cached and invalidated lazily whenever
+the core's state changes (dispatch, completion, migration, V/f change,
+gating, sleep), so advancing to the next event pops the earliest cached
+entry instead of rescanning every core. Per-core bookkeeping (queue
+length, state code, V/f level, sensor reading) is kept in parallel
+NumPy arrays maintained at the same invalidation sites, so dispatch and
+policy contexts are live array views instead of dict copies, and the
+tick boundary uses the vectorized power/thermal path (no per-unit
+dicts). The original all-core rescan loop with the dict-based power
+pipeline survives only as a test oracle (``tests/scan_engine.py``):
+the engine reproduces it bit for bit (``tests/test_engine_heap.py``).
 
-- ``"event_heap"`` (default): each core's next completion time is
-  cached in an indexed min-heap and invalidated lazily whenever the
-  core's state changes (dispatch, completion, migration, V/f change,
-  gating, sleep). Advancing to the next event pops the earliest cached
-  entry and recomputes only that core, instead of rescanning every
-  core on every event. Per-core bookkeeping (head-job remaining work,
-  speed, stall deadline, queue length, state code, sensor reading) is
-  kept in parallel NumPy arrays maintained at the same invalidation
-  sites, so interval execution is a few vector expressions, dispatch
-  contexts are live array views instead of dict copies, and the tick
-  boundary uses the vectorized power/thermal path (no per-unit dicts).
-- ``"legacy_scan"``: the original O(events x cores) scan with the
-  dict-based power pipeline, kept for differential testing; both loops
-  produce bit-identical :class:`SimulationResult` arrays (covered by
-  ``tests/test_engine_heap.py``).
+One tick loop (:meth:`SimulationEngine._run_ticks`) serves both values
+of ``EngineConfig.fidelity``, which selects how strictly the interval
+execution reproduces the eager reference semantics:
 
-Orthogonally, ``EngineConfig.fidelity`` selects how strictly the
-interval execution reproduces the eager reference semantics:
-
-- ``"eager"`` (default): the loops above, with their bit-identity
-  contracts (heap vs scan, batch vs serial) intact.
+- ``"eager"`` (default): per-event execution sweeps with a
+  recompute-on-pop heap and the dense thermal step, keeping the
+  bit-identity contracts (engine vs scan oracle, batch vs serial).
 - ``"event"`` (opt-in, approximate-equality): the clock jumps between
   heap events. It runs on the *span substrate*: each core's work
   between its own boundary events — dispatch, completion, migration,
@@ -81,7 +77,6 @@ import numpy as np
 from repro.core.base import (
     AllocationContext,
     ArrayBackedMapping,
-    CoreSnapshot,
     Migration,
     Policy,
     SnapshotArrayMapping,
@@ -90,7 +85,6 @@ from repro.core.base import (
     TickContext,
     state_from_code,
 )
-from repro.core.default import IMBALANCE_THRESHOLD, DefaultLoadBalancing
 from repro.errors import CheckpointError, SchedulerError
 from repro.obs.profiler import (
     NULL_PROFILER,
@@ -121,15 +115,13 @@ from repro.workload.job import Job
 
 _TIME_EPS = 1e-9
 
-# Inline state codes for the hot-path row sync (match power_state()).
+# Inline state codes for the hot-path row sync.
 _IDLE_CODE = STATE_CODE[CoreState.IDLE]
 _ACTIVE_CODE = STATE_CODE[CoreState.ACTIVE]
 _GATED_CODE = STATE_CODE[CoreState.GATED]
 _SLEEP_CODE = STATE_CODE[CoreState.SLEEP]
 
 DEFAULT_MIGRATION_COST_S = 0.001
-
-EVENT_LOOPS = ("event_heap", "legacy_scan")
 
 FIDELITY_MODES = ("eager", "event")
 
@@ -156,10 +148,6 @@ class EngineConfig:
     warmup_utilization:
         Uniform core utilization assumed for the steady-state
         initialization of the thermal model.
-    event_loop:
-        ``"event_heap"`` (default) or ``"legacy_scan"`` — the debug
-        flag keeping the old all-core rescan loop available for
-        differential testing.
     thermal_solver:
         Transient integrator for the thermal step: ``"exponential"``
         (default — exact under the engine's piecewise-constant power
@@ -170,7 +158,7 @@ class EngineConfig:
         execution with trusted completion events; the clock jumps
         between heap events, control calls skipped where provably
         no-ops; approximately equal to eager within the documented
-        tolerance). Event mode requires the event-heap loop.
+        tolerance).
     telemetry:
         Optional :class:`~repro.obs.telemetry.TelemetryConfig`. ``None``
         (default) disables all instrumentation — the engine holds the
@@ -189,7 +177,6 @@ class EngineConfig:
     sensor_quantization: float = 0.0
     seed: int = 1
     warmup_utilization: float = 0.3
-    event_loop: str = "event_heap"
     thermal_solver: str = "exponential"
     fidelity: str = "eager"
     telemetry: Optional[TelemetryConfig] = None
@@ -201,8 +188,7 @@ class _CoreRuntime:
     __slots__ = (
         "name", "idx", "queue", "jobs", "vf_index", "speed", "gated",
         "sleeping", "halted", "idle_since", "stall_until", "busy_in_tick",
-        "last_utilization", "heap_seq", "span_start", "busy_anchor",
-        "head_mem",
+        "heap_seq", "span_start", "busy_anchor", "head_mem",
     )
 
     def __init__(self, name: str, vf_index: int, speed: float, idx: int = 0) -> None:
@@ -225,7 +211,6 @@ class _CoreRuntime:
         self.idle_since = 0.0
         self.stall_until = 0.0
         self.busy_in_tick = 0.0
-        self.last_utilization = 0.0
         # Generation counter of this core's cached event-heap entry;
         # entries whose sequence number is stale are discarded on pop.
         self.heap_seq = 0
@@ -239,25 +224,6 @@ class _CoreRuntime:
         # Head job's memory intensity (None when idle) — feeds the
         # span substrate's incremental mix-intensity accumulator.
         self.head_mem: Optional[float] = None
-
-    def executing(self, now: float) -> bool:
-        """Whether the core makes progress at time ``now``."""
-        return (
-            len(self.queue) > 0
-            and not self.gated
-            and not self.sleeping
-            and now >= self.stall_until - _TIME_EPS
-        )
-
-    def power_state(self) -> CoreState:
-        """State used by the power model for the elapsed interval."""
-        if self.sleeping:
-            return CoreState.SLEEP
-        if self.gated:
-            return CoreState.GATED
-        if len(self.queue) > 0:
-            return CoreState.ACTIVE
-        return CoreState.IDLE
 
 
 @dataclass
@@ -362,11 +328,16 @@ class _Recording:
 class SimulationEngine:
     """One policy, one workload, one 3D system — run to completion.
 
-    The class doubles as the per-run state machine of the batched
-    multi-run engine (:class:`repro.sched.batch.BatchSimulationEngine`):
+    :meth:`run` drives one tick loop for both fidelities. The class
+    doubles as the per-run state machine of the batched multi-run
+    engine (:class:`repro.sched.batch.BatchSimulationEngine`):
     scheduler state, interval execution, DPM and policy control are all
     per-run methods here, while the batch engine replaces only the
-    tick-boundary power/thermal/readback calls with blocked ones."""
+    tick-boundary power/thermal/readback calls with blocked ones. The
+    test-only scan oracle (``tests/scan_engine.py``) subclasses it,
+    overriding the loop, the interval advance and how both policy
+    contexts are made, while sharing dispatch placement, completions,
+    DPM and policy actions."""
 
     def __init__(
         self,
@@ -414,7 +385,6 @@ class SimulationEngine:
         self._arrival_seq = 0
         self._jobs: List[Job] = []
         self._thread_last_core: Dict[int, str] = {}
-        self._sensor_temps: Dict[str, float] = {}
         self._migration_count = 0
 
         # Telemetry: lifecycle hooks fan out through _obs (the shared
@@ -426,13 +396,11 @@ class SimulationEngine:
         self._prof = NULL_PROFILER
         self._reset_micro_counters()
 
-        # Event heap of (cached completion time, core.heap_seq, name);
-        # maintained only when the event_heap loop is active.
+        # Event heap of (cached completion time, core.heap_seq, name).
         self._event_heap: List[Tuple[float, int, str]] = []
-        self._use_heap = False
         # Cores whose queue head crossed the completion threshold since
-        # the last _process_completions call (heap mode checks only
-        # these instead of rescanning every core).
+        # the last _process_completions call (only these are checked,
+        # instead of rescanning every core).
         self._finished_cores: List[_CoreRuntime] = []
 
         # Span-substrate state (event fidelity): incremental head-job
@@ -447,8 +415,8 @@ class SimulationEngine:
         self._span_dirty = False
         self._in_fast_forward = False
         # Event mode's run-persistent reduced-order thermal stepper
-        # (None when the assembly rejected a modal basis); owned by
-        # _run_event_ticks, shared with _fast_forward_event.
+        # (None in eager mode, or when the assembly rejected a modal
+        # basis); owned by _run_ticks, shared with _fast_forward_event.
         self._event_modal = None
         self._event_modal_open = False
         # Quiet-stretch power-factor memo: idle-heavy runs cycle
@@ -456,18 +424,19 @@ class SimulationEngine:
         # re-derive identical (base, leak_mul) pairs — key them by the
         # exact inputs. Values are read-only to every consumer.
         self._qpf_cache: Dict[tuple, Tuple[np.ndarray, np.ndarray]] = {}
-        # The span substrate reuses one AllocationContext / TickContext
-        # shell per run (the payloads are live array views; only the
-        # scalar fields change between calls), rebuilt whenever the
-        # backing arrays are re-homed.
-        self._span_alloc_ctx: Optional[AllocationContext] = None
+        # Dispatch (both fidelities) and the span substrate's policy
+        # tick reuse one AllocationContext / TickContext shell per run
+        # (the payloads are live array views; only the scalar fields
+        # change between calls), rebuilt whenever the backing arrays
+        # are re-homed.
+        self._alloc_ctx: Optional[AllocationContext] = None
         self._span_tick_ctx: Optional[TickContext] = None
 
-        # Structure-of-arrays core bookkeeping (event_heap mode). Every
-        # array is indexed by _CoreRuntime.idx and maintained at the
-        # heap-invalidation sites (plus the tick boundary for sensor
-        # temperatures), so dispatch contexts and policy snapshots read
-        # vectors instead of rebuilding per-core dicts. Span execution
+        # Structure-of-arrays core bookkeeping. Every array is indexed
+        # by _CoreRuntime.idx and maintained at the heap-invalidation
+        # sites (plus the tick boundary for sensor temperatures), so
+        # dispatch contexts and policy snapshots read vectors instead
+        # of rebuilding per-core dicts. Span execution
         # itself stays a scalar loop over the core objects: at the
         # paper's core counts (<= 16) NumPy's fixed per-op overhead
         # makes a vectorized execute ~2x slower than the tight loop
@@ -558,11 +527,6 @@ class SimulationEngine:
         workload's initial arrivals. Returns ``(n_ticks, dt)``.
         """
         cfg = self.config
-        if cfg.event_loop not in EVENT_LOOPS:
-            raise SchedulerError(
-                f"unknown event loop {cfg.event_loop!r}; "
-                f"expected one of {EVENT_LOOPS}"
-            )
         if cfg.thermal_solver not in SOLVER_METHODS:
             raise SchedulerError(
                 f"unknown thermal solver {cfg.thermal_solver!r}; "
@@ -572,11 +536,6 @@ class SimulationEngine:
             raise SchedulerError(
                 f"unknown fidelity {cfg.fidelity!r}; "
                 f"expected one of {FIDELITY_MODES}"
-            )
-        if cfg.fidelity == "event" and cfg.event_loop != "event_heap":
-            raise SchedulerError(
-                "event fidelity compiles the event-heap state machine; "
-                "it cannot drive the legacy_scan loop"
             )
         dt = cfg.sampling_interval_s
         n_ticks = int(round(cfg.duration_s / dt))
@@ -591,7 +550,6 @@ class SimulationEngine:
             self._obs = NULL_TELEMETRY
         self._prof = self._obs.profiler
         self._reset_micro_counters()
-        self._use_heap = cfg.event_loop == "event_heap"
         # Event fidelity runs entirely on the span substrate (lazy
         # spans, trusted heap, materialize-on-touch): every _use_span
         # site is an event-mode site.
@@ -600,15 +558,14 @@ class SimulationEngine:
         self._finished_cores = []
         self._mem_sum = 0.0
         self._mem_count = 0
-        self._span_alloc_ctx = None
+        self._alloc_ctx = None
         self._span_tick_ctx = None
         self._util_buf = np.zeros(len(self._core_list))
-        if self._use_heap:
-            for core in self._core_list:
-                core.span_start = 0.0
-                core.busy_anchor = 0.0
-                core.head_mem = None
-                self._sync_core_arrays(core)
+        for core in self._core_list:
+            core.span_start = 0.0
+            core.busy_anchor = 0.0
+            core.head_mem = None
+            self._sync_core_arrays(core)
 
         self._initialize_thermal_state()
         for time, job in self.workload.initial_arrivals():
@@ -622,7 +579,6 @@ class SimulationEngine:
         )
         snap = self._obs.snapshot(self._core_names_tuple, occupancy)
         snap["engine"] = {
-            "event_loop": self.config.event_loop,
             "fidelity": self.config.fidelity,
             "policy": self.policy.name,
             "jobs_total": len(self._jobs),
@@ -699,17 +655,7 @@ class SimulationEngine:
         are execution-infrastructure arguments, not :class:`RunSpec`
         fields, so they are key-neutral by construction — like
         telemetry, they can never change what a result *is*.
-        Checkpointing requires the event-heap loop (eager or event
-        fidelity); the legacy scan loop predates the snapshotable
-        structure-of-arrays state and raises.
         """
-        if (checkpoint_every > 0 or resume is not None) and (
-            self.config.event_loop != "event_heap"
-        ):
-            raise SchedulerError(
-                "checkpoint/resume requires the event_heap loop; "
-                "legacy_scan keeps no snapshotable row state"
-            )
         n_ticks, dt = self._prepare_run()
         rec = _Recording.allocate(self, n_ticks)
         start_tick = 0
@@ -719,23 +665,14 @@ class SimulationEngine:
             start_tick, energy0, unit_row = self._restore_checkpoint(
                 resume, rec, n_ticks, dt
             )
-        if self._use_heap and resume is None:
+        else:
             # The priming sensor read advances the noise RNG; on resume
             # the restored RNG state already accounts for it.
             self._temps_arr[:] = self.sensors.read_cores_vector()
-        if self._use_span:
-            energy = self._run_event_ticks(
-                rec, n_ticks, dt, start_tick, energy0, unit_row,
-                checkpoint_every, checkpoint_sink,
-            )
-        elif self._use_heap:
-            energy = self._run_heap_ticks(
-                rec, n_ticks, dt, start_tick, energy0,
-                checkpoint_every, checkpoint_sink,
-            )
-        else:
-            self._sensor_temps = self.sensors.read_cores()
-            energy = self._run_scan_ticks(rec, n_ticks, dt)
+        energy = self._run_ticks(
+            rec, n_ticks, dt, start_tick, energy0, unit_row,
+            checkpoint_every, checkpoint_sink,
+        )
         return self._build_result(rec, energy, dt)
 
     # ------------------------------------------------------------------
@@ -770,7 +707,6 @@ class SimulationEngine:
             "version": SimulationEngine._CHECKPOINT_VERSION,
             # identity guard: a blob may only resume the run it came from
             "fidelity": self.config.fidelity,
-            "event_loop": self.config.event_loop,
             "policy_name": self.policy.name,
             "core_names": self._core_names_tuple,
             "n_ticks": n_ticks,
@@ -814,8 +750,8 @@ class SimulationEngine:
             "voltage_arr": self._voltage_arr.copy(),
             "ql_list": list(self._ql_list),
             "state_list": list(self._state_list),
-            # the unit readback row exactly as carried by the loop (the
-            # event loop's modal row is not the node state's readback)
+            # the unit readback row exactly as carried by the loop (an
+            # event run's modal row is not the node state's readback)
             "unit_row": unit_row.copy(),
         }
         return pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
@@ -843,7 +779,6 @@ class SimulationEngine:
             )
         for name, want in (
             ("fidelity", self.config.fidelity),
-            ("event_loop", self.config.event_loop),
             ("policy_name", self.policy.name),
             ("core_names", self._core_names_tuple),
             ("n_ticks", n_ticks),
@@ -895,9 +830,9 @@ class SimulationEngine:
         self._voltage_arr[:] = payload["voltage_arr"]
         self._ql_list[:] = payload["ql_list"]
         self._state_list[:] = payload["state_list"]
-        # Span context shells are rebuilt lazily against the (unchanged)
+        # Context shells are rebuilt lazily against the (unchanged)
         # array buffers; the dirty flags start a resumed tick clean.
-        self._span_alloc_ctx = None
+        self._alloc_ctx = None
         self._span_tick_ctx = None
         self._span_dirty = False
         self._in_fast_forward = False
@@ -927,7 +862,8 @@ class SimulationEngine:
         util_arr: np.ndarray,
         tick_power: float,
     ) -> None:
-        """Write one end-of-interval row of the heap-mode recording."""
+        """Write one end-of-interval row of the recording (per-tick path
+        and clock jumps alike)."""
         rec.times[tick] = t1
         rec.unit_temps[tick] = unit_row
         rec.core_temps[tick] = unit_row[rec.core_cols]
@@ -940,112 +876,50 @@ class SimulationEngine:
         rec.core_states[tick] = self._state_arr
         rec.total_power[tick] = tick_power
 
-    def _run_heap_ticks(self, rec: _Recording, n_ticks: int, dt: float,
-                        start_tick: int = 0, energy0: float = 0.0,
-                        checkpoint_every: int = 0, checkpoint_sink=None
-                        ) -> float:
-        """Tick loop of the event-heap mode: indexed event pops inside
-        the interval, structure-of-arrays activity readout and the
-        vectorized power/thermal path at the boundary."""
-        energy = energy0
-        powers_buf = np.zeros(len(self.thermal.unit_names))
-        prof = self._prof
-        next_ckpt = n_ticks + 1
-        if checkpoint_every > 0 and checkpoint_sink is not None:
-            next_ckpt = start_tick + checkpoint_every
-        # Post-step readback of tick k is the pre-step temperature of
-        # tick k+1, so one vector readback per tick suffices (on resume
-        # the restored node state reads back the checkpointed row).
-        unit_row = self.thermal.unit_temperature_vector()
-        for tick in range(start_tick, n_ticks):
-            if tick >= next_ckpt:
-                checkpoint_sink(
-                    self._checkpoint_payload(
-                        rec, tick, energy, dt, n_ticks, unit_row
-                    ),
-                    tick,
-                )
-                next_ckpt = tick + checkpoint_every
-            t0 = tick * dt
-            t1 = t0 + dt
-            prof.begin()
-            self._advance_interval_heap(t0, t1)
+    def _run_ticks(self, rec: _Recording, n_ticks: int, dt: float,
+                   start_tick: int = 0, energy0: float = 0.0,
+                   unit_row: Optional[np.ndarray] = None,
+                   checkpoint_every: int = 0, checkpoint_sink=None
+                   ) -> float:
+        """The tick loop of both fidelities.
 
-            # Per-core activity over [t0, t1): the state/vf arrays are
-            # already current (maintained at the invalidation sites),
-            # utilization is one gather over the busy accumulators.
-            util_arr = self._gather_utilization(dt)
-            prof.lap(PH_INTERVAL)
+        Every tick runs the same pipeline in the paper's order
+        (interval, power, thermal, sensors, DPM, policy, record); the
+        structure-of-arrays rows are already current at the boundary
+        (maintained at the invalidation sites). The fidelities differ
+        in three places only:
 
-            powers_vec = self.power.unit_power_vector(
-                self._state_arr,
-                util_arr,
-                self._dyn_scale_arr,
-                self._voltage_arr,
-                unit_row,
-                self._memory_intensity(),
-                out=powers_buf,
-            )
-            prof.lap(PH_POWER)
-            self.thermal.step_vector(powers_vec)
-            peak_row = self.thermal.unit_max_vector()
-            prof.lap(PH_THERMAL)
-            self._temps_arr[:] = self.sensors.read_cores_vector(peak_row)
-            prof.lap(PH_SENSORS)
+        - the interval: eager sweeps execution per event
+          (:meth:`_advance_interval_heap`, :meth:`_gather_utilization`);
+          event advances lazy spans (:meth:`_advance_interval_span`,
+          :meth:`_span_utilization`);
+        - the thermal step: eager takes the dense ``step_vector``; event
+          advances one run-persistent
+          :class:`~repro.thermal.model.ModalJump` — the full node state
+          is only rematerialized at checkpoints and at the end of the
+          run — falling back to the dense step when the assembly has no
+          modal basis (non-exponential solver);
+        - clock jumps: event crosses every stretch of whole ticks free
+          of scheduler events (arrivals, completions, stall expiries)
+          in one :meth:`_fast_forward_event` call, however long.
 
-            self._apply_dpm(t1)
-            prof.lap(PH_DPM)
-            self._run_policy(t1, util_arr)
-            prof.lap(PH_POLICY)
-
-            # Record the end-of-interval state.
-            unit_row = self.thermal.unit_temperature_vector()
-            tick_power = self.power.total_power(powers_vec)
-            self._record_tick(
-                rec, tick, t1, unit_row, peak_row, util_arr, tick_power
-            )
-            energy += tick_power * dt
-            prof.lap(PH_RECORD)
-        prof.tick_done(n_ticks - start_tick)
-        return energy
-
-    # ------------------------------------------------------------------
-    # event-fidelity execution
-
-    def _run_event_ticks(self, rec: _Recording, n_ticks: int, dt: float,
-                         start_tick: int = 0, energy0: float = 0.0,
-                         resume_row: Optional[np.ndarray] = None,
-                         checkpoint_every: int = 0, checkpoint_sink=None
-                         ) -> float:
-        """Tick loop of the event fidelity mode.
-
-        The clock jumps from heap event to heap event: every stretch of
-        whole ticks guaranteed free of scheduler events (arrivals,
-        completions, stall expiries) is crossed by one
-        :meth:`_fast_forward_event` call, however long. Ticks that do
-        contain events run the per-tick pipeline on the span substrate,
-        so the within-tick event ordering (interval, power, thermal,
-        sensors, DPM, policy, record) is exactly the eager one whenever
-        an event and a tick boundary coincide.
-
-        The thermal state lives in one persistent
-        :class:`~repro.thermal.model.ModalJump` for the whole run when
-        the assembly accepted a modal basis: every tick — jump or
-        normal — advances the reduced coordinates, and the full node
-        state is only rematerialized at checkpoints and at the end of
-        the run. Without a basis (non-exponential solver) every tick
-        falls back to the dense ``step_vector``.
+        A policy tick that is a proven no-op (:meth:`_policy_tick_noop`)
+        is skipped in both; the skip is exact, so eager stays
+        bit-identical to the scan oracle, which calls every tick.
+        ``unit_row`` is the checkpointed readback row on resume (the
+        post-step readback of tick k is the pre-step temperature of
+        tick k+1, so one readback per tick suffices).
         """
         energy = energy0
         powers_buf = np.zeros(len(self.thermal.unit_names))
         prof = self._prof
+        span = self._use_span
         next_ckpt = n_ticks + 1
         if checkpoint_every > 0 and checkpoint_sink is not None:
             next_ckpt = start_tick + checkpoint_every
-        unit_row = resume_row
         if unit_row is None:
             unit_row = self.thermal.unit_temperature_vector()
-        modal = self.thermal.modal_jump()
+        modal = self.thermal.modal_jump() if span else None
         self._event_modal = modal
         self._event_modal_open = False
         tick = start_tick
@@ -1061,23 +935,30 @@ class SimulationEngine:
                 )
                 next_ckpt = tick + checkpoint_every
             t0 = tick * dt
-            quiet = self._quiet_ticks_event(t0, dt, n_ticks - tick)
-            if quiet >= 2:
-                prof.begin()
-                consumed, jump_energy, jump_row = self._fast_forward_event(
-                    rec, tick, dt, quiet, powers_buf, unit_row
-                )
-                prof.lap(PH_EVENT_JUMP)
-                if consumed:
-                    energy += jump_energy
-                    unit_row = jump_row
-                    tick += consumed
-                    prof.tick_done(consumed)
-                    continue
+            if span:
+                quiet = self._quiet_ticks_event(t0, dt, n_ticks - tick)
+                if quiet >= 2:
+                    prof.begin()
+                    consumed, jump_energy, jump_row = (
+                        self._fast_forward_event(
+                            rec, tick, dt, quiet, powers_buf, unit_row
+                        )
+                    )
+                    prof.lap(PH_EVENT_JUMP)
+                    if consumed:
+                        energy += jump_energy
+                        unit_row = jump_row
+                        tick += consumed
+                        prof.tick_done(consumed)
+                        continue
             t1 = t0 + dt
             prof.begin()
-            self._advance_interval_span(t0, t1)
-            util_arr = self._span_utilization(dt, t1)
+            if span:
+                self._advance_interval_span(t0, t1)
+                util_arr = self._span_utilization(dt, t1)
+            else:
+                self._advance_interval_heap(t0, t1)
+                util_arr = self._gather_utilization(dt)
             prof.lap(PH_INTERVAL)
 
             powers_vec = self.power.unit_power_vector(
@@ -1108,6 +989,7 @@ class SimulationEngine:
                 self._run_policy(t1, util_arr)
             prof.lap(PH_POLICY)
 
+            # Record the end-of-interval state.
             if modal is not None:
                 unit_row = mean_row
             else:
@@ -1125,6 +1007,9 @@ class SimulationEngine:
         self._event_modal = None
         self._event_modal_open = False
         return energy
+
+    # ------------------------------------------------------------------
+    # event-fidelity execution
 
     def _quiet_ticks_event(self, t0: float, dt: float, max_ticks: int
                            ) -> int:
@@ -1180,10 +1065,10 @@ class SimulationEngine:
 
         - sensors must be ideal (a noisy read draws from the RNG, so
           skipping it would desync the sample sequence);
-        - the policy tick must be the base no-op or the default
-          load-balancer over balanced (frozen — no events in the
-          stretch) queues; any other ``on_tick`` gets the controlled
-          per-tick path;
+        - the policy must declare its tick a no-op
+          (:meth:`~repro.core.base.Policy.tick_is_noop`) over the
+          queues, which are frozen — no events in the stretch; any
+          other ``on_tick`` gets the controlled per-tick path;
         - no awake idle core may cross its DPM sleep timeout inside the
           prefix: the crossing boundary is found by bisection on the
           monotone ``should_sleep`` predicate, so the tick that fires
@@ -1222,20 +1107,14 @@ class SimulationEngine:
     def _policy_tick_noop(self) -> bool:
         """True when the policy tick at this boundary provably returns
         no actions and mutates no state, so skipping the call cannot
-        change anything eager would compute: the base :class:`Policy`
-        no-op, or the default load balancer over balanced queues (its
-        ``on_tick`` only compares queue lengths). A pending un-gate
-        sweep (``_any_gated``) disqualifies the skip — neither policy
-        gates, but the guard keeps the proof local."""
+        change anything the call would compute. The policy declares
+        this (:meth:`~repro.core.base.Policy.tick_is_noop`) from the
+        queue lengths. A pending un-gate sweep (``_any_gated``)
+        disqualifies the skip: a policy that gates never declares a
+        no-op tick, but the guard keeps the proof local."""
         if self._any_gated:
             return False
-        tick_fn = type(self.policy).on_tick
-        if tick_fn is Policy.on_tick:
-            return True
-        if tick_fn is not DefaultLoadBalancing.on_tick:
-            return False
-        ql = self._ql_list
-        return max(ql) - min(ql) < IMBALANCE_THRESHOLD
+        return self.policy.tick_is_noop(self._ql_list)
 
     def _fast_forward_event(
         self,
@@ -1261,12 +1140,12 @@ class SimulationEngine:
 
         - the run-persistent reduced-order modal stepper
           (:meth:`~repro.thermal.model.ModalJump.advance`, owned by
-          :meth:`_run_event_ticks`) when the assembly accepted a
+          :meth:`_run_ticks`) when the assembly accepted a
           truncated eigenbasis of the propagator: each tick is an
           exact steady-point repricing, a modal decay, one readback
           GEMV and a core max-reduce — within the basis acceptance
           tolerance of the dense step at a fraction of its cost;
-        - otherwise the same dense ``step_vector`` call the eager loop
+        - otherwise the same dense ``step_vector`` call an eager tick
           makes — bitwise-identical to eager's thermal step given the
           same power vector.
 
@@ -1502,71 +1381,6 @@ class SimulationEngine:
         start = core.span_start if core.span_start >= stall else stall
         return start + jobs[0].remaining_s / core.speed
 
-    def _run_scan_ticks(self, rec: _Recording, n_ticks: int, dt: float
-                        ) -> float:
-        """Tick loop of the legacy mode: all-core rescans inside the
-        interval, dict-based power pipeline at the boundary."""
-        core_list = self._core_list
-        n_cores = len(core_list)
-        energy = 0.0
-        for tick in range(n_ticks):
-            t0 = tick * dt
-            t1 = t0 + dt
-            self._advance_interval_scan(t0, t1)
-
-            # Per-core activity over [t0, t1).
-            activities: Dict[str, CoreActivity] = {}
-            for name, core in self._cores.items():
-                util = min(1.0, core.busy_in_tick / dt)
-                core.last_utilization = util
-                activities[name] = CoreActivity(
-                    state=core.power_state(),
-                    utilization=util,
-                    vf=self.vf_table[core.vf_index],
-                )
-                core.busy_in_tick = 0.0
-
-            unit_temps_now = self.thermal.unit_temperatures()
-            powers = self.power.unit_powers(
-                activities, unit_temps_now, self._memory_intensity()
-            )
-            self.thermal.step(powers)
-            self._sensor_temps = self.sensors.read_cores()
-
-            self._apply_dpm(t1)
-            self._run_policy(t1)
-
-            # Record the end-of-interval state.
-            rec.times[tick] = t1
-            unit_row = self.thermal.unit_temperature_vector()
-            peak_row = self.thermal.unit_max_vector()
-            rec.unit_temps[tick] = unit_row
-            rec.core_temps[tick] = unit_row[rec.core_cols]
-            rec.core_peaks[tick] = peak_row[rec.core_cols]
-            rec.spreads[tick] = [
-                unit_row[sl].max() - unit_row[sl].min()
-                for sl in rec.die_slices
-            ]
-            rec.utilization[tick] = np.fromiter(
-                (core.last_utilization for core in core_list),
-                dtype=np.float64,
-                count=n_cores,
-            )
-            rec.vf_indices[tick] = np.fromiter(
-                (core.vf_index for core in core_list),
-                dtype=np.int64,
-                count=n_cores,
-            )
-            rec.core_states[tick] = np.fromiter(
-                (STATE_CODE[core.power_state()] for core in core_list),
-                dtype=np.int64,
-                count=n_cores,
-            )
-            tick_power = sum(powers.values())
-            rec.total_power[tick] = tick_power
-            energy += tick_power * dt
-        return energy
-
     # ------------------------------------------------------------------
     # initialization
 
@@ -1597,27 +1411,6 @@ class SimulationEngine:
         self._jobs.append(job)
         self._obs.job_arrival(time, job)
 
-    def _advance_interval_scan(self, t0: float, t1: float) -> None:
-        """Legacy interval loop: recompute every core's next event at
-        every boundary (O(events x cores))."""
-        now = t0
-        while now < t1 - _TIME_EPS:
-            next_time = t1
-            # Earliest arrival.
-            if self._arrivals and self._arrivals[0][0] < next_time:
-                next_time = max(self._arrivals[0][0], now)
-            # Earliest completion or stall expiry.
-            for core in self._core_list:
-                event = self._next_core_event(core, now)
-                if event is not None and event < next_time:
-                    next_time = event
-            next_time = min(max(next_time, now), t1)
-
-            self._execute(now, next_time)
-            now = next_time
-            self._process_completions(now)
-            self._process_arrivals(now)
-
     def _advance_interval_heap(self, t0: float, t1: float) -> None:
         """Event-heap interval loop.
 
@@ -1628,7 +1421,7 @@ class SimulationEngine:
         guards against the ulp-level drift a cached absolute time
         accumulates as the running job's remaining work is re-rounded
         at intermediate boundaries, keeping boundary times bit-identical
-        to the legacy rescan loop.
+        to an all-core rescan (the test-only scan oracle).
         """
         now = t0
         heap = self._event_heap
@@ -1687,8 +1480,8 @@ class SimulationEngine:
         Split from the V/f row because queue and state flip at every
         dispatch/completion while the V/f level changes only at policy
         actions — the split keeps the per-event sync to two array
-        writes. The state code is computed inline in
-        :meth:`power_state`'s precedence order.
+        writes. The state code is computed inline, in the power
+        model's precedence order: sleep, gated, active, idle.
         """
         i = core.idx
         jobs = core.jobs
@@ -1749,7 +1542,7 @@ class SimulationEngine:
         temps_row[:] = self._temps_arr
         dyn_row[:] = self._dyn_scale_arr
         volt_row[:] = self._voltage_arr
-        self._span_alloc_ctx = None  # views below are re-homed
+        self._alloc_ctx = None  # views below are re-homed
         self._span_tick_ctx = None
         self._ql_arr = ql_row
         self._state_arr = state_row
@@ -1777,8 +1570,6 @@ class SimulationEngine:
         code, V/f level) is synced here too, since its inputs change at
         exactly these sites.
         """
-        if not self._use_heap:
-            return
         self._sync_queue_state(core)
         core.heap_seq += 1
         self._ob_heap_invalidate += 1
@@ -1838,22 +1629,17 @@ class SimulationEngine:
                 finished.append(core)
 
     def _process_completions(self, now: float) -> None:
-        if self._use_heap:
-            # Only cores flagged since the last call can hold a finished
-            # head: _execute flags the crossing, and _dispatch /
-            # _place_migrated flag the (degenerate) arrival of an
-            # already-finished head. _core_list order is preserved
-            # because _execute iterates it in order.
-            finished = self._finished_cores
-            if not finished:
-                return
-            self._finished_cores = []
-            candidates: List[_CoreRuntime] = finished
-        else:
-            self._finished_cores.clear()
-            candidates = self._core_list
+        # Only cores flagged since the last call can hold a finished
+        # head: _execute flags the crossing, and _dispatch /
+        # _place_migrated flag the (degenerate) arrival of an
+        # already-finished head. _core_list order is preserved because
+        # _execute iterates it in order.
+        finished = self._finished_cores
+        if not finished:
+            return
+        self._finished_cores = []
         use_span = self._use_span
-        for core in candidates:
+        for core in finished:
             jobs = core.jobs
             if not jobs or jobs[0].remaining_s > _TIME_EPS:
                 continue
@@ -1898,34 +1684,16 @@ class SimulationEngine:
             self._ob_arrival_pop += 1
             self._dispatch(job, now)
 
-    def _dispatch(self, job: Job, now: float) -> None:
-        if self._use_span:
-            ctx = self._span_alloc_ctx
-            if ctx is None:
-                ctx = AllocationContext(
-                    time=now,
-                    queue_lengths=self._alloc_queue_view,
-                    temperatures_k=self._alloc_temp_view,
-                    states=self._alloc_state_view,
-                    last_core=self._thread_last_core.get(job.thread_id),
-                    core_names=self._core_names_tuple,
-                    temperatures_vec=self._temps_arr,
-                    queue_lengths_list=self._ql_list,
-                    state_codes_list=self._state_list,
-                )
-                self._span_alloc_ctx = ctx
-            else:
-                # One frozen shell per run; only the scalars move.
-                object.__setattr__(ctx, "time", now)
-                object.__setattr__(
-                    ctx, "last_core",
-                    self._thread_last_core.get(job.thread_id),
-                )
-        elif self._use_heap:
-            # The arrays mirror len(queue)/power_state()/sensor reads
-            # exactly (synced in _invalidate_event and at the tick
-            # boundary), so the context is live views — no per-dispatch
-            # dict assembly.
+    def _allocation_context(self, job: Job, now: float) -> AllocationContext:
+        """The context ``select_core`` places ``job`` with.
+
+        One frozen shell per run whose payloads are live views of the
+        structure-of-arrays rows (synced in :meth:`_invalidate_event`
+        and at the tick boundary, so they mirror the queues, core states
+        and sensor reads exactly); only the scalars move between calls.
+        """
+        ctx = self._alloc_ctx
+        if ctx is None:
             ctx = AllocationContext(
                 time=now,
                 queue_lengths=self._alloc_queue_view,
@@ -1937,20 +1705,18 @@ class SimulationEngine:
                 queue_lengths_list=self._ql_list,
                 state_codes_list=self._state_list,
             )
+            self._alloc_ctx = ctx
         else:
-            # Dicts read from the core objects, not the SoA rows; the
-            # context packs its arrays from them, so heap-vs-scan runs
-            # cross-check the rows' sync.
-            ctx = AllocationContext(
-                time=now,
-                queue_lengths={
-                    n: len(c.queue) for n, c in self._cores.items()
-                },
-                temperatures_k=dict(self._sensor_temps),
-                states={n: c.power_state() for n, c in self._cores.items()},
-                last_core=self._thread_last_core.get(job.thread_id),
+            object.__setattr__(ctx, "time", now)
+            object.__setattr__(
+                ctx, "last_core", self._thread_last_core.get(job.thread_id)
             )
-        target = self.policy.select_core(job, ctx)
+        return ctx
+
+    def _dispatch(self, job: Job, now: float) -> None:
+        target = self.policy.select_core(
+            job, self._allocation_context(job, now)
+        )
         if target not in self._cores:
             raise SchedulerError(
                 f"policy {self.policy.name} selected unknown core {target!r}"
@@ -1975,8 +1741,8 @@ class SimulationEngine:
         core.queue.push(job)
         if job.remaining_s <= _TIME_EPS and len(core.jobs) == 1:
             # Degenerate zero-work job became the head without ever
-            # executing; flag it so heap-mode completion processing
-            # still sees it (the legacy scan finds it by rescanning).
+            # executing; flag it so completion processing still sees
+            # it.
             self._finished_cores.append(core)
         self._invalidate_event(core, now)
         self._obs.job_dispatch(now, job, core.idx)
@@ -2001,21 +1767,21 @@ class SimulationEngine:
                 self._invalidate_event(core, now)
                 self._obs.dpm_sleep(now, core.idx)
 
-    def _run_policy(
+    def _tick_context(
         self,
         now: float,
-        util_arr: Optional[np.ndarray] = None,
-        arrays: Optional[TickArrays] = None,
-    ) -> None:
+        util_arr: Optional[np.ndarray],
+        arrays: Optional[TickArrays],
+    ) -> TickContext:
+        """The context ``on_tick`` decides on at the boundary ``now``."""
         if self._use_span:
             # The span substrate hands policies live views of the
             # engine's own row state through one persistent context
             # shell: no snapshot copies, no per-tick context objects.
-            # Values at
-            # ``on_tick`` time equal the eager snapshots (nothing
-            # mutates between the gather and the call); policies must
-            # not hold the arrays across ticks (the registry policies
-            # do not).
+            # Values at ``on_tick`` time equal the eager snapshots
+            # (nothing mutates between the gather and the call);
+            # policies must not hold the arrays across ticks (the
+            # registry policies do not).
             ctx = self._span_tick_ctx
             if ctx is None:
                 snap = TickArrays(
@@ -2034,41 +1800,34 @@ class SimulationEngine:
                 self._span_tick_ctx = ctx
             else:
                 object.__setattr__(ctx, "time", now)
-        elif self._use_heap:
-            # Structure-of-arrays snapshot: policies decide on the
-            # arrays, and the CoreSnapshot mapping (the custom-policy
-            # interface) is materialized only on access. The batch
-            # engine passes a prebuilt ``arrays`` (rows of one per-tick
-            # batch copy) so lanes skip the per-run copies.
-            if arrays is None:
-                arrays = TickArrays(
-                    core_names=self._core_names_tuple,
-                    temperature_k=self._temps_arr.copy(),
-                    utilization=util_arr.copy(),
-                    state_codes=self._state_arr.copy(),
-                    vf_index=self._vf_arr.copy(),
-                    queue_length=self._ql_arr.copy(),
-                )
-            ctx = TickContext(
-                time=now,
-                cores=SnapshotArrayMapping(self._core_index, arrays),
-                arrays=arrays,
+            return ctx
+        # Structure-of-arrays snapshot: policies decide on the arrays,
+        # and the CoreSnapshot mapping (the custom-policy interface) is
+        # materialized only on access. The batch engine passes a
+        # prebuilt ``arrays`` (rows of one per-tick batch copy) so
+        # lanes skip the per-run copies.
+        if arrays is None:
+            arrays = TickArrays(
+                core_names=self._core_names_tuple,
+                temperature_k=self._temps_arr.copy(),
+                utilization=util_arr.copy(),
+                state_codes=self._state_arr.copy(),
+                vf_index=self._vf_arr.copy(),
+                queue_length=self._ql_arr.copy(),
             )
-        else:
-            # Packed into arrays by the context, as in _dispatch.
-            ctx = TickContext(
-                time=now,
-                cores={
-                    name: CoreSnapshot(
-                        temperature_k=self._sensor_temps[name],
-                        utilization=self._cores[name].last_utilization,
-                        state=self._cores[name].power_state(),
-                        vf_index=self._cores[name].vf_index,
-                        queue_length=len(self._cores[name].queue),
-                    )
-                    for name in self.core_names
-                },
-            )
+        return TickContext(
+            time=now,
+            cores=SnapshotArrayMapping(self._core_index, arrays),
+            arrays=arrays,
+        )
+
+    def _run_policy(
+        self,
+        now: float,
+        util_arr: Optional[np.ndarray] = None,
+        arrays: Optional[TickArrays] = None,
+    ) -> None:
+        ctx = self._tick_context(now, util_arr, arrays)
         actions = self.policy.on_tick(ctx)
 
         for name, level in actions.vf_settings.items():
@@ -2163,7 +1922,7 @@ class SimulationEngine:
         if core.jobs[0].remaining_s <= _TIME_EPS:
             # A finished head landed here without executing (possible
             # only for degenerate zero-work jobs); keep it visible to
-            # heap-mode completion processing.
+            # completion processing.
             self._finished_cores.append(core)
         core.stall_until = max(core.stall_until, now + cost)
         job.migrations += 1

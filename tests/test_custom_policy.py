@@ -30,6 +30,7 @@ from repro.errors import PolicyError
 from repro.power.states import STATE_CODE, CoreState
 
 from tests.conftest import make_alloc, make_system_view, make_test_job, make_tick
+from tests.scan_engine import ScanEngine
 from tests.test_engine_heap import RESULT_ARRAYS
 
 _EXAMPLE = Path(__file__).resolve().parents[1] / "examples" / "custom_policy.py"
@@ -70,18 +71,20 @@ class CoolestFirstThrottle(_example.CoolestFirst):
         return actions
 
 
-def run_custom(**config):
+def run_custom(oracle: bool = False, **config):
     engine = RUNNER.build_engine(SPEC)
     engine.config = replace(engine.config, **config)
     engine.policy = CoolestFirstThrottle()
     engine.policy.attach(engine.system_view)
+    if oracle:
+        engine = ScanEngine.from_engine(engine)
     return engine.run()
 
 
 class TestMappingPolicyInEngine:
     def test_heap_matches_scan(self):
-        heap = run_custom(event_loop="event_heap")
-        scan = run_custom(event_loop="legacy_scan")
+        heap = run_custom()
+        scan = run_custom(oracle=True)
         for name in RESULT_ARRAYS:
             np.testing.assert_array_equal(
                 getattr(heap, name), getattr(scan, name), err_msg=name

@@ -17,8 +17,6 @@ Three families:
   batched path.
 """
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -211,14 +209,6 @@ class TestBatchValidation:
         )
         with pytest.raises(SchedulerError):
             BatchSimulationEngine([a, b])
-
-    def test_legacy_scan_lane_rejected(self):
-        engine = RUNNER.build_engine(
-            RunSpec(exp_id=1, policy="Default", duration_s=2.0)
-        )
-        engine.config = replace(engine.config, event_loop="legacy_scan")
-        with pytest.raises(SchedulerError):
-            BatchSimulationEngine([engine])
 
 
 class TestRunBatch:

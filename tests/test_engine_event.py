@@ -23,7 +23,6 @@ import numpy as np
 import pytest
 
 from repro.analysis.runner import ExperimentRunner, RunSpec
-from repro.errors import SchedulerError
 from repro.floorplan.experiments import build_experiment
 from repro.sched.engine import SimulationEngine
 from repro.thermal.model import (
@@ -344,16 +343,6 @@ class TestEventCheckpointResume:
 
 
 class TestEventConfigValidation:
-    def test_event_requires_event_heap(self):
-        engine = RUNNER.build_engine(
-            RunSpec(exp_id=1, policy="Default", duration_s=2.0)
-        )
-        engine.config = replace(
-            engine.config, fidelity="event", event_loop="legacy_scan"
-        )
-        with pytest.raises(SchedulerError):
-            engine.run()
-
     def test_batch_group_key_separates_fidelities(self):
         eager = RunSpec(exp_id=1, policy="Default", duration_s=2.0)
         event = replace(eager, fidelity="event")

@@ -2,10 +2,11 @@
 
 Two families:
 
-- differential tests proving the event-heap interval loop reproduces
-  the legacy all-core scan loop bit for bit (every recorded array,
-  energy, jobs, migrations) — a fast subset runs in tier-1, the full
-  policy x DPM x experiment matrix under the ``slow`` marker;
+- differential tests proving the engine's event-heap tick loop
+  reproduces the all-core scan oracle (``tests/scan_engine.py``) bit
+  for bit (every recorded array, energy, jobs, migrations) — a fast
+  subset runs in tier-1, the full policy x DPM x experiment matrix
+  under the ``slow`` marker;
 - unit tests of the heap invalidation edges: dispatch, completion,
   V/f change, gating, sleep, and migration must each refresh the
   core's cached completion event.
@@ -17,10 +18,9 @@ import numpy as np
 import pytest
 
 from repro.analysis.runner import ExperimentRunner, RunSpec
-from repro.errors import SchedulerError
-from repro.sched.engine import EngineConfig
 from repro.workload.benchmarks import benchmark
 from repro.workload.job import Job
+from tests.scan_engine import ScanEngine
 
 RUNNER = ExperimentRunner()
 
@@ -37,17 +37,16 @@ RESULT_ARRAYS = (
 )
 
 
-def run_with_loop(spec: RunSpec, event_loop: str, **config_overrides):
+def build(spec: RunSpec, oracle: bool = False, **config_overrides):
+    """The engine for ``spec``, or the scan oracle when ``oracle``."""
     engine = RUNNER.build_engine(spec)
-    engine.config = replace(
-        engine.config, event_loop=event_loop, **config_overrides
-    )
-    return engine.run()
+    engine.config = replace(engine.config, **config_overrides)
+    return ScanEngine.from_engine(engine) if oracle else engine
 
 
 def assert_bit_identical(spec: RunSpec, **config_overrides):
-    heap = run_with_loop(spec, "event_heap", **config_overrides)
-    scan = run_with_loop(spec, "legacy_scan", **config_overrides)
+    heap = build(spec, **config_overrides).run()
+    scan = build(spec, oracle=True, **config_overrides).run()
     for name in RESULT_ARRAYS:
         np.testing.assert_array_equal(
             getattr(heap, name), getattr(scan, name), err_msg=name
@@ -137,12 +136,10 @@ class TestDifferentialMatrix:
 
 
 def heap_engine():
-    """An engine with heap maintenance armed, outside run()."""
-    engine = RUNNER.build_engine(
+    """An engine outside run() (heap maintenance is always armed)."""
+    return RUNNER.build_engine(
         RunSpec(exp_id=1, policy="Default", duration_s=5.0)
     )
-    engine._use_heap = True
-    return engine
 
 
 def live_events(engine):
@@ -154,15 +151,13 @@ def live_events(engine):
     }
 
 
-def run_with_telemetry(spec: RunSpec, event_loop: str, trace: bool = False):
+def run_with_telemetry(spec: RunSpec, oracle: bool = False,
+                       trace: bool = False):
     from repro.obs.telemetry import TelemetryConfig
 
-    engine = RUNNER.build_engine(spec)
-    engine.config = replace(
-        engine.config, event_loop=event_loop,
-        telemetry=TelemetryConfig(trace=trace),
-    )
-    return engine.run()
+    return build(
+        spec, oracle=oracle, telemetry=TelemetryConfig(trace=trace)
+    ).run()
 
 
 class TestTelemetryCrossCheck:
@@ -172,8 +167,8 @@ class TestTelemetryCrossCheck:
     def test_eager_bit_identical_with_telemetry_on(self):
         spec = RunSpec(exp_id=4, policy="Adapt3D&DVFS_TT", duration_s=6.0,
                        seed=2009)
-        plain = run_with_loop(spec, "event_heap")
-        telem = run_with_telemetry(spec, "event_heap", trace=True)
+        plain = build(spec).run()
+        telem = run_with_telemetry(spec, trace=True)
         for name in RESULT_ARRAYS:
             np.testing.assert_array_equal(
                 getattr(plain, name), getattr(telem, name), err_msg=name
@@ -183,10 +178,12 @@ class TestTelemetryCrossCheck:
         assert plain.telemetry is None
         assert telem.telemetry is not None
 
-    @pytest.mark.parametrize("event_loop", ["event_heap", "legacy_scan"])
-    def test_counters_match_result(self, event_loop):
+    @pytest.mark.parametrize(
+        "oracle", [False, True], ids=["event_heap", "legacy_scan"]
+    )
+    def test_counters_match_result(self, oracle):
         spec = RunSpec(exp_id=4, policy="Migr", duration_s=10.0, seed=7)
-        result = run_with_telemetry(spec, event_loop)
+        result = run_with_telemetry(spec, oracle)
         snap = result.telemetry
         stats = snap["job_stats"]
         assert stats["completions"] == len(result.completed_jobs())
@@ -198,12 +195,21 @@ class TestTelemetryCrossCheck:
         engine_info = snap["engine"]
         assert engine_info["jobs_completed"] == stats["completions"]
         assert engine_info["migrations"] == result.migrations
-        assert engine_info["event_loop"] == event_loop
+        assert engine_info["fidelity"] == "eager"
+
+    def test_oracle_never_touches_the_heap(self):
+        """The differential compares the engine with a loop that keeps
+        no heap, never with itself."""
+        spec = RunSpec(exp_id=4, policy="Migr", duration_s=10.0, seed=7)
+        counters = run_with_telemetry(spec, oracle=True).telemetry[
+            "engine"]["counters"]
+        assert counters["heap_push"] == counters["heap_pop"] == 0
+        assert counters["heap_invalidate"] == 0
 
     def test_heap_and_scan_report_same_lifecycle_counts(self):
         spec = RunSpec(exp_id=4, policy="Migr", duration_s=10.0, seed=7)
-        heap = run_with_telemetry(spec, "event_heap")
-        scan = run_with_telemetry(spec, "legacy_scan")
+        heap = run_with_telemetry(spec)
+        scan = run_with_telemetry(spec, oracle=True)
         for field in ("arrivals", "dispatches", "completions",
                       "migrations", "preemptions"):
             assert (heap.telemetry["job_stats"][field]
@@ -212,7 +218,7 @@ class TestTelemetryCrossCheck:
     def test_heap_counters_populated(self):
         spec = RunSpec(exp_id=4, policy="Adapt3D&DVFS_TT", duration_s=6.0,
                        seed=2009)
-        result = run_with_telemetry(spec, "event_heap")
+        result = run_with_telemetry(spec)
         counters = result.telemetry["engine"]["counters"]
         assert counters["heap_push"] > 0
         assert counters["heap_pop"] > 0
@@ -226,7 +232,7 @@ class TestTelemetryCrossCheck:
         from repro.obs.trace import EV_COMPLETION, EV_MIGRATION
 
         spec = RunSpec(exp_id=4, policy="Migr", duration_s=10.0, seed=7)
-        result = run_with_telemetry(spec, "event_heap", trace=True)
+        result = run_with_telemetry(spec, trace=True)
         rows = result.telemetry["trace"]["rows"]
         assert result.telemetry["trace"]["dropped"] == 0
         completions = sum(1 for r in rows if r[1] == EV_COMPLETION)
@@ -236,7 +242,7 @@ class TestTelemetryCrossCheck:
 
     def test_profiler_accounts_for_all_ticks(self):
         spec = RunSpec(exp_id=1, policy="Default", duration_s=6.0, seed=3)
-        result = run_with_telemetry(spec, "event_heap")
+        result = run_with_telemetry(spec)
         phases = result.telemetry["phases"]
         assert phases["ticks"] == result.n_ticks
         assert phases["total_s"] > 0.0
@@ -337,16 +343,3 @@ class TestHeapInvalidation:
         core.queue.push(make_job(work_s=2.0))
         engine._invalidate_event(core, 0.0)
         assert live_events(engine)[core.name] == pytest.approx(2.5)
-
-
-class TestEngineConfigValidation:
-    def test_unknown_event_loop_rejected(self):
-        engine = RUNNER.build_engine(
-            RunSpec(exp_id=1, policy="Default", duration_s=1.0)
-        )
-        engine.config = replace(engine.config, event_loop="bogus")
-        with pytest.raises(SchedulerError):
-            engine.run()
-
-    def test_default_is_event_heap(self):
-        assert EngineConfig().event_loop == "event_heap"
