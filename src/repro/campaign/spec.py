@@ -41,7 +41,10 @@ from repro.sched.engine import FIDELITY_MODES
 # v5: the fidelity axis gained "event" (event-driven time advance over
 # the reduced-order modal thermal stepper); the version fence keeps v4
 # stores from ever serving event-fidelity requests they never computed.
-KEY_VERSION = 5
+# v6: the event modal basis comes from one symmetric eigendecomposition
+# of the propagator, which moves event results by up to ~5e-13 K; eager
+# results are bit-identical but get new keys with the version.
+KEY_VERSION = 6
 
 
 def _canonical(value: Any) -> Any:

@@ -29,8 +29,8 @@ ThermalModel instances of the same configuration. A campaign builds
 one assembly per (experiment, grid) stack in its driver and shares it
 with every pool worker, so runs skip ``build_network``, the LU
 factorizations, the exponential-propagator ``expm`` and the modal
-``eig``; only the temperature state vector is per-instance. The
-assembly lazily builds and caches one
+eigendecomposition; only the temperature state vector is
+per-instance. The assembly lazily builds and caches one
 :class:`~repro.thermal.solver.TransientSolver` per method, so runs
 selecting different integrators still share everything else.
 """
@@ -71,10 +71,12 @@ DEFAULT_SOLVER_METHOD = "exponential"
 #: modes), which is what makes the reduced step cheap.
 MODAL_DROP_TOL = 1e-12
 
-#: Ceiling on ``max|A - V diag(rho) W|`` for accepting the truncated
-#: eigenbasis. Above it (ill-conditioned eigenvectors, complex pairs in
-#: the kept spectrum) the assembly reports no modal basis and callers
-#: fall back to dense stepping.
+#: Ceiling on ``max|A - V diag(rho) W|`` against the dense propagator
+#: for accepting the truncated eigenbasis. The basis assumes ``A`` is
+#: similar to a symmetric matrix (diagonal ``C``, symmetric ``G``). A
+#: propagator that is not, to this precision, reconstructs badly; the
+#: assembly then reports no modal basis and callers fall back to dense
+#: stepping.
 MODAL_BASIS_ERR_MAX = 1e-9
 
 
@@ -195,18 +197,28 @@ class ThermalAssembly:
         way, which turns the n x n state advance into a handful of
         m-vector operations (m = kept modes).
 
+        ``C dT/dt = -G T + P`` has a diagonal positive ``C`` and a
+        symmetric ``G``, so ``A = expm(-C^-1 G dt)`` is similar to the
+        symmetric ``S = C^1/2 A C^-1/2``. One symmetric
+        eigendecomposition ``(S + S^T)/2 = U diag(rho) U^T`` then gives
+        real eigenvalues and ``V = C^-1/2 U``, ``W = U^T C^1/2 = V^-1``
+        with no inverse. The propagator is decomposed, not
+        ``C^-1/2 G C^-1/2``: exponentiating the conductance-side
+        eigenvalues reconstructs ``A`` an order of magnitude less
+        accurately (~5e-13 against ~3e-14).
+
         Returns the cached basis dict, or ``None`` when the exponential
-        propagator is unavailable, the kept spectrum is not real, or
-        the reconstruction error ``max|A - V diag(rho) W|`` exceeds
+        propagator is unavailable or the reconstruction error
+        ``max|A - V diag(rho) W|`` against the dense propagator exceeds
         :data:`MODAL_BASIS_ERR_MAX` — callers must fall back to dense
         stepping in that case. Built once per assembly and shared by
         every run on it.
 
         Basis keys: ``rho`` (m,), ``V`` (n x m), ``W`` (m x n), the
-        readback projections ``mean_v = mean_weights @ V`` and
-        ``max_v = V[max_node_idx]``, and the power-to-steady-point
-        projections ``w_gain = W @ gain``, ``mean_gain`` and
-        ``max_gain`` used for exact in-jump power repricing.
+        mean readback projection ``mean_v = mean_weights @ V``, the
+        power-to-steady-point projections ``w_gain = W @ gain`` and
+        ``mean_gain = mean_weights @ gain`` used for exact in-jump
+        power repricing, and the reconstruction error ``err``.
         """
         if self._modal_basis is not False:
             return self._modal_basis  # type: ignore[return-value]
@@ -215,37 +227,15 @@ class ThermalAssembly:
             self._modal_basis = None
             return None
         propagator, gain, _ambient = exp_step
-        eigvals, eigvecs = np.linalg.eig(propagator)
-        # Realify: a conjugate pair's columns (v, v̄) are replaced by
-        # (Re v, Im v), which span the same invariant 2D subspace; the
-        # diagonal-rho approximation of the resulting 2x2 block is off
-        # by |Im lambda| — negligible for the kept spectrum and caught
-        # by the reconstruction check below otherwise. Taking bare real
-        # parts instead would collapse each pair to rank one.
-        if np.iscomplexobj(eigvals):
-            lam = np.ascontiguousarray(eigvals.real)
-            v_full = np.ascontiguousarray(eigvecs.real)
-            imag = eigvals.imag
-            j = 0
-            while j < lam.size:
-                if imag[j] != 0.0 and j + 1 < lam.size:
-                    v_full[:, j + 1] = eigvecs[:, j].imag
-                    j += 2
-                else:
-                    j += 1
-        else:
-            lam = eigvals
-            v_full = eigvecs
-        try:
-            w_full = np.linalg.inv(v_full)
-        except np.linalg.LinAlgError:
-            self._modal_basis = None
-            return None
+        root_c = np.sqrt(self.network.capacitance)
+        scaled = root_c[:, None] * propagator / root_c
+        lam, u_full = np.linalg.eigh(0.5 * (scaled + scaled.T))
         keep = np.abs(lam) > MODAL_DROP_TOL
         order = np.argsort(-np.abs(lam[keep]))
         rho = np.ascontiguousarray(lam[keep][order])
-        v_mat = np.ascontiguousarray(v_full[:, keep][:, order])
-        w_mat = np.ascontiguousarray(w_full[keep][order])
+        u_mat = u_full[:, keep][:, order]
+        v_mat = np.ascontiguousarray(u_mat / root_c[:, None])
+        w_mat = np.ascontiguousarray(u_mat.T * root_c)
         err = float(np.abs(propagator - (v_mat * rho) @ w_mat).max())
         if err > MODAL_BASIS_ERR_MAX:
             self._modal_basis = None
@@ -256,10 +246,8 @@ class ThermalAssembly:
             "V": v_mat,
             "W": w_mat,
             "mean_v": np.ascontiguousarray(rb.mean_weights @ v_mat),
-            "max_v": np.ascontiguousarray(v_mat[rb.max_node_idx]),
             "w_gain": np.ascontiguousarray(w_mat @ gain),
             "mean_gain": np.ascontiguousarray(rb.mean_weights @ gain),
-            "max_gain": np.ascontiguousarray(gain[rb.max_node_idx]),
             "err": np.array(err),
         }
         return self._modal_basis  # type: ignore[return-value]

@@ -128,7 +128,7 @@ class TestGoldenKey:
 
     Result stores index completed runs by ``run_key``; if the digest for a
     fixed spec ever changes, every cached campaign silently misses and
-    re-runs.  These digests were frozen when KEY_VERSION reached 5 — a
+    re-runs.  These digests were frozen when KEY_VERSION reached 6 — a
     mismatch means either an accidental serialization change (fix it) or a
     deliberate one (bump KEY_VERSION in repro.campaign.spec, refresh the
     contract golden via ``repro-dtm lint --update-golden``, then update the
@@ -149,8 +149,8 @@ class TestGoldenKey:
         workload_mix="server",
         fidelity="event",
     )
-    GOLDEN_RUN_KEY = "exp4-adapt3d_dvfs_tt-b79c2928f430"
-    GOLDEN_PREFIX_KEY = "exp4-adapt3d_dvfs_tt-pfx-dd932056e672"
+    GOLDEN_RUN_KEY = "exp4-adapt3d_dvfs_tt-ee9610e5b8e7"
+    GOLDEN_PREFIX_KEY = "exp4-adapt3d_dvfs_tt-pfx-5ffbdd20e95e"
 
     def test_run_key_matches_frozen_digest(self):
         assert run_key(RunSpec(**self.GOLDEN_SPEC_KWARGS)) == self.GOLDEN_RUN_KEY

@@ -26,7 +26,7 @@ from repro.analysis.runner import ExperimentRunner, RunSpec
 from repro.floorplan.experiments import build_experiment
 from repro.sched.engine import SimulationEngine
 from repro.thermal.model import (
-    MODAL_BASIS_ERR_MAX,
+    MODAL_DROP_TOL,
     ThermalModel,
 )
 
@@ -376,20 +376,60 @@ class TestModalPrimitives:
             {name: 0.4 for name in model.unit_names}
         )
 
-    def test_modal_basis_reconstructs_propagator(self, model):
-        basis = model.assembly.modal_step_basis()
+    @pytest.mark.parametrize("exp_id", [1, 2, 3, 4])
+    def test_modal_basis_is_the_symmetric_eigenbasis(self, exp_id):
+        assembly = ThermalModel(build_experiment(exp_id)).assembly
+        basis = assembly.modal_step_basis()
         assert basis is not None
-        n_nodes = model.assembly.transient_solver(
-            "exponential"
-        ).propagator.shape[0]
-        # Truncation drops the numerically dead modes...
-        assert 0 < basis["rho"].size < n_nodes
-        # ...and the realified basis is exact within the gate.
-        assert basis["err"] <= MODAL_BASIS_ERR_MAX
-        # Conjugate eigenpairs were realified: everything downstream
-        # of the factorization must be plain float arrays.
-        for key in ("rho", "V", "W"):
-            assert not np.iscomplexobj(basis[key]), key
+        propagator = assembly.exponential_step()[0]
+        rho, v_mat, w_mat = basis["rho"], basis["V"], basis["W"]
+        # W is the inverse of V on the kept modes.
+        np.testing.assert_allclose(
+            w_mat @ v_mat, np.eye(rho.size), rtol=0.0, atol=1e-12
+        )
+        # Real decay factors in (0, 1], slowest mode first.
+        assert not np.iscomplexobj(rho)
+        assert np.all(rho > 0.0) and np.all(rho <= 1.0)
+        assert np.all(np.diff(np.abs(rho)) <= 0.0)
+        # Truncation keeps exactly the modes a general eigensolver
+        # finds above the drop tolerance...
+        reference = np.abs(np.linalg.eigvals(propagator))
+        assert rho.size == np.count_nonzero(reference > MODAL_DROP_TOL)
+        assert rho.size < propagator.shape[0]
+        # ...and rebuilds the propagator to ~3e-14; decomposing
+        # C^-1/2 G C^-1/2 instead reconstructs to ~5e-13.
+        err = np.abs(propagator - (v_mat * rho) @ w_mat).max()
+        assert err == basis["err"]
+        assert err <= 1e-13
+
+    def test_asymmetric_propagator_gets_no_basis(self, monkeypatch):
+        """The reconstruction gate is the only acceptance test: a
+        propagator that is not similar to a symmetric matrix
+        reconstructs badly from the symmetrized decomposition, so the
+        assembly keeps no basis and every event tick steps dense."""
+        spec = RunSpec(exp_id=1, policy="Default", duration_s=6.0, seed=3,
+                       benchmark_mix=QUIET_MIX, fidelity="event")
+        # A private runner, so no other test's cached assembly sees
+        # the perturbed propagator.
+        engine = ExperimentRunner().build_engine(spec)
+        thermal = engine.thermal
+        propagator = thermal.assembly.exponential_step()[0]
+        propagator[0, 1] += 1e-6  # A[1, 0] stays as it was
+        assert thermal.assembly.modal_step_basis() is None
+        assert thermal.modal_jump() is None
+
+        calls = count_event_jumps(monkeypatch)
+        dense = {"steps": 0}
+        original = ThermalModel.step_vector
+
+        def counting_step(self, unit_power_vec):
+            dense["steps"] += 1
+            original(self, unit_power_vec)
+
+        monkeypatch.setattr(ThermalModel, "step_vector", counting_step)
+        result = engine.run()
+        assert calls["jumps"] > 0
+        assert dense["steps"] == result.times.size
 
     def test_modal_jump_matches_dense_steps(self, model):
         self._settled_state(model)

@@ -179,7 +179,7 @@ class TestTelemetryCrossCheck:
         assert telem.telemetry is not None
 
     @pytest.mark.parametrize(
-        "oracle", [False, True], ids=["event_heap", "legacy_scan"]
+        "oracle", [False, True], ids=["engine", "scan_oracle"]
     )
     def test_counters_match_result(self, oracle):
         spec = RunSpec(exp_id=4, policy="Migr", duration_s=10.0, seed=7)
