@@ -49,8 +49,8 @@ HOT_PATH_FUNCTIONS: Tuple[Tuple[str, str], ...] = (
     ("src/repro/sched/engine.py", "SimulationEngine._policy_tick_noop"),
     ("src/repro/thermal/model.py", "ThermalModel.step_vector"),
     ("src/repro/thermal/model.py", "ModalJump.advance"),
-    ("src/repro/power/chip_power.py", "ChipPowerModel.unit_power_vector"),
-    ("src/repro/power/chip_power.py", "ChipPowerModel.quiet_power_eval"),
+    ("src/repro/power/chip_power.py", "ChipPowerModel.power_factors"),
+    ("src/repro/power/chip_power.py", "ChipPowerModel.power_eval"),
 )
 
 #: Every def with this name under the directory is hot (dispatch-time

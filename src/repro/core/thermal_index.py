@@ -17,8 +17,7 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.errors import PolicyError
-from repro.power.chip_power import ChipPowerModel, CoreActivity
-from repro.power.states import CoreState
+from repro.power.chip_power import ChipPowerModel
 from repro.power.vf import DEFAULT_VF_TABLE
 from repro.thermal.model import ThermalModel
 
@@ -51,16 +50,16 @@ def compute_thermal_indices(
             f"alpha range must satisfy 0 < min <= max < 1, "
             f"got [{alpha_min}, {alpha_max}]"
         )
-    nominal = DEFAULT_VF_TABLE[0]
-    activities = {
-        core: CoreActivity(CoreState.ACTIVE, CHARACTERIZATION_UTIL, nominal)
-        for core in power.core_names
-    }
     # Leakage at ambient for the characterization solve; the ranking is
     # insensitive to the leakage operating point.
-    ambient_temps = {name: thermal.ambient_k for name in thermal.unit_names}
-    unit_powers = power.unit_powers(activities, ambient_temps, memory_intensity=0.5)
-    steady = thermal.steady_state(unit_powers)
+    steady = thermal.steady_state(
+        power.uniform_load(
+            CHARACTERIZATION_UTIL,
+            DEFAULT_VF_TABLE[0],
+            memory_intensity=0.5,
+            temperature_k=thermal.ambient_k,
+        )
+    )
 
     core_temps = {core: steady[core] for core in power.core_names}
     t_min = min(core_temps.values())

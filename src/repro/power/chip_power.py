@@ -1,7 +1,7 @@
 """Chip-level power aggregation: one power value per floorplan unit.
 
-``ChipPowerModel`` combines the per-component models into the per-unit
-power dict the thermal model consumes each sampling interval:
+``ChipPowerModel`` computes the per-unit power vector the thermal model
+consumes each sampling interval:
 
 - cores: state/utilization/DVFS dynamic power + polynomial leakage,
 - L2 banks: access-scaled dynamic power + leakage; each bank serves two
@@ -12,18 +12,31 @@ power dict the thermal model consumes each sampling interval:
 
 Leakage is evaluated at each unit's *current* temperature, closing the
 temperature-leakage feedback loop through the thermal model.
+
+The equations are written once, as a kernel in two halves.
+:meth:`ChipPowerModel.power_factors` folds one interval's activity
+(core states, utilization, V/f, memory intensity) into an affine form
+``(base, leak_mul)``, and :meth:`ChipPowerModel.power_eval` prices it at
+a temperature row:
+
+    power = base + leak_mul * (density*area * leak_poly(T))
+
+Every caller takes this pair: the engine's tick (both fidelities), the
+event clock jump (factors frozen over the jump, one eval per tick), the
+batched engine (``(n_cores, R)`` inputs, one column per run), the warm
+start and the thermal-index characterization. A scalar per-unit model of
+the same equations is the kernel's test oracle (``tests/power_oracle.py``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.errors import PowerModelError
 from repro.floorplan.experiments import ExperimentConfig
-from repro.floorplan.unit import UnitKind
+from repro.floorplan.unit import Unit, UnitKind
 from repro.power.cache_power import CachePowerModel
 from repro.power.core_power import CorePowerModel
 from repro.power.crossbar import CrossbarPowerModel
@@ -36,28 +49,26 @@ from repro.power.vf import VFLevel
 OTHER_DENSITY_W_PER_MM2 = 0.05
 OTHER_BASELINE_FRACTION = 0.4
 
+_ACTIVE_CODE = STATE_CODE[CoreState.ACTIVE]
+_GATED_CODE = STATE_CODE[CoreState.GATED]
+_SLEEP_CODE = STATE_CODE[CoreState.SLEEP]
 
-@dataclass(frozen=True)
-class CoreActivity:
-    """One core's activity over the last sampling interval.
 
-    Attributes
-    ----------
-    state:
-        Core state (dominant state if it changed mid-interval).
-    utilization:
-        Busy fraction of the interval, in [0, 1].
-    vf:
-        The V/f level the core ran at.
-    """
-
-    state: CoreState
-    utilization: float
-    vf: VFLevel
+def _segments(groups: List[List[int]]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Concatenated indices, start offsets and float sizes of non-empty
+    index groups: one gather + one ``reduceat`` sums every group."""
+    flat = [i for group in groups for i in group]
+    sizes = [len(group) for group in groups]
+    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    return (
+        np.array(flat, dtype=np.intp),
+        starts.astype(np.intp),
+        np.array(sizes, dtype=np.float64),
+    )
 
 
 class ChipPowerModel:
-    """Aggregates per-unit power for one experiment configuration."""
+    """Per-unit power of one experiment configuration."""
 
     def __init__(
         self,
@@ -73,133 +84,89 @@ class ChipPowerModel:
         self.crossbar_model = crossbar_model
         self.leakage_model = leakage_model
 
-        self._unit_kind: Dict[str, UnitKind] = {}
-        self._unit_area: Dict[str, float] = {}
-        self._core_names: List[str] = []
-        self._cache_names: List[str] = []
-        self._xbar_layer: Dict[str, int] = {}
-        self._layer_cores: Dict[int, List[str]] = {}
-        for layer_index, plan in enumerate(config.layers):
-            self._layer_cores[layer_index] = []
-            for unit in plan:
-                self._unit_kind[unit.name] = unit.kind
-                self._unit_area[unit.name] = unit.area
-                if unit.kind is UnitKind.CORE:
-                    self._core_names.append(unit.name)
-                    self._layer_cores[layer_index].append(unit.name)
-                elif unit.kind is UnitKind.CACHE:
-                    self._cache_names.append(unit.name)
-                elif unit.kind is UnitKind.CROSSBAR:
-                    self._xbar_layer[unit.name] = layer_index
-
+        units = [
+            (layer_index, unit)
+            for layer_index, plan in enumerate(config.layers)
+            for unit in plan
+        ]
+        # Canonical unit order: the insertion order of config.layers,
+        # which matches ThermalModel.unit_names.
+        self._unit_names = [unit.name for _, unit in units]
+        self._core_names = [
+            unit.name for _, unit in units if unit.kind is UnitKind.CORE
+        ]
+        self._cache_names = [
+            unit.name for _, unit in units if unit.kind is UnitKind.CACHE
+        ]
+        if not self._core_names:
+            raise PowerModelError("configuration has no cores")
         self._cache_cores = self._assign_caches()
-        self._build_vector_tables()
+        self._build_tables(units)
 
-    def _build_vector_tables(self) -> None:
-        """Precompute the index/weight arrays of the vectorized path.
+    def _build_tables(self, units: List[Tuple[int, Unit]]) -> None:
+        """Precompute the index/weight arrays of the kernel.
 
-        Every array is laid out in the canonical unit order (the
-        insertion order of ``config.layers``, which matches
-        ``ThermalModel.unit_names``), so :meth:`unit_power_vector` is a
-        handful of NumPy expressions with per-element arithmetic
-        identical to the scalar dict path.
+        Every per-unit array is in canonical unit order and every
+        per-core array in ``core_names`` order, so the kernel is a
+        handful of NumPy expressions whose per-element arithmetic is
+        the scalar equations' (``tests/power_oracle.py``).
         """
-        unit_names = list(self._unit_kind)
-        self._unit_names = unit_names
-        unit_index = {name: i for i, name in enumerate(unit_names)}
-        core_index = {name: i for i, name in enumerate(self._core_names)}
+        positions = {
+            kind: np.array(
+                [i for i, (_, unit) in enumerate(units) if unit.kind is kind],
+                dtype=np.intp,
+            )
+            for kind in UnitKind
+        }
+        self._core_idx = positions[UnitKind.CORE]
+        self._cache_idx = positions[UnitKind.CACHE]
+        self._xbar_idx = positions[UnitKind.CROSSBAR]
+        self._other_idx = positions[UnitKind.OTHER]
 
-        kinds = [self._unit_kind[name] for name in unit_names]
-        areas_mm2 = np.array(
-            [self._unit_area[name] * 1e6 for name in unit_names]
-        )
+        areas_mm2 = np.array([unit.area * 1e6 for _, unit in units])
         # density * area_mm2 is the first product of the scalar leakage
         # evaluation, so precomputing it keeps bitwise parity.
         self._leak_dens_area = np.array(
-            [
-                self.leakage_model.densities[kind] for kind in kinds
-            ]
+            [self.leakage_model.densities[unit.kind] for _, unit in units]
         ) * areas_mm2
-        self._areas_mm2 = areas_mm2
+        self._other_dyn_w = OTHER_DENSITY_W_PER_MM2 * areas_mm2[self._other_idx]
 
-        self._core_idx = np.array(
-            [unit_index[n] for n in self._core_names], dtype=np.intp
-        )
-        self._cache_idx = np.array(
-            [unit_index[n] for n in self._cache_names], dtype=np.intp
-        )
-        self._xbar_names = list(self._xbar_layer)
-        self._xbar_idx = np.array(
-            [unit_index[n] for n in self._xbar_names], dtype=np.intp
-        )
-        other_names = [
-            n for n, k in self._unit_kind.items() if k is UnitKind.OTHER
+        # L2 banks: each fed bank's mean utilization is one segment of
+        # a reduceat over its served cores (a bank serving no core has
+        # a zero mean).
+        core_index = {name: i for i, name in enumerate(self._core_names)}
+        served = [
+            [core_index[c] for c in self._cache_cores[name]]
+            for name in self._cache_names
         ]
-        self._other_idx = np.array(
-            [unit_index[n] for n in other_names], dtype=np.intp
+        self._cache_fed = np.array(
+            [b for b, group in enumerate(served) if group], dtype=np.intp
+        )
+        self._cache_served, self._cache_starts, self._cache_sizes = (
+            _segments([group for group in served if group])
         )
 
-        # Cache banks: concatenated served-core indices + segment
-        # offsets, so each bank's mean utilization is one reduceat
-        # (sequential accumulation, identical to the scalar sum()).
-        served_counts = [len(self._cache_cores[n]) for n in self._cache_names]
-        served_flat: List[int] = []
-        for name in self._cache_names:
-            served_flat.extend(core_index[c] for c in self._cache_cores[name])
-        self._cache_served_idx = np.array(served_flat, dtype=np.intp)
-        self._cache_counts = np.array(served_counts, dtype=np.float64)
-        nonempty = np.array([c > 0 for c in served_counts])
-        self._cache_nonempty = np.nonzero(nonempty)[0]
-        self._cache_offsets = np.searchsorted(
-            np.repeat(np.arange(len(served_counts)), served_counts),
-            self._cache_nonempty,
-        )
-
-        # Crossbars: per-layer core index segments (empty layers fall
-        # back to whole-chip activity).
-        self._xbar_core_segments = [
-            np.array(
-                [core_index[c] for c in self._layer_cores[layer]],
-                dtype=np.intp,
-            )
-            for layer in (self._xbar_layer[n] for n in self._xbar_names)
+        # Active-core fractions: one segment per crossbar (its layer's
+        # cores, or every core when its layer has none: an EXP-1 style
+        # crossbar serves the whole chip from the only logic layer),
+        # then a last segment of every core (the chip fraction, which
+        # also scales the misc logic). Counts are exact integers, so
+        # the fractions are the scalar count loop's bit for bit.
+        all_cores = list(range(len(self._core_names)))
+        layer_cores: Dict[int, List[int]] = {}
+        for layer, unit in units:
+            if unit.kind is UnitKind.CORE:
+                layer_cores.setdefault(layer, []).append(core_index[unit.name])
+        groups = [
+            layer_cores.get(units[i][0]) or all_cores for i in self._xbar_idx
         ]
-        # Fused-kernel form of the segments: one concatenated gather +
-        # one segment reduceat replaces the per-segment Python loop of
-        # count_nonzero calls. Counts are exact integers, so the
-        # resulting fractions are bit-identical to the loop.
-        nonempty_segs = [
-            (i, seg) for i, seg in enumerate(self._xbar_core_segments)
-            if seg.size
-        ]
-        self._xbar_nonempty = np.array(
-            [i for i, _ in nonempty_segs], dtype=np.intp
+        self._act_cores, self._act_starts, self._act_sizes = _segments(
+            groups + [all_cores]
         )
-        self._xbar_empty = np.array(
-            [
-                i for i, seg in enumerate(self._xbar_core_segments)
-                if not seg.size
-            ],
-            dtype=np.intp,
-        )
-        if nonempty_segs:
-            sizes = [seg.size for _, seg in nonempty_segs]
-            self._xbar_seg_concat = np.concatenate(
-                [seg for _, seg in nonempty_segs]
-            )
-            self._xbar_seg_offsets = np.concatenate(
-                ([0], np.cumsum(sizes)[:-1])
-            ).astype(np.intp)
-            self._xbar_seg_sizes = np.array(sizes, dtype=np.float64)
-        else:
-            self._xbar_seg_concat = np.zeros(0, dtype=np.intp)
-            self._xbar_seg_offsets = np.zeros(0, dtype=np.intp)
-            self._xbar_seg_sizes = np.zeros(0, dtype=np.float64)
 
-        # Value order of the unit_powers() dict (cores, caches,
-        # crossbars, misc) — total_power() folds in this order so it
-        # matches ``sum(unit_powers(...).values())`` bit for bit.
-        self._dict_order = np.concatenate(
+        # The scalar model's summation order (cores, L2 banks,
+        # crossbars, misc): total_power() folds in it.
+        self._sum_order = np.concatenate(
             [self._core_idx, self._cache_idx, self._xbar_idx, self._other_idx]
         )
 
@@ -236,460 +203,162 @@ class ChipPowerModel:
 
     # ------------------------------------------------------------------
 
-    def unit_powers(
-        self,
-        activities: Mapping[str, CoreActivity],
-        unit_temperatures: Mapping[str, float],
-        memory_intensity: float,
-    ) -> Dict[str, float]:
-        """Per-unit power (W) for one sampling interval.
-
-        Parameters
-        ----------
-        activities:
-            Core name -> :class:`CoreActivity` for every core.
-        unit_temperatures:
-            Unit name -> temperature (K); used for the leakage feedback.
-        memory_intensity:
-            Normalized L2 traffic of the running mix, in [0, 1].
-        """
-        missing = set(self._core_names) - set(activities)
-        if missing:
-            raise PowerModelError(f"missing activity for cores: {sorted(missing)}")
-        powers: Dict[str, float] = {}
-
-        for name in self._core_names:
-            act = activities[name]
-            dyn = self.core_model.dynamic_power(act.state, act.utilization, act.vf)
-            if self.core_model.includes_leakage(act.state):
-                powers[name] = dyn
-            else:
-                leak = self.leakage_model.power(
-                    UnitKind.CORE,
-                    self._unit_area[name],
-                    unit_temperatures[name],
-                    act.vf.voltage,
-                )
-                powers[name] = dyn + leak
-
-        for cache in self._cache_names:
-            served = self._cache_cores[cache]
-            if served:
-                mean_util = sum(
-                    activities[c].utilization for c in served
-                ) / len(served)
-            else:
-                mean_util = 0.0
-            dyn = self.cache_model.dynamic_power(mean_util * memory_intensity)
-            leak = self.leakage_model.power(
-                UnitKind.CACHE, self._unit_area[cache], unit_temperatures[cache]
-            )
-            powers[cache] = dyn + leak
-
-        chip_active = self._active_fraction(activities, self._core_names)
-        for xbar, layer_index in self._xbar_layer.items():
-            layer_cores = self._layer_cores[layer_index]
-            # An EXP-1 style crossbar serves the whole chip even though it
-            # sits on the only logic layer; fall back to chip activity
-            # when its layer has no cores of its own.
-            fraction = (
-                self._active_fraction(activities, layer_cores)
-                if layer_cores
-                else chip_active
-            )
-            dyn = self.crossbar_model.dynamic_power(fraction, memory_intensity)
-            leak = self.leakage_model.power(
-                UnitKind.CROSSBAR, self._unit_area[xbar], unit_temperatures[xbar]
-            )
-            powers[xbar] = dyn + leak
-
-        for name, kind in self._unit_kind.items():
-            if kind is not UnitKind.OTHER:
-                continue
-            area_mm2 = self._unit_area[name] * 1e6
-            scale = OTHER_BASELINE_FRACTION + (1.0 - OTHER_BASELINE_FRACTION) * chip_active
-            dyn = OTHER_DENSITY_W_PER_MM2 * area_mm2 * scale
-            leak = self.leakage_model.power(
-                UnitKind.OTHER, self._unit_area[name], unit_temperatures[name]
-            )
-            powers[name] = dyn + leak
-
-        return powers
-
-    def unit_power_vector(
+    def power_factors(
         self,
         core_states: np.ndarray,
         core_utils: np.ndarray,
         core_dyn_scale: np.ndarray,
         core_voltage: np.ndarray,
-        unit_temps: np.ndarray,
-        memory_intensity: float,
-        out: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Vector-in/vector-out :meth:`unit_powers` for the tick loop.
+        memory_intensity: Union[float, np.ndarray],
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Fold one interval's activity into ``(base, leak_mul)``.
 
         Parameters
         ----------
         core_states:
-            Per-core :data:`~repro.power.states.STATE_CODE` codes, in
-            canonical ``core_names`` order.
+            :data:`~repro.power.states.STATE_CODE` codes in canonical
+            ``core_names`` order: ``(n_cores,)`` for one run, or
+            ``(n_cores, R)`` for R runs (column ``r`` is run ``r``).
         core_utils:
-            Per-core busy fraction of the interval, in [0, 1].
+            Busy fraction of the interval, in [0, 1]; same shape.
         core_dyn_scale, core_voltage:
-            Per-core ``VFLevel.dynamic_scale`` and relative voltage.
-        unit_temps:
-            Per-unit temperatures (K) in canonical ``unit_names`` order.
+            ``VFLevel.dynamic_scale`` and relative voltage; same shape.
         memory_intensity:
-            Normalized L2 traffic of the running mix, in [0, 1].
-        out:
-            Optional preallocated output vector of length ``n_units``
-            (the engine reuses one buffer per run to skip the per-tick
-            allocation).
+            Normalized L2 traffic of the running mix, in [0, 1]: a
+            float, or a length-R vector with ``(n_cores, R)`` inputs.
 
-        Returns per-unit power (W) in canonical ``unit_names`` order,
-        element-for-element identical to the dict path (the expressions
-        replicate the scalar models' operation order; the crossbar
-        fractions come from the precomputed segment reduceat, whose
-        integer counts match the scalar count loop exactly).
+        Returns ``(base, leak_mul)``, each ``(n_units,)`` or
+        ``(n_units, R)`` in canonical ``unit_names`` order, for
+        :meth:`power_eval`. ``base`` is the activity-dependent power:
+        state/DVFS core power (``sleep_w`` outright for a sleeping core,
+        whose state power already includes leakage), cache access
+        power, crossbar and misc activity power. ``leak_mul`` scales
+        each unit's leakage: ``V²`` for a core, 0 for a sleeping one, 1
+        elsewhere. The core/unit axis comes first, so every gather and
+        segment reduction runs down axis 0 and a column of an
+        ``(n_cores, R)`` call is bit-identical to the single-run call
+        with that column's inputs.
         """
-        sleep_code = STATE_CODE[CoreState.SLEEP]
-        gated_code = STATE_CODE[CoreState.GATED]
-        active_code = STATE_CODE[CoreState.ACTIVE]
-
-        if out is None:
-            powers = np.zeros(len(self._unit_names))
-        else:
-            powers = out
-        leak_norm = self.leakage_model.normalized_array(unit_temps)
-        # density*area times the polynomial — the shared prefix of every
-        # unit's leakage term (voltage scaling applied per kind below).
-        leak_all = self._leak_dens_area * leak_norm
-
-        # Cores: per-state dynamic power + polynomial leakage (sleep
-        # already includes leakage in its state power).
-        core = self.core_model
-        busy = core.active_w * core_utils + core.idle_w * (1.0 - core_utils)
-        dyn = busy * core_dyn_scale
-        dyn = np.where(core_states == gated_code, core.gated_w, dyn)
-        core_leak = leak_all[self._core_idx] * (core_voltage * core_voltage)
-        core_power = np.where(
-            core_states == sleep_code, core.sleep_w, dyn + core_leak
-        )
-        powers[self._core_idx] = core_power
-
-        # L2 banks: served-core mean utilization scales the access rate.
-        mean_util = np.zeros(len(self._cache_idx))
-        if self._cache_nonempty.size:
-            mean_util[self._cache_nonempty] = (
-                np.add.reduceat(
-                    core_utils[self._cache_served_idx], self._cache_offsets
-                )
-                / self._cache_counts[self._cache_nonempty]
-            )
-        cache = self.cache_model
-        access = mean_util * memory_intensity
-        cache_dyn = cache.full_power_w * (
-            cache.baseline_fraction
-            + (1.0 - cache.baseline_fraction) * access
-        )
-        powers[self._cache_idx] = cache_dyn + leak_all[self._cache_idx] * 1.0
-
-        # Crossbars: scaled by their layer's active-core fraction (one
-        # gather + segment reduceat over the precomputed layer index).
-        active = (core_states == active_code) | (core_utils > 0.0)
-        chip_active = (
-            float(np.count_nonzero(active)) / len(self._core_names)
-            if self._core_names
-            else 0.0
-        )
-        if self._xbar_idx.size:
-            fractions = np.empty(len(self._xbar_core_segments))
-            if self._xbar_nonempty.size:
-                counts = np.add.reduceat(
-                    active[self._xbar_seg_concat].astype(np.float64),
-                    self._xbar_seg_offsets,
-                )
-                fractions[self._xbar_nonempty] = counts / self._xbar_seg_sizes
-            if self._xbar_empty.size:
-                fractions[self._xbar_empty] = chip_active
-            xbar = self.crossbar_model
-            activity = fractions * (0.5 + 0.5 * memory_intensity)
-            xbar_dyn = xbar.full_power_w * (
-                xbar.baseline_fraction
-                + (1.0 - xbar.baseline_fraction) * activity
-            )
-            powers[self._xbar_idx] = xbar_dyn + leak_all[self._xbar_idx] * 1.0
-
-        # Miscellaneous logic: small area-proportional dynamic floor.
-        if self._other_idx.size:
-            scale = (
-                OTHER_BASELINE_FRACTION
-                + (1.0 - OTHER_BASELINE_FRACTION) * chip_active
-            )
-            other_dyn = (
-                OTHER_DENSITY_W_PER_MM2 * self._areas_mm2[self._other_idx]
-            ) * scale
-            powers[self._other_idx] = other_dyn + leak_all[self._other_idx] * 1.0
-
-        return powers
-
-    def unit_power_matrix(
-        self,
-        core_states: np.ndarray,
-        core_utils: np.ndarray,
-        core_dyn_scale: np.ndarray,
-        core_voltage: np.ndarray,
-        unit_temps: np.ndarray,
-        memory_intensity: np.ndarray,
-    ) -> np.ndarray:
-        """Batched :meth:`unit_power_vector` over R runs at once.
-
-        Every argument gains a leading run axis — ``(R, n_cores)`` for
-        the core arrays, ``(R, n_units)`` for the temperatures, and a
-        length-R vector of per-run memory intensities — and the result
-        is ``(R, n_units)`` watts. Each row is bit-identical to a
-        :meth:`unit_power_vector` call with that run's inputs: every
-        operation is elementwise, a segment ``reduceat`` along the core
-        axis, or an exact integer count, none of which change per-element
-        rounding when a run axis is added. This is the power kernel of
-        the batched multi-run engine: one set of NumPy ops regardless of
-        how many runs share the tick loop.
-        """
-        sleep_code = STATE_CODE[CoreState.SLEEP]
-        gated_code = STATE_CODE[CoreState.GATED]
-        active_code = STATE_CODE[CoreState.ACTIVE]
-        n_runs = core_states.shape[0]
-        mem = np.asarray(memory_intensity, dtype=np.float64).reshape(n_runs, 1)
-
-        powers = np.zeros((n_runs, len(self._unit_names)))
-        leak_norm = self.leakage_model.normalized_array(unit_temps)
-        leak_all = self._leak_dens_area * leak_norm
+        run_axes = core_utils.shape[1:]
+        # Per-unit and per-segment constants broadcast down axis 0.
+        col = (slice(None),) + (None,) * len(run_axes)
+        shape = (len(self._unit_names),) + run_axes
+        base = np.empty(shape)
+        leak_mul = np.ones(shape)
 
         core = self.core_model
         busy = core.active_w * core_utils + core.idle_w * (1.0 - core_utils)
-        dyn = busy * core_dyn_scale
-        dyn = np.where(core_states == gated_code, core.gated_w, dyn)
-        core_leak = leak_all[:, self._core_idx] * (core_voltage * core_voltage)
-        powers[:, self._core_idx] = np.where(
-            core_states == sleep_code, core.sleep_w, dyn + core_leak
+        dyn = np.where(
+            core_states == _GATED_CODE, core.gated_w, busy * core_dyn_scale
         )
-
-        mean_util = np.zeros((n_runs, len(self._cache_idx)))
-        if self._cache_nonempty.size:
-            mean_util[:, self._cache_nonempty] = (
-                np.add.reduceat(
-                    core_utils[:, self._cache_served_idx],
-                    self._cache_offsets,
-                    axis=1,
-                )
-                / self._cache_counts[self._cache_nonempty]
-            )
-        cache = self.cache_model
-        access = mean_util * mem
-        cache_dyn = cache.full_power_w * (
-            cache.baseline_fraction
-            + (1.0 - cache.baseline_fraction) * access
-        )
-        powers[:, self._cache_idx] = cache_dyn + leak_all[:, self._cache_idx] * 1.0
-
-        active = (core_states == active_code) | (core_utils > 0.0)
-        if self._core_names:
-            chip_active = (
-                np.count_nonzero(active, axis=1).astype(np.float64)
-                / len(self._core_names)
-            )
-        else:
-            chip_active = np.zeros(n_runs)
-        if self._xbar_idx.size:
-            fractions = np.empty((n_runs, len(self._xbar_core_segments)))
-            if self._xbar_nonempty.size:
-                counts = np.add.reduceat(
-                    active[:, self._xbar_seg_concat].astype(np.float64),
-                    self._xbar_seg_offsets,
-                    axis=1,
-                )
-                fractions[:, self._xbar_nonempty] = (
-                    counts / self._xbar_seg_sizes
-                )
-            if self._xbar_empty.size:
-                fractions[:, self._xbar_empty] = chip_active[:, None]
-            xbar = self.crossbar_model
-            activity = fractions * (0.5 + 0.5 * mem)
-            xbar_dyn = xbar.full_power_w * (
-                xbar.baseline_fraction
-                + (1.0 - xbar.baseline_fraction) * activity
-            )
-            powers[:, self._xbar_idx] = (
-                xbar_dyn + leak_all[:, self._xbar_idx] * 1.0
-            )
-
-        if self._other_idx.size:
-            scale = (
-                OTHER_BASELINE_FRACTION
-                + (1.0 - OTHER_BASELINE_FRACTION) * chip_active
-            )
-            other_dyn = (
-                OTHER_DENSITY_W_PER_MM2 * self._areas_mm2[self._other_idx]
-            ) * scale[:, None]
-            powers[:, self._other_idx] = (
-                other_dyn + leak_all[:, self._other_idx] * 1.0
-            )
-
-        return powers
-
-    def quiet_power_factors(
-        self,
-        core_states: np.ndarray,
-        core_utils: np.ndarray,
-        core_dyn_scale: np.ndarray,
-        core_voltage: np.ndarray,
-        memory_intensity: float,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Affine decomposition of :meth:`unit_power_vector` for a quiet
-        stretch: ``(base, leak_mul)`` such that for any per-unit
-        temperature row ``u``
-
-            power(u) = base + leak_mul * (density*area * leak_poly(u))
-
-        element-for-element identical to calling
-        :meth:`unit_power_vector` with the same (frozen) activity inputs
-        and ``u`` — see :meth:`quiet_power_eval`. While no core changes
-        state, utilization, or V/f level, only the leakage term varies
-        (with temperature), so the whole dynamic side folds into
-        ``base``: state/DVFS core power (``sleep_w`` outright for
-        sleeping cores, whose state power already includes leakage —
-        their ``leak_mul`` is zero), cache access power, crossbar and
-        misc activity power.  ``leak_mul`` carries the per-kind voltage
-        scaling (``V^2`` for cores, 1 elsewhere).  The event-fidelity
-        fast-forward evaluates this once per stretch and then reprices
-        leakage per tick from the evolving mean-temperature readback.
-        """
-        sleep_code = STATE_CODE[CoreState.SLEEP]
-        gated_code = STATE_CODE[CoreState.GATED]
-        active_code = STATE_CODE[CoreState.ACTIVE]
-
-        base = np.zeros(len(self._unit_names))
-        leak_mul = np.zeros(len(self._unit_names))
-
-        core = self.core_model
-        busy = core.active_w * core_utils + core.idle_w * (1.0 - core_utils)
-        dyn = busy * core_dyn_scale
-        dyn = np.where(core_states == gated_code, core.gated_w, dyn)
-        sleeping = core_states == sleep_code
+        sleeping = core_states == _SLEEP_CODE
         base[self._core_idx] = np.where(sleeping, core.sleep_w, dyn)
         leak_mul[self._core_idx] = np.where(
             sleeping, 0.0, core_voltage * core_voltage
         )
 
-        mean_util = np.zeros(len(self._cache_idx))
-        if self._cache_nonempty.size:
-            mean_util[self._cache_nonempty] = (
-                np.add.reduceat(
-                    core_utils[self._cache_served_idx], self._cache_offsets
-                )
-                / self._cache_counts[self._cache_nonempty]
-            )
+        # L2 banks: the served cores' mean utilization scales the
+        # access rate.
+        mean_util = np.zeros((len(self._cache_idx),) + run_axes)
+        mean_util[self._cache_fed] = np.add.reduceat(
+            core_utils[self._cache_served], self._cache_starts, axis=0
+        ) / self._cache_sizes[col]
         cache = self.cache_model
         access = mean_util * memory_intensity
         base[self._cache_idx] = cache.full_power_w * (
-            cache.baseline_fraction
-            + (1.0 - cache.baseline_fraction) * access
+            cache.baseline_fraction + (1.0 - cache.baseline_fraction) * access
         )
-        leak_mul[self._cache_idx] = 1.0
 
-        active = (core_states == active_code) | (core_utils > 0.0)
-        chip_active = (
-            float(np.count_nonzero(active)) / len(self._core_names)
-            if self._core_names
-            else 0.0
+        # Crossbars: the active-core fraction of their segment; the
+        # last fraction is the chip's.
+        active = (core_states == _ACTIVE_CODE) | (core_utils > 0.0)
+        fractions = np.add.reduceat(
+            active[self._act_cores], self._act_starts, axis=0,
+            dtype=np.float64,
+        ) / self._act_sizes[col]
+        xbar = self.crossbar_model
+        activity = fractions[:-1] * (0.5 + 0.5 * memory_intensity)
+        base[self._xbar_idx] = xbar.full_power_w * (
+            xbar.baseline_fraction + (1.0 - xbar.baseline_fraction) * activity
         )
-        if self._xbar_idx.size:
-            fractions = np.empty(len(self._xbar_core_segments))
-            if self._xbar_nonempty.size:
-                counts = np.add.reduceat(
-                    active[self._xbar_seg_concat].astype(np.float64),
-                    self._xbar_seg_offsets,
-                )
-                fractions[self._xbar_nonempty] = counts / self._xbar_seg_sizes
-            if self._xbar_empty.size:
-                fractions[self._xbar_empty] = chip_active
-            xbar = self.crossbar_model
-            activity = fractions * (0.5 + 0.5 * memory_intensity)
-            base[self._xbar_idx] = xbar.full_power_w * (
-                xbar.baseline_fraction
-                + (1.0 - xbar.baseline_fraction) * activity
-            )
-            leak_mul[self._xbar_idx] = 1.0
 
-        if self._other_idx.size:
-            scale = (
-                OTHER_BASELINE_FRACTION
-                + (1.0 - OTHER_BASELINE_FRACTION) * chip_active
-            )
-            base[self._other_idx] = (
-                OTHER_DENSITY_W_PER_MM2 * self._areas_mm2[self._other_idx]
-            ) * scale
-            leak_mul[self._other_idx] = 1.0
-
+        # Misc logic: a small area-proportional floor that grows with
+        # the chip's activity.
+        scale = (
+            OTHER_BASELINE_FRACTION
+            + (1.0 - OTHER_BASELINE_FRACTION) * fractions[-1]
+        )
+        base[self._other_idx] = self._other_dyn_w[col] * scale
         return base, leak_mul
 
-    def quiet_power_eval(
+    def power_eval(
         self,
         base: np.ndarray,
         leak_mul: np.ndarray,
         unit_temps: np.ndarray,
         out: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """Per-unit power at ``unit_temps`` under frozen activity.
+        """Per-unit power (W) of :meth:`power_factors` at ``unit_temps``.
 
-        ``(base, leak_mul)`` come from :meth:`quiet_power_factors` with
-        the stretch's activity inputs.  Per element this reproduces
-        :meth:`unit_power_vector` bit for bit: the leakage prefix is the
-        same ``density*area * polynomial`` product, the voltage scaling
-        multiplies it in the same order, and the final add matches the
-        kernel's ``dyn + leak`` (sleeping cores add an exact ``+0.0``).
-        Runs once per reconstructed tick inside the event fast-forward,
-        so it is on the hot-path-alloc manifest.
+        ``base + leak_mul * (density*area * leak_poly(unit_temps))``,
+        where ``unit_temps`` (K) is shaped like ``base``. The leakage
+        term is the scalar model's product in its order — density·area,
+        then the polynomial, then the voltage factor — added to the
+        dynamic power last (a sleeping core adds an exact ``+0.0``).
+        ``out`` is an optional preallocated result (the engine reuses
+        one per run). Factors stay valid while the activity is frozen,
+        so the event clock jump computes them once and calls this every
+        tick.
         """
-        norm = self.leakage_model.normalized_array(unit_temps)
-        leak = self._leak_dens_area * norm
+        dens_area = self._leak_dens_area
+        if unit_temps.ndim > 1:
+            dens_area = dens_area[:, None]
+        leak = dens_area * self.leakage_model.normalized_array(unit_temps)
         leak *= leak_mul
-        if out is None:
-            out = np.empty(len(self._unit_names))
-        np.add(base, leak, out=out)
-        return out
+        return np.add(base, leak, out=out)
+
+    def uniform_load(
+        self,
+        utilization: float,
+        vf: VFLevel,
+        memory_intensity: float,
+        temperature_k: float,
+    ) -> Dict[str, float]:
+        """Unit name -> power (W) with every core active at
+        ``utilization`` and ``vf`` and every unit at ``temperature_k``.
+
+        The load of the steady-state solves: the engine's warm start
+        and the thermal-index characterization.
+        """
+        n_cores = len(self._core_names)
+        base, leak_mul = self.power_factors(
+            np.full(n_cores, _ACTIVE_CODE),
+            np.full(n_cores, utilization, dtype=np.float64),
+            np.full(n_cores, vf.dynamic_scale),
+            np.full(n_cores, vf.voltage),
+            memory_intensity,
+        )
+        temps = np.full(len(self._unit_names), temperature_k, dtype=np.float64)
+        powers = self.power_eval(base, leak_mul, temps)
+        return dict(zip(self._unit_names, powers.tolist()))
 
     def total_power(self, unit_power_vec: np.ndarray) -> float:
         """Chip total (W) of a canonical-order power vector.
 
-        Left-fold sum in the :meth:`unit_powers` dict value order, so
-        the result is bit-identical to
-        ``sum(unit_powers(...).values())``.
+        Left-fold sum in the scalar model's unit order (cores, L2
+        banks, crossbars, misc), so the result is bit-identical to
+        summing that model's per-unit values.
         """
-        return sum(unit_power_vec[self._dict_order].tolist())
+        return sum(unit_power_vec[self._sum_order].tolist())
 
     def total_power_rows(self, unit_power_mat: np.ndarray) -> List[float]:
         """Per-run chip totals (W) of a ``(R, n_units)`` power matrix.
 
-        Each row is left-folded in the same dict value order as
+        Each row is left-folded in the same order as
         :meth:`total_power`, so element ``r`` equals
         ``total_power(unit_power_mat[r])`` bit for bit; the fancy-index
         gather is just done once for the whole batch.
         """
         return [
-            sum(row) for row in unit_power_mat[:, self._dict_order].tolist()
+            sum(row) for row in unit_power_mat[:, self._sum_order].tolist()
         ]
-
-    @staticmethod
-    def _active_fraction(
-        activities: Mapping[str, CoreActivity], cores: List[str]
-    ) -> float:
-        if not cores:
-            return 0.0
-        busy = sum(
-            1.0
-            for c in cores
-            if activities[c].state is CoreState.ACTIVE
-            or activities[c].utilization > 0.0
-        )
-        return busy / len(cores)

@@ -12,9 +12,10 @@ tick loop, so that overhead is paid once per *batch* per tick:
 - the thermal state is one ``(n_nodes, R)`` matrix advanced by
   :meth:`~repro.thermal.model.ThermalModel.step_block` — with the
   exponential solver, (up to) one GEMM ``A @ T`` over the whole batch;
-- power injection is one
-  :meth:`~repro.power.chip_power.ChipPowerModel.unit_power_matrix` call
-  on ``(R, n_cores)`` state/utilization/V-f matrices;
+- power injection is one call of the power kernel
+  (:meth:`~repro.power.chip_power.ChipPowerModel.power_factors` then
+  ``power_eval``) on the ``(R, n_cores)`` state/utilization/V-f
+  matrices, transposed so each lane is a column;
 - sensor and recording readback is one blocked gather
   (:meth:`~repro.thermal.model.ThermalModel.unit_max_block` /
   :meth:`unit_mean_block`) plus per-tick ``(R, ...)`` plane writes.
@@ -575,10 +576,15 @@ class BatchSimulationEngine:
             prof.lap(PH_INTERVAL)
 
             # Fused boundary: one power kernel, one thermal block step,
-            # one blocked max-readback for the whole batch.
-            power_mat = power.unit_power_matrix(
-                state_mat, util_mat, dyn_mat, volt_mat,
-                unit_block.T, mem_vec,
+            # one blocked max-readback for the whole batch. The kernel
+            # runs cores/units down axis 0, one column per lane;
+            # step_block gets a C-contiguous (R, n_units) copy, so its
+            # per-lane GEMV operands are contiguous rows as in serial.
+            base_mat, leak_mat = power.power_factors(
+                state_mat.T, util_mat.T, dyn_mat.T, volt_mat.T, mem_vec
+            )
+            power_mat = np.ascontiguousarray(
+                power.power_eval(base_mat, leak_mat, unit_block).T
             )
             prof.lap(PH_POWER)
             temps_block = thermal.step_block(

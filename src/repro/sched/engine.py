@@ -26,10 +26,13 @@ entry instead of rescanning every core. Per-core bookkeeping (queue
 length, state code, V/f level, sensor reading) is kept in parallel
 NumPy arrays maintained at the same invalidation sites, so dispatch and
 policy contexts are live array views instead of dict copies, and the
-tick boundary uses the vectorized power/thermal path (no per-unit
-dicts). The original all-core rescan loop with the dict-based power
-pipeline survives only as a test oracle (``tests/scan_engine.py``):
-the engine reproduces it bit for bit (``tests/test_engine_heap.py``).
+tick boundary prices power with the array kernel
+(:meth:`~repro.power.chip_power.ChipPowerModel.power_factors` then
+:meth:`~repro.power.chip_power.ChipPowerModel.power_eval`; no per-unit
+dicts). The original all-core rescan loop, charged by the scalar
+per-unit power model, survives only as a test oracle
+(``tests/scan_engine.py`` over ``tests/power_oracle.py``): the engine
+reproduces it bit for bit (``tests/test_engine_heap.py``).
 
 One tick loop (:meth:`SimulationEngine._run_ticks`) serves both values
 of ``EngineConfig.fidelity``, which selects how strictly the interval
@@ -52,10 +55,11 @@ execution reproduces the eager reference semantics:
   (:class:`~repro.thermal.model.ModalJump`, a truncated eigenbasis of
   the propagator) — falling back to the dense ``step_vector`` only when
   the assembly has no accepted basis — with leakage repriced each tick
-  from the evolving unit readback via the affine power decomposition
-  (:meth:`~repro.power.chip_power.ChipPowerModel.quiet_power_factors`),
-  so per-tick recording stays dense; the tolerance sources are the
-  closed-form utilization fill and the basis truncation.
+  from the evolving unit readback through power factors frozen over
+  the jump (:meth:`~repro.power.chip_power.ChipPowerModel.power_factors`,
+  evaluated per tick by ``power_eval``), so per-tick recording stays
+  dense; the tolerance sources are the closed-form utilization fill
+  and the basis truncation.
   Sensor/DPM/policy control calls are skipped for the prefix of the
   jump where they are provably no-ops (ideal sensors, identity policy
   tick, DPM sleep horizon bounded by bisection) and run on
@@ -102,7 +106,7 @@ from repro.obs.telemetry import (
     NULL_TELEMETRY,
     TelemetryConfig,
 )
-from repro.power.chip_power import ChipPowerModel, CoreActivity
+from repro.power.chip_power import ChipPowerModel
 from repro.power.states import STATE_CODE, CoreState
 from repro.power.vf import DEFAULT_VF_TABLE, VFTable
 from repro.sched.dpm import FixedTimeoutDPM
@@ -126,6 +130,13 @@ DEFAULT_MIGRATION_COST_S = 0.001
 FIDELITY_MODES = ("eager", "event")
 
 
+def _check_fraction(name: str, value: float) -> float:
+    """``value`` if it is a number in [0, 1] (NaN fails both bounds)."""
+    if not 0.0 <= value <= 1.0:
+        raise SchedulerError(f"{name} must be in [0, 1], got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class EngineConfig:
     """Run parameters of one simulation.
@@ -146,8 +157,8 @@ class EngineConfig:
     seed:
         Seed for sensor noise.
     warmup_utilization:
-        Uniform core utilization assumed for the steady-state
-        initialization of the thermal model.
+        Uniform core utilization, in [0, 1], assumed for the
+        steady-state initialization of the thermal model.
     thermal_solver:
         Transient integrator for the thermal step: ``"exponential"``
         (default — exact under the engine's piecewise-constant power
@@ -961,14 +972,15 @@ class SimulationEngine:
                 util_arr = self._gather_utilization(dt)
             prof.lap(PH_INTERVAL)
 
-            powers_vec = self.power.unit_power_vector(
+            base, leak_mul = self.power.power_factors(
                 self._state_arr,
                 util_arr,
                 self._dyn_scale_arr,
                 self._voltage_arr,
-                unit_row,
                 self._memory_intensity(),
-                out=powers_buf,
+            )
+            powers_vec = self.power.power_eval(
+                base, leak_mul, unit_row, out=powers_buf
             )
             prof.lap(PH_POWER)
             if modal is not None:
@@ -1130,13 +1142,13 @@ class SimulationEngine:
         The jump always proceeds and covers the whole stretch unless a
         control call mutates state, which closes it at the acting tick.
 
-        Power is repriced every tick: the temperature-dependent leakage
-        is re-evaluated at the evolving unit readback through the
-        affine decomposition
-        (:meth:`~repro.power.chip_power.ChipPowerModel.quiet_power_factors`
-        — exact while states/utilization/Vf are frozen, which the quiet
-        stretch guarantees). The thermal advance takes one of two
-        integrators:
+        Power is repriced every tick: the power factors
+        (:meth:`~repro.power.chip_power.ChipPowerModel.power_factors`)
+        are computed once for the jump — exact while states,
+        utilization and V/f are frozen, which the quiet stretch
+        guarantees — and ``power_eval`` re-evaluates the
+        temperature-dependent leakage at the evolving unit readback.
+        The thermal advance takes one of two integrators:
 
         - the run-persistent reduced-order modal stepper
           (:meth:`~repro.thermal.model.ModalJump.advance`, owned by
@@ -1170,7 +1182,7 @@ class SimulationEngine:
         if factors is None:
             if len(self._qpf_cache) >= 64:
                 self._qpf_cache.clear()
-            factors = self.power.quiet_power_factors(
+            factors = self.power.power_factors(
                 self._state_arr,
                 util_arr,
                 self._dyn_scale_arr,
@@ -1198,7 +1210,7 @@ class SimulationEngine:
                 # for the absolute tick), so recorded times and policy
                 # timestamps match the eager recording bitwise.
                 t_i = (tick + i - 1) * dt + dt
-                powers_vec = power.quiet_power_eval(
+                powers_vec = power.power_eval(
                     base, leak_mul, mean_row, out=powers_buf
                 )
                 if modal is not None:
@@ -1385,21 +1397,28 @@ class SimulationEngine:
     # initialization
 
     def _initialize_thermal_state(self) -> None:
-        """Steady-state warm start (the paper initializes HotSpot so)."""
-        nominal = self.vf_table[self.vf_table.nominal_index]
-        activities = {
-            name: CoreActivity(
-                CoreState.ACTIVE, self.config.warmup_utilization, nominal
-            )
-            for name in self.core_names
-        }
-        ambient = {
-            name: self.thermal.ambient_k for name in self.thermal.unit_names
-        }
-        powers = self.power.unit_powers(
-            activities, ambient, self.workload.memory_intensity()
+        """Steady-state warm start (the paper initializes HotSpot so):
+        every core active at ``warmup_utilization`` and the nominal V/f
+        level, leakage at ambient.
+
+        Both load inputs come from outside the engine (the config and
+        the workload plug-in) and the power kernel does not range-check,
+        so they are checked here, before any arrival or tick.
+        """
+        utilization = _check_fraction(
+            "EngineConfig.warmup_utilization", self.config.warmup_utilization
         )
-        self.thermal.initialize_steady_state(powers)
+        memory_intensity = _check_fraction(
+            "workload memory_intensity()", self.workload.memory_intensity()
+        )
+        self.thermal.initialize_steady_state(
+            self.power.uniform_load(
+                utilization,
+                self.vf_table[self.vf_table.nominal_index],
+                memory_intensity,
+                self.thermal.ambient_k,
+            )
+        )
 
     # ------------------------------------------------------------------
     # discrete-event interval execution

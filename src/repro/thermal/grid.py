@@ -107,13 +107,13 @@ class GridMapper:
     # ------------------------------------------------------------------
     # power injection
 
-    def cell_powers(self, unit_powers: Dict[str, float]) -> np.ndarray:
+    def cell_powers(self, powers: Dict[str, float]) -> np.ndarray:
         """Distribute per-unit powers (W) onto grid cells.
 
         Unknown unit names raise; units omitted from the dict get 0 W.
         """
         vec = np.zeros(len(self.unit_names))
-        for name, power in unit_powers.items():
+        for name, power in powers.items():
             try:
                 vec[self._unit_index[name]] = power
             except KeyError:

@@ -167,7 +167,7 @@ class ThermalAssembly:
     ) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """``(propagator, steady_gain, ambient_vec)`` of the exact step.
 
-        ``T_inf = steady_gain @ unit_powers + ambient_vec`` followed by
+        ``T_inf = steady_gain @ unit_power_vec + ambient_vec`` followed by
         ``T' = T_inf + propagator @ (T - T_inf)`` advances one sampling
         interval with no per-tick triangular solve: ``steady_gain`` is
         the dense ``G^-1 @ node_projection`` (n_nodes x n_units),
@@ -476,23 +476,23 @@ class ThermalModel:
     # ------------------------------------------------------------------
     # power handling
 
-    def unit_power_vector(self, unit_powers: Dict[str, float]) -> np.ndarray:
+    def pack_powers(self, powers: Dict[str, float]) -> np.ndarray:
         """Pack a per-unit power dict into ``unit_names`` order.
 
         Unknown unit names raise; units omitted from the dict get 0 W.
         """
         vec = np.zeros(len(self._unit_global_index))
         index = self._unit_global_index
-        for name, power in unit_powers.items():
+        for name, power in powers.items():
             try:
                 vec[index[name]] = power
             except KeyError:
                 raise ThermalModelError(f"unknown unit {name!r}") from None
         return vec
 
-    def node_powers(self, unit_powers: Dict[str, float]) -> np.ndarray:
+    def node_powers(self, powers: Dict[str, float]) -> np.ndarray:
         """Expand a per-unit power dict (W) to the node power vector."""
-        return self.node_powers_from_vector(self.unit_power_vector(unit_powers))
+        return self.node_powers_from_vector(self.pack_powers(powers))
 
     def node_powers_from_vector(self, unit_power_vec: np.ndarray) -> np.ndarray:
         """Expand a ``unit_names``-ordered power vector onto the nodes.
@@ -509,18 +509,18 @@ class ThermalModel:
     # ------------------------------------------------------------------
     # simulation
 
-    def initialize_steady_state(self, unit_powers: Dict[str, float]) -> None:
+    def initialize_steady_state(self, powers: Dict[str, float]) -> None:
         """Set the state to the equilibrium for the given powers."""
-        self.temperatures = self._steady.solve(self.node_powers(unit_powers))
+        self.temperatures = self._steady.solve(self.node_powers(powers))
 
     def reset(self, temperature_k: Optional[float] = None) -> None:
         """Reset every node to a uniform temperature (ambient by default)."""
         value = self.ambient_k if temperature_k is None else temperature_k
         self.temperatures = np.full(self.network.n_nodes, value)
 
-    def step(self, unit_powers: Dict[str, float]) -> None:
+    def step(self, powers: Dict[str, float]) -> None:
         """Advance one sampling interval under the given constant powers."""
-        self.step_vector(self.unit_power_vector(unit_powers))
+        self.step_vector(self.pack_powers(powers))
 
     def step_vector(self, unit_power_vec: np.ndarray) -> None:
         """Advance one sampling interval from a ``unit_names``-ordered
@@ -633,7 +633,7 @@ class ThermalModel:
 
     def step_block(
         self,
-        unit_power_matrix: np.ndarray,
+        power_rows: np.ndarray,
         temps_block: np.ndarray,
         column_exact: bool = False,
     ) -> np.ndarray:
@@ -641,10 +641,12 @@ class ThermalModel:
 
         Parameters
         ----------
-        unit_power_matrix:
+        power_rows:
             ``(R, n_units)`` per-run unit powers in canonical order
-            (one :meth:`~repro.power.chip_power.ChipPowerModel.\
-unit_power_matrix` result).
+            (the transpose of one
+            :meth:`~repro.power.chip_power.ChipPowerModel.power_eval`
+            result on ``(n_units, R)`` factors), C-contiguous so each
+            run's row is a contiguous GEMV operand.
         temps_block:
             ``(n_nodes, R)`` node-temperature state matrix; column ``r``
             is run ``r``'s state. Not modified; the advanced block is
@@ -664,12 +666,12 @@ unit_power_matrix` result).
         which is bit-identical to per-run stepping for every method.
         """
         n_units = self._projection.shape[1]
-        if unit_power_matrix.ndim != 2 or unit_power_matrix.shape[1] != n_units:
+        if power_rows.ndim != 2 or power_rows.shape[1] != n_units:
             raise ThermalModelError(
                 f"expected (R, {n_units}) power matrix, "
-                f"got {unit_power_matrix.shape}"
+                f"got {power_rows.shape}"
             )
-        n_runs = unit_power_matrix.shape[0]
+        n_runs = power_rows.shape[0]
         if temps_block.shape != (self.network.n_nodes, n_runs):
             raise ThermalModelError(
                 f"expected ({self.network.n_nodes}, {n_runs}) temperature "
@@ -681,9 +683,9 @@ unit_power_matrix` result).
             if column_exact:
                 t_inf = np.empty_like(temps_block)
                 for r in range(n_runs):
-                    t_inf[:, r] = gain @ unit_power_matrix[r]
+                    t_inf[:, r] = gain @ power_rows[r]
             else:
-                t_inf = gain @ unit_power_matrix.T
+                t_inf = gain @ power_rows.T
             t_inf += ambient[:, None]
             deviation = temps_block - t_inf
             if column_exact:
@@ -694,7 +696,7 @@ unit_power_matrix` result).
                 step = propagator @ deviation
             step += t_inf
             return step
-        node_powers = self._projection @ unit_power_matrix.T
+        node_powers = self._projection @ power_rows.T
         return self._transient.step_matrix(
             temps_block, node_powers, column_exact=column_exact
         )
@@ -734,9 +736,9 @@ unit_power_matrix` result).
             )
         return out
 
-    def steady_state(self, unit_powers: Dict[str, float]) -> Dict[str, float]:
+    def steady_state(self, powers: Dict[str, float]) -> Dict[str, float]:
         """Equilibrium per-unit temperatures without changing the state."""
-        temps = self._steady.solve(self.node_powers(unit_powers))
+        temps = self._steady.solve(self.node_powers(powers))
         return self._unit_temps_from(temps)
 
     # ------------------------------------------------------------------
@@ -945,7 +947,7 @@ def _build_node_projection(
     """Sparse (n_nodes x n_units) matrix of per-cell power weights.
 
     Column ``u`` holds ``overlap(u, c) / area(u)`` at the node of each
-    grid cell ``c`` on unit ``u``'s die, so ``projection @ unit_powers``
+    grid cell ``c`` on unit ``u``'s die, so ``projection @ unit_power_vec``
     is the node power vector.
     """
     rows: List[np.ndarray] = []

@@ -5,17 +5,19 @@ kept an event heap and structure-of-arrays rows:
 
 - every event boundary inside an interval rescans every core for its
   next completion, and completion processing rescans every core;
-- the tick boundary takes the dict-based power pipeline
-  (``ChipPowerModel.unit_powers``, ``ThermalModel.step``,
-  ``SensorBank.read_cores``);
+- the tick boundary and the warm start take the dict-based pipeline:
+  the scalar power model of ``tests/power_oracle.py`` (not the
+  engine's power kernel), ``ThermalModel.step``,
+  ``SensorBank.read_cores``;
 - both policy contexts are built from the core objects, never from the
   engine's rows, and every policy tick is called (no no-op skip).
 
 Dispatch placement, completions, DPM, policy actions and migrations are
 the engine's own methods. An engine run that matches the oracle bit for
 bit therefore checks the event heap, the row sync at every invalidation
-site, the vectorized tick boundary and the no-op tick skip against a
-reference that uses none of them (``tests/test_engine_heap.py``).
+site, the vectorized tick boundary (power kernel included) and the
+no-op tick skip against a reference that uses none of them
+(``tests/test_engine_heap.py``).
 
 Eager fidelity only; no checkpoints. Build one from a freshly built
 engine with :meth:`ScanEngine.from_engine`.
@@ -25,7 +27,6 @@ from __future__ import annotations
 
 from repro.core.base import AllocationContext, CoreSnapshot, TickContext
 from repro.errors import SchedulerError
-from repro.power.chip_power import CoreActivity
 from repro.power.states import STATE_CODE, CoreState
 from repro.sched.engine import (
     _TIME_EPS,
@@ -33,6 +34,7 @@ from repro.sched.engine import (
     SimulationResult,
     _Recording,
 )
+from tests.power_oracle import CoreActivity, unit_powers
 
 
 def power_state(core) -> CoreState:
@@ -88,7 +90,8 @@ class ScanEngine(SimulationEngine):
                 )
                 core.busy_in_tick = 0.0
 
-            powers = self.power.unit_powers(
+            powers = unit_powers(
+                self.power,
                 activities,
                 self.thermal.unit_temperatures(),
                 self._memory_intensity(),
@@ -119,6 +122,24 @@ class ScanEngine(SimulationEngine):
             rec.total_power[tick] = tick_power
             energy += tick_power * dt
         return self._build_result(rec, energy, dt)
+
+    def _initialize_thermal_state(self) -> None:
+        nominal = self.vf_table[self.vf_table.nominal_index]
+        activities = {
+            name: CoreActivity(
+                CoreState.ACTIVE, self.config.warmup_utilization, nominal
+            )
+            for name in self.core_names
+        }
+        ambient = {
+            name: self.thermal.ambient_k for name in self.thermal.unit_names
+        }
+        self.thermal.initialize_steady_state(
+            unit_powers(
+                self.power, activities, ambient,
+                self.workload.memory_intensity(),
+            )
+        )
 
     def _advance_interval_scan(self, t0: float, t1: float) -> None:
         """Recompute every core's next event at every boundary

@@ -1,14 +1,17 @@
-"""Chip-level power aggregation tests."""
+"""Chip-level power aggregation tests (the power kernel)."""
 
+import numpy as np
 import pytest
 
 from repro.errors import PowerModelError
 from repro.floorplan.experiments import build_experiment
-from repro.power.chip_power import ChipPowerModel, CoreActivity
-from repro.power.states import CoreState
+from repro.power.chip_power import ChipPowerModel
+from repro.power.states import STATE_CODE, CoreState
 from repro.power.vf import DEFAULT_VF_TABLE
+from tests.power_oracle import CoreActivity, unit_powers
 
 NOMINAL = DEFAULT_VF_TABLE[0]
+AMBIENT_K = 318.15
 
 
 @pytest.fixture(scope="module")
@@ -24,8 +27,24 @@ def ambient_temps(config):
     temps = {}
     for plan in config.layers:
         for unit in plan:
-            temps[unit.name] = 318.15
+            temps[unit.name] = AMBIENT_K
     return temps
+
+
+def kernel_powers(model, memory_intensity, state=CoreState.ACTIVE, util=1.0,
+                  vf=NOMINAL, temperature_k=AMBIENT_K):
+    """Unit name -> kernel power with every core in the same activity."""
+    n = len(model.core_names)
+    base, leak_mul = model.power_factors(
+        np.full(n, STATE_CODE[state]),
+        np.full(n, util),
+        np.full(n, vf.dynamic_scale),
+        np.full(n, vf.voltage),
+        memory_intensity,
+    )
+    temps = np.full(len(model.unit_names), temperature_k)
+    vec = model.power_eval(base, leak_mul, temps)
+    return dict(zip(model.unit_names, vec.tolist()))
 
 
 class TestStructure:
@@ -50,69 +69,53 @@ class TestStructure:
 class TestUnitPowers:
     def test_covers_every_unit(self, model):
         config = build_experiment(1)
-        powers = model.unit_powers(activities(model), ambient_temps(config), 0.5)
+        powers = kernel_powers(model, 0.5)
         expected = {u.name for plan in config.layers for u in plan}
         assert set(powers) == expected
+        assert len(powers) == len(model.unit_names)
 
     def test_all_powers_positive(self, model):
-        config = build_experiment(1)
-        powers = model.unit_powers(activities(model), ambient_temps(config), 0.5)
+        powers = kernel_powers(model, 0.5)
         assert all(p > 0.0 for p in powers.values())
 
     def test_active_chip_total_plausible(self, model):
         """Full-load EXP-1 should land in the tens of watts (T1-class)."""
-        config = build_experiment(1)
-        powers = model.unit_powers(activities(model), ambient_temps(config), 0.8)
-        total = sum(powers.values())
+        powers = kernel_powers(model, 0.8)
+        total = model.total_power(np.array(list(powers.values())))
         assert 30.0 < total < 90.0
 
     def test_sleep_reduces_core_power(self, model):
-        config = build_experiment(1)
-        active = model.unit_powers(activities(model), ambient_temps(config), 0.5)
-        asleep = model.unit_powers(
-            activities(model, CoreState.SLEEP, 0.0), ambient_temps(config), 0.5
-        )
+        active = kernel_powers(model, 0.5)
+        asleep = kernel_powers(model, 0.5, CoreState.SLEEP, 0.0)
         assert asleep["L0_core0"] == pytest.approx(0.02)
         assert asleep["L0_core0"] < active["L0_core0"]
 
     def test_dvfs_reduces_core_power(self, model):
-        config = build_experiment(1)
-        fast = model.unit_powers(activities(model), ambient_temps(config), 0.5)
-        slow = model.unit_powers(
-            activities(model, vf=DEFAULT_VF_TABLE[2]), ambient_temps(config), 0.5
-        )
+        fast = kernel_powers(model, 0.5)
+        slow = kernel_powers(model, 0.5, vf=DEFAULT_VF_TABLE[2])
         assert slow["L0_core0"] < fast["L0_core0"]
 
     def test_leakage_feedback_via_temperature(self, model):
-        config = build_experiment(1)
-        cool = model.unit_powers(activities(model), ambient_temps(config), 0.5)
-        hot_temps = {name: 370.0 for name in ambient_temps(config)}
-        hot = model.unit_powers(activities(model), hot_temps, 0.5)
+        cool = kernel_powers(model, 0.5)
+        hot = kernel_powers(model, 0.5, temperature_k=370.0)
         assert hot["L0_core0"] > cool["L0_core0"]
 
     def test_missing_core_activity_raises(self, model):
+        """The scalar oracle refuses an activity map without every core."""
         config = build_experiment(1)
         acts = activities(model)
         del acts["L0_core0"]
         with pytest.raises(PowerModelError):
-            model.unit_powers(acts, ambient_temps(config), 0.5)
+            unit_powers(model, acts, ambient_temps(config), 0.5)
 
     def test_idle_chip_draws_less_than_active(self, model):
-        config = build_experiment(1)
-        active = model.unit_powers(activities(model), ambient_temps(config), 0.5)
-        idle = model.unit_powers(
-            activities(model, CoreState.IDLE, 0.0), ambient_temps(config), 0.0
-        )
+        active = kernel_powers(model, 0.5)
+        idle = kernel_powers(model, 0.0, CoreState.IDLE, 0.0)
         assert sum(idle.values()) < sum(active.values())
 
 
 class TestMixedLayers:
     def test_exp2_crossbars_per_layer(self):
         model = ChipPowerModel(build_experiment(2))
-        config = build_experiment(2)
-        powers = model.unit_powers(
-            {c: CoreActivity(CoreState.ACTIVE, 1.0, NOMINAL) for c in model.core_names},
-            ambient_temps(config),
-            0.5,
-        )
+        powers = kernel_powers(model, 0.5)
         assert "L0_xbar" in powers and "L1_xbar" in powers

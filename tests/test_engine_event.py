@@ -24,11 +24,13 @@ import pytest
 
 from repro.analysis.runner import ExperimentRunner, RunSpec
 from repro.floorplan.experiments import build_experiment
+from repro.power.states import CODE_STATE
 from repro.sched.engine import SimulationEngine
 from repro.thermal.model import (
     MODAL_DROP_TOL,
     ThermalModel,
 )
+from tests.power_oracle import CoreActivity, unit_powers
 
 RUNNER = ExperimentRunner()
 
@@ -513,31 +515,46 @@ class TestModalPrimitives:
 
 
 class TestQuietPowerEval:
-    """The affine power decomposition the jump reprices leakage with."""
+    """Frozen power factors: a clock jump computes the factors once
+    (memoized in ``_qpf_cache``) and re-evaluates them every tick at the
+    evolving temperatures."""
 
     def test_quiet_eval_matches_power_kernel(self):
-        spec = RunSpec(exp_id=2, policy="Default", duration_s=2.0, seed=3,
+        spec = RunSpec(exp_id=4, policy="Default", duration_s=10.0, seed=5,
+                       with_dpm=True, benchmark_mix=IDLE_MIX,
                        fidelity="event")
         engine = RUNNER.build_engine(spec)
-        engine._prepare_run()
+        engine.run()
         power = engine.power
-        n_cores = len(engine.core_names)
+        level_of = {
+            engine.vf_table[i].voltage: engine.vf_table[i]
+            for i in range(len(engine.vf_table))
+        }
         rng = np.random.default_rng(5)
-        state = engine._state_arr.copy()
-        util = rng.uniform(0.0, 1.0, n_cores)
-        dyn = engine._dyn_scale_arr.copy()
-        volt = engine._voltage_arr.copy()
-        mem = engine._memory_intensity()
-        base, leak_mul = power.quiet_power_factors(
-            state, util, dyn, volt, mem
-        )
-        for _ in range(3):
-            temps = rng.uniform(300.0, 370.0, len(engine.thermal.unit_names))
-            expected = power.unit_power_vector(
-                state, util, dyn, volt, temps, mem
-            )
-            got = power.quiet_power_eval(base, leak_mul, temps)
-            np.testing.assert_array_equal(expected, got)
+        assert engine._qpf_cache
+        for key, (base, leak_mul) in engine._qpf_cache.items():
+            state = np.frombuffer(key[0], dtype=np.int64)
+            util, dyn, volt = (np.frombuffer(b) for b in key[1:4])
+            mem = key[4]
+            fresh = power.power_factors(state, util, dyn, volt, mem)
+            np.testing.assert_array_equal(base, fresh[0])
+            np.testing.assert_array_equal(leak_mul, fresh[1])
+            activities = {
+                name: CoreActivity(
+                    CODE_STATE[state[c]], float(util[c]), level_of[volt[c]]
+                )
+                for c, name in enumerate(power.core_names)
+            }
+            for _ in range(3):
+                temps = rng.uniform(300.0, 370.0, len(power.unit_names))
+                oracle = unit_powers(
+                    power, activities,
+                    dict(zip(power.unit_names, temps.tolist())), mem,
+                )
+                np.testing.assert_array_equal(
+                    power.power_eval(base, leak_mul, temps),
+                    [oracle[name] for name in power.unit_names],
+                )
 
 
 @pytest.mark.slow
