@@ -1,6 +1,8 @@
 """Engine hot-path benchmark: solver x tick-loop configurations.
 
-Runs EXP-1..4 through three configurations (same specs, same seeds):
+Runs EXP-1..4 through three eager-fidelity configurations (same
+specs, same seeds; the scan oracle is eager-only, and the hot-path gate
+was set on eager):
 
 - ``legacy scan`` — the original all-core rescan loop with the
   dict-based power pipeline and the backward-Euler solver (the PR 2
@@ -8,8 +10,9 @@ Runs EXP-1..4 through three configurations (same specs, same seeds):
   ``tests/scan_engine.py``, imported from the checkout);
 - ``implicit heap`` — the event-heap loop with backward Euler, keeping
   the implicit solver path exercised and its regressions visible;
-- ``exponential heap`` — the shipping default: event-heap loop plus the
-  exact exponential propagator.
+- ``exponential heap`` — the event-heap loop plus the exact
+  exponential propagator, the eager reference behind the event
+  default.
 
 Also reports the engine-assembly reuse win from the runner's
 ThermalAssembly cache (which now amortizes the ``expm`` build too).
@@ -77,7 +80,7 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 def _spec(exp_id: int) -> RunSpec:
     return RunSpec(
         exp_id=exp_id, policy="Adapt3D", duration_s=BENCH_SIM_S,
-        seed=BENCH_SEED,
+        seed=BENCH_SEED, fidelity="eager",
     )
 
 
@@ -232,9 +235,9 @@ def test_engine_hotpath(results_dir):
 def test_engine_event_idle(results_dir):
     """Event-driven time advance on the idle-heavy scenario.
 
-    Measures the shipping serial engine (eager fidelity, event heap +
-    exponential propagator) against ``fidelity="event"`` on the same
-    spec, interleaved best-of-REPS, and gates the ratio at
+    Measures the eager reference engine (event heap + exponential
+    propagator; the ``serial`` column) against ``fidelity="event"`` on
+    the same spec, interleaved best-of-REPS, and gates the ratio at
     ``GATE_EVENT_VS_SERIAL`` (stretch ``STRETCH_EVENT_VS_SERIAL``).
     The tolerance spot check always runs, smoke included; the full
     differential matrix lives in tests/test_engine_event.py.
@@ -248,9 +251,7 @@ def test_engine_event_idle(results_dir):
     results = {}
     for _ in range(REPS):
         for label, fidelity in (("serial", "eager"), ("event", "event")):
-            engine = runner.build_engine(spec)
-            if fidelity != "eager":
-                engine.config = replace(engine.config, fidelity=fidelity)
+            engine = runner.build_engine(replace(spec, fidelity=fidelity))
             start = time.perf_counter()
             result = engine.run()
             times[label] = min(times[label], time.perf_counter() - start)
@@ -315,7 +316,7 @@ def test_engine_event_idle(results_dir):
     if SMOKE:
         return
     assert speedup >= GATE_EVENT_VS_SERIAL, (
-        f"event fidelity {speedup:.2f}x vs the shipping serial engine "
+        f"event fidelity {speedup:.2f}x vs the eager serial engine "
         f"missed the {GATE_EVENT_VS_SERIAL}x gate on the idle-heavy "
         "scenario"
     )

@@ -1,7 +1,8 @@
 """Telemetry overhead benchmark: engine hot path with obs on and off.
 
-Measures EXP-1..4 (Adapt3D, event heap + exponential solver — the
-shipping configuration) in three telemetry states:
+Measures EXP-1..4 (Adapt3D at eager fidelity, event heap +
+exponential solver — the configuration the hot-path gate was set on)
+in three telemetry states:
 
 - ``off``     — ``EngineConfig.telemetry=None``, the default. The
   disabled path must stay inside the hot-path gate: null-object
@@ -72,9 +73,11 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 def _spec(exp_id: int) -> RunSpec:
+    # Eager: the scan oracle runs eager only, and the off gate mirrors
+    # bench_engine_hotpath.py's eager target.
     return RunSpec(
         exp_id=exp_id, policy="Adapt3D", duration_s=BENCH_SIM_S,
-        seed=BENCH_SEED,
+        seed=BENCH_SEED, fidelity="eager",
     )
 
 

@@ -289,9 +289,9 @@ def truncate_result(
     store's prefix cache sound. Per-tick series are sliced; jobs are
     filtered to those completed within the horizon. Two scalar fields
     are recomputed rather than replayed. ``energy_j`` is re-accumulated
-    from the power series in the eager engine's left-fold order, so it
-    is exact for eager runs; an event run sums each clock jump's energy
-    apart, so there it agrees to float rounding. ``migrations`` is
+    from the power series in the engine's left-fold order, which both
+    fidelities follow (an event clock jump adds its ticks to the run's
+    running energy one by one), so it is exact. ``migrations`` is
     re-counted from the surviving jobs, an approximation of what a fresh
     short run would record (a running job's migrations are not
     attributable after the fact).

@@ -69,13 +69,13 @@ class RunSpec:
         stack's core count at build time. Mutually exclusive with
         ``benchmark_mix``.
     fidelity:
-        Interval-execution fidelity: ``"eager"`` (default, the
-        bit-identity reference semantics) or ``"event"`` (event-driven
+        Interval-execution fidelity: ``"event"`` (default; event-driven
         time advance: lazy per-core spans, and the clock jumps between
-        heap events over a reduced-order modal thermal stepper;
-        approximately equal within the tolerance documented in
-        docs/ENGINE.md, fastest on idle-heavy scenarios and markedly
-        faster in batched campaigns).
+        heap events over a reduced-order modal thermal stepper) or
+        ``"eager"`` (the per-event reference semantics). Event tracks
+        eager within the tolerance documented in docs/ENGINE.md, and
+        every event path — clock jumps, batched lanes, resume, prefix
+        truncation — gives one result per spec, bit for bit.
     telemetry:
         Collect engine telemetry (metrics registry, per-job latency
         stats, tick-phase profile) during the run. Strictly
@@ -97,7 +97,7 @@ class RunSpec:
     thermal_solver: str = "exponential"
     sensor_noise_sigma: float = 0.0
     workload_mix: Optional[str] = None
-    fidelity: str = "eager"
+    fidelity: str = "event"
     telemetry: bool = False
 
 
@@ -226,31 +226,25 @@ class ExperimentRunner:
             system_view=view,
         )
 
-    def prepare(
-        self, specs: Iterable[RunSpec], fused: Iterable[RunSpec] = ()
-    ) -> None:
+    def prepare(self, specs: Iterable[RunSpec]) -> None:
         """Build every per-stack operator the given runs will read.
 
-        ``specs`` will run on the per-run engine and ``fused`` as lanes
-        of a :class:`~repro.sched.batch.BatchSimulationEngine`. Per
-        stack this builds the :class:`ThermalAssembly` and the power
+        Per stack this builds the :class:`ThermalAssembly` and the power
         model, per pending ``thermal_solver`` its transient solver, and
-        the modal basis when an event spec runs on the per-run engine
-        (fused lanes step the dense block and never read it). Thermal
-        indices are left to :meth:`thermal_indices`.
+        the modal basis when an event spec runs there (serial event
+        runs and batched event lanes both step it). Thermal indices are
+        left to :meth:`thermal_indices`.
 
         Operators that fail to build are skipped: the runs that need
         them raise the same error when they build their engine.
         """
-        # (exp_id, grid, solver) -> whether a per-run event spec needs
-        # the modal basis.
+        # (exp_id, grid, solver) -> whether an event spec needs the
+        # modal basis.
         needs: Dict[Tuple[int, Tuple[int, int], str], bool] = {}
-        for per_run, group in ((True, specs), (False, fused)):
-            for spec in group:
-                key = (spec.exp_id, (spec.grid[0], spec.grid[1]),
-                       spec.thermal_solver)
-                needs[key] = needs.get(key, False) or (
-                    per_run and spec.fidelity == "event")
+        for spec in specs:
+            key = (spec.exp_id, (spec.grid[0], spec.grid[1]),
+                   spec.thermal_solver)
+            needs[key] = needs.get(key, False) or spec.fidelity == "event"
         for (exp_id, grid, solver), modal in needs.items():
             try:
                 config = build_experiment(exp_id)
@@ -374,7 +368,8 @@ class ExperimentRunner:
         Results come back in input order. With the default
         ``propagation="exact"`` every result is bit-identical to
         :meth:`run` on the same spec; ``"gemm"`` selects the fused
-        one-GEMM thermal propagation (ulp-level deviation, fastest).
+        one-GEMM thermal propagation for eager lanes (ulp-level
+        deviation, fastest). Event lanes are bit-identical either way.
         """
         from repro.sched.batch import BatchSimulationEngine
 

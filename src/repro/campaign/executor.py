@@ -231,10 +231,11 @@ BatchSimulationEngine` batches of up to ``batch_size`` lanes; runs
     batch_size:
         Max lanes per fused batch (``batched`` backend only).
     propagation:
-        Thermal propagation mode of the batched engine: ``"exact"``
-        (default; batch results bit-identical to serial runs) or
-        ``"gemm"`` (one-GEMM propagation, fastest, ulp-level
-        deviation).
+        Thermal propagation of the batched engine's eager lanes:
+        ``"exact"`` (default; batch results bit-identical to serial
+        runs) or ``"gemm"`` (one-GEMM propagation, fastest, ulp-level
+        deviation). Event lanes ignore it: they step the serial
+        engine's modal stepper and are always bit-identical.
     prefix_cache:
         Serve a pending run by truncating a stored longer-duration run
         of the same spec family (see ``ResultStore.serve_prefix``).
@@ -430,12 +431,7 @@ BatchSimulationEngine` batches of up to ``batch_size`` lanes; runs
                 pairs = list(pending.items())
                 self._share_thermal_indices(pairs)
                 units = self._make_units(pairs)
-                self.runner.prepare(
-                    [spec for unit in units if len(unit) == 1
-                     for _, spec in unit],
-                    fused=[spec for unit in units if len(unit) > 1
-                           for _, spec in unit],
-                )
+                self.runner.prepare(spec for _, spec in pairs)
                 if self.backend == "serial":
                     self._run_serial(pairs, strict, outcome_by_key, results)
                 else:

@@ -44,7 +44,12 @@ from repro.sched.engine import FIDELITY_MODES
 # v6: the event modal basis comes from one symmetric eigendecomposition
 # of the propagator, which moves event results by up to ~5e-13 K; eager
 # results are bit-identical but get new keys with the version.
-KEY_VERSION = 6
+# v7: event became the default fidelity, and every event path gives one
+# result per spec: clock jumps are exact shortcuts (a run's utilization
+# and energy no longer depend on where the clock jumped), batched event
+# lanes step the serial modal stepper, and resume restores it. Event
+# results moved by ~1e-12 K; eager results are bit-identical.
+KEY_VERSION = 7
 
 
 def _canonical(value: Any) -> Any:
@@ -150,6 +155,8 @@ class CampaignSpec:
     Every axis is a tuple of values; ``expand()`` is their cartesian
     product in axis order (exp_ids outermost, seeds innermost), followed
     by ``extra_runs``. Duplicates are dropped, first occurrence wins.
+    ``fidelities`` defaults to ``("event",)``, like ``RunSpec``; list
+    ``"eager"`` to run the per-event reference.
     """
 
     name: str
@@ -162,7 +169,7 @@ class CampaignSpec:
     benchmark_mixes: Tuple[Optional[Tuple[Tuple[str, int], ...]], ...] = (None,)
     workload_mixes: Tuple[Optional[str], ...] = (None,)
     sensor_noise_sigmas: Tuple[float, ...] = (0.0,)
-    fidelities: Tuple[str, ...] = ("eager",)
+    fidelities: Tuple[str, ...] = ("event",)
     extra_runs: Tuple[RunSpec, ...] = ()
 
     def __post_init__(self) -> None:

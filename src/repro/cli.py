@@ -49,13 +49,13 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
                                  "crank_nicolson"),
                         help="transient integrator (exponential is exact "
                              "under piecewise-constant power)")
-    parser.add_argument("--fidelity", default="eager",
+    parser.add_argument("--fidelity", default="event",
                         choices=FIDELITY_MODES,
-                        help="interval-execution fidelity: eager "
-                             "(bit-identity reference) or event "
-                             "(event-driven clock jumps, approximate "
-                             "within the documented tolerance, fastest "
-                             "on idle-heavy runs)")
+                        help="interval-execution fidelity: event "
+                             "(default; event-driven clock jumps over a "
+                             "modal thermal stepper, within the "
+                             "documented tolerance of eager) or eager "
+                             "(the per-event reference)")
 
 
 def _report_lines(report, with_delay: bool) -> List[List[object]]:
@@ -379,18 +379,17 @@ def build_parser() -> argparse.ArgumentParser:
     campaign_run.add_argument("--propagation", default="exact",
                               choices=("exact", "gemm"),
                               help="thermal propagation of the batched "
-                                   "backend: exact (bit-identical to "
-                                   "serial runs) or gemm (one-GEMM "
-                                   "batching, fastest, ~1e-13 K "
-                                   "deviation)")
+                                   "backend's eager lanes: exact "
+                                   "(bit-identical to serial runs) or "
+                                   "gemm (one-GEMM batching, fastest, "
+                                   "~1e-13 K deviation); event lanes are "
+                                   "always bit-identical")
     campaign_run.add_argument("--fidelity", default=None,
                               choices=FIDELITY_MODES,
                               help="override the campaign's fidelity axis "
-                                   "for every run: eager (reference) or "
-                                   "event (event-driven clock jumps, "
-                                   "approximate, fastest serial on "
-                                   "idle-heavy runs and with the batched "
-                                   "backend)")
+                                   "for every run: event (event-driven "
+                                   "clock jumps, the default axis) or "
+                                   "eager (the per-event reference)")
     campaign_run.add_argument("--telemetry", action="store_true",
                               help="collect engine telemetry (metrics, job "
                                    "stats, tick-phase profile) per run; "

@@ -9,16 +9,17 @@ dispatch overhead is paid once per run per tick. The
 :class:`~repro.thermal.model.ThermalAssembly` through a single fused
 tick loop, so that overhead is paid once per *batch* per tick:
 
-- the thermal state is one ``(n_nodes, R)`` matrix advanced by
-  :meth:`~repro.thermal.model.ThermalModel.step_block` — with the
-  exponential solver, (up to) one GEMM ``A @ T`` over the whole batch;
 - power injection is one call of the power kernel
   (:meth:`~repro.power.chip_power.ChipPowerModel.power_factors` then
   ``power_eval``) on the ``(R, n_cores)`` state/utilization/V-f
   matrices, transposed so each lane is a column;
-- sensor and recording readback is one blocked gather
+- eager lanes hold the thermal state as one ``(n_nodes, R)`` matrix
+  advanced by :meth:`~repro.thermal.model.ThermalModel.step_block` —
+  with the exponential solver, (up to) one GEMM ``A @ T`` over the
+  whole batch — and read it back with one blocked gather
   (:meth:`~repro.thermal.model.ThermalModel.unit_max_block` /
-  :meth:`unit_mean_block`) plus per-tick ``(R, ...)`` plane writes.
+  :meth:`unit_mean_block`);
+- recording is one ``(R, ...)`` plane write per field per tick.
 
 Per-run scheduler state — event heaps, dispatch queues, policies, DPM,
 workload generators — stays scalar: each run's
@@ -30,7 +31,9 @@ with zero per-lane gathering.
 
 With ``EngineConfig(fidelity="event")`` lanes (uniform across the
 batch), the per-lane interval advance switches to the span substrate —
-lazy per-core spans, trusted completion events — and two further
+lazy per-core spans, trusted completion events — and each lane steps
+its own :class:`~repro.thermal.model.ModalJump`, the stepper a serial
+event run steps, fed the lane's contiguous power row. Two further
 batch-level fusions engage: ideal-sensor reads become one gather over
 the peak block, and batches whose policies are all plain probabilistic
 allocators — or all the same plain §III-A DVFS policy — tick their
@@ -38,12 +41,11 @@ per-lane policy state through one stacked ``(R, n_cores)`` update
 (:class:`_ProbabilisticBatchTick` / :class:`_DVFSBatchTick`) instead of
 R per-lane ``on_tick`` sweeps. The serial engine's event clock jumps do
 not engage in the fused loop: they are an alternative to the batch's
-amortization, not an addition to it. Shrinking the per-lane scalar
-term is what breaks the eager batch's Amdahl cap (docs/ENGINE.md):
-measured ~2.6x over the shipping serial engine on the 16-seed EXP-4
-bench, vs ~1.6x for eager gemm lanes. Event lanes trade the
-bit-identity contract for the documented event tolerance
-(``tests/test_engine_span.py``).
+amortization, not an addition to it, and a jump is an exact shortcut
+for the ticks it replaces, so leaving it out changes no bit. Shrinking
+the per-lane scalar term is what breaks the eager batch's Amdahl cap
+(docs/ENGINE.md). Event lanes are bit-identical to serial event runs
+(``tests/test_engine_batch.py``, ``tests/test_engine_span.py``).
 
 Bit-identity
 ------------
@@ -54,7 +56,10 @@ serial engine's floating-point behavior: elementwise ops, segment
 ``reduceat``, sparse matmat and SuperLU multi-RHS solves all process a
 run's lane independently of its neighbors. The dense products are the
 one exception — BLAS GEMM kernels accumulate differently from the
-single-column GEMV — so the engine offers two propagation modes:
+single-column GEMV — so the engine offers two propagation modes for
+eager lanes (event lanes ignore the mode: their modal steppers issue
+the serial GEMVs, and the dense fallback without a modal basis runs
+column-exact):
 
 - ``propagation="exact"`` (default): dense products are applied
   column-by-column with the same GEMV calls the serial engine makes.
@@ -385,7 +390,8 @@ class BatchSimulationEngine:
         lane.
     propagation:
         ``"exact"`` (bit-identical to serial runs, default) or
-        ``"gemm"`` (single-GEMM thermal propagation, see module docs).
+        ``"gemm"`` (single-GEMM thermal propagation, see module docs);
+        eager lanes only — event lanes are always bit-identical.
     """
 
     def __init__(
@@ -445,26 +451,38 @@ class BatchSimulationEngine:
         """Advance every lane to completion; results in lane order.
 
         Returns one :class:`~repro.sched.engine.SimulationResult` per
-        lane, each indistinguishable from (and in ``exact`` mode
-        bit-identical to) the lane's own :meth:`SimulationEngine.run`.
+        lane, each indistinguishable from (and for event lanes or in
+        ``exact`` mode bit-identical to) the lane's own
+        :meth:`SimulationEngine.run`.
         """
         lanes = self.lanes
         n_lanes = len(lanes)
         base = lanes[0]
-        exact = self.propagation == "exact"
         # Event lanes advance event-to-event on the span substrate
         # (lazy per-core spans, trusted completion heap) and report
-        # utilization from span anchors; the fused boundary below is
-        # identical in both fidelities. The serial engine's event clock
+        # utilization from span anchors. The serial engine's event clock
         # jumps do not engage here — the batch already amortizes the
         # boundary they would skip, and R lanes are almost never quiet
-        # simultaneously.
+        # simultaneously; a jump is an exact shortcut for the ticks it
+        # replaces, so skipping it changes no bit.
         use_span = base.config.fidelity == "event"
 
         shapes = [lane._prepare_run() for lane in lanes]
         n_ticks, dt = shapes[0]
         if any(shape != (n_ticks, dt) for shape in shapes[1:]):
             raise SchedulerError("batched runs disagree on tick layout")
+
+        # Each event lane steps its own modal stepper, as serial event
+        # does (lanes share the assembly, so either all have a basis or
+        # none). Without one, event lanes step the dense block column
+        # by column, like serial event's dense fallback: propagation
+        # applies to eager lanes only.
+        modals = None
+        if use_span:
+            modals = [lane.thermal.modal_jump() for lane in lanes]
+            if modals[0] is None:
+                modals = None
+        exact = use_span or self.propagation == "exact"
 
         # Initial sensor read (the serial engine does this between
         # preparation and the first tick).
@@ -493,10 +511,16 @@ class BatchSimulationEngine:
         n_units = len(thermal.unit_names)
         n_dies = thermal.n_dies
 
-        # (n_nodes, R) thermal state: column r is lane r's node vector.
-        temps_block = np.empty((n_nodes, n_lanes))
-        for r, lane in enumerate(lanes):
-            temps_block[:, r] = lane.thermal.temperatures
+        if modals is None:
+            # (n_nodes, R) thermal state: column r is lane r's node
+            # vector.
+            temps_block = np.empty((n_nodes, n_lanes))
+            for r, lane in enumerate(lanes):
+                temps_block[:, r] = lane.thermal.temperatures
+        else:
+            # Modal lanes hold their state in the steppers; their peak
+            # rows are NaN outside core units, as in serial event.
+            peak_block = np.full((n_units, n_lanes), np.nan)
 
         # Post-step readback of tick k is the pre-step temperature of
         # tick k+1; the initial row uses the same per-lane GEMV the
@@ -565,7 +589,7 @@ class BatchSimulationEngine:
                 for lane in lanes:
                     lane._advance_interval_span(t0, t1)
                 for r, lane in enumerate(lanes):
-                    util_mat[r] = lane._span_utilization(dt, t1)
+                    util_mat[r] = lane._span_utilization(dt, t0, t1)
                     mem_vec[r] = lane._memory_intensity()
             else:
                 for lane in lanes:
@@ -575,11 +599,12 @@ class BatchSimulationEngine:
                     mem_vec[r] = lane._memory_intensity()
             prof.lap(PH_INTERVAL)
 
-            # Fused boundary: one power kernel, one thermal block step,
-            # one blocked max-readback for the whole batch. The kernel
-            # runs cores/units down axis 0, one column per lane;
-            # step_block gets a C-contiguous (R, n_units) copy, so its
-            # per-lane GEMV operands are contiguous rows as in serial.
+            # Fused boundary: one power kernel for the whole batch and,
+            # for dense lanes, one thermal block step and one blocked
+            # max-readback. The kernel runs cores/units down axis 0,
+            # one column per lane; the thermal step gets a C-contiguous
+            # (R, n_units) copy, so its per-lane GEMV operands are
+            # contiguous rows as in serial.
             base_mat, leak_mat = power.power_factors(
                 state_mat.T, util_mat.T, dyn_mat.T, volt_mat.T, mem_vec
             )
@@ -587,10 +612,22 @@ class BatchSimulationEngine:
                 power.power_eval(base_mat, leak_mat, unit_block).T
             )
             prof.lap(PH_POWER)
-            temps_block = thermal.step_block(
-                power_mat, temps_block, column_exact=exact
-            )
-            peak_block = thermal.unit_max_block(temps_block)
+            if modals is None:
+                temps_block = thermal.step_block(
+                    power_mat, temps_block, column_exact=exact
+                )
+                peak_block = thermal.unit_max_block(temps_block)
+            else:
+                # The serial loop's stepper per lane, fed the lane's
+                # contiguous power row: every GEMV operand is laid out
+                # exactly as in serial event, so each lane keeps its bits.
+                for r, modal in enumerate(modals):
+                    power_row = power_mat[r]
+                    if tick == 0:
+                        modal.open(power_row)
+                    mean_row, peak_row = modal.advance(power_row)
+                    unit_block[:, r] = mean_row
+                    peak_block[:, r] = peak_row
             prof.lap(PH_THERMAL)
             if all_ideal:
                 temps_mat[:, :] = peak_block[core_cols].T
@@ -638,10 +675,12 @@ class BatchSimulationEngine:
             prof.lap(PH_POLICY)
 
             # Record the end-of-interval state: one blocked mean
-            # readback, then one plane write per field.
-            unit_block = thermal.unit_mean_block(
-                temps_block, column_exact=exact
-            )
+            # readback (modal lanes filled theirs at the step), then one
+            # plane write per field.
+            if modals is None:
+                unit_block = thermal.unit_mean_block(
+                    temps_block, column_exact=exact
+                )
             times[tick] = t1
             plane_unit[tick] = unit_block.T
             plane_core[tick] = unit_block[core_cols].T
@@ -679,7 +718,10 @@ class BatchSimulationEngine:
             rec.vf_indices[:] = plane_vf[:, r]
             rec.core_states[:] = plane_state[:, r]
             rec.total_power[:] = plane_power[:, r]
-            lane.thermal.temperatures = temps_block[:, r].copy()
+            if modals is None:
+                lane.thermal.temperatures = temps_block[:, r].copy()
+            else:
+                modals[r].close()
             results.append(lane._build_result(rec, energies[r], dt))
         if prof.enabled:
             batch_phases = prof.summary()

@@ -38,10 +38,11 @@ One tick loop (:meth:`SimulationEngine._run_ticks`) serves both values
 of ``EngineConfig.fidelity``, which selects how strictly the interval
 execution reproduces the eager reference semantics:
 
-- ``"eager"`` (default): per-event execution sweeps with a
-  recompute-on-pop heap and the dense thermal step, keeping the
-  bit-identity contracts (engine vs scan oracle, batch vs serial).
-- ``"event"`` (opt-in, approximate-equality): the clock jumps between
+- ``"eager"`` (the engine-level default and the reference): per-event
+  execution sweeps with a recompute-on-pop heap and the dense thermal
+  step, bit-identical to the scan oracle.
+- ``"event"`` (the default of ``RunSpec``, campaigns and the CLI;
+  approximately equal to eager): the clock jumps between
   heap events. It runs on the *span substrate*: each core's work
   between its own boundary events — dispatch, completion, migration,
   DPM or V/f/gating transition, stall expiry — is a lazy span whose
@@ -67,6 +68,9 @@ execution reproduces the eager reference semantics:
   jump at the acting tick. Deviations from eager execution are bounded
   at the documented tolerance (``docs/ENGINE.md``); the differential
   harness lives in ``tests/test_engine_event.py``.
+  Within event fidelity a spec has one result: a clock jump is an exact
+  shortcut for the ticks it replaces (jumps on or off give the same
+  bits), and a resumed run continues the checkpointed modal stepper.
 """
 
 from __future__ import annotations
@@ -164,12 +168,13 @@ class EngineConfig:
         (default — exact under the engine's piecewise-constant power
         contract), ``"backward_euler"`` or ``"crank_nicolson"``.
     fidelity:
-        ``"eager"`` (default — per-event execution sweeps, keeps the
-        bit-identity contracts) or ``"event"`` (lazy per-core span
-        execution with trusted completion events; the clock jumps
-        between heap events, control calls skipped where provably
-        no-ops; approximately equal to eager within the documented
-        tolerance).
+        ``"eager"`` (default here — per-event execution sweeps, the
+        reference the scan oracle and the engine tests build on) or
+        ``"event"`` (lazy per-core span execution with trusted
+        completion events; the clock jumps between heap events, control
+        calls skipped where provably no-ops; approximately equal to
+        eager within the documented tolerance). ``RunSpec``, campaigns
+        and the CLI default to ``"event"``.
     telemetry:
         Optional :class:`~repro.obs.telemetry.TelemetryConfig`. ``None``
         (default) disables all instrumentation — the engine holds the
@@ -672,16 +677,17 @@ class SimulationEngine:
         start_tick = 0
         energy0 = 0.0
         unit_row: Optional[np.ndarray] = None
+        modal_state = None
         if resume is not None:
-            start_tick, energy0, unit_row = self._restore_checkpoint(
-                resume, rec, n_ticks, dt
+            start_tick, energy0, unit_row, modal_state = (
+                self._restore_checkpoint(resume, rec, n_ticks, dt)
             )
         else:
             # The priming sensor read advances the noise RNG; on resume
             # the restored RNG state already accounts for it.
             self._temps_arr[:] = self.sensors.read_cores_vector()
         energy = self._run_ticks(
-            rec, n_ticks, dt, start_tick, energy0, unit_row,
+            rec, n_ticks, dt, start_tick, energy0, unit_row, modal_state,
             checkpoint_every, checkpoint_sink,
         )
         return self._build_result(rec, energy, dt)
@@ -689,7 +695,8 @@ class SimulationEngine:
     # ------------------------------------------------------------------
     # checkpoint / resume
 
-    _CHECKPOINT_VERSION = 1
+    # v2: the payload carries the open modal stepper ("modal_state").
+    _CHECKPOINT_VERSION = 2
 
     def _checkpoint_payload(
         self,
@@ -699,6 +706,7 @@ class SimulationEngine:
         dt: float,
         n_ticks: int,
         unit_row: np.ndarray,
+        modal_state: Optional[tuple],
     ) -> bytes:
         """Serialize the full run state at a tick boundary.
 
@@ -707,8 +715,10 @@ class SimulationEngine:
         core queues, the arrivals heap and the workload source) are
         preserved by pickle's memo table and re-materialize as shared
         on restore.  The recording prefix, the thermal node-state
-        vector, the structure-of-arrays rows, the sensor RNG state and
-        the loop's current unit readback row ride along.  Called from the
+        vector, the structure-of-arrays rows, the sensor RNG state, the
+        loop's current unit readback row and an event run's open modal
+        stepper (:meth:`~repro.thermal.model.ModalJump.state`, ``None``
+        otherwise) ride along.  Called from the
         hot tick loops but only every ``checkpoint_every`` ticks; the
         dict display below is the checkpoint cost itself, not per-tick
         overhead (the method is deliberately not in the hot-path
@@ -764,19 +774,23 @@ class SimulationEngine:
             # the unit readback row exactly as carried by the loop (an
             # event run's modal row is not the node state's readback)
             "unit_row": unit_row.copy(),
+            # the open modal stepper, resumed as is: re-projecting the
+            # node state would move the run by ~1e-13 K
+            "modal_state": modal_state,
         }
         return pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
 
     def _restore_checkpoint(
         self, blob: bytes, rec: _Recording, n_ticks: int, dt: float
-    ) -> Tuple[int, float, np.ndarray]:
+    ) -> Tuple[int, float, np.ndarray, Optional[tuple]]:
         """Overwrite the freshly prepared run state from a checkpoint.
 
         Must be called after :meth:`_prepare_run` (which re-arms the
         solver, the telemetry sinks and the scratch buffers); this
         method then replaces every piece of state the tick loops read.
-        Raises :class:`CheckpointError` when the blob is unreadable or
-        belongs to a different run configuration.
+        Returns ``(next_tick, energy, unit_row, modal_state)`` for
+        :meth:`_run_ticks`. Raises :class:`CheckpointError` when the
+        blob is unreadable or belongs to a different run configuration.
         """
         try:
             payload = pickle.loads(blob)
@@ -847,7 +861,10 @@ class SimulationEngine:
         self._span_tick_ctx = None
         self._span_dirty = False
         self._in_fast_forward = False
-        return next_tick, float(payload["energy"]), payload["unit_row"]
+        return (
+            next_tick, float(payload["energy"]), payload["unit_row"],
+            payload["modal_state"],
+        )
 
     def _gather_utilization(self, dt: float) -> np.ndarray:
         """Per-core busy fraction of the elapsed interval (resets the
@@ -890,6 +907,7 @@ class SimulationEngine:
     def _run_ticks(self, rec: _Recording, n_ticks: int, dt: float,
                    start_tick: int = 0, energy0: float = 0.0,
                    unit_row: Optional[np.ndarray] = None,
+                   modal_state: Optional[tuple] = None,
                    checkpoint_every: int = 0, checkpoint_sink=None
                    ) -> float:
         """The tick loop of both fidelities.
@@ -912,14 +930,17 @@ class SimulationEngine:
           modal basis (non-exponential solver);
         - clock jumps: event crosses every stretch of whole ticks free
           of scheduler events (arrivals, completions, stall expiries)
-          in one :meth:`_fast_forward_event` call, however long.
+          in one :meth:`_fast_forward_event` call, however long; the
+          jump records exactly what the per-tick path would.
 
         A policy tick that is a proven no-op (:meth:`_policy_tick_noop`)
         is skipped in both; the skip is exact, so eager stays
         bit-identical to the scan oracle, which calls every tick.
         ``unit_row`` is the checkpointed readback row on resume (the
         post-step readback of tick k is the pre-step temperature of
-        tick k+1, so one readback per tick suffices).
+        tick k+1, so one readback per tick suffices), and
+        ``modal_state`` the checkpointed modal stepper, which resumes
+        where it stopped instead of reopening from the node state.
         """
         energy = energy0
         powers_buf = np.zeros(len(self.thermal.unit_names))
@@ -933,14 +954,20 @@ class SimulationEngine:
         modal = self.thermal.modal_jump() if span else None
         self._event_modal = modal
         self._event_modal_open = False
+        if modal is not None and modal_state is not None:
+            modal.restore(modal_state)
+            self._event_modal_open = True
         tick = start_tick
         while tick < n_ticks:
             if tick >= next_ckpt:
+                modal_state = None
                 if self._event_modal_open:
                     modal.close()
+                    modal_state = modal.state()
                 checkpoint_sink(
                     self._checkpoint_payload(
-                        rec, tick, energy, dt, n_ticks, unit_row
+                        rec, tick, energy, dt, n_ticks, unit_row,
+                        modal_state,
                     ),
                     tick,
                 )
@@ -950,23 +977,18 @@ class SimulationEngine:
                 quiet = self._quiet_ticks_event(t0, dt, n_ticks - tick)
                 if quiet >= 2:
                     prof.begin()
-                    consumed, jump_energy, jump_row = (
-                        self._fast_forward_event(
-                            rec, tick, dt, quiet, powers_buf, unit_row
-                        )
+                    consumed, energy, unit_row = self._fast_forward_event(
+                        rec, tick, dt, quiet, powers_buf, unit_row, energy
                     )
                     prof.lap(PH_EVENT_JUMP)
-                    if consumed:
-                        energy += jump_energy
-                        unit_row = jump_row
-                        tick += consumed
-                        prof.tick_done(consumed)
-                        continue
+                    tick += consumed
+                    prof.tick_done(consumed)
+                    continue
             t1 = t0 + dt
             prof.begin()
             if span:
                 self._advance_interval_span(t0, t1)
-                util_arr = self._span_utilization(dt, t1)
+                util_arr = self._span_utilization(dt, t0, t1)
             else:
                 self._advance_interval_heap(t0, t1)
                 util_arr = self._gather_utilization(dt)
@@ -1136,11 +1158,15 @@ class SimulationEngine:
         quiet: int,
         powers_buf: np.ndarray,
         unit_row: np.ndarray,
+        energy: float,
     ) -> Tuple[int, float, np.ndarray]:
         """Cross up to ``quiet`` event-free ticks in one clock jump.
 
         The jump always proceeds and covers the whole stretch unless a
         control call mutates state, which closes it at the acting tick.
+        It is an exact shortcut: every array, the run's energy and the
+        job list come out bit for bit as if the per-tick path had run
+        the same ticks (``tests/test_engine_event.py`` runs both).
 
         Power is repriced every tick: the power factors
         (:meth:`~repro.power.chip_power.ChipPowerModel.power_factors`)
@@ -1163,7 +1189,9 @@ class SimulationEngine:
 
         Control calls are skipped for the provable-no-op prefix
         computed by :meth:`_event_bulk_ticks` and run on reconstructed
-        observations after it. Returns
+        observations after it. Each tick's ``power * dt`` is added to
+        the run's running ``energy`` in tick order, as the per-tick
+        path adds it. Returns
         ``(ticks_consumed, energy, last_unit_row)``.
         """
         core_list = self._core_list
@@ -1201,7 +1229,6 @@ class SimulationEngine:
         self._in_fast_forward = True
         consumed = 0
         skipped = 0
-        energy = 0.0
         mean_row = unit_row
         peak_row = unit_row
         try:
@@ -1246,11 +1273,14 @@ class SimulationEngine:
                 # left (ideal read — noctl > 0 guarantees it — so this
                 # is a plain gather, no RNG involved).
                 self._temps_arr[:] = sensors.read_cores_vector(peak_row)
-            # Materialize every core at the jump end (busy accounting
-            # stays off: the consumed ticks' utilization was recorded
-            # in closed form above).
+            # Close the busy accounting at the jump end, as
+            # _span_utilization does at every tick boundary; the
+            # consumed ticks' utilization was recorded in closed form
+            # above. Spans stay lazy: the per-tick path never
+            # materializes a span at a boundary either, and doing so
+            # would re-round the head job's remaining work.
             for core in core_list:
-                self._touch_core(core, t_end)
+                core.busy_anchor = t_end
                 core.busy_in_tick = 0.0
         finally:
             self._in_fast_forward = False
@@ -1356,13 +1386,21 @@ class SimulationEngine:
         core.span_start = now
         core.busy_anchor = now
 
-    def _span_utilization(self, dt: float, t1: float) -> np.ndarray:
-        """Closed-form per-core busy fraction of the tick ending at
-        ``t1`` (resets the accumulators; the span twin of
+    def _span_utilization(self, dt: float, t0: float, t1: float
+                          ) -> np.ndarray:
+        """Closed-form per-core busy fraction of the tick ``[t0, t1]``
+        (resets the accumulators; the span twin of
         :meth:`_gather_utilization`). Fills and returns the persistent
-        utilization buffer the span tick context views."""
+        utilization buffer the span tick context views.
+
+        A core that runs through the whole tick with nothing accounted
+        yet counts exactly ``dt`` busy, so its utilization is exactly
+        1.0 — the value a clock jump records for it. ``t1`` minus the
+        previous boundary can be an ulp short of ``dt``.
+        """
         core_list = self._core_list
         util_arr = self._util_buf
+        whole = t0 + _TIME_EPS
         idx = 0
         for core in core_list:
             busy = core.busy_in_tick
@@ -1371,7 +1409,9 @@ class SimulationEngine:
                 stall = core.stall_until
                 if start < stall:
                     start = stall
-                if t1 > start:
+                if busy == 0.0 and start <= whole:
+                    busy = dt
+                elif t1 > start:
                     busy += t1 - start
             core.busy_anchor = t1
             core.busy_in_tick = 0.0

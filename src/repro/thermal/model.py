@@ -135,9 +135,11 @@ class ThermalAssembly:
         self._exponential_step: Optional[
             Tuple[np.ndarray, np.ndarray, np.ndarray]
         ] = None
-        # Truncated eigenbasis of the propagator (see modal_step_basis).
+        # Truncated eigenbasis of the propagator (see modal_step_basis)
+        # and the modal stepper's packed operands (see modal_pack).
         # False = not built yet, None = built and rejected.
         self._modal_basis: object = False
+        self._modal_pack: object = False
 
     def transient_solver(self, method: str) -> TransientSolver:
         """The transient solver for ``method``, built once per assembly.
@@ -251,6 +253,78 @@ class ThermalAssembly:
             "err": np.array(err),
         }
         return self._modal_basis  # type: ignore[return-value]
+
+    def modal_pack(self) -> Optional[Dict[str, np.ndarray]]:
+        """The modal basis stacked into the stepper's two per-tick GEMV
+        operands, or ``None`` without a basis.
+
+        ``reprice`` maps a unit-power delta onto the packed state
+        ``z = [w, r_mean, r_max]`` in one GEMV (sign-folded: ``w``
+        moves against the steady point, the readback projections with
+        it); ``readout`` maps the decayed modal coordinates onto the
+        mean row and the core max-gather values in one GEMV. The max
+        gather keeps only the segments of core units — the per-tick
+        peak consumers are all per-core. Built once per assembly and
+        shared, read-only, by every :class:`ModalJump` on it: the lanes
+        of a batch cycle through one set of operands instead of one
+        copy each.
+        """
+        if self._modal_pack is not False:
+            return self._modal_pack  # type: ignore[return-value]
+        basis = self.modal_step_basis()
+        if basis is None:
+            self._modal_pack = None
+            return None
+        _propagator, gain, ambient = self.exponential_step()
+        rb = self.readback
+        core_units = np.zeros(rb.n_units, dtype=bool)
+        offset = 0
+        for mapper in self.mappers:
+            names = mapper.unit_names
+            for unit in mapper.floorplan.cores():
+                core_units[offset + names.index(unit.name)] = True
+            offset += len(names)
+        bounds = np.append(rb.max_offsets, rb.max_node_idx.size)
+        node_idx_parts: List[np.ndarray] = []
+        lengths: List[int] = []
+        scatter: List[int] = []
+        for j in range(rb.max_scatter.size):
+            unit = int(rb.max_scatter[j])
+            if not core_units[unit]:
+                continue
+            seg = rb.max_node_idx[bounds[j]:bounds[j + 1]]
+            node_idx_parts.append(seg)
+            lengths.append(seg.size)
+            scatter.append(unit)
+        if node_idx_parts:
+            node_idx = np.concatenate(node_idx_parts)
+            offsets = np.concatenate(
+                ([0], np.cumsum(lengths[:-1]))
+            ).astype(np.intp)
+        else:
+            node_idx = np.zeros(0, dtype=np.intp)
+            offsets = np.zeros(0, dtype=np.intp)
+        reprice = np.vstack([
+            basis["w_gain"],
+            -basis["mean_gain"],
+            -gain[node_idx],
+        ])
+        readout = np.vstack([basis["mean_v"], basis["V"][node_idx]])
+        self._modal_pack = {
+            "rho": basis["rho"],
+            "V": basis["V"],
+            "W": basis["W"],
+            "gain": gain,
+            "ambient": ambient,
+            "mean_weights": rb.mean_weights,
+            "reprice": np.ascontiguousarray(reprice),
+            "readout": np.ascontiguousarray(readout),
+            "node_idx": node_idx,
+            "offsets": offsets,
+            "scatter": np.asarray(scatter, dtype=np.intp),
+            "n_units": np.intp(rb.n_units),
+        }
+        return self._modal_pack  # type: ignore[return-value]
 
 
 class ThermalModel:
@@ -448,9 +522,6 @@ class ThermalModel:
             self._exp_step = self.assembly.exponential_step()
         else:
             self._exp_step = None
-        # The modal pack folds in the active solver's gain matrix;
-        # rebuild lazily after a switch. False = not built yet.
-        self._modal_pack: object = False
         return self._transient
 
     def die_mapper(self, die_ordinal: int) -> GridMapper:
@@ -561,75 +632,12 @@ class ThermalModel:
         eigenbasis. :meth:`ModalJump.close` writes the full node state
         back to the model.
         """
-        pack = self._modal_pack
-        if pack is False:
-            pack = self._build_modal_pack()
-            self._modal_pack = pack
-        if pack is None:
-            return None
-        return ModalJump(self, pack)  # type: ignore[arg-type]
-
-    def _build_modal_pack(self) -> Optional[Dict[str, np.ndarray]]:
-        """Stack the modal basis into the two per-tick GEMV operands.
-
-        ``reprice`` maps a unit-power delta onto the packed state
-        ``z = [w, r_mean, r_max]`` in one GEMV (sign-folded: ``w``
-        moves against the steady point, the readback projections with
-        it); ``readout`` maps the decayed modal coordinates onto the
-        mean row and the core max-gather values in one GEMV. The max
-        gather keeps only the segments of core units — the per-tick
-        peak consumers are all per-core.
-        """
         if self._exp_step is None:
             return None
-        basis = self.assembly.modal_step_basis()
-        if basis is None:
+        pack = self.assembly.modal_pack()
+        if pack is None:
             return None
-        _propagator, gain, ambient = self._exp_step
-        rb = self._readback
-        core_units = np.zeros(rb.n_units, dtype=bool)
-        for name in self._core_names:
-            core_units[self._unit_global_index[name]] = True
-        bounds = np.append(rb.max_offsets, rb.max_node_idx.size)
-        node_idx_parts: List[np.ndarray] = []
-        lengths: List[int] = []
-        scatter: List[int] = []
-        for j in range(rb.max_scatter.size):
-            unit = int(rb.max_scatter[j])
-            if not core_units[unit]:
-                continue
-            seg = rb.max_node_idx[bounds[j]:bounds[j + 1]]
-            node_idx_parts.append(seg)
-            lengths.append(seg.size)
-            scatter.append(unit)
-        if node_idx_parts:
-            node_idx = np.concatenate(node_idx_parts)
-            offsets = np.concatenate(
-                ([0], np.cumsum(lengths[:-1]))
-            ).astype(np.intp)
-        else:
-            node_idx = np.zeros(0, dtype=np.intp)
-            offsets = np.zeros(0, dtype=np.intp)
-        reprice = np.vstack([
-            basis["w_gain"],
-            -basis["mean_gain"],
-            -gain[node_idx],
-        ])
-        readout = np.vstack([basis["mean_v"], basis["V"][node_idx]])
-        return {
-            "rho": basis["rho"],
-            "V": basis["V"],
-            "W": basis["W"],
-            "gain": gain,
-            "ambient": ambient,
-            "mean_weights": rb.mean_weights,
-            "reprice": np.ascontiguousarray(reprice),
-            "readout": np.ascontiguousarray(readout),
-            "node_idx": node_idx,
-            "offsets": offsets,
-            "scatter": np.asarray(scatter, dtype=np.intp),
-            "n_units": np.intp(rb.n_units),
-        }
+        return ModalJump(self, pack)
 
     def step_block(
         self,
@@ -856,7 +864,10 @@ class ModalJump:
     The model's node state goes stale after :meth:`open`.
     :meth:`close` rematerializes ``T = V w + gain P + ambient``
     without invalidating the modal coordinates, so a caller may close
-    mid-run (checkpoints) and keep advancing afterwards. The returned
+    mid-run (checkpoints) and keep advancing afterwards. Reopening
+    from that node state would re-project it (a ~1e-13 K round trip),
+    so a checkpoint carries :meth:`state` instead and a resumed run
+    continues from :meth:`restore`, bit for bit. The returned
     readback rows are views into reused buffers, valid until the next
     :meth:`advance` — consumers must copy (the recording planes do) or
     finish reading first. Accuracy is bounded by the basis acceptance
@@ -930,6 +941,18 @@ class ModalJump:
                 self._gathered, self._offsets
             )
         return self._mean_row, peak_row
+
+    def state(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Copies of the open stepper's packed coordinates and last
+        power row (what a checkpoint stores)."""
+        return self._z.copy(), self._p.copy()
+
+    def restore(self, state: Tuple[np.ndarray, np.ndarray]) -> None:
+        """Reopen from a :meth:`state` snapshot, exactly where it was
+        taken (no re-projection of the node state)."""
+        z, p = state
+        self._z[:] = z
+        self._p[:] = p
 
     def close(self) -> None:
         """Rematerialize the full node state onto the model."""

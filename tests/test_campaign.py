@@ -83,7 +83,7 @@ class TestRunKey:
             replace(base, policy_params=(("beta_inc", 0.02),)),
             replace(base, sensor_noise_sigma=0.5),
             replace(base, workload_mix="web_heavy"),
-            replace(base, fidelity="event"),
+            replace(base, fidelity="eager"),
         ]
         keys = {run_key(spec) for spec in [base] + variants}
         assert len(keys) == len(variants) + 1
@@ -128,7 +128,7 @@ class TestGoldenKey:
 
     Result stores index completed runs by ``run_key``; if the digest for a
     fixed spec ever changes, every cached campaign silently misses and
-    re-runs.  These digests were frozen when KEY_VERSION reached 6 — a
+    re-runs.  These digests were frozen when KEY_VERSION reached 7 — a
     mismatch means either an accidental serialization change (fix it) or a
     deliberate one (bump KEY_VERSION in repro.campaign.spec, refresh the
     contract golden via ``repro-dtm lint --update-golden``, then update the
@@ -149,8 +149,8 @@ class TestGoldenKey:
         workload_mix="server",
         fidelity="event",
     )
-    GOLDEN_RUN_KEY = "exp4-adapt3d_dvfs_tt-ee9610e5b8e7"
-    GOLDEN_PREFIX_KEY = "exp4-adapt3d_dvfs_tt-pfx-5ffbdd20e95e"
+    GOLDEN_RUN_KEY = "exp4-adapt3d_dvfs_tt-f426cd98712a"
+    GOLDEN_PREFIX_KEY = "exp4-adapt3d_dvfs_tt-pfx-8431801e0fdf"
 
     def test_run_key_matches_frozen_digest(self):
         assert run_key(RunSpec(**self.GOLDEN_SPEC_KWARGS)) == self.GOLDEN_RUN_KEY
@@ -988,8 +988,8 @@ class TestParallelExecutor:
 def _two_stack_specs():
     """Eager and event runs on two stacks. On two batched workers each
     (stack, fidelity) group of three splits into a 2-lane batch and a
-    singleton, so event runs also take the per-run engine, which reads
-    the modal basis."""
+    singleton, so event runs take both the fused and the per-run
+    engine; both read the modal basis."""
     return [
         tiny_spec(exp_id=exp_id, seed=seed, fidelity=fidelity)
         for exp_id in (1, 2)
@@ -1070,10 +1070,8 @@ class TestWarmWorkers:
         default ``fork`` never takes that path.
 
         Every run is compared with the same backend on the default
-        pool. Fused event lanes differ from serial event runs in the
-        last ulps whatever the start method (the dense block step
-        against the modal step; ROADMAP item 1), so only the parallel
-        backend is also compared with the serial one.
+        pool and with the serial backend: fused lanes of either
+        fidelity are bit-identical to serial runs.
         """
         import functools
         import multiprocessing
@@ -1097,8 +1095,7 @@ class TestWarmWorkers:
         assert sorted(spawned) == sorted(default) == sorted(serial)
         for key, want in default.items():
             assert_same_results(spawned[key], want)
-            if backend == "parallel":
-                assert_same_results(spawned[key], serial[key])
+            assert_same_results(spawned[key], serial[key])
 
 
 class TestPrefixCache:
@@ -1155,12 +1152,10 @@ class TestPrefixCache:
         assert [result.energy_j for result in served] == [fresh.energy_j] * 2
 
     def test_event_prefix_matches_fresh_run(self, tmp_path):
-        """An event run sums each clock jump's energy apart, so the
-        re-accumulated energy of its prefix agrees to rounding."""
+        """An event run adds each tick's energy in tick order, jumps
+        included, so its served prefix is the fresh short run too."""
         served, fresh = self._served_match_fresh(tmp_path, "event")
-        for result in served:
-            assert result.energy_j == pytest.approx(fresh.energy_j,
-                                                    rel=1e-12)
+        assert [result.energy_j for result in served] == [fresh.energy_j] * 2
 
     def test_executor_serves_prefix_and_reports_it(self, tmp_path):
         store = ResultStore(tmp_path)

@@ -352,9 +352,7 @@ class TestCheckpointResume:
         return engine.run(checkpoint_every=every, checkpoint_sink=sink,
                           resume=resume)
 
-    # Event-fidelity resume re-projects into a fresh modal basis
-    # (~1e-12 K), so its resume contract lives in test_engine_event.py.
-    @pytest.mark.parametrize("fidelity", ["eager"])
+    @pytest.mark.parametrize("fidelity", ["eager", "event"])
     def test_resume_bit_identical_smoke(self, fidelity):
         spec = tiny_spec(seed=3, fidelity=fidelity, sensor_noise_sigma=0.5)
         clean = ExperimentRunner().run(spec)
@@ -371,7 +369,7 @@ class TestCheckpointResume:
             assert_results_identical(clean, resumed)
 
     @pytest.mark.slow
-    @pytest.mark.parametrize("fidelity", ["eager"])
+    @pytest.mark.parametrize("fidelity", ["eager", "event"])
     @pytest.mark.parametrize("noise", [0.0, 0.5])
     @pytest.mark.parametrize("dpm", [False, True])
     def test_resume_bit_identical_matrix(self, fidelity, noise, dpm):

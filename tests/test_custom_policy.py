@@ -40,7 +40,7 @@ _spec.loader.exec_module(_example)
 
 RUNNER = ExperimentRunner()
 SPEC = RunSpec(exp_id=1, policy="Default", duration_s=6.0, with_dpm=True,
-               seed=2009)
+               seed=2009, fidelity="eager")
 
 
 class CoolestFirstThrottle(_example.CoolestFirst):

@@ -2,16 +2,17 @@
 
 Three families:
 
-- differential tests proving a :class:`BatchSimulationEngine` in
-  ``exact`` propagation mode reproduces per-run serial
-  :meth:`SimulationEngine.run` results bit for bit (every recorded
-  array, energy, jobs, migrations) — a fast multi-seed slice runs in
+- differential tests proving a :class:`BatchSimulationEngine`
+  reproduces per-run serial :meth:`SimulationEngine.run` results bit
+  for bit (every recorded array, energy, jobs, migrations) under both
+  fidelities: eager lanes in ``exact`` propagation mode, event lanes
+  (one modal stepper each) always — a fast multi-seed slice runs in
   tier-1, the full stack x policy x DPM matrix under the ``slow``
   marker;
-- ``gemm`` propagation tests pinning the fused one-GEMM path to the
-  serial results within BLAS-kernel rounding (and, for the implicit
-  solvers, still bit-identical — their batched step is multi-RHS
-  triangular solves);
+- ``gemm`` propagation tests pinning the fused one-GEMM path of eager
+  lanes to the serial results within BLAS-kernel rounding (and, for
+  the implicit solvers, still bit-identical — their batched step is
+  multi-RHS triangular solves);
 - unit tests of the batching contract: compatibility validation,
   ``run_batch`` grouping/order, and the noise/mix plumbing through the
   batched path.
@@ -88,6 +89,12 @@ class TestBatchDifferentialFast:
         specs = seed_sweep(exp_id, policy)
         assert_results_identical(run_serial(specs), run_batched(specs))
 
+    @pytest.mark.parametrize("exp_id", [1, 4])
+    @pytest.mark.parametrize("policy", ["Default", "Adapt3D&DVFS_TT"])
+    def test_eager_batch_matches_serial(self, exp_id, policy):
+        specs = seed_sweep(exp_id, policy, fidelity="eager")
+        assert_results_identical(run_serial(specs), run_batched(specs))
+
     def test_batch_matches_serial_with_dpm(self):
         specs = seed_sweep(1, "Migr", with_dpm=True)
         assert_results_identical(run_serial(specs), run_batched(specs))
@@ -103,7 +110,8 @@ class TestBatchDifferentialFast:
         """Implicit batched steps are multi-RHS solves, bit-identical in
         exact mode; gemm mode still runs the mean *readback* as one
         GEMM, so temperatures track at rounding level there."""
-        specs = seed_sweep(4, "Adapt3D", n_seeds=2, thermal_solver=solver)
+        specs = seed_sweep(4, "Adapt3D", n_seeds=2, thermal_solver=solver,
+                           fidelity="eager")
         serial = run_serial(specs)
         assert_results_identical(serial, run_batched(specs, "exact"))
         for s, b in zip(serial, run_batched(specs, "gemm")):
@@ -118,7 +126,7 @@ class TestBatchDifferentialFast:
     def test_gemm_mode_tracks_serial_within_ulp(self):
         """The one-GEMM propagation deviates only at BLAS-kernel
         rounding; the discrete scheduling stream stays identical."""
-        specs = seed_sweep(4, "Adapt3D")
+        specs = seed_sweep(4, "Adapt3D", fidelity="eager")
         serial = run_serial(specs)
         batched = run_batched(specs, propagation="gemm")
         for s, b in zip(serial, batched):
@@ -141,8 +149,10 @@ class TestBatchDifferentialFast:
 
 
 @pytest.mark.slow
+@pytest.mark.parametrize("fidelity", ["eager", "event"])
 class TestBatchDifferentialMatrix:
-    """Full stack x policy x DPM differential matrix, multi-seed."""
+    """Full stack x policy x DPM differential matrix, multi-seed, under
+    both fidelities."""
 
     @pytest.mark.parametrize("exp_id", [1, 2, 3, 4])
     @pytest.mark.parametrize(
@@ -151,16 +161,18 @@ class TestBatchDifferentialMatrix:
          "DVFS_Util"],
     )
     @pytest.mark.parametrize("with_dpm", [False, True])
-    def test_batch_matches_serial(self, exp_id, policy, with_dpm):
+    def test_batch_matches_serial(self, exp_id, policy, with_dpm, fidelity):
         specs = seed_sweep(
-            exp_id, policy, n_seeds=2, duration_s=12.0, with_dpm=with_dpm
+            exp_id, policy, n_seeds=2, duration_s=12.0, with_dpm=with_dpm,
+            fidelity=fidelity,
         )
         assert_results_identical(run_serial(specs), run_batched(specs))
 
-    def test_mixed_policy_batch(self):
+    def test_mixed_policy_batch(self, fidelity):
         """Lanes need not be homogeneous: one batch may mix policies."""
         specs = [
-            RunSpec(exp_id=3, policy=policy, duration_s=12.0, seed=2009)
+            RunSpec(exp_id=3, policy=policy, duration_s=12.0, seed=2009,
+                    fidelity=fidelity)
             for policy in ("Default", "Adapt3D", "Migr", "Adapt3D&DVFS_TT")
         ]
         assert_results_identical(run_serial(specs), run_batched(specs))

@@ -4,8 +4,8 @@ The event engine (``EngineConfig(fidelity="event")``) advances the
 clock between heap events: every stretch of whole ticks provably free
 of scheduler events is crossed by one :meth:`_fast_forward_event` call
 over the run-persistent reduced-order modal thermal stepper, however
-long the stretch. Its contract (docs/ENGINE.md) is not bit-identity
-but bounded agreement with the eager reference:
+long the stretch. Its contract with the eager reference
+(docs/ENGINE.md) is not bit-identity but bounded agreement:
 
 - the discrete planes (V/f indices, core states) and the job stream
   are identical to eager,
@@ -14,6 +14,11 @@ but bounded agreement with the eager reference:
 
 A smoke slice runs in tier-1 (``TestEventDifferentialFast``); the full
 stack x policy x DPM matrix runs under the ``slow`` marker.
+
+Within event fidelity one spec has one result, bit for bit
+(``TestEventOneResult``): a clock jump is an exact shortcut for the
+ticks it replaces, a truncated run is the shorter run, and a resumed
+run is the uninterrupted one.
 """
 
 import heapq
@@ -22,6 +27,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro.analysis.result_io import truncate_result
 from repro.analysis.runner import ExperimentRunner, RunSpec
 from repro.floorplan.experiments import build_experiment
 from repro.power.states import CODE_STATE
@@ -31,6 +37,7 @@ from repro.thermal.model import (
     ThermalModel,
 )
 from tests.power_oracle import CoreActivity, unit_powers
+from tests.test_engine_batch import RESULT_ARRAYS, assert_results_identical
 
 RUNNER = ExperimentRunner()
 
@@ -94,8 +101,8 @@ def count_event_jumps(monkeypatch):
     calls = {"jumps": 0, "ticks": 0, "lengths": [], "starts": []}
     original = SimulationEngine._fast_forward_event
 
-    def wrapper(self, rec, tick, dt, quiet, powers_buf, unit_row):
-        result = original(self, rec, tick, dt, quiet, powers_buf, unit_row)
+    def wrapper(self, rec, tick, *args):
+        result = original(self, rec, tick, *args)
         if result[0]:
             calls["jumps"] += 1
             calls["ticks"] += result[0]
@@ -293,8 +300,8 @@ class TestEventTelemetry:
 
 
 class TestEventCheckpointResume:
-    """Checkpoint/resume across clock jumps: the modal state is
-    rematerialized at the checkpoint and re-opened on resume."""
+    """Checkpoint/resume across clock jumps: the checkpoint carries the
+    open modal stepper, and a resumed run continues it bit for bit."""
 
     def _engine_run(self, spec, every=0, sink=None, resume=None):
         engine = RUNNER.build_engine(spec)
@@ -324,29 +331,77 @@ class TestEventCheckpointResume:
                                       checkpointed.unit_temps_k)
         assert clean.energy_j == checkpointed.energy_j
         assert blobs
-        for tick, blob in blobs:
+        for _, blob in blobs:
+            # The stepper resumes from its checkpointed coordinates, not
+            # from a re-projection of the node state.
             resumed = self._engine_run(spec, resume=blob)
-            # Resume re-projects the checkpointed node state into a
-            # fresh modal basis (a ~1e-12 K round trip), so the thermal
-            # planes agree to solver precision rather than bitwise; the
-            # discrete stream must be unaffected.
-            for name in DISCRETE_ARRAYS:
-                np.testing.assert_array_equal(
-                    getattr(clean, name), getattr(resumed, name),
-                    err_msg=f"resume@{tick}:{name}",
-                )
-            np.testing.assert_allclose(
-                clean.unit_temps_k, resumed.unit_temps_k,
-                rtol=0.0, atol=1e-9,
-            )
-            assert abs(clean.energy_j - resumed.energy_j) <= (
-                1e-9 * clean.energy_j
-            )
+            assert_results_identical([clean], [resumed])
+
+
+class TestEventOneResult:
+    """One spec, one result: the event paths that reach a result by a
+    different route give the same bits."""
+
+    #: Idle-heavy with DPM (most ticks jumped), a quiet mix (long jumps
+    #: without DPM), a busy server run (few jumps), a DVFS hybrid, and
+    #: sensor noise (jumps without a control-skip prefix).
+    SPECS = {
+        "idle_dpm": RunSpec(exp_id=4, policy="Default", duration_s=12.0,
+                            seed=7, with_dpm=True, benchmark_mix=IDLE_MIX),
+        "idle_dpm_hybrid": RunSpec(exp_id=3, policy="Adapt3D&DVFS_TT",
+                                   duration_s=12.0, seed=7, with_dpm=True,
+                                   benchmark_mix=IDLE_MIX),
+        "quiet": RunSpec(exp_id=2, policy="Default", duration_s=12.0,
+                         seed=5, benchmark_mix=QUIET_MIX),
+        "server": RunSpec(exp_id=4, policy="Adapt3D", duration_s=12.0,
+                          seed=3, with_dpm=True),
+        "noise": RunSpec(exp_id=4, policy="Adapt3D", duration_s=12.0,
+                         seed=3, with_dpm=True, benchmark_mix=IDLE_MIX,
+                         sensor_noise_sigma=1.0),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    def test_jumps_change_no_bit(self, name, monkeypatch):
+        """Event runs with clock jumps off step every tick; every array,
+        the energy and the job list must match the jumping run."""
+        spec = replace(self.SPECS[name], fidelity="event")
+        calls = count_event_jumps(monkeypatch)
+        jumped = RUNNER.run(spec)
+        if name != "server":
+            assert calls["ticks"] > 0
+        monkeypatch.setattr(SimulationEngine, "_quiet_ticks_event",
+                            lambda self, t0, dt, max_ticks: 0)
+        stepped = RUNNER.run(spec)
+        assert_results_identical([jumped], [stepped])
+
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    def test_truncated_run_is_the_short_run(self, name):
+        """The prefix cache's premise under event: the first 7.3 s of a
+        12 s run are a fresh 7.3 s run, energy included."""
+        spec = replace(self.SPECS[name], fidelity="event")
+        served = truncate_result(RUNNER.run(spec), 7.3)
+        fresh = RUNNER.run(replace(spec, duration_s=7.3))
+        assert_prefix_identical(served, fresh)
+
+
+def assert_prefix_identical(served, fresh):
+    """A truncated result equals the fresh short run in every array,
+    the energy and the completed jobs (the only jobs it keeps)."""
+    for name in RESULT_ARRAYS:
+        np.testing.assert_array_equal(
+            getattr(served, name), getattr(fresh, name), err_msg=name
+        )
+    assert served.energy_j == fresh.energy_j
+    assert [(j.job_id, j.core, j.completion_time)
+            for j in served.completed_jobs()] == [
+        (j.job_id, j.core, j.completion_time)
+        for j in fresh.completed_jobs()]
 
 
 class TestEventConfigValidation:
     def test_batch_group_key_separates_fidelities(self):
-        eager = RunSpec(exp_id=1, policy="Default", duration_s=2.0)
+        eager = RunSpec(exp_id=1, policy="Default", duration_s=2.0,
+                        fidelity="eager")
         event = replace(eager, fidelity="event")
         groups = ExperimentRunner.group_batchable([eager, event])
         assert groups == [[0], [1]]
@@ -506,6 +561,15 @@ class TestModalPrimitives:
             mean_row, reference.unit_temperature_vector(),
             rtol=0.0, atol=1e-9,
         )
+
+    def test_steppers_share_the_assembly_pack(self, model):
+        """Every stepper on one assembly reads one set of operands (a
+        batch's lanes cycle through them each tick), while each keeps
+        its own state."""
+        other = ThermalModel(model.config, assembly=model.assembly)
+        a, b = model.modal_jump(), other.modal_jump()
+        assert a._reprice is b._reprice and a._readout is b._readout
+        assert a._z is not b._z
 
     def test_implicit_model_has_no_modal_jump(self):
         model = ThermalModel(

@@ -38,8 +38,9 @@ RESULT_ARRAYS = (
 
 
 def build(spec: RunSpec, oracle: bool = False, **config_overrides):
-    """The engine for ``spec``, or the scan oracle when ``oracle``."""
-    engine = RUNNER.build_engine(spec)
+    """The eager engine for ``spec``, or the scan oracle when ``oracle``
+    (the oracle is the eager reference, so both pin eager fidelity)."""
+    engine = RUNNER.build_engine(replace(spec, fidelity="eager"))
     engine.config = replace(engine.config, **config_overrides)
     return ScanEngine.from_engine(engine) if oracle else engine
 

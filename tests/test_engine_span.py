@@ -9,9 +9,10 @@ by ``tests/test_engine_event.py``; this module covers the substrate:
 
 - telemetry counters of the substrate (span touches and closes);
 - fidelity validation at the engine and batch level;
-- batched event lanes, which run on the substrate but never jump,
-  against serial references — including the stacked probabilistic and
-  DVFS policy ticks only event batches take.
+- batched event lanes, which run on the substrate and step their own
+  modal stepper but never jump: bit-identical to serial event runs
+  (whose jumps are exact shortcuts), including the stacked
+  probabilistic and DVFS policy ticks only event batches take.
 """
 
 from dataclasses import replace
@@ -27,10 +28,12 @@ from repro.sched.batch import (
     _DVFSBatchTick,
     _ProbabilisticBatchTick,
 )
+from tests.test_engine_batch import assert_results_identical
 from tests.test_engine_event import (
-    DISCRETE_ARRAYS,
+    IDLE_MIX,
     QUIET_MIX,
     assert_event_close,
+    count_event_jumps,
     run_fidelity,
 )
 
@@ -77,7 +80,8 @@ class TestSpanConfigValidation:
             engine.run()
 
     def test_batch_rejects_mixed_fidelity(self):
-        spec = RunSpec(exp_id=1, policy="Default", duration_s=2.0)
+        spec = RunSpec(exp_id=1, policy="Default", duration_s=2.0,
+                       fidelity="eager")
         eager_lane = RUNNER.build_engine(spec)
         event_lane = RUNNER.build_engine(replace(spec, seed=2))
         event_lane.config = replace(event_lane.config, fidelity="event")
@@ -86,8 +90,9 @@ class TestSpanConfigValidation:
 
 
 class TestSpanBatch:
-    """Batched event lanes (span substrate, no clock jumps) against
-    serial references."""
+    """Batched event lanes (span substrate, one modal stepper per lane,
+    no clock jumps) against serial references: bit for bit against
+    serial event, within the event tolerance against eager."""
 
     def seed_sweep(self, policy, n_seeds=3, **overrides):
         return [
@@ -98,30 +103,24 @@ class TestSpanBatch:
 
     @pytest.mark.parametrize("propagation", ["exact", "gemm"])
     def test_batch_span_matches_serial_eager(self, propagation):
+        """``propagation`` applies to eager lanes only: event lanes
+        step their modal steppers either way."""
         specs = self.seed_sweep("Adapt3D")
         lanes = [RUNNER.build_engine(spec) for spec in specs]
         batched = BatchSimulationEngine(lanes, propagation=propagation).run()
         for spec, result in zip(specs, batched):
             eager = RUNNER.run(replace(spec, fidelity="eager"))
             assert_event_close(eager, result)
+        assert_results_identical([RUNNER.run(s) for s in specs], batched)
 
     def test_batch_span_matches_serial_span(self):
         """The across-lane probability tick must evolve each lane
-        exactly as its own on_tick does in a serial event run."""
+        exactly as its own on_tick does in a serial event run, and
+        each lane's modal stepper must keep serial event's bits."""
         specs = self.seed_sweep("Adapt3D")
         lanes = [RUNNER.build_engine(spec) for spec in specs]
-        batched = BatchSimulationEngine(lanes, propagation="exact").run()
-        for spec, result in zip(specs, batched):
-            serial = RUNNER.run(spec)
-            for name in DISCRETE_ARRAYS:
-                np.testing.assert_array_equal(
-                    getattr(serial, name), getattr(result, name),
-                    err_msg=name,
-                )
-            np.testing.assert_allclose(
-                serial.unit_temps_k, result.unit_temps_k,
-                rtol=0.0, atol=1e-9,
-            )
+        batched = BatchSimulationEngine(lanes).run()
+        assert_results_identical([RUNNER.run(s) for s in specs], batched)
 
     def test_batch_span_mixed_policies_fall_back(self):
         """Non-probabilistic lanes keep the per-lane policy sweep."""
@@ -133,20 +132,28 @@ class TestSpanBatch:
         lanes = [RUNNER.build_engine(spec) for spec in specs]
         assert _ProbabilisticBatchTick.build(lanes) is None
         batched = BatchSimulationEngine(lanes).run()
-        for spec, result in zip(specs, batched):
-            assert_event_close(
-                RUNNER.run(replace(spec, fidelity="eager")), result
-            )
+        assert_results_identical([RUNNER.run(s) for s in specs], batched)
 
     def test_batch_span_with_dpm_and_noise(self):
         specs = self.seed_sweep("Adapt3D", with_dpm=True,
                                 sensor_noise_sigma=0.5)
         lanes = [RUNNER.build_engine(spec) for spec in specs]
         batched = BatchSimulationEngine(lanes).run()
-        for spec, result in zip(specs, batched):
-            assert_event_close(
-                RUNNER.run(replace(spec, fidelity="eager")), result
-            )
+        assert_results_identical([RUNNER.run(s) for s in specs], batched)
+
+    def test_batch_span_idle_lanes_match_jumping_serial(self, monkeypatch):
+        """Idle-heavy lanes: the serial runs cross most ticks in clock
+        jumps, the batch steps every tick; both give the same bits."""
+        specs = [
+            RunSpec(exp_id=4, policy=policy, duration_s=12.0, seed=7,
+                    with_dpm=True, benchmark_mix=IDLE_MIX)
+            for policy in ("Default", "Adapt3D", "DVFS_TT")
+        ]
+        calls = count_event_jumps(monkeypatch)
+        serial = [RUNNER.run(spec) for spec in specs]
+        assert calls["ticks"] > serial[0].n_ticks
+        lanes = [RUNNER.build_engine(spec) for spec in specs]
+        assert_results_identical(serial, BatchSimulationEngine(lanes).run())
 
 
 class TestDVFSBatch:
@@ -172,32 +179,17 @@ class TestDVFSBatch:
         lanes = [RUNNER.build_engine(spec) for spec in specs]
         assert _DVFSBatchTick.build(lanes) is not None
         batched = BatchSimulationEngine(lanes, propagation="exact").run()
-        for s, b in zip(serial, batched):
-            for name in DISCRETE_ARRAYS + ("times",):
-                np.testing.assert_array_equal(
-                    getattr(s, name), getattr(b, name), err_msg=name
-                )
-            np.testing.assert_allclose(
-                s.unit_temps_k, b.unit_temps_k, rtol=0.0, atol=1e-9
-            )
-            assert s.migrations == b.migrations
-            for js, jb in zip(s.jobs, b.jobs):
-                assert js.core == jb.core
+        assert_results_identical(serial, batched)
 
     def test_batch_dvfs_event_lanes(self):
-        """The stacked DVFS tick on the one-GEMM propagation: the
-        discrete stream still matches the serial event runs."""
+        """The stacked DVFS tick with ``propagation="gemm"``, which
+        event lanes ignore: still bit for bit the serial event runs."""
         specs = self.seed_sweep("DVFS_Util")
         serial = [RUNNER.run(spec) for spec in specs]
         lanes = [RUNNER.build_engine(spec) for spec in specs]
         assert _DVFSBatchTick.build(lanes) is not None
         batched = BatchSimulationEngine(lanes, propagation="gemm").run()
-        for s, b in zip(serial, batched):
-            for name in DISCRETE_ARRAYS:
-                np.testing.assert_array_equal(
-                    getattr(s, name), getattr(b, name), err_msg=name
-                )
-            assert s.migrations == b.migrations
+        assert_results_identical(serial, batched)
 
     def test_mixed_dvfs_policies_fall_back(self):
         """Different DVFS classes across lanes keep the per-lane sweep

@@ -88,11 +88,14 @@ class TestAccuracyBudget:
     def test_full_paper_workload_within_budget(self, exp_id):
         """Replay the power trace of a full 120 s Adapt3D run and bound
         the exponential-vs-CN64 temperature divergence (the acceptance
-        budget of the solver swap)."""
+        budget of the solver swap). Eager fidelity: the trace is
+        captured from the dense ``step_vector`` calls, which event runs
+        replace with the modal stepper."""
         runner = ExperimentRunner()
         engine = runner.build_engine(
             RunSpec(
-                exp_id=exp_id, policy="Adapt3D", duration_s=120.0, seed=2009
+                exp_id=exp_id, policy="Adapt3D", duration_s=120.0, seed=2009,
+                fidelity="eager",
             )
         )
         thermal = engine.thermal
