@@ -49,7 +49,11 @@ from repro.sched.engine import FIDELITY_MODES
 # and energy no longer depend on where the clock jumped), batched event
 # lanes step the serial modal stepper, and resume restores it. Event
 # results moved by ~1e-12 K; eager results are bit-identical.
-KEY_VERSION = 7
+# v8: event ticks, clock jumps and batched event lanes price power with
+# the event kernel (one GEMV per run, the leakage polynomial in T),
+# which matches the oracle-exact kernel to rounding, so event results
+# move at round-off; eager results are bit-identical.
+KEY_VERSION = 8
 
 
 def _canonical(value: Any) -> Any:

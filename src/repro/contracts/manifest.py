@@ -51,6 +51,8 @@ HOT_PATH_FUNCTIONS: Tuple[Tuple[str, str], ...] = (
     ("src/repro/thermal/model.py", "ModalJump.advance"),
     ("src/repro/power/chip_power.py", "ChipPowerModel.power_factors"),
     ("src/repro/power/chip_power.py", "ChipPowerModel.power_eval"),
+    ("src/repro/power/chip_power.py", "ChipPowerModel.event_factors"),
+    ("src/repro/power/chip_power.py", "ChipPowerModel.event_eval"),
 )
 
 #: Every def with this name under the directory is hot (dispatch-time

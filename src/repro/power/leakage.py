@@ -12,9 +12,11 @@ optimized for leakage compared to logic — so the model carries one
 density per :class:`~repro.floorplan.unit.UnitKind`.
 
 The polynomial is clamped below by a small positive floor (leakage never
-vanishes) and evaluated without an upper clamp: the superlinear growth
-at high temperature is exactly the temperature-leakage feedback loop the
-paper warns about, and the thermal solver must see it.
+vanishes) and above by a ceiling. Below the ceiling, the superlinear
+growth at high temperature is the temperature-leakage feedback loop the
+paper warns about, and the thermal solver sees it; the ceiling bounds a
+runaway feedback loop, so such a configuration settles at a
+catastrophic-but-finite operating point instead of diverging.
 """
 
 from __future__ import annotations

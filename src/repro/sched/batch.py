@@ -9,10 +9,15 @@ dispatch overhead is paid once per run per tick. The
 :class:`~repro.thermal.model.ThermalAssembly` through a single fused
 tick loop, so that overhead is paid once per *batch* per tick:
 
-- power injection is one call of the power kernel
+- power injection is one power-kernel call for the whole batch: eager
+  lanes take the oracle-exact kernel
   (:meth:`~repro.power.chip_power.ChipPowerModel.power_factors` then
-  ``power_eval``) on the ``(R, n_cores)`` state/utilization/V-f
-  matrices, transposed so each lane is a column;
+  ``power_eval``) on the transposed ``(R, n_cores)``
+  state/utilization/V-f matrices, one column per lane; event lanes
+  take the event kernel
+  (:meth:`~repro.power.chip_power.ChipPowerModel.event_factors` then
+  ``event_eval``) on the rows themselves — elementwise, then one GEMV
+  per lane on its contiguous row, as serial event issues it;
 - eager lanes hold the thermal state as one ``(n_nodes, R)`` matrix
   advanced by :meth:`~repro.thermal.model.ThermalModel.step_block` —
   with the exponential solver, (up to) one GEMM ``A @ T`` over the
@@ -53,8 +58,9 @@ Bit-identity
 Everything except the three dense products of the exponential solver
 (steady gain, propagator, mean readback) batches with *exactly* the
 serial engine's floating-point behavior: elementwise ops, segment
-``reduceat``, sparse matmat and SuperLU multi-RHS solves all process a
-run's lane independently of its neighbors. The dense products are the
+``reduceat``, sparse matmat, SuperLU multi-RHS solves and the event
+power kernel's per-lane GEMVs all process a run's lane independently
+of its neighbors. The dense products are the
 one exception — BLAS GEMM kernels accumulate differently from the
 single-column GEMV — so the engine offers two propagation modes for
 eager lanes (event lanes ignore the mode: their modal steppers issue
@@ -563,6 +569,12 @@ class BatchSimulationEngine:
         energies = [0.0] * n_lanes
         mem_vec = np.empty(n_lanes)
         util_mat = np.empty((n_lanes, n_cores))
+        if use_span:
+            # Event lanes price power with the event kernel on the
+            # C-contiguous (R, ·) rows, one GEMV per lane.
+            event_power = power.event_buffers(n_lanes)
+            mem_col = mem_vec[:, None]
+            power_mat = np.empty((n_lanes, n_units))
         core_names_tuples = [lane._core_names_tuple for lane in lanes]
         dpm_lanes = [lane for lane in lanes if lane.config.dpm is not None]
 
@@ -599,18 +611,28 @@ class BatchSimulationEngine:
                     mem_vec[r] = lane._memory_intensity()
             prof.lap(PH_INTERVAL)
 
-            # Fused boundary: one power kernel for the whole batch and,
-            # for dense lanes, one thermal block step and one blocked
-            # max-readback. The kernel runs cores/units down axis 0,
-            # one column per lane; the thermal step gets a C-contiguous
-            # (R, n_units) copy, so its per-lane GEMV operands are
-            # contiguous rows as in serial.
-            base_mat, leak_mat = power.power_factors(
-                state_mat.T, util_mat.T, dyn_mat.T, volt_mat.T, mem_vec
-            )
-            power_mat = np.ascontiguousarray(
-                power.power_eval(base_mat, leak_mat, unit_block).T
-            )
+            # Fused boundary: one power kernel call for the whole batch
+            # and, for dense lanes, one thermal block step and one
+            # blocked max-readback. Event lanes take the event kernel
+            # on their rows (elementwise, then one GEMV per lane on its
+            # contiguous row: serial event's bits). Eager lanes take the
+            # oracle-exact kernel with cores/units down axis 0, one
+            # column per lane. Either way the thermal step gets a
+            # C-contiguous (R, n_units) power block, so its per-lane
+            # GEMV operands are contiguous rows as in serial.
+            if use_span:
+                power.event_factors(
+                    state_mat, util_mat, dyn_mat, volt_mat, mem_col,
+                    event_power,
+                )
+                power.event_eval(event_power, unit_block.T, power_mat)
+            else:
+                base_mat, leak_mat = power.power_factors(
+                    state_mat.T, util_mat.T, dyn_mat.T, volt_mat.T, mem_vec
+                )
+                power_mat = np.ascontiguousarray(
+                    power.power_eval(base_mat, leak_mat, unit_block).T
+                )
             prof.lap(PH_POWER)
             if modals is None:
                 temps_block = thermal.step_block(

@@ -26,13 +26,18 @@ entry instead of rescanning every core. Per-core bookkeeping (queue
 length, state code, V/f level, sensor reading) is kept in parallel
 NumPy arrays maintained at the same invalidation sites, so dispatch and
 policy contexts are live array views instead of dict copies, and the
-tick boundary prices power with the array kernel
-(:meth:`~repro.power.chip_power.ChipPowerModel.power_factors` then
-:meth:`~repro.power.chip_power.ChipPowerModel.power_eval`; no per-unit
-dicts). The original all-core rescan loop, charged by the scalar
-per-unit power model, survives only as a test oracle
-(``tests/scan_engine.py`` over ``tests/power_oracle.py``): the engine
-reproduces it bit for bit (``tests/test_engine_heap.py``).
+tick boundary prices power with an array kernel (no per-unit dicts):
+eager with the oracle-exact
+:meth:`~repro.power.chip_power.ChipPowerModel.power_factors` /
+:meth:`~repro.power.chip_power.ChipPowerModel.power_eval`, event with
+the event kernel
+:meth:`~repro.power.chip_power.ChipPowerModel.event_factors` /
+:meth:`~repro.power.chip_power.ChipPowerModel.event_eval` (equal to
+rounding, in far fewer NumPy calls). The original all-core rescan
+loop, charged by the scalar per-unit power model, survives only as a
+test oracle (``tests/scan_engine.py`` over ``tests/power_oracle.py``):
+the eager engine reproduces it bit for bit
+(``tests/test_engine_heap.py``).
 
 One tick loop (:meth:`SimulationEngine._run_ticks`) serves both values
 of ``EngineConfig.fidelity``, which selects how strictly the interval
@@ -56,11 +61,12 @@ execution reproduces the eager reference semantics:
   (:class:`~repro.thermal.model.ModalJump`, a truncated eigenbasis of
   the propagator) — falling back to the dense ``step_vector`` only when
   the assembly has no accepted basis — with leakage repriced each tick
-  from the evolving unit readback through power factors frozen over
-  the jump (:meth:`~repro.power.chip_power.ChipPowerModel.power_factors`,
-  evaluated per tick by ``power_eval``), so per-tick recording stays
-  dense; the tolerance sources are the closed-form utilization fill
-  and the basis truncation.
+  from the evolving unit readback through event power factors frozen
+  over the jump
+  (:meth:`~repro.power.chip_power.ChipPowerModel.event_factors`,
+  evaluated per tick by ``event_eval``), so per-tick recording stays
+  dense; the tolerance sources are the closed-form utilization fill,
+  the basis truncation and the event power kernel's rounding.
   Sensor/DPM/policy control calls are skipped for the prefix of the
   jump where they are provably no-ops (ideal sensors, identity policy
   tick, DPM sleep horizon bounded by bisection) and run on
@@ -435,11 +441,9 @@ class SimulationEngine:
         # basis); owned by _run_ticks, shared with _fast_forward_event.
         self._event_modal = None
         self._event_modal_open = False
-        # Quiet-stretch power-factor memo: idle-heavy runs cycle
-        # through a handful of frozen activity configurations, so jumps
-        # re-derive identical (base, leak_mul) pairs — key them by the
-        # exact inputs. Values are read-only to every consumer.
-        self._qpf_cache: Dict[tuple, Tuple[np.ndarray, np.ndarray]] = {}
+        # This run's arrays for the event power kernel (the power model
+        # is shared among engines, so its work arrays live here).
+        self._event_power = power.event_buffers()
         # Dispatch (both fidelities) and the span substrate's policy
         # tick reuse one AllocationContext / TickContext shell per run
         # (the payloads are live array views; only the scalar fields
@@ -994,16 +998,29 @@ class SimulationEngine:
                 util_arr = self._gather_utilization(dt)
             prof.lap(PH_INTERVAL)
 
-            base, leak_mul = self.power.power_factors(
-                self._state_arr,
-                util_arr,
-                self._dyn_scale_arr,
-                self._voltage_arr,
-                self._memory_intensity(),
-            )
-            powers_vec = self.power.power_eval(
-                base, leak_mul, unit_row, out=powers_buf
-            )
+            if span:
+                self.power.event_factors(
+                    self._state_arr,
+                    util_arr,
+                    self._dyn_scale_arr,
+                    self._voltage_arr,
+                    self._memory_intensity(),
+                    self._event_power,
+                )
+                powers_vec = self.power.event_eval(
+                    self._event_power, unit_row, powers_buf
+                )
+            else:
+                base, leak_mul = self.power.power_factors(
+                    self._state_arr,
+                    util_arr,
+                    self._dyn_scale_arr,
+                    self._voltage_arr,
+                    self._memory_intensity(),
+                )
+                powers_vec = self.power.power_eval(
+                    base, leak_mul, unit_row, out=powers_buf
+                )
             prof.lap(PH_POWER)
             if modal is not None:
                 if not self._event_modal_open:
@@ -1168,12 +1185,14 @@ class SimulationEngine:
         job list come out bit for bit as if the per-tick path had run
         the same ticks (``tests/test_engine_event.py`` runs both).
 
-        Power is repriced every tick: the power factors
-        (:meth:`~repro.power.chip_power.ChipPowerModel.power_factors`)
-        are computed once for the jump — exact while states,
-        utilization and V/f are frozen, which the quiet stretch
-        guarantees — and ``power_eval`` re-evaluates the
-        temperature-dependent leakage at the evolving unit readback.
+        Power is repriced every tick: the event power factors
+        (:meth:`~repro.power.chip_power.ChipPowerModel.event_factors`,
+        into the run's own buffers) are computed once for the jump —
+        exact while states, utilization and V/f are frozen, which the
+        quiet stretch guarantees, and the same bits the per-tick path
+        computes from the same inputs — and ``event_eval``
+        re-evaluates the temperature-dependent leakage at the evolving
+        unit readback.
         The thermal advance takes one of two integrators:
 
         - the run-persistent reduced-order modal stepper
@@ -1200,25 +1219,15 @@ class SimulationEngine:
         for core in core_list:
             if core.jobs and not core.halted:
                 util_arr[core.idx] = 1.0
-        mem = self._memory_intensity()
-        qpf_key = (
-            self._state_arr.tobytes(), util_arr.tobytes(),
-            self._dyn_scale_arr.tobytes(), self._voltage_arr.tobytes(),
-            mem,
+        factors = self._event_power
+        self.power.event_factors(
+            self._state_arr,
+            util_arr,
+            self._dyn_scale_arr,
+            self._voltage_arr,
+            self._memory_intensity(),
+            factors,
         )
-        factors = self._qpf_cache.get(qpf_key)
-        if factors is None:
-            if len(self._qpf_cache) >= 64:
-                self._qpf_cache.clear()
-            factors = self.power.power_factors(
-                self._state_arr,
-                util_arr,
-                self._dyn_scale_arr,
-                self._voltage_arr,
-                mem,
-            )
-            self._qpf_cache[qpf_key] = factors
-        base, leak_mul = factors
         t0 = tick * dt
         noctl = self._event_bulk_ticks(t0, dt, quiet)
         thermal = self.thermal
@@ -1237,9 +1246,7 @@ class SimulationEngine:
                 # for the absolute tick), so recorded times and policy
                 # timestamps match the eager recording bitwise.
                 t_i = (tick + i - 1) * dt + dt
-                powers_vec = power.power_eval(
-                    base, leak_mul, mean_row, out=powers_buf
-                )
+                powers_vec = power.event_eval(factors, mean_row, powers_buf)
                 if modal is not None:
                     if not self._event_modal_open:
                         modal.open(powers_vec)

@@ -651,10 +651,12 @@ class ThermalModel:
         ----------
         power_rows:
             ``(R, n_units)`` per-run unit powers in canonical order
-            (the transpose of one
+            (for eager lanes the transpose of one
             :meth:`~repro.power.chip_power.ChipPowerModel.power_eval`
-            result on ``(n_units, R)`` factors), C-contiguous so each
-            run's row is a contiguous GEMV operand.
+            result on ``(n_units, R)`` factors, for event lanes one
+            :meth:`~repro.power.chip_power.ChipPowerModel.event_eval`
+            result), C-contiguous so each run's row is a contiguous
+            GEMV operand.
         temps_block:
             ``(n_nodes, R)`` node-temperature state matrix; column ``r``
             is run ``r``'s state. Not modified; the advanced block is

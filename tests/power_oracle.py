@@ -10,12 +10,17 @@ kernel's index tables. ``ChipPowerModel.power_factors`` /
 (``tests/test_power_kernel.py``), and the scan oracle
 (``tests/scan_engine.py``) charges its tick boundary and warm start
 with it, so the engine-vs-oracle differential checks the kernel too.
+The event kernel (``ChipPowerModel.event_factors`` / ``event_eval``)
+rearranges the same equations, so it must match to rounding:
+per unit within :data:`EVENT_KERNEL_RTOL`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict, List, Mapping
+
+import numpy as np
 
 from repro.errors import PowerModelError
 from repro.floorplan.unit import UnitKind
@@ -26,6 +31,21 @@ from repro.power.chip_power import (
 )
 from repro.power.states import CoreState
 from repro.power.vf import VFLevel
+
+
+#: Largest per-unit relative error of the event kernel against
+#: :func:`unit_powers`.
+EVENT_KERNEL_RTOL = 1e-13
+
+
+def assert_event_kernel_close(got, expected) -> None:
+    """Every unit's event-kernel power within :data:`EVENT_KERNEL_RTOL`
+    of the oracle's (every unit's power is positive)."""
+    got = np.asarray(got)
+    expected = np.asarray(expected)
+    assert got.shape == expected.shape
+    worst = float(np.max(np.abs(got - expected) / expected))
+    assert worst <= EVENT_KERNEL_RTOL, f"relative error {worst:.3g}"
 
 
 @dataclass(frozen=True)

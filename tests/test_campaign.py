@@ -128,7 +128,7 @@ class TestGoldenKey:
 
     Result stores index completed runs by ``run_key``; if the digest for a
     fixed spec ever changes, every cached campaign silently misses and
-    re-runs.  These digests were frozen when KEY_VERSION reached 7 — a
+    re-runs.  These digests were frozen when KEY_VERSION reached 8 — a
     mismatch means either an accidental serialization change (fix it) or a
     deliberate one (bump KEY_VERSION in repro.campaign.spec, refresh the
     contract golden via ``repro-dtm lint --update-golden``, then update the
@@ -149,8 +149,8 @@ class TestGoldenKey:
         workload_mix="server",
         fidelity="event",
     )
-    GOLDEN_RUN_KEY = "exp4-adapt3d_dvfs_tt-f426cd98712a"
-    GOLDEN_PREFIX_KEY = "exp4-adapt3d_dvfs_tt-pfx-8431801e0fdf"
+    GOLDEN_RUN_KEY = "exp4-adapt3d_dvfs_tt-ef845466d521"
+    GOLDEN_PREFIX_KEY = "exp4-adapt3d_dvfs_tt-pfx-ec1d942c87f8"
 
     def test_run_key_matches_frozen_digest(self):
         assert run_key(RunSpec(**self.GOLDEN_SPEC_KWARGS)) == self.GOLDEN_RUN_KEY

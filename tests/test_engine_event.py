@@ -36,7 +36,11 @@ from repro.thermal.model import (
     MODAL_DROP_TOL,
     ThermalModel,
 )
-from tests.power_oracle import CoreActivity, unit_powers
+from tests.power_oracle import (
+    CoreActivity,
+    assert_event_kernel_close,
+    unit_powers,
+)
 from tests.test_engine_batch import RESULT_ARRAYS, assert_results_identical
 
 RUNNER = ExperimentRunner()
@@ -578,31 +582,63 @@ class TestModalPrimitives:
         assert model.modal_jump() is None
 
 
+class _JumpFactorRecorder:
+    """Stands in for an engine's power model and records the event
+    factors each clock jump computes: the jump's inputs and copies of
+    the factors, taken when the jump returns (what it froze)."""
+
+    def __init__(self, engine):
+        self.inner = engine.power
+        self.jumps = []
+        self._inputs = None
+        jump = engine._fast_forward_event
+
+        def recording_jump(*args):
+            self._inputs = None
+            result = jump(*args)
+            inputs, buf = self._inputs
+            self.jumps.append((inputs, buf.base.copy(), buf.weight.copy()))
+            return result
+
+        engine.power = self
+        engine._fast_forward_event = recording_jump
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def event_factors(self, *args):
+        *inputs, buf = args
+        if self._inputs is None:
+            self._inputs = ([np.array(a, copy=True) for a in inputs], buf)
+        self.inner.event_factors(*args)
+
+
 class TestQuietPowerEval:
-    """Frozen power factors: a clock jump computes the factors once
-    (memoized in ``_qpf_cache``) and re-evaluates them every tick at the
-    evolving temperatures."""
+    """Frozen power factors: a clock jump computes the event kernel's
+    factors once and re-evaluates them every tick at the evolving
+    temperatures."""
 
     def test_quiet_eval_matches_power_kernel(self):
         spec = RunSpec(exp_id=4, policy="Default", duration_s=10.0, seed=5,
                        with_dpm=True, benchmark_mix=IDLE_MIX,
                        fidelity="event")
         engine = RUNNER.build_engine(spec)
+        recorder = _JumpFactorRecorder(engine)
         engine.run()
-        power = engine.power
+        power = recorder.inner
         level_of = {
             engine.vf_table[i].voltage: engine.vf_table[i]
             for i in range(len(engine.vf_table))
         }
         rng = np.random.default_rng(5)
-        assert engine._qpf_cache
-        for key, (base, leak_mul) in engine._qpf_cache.items():
-            state = np.frombuffer(key[0], dtype=np.int64)
-            util, dyn, volt = (np.frombuffer(b) for b in key[1:4])
-            mem = key[4]
-            fresh = power.power_factors(state, util, dyn, volt, mem)
-            np.testing.assert_array_equal(base, fresh[0])
-            np.testing.assert_array_equal(leak_mul, fresh[1])
+        assert len(recorder.jumps) >= 5
+        fresh = power.event_buffers()
+        out = np.empty(len(power.unit_names))
+        for inputs, base, weight in recorder.jumps:
+            state, util, dyn, volt, mem = inputs
+            power.event_factors(state, util, dyn, volt, float(mem), fresh)
+            np.testing.assert_array_equal(base, fresh.base)
+            np.testing.assert_array_equal(weight, fresh.weight)
             activities = {
                 name: CoreActivity(
                     CODE_STATE[state[c]], float(util[c]), level_of[volt[c]]
@@ -613,10 +649,10 @@ class TestQuietPowerEval:
                 temps = rng.uniform(300.0, 370.0, len(power.unit_names))
                 oracle = unit_powers(
                     power, activities,
-                    dict(zip(power.unit_names, temps.tolist())), mem,
+                    dict(zip(power.unit_names, temps.tolist())), float(mem),
                 )
-                np.testing.assert_array_equal(
-                    power.power_eval(base, leak_mul, temps),
+                assert_event_kernel_close(
+                    power.event_eval(fresh, temps, out),
                     [oracle[name] for name in power.unit_names],
                 )
 

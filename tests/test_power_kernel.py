@@ -8,6 +8,12 @@ bitwise (``array_equal`` / ``==``): the kernel is the oracle's equations
 in the oracle's floating-point order, and the engine-vs-oracle and
 batch-vs-serial differentials rely on that.
 
+The event kernel (``event_factors`` / ``event_eval``) runs over the
+same seeded cases but is held to a per-unit relative tolerance
+(``EVENT_KERNEL_RTOL``), not bits: it rearranges the equations into one
+GEMV and a polynomial in ``T``. Its R-run call must still give each
+run the single-run call's bits, which batched event lanes rely on.
+
 Also here: the warm start and the thermal-index characterization
 against oracle-fed steady-state solves, and the range checks the engine
 applies to the warm start's inputs (the kernel itself checks nothing).
@@ -33,7 +39,11 @@ from repro.power.states import CODE_STATE, STATE_CODE, CoreState
 from repro.power.vf import DEFAULT_VF_TABLE
 from repro.sched.batch import BatchSimulationEngine
 from repro.thermal.model import ThermalModel
-from tests.power_oracle import CoreActivity, unit_powers
+from tests.power_oracle import (
+    CoreActivity,
+    assert_event_kernel_close,
+    unit_powers,
+)
 
 RUNNER = ExperimentRunner()
 EXP_IDS = (1, 2, 3, 4)
@@ -82,6 +92,18 @@ class Case:
     def kernel(self, model, temps=None):
         temps = self.temps if temps is None else temps
         return model.power_eval(*self.factors(model), temps)
+
+    def event_factors(self, model, buf):
+        model.event_factors(
+            self.states, self.utils, self.dyn, self.volt, self.memory, buf
+        )
+
+    def event(self, model, temps=None):
+        """The event kernel's powers, in fresh buffers."""
+        temps = self.temps if temps is None else temps
+        buf = model.event_buffers()
+        self.event_factors(model, buf)
+        return model.event_eval(buf, temps, np.empty_like(temps))
 
 
 def random_temps(rng, n_units):
@@ -207,6 +229,57 @@ class TestKernelAgainstOracle:
         for case in cases(model, seed):
             powers, _ = case.oracle(model)
             assert model.total_power(case.kernel(model)) == sum(powers.values())
+
+
+@pytest.mark.parametrize("seed", [3, 17])
+class TestEventKernel:
+    def test_event_kernel_matches_oracle(self, model, seed):
+        for case in cases(model, seed):
+            assert_event_kernel_close(case.event(model), case.oracle(model)[1])
+
+    def test_rows_match_single_run(self, model, seed):
+        batch = cases(model, seed)
+        buf = model.event_buffers(len(batch))
+        model.event_factors(
+            np.stack([c.states for c in batch]),
+            np.stack([c.utils for c in batch]),
+            np.stack([c.dyn for c in batch]),
+            np.stack([c.volt for c in batch]),
+            np.array([[c.memory] for c in batch]),
+            buf,
+        )
+        temps = np.stack([c.temps for c in batch])
+        powers = model.event_eval(buf, temps, np.empty_like(temps))
+        assert powers.shape == (len(batch), len(model.unit_names))
+        single = model.event_buffers()
+        for r, case in enumerate(batch):
+            case.event_factors(model, single)
+            np.testing.assert_array_equal(buf.base[r], single.base)
+            np.testing.assert_array_equal(buf.weight[r], single.weight)
+            np.testing.assert_array_equal(powers[r], case.event(model))
+
+    def test_frozen_factors_reevaluate(self, model, seed):
+        rng = np.random.default_rng(seed + 1000)
+        buf = model.event_buffers()
+        out = np.empty(len(model.unit_names))
+        for case in cases(model, seed)[:8]:
+            case.event_factors(model, buf)
+            for _ in range(3):
+                temps = random_temps(rng, len(model.unit_names))
+                assert_event_kernel_close(
+                    model.event_eval(buf, temps, out),
+                    case.oracle(model, temps)[1],
+                )
+
+    def test_eval_writes_out_buffer(self, model, seed):
+        case = cases(model, seed)[5]
+        buf = model.event_buffers()
+        case.event_factors(model, buf)
+        out = np.full(len(model.unit_names), np.nan)
+        got = model.event_eval(buf, case.temps, out)
+        assert got is out
+        np.testing.assert_array_equal(out, case.event(model))
+        assert_event_kernel_close(out, case.oracle(model)[1])
 
 
 @pytest.mark.parametrize("exp_id", EXP_IDS)
