@@ -8,7 +8,8 @@ Measures the campaign-shaped workload the batch engine exists for — a
   below is taken against;
 - ``scan`` — one-by-one replay through the legacy-scan loop (the
   pre-event-heap serial pipeline, now the test-only oracle
-  ``tests/scan_engine.py``, imported from the checkout);
+  ``tests/scan_engine.py``, imported from the checkout), on the exact
+  thermal step like every other config;
 - ``batch exact`` — eager :class:`BatchSimulationEngine` lanes with
   column-exact dense products (bit-identical to ``serial``);
 - ``batch gemm`` — eager lanes on the fused one-GEMM thermal
@@ -98,11 +99,7 @@ def test_batch_engine_throughput(results_dir):
 
     def replay_scan():
         for spec in specs:
-            engine = runner.build_engine(spec)
-            engine.config = replace(
-                engine.config, thermal_solver="backward_euler"
-            )
-            ScanEngine.from_engine(engine).run()
+            ScanEngine.from_engine(runner.build_engine(spec)).run()
 
     def run_batch(propagation, fidelity="eager"):
         lanes = [

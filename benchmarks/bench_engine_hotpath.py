@@ -1,18 +1,14 @@
-"""Engine hot-path benchmark: solver x tick-loop configurations.
+"""Engine hot-path benchmark: tick-loop configurations.
 
-Runs EXP-1..4 through three eager-fidelity configurations (same
-specs, same seeds; the scan oracle is eager-only, and the hot-path gate
-was set on eager):
+Runs EXP-1..4 through two eager-fidelity configurations (same specs,
+same seeds, the exact thermal step in both; the scan oracle is
+eager-only, and the hot-path gate was set on eager):
 
 - ``legacy scan`` — the original all-core rescan loop with the
-  dict-based power pipeline and the backward-Euler solver (the PR 2
-  reference pipeline, now the test-only oracle
+  dict-based power pipeline (the test-only oracle
   ``tests/scan_engine.py``, imported from the checkout);
-- ``implicit heap`` — the event-heap loop with backward Euler, keeping
-  the implicit solver path exercised and its regressions visible;
-- ``exponential heap`` — the event-heap loop plus the exact
-  exponential propagator, the eager reference behind the event
-  default.
+- ``exponential heap`` — the event-heap loop, the eager reference
+  behind the event default.
 
 Also reports the engine-assembly reuse win from the runner's
 ThermalAssembly cache (which now amortizes the ``expm`` build too).
@@ -24,7 +20,9 @@ Reference points on the ROADMAP trajectory machine: EXP-4 cost
 0.85 ms/tick at seed, 0.61 after PR 1, 0.37 after PR 2 (event heap).
 The acceptance gate for this rework is EXP-4 at or below 0.28 ms/tick
 (>= 25% below PR 2), scaled by the measured legacy-scan cost on hosts
-slower than the reference machine.
+slower than the reference machine. That scan now runs the exact step,
+which costs less than the backward-Euler scan ``PR2_SCAN_EXP4_MS`` was
+measured on, so the scaling can only tighten the gate.
 """
 
 import json
@@ -57,11 +55,10 @@ PR2_HEAP_EXP4_MS = 0.37
 PR2_SCAN_EXP4_MS = 0.57
 TARGET_EXP4_MS = 0.28
 
-#: (label, run on the scan oracle, thermal solver)
+#: (label, run on the scan oracle)
 CONFIGS = (
-    ("scan", True, "backward_euler"),
-    ("implicit_heap", False, "backward_euler"),
-    ("exponential_heap", False, "exponential"),
+    ("scan", True),
+    ("exponential_heap", False),
 )
 
 #: Idle-heavy scenario for the event-fidelity bench: EXP-4 under the
@@ -94,9 +91,8 @@ def _measure_cells(runner: ExperimentRunner) -> dict:
     cells = {}
     for _ in range(REPS):
         for exp_id in (1, 2, 3, 4):
-            for label, oracle, solver in CONFIGS:
+            for label, oracle in CONFIGS:
                 engine = runner.build_engine(_spec(exp_id))
-                engine.config = replace(engine.config, thermal_solver=solver)
                 if oracle:
                     engine = ScanEngine.from_engine(engine)
                 start = time.perf_counter()
@@ -126,7 +122,7 @@ def test_engine_hotpath(results_dir):
     per_exp = {}
     for exp_id in (1, 2, 3, 4):
         row = {}
-        for label, _, _ in CONFIGS:
+        for label, _ in CONFIGS:
             row[f"{label}_ms_per_tick"] = round(cells[(exp_id, label)], 4)
         row["drop_vs_scan_pct"] = round(
             100.0
@@ -136,16 +132,12 @@ def test_engine_hotpath(results_dir):
         )
         per_exp[f"exp{exp_id}"] = row
 
-    # The engine and the scan oracle must agree bit for bit under every
-    # solver (spot check; the full matrix lives in
-    # tests/test_engine_heap.py).
-    for solver in ("exponential", "backward_euler"):
-        check = replace(_spec(4), duration_s=6.0, thermal_solver=solver)
-        a = runner.build_engine(check)
-        b = ScanEngine.from_engine(runner.build_engine(check))
-        np.testing.assert_array_equal(
-            a.run().unit_temps_k, b.run().unit_temps_k
-        )
+    # The engine and the scan oracle must agree bit for bit (spot
+    # check; the full matrix lives in tests/test_engine_heap.py).
+    check = replace(_spec(4), duration_s=6.0)
+    a = runner.build_engine(check)
+    b = ScanEngine.from_engine(runner.build_engine(check))
+    np.testing.assert_array_equal(a.run().unit_temps_k, b.run().unit_temps_k)
 
     exp4 = per_exp["exp4"]
     exp4_ms = exp4["exponential_heap_ms_per_tick"]
@@ -186,13 +178,12 @@ def test_engine_hotpath(results_dir):
     lines = [
         "Engine hot path (ms per 100 ms tick, best of "
         f"{REPS}, {BENCH_SIM_S:.0f} s simulated, Adapt3D)",
-        f"{'stack':8s} {'scan':>8s} {'implicit':>9s} {'expm':>8s} {'drop':>7s}",
+        f"{'stack':8s} {'scan':>8s} {'expm':>8s} {'drop':>7s}",
     ]
     for exp_id in (1, 2, 3, 4):
         row = per_exp[f"exp{exp_id}"]
         lines.append(
             f"EXP-{exp_id:<4d} {row['scan_ms_per_tick']:8.3f} "
-            f"{row['implicit_heap_ms_per_tick']:9.3f} "
             f"{row['exponential_heap_ms_per_tick']:8.3f} "
             f"{row['drop_vs_scan_pct']:6.1f}%"
         )
@@ -208,26 +199,17 @@ def test_engine_hotpath(results_dir):
     # Acceptance: EXP-4 at or below 0.28 ms/tick with the shipping
     # configuration — on hosts slower than the trajectory machine the
     # target scales with the measured cost of the retained reference
-    # configurations (scan and implicit heap; the max of the two tracks
-    # whichever reveals the slowdown).
-    machine_scale = max(
-        1.0,
-        exp4["scan_ms_per_tick"] / PR2_SCAN_EXP4_MS,
-        exp4["implicit_heap_ms_per_tick"] / PR2_HEAP_EXP4_MS,
-    )
+    # configuration (scan).
+    machine_scale = max(1.0, exp4["scan_ms_per_tick"] / PR2_SCAN_EXP4_MS)
     assert exp4_ms <= TARGET_EXP4_MS * machine_scale, (
         f"EXP-4 exponential+heap {exp4_ms} ms/tick missed the "
         f"{TARGET_EXP4_MS} ms target (machine scale {machine_scale:.2f})"
     )
-    # The shipping config must never lose to the retained ones.
+    # The shipping config must never lose to the retained reference.
     for exp_id in (1, 2, 3, 4):
         row = per_exp[f"exp{exp_id}"]
         assert (
             row["exponential_heap_ms_per_tick"]
-            <= row["implicit_heap_ms_per_tick"] * 1.05
-        )
-        assert (
-            row["implicit_heap_ms_per_tick"]
             <= row["scan_ms_per_tick"] * 1.05
         )
 

@@ -56,10 +56,6 @@ class RunSpec:
         Optional (name, value) pairs forwarded to the policy
         constructor — lets ablation sweeps (e.g. Adapt3D's beta
         constants) stay declarative and campaign-hashable.
-    thermal_solver:
-        Transient integrator: ``"exponential"`` (default, exact under
-        piecewise-constant power), ``"backward_euler"`` or
-        ``"crank_nicolson"``.
     sensor_noise_sigma:
         Additive Gaussian sensor noise in kelvin (0 = ideal sensors);
         the sensor-noise campaign axis plumbs through here.
@@ -94,7 +90,6 @@ class RunSpec:
     grid: Tuple[int, int] = (8, 8)
     benchmark_mix: Optional[Tuple[Tuple[str, int], ...]] = None
     policy_params: Optional[Tuple[Tuple[str, float], ...]] = None
-    thermal_solver: str = "exponential"
     sensor_noise_sigma: float = 0.0
     workload_mix: Optional[str] = None
     fidelity: str = "event"
@@ -129,8 +124,8 @@ class ExperimentRunner:
     - thermal indices per (exp_id, grid) — a steady-state solve that
       every policy on the same stack shares,
     - the :class:`~repro.thermal.model.ThermalAssembly` per (exp_id,
-      grid) — RC network assembly, LU factorizations, the transient
-      solvers and the modal basis; the runner always builds stacks
+      grid) — RC network assembly, the LU factorization, the interval
+      propagator and the modal basis; the runner always builds stacks
       from the experiment configuration with the default sampling
       parameters, so the key fully determines the assembly,
     - the (stateless) :class:`ChipPowerModel` per exp_id.
@@ -152,14 +147,12 @@ class ExperimentRunner:
         exp_id: int,
         grid: Tuple[int, int],
         config: ExperimentConfig,
-        solver_method: str = "exponential",
     ) -> ThermalModel:
         key = (exp_id, (grid[0], grid[1]))
         thermal = ThermalModel(
             config,
             nrows=grid[0],
             ncols=grid[1],
-            solver_method=solver_method,
             assembly=self._assembly_cache.get(key),
         )
         self._assembly_cache[key] = thermal.assembly
@@ -183,9 +176,7 @@ class ExperimentRunner:
         :class:`TelemetryConfig` or none at all.
         """
         config = build_experiment(spec.exp_id)
-        thermal = self._build_thermal(
-            spec.exp_id, spec.grid, config, spec.thermal_solver
-        )
+        thermal = self._build_thermal(spec.exp_id, spec.grid, config)
         power = self._build_power(spec.exp_id, config)
         indices = self._thermal_indices(spec, config, thermal, power)
 
@@ -209,7 +200,6 @@ class ExperimentRunner:
             dpm=FixedTimeoutDPM() if spec.with_dpm else None,
             sensor_noise_sigma=spec.sensor_noise_sigma,
             seed=spec.seed,
-            thermal_solver=spec.thermal_solver,
             fidelity=spec.fidelity,
             telemetry=(
                 telemetry_config
@@ -229,33 +219,30 @@ class ExperimentRunner:
     def prepare(self, specs: Iterable[RunSpec]) -> None:
         """Build every per-stack operator the given runs will read.
 
-        Per stack this builds the :class:`ThermalAssembly` and the power
-        model, per pending ``thermal_solver`` its transient solver, and
-        the modal basis when an event spec runs there (serial event
-        runs and batched event lanes both step it). Thermal indices are
-        left to :meth:`thermal_indices`.
+        Per stack this builds the :class:`ThermalAssembly` (with its
+        propagator) and the power model, and the modal basis when an
+        event spec runs there (serial event runs and batched event
+        lanes both step it). Thermal indices are left to
+        :meth:`thermal_indices`.
 
         Operators that fail to build are skipped: the runs that need
-        them raise the same error when they build their engine.
+        them raise the same error when they run.
         """
-        # (exp_id, grid, solver) -> whether an event spec needs the
-        # modal basis.
-        needs: Dict[Tuple[int, Tuple[int, int], str], bool] = {}
+        # (exp_id, grid) -> whether an event spec needs the modal basis.
+        needs: Dict[StackKey, bool] = {}
         for spec in specs:
-            key = (spec.exp_id, (spec.grid[0], spec.grid[1]),
-                   spec.thermal_solver)
+            key = (spec.exp_id, (spec.grid[0], spec.grid[1]))
             needs[key] = needs.get(key, False) or spec.fidelity == "event"
-        for (exp_id, grid, solver), modal in needs.items():
+        for (exp_id, grid), modal in needs.items():
             try:
                 config = build_experiment(exp_id)
                 self._build_power(exp_id, config)
-                thermal = self._build_thermal(exp_id, grid, config, solver)
+                thermal = self._build_thermal(exp_id, grid, config)
+                if modal:
+                    # The event loop's own entry point.
+                    thermal.modal_jump()
             except ReproError:
                 continue
-            if modal:
-                # The event loop's own entry point: builds the basis
-                # only where that loop would (exponential solver).
-                thermal.modal_jump()
 
     def caches(self) -> RunnerCaches:
         """This runner's caches, for :meth:`install_caches` elsewhere."""
@@ -321,9 +308,9 @@ class ExperimentRunner:
 
         Runs sharing this key can ride one
         :class:`~repro.sched.batch.BatchSimulationEngine` tick loop:
-        same stack and grid (one :class:`ThermalAssembly`), same
-        transient solver, the same duration (the fused loop advances
-        every lane the same number of ticks) and the same fidelity
+        same stack and grid (one :class:`ThermalAssembly`), the same
+        duration (the fused loop advances every lane the same number
+        of ticks) and the same fidelity
         (eager and event lanes advance their intervals differently).
         Policies, seeds, DPM, mixes and sensor noise may differ within
         a group.
@@ -331,7 +318,6 @@ class ExperimentRunner:
         return (
             spec.exp_id,
             (spec.grid[0], spec.grid[1]),
-            spec.thermal_solver,
             spec.duration_s,
             spec.fidelity,
         )

@@ -64,7 +64,7 @@ from repro.campaign.resilience import (
 )
 from repro.campaign.spec import CampaignSpec, run_key
 from repro.campaign.store import ResultStore
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ReproError
 from repro.obs.resilience import ResilienceStats
 from repro.sched.engine import SimulationResult
 
@@ -454,7 +454,12 @@ BatchSimulationEngine` batches of up to ``batch_size`` lanes; runs
     def _share_thermal_indices(
         self, pending: List[Tuple[str, RunSpec]]
     ) -> None:
-        """Characterize (or reload) indices once per (exp_id, grid)."""
+        """Characterize (or reload) indices once per (exp_id, grid).
+
+        A stack that fails to build is skipped, as in
+        :meth:`ExperimentRunner.prepare`: its runs raise the same error
+        as their own failures.
+        """
         combos = []
         for _, spec in pending:
             combo = (spec.exp_id, (spec.grid[0], spec.grid[1]))
@@ -467,7 +472,10 @@ BatchSimulationEngine` batches of up to ``batch_size`` lanes; runs
             if indices is not None:
                 self.runner.seed_thermal_indices(exp_id, grid, indices)
             else:
-                indices = self.runner.thermal_indices(exp_id, grid)
+                try:
+                    indices = self.runner.thermal_indices(exp_id, grid)
+                except ReproError:
+                    continue
                 if self.store is not None:
                     self.store.save_thermal_indices(exp_id, grid, indices)
 

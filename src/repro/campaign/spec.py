@@ -29,8 +29,9 @@ from repro.sched.engine import FIDELITY_MODES
 
 # Bump when RunSpec serialization changes incompatibly; stored results
 # keyed under an older version are simply recomputed.
-# v2: RunSpec gained thermal_solver and the exponential propagator
-# became the default integrator (recorded temperatures changed).
+# v2: the exponential propagator became the default integrator
+# (recorded temperatures changed), and RunSpec gained a field selecting
+# the integrator.
 # v3: RunSpec gained sensor_noise_sigma and workload_mix, campaign
 # grids gained the matching axes, and stores started recording
 # duration-less prefix keys for cross-grid prefix caching.
@@ -53,7 +54,10 @@ from repro.sched.engine import FIDELITY_MODES
 # the event kernel (one GEMV per run, the leakage polynomial in T),
 # which matches the oracle-exact kernel to rounding, so event results
 # move at round-off; eager results are bit-identical.
-KEY_VERSION = 8
+# v9: the exact step became the only thermal integrator and RunSpec lost
+# the field selecting it, which changes every serialized spec; results
+# are bit-identical.
+KEY_VERSION = 9
 
 
 def _canonical(value: Any) -> Any:
@@ -152,6 +156,18 @@ def _as_tuple(value: Union[Sequence[Any], Any]) -> Tuple[Any, ...]:
     return (value,)
 
 
+def _is_grid(value: Any) -> bool:
+    """Whether ``value`` is a ``(rows, cols)`` pair of positive ints."""
+    return (
+        isinstance(value, (list, tuple))
+        and len(value) == 2
+        and all(
+            isinstance(n, int) and not isinstance(n, bool) and n > 0
+            for n in value
+        )
+    )
+
+
 @dataclass(frozen=True)
 class CampaignSpec:
     """A named cartesian grid of runs plus explicit extras.
@@ -189,6 +205,11 @@ class CampaignSpec:
                 raise ConfigurationError(
                     f"unknown fidelity {fidelity!r}; "
                     f"expected one of {FIDELITY_MODES}"
+                )
+        for grid in (*self.grids, *(s.grid for s in self.extra_runs)):
+            if not _is_grid(grid):
+                raise ConfigurationError(
+                    f"grid {grid!r} is not two positive ints (rows, cols)"
                 )
 
     # ------------------------------------------------------------------
@@ -273,7 +294,10 @@ class CampaignSpec:
             if axis in data:
                 kwargs[axis] = _as_tuple(data[axis])
         if "grids" in data:
-            kwargs["grids"] = tuple(tuple(g) for g in _as_tuple(data["grids"]))
+            kwargs["grids"] = tuple(
+                tuple(g) if isinstance(g, list) else g
+                for g in _as_tuple(data["grids"])
+            )
         if "benchmark_mixes" in data:
             kwargs["benchmark_mixes"] = tuple(
                 None if mix is None

@@ -44,11 +44,6 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--dpm", action="store_true",
                         help="enable the fixed-timeout power manager")
     parser.add_argument("--seed", type=int, default=2009)
-    parser.add_argument("--thermal-solver", default="exponential",
-                        choices=("exponential", "backward_euler",
-                                 "crank_nicolson"),
-                        help="transient integrator (exponential is exact "
-                             "under piecewise-constant power)")
     parser.add_argument("--fidelity", default="event",
                         choices=FIDELITY_MODES,
                         help="interval-execution fidelity: event "
@@ -77,7 +72,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     runner = ExperimentRunner()
     spec = RunSpec(exp_id=args.exp, policy=args.policy,
                    duration_s=args.duration, with_dpm=args.dpm, seed=args.seed,
-                   thermal_solver=args.thermal_solver,
                    fidelity=args.fidelity)
     result = runner.run(spec)
     report = summarize(result)
@@ -99,8 +93,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     runner = ExperimentRunner()
     base_spec = RunSpec(exp_id=args.exp, policy="Default",
                         duration_s=args.duration, with_dpm=args.dpm,
-                        seed=args.seed, thermal_solver=args.thermal_solver,
-                        fidelity=args.fidelity)
+                        seed=args.seed, fidelity=args.fidelity)
     results = runner.run_policies(base_spec, names)
     baseline = results.get("Default") or runner.run(base_spec)
     rows = []
@@ -137,8 +130,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     runner = ExperimentRunner()
     spec = RunSpec(exp_id=args.exp, policy=args.policy,
                    duration_s=args.duration, with_dpm=args.dpm,
-                   seed=args.seed, thermal_solver=args.thermal_solver,
-                   fidelity=args.fidelity)
+                   seed=args.seed, fidelity=args.fidelity)
     engine = runner.build_engine(
         spec,
         telemetry_config=TelemetryConfig(

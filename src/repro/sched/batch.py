@@ -20,8 +20,8 @@ tick loop, so that overhead is paid once per *batch* per tick:
   per lane on its contiguous row, as serial event issues it;
 - eager lanes hold the thermal state as one ``(n_nodes, R)`` matrix
   advanced by :meth:`~repro.thermal.model.ThermalModel.step_block` —
-  with the exponential solver, (up to) one GEMM ``A @ T`` over the
-  whole batch — and read it back with one blocked gather
+  the exact step as (up to) one GEMM ``A @ T`` over the whole batch —
+  and read it back with one blocked gather
   (:meth:`~repro.thermal.model.ThermalModel.unit_max_block` /
   :meth:`unit_mean_block`);
 - recording is one ``(R, ...)`` plane write per field per tick.
@@ -55,17 +55,15 @@ the per-lane scalar term is what breaks the eager batch's Amdahl cap
 Bit-identity
 ------------
 
-Everything except the three dense products of the exponential solver
+Everything except the three dense products of the exact thermal step
 (steady gain, propagator, mean readback) batches with *exactly* the
 serial engine's floating-point behavior: elementwise ops, segment
-``reduceat``, sparse matmat, SuperLU multi-RHS solves and the event
-power kernel's per-lane GEMVs all process a run's lane independently
-of its neighbors. The dense products are the
+``reduceat`` and the event power kernel's per-lane GEMVs all process a
+run's lane independently of its neighbors. The dense products are the
 one exception — BLAS GEMM kernels accumulate differently from the
 single-column GEMV — so the engine offers two propagation modes for
 eager lanes (event lanes ignore the mode: their modal steppers issue
-the serial GEMVs, and the dense fallback without a modal basis runs
-column-exact):
+the serial GEMVs):
 
 - ``propagation="exact"`` (default): dense products are applied
   column-by-column with the same GEMV calls the serial engine makes.
@@ -74,15 +72,9 @@ column-exact):
   matrix by ``tests/test_engine_batch.py``).
 - ``propagation="gemm"``: the dense products are single GEMMs over the
   state matrix — the fastest path — at BLAS-kernel-level deviation
-  (~1e-13 K per step, nine orders below the solver accuracy budget).
+  (~1e-13 K per step, eleven orders below the 0.01 K accuracy budget).
   Scheduling decisions compare temperatures against thresholds, so in
   practice the discrete stream (jobs, migrations, V/f) still matches.
-
-Implicit solvers (``backward_euler``/``crank_nicolson``) have a
-bit-identical batched *step* in both modes — multi-RHS triangular
-solves, which SuperLU performs per column — but ``gemm`` mode still
-runs the mean temperature readback as one GEMM, so only ``exact`` mode
-is end-to-end bitwise for them too.
 """
 
 from __future__ import annotations
@@ -391,7 +383,7 @@ class BatchSimulationEngine:
         :class:`ChipPowerModel` instances (the
         :class:`~repro.analysis.runner.ExperimentRunner` caches
         guarantee this for runs on the same (exp, grid)), the same
-        sampling interval, duration, thermal solver and fidelity.
+        sampling interval, duration and fidelity.
         Policies, workloads, seeds, DPM and sensor noise may differ per
         lane.
     propagation:
@@ -434,10 +426,6 @@ class BatchSimulationEngine:
                 )
             if lane.config.duration_s != base.config.duration_s:
                 raise SchedulerError("batched runs must share the duration")
-            if lane.config.thermal_solver != base.config.thermal_solver:
-                raise SchedulerError(
-                    "batched runs must share the thermal solver"
-                )
             if lane.config.fidelity != base.config.fidelity:
                 raise SchedulerError(
                     "batched runs must share the fidelity mode; eager "
@@ -479,16 +467,11 @@ class BatchSimulationEngine:
             raise SchedulerError("batched runs disagree on tick layout")
 
         # Each event lane steps its own modal stepper, as serial event
-        # does (lanes share the assembly, so either all have a basis or
-        # none). Without one, event lanes step the dense block column
-        # by column, like serial event's dense fallback: propagation
-        # applies to eager lanes only.
-        modals = None
-        if use_span:
-            modals = [lane.thermal.modal_jump() for lane in lanes]
-            if modals[0] is None:
-                modals = None
-        exact = use_span or self.propagation == "exact"
+        # does; propagation applies to eager lanes only.
+        modals = (
+            [lane.thermal.modal_jump() for lane in lanes] if use_span else None
+        )
+        exact = self.propagation == "exact"
 
         # Initial sensor read (the serial engine does this between
         # preparation and the first tick).

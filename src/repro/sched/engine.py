@@ -59,8 +59,7 @@ execution reproduces the eager reference semantics:
   is crossed in one jump. The thermal state advances
   tick-by-tick in the run-persistent reduced-order modal basis
   (:class:`~repro.thermal.model.ModalJump`, a truncated eigenbasis of
-  the propagator) — falling back to the dense ``step_vector`` only when
-  the assembly has no accepted basis — with leakage repriced each tick
+  the propagator), with leakage repriced each tick
   from the evolving unit readback through event power factors frozen
   over the jump
   (:meth:`~repro.power.chip_power.ChipPowerModel.event_factors`,
@@ -123,7 +122,6 @@ from repro.sched.dpm import FixedTimeoutDPM
 from repro.sched.queue import DispatchQueue
 from repro.sched.workload_source import WorkloadSource
 from repro.thermal.model import ThermalModel
-from repro.thermal.solver import SOLVER_METHODS
 from repro.thermal.sensors import SensorBank
 from repro.workload.job import Job
 
@@ -156,7 +154,9 @@ class EngineConfig:
     duration_s:
         Simulated time.
     sampling_interval_s:
-        Sensor sampling / scheduling tick (paper: 100 ms).
+        Sensor sampling / scheduling tick (paper: 100 ms). Must equal
+        the thermal model's ``sampling_interval``: the propagator spans
+        exactly one of the model's intervals.
     migration_cost_s:
         Stall charged per thread migration (paper: 1 ms, measured on
         Solaris/UltraSPARC T1).
@@ -169,10 +169,6 @@ class EngineConfig:
     warmup_utilization:
         Uniform core utilization, in [0, 1], assumed for the
         steady-state initialization of the thermal model.
-    thermal_solver:
-        Transient integrator for the thermal step: ``"exponential"``
-        (default — exact under the engine's piecewise-constant power
-        contract), ``"backward_euler"`` or ``"crank_nicolson"``.
     fidelity:
         ``"eager"`` (default here — per-event execution sweeps, the
         reference the scan oracle and the engine tests build on) or
@@ -199,7 +195,6 @@ class EngineConfig:
     sensor_quantization: float = 0.0
     seed: int = 1
     warmup_utilization: float = 0.3
-    thermal_solver: str = "exponential"
     fidelity: str = "eager"
     telemetry: Optional[TelemetryConfig] = None
 
@@ -437,8 +432,8 @@ class SimulationEngine:
         self._span_dirty = False
         self._in_fast_forward = False
         # Event mode's run-persistent reduced-order thermal stepper
-        # (None in eager mode, or when the assembly rejected a modal
-        # basis); owned by _run_ticks, shared with _fast_forward_event.
+        # (None in eager mode); owned by _run_ticks, shared with
+        # _fast_forward_event.
         self._event_modal = None
         self._event_modal_open = False
         # This run's arrays for the event power kernel (the power model
@@ -541,16 +536,19 @@ class SimulationEngine:
     def _prepare_run(self) -> Tuple[int, float]:
         """Validate the configuration and arm the run-time state.
 
-        Shared by :meth:`run` and the batched engine: selects the
-        thermal solver, arms the event heap and the structure-of-arrays
-        bookkeeping, initializes the thermal state and pushes the
-        workload's initial arrivals. Returns ``(n_ticks, dt)``.
+        Shared by :meth:`run` and the batched engine: checks the tick
+        against the thermal model's interval, arms the event heap and
+        the structure-of-arrays bookkeeping, initializes the thermal
+        state and pushes the workload's initial arrivals. Returns
+        ``(n_ticks, dt)``.
         """
         cfg = self.config
-        if cfg.thermal_solver not in SOLVER_METHODS:
+        if cfg.sampling_interval_s != self.thermal.sampling_interval:
             raise SchedulerError(
-                f"unknown thermal solver {cfg.thermal_solver!r}; "
-                f"expected one of {SOLVER_METHODS}"
+                f"sampling_interval_s {cfg.sampling_interval_s} s differs "
+                "from the thermal model's sampling_interval "
+                f"{self.thermal.sampling_interval} s; build the "
+                "ThermalModel with the engine's tick"
             )
         if cfg.fidelity not in FIDELITY_MODES:
             raise SchedulerError(
@@ -562,7 +560,6 @@ class SimulationEngine:
         if n_ticks < 1:
             raise SchedulerError("duration shorter than one sampling interval")
 
-        self.thermal.use_solver(cfg.thermal_solver)
         tel = cfg.telemetry
         if tel is not None and tel.enabled:
             self._obs = EngineTelemetry(tel)
@@ -790,7 +787,7 @@ class SimulationEngine:
         """Overwrite the freshly prepared run state from a checkpoint.
 
         Must be called after :meth:`_prepare_run` (which re-arms the
-        solver, the telemetry sinks and the scratch buffers); this
+        telemetry sinks and the scratch buffers); this
         method then replaces every piece of state the tick loops read.
         Returns ``(next_tick, energy, unit_row, modal_state)`` for
         :meth:`_run_ticks`. Raises :class:`CheckpointError` when the
@@ -930,8 +927,7 @@ class SimulationEngine:
           advances one run-persistent
           :class:`~repro.thermal.model.ModalJump` — the full node state
           is only rematerialized at checkpoints and at the end of the
-          run — falling back to the dense step when the assembly has no
-          modal basis (non-exponential solver);
+          run;
         - clock jumps: event crosses every stretch of whole ticks free
           of scheduler events (arrivals, completions, stall expiries)
           in one :meth:`_fast_forward_event` call, however long; the
@@ -1193,18 +1189,12 @@ class SimulationEngine:
         computes from the same inputs — and ``event_eval``
         re-evaluates the temperature-dependent leakage at the evolving
         unit readback.
-        The thermal advance takes one of two integrators:
-
-        - the run-persistent reduced-order modal stepper
-          (:meth:`~repro.thermal.model.ModalJump.advance`, owned by
-          :meth:`_run_ticks`) when the assembly accepted a
-          truncated eigenbasis of the propagator: each tick is an
-          exact steady-point repricing, a modal decay, one readback
-          GEMV and a core max-reduce — within the basis acceptance
-          tolerance of the dense step at a fraction of its cost;
-        - otherwise the same dense ``step_vector`` call an eager tick
-          makes — bitwise-identical to eager's thermal step given the
-          same power vector.
+        The thermal advance is the run-persistent reduced-order modal
+        stepper (:meth:`~repro.thermal.model.ModalJump.advance`, owned
+        by :meth:`_run_ticks`): each tick is an exact steady-point
+        repricing, a modal decay, one readback GEMV and a core
+        max-reduce — within the basis acceptance tolerance of the dense
+        step at a fraction of its cost.
 
         Control calls are skipped for the provable-no-op prefix
         computed by :meth:`_event_bulk_ticks` and run on reconstructed
@@ -1230,7 +1220,6 @@ class SimulationEngine:
         )
         t0 = tick * dt
         noctl = self._event_bulk_ticks(t0, dt, quiet)
-        thermal = self.thermal
         power = self.power
         sensors = self.sensors
         modal = self._event_modal
@@ -1247,14 +1236,10 @@ class SimulationEngine:
                 # timestamps match the eager recording bitwise.
                 t_i = (tick + i - 1) * dt + dt
                 powers_vec = power.event_eval(factors, mean_row, powers_buf)
-                if modal is not None:
-                    if not self._event_modal_open:
-                        modal.open(powers_vec)
-                        self._event_modal_open = True
-                    mean_row, peak_row = modal.advance(powers_vec)
-                else:
-                    thermal.step_vector(powers_vec)
-                    peak_row = thermal.unit_max_vector()
+                if not self._event_modal_open:
+                    modal.open(powers_vec)
+                    self._event_modal_open = True
+                mean_row, peak_row = modal.advance(powers_vec)
                 if i <= noctl:
                     skipped += 1
                 else:
@@ -1262,8 +1247,6 @@ class SimulationEngine:
                     self._apply_dpm(t_i)
                     if not self._policy_tick_noop():
                         self._run_policy(t_i, util_arr)
-                if modal is None:
-                    mean_row = thermal.unit_temperature_vector()
                 tick_power = power.total_power(powers_vec)
                 self._record_tick(
                     rec, tick + i - 1, t_i, mean_row, peak_row, util_arr,

@@ -11,9 +11,8 @@ re-implements the same physics from scratch:
   :class:`~repro.floorplan.experiments.ExperimentConfig`,
 - :mod:`~repro.thermal.grid` — floorplan-to-grid area-overlap mapping,
 - :mod:`~repro.thermal.network` — sparse conductance/capacitance assembly,
-- :mod:`~repro.thermal.solver` — steady-state and transient solvers
-  (exact exponential propagator, backward Euler, Crank-Nicolson) with
-  cached factorizations,
+- :mod:`~repro.thermal.solver` — the exact interval propagator and the
+  steady-state solver (cached factorization),
 - :mod:`~repro.thermal.model` — the :class:`ThermalModel` facade used by
   the simulation engine,
 - :mod:`~repro.thermal.sensors` — per-core temperature sensors.
@@ -32,7 +31,7 @@ from repro.thermal.tsv import TSVTechnology, joint_resistivity, resistivity_curv
 from repro.thermal.stack import Stack3D, StackLayer, build_stack
 from repro.thermal.grid import GridMapper
 from repro.thermal.network import ThermalNetwork, build_network
-from repro.thermal.solver import SteadyStateSolver, TransientSolver
+from repro.thermal.solver import SteadyStateSolver
 from repro.thermal.model import ThermalModel
 from repro.thermal.sensors import TemperatureSensor, SensorBank
 
@@ -54,7 +53,6 @@ __all__ = [
     "ThermalNetwork",
     "build_network",
     "SteadyStateSolver",
-    "TransientSolver",
     "ThermalModel",
     "TemperatureSensor",
     "SensorBank",

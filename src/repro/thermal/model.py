@@ -22,22 +22,28 @@ a global max-cell gather, so the two per-tick readbacks
 GEMV / ``maximum.reduceat`` over the node state with no per-die
 splitting or concatenation.
 
+The thermal step is the exact one: power is held constant across each
+sampling interval, and ``T' = T_inf + A (T - T_inf)`` with the
+interval propagator ``A = expm(-C^-1 G dt)`` solves the RC network
+exactly over it (:mod:`repro.thermal.solver`). Eager runs apply it
+densely (:meth:`ThermalModel.step_vector`, :meth:`ThermalModel.step_block`);
+event runs step the same propagator in its truncated eigenbasis
+(:class:`ModalJump`).
+
 The expensive immutable parts of a model — stack, RC network, the
-factorized solvers, grid mappers, the projection, and the readback
-index — live in a :class:`ThermalAssembly` that can be shared between
-ThermalModel instances of the same configuration. A campaign builds
-one assembly per (experiment, grid) stack in its driver and shares it
-with every pool worker, so runs skip ``build_network``, the LU
-factorizations, the exponential-propagator ``expm`` and the modal
-eigendecomposition; only the temperature state vector is
-per-instance. The assembly lazily builds and caches one
-:class:`~repro.thermal.solver.TransientSolver` per method, so runs
-selecting different integrators still share everything else.
+steady-state factorization, the propagator, grid mappers, the
+projection, and the readback index — live in a :class:`ThermalAssembly`
+that can be shared between ThermalModel instances of the same
+configuration. A campaign builds one assembly per (experiment, grid)
+stack in its driver and shares it with every pool worker, so runs skip
+``build_network``, the LU factorization, the propagator's ``expm`` and
+the modal eigendecomposition; only the temperature state vector is
+per-instance.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -49,20 +55,11 @@ from repro.floorplan.unit import UnitKind
 from repro.thermal.grid import GridMapper
 from repro.thermal.materials import AMBIENT_K
 from repro.thermal.network import ThermalNetwork, build_network
-from repro.thermal.solver import (
-    SOLVER_METHODS,
-    SteadyStateSolver,
-    TransientSolver,
-)
+from repro.thermal.solver import SteadyStateSolver, build_propagator
 from repro.thermal.stack import Stack3D, build_stack
 
 DEFAULT_GRID_ROWS = 8
 DEFAULT_GRID_COLS = 8
-
-#: Solver used by new models unless a caller opts out. The exponential
-#: propagator is exact for the engine's piecewise-constant power, so it
-#: is both the fastest and the most accurate option at the paper grids.
-DEFAULT_SOLVER_METHOD = "exponential"
 
 #: Eigenvalue magnitude below which a propagator mode is dropped from
 #: the modal step basis. A mode at the threshold contributes less than
@@ -74,9 +71,10 @@ MODAL_DROP_TOL = 1e-12
 #: Ceiling on ``max|A - V diag(rho) W|`` against the dense propagator
 #: for accepting the truncated eigenbasis. The basis assumes ``A`` is
 #: similar to a symmetric matrix (diagonal ``C``, symmetric ``G``). A
-#: propagator that is not, to this precision, reconstructs badly; the
-#: assembly then reports no modal basis and callers fall back to dense
-#: stepping.
+#: propagator that is not, to this precision, reconstructs badly, and
+#: the assembly refuses the basis with a ``ThermalModelError``. Every
+#: paper stack reconstructs to <= 1.7e-13 at every grid from 2x2 to
+#: 12x12, and EXP-4 up to 26x26.
 MODAL_BASIS_ERR_MAX = 1e-9
 
 
@@ -105,90 +103,59 @@ class ThermalAssembly:
     """The immutable, shareable parts of one thermal configuration.
 
     Everything here is a pure function of (stack, grid, sampling
-    parameters): the RC network, the factorized transient/steady
-    solvers, the per-die grid mappers, and the node-power projection.
-    None of it holds simulation state, so one assembly can back any
-    number of :class:`ThermalModel` instances — sequentially or
-    concurrently — as long as they were built for the same stack.
+    interval): the RC network, the steady-state factorization, the
+    interval propagator, the per-die grid mappers, and the node-power
+    projection. None of it holds simulation state, so one assembly can
+    back any number of :class:`ThermalModel` instances — sequentially
+    or concurrently — as long as they were built for the same stack.
 
     An assembly pickles with everything built so far, including the
-    exponential step and the modal basis; only the solvers' SuperLU
-    factorizations are recomputed on load (see
+    propagator, the exact step's gains and the modal basis; only the
+    steady-state SuperLU factorization is recomputed on load (see
     :mod:`repro.thermal.solver`), so runs on an unpickled copy are
     bit-identical to runs on the original.
     """
 
     stack: Stack3D
     network: ThermalNetwork
-    transient: TransientSolver
     steady: SteadyStateSolver
+    propagator: np.ndarray
     mappers: List[GridMapper]
     die_stack_indices: List[int]
     sampling_interval: float
-    substeps: int
     node_projection: sparse.csr_matrix
     readback: ReadbackIndex
-    solvers: Dict[str, TransientSolver] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        self.solvers.setdefault(self.transient.method, self.transient)
+        # The exact step's operands (see exponential_step), the
+        # truncated eigenbasis of the propagator (see modal_step_basis)
+        # and the modal stepper's packed operands (see modal_pack),
+        # each built on first use.
         self._exponential_step: Optional[
             Tuple[np.ndarray, np.ndarray, np.ndarray]
         ] = None
-        # Truncated eigenbasis of the propagator (see modal_step_basis)
-        # and the modal stepper's packed operands (see modal_pack).
-        # False = not built yet, None = built and rejected.
-        self._modal_basis: object = False
-        self._modal_pack: object = False
+        self._modal_basis: Optional[Dict[str, np.ndarray]] = None
+        self._modal_pack: Optional[Dict[str, np.ndarray]] = None
 
-    def transient_solver(self, method: str) -> TransientSolver:
-        """The transient solver for ``method``, built once per assembly.
-
-        Lazily constructed so runs that switch integrators (e.g. the
-        differential benches) share the network, steady factorization,
-        mappers and projection while each method pays its own setup
-        exactly once.
-        """
-        if method not in SOLVER_METHODS:
-            raise ThermalModelError(
-                f"unknown solver method {method!r}; "
-                f"expected one of {SOLVER_METHODS}"
-            )
-        if method not in self.solvers:
-            self.solvers[method] = TransientSolver(
-                self.network,
-                dt=self.sampling_interval,
-                substeps=self.substeps,
-                method=method,
-                steady_lu=self.steady.lu,
-            )
-        return self.solvers[method]
-
-    def exponential_step(
-        self,
-    ) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    def exponential_step(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(propagator, steady_gain, ambient_vec)`` of the exact step.
 
         ``T_inf = steady_gain @ unit_power_vec + ambient_vec`` followed by
         ``T' = T_inf + propagator @ (T - T_inf)`` advances one sampling
         interval with no per-tick triangular solve: ``steady_gain`` is
         the dense ``G^-1 @ node_projection`` (n_nodes x n_units),
-        computed once per assembly. Returns None when the exponential
-        method resolved to an implicit fallback (network too large).
+        computed once per assembly.
         """
-        solver = self.transient_solver("exponential")
-        if solver.resolved_method != "exponential":
-            return None
         if self._exponential_step is None:
             lu = self.steady.lu
             gain = lu.solve(np.asarray(self.node_projection.todense()))
             ambient = lu.solve(
                 self.network.ambient_conductance * self.network.ambient_k
             )
-            self._exponential_step = (solver.propagator, gain, ambient)
+            self._exponential_step = (self.propagator, gain, ambient)
         return self._exponential_step
 
-    def modal_step_basis(self) -> Optional[Dict[str, np.ndarray]]:
+    def modal_step_basis(self) -> Dict[str, np.ndarray]:
         """Truncated eigenbasis of the propagator for reduced stepping.
 
         Diagonalizes the one-interval propagator ``A = V diag(rho) W``
@@ -209,12 +176,10 @@ class ThermalAssembly:
         eigenvalues reconstructs ``A`` an order of magnitude less
         accurately (~5e-13 against ~3e-14).
 
-        Returns the cached basis dict, or ``None`` when the exponential
-        propagator is unavailable or the reconstruction error
-        ``max|A - V diag(rho) W|`` against the dense propagator exceeds
-        :data:`MODAL_BASIS_ERR_MAX` — callers must fall back to dense
-        stepping in that case. Built once per assembly and shared by
-        every run on it.
+        Returns the cached basis dict, built once per assembly and
+        shared by every run on it. Raises :class:`ThermalModelError`
+        when the reconstruction error ``max|A - V diag(rho) W|`` against
+        the dense propagator exceeds :data:`MODAL_BASIS_ERR_MAX`.
 
         Basis keys: ``rho`` (m,), ``V`` (n x m), ``W`` (m x n), the
         mean readback projection ``mean_v = mean_weights @ V``, the
@@ -222,13 +187,9 @@ class ThermalAssembly:
         ``mean_gain = mean_weights @ gain`` used for exact in-jump
         power repricing, and the reconstruction error ``err``.
         """
-        if self._modal_basis is not False:
-            return self._modal_basis  # type: ignore[return-value]
-        exp_step = self.exponential_step()
-        if exp_step is None:
-            self._modal_basis = None
-            return None
-        propagator, gain, _ambient = exp_step
+        if self._modal_basis is not None:
+            return self._modal_basis
+        propagator, gain, _ambient = self.exponential_step()
         root_c = np.sqrt(self.network.capacitance)
         scaled = root_c[:, None] * propagator / root_c
         lam, u_full = np.linalg.eigh(0.5 * (scaled + scaled.T))
@@ -240,8 +201,13 @@ class ThermalAssembly:
         w_mat = np.ascontiguousarray(u_mat.T * root_c)
         err = float(np.abs(propagator - (v_mat * rho) @ w_mat).max())
         if err > MODAL_BASIS_ERR_MAX:
-            self._modal_basis = None
-            return None
+            net = self.network
+            raise ThermalModelError(
+                f"the modal basis of the {net.nrows}x{net.ncols} grid on "
+                f"{len(self.stack.layers)} slabs ({net.n_nodes} nodes) "
+                f"reconstructs the propagator to {err:.3g}, above "
+                f"MODAL_BASIS_ERR_MAX = {MODAL_BASIS_ERR_MAX:g}"
+            )
         rb = self.readback
         self._modal_basis = {
             "rho": rho,
@@ -252,11 +218,11 @@ class ThermalAssembly:
             "mean_gain": np.ascontiguousarray(rb.mean_weights @ gain),
             "err": np.array(err),
         }
-        return self._modal_basis  # type: ignore[return-value]
+        return self._modal_basis
 
-    def modal_pack(self) -> Optional[Dict[str, np.ndarray]]:
+    def modal_pack(self) -> Dict[str, np.ndarray]:
         """The modal basis stacked into the stepper's two per-tick GEMV
-        operands, or ``None`` without a basis.
+        operands.
 
         ``reprice`` maps a unit-power delta onto the packed state
         ``z = [w, r_mean, r_max]`` in one GEMV (sign-folded: ``w``
@@ -269,12 +235,9 @@ class ThermalAssembly:
         of a batch cycle through one set of operands instead of one
         copy each.
         """
-        if self._modal_pack is not False:
-            return self._modal_pack  # type: ignore[return-value]
+        if self._modal_pack is not None:
+            return self._modal_pack
         basis = self.modal_step_basis()
-        if basis is None:
-            self._modal_pack = None
-            return None
         _propagator, gain, ambient = self.exponential_step()
         rb = self.readback
         core_units = np.zeros(rb.n_units, dtype=bool)
@@ -324,7 +287,7 @@ class ThermalAssembly:
             "scatter": np.asarray(scatter, dtype=np.intp),
             "n_units": np.intp(rb.n_units),
         }
-        return self._modal_pack  # type: ignore[return-value]
+        return self._modal_pack
 
 
 class ThermalModel:
@@ -339,23 +302,17 @@ class ThermalModel:
     ambient_k:
         Ambient temperature in kelvin (HotSpot default 45 C).
     sampling_interval:
-        External step size in seconds (the paper samples at 100 ms).
-    substeps:
-        Internal integrator subdivisions per sampling interval (implicit
-        methods only).
-    solver_method:
-        Transient integrator: ``"exponential"`` (default; exact under
-        piecewise-constant power), ``"backward_euler"`` or
-        ``"crank_nicolson"``. Switchable later via :meth:`use_solver`.
+        Step size in seconds (the paper samples at 100 ms); the
+        propagator spans exactly one interval.
     stack:
         Optional pre-built stack (overrides ``config``-derived assembly);
         used by ablation studies that perturb package parameters.
     assembly:
         Optional pre-built :class:`ThermalAssembly` from an earlier
-        model of the *same* configuration; skips network assembly and
-        solver factorization. The grid and sampling parameters must
-        match; the stack is trusted to match (callers key their caches
-        accordingly).
+        model of the *same* configuration; skips network assembly, the
+        factorization and the propagator build. The grid, ambient and
+        sampling interval must match; the stack is trusted to match
+        (callers key their caches accordingly).
     """
 
     def __init__(
@@ -365,11 +322,13 @@ class ThermalModel:
         ncols: int = DEFAULT_GRID_COLS,
         ambient_k: float = AMBIENT_K,
         sampling_interval: float = 0.1,
-        substeps: int = 2,
-        solver_method: str = DEFAULT_SOLVER_METHOD,
         stack: Optional[Stack3D] = None,
         assembly: Optional[ThermalAssembly] = None,
     ) -> None:
+        if not sampling_interval > 0.0:
+            raise ThermalModelError(
+                f"sampling interval must be positive, got {sampling_interval}"
+            )
         self.config = config
         if assembly is not None:
             if stack is not None and stack is not assembly.stack:
@@ -380,7 +339,7 @@ class ThermalModel:
                     "the explicit one"
                 )
             self._check_assembly(
-                assembly, nrows, ncols, ambient_k, sampling_interval, substeps
+                assembly, nrows, ncols, ambient_k, sampling_interval
             )
             self.assembly = assembly
         else:
@@ -391,22 +350,14 @@ class ThermalModel:
             for stack_index, layer in built_stack.die_layers():
                 mappers.append(GridMapper(layer.floorplan, nrows, ncols))
                 die_stack_indices.append(stack_index)
-            steady = SteadyStateSolver(network)
             self.assembly = ThermalAssembly(
                 stack=built_stack,
                 network=network,
-                transient=TransientSolver(
-                    network,
-                    dt=float(sampling_interval),
-                    substeps=substeps,
-                    method=solver_method,
-                    steady_lu=steady.lu,
-                ),
-                steady=steady,
+                steady=SteadyStateSolver(network),
+                propagator=build_propagator(network, sampling_interval),
                 mappers=mappers,
                 die_stack_indices=die_stack_indices,
                 sampling_interval=float(sampling_interval),
-                substeps=substeps,
                 node_projection=_build_node_projection(
                     network, mappers, die_stack_indices
                 ),
@@ -420,7 +371,7 @@ class ThermalModel:
         self._die_stack_indices = self.assembly.die_stack_indices
         self._projection = self.assembly.node_projection
         self._readback = self.assembly.readback
-        self.use_solver(solver_method)
+        self._exp_step = self.assembly.exponential_step()
 
         # Global unit name -> (die ordinal, name); names are unique across
         # layers by construction of the experiment configs.
@@ -459,7 +410,6 @@ class ThermalModel:
         ncols: int,
         ambient_k: float,
         sampling_interval: float,
-        substeps: int,
     ) -> None:
         network = assembly.network
         if (network.nrows, network.ncols) != (nrows, ncols):
@@ -472,14 +422,10 @@ class ThermalModel:
                 f"assembly ambient {network.ambient_k} K does not match "
                 f"requested {ambient_k} K"
             )
-        if (assembly.sampling_interval, assembly.substeps) != (
-            float(sampling_interval),
-            substeps,
-        ):
+        if assembly.sampling_interval != float(sampling_interval):
             raise ThermalModelError(
-                "assembly sampling parameters "
-                f"({assembly.sampling_interval}s x{assembly.substeps}) do "
-                f"not match requested ({sampling_interval}s x{substeps})"
+                f"assembly sampling interval {assembly.sampling_interval} s "
+                f"does not match requested {sampling_interval} s"
             )
 
     # ------------------------------------------------------------------
@@ -504,25 +450,6 @@ class ThermalModel:
     def ambient_k(self) -> float:
         """Ambient temperature in kelvin."""
         return self.network.ambient_k
-
-    @property
-    def solver_method(self) -> str:
-        """Requested method of the active transient solver."""
-        return self._transient.method
-
-    def use_solver(self, method: str) -> TransientSolver:
-        """Select the transient integrator (cached per assembly).
-
-        Switching is cheap after the first use of a method: the
-        factorization / propagator is built once per assembly and
-        shared by every model on it.
-        """
-        self._transient = self.assembly.transient_solver(method)
-        if self._transient.resolved_method == "exponential":
-            self._exp_step = self.assembly.exponential_step()
-        else:
-            self._exp_step = None
-        return self._transient
 
     def die_mapper(self, die_ordinal: int) -> GridMapper:
         """The grid mapper of die ``die_ordinal`` (0 = nearest the sink)."""
@@ -597,34 +524,26 @@ class ThermalModel:
         """Advance one sampling interval from a ``unit_names``-ordered
         power vector (the dict-free hot path).
 
-        With the exponential solver this is three GEMVs against
-        precomputed matrices — no triangular solve on the tick path.
+        The exact step as three GEMVs against precomputed matrices — no
+        triangular solve on the tick path.
         """
-        exp_step = self._exp_step
-        if exp_step is not None:
-            if unit_power_vec.shape != (self._projection.shape[1],):
-                raise ThermalModelError(
-                    "expected power vector of length "
-                    f"{self._projection.shape[1]}"
-                )
-            propagator, gain, ambient = exp_step
-            t_inf = gain @ unit_power_vec
-            t_inf += ambient
-            deviation = self.temperatures
-            deviation = deviation - t_inf
-            step = propagator @ deviation
-            step += t_inf
-            self.temperatures = step
-            return
-        self.temperatures = self._transient.step(
-            self.temperatures, self.node_powers_from_vector(unit_power_vec)
-        )
+        if unit_power_vec.shape != (self._projection.shape[1],):
+            raise ThermalModelError(
+                f"expected power vector of length {self._projection.shape[1]}"
+            )
+        propagator, gain, ambient = self._exp_step
+        t_inf = gain @ unit_power_vec
+        t_inf += ambient
+        deviation = self.temperatures
+        deviation = deviation - t_inf
+        step = propagator @ deviation
+        step += t_inf
+        self.temperatures = step
 
-    def modal_jump(self) -> Optional["ModalJump"]:
-        """Open a reduced-order per-tick stepper, or ``None`` when the
-        assembly has no accepted modal basis (no exponential
-        propagator, or truncation error above
-        :data:`MODAL_BASIS_ERR_MAX`).
+    def modal_jump(self) -> "ModalJump":
+        """Open a reduced-order per-tick stepper on the assembly's modal
+        basis (built on first use; a basis above
+        :data:`MODAL_BASIS_ERR_MAX` raises :class:`ThermalModelError`).
 
         Power may change every tick (the leakage feedback loop keeps
         running): each :meth:`ModalJump.advance` reprices the steady
@@ -632,12 +551,7 @@ class ThermalModel:
         eigenbasis. :meth:`ModalJump.close` writes the full node state
         back to the model.
         """
-        if self._exp_step is None:
-            return None
-        pack = self.assembly.modal_pack()
-        if pack is None:
-            return None
-        return ModalJump(self, pack)
+        return ModalJump(self, self.assembly.modal_pack())
 
     def step_block(
         self,
@@ -668,12 +582,9 @@ class ThermalModel:
             With the default one-GEMM path, columns deviate from serial
             steps only at BLAS-kernel rounding level (~1e-13 K).
 
-        With the exponential solver this is the batched analogue of
-        :meth:`step_vector`: ``T' = T_inf + A (T - T_inf)`` evaluated as
-        (up to) three GEMMs over the whole batch. Implicit solvers take
-        the multi-RHS route through
-        :meth:`~repro.thermal.solver.TransientSolver.step_matrix`,
-        which is bit-identical to per-run stepping for every method.
+        The batched analogue of :meth:`step_vector`:
+        ``T' = T_inf + A (T - T_inf)`` evaluated as (up to) three GEMMs
+        over the whole batch.
         """
         n_units = self._projection.shape[1]
         if power_rows.ndim != 2 or power_rows.shape[1] != n_units:
@@ -687,29 +598,23 @@ class ThermalModel:
                 f"expected ({self.network.n_nodes}, {n_runs}) temperature "
                 f"block, got {temps_block.shape}"
             )
-        exp_step = self._exp_step
-        if exp_step is not None:
-            propagator, gain, ambient = exp_step
-            if column_exact:
-                t_inf = np.empty_like(temps_block)
-                for r in range(n_runs):
-                    t_inf[:, r] = gain @ power_rows[r]
-            else:
-                t_inf = gain @ power_rows.T
-            t_inf += ambient[:, None]
-            deviation = temps_block - t_inf
-            if column_exact:
-                step = np.empty_like(temps_block)
-                for r in range(n_runs):
-                    step[:, r] = propagator @ deviation[:, r]
-            else:
-                step = propagator @ deviation
-            step += t_inf
-            return step
-        node_powers = self._projection @ power_rows.T
-        return self._transient.step_matrix(
-            temps_block, node_powers, column_exact=column_exact
-        )
+        propagator, gain, ambient = self._exp_step
+        if column_exact:
+            t_inf = np.empty_like(temps_block)
+            for r in range(n_runs):
+                t_inf[:, r] = gain @ power_rows[r]
+        else:
+            t_inf = gain @ power_rows.T
+        t_inf += ambient[:, None]
+        deviation = temps_block - t_inf
+        if column_exact:
+            step = np.empty_like(temps_block)
+            for r in range(n_runs):
+                step[:, r] = propagator @ deviation[:, r]
+        else:
+            step = propagator @ deviation
+        step += t_inf
+        return step
 
     def unit_mean_block(
         self, temps_block: np.ndarray, column_exact: bool = False

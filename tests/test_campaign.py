@@ -128,7 +128,7 @@ class TestGoldenKey:
 
     Result stores index completed runs by ``run_key``; if the digest for a
     fixed spec ever changes, every cached campaign silently misses and
-    re-runs.  These digests were frozen when KEY_VERSION reached 8 — a
+    re-runs.  These digests were frozen when KEY_VERSION reached 9 — a
     mismatch means either an accidental serialization change (fix it) or a
     deliberate one (bump KEY_VERSION in repro.campaign.spec, refresh the
     contract golden via ``repro-dtm lint --update-golden``, then update the
@@ -144,13 +144,12 @@ class TestGoldenKey:
         grid=(8, 8),
         benchmark_mix=(("gcc", 2), ("gzip", 2)),
         policy_params=(("beta_inc", 0.02),),
-        thermal_solver="exponential",
         sensor_noise_sigma=0.5,
         workload_mix="server",
         fidelity="event",
     )
-    GOLDEN_RUN_KEY = "exp4-adapt3d_dvfs_tt-ef845466d521"
-    GOLDEN_PREFIX_KEY = "exp4-adapt3d_dvfs_tt-pfx-ec1d942c87f8"
+    GOLDEN_RUN_KEY = "exp4-adapt3d_dvfs_tt-6af1e3d4aca4"
+    GOLDEN_PREFIX_KEY = "exp4-adapt3d_dvfs_tt-pfx-c0e4980da4bc"
 
     def test_run_key_matches_frozen_digest(self):
         assert run_key(RunSpec(**self.GOLDEN_SPEC_KWARGS)) == self.GOLDEN_RUN_KEY
@@ -221,6 +220,20 @@ class TestCampaignSpec:
     def test_unknown_fidelity_rejected(self):
         with pytest.raises(ConfigurationError):
             tiny_campaign(fidelities=("sloppy",))
+
+    @pytest.mark.parametrize(
+        "grids", [[[8]], [[8, 8, 8]], [[0, 8]], [8, 8]]
+    )
+    def test_malformed_grid_rejected(self, grids):
+        """A grid is two positive ints: ``[8]`` would fail deep in the
+        executor, and ``[8, 8, 8]`` would run an 8x8 simulation under a
+        key no 8x8 request ever hits."""
+        with pytest.raises(ConfigurationError, match="grid"):
+            CampaignSpec.from_dict({"name": "x", "grids": grids})
+
+    def test_malformed_extra_run_grid_rejected(self):
+        with pytest.raises(ConfigurationError, match="grid"):
+            tiny_campaign(extra_runs=(tiny_spec(grid=(8, 8, 8)),))
 
 
 @pytest.fixture(scope="module")
@@ -440,16 +453,17 @@ class TestSerialExecutor:
         assert store.load(run_key(tiny_spec())).n_ticks == 20
 
     def test_unbuildable_operator_fails_its_run_only(self, tmp_path):
-        # The driver prepares every pending spec's operators before the
-        # first run; a spec whose solver cannot be built must still fail
-        # as its own run, not end the campaign in the prepare step.
-        bad = tiny_spec(seed=5, thermal_solver="no-such-solver")
+        # The driver shares thermal indices and prepares every pending
+        # spec's operators before the first run; a spec whose stack
+        # cannot be built (a grid above the node limit) must still fail
+        # as its own run, not end the campaign in either step.
+        bad = tiny_spec(seed=5, grid=(40, 40))
         campaign = tiny_campaign(policies=("Default",), extra_runs=(bad,))
         run = CampaignExecutor(
             store=ResultStore(tmp_path), backend="serial"
         ).run_campaign(campaign)
         assert run.counts() == {"ok": 1, "error": 1}
-        assert "no-such-solver" in run.failed()[run_key(bad)]
+        assert "above the limit" in run.failed()[run_key(bad)]
 
     def test_failed_key_retried_after_discard(self, tmp_path):
         bad = tiny_spec(seed=5, benchmark_mix=(("not-a-benchmark", 4),))
@@ -1016,8 +1030,8 @@ class TestWarmWorkers:
                                         monkeypatch):
         import multiprocessing
 
+        import repro.thermal.model as model_module
         from repro.thermal.model import ThermalAssembly
-        from repro.thermal.solver import TransientSolver
 
         if multiprocessing.get_start_method() != "fork":
             pytest.skip("build sites are counted through patches that "
@@ -1030,27 +1044,27 @@ class TestWarmWorkers:
 
         post_init = ThermalAssembly.__post_init__
         modal_basis = ThermalAssembly.modal_step_basis
-        solver_init = TransientSolver.__init__
+        build_propagator = model_module.build_propagator
 
         def counted_post_init(self):
             record("assembly")
             post_init(self)
 
         def counted_modal_basis(self):
-            if self._modal_basis is False:
+            if self._modal_basis is None:
                 record("modal")
             return modal_basis(self)
 
-        def counted_solver_init(self, *args, **kwargs):
-            record("solver")
-            solver_init(self, *args, **kwargs)
+        def counted_propagator(*args):
+            record("propagator")
+            return build_propagator(*args)
 
         monkeypatch.setattr(ThermalAssembly, "__post_init__",
                             counted_post_init)
         monkeypatch.setattr(ThermalAssembly, "modal_step_basis",
                             counted_modal_basis)
-        monkeypatch.setattr(TransientSolver, "__init__",
-                            counted_solver_init)
+        monkeypatch.setattr(model_module, "build_propagator",
+                            counted_propagator)
         results = CampaignExecutor(
             store=ResultStore(tmp_path / "store"), backend=backend,
             max_workers=2,
@@ -1059,9 +1073,10 @@ class TestWarmWorkers:
         builds = [line.split() for line in log.read_text().splitlines()]
         driver = str(os.getpid())
         assert [b for b in builds if b[0] != driver] == []
-        # One assembly, exponential solver and modal basis per stack.
+        # One assembly, propagator and modal basis per stack.
         assert sorted(site for pid, site in builds if pid == driver) == [
-            "assembly", "assembly", "modal", "modal", "solver", "solver",
+            "assembly", "assembly", "modal", "modal", "propagator",
+            "propagator",
         ]
 
     @pytest.mark.parametrize("backend", ["parallel", "batched"])

@@ -10,9 +10,7 @@ Three families:
   tier-1, the full stack x policy x DPM matrix under the ``slow``
   marker;
 - ``gemm`` propagation tests pinning the fused one-GEMM path of eager
-  lanes to the serial results within BLAS-kernel rounding (and, for
-  the implicit solvers, still bit-identical — their batched step is
-  multi-RHS triangular solves);
+  lanes to the serial results within BLAS-kernel rounding;
 - unit tests of the batching contract: compatibility validation,
   ``run_batch`` grouping/order, and the noise/mix plumbing through the
   batched path.
@@ -105,24 +103,6 @@ class TestBatchDifferentialFast:
         specs = seed_sweep(4, "Adapt3D", sensor_noise_sigma=1.0)
         assert_results_identical(run_serial(specs), run_batched(specs))
 
-    @pytest.mark.parametrize("solver", ["backward_euler", "crank_nicolson"])
-    def test_implicit_solvers_batch_bitwise(self, solver):
-        """Implicit batched steps are multi-RHS solves, bit-identical in
-        exact mode; gemm mode still runs the mean *readback* as one
-        GEMM, so temperatures track at rounding level there."""
-        specs = seed_sweep(4, "Adapt3D", n_seeds=2, thermal_solver=solver,
-                           fidelity="eager")
-        serial = run_serial(specs)
-        assert_results_identical(serial, run_batched(specs, "exact"))
-        for s, b in zip(serial, run_batched(specs, "gemm")):
-            np.testing.assert_allclose(
-                s.unit_temps_k, b.unit_temps_k, rtol=0.0, atol=1e-9
-            )
-            np.testing.assert_allclose(
-                s.core_peak_temps_k, b.core_peak_temps_k, rtol=0.0, atol=1e-9
-            )
-            assert_jobs_identical(s, b)
-
     def test_gemm_mode_tracks_serial_within_ulp(self):
         """The one-GEMM propagation deviates only at BLAS-kernel
         rounding; the discrete scheduling stream stays identical."""
@@ -196,17 +176,6 @@ class TestBatchValidation:
         )
         b = RUNNER.build_engine(
             RunSpec(exp_id=1, policy="Default", duration_s=3.0, seed=2)
-        )
-        with pytest.raises(SchedulerError):
-            BatchSimulationEngine([a, b])
-
-    def test_mixed_solver_rejected(self):
-        a = RUNNER.build_engine(
-            RunSpec(exp_id=1, policy="Default", duration_s=2.0)
-        )
-        b = RUNNER.build_engine(
-            RunSpec(exp_id=1, policy="Default", duration_s=2.0, seed=2,
-                    thermal_solver="backward_euler")
         )
         with pytest.raises(SchedulerError):
             BatchSimulationEngine([a, b])

@@ -29,6 +29,7 @@ import pytest
 
 from repro.analysis.result_io import truncate_result
 from repro.analysis.runner import ExperimentRunner, RunSpec
+from repro.errors import ThermalModelError
 from repro.floorplan.experiments import build_experiment
 from repro.power.states import CODE_STATE
 from repro.sched.engine import SimulationEngine
@@ -199,18 +200,6 @@ class TestEventJump:
         event = run_fidelity(spec, "event")
         assert calls["jumps"] > 0
         assert min(calls["starts"]) < 10
-        assert_event_close(eager, event)
-
-    def test_implicit_solver_dense_fallback(self, monkeypatch):
-        """No exponential propagator -> no modal basis; every tick of
-        the jump steps the dense solver, same contract."""
-        calls = count_event_jumps(monkeypatch)
-        spec = RunSpec(exp_id=1, policy="Default", duration_s=10.0, seed=5,
-                       benchmark_mix=QUIET_MIX,
-                       thermal_solver="backward_euler")
-        eager = run_fidelity(spec, "eager")
-        event = run_fidelity(spec, "event")
-        assert calls["jumps"] > 0
         assert_event_close(eager, event)
 
 
@@ -463,34 +452,30 @@ class TestModalPrimitives:
         assert err == basis["err"]
         assert err <= 1e-13
 
-    def test_asymmetric_propagator_gets_no_basis(self, monkeypatch):
+    def test_asymmetric_propagator_gets_no_basis(self):
         """The reconstruction gate is the only acceptance test: a
         propagator that is not similar to a symmetric matrix
         reconstructs badly from the symmetrized decomposition, so the
-        assembly keeps no basis and every event tick steps dense."""
+        assembly refuses the basis, naming the stack and the error.
+        There is no dense event fallback: the event run fails, and so
+        only that run fails when the driver prepares its operators."""
         spec = RunSpec(exp_id=1, policy="Default", duration_s=6.0, seed=3,
                        benchmark_mix=QUIET_MIX, fidelity="event")
         # A private runner, so no other test's cached assembly sees
         # the perturbed propagator.
-        engine = ExperimentRunner().build_engine(spec)
+        runner = ExperimentRunner()
+        engine = runner.build_engine(spec)
         thermal = engine.thermal
         propagator = thermal.assembly.exponential_step()[0]
         propagator[0, 1] += 1e-6  # A[1, 0] stays as it was
-        assert thermal.assembly.modal_step_basis() is None
-        assert thermal.modal_jump() is None
-
-        calls = count_event_jumps(monkeypatch)
-        dense = {"steps": 0}
-        original = ThermalModel.step_vector
-
-        def counting_step(self, unit_power_vec):
-            dense["steps"] += 1
-            original(self, unit_power_vec)
-
-        monkeypatch.setattr(ThermalModel, "step_vector", counting_step)
-        result = engine.run()
-        assert calls["jumps"] > 0
-        assert dense["steps"] == result.times.size
+        refused = r"8x8 grid on 4 slabs \(257 nodes\).*[0-9]e-0[67]"
+        with pytest.raises(ThermalModelError, match=refused):
+            thermal.assembly.modal_step_basis()
+        with pytest.raises(ThermalModelError, match=refused):
+            thermal.modal_jump()
+        runner.prepare([spec])
+        with pytest.raises(ThermalModelError, match=refused):
+            engine.run()
 
     def test_modal_jump_matches_dense_steps(self, model):
         self._settled_state(model)
@@ -574,12 +559,6 @@ class TestModalPrimitives:
         a, b = model.modal_jump(), other.modal_jump()
         assert a._reprice is b._reprice and a._readout is b._readout
         assert a._z is not b._z
-
-    def test_implicit_model_has_no_modal_jump(self):
-        model = ThermalModel(
-            build_experiment(1), solver_method="backward_euler"
-        )
-        assert model.modal_jump() is None
 
 
 class _JumpFactorRecorder:

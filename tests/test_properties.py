@@ -13,8 +13,9 @@ from repro.metrics.hotspots import hot_spot_fraction
 from repro.sched.lfsr import GaloisLFSR
 from repro.thermal.grid import GridMapper
 from repro.thermal.materials import AMBIENT_K
+from repro.thermal.model import ThermalModel
 from repro.thermal.network import build_network
-from repro.thermal.solver import SteadyStateSolver, TransientSolver
+from repro.thermal.solver import SteadyStateSolver
 from repro.thermal.stack import build_stack
 from repro.thermal.tsv import joint_resistivity
 
@@ -30,6 +31,27 @@ def node_powers(draw):
             st.floats(min_value=0.0, max_value=10.0),
             min_size=_NETWORK.n_nodes,
             max_size=_NETWORK.n_nodes,
+        )
+    )
+    return np.array(values)
+
+
+def _transient_model(dt):
+    """The exact step on ``_NETWORK``'s stack and grid."""
+    return ThermalModel(build_experiment(1), nrows=3, ncols=3,
+                        sampling_interval=dt)
+
+
+_N_UNITS = len(_transient_model(0.1).unit_names)
+
+
+@st.composite
+def unit_powers(draw):
+    values = draw(
+        st.lists(
+            st.floats(min_value=0.0, max_value=10.0),
+            min_size=_N_UNITS,
+            max_size=_N_UNITS,
         )
     )
     return np.array(values)
@@ -52,17 +74,17 @@ class TestThermalProperties:
         )
         assert outflow == pytest.approx(powers.sum(), rel=1e-6, abs=1e-6)
 
-    @given(node_powers(), st.floats(min_value=0.01, max_value=1.0))
+    @given(unit_powers(), st.floats(min_value=0.01, max_value=1.0))
     @settings(max_examples=15, deadline=None)
     def test_transient_bounded_by_steady_state(self, powers, dt):
         """Heating from ambient under constant power never overshoots
-        the equilibrium (the network is passive)."""
-        steady = _STEADY.solve(powers)
-        solver = TransientSolver(_NETWORK, dt=dt)
-        temps = np.full(_NETWORK.n_nodes, AMBIENT_K)
+        the equilibrium (the network is passive, and the exact step
+        adds no ringing of its own)."""
+        model = _transient_model(dt)
+        steady = _STEADY.solve(model.node_powers_from_vector(powers))
         for _ in range(20):
-            temps = solver.step(temps, powers)
-            assert (temps <= steady + 1e-6).all()
+            model.step_vector(powers)
+            assert (model.temperatures <= steady + 1e-6).all()
 
     @given(st.floats(min_value=0.0, max_value=1.0))
     @settings(max_examples=50)

@@ -1,4 +1,5 @@
-"""Solver tests: steady state, transient convergence, method agreement."""
+"""Solver tests: steady state, and the transient behaviour of the
+exact step (``ThermalModel.step_vector``)."""
 
 import numpy as np
 import pytest
@@ -6,9 +7,11 @@ import pytest
 from repro.errors import ThermalModelError
 from repro.floorplan.experiments import build_experiment
 from repro.thermal.materials import AMBIENT_K
+from repro.thermal.model import ThermalModel
 from repro.thermal.network import build_network
-from repro.thermal.solver import SteadyStateSolver, TransientSolver
+from repro.thermal.solver import SteadyStateSolver
 from repro.thermal.stack import build_stack
+from tests.thermal_reference import CrankNicolson
 
 
 @pytest.fixture(scope="module")
@@ -61,73 +64,92 @@ class TestSteadyState:
             SteadyStateSolver(network).solve(np.zeros(3))
 
 
+def transient_model(dt):
+    """EXP-1 on the 4x4 grid of the ``network`` fixture, stepping ``dt``."""
+    return ThermalModel(build_experiment(1), nrows=4, ncols=4,
+                        sampling_interval=dt)
+
+
+def die0_unit_powers(model, watts):
+    """``watts`` over die 0 at uniform density (``die_power``'s heat),
+    as a ``unit_names``-ordered vector; die 0's units come first."""
+    names = model.die_mapper(0).unit_names
+    areas = np.array([model.unit_area(name) for name in names])
+    vec = np.zeros(len(model.unit_names))
+    vec[: len(names)] = watts * areas / areas.sum()
+    return vec
+
+
+def steady_nodes(model, unit_powers):
+    return SteadyStateSolver(model.network).solve(
+        model.node_powers_from_vector(unit_powers)
+    )
+
+
 class TestTransient:
-    def test_converges_to_steady_state(self, network):
-        power = die_power(network, 40.0)
-        steady = SteadyStateSolver(network).solve(power)
-        solver = TransientSolver(network, dt=1.0, substeps=4)
-        temps = np.full(network.n_nodes, AMBIENT_K)
+    def test_converges_to_steady_state(self):
+        model = transient_model(1.0)
+        power = die0_unit_powers(model, 40.0)
+        steady = steady_nodes(model, power)
         for _ in range(600):
-            temps = solver.step(temps, power)
+            model.step_vector(power)
         # The 140 J/K sink node has a ~14 s time constant; 600 s is deep
         # into equilibrium.
-        np.testing.assert_allclose(temps, steady, atol=0.05)
+        np.testing.assert_allclose(model.temperatures, steady, atol=0.05)
 
-    def test_monotone_heating_from_ambient(self, network):
-        power = die_power(network, 40.0)
-        solver = TransientSolver(network, dt=0.1)
-        temps = np.full(network.n_nodes, AMBIENT_K)
-        previous_max = temps.max()
+    def test_monotone_heating_from_ambient(self):
+        model = transient_model(0.1)
+        power = die0_unit_powers(model, 40.0)
+        previous_max = model.temperatures.max()
         for _ in range(50):
-            temps = solver.step(temps, power)
-            assert temps.max() >= previous_max - 1e-9
-            previous_max = temps.max()
+            model.step_vector(power)
+            assert model.temperatures.max() >= previous_max - 1e-9
+            previous_max = model.temperatures.max()
 
-    def test_cooling_decays_to_ambient(self, network):
-        power = die_power(network, 40.0)
-        steady = SteadyStateSolver(network).solve(power)
-        solver = TransientSolver(network, dt=1.0)
-        temps = steady.copy()
-        zero = np.zeros(network.n_nodes)
+    def test_cooling_decays_to_ambient(self):
+        model = transient_model(1.0)
+        model.temperatures = steady_nodes(
+            model, die0_unit_powers(model, 40.0)
+        )
+        zero = np.zeros(len(model.unit_names))
         for _ in range(600):
-            temps = solver.step(temps, zero)
-        np.testing.assert_allclose(temps, AMBIENT_K, atol=0.05)
+            model.step_vector(zero)
+        np.testing.assert_allclose(model.temperatures, AMBIENT_K, atol=0.05)
 
-    def test_backward_euler_agrees_with_crank_nicolson(self, network):
-        power = die_power(network, 40.0)
-        be = TransientSolver(network, dt=0.1, substeps=2, method="backward_euler")
-        cn = TransientSolver(network, dt=0.1, substeps=2, method="crank_nicolson")
-        t_be = np.full(network.n_nodes, AMBIENT_K)
-        t_cn = t_be.copy()
-        for _ in range(100):
-            t_be = be.step(t_be, power)
-            t_cn = cn.step(t_cn, power)
-        np.testing.assert_allclose(t_be, t_cn, atol=0.5)
+    def test_substeps_refine_accuracy(self):
+        """The Crank-Nicolson reference converges on the exact step as
+        its substeps refine, reaching the 0.01 K accuracy budget at the
+        64 substeps the accuracy tests use."""
+        model = transient_model(0.5)
+        power = die0_unit_powers(model, 40.0)
+        node_power = model.node_powers_from_vector(power)
+        errors = []
+        for substeps in (1, 4, 16, 64):
+            model.reset()
+            reference = CrankNicolson(model.network, 0.5, substeps)
+            temps = model.temperatures.copy()
+            worst = 0.0
+            for _ in range(20):
+                model.step_vector(power)
+                temps = reference.step(temps, node_power)
+                worst = max(worst, np.abs(model.temperatures - temps).max())
+            errors.append(worst)
+        assert errors == sorted(errors, reverse=True)
+        assert errors[0] < 5.0
+        assert errors[-1] < 0.01
 
-    def test_substeps_refine_accuracy(self, network):
-        power = die_power(network, 40.0)
-        coarse = TransientSolver(network, dt=0.5, substeps=1)
-        fine = TransientSolver(network, dt=0.5, substeps=16)
-        t_c = np.full(network.n_nodes, AMBIENT_K)
-        t_f = t_c.copy()
-        for _ in range(20):
-            t_c = coarse.step(t_c, power)
-            t_f = fine.step(t_f, power)
-        # Both must be close; fine is the reference.
-        assert np.abs(t_c - t_f).max() < 1.0
+    def test_invalid_configuration_rejected(self):
+        for dt in (0.0, -0.1, float("nan")):
+            with pytest.raises(ThermalModelError):
+                transient_model(dt)
 
-    def test_invalid_configuration_rejected(self, network):
+    def test_shape_checks(self):
+        model = transient_model(0.1)
+        n_units = len(model.unit_names)
         with pytest.raises(ThermalModelError):
-            TransientSolver(network, dt=0.0)
+            model.step_vector(np.zeros(3))
+        temps = np.full((model.network.n_nodes, 2), AMBIENT_K)
         with pytest.raises(ThermalModelError):
-            TransientSolver(network, dt=0.1, substeps=0)
+            model.step_block(np.zeros((2, 3)), temps)
         with pytest.raises(ThermalModelError):
-            TransientSolver(network, dt=0.1, method="rk4")
-
-    def test_shape_checks(self, network):
-        solver = TransientSolver(network, dt=0.1)
-        good = np.full(network.n_nodes, AMBIENT_K)
-        with pytest.raises(ThermalModelError):
-            solver.step(good[:-1], np.zeros(network.n_nodes))
-        with pytest.raises(ThermalModelError):
-            solver.step(good, np.zeros(3))
+            model.step_block(np.zeros((2, n_units)), temps[:-1])
