@@ -285,16 +285,21 @@ def truncate_result(
 
     The engine's dynamics are independent of the configured duration, so
     the first N ticks of a long run are *exactly* the recording a short
-    run of the same spec would produce — which is what makes the result
-    store's prefix cache sound. Per-tick series are sliced; jobs are
-    filtered to those completed within the horizon. Two scalar fields
-    are recomputed rather than replayed. ``energy_j`` is re-accumulated
-    from the power series in the engine's left-fold order, which both
-    fidelities follow (an event clock jump adds its ticks to the run's
-    running energy one by one), so it is exact. ``migrations`` is
-    re-counted from the surviving jobs, an approximation of what a fresh
-    short run would record (a running job's migrations are not
-    attributable after the fact).
+    run of the same spec would produce. Per-tick series are sliced; jobs
+    are filtered to those completed within the horizon. Two scalar
+    fields are recomputed rather than replayed. ``energy_j`` is
+    re-accumulated from the power series in the engine's left-fold
+    order, which both fidelities follow (an event clock jump adds its
+    ticks to the run's running energy one by one), so it equals the
+    short run's bit for bit.
+
+    ``migrations`` does not: it is re-counted from the completed jobs,
+    while a simulated run also counts the migrations of jobs still
+    running at its end, which a recording does not keep. A 12 s EXP-4
+    ``Migr`` run at seed 3, truncated to 7.3 s, counts 67 migrations;
+    the simulated 7.3 s run records 73, under eager and event alike. A
+    truncation summarizes the first ``duration_s`` of a run, but it is
+    not the shorter run, so campaigns simulate every key they store.
     """
     dt = result.sampling_interval_s
     n = int(round(duration_s / dt))

@@ -41,14 +41,16 @@ class RunSpec:
     policy:
         Registry name, e.g. ``"Adapt3D"`` or ``"Adapt3D&DVFS_TT"``.
     duration_s:
-        Simulated seconds (the paper ran 30-minute traces; the benches
-        default shorter for runtime, see EXPERIMENTS.md).
+        Simulated seconds, stored as a float (the paper ran 30-minute
+        traces; the benches default shorter for runtime, see
+        EXPERIMENTS.md).
     with_dpm:
         Enable the fixed-timeout power manager (Figures 4-6).
     seed:
         Workload + policy seed.
     grid:
-        Thermal grid resolution (rows, cols).
+        Thermal grid resolution (rows, cols): two positive ints, stored
+        as a tuple.
     benchmark_mix:
         Optional explicit (benchmark name, thread count) pairs; defaults
         to the consolidated server mix sized to the core count.
@@ -57,8 +59,9 @@ class RunSpec:
         constructor — lets ablation sweeps (e.g. Adapt3D's beta
         constants) stay declarative and campaign-hashable.
     sensor_noise_sigma:
-        Additive Gaussian sensor noise in kelvin (0 = ideal sensors);
-        the sensor-noise campaign axis plumbs through here.
+        Additive Gaussian sensor noise in kelvin, stored as a float
+        (0 = ideal sensors); the sensor-noise campaign axis plumbs
+        through here.
     workload_mix:
         Optional named workload-mix scenario
         (:func:`repro.workload.benchmarks.named_mix`), scaled to the
@@ -70,8 +73,8 @@ class RunSpec:
         heap events over a reduced-order modal thermal stepper) or
         ``"eager"`` (the per-event reference semantics). Event tracks
         eager within the tolerance documented in docs/ENGINE.md, and
-        every event path — clock jumps, batched lanes, resume, prefix
-        truncation — gives one result per spec, bit for bit.
+        every event path — clock jumps, batched lanes, resume — gives
+        one result per spec, bit for bit.
     telemetry:
         Collect engine telemetry (metrics registry, per-job latency
         stats, tick-phase profile) during the run. Strictly
@@ -94,6 +97,35 @@ class RunSpec:
     workload_mix: Optional[str] = None
     fidelity: str = "event"
     telemetry: bool = False
+
+    def __post_init__(self) -> None:
+        # One value, one key: the run key hashes each field's JSON, in
+        # which 2 and 2.0, or [4, 4] and (4, 4), are spelled apart.
+        object.__setattr__(self, "grid", check_grid(self.grid))
+        object.__setattr__(self, "duration_s", float(self.duration_s))
+        object.__setattr__(self, "sensor_noise_sigma",
+                           float(self.sensor_noise_sigma))
+
+
+def check_grid(grid: object) -> Tuple[int, int]:
+    """``grid`` as a ``(rows, cols)`` tuple of two positive ints.
+
+    Anything else (bools included) raises :class:`ConfigurationError`:
+    a runner reads only ``grid[0]`` and ``grid[1]``, so ``(4, 4, 4)``
+    would run a 4x4 simulation under a key no 4x4 request hits.
+    """
+    if (
+        isinstance(grid, (list, tuple))
+        and len(grid) == 2
+        and all(
+            isinstance(n, int) and not isinstance(n, bool) and n > 0
+            for n in grid
+        )
+    ):
+        return (grid[0], grid[1])
+    raise ConfigurationError(
+        f"grid {grid!r} is not two positive ints (rows, cols)"
+    )
 
 
 #: Key of the per-stack caches: ``(exp_id, (grid_rows, grid_cols))``.

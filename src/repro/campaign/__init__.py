@@ -37,7 +37,6 @@ from repro.campaign.reports import (
 )
 from repro.campaign.spec import (
     CampaignSpec,
-    prefix_key,
     run_key,
     spec_from_dict,
     spec_to_dict,
@@ -59,7 +58,6 @@ __all__ = [
     "campaign_telemetry",
     "format_status",
     "format_telemetry",
-    "prefix_key",
     "run_key",
     "spec_from_dict",
     "spec_to_dict",

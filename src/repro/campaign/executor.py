@@ -9,12 +9,13 @@ into completed entries in a :class:`ResultStore`:
   driver and persisted in the store,
 - before any run starts, the driver builds every per-stack operator
   the pending runs will read (:meth:`ExperimentRunner.prepare`: thermal
-  assemblies, transient solvers, modal bases, power models) and hands
-  these caches with the indices to every pool worker's
+  assemblies with their propagators, modal bases, power models) and
+  hands these caches with the indices to every pool worker's
   :class:`ExperimentRunner` — ``map`` pools included — so no worker
   rebuilds them. Under ``fork`` the workers inherit them
   copy-on-write; under ``spawn`` and ``forkserver`` they are pickled,
-  and the solvers refactorize their LU factorizations on load,
+  and each assembly's steady-state solver refactorizes its LU
+  factorization on load,
 - every pool unit runs under a wall-clock **watchdog**; a hung worker
   is killed, innocents are requeued uncharged, and the culprit is
   retried with exponential backoff (see
@@ -68,7 +69,7 @@ from repro.errors import ConfigurationError, ReproError
 from repro.obs.resilience import ResilienceStats
 from repro.sched.engine import SimulationResult
 
-#: ``progress(event, key, detail)`` with event in {"cached", "prefix",
+#: ``progress(event, key, detail)`` with event in {"cached",
 #: "quarantined", "start", "retry", "ok", "error"}.
 ProgressCallback = Callable[[str, str, str], None]
 
@@ -162,7 +163,7 @@ class RunOutcome:
 
     key: str
     spec: RunSpec
-    status: str  # "ok" | "error" | "cached" | "prefix" | "quarantined"
+    status: str  # "ok" | "error" | "cached" | "quarantined"
     error: Optional[str] = None
 
 
@@ -191,13 +192,6 @@ class CampaignRun:
         for outcome in self.outcomes:
             tally[outcome.status] = tally.get(outcome.status, 0) + 1
         return tally
-
-    def completed_keys(self) -> List[str]:
-        """Keys that hold a result (fresh, cached, or prefix-served)."""
-        return [
-            o.key for o in self.outcomes
-            if o.status in ("ok", "cached", "prefix")
-        ]
 
     def failed(self) -> Dict[str, str]:
         """Key -> error text for failed runs."""
@@ -236,10 +230,6 @@ BatchSimulationEngine` batches of up to ``batch_size`` lanes; runs
         runs) or ``"gemm"`` (one-GEMM propagation, fastest, ulp-level
         deviation). Event lanes ignore it: they step the serial
         engine's modal stepper and are always bit-identical.
-    prefix_cache:
-        Serve a pending run by truncating a stored longer-duration run
-        of the same spec family (see ``ResultStore.serve_prefix``).
-        On by default when a store is attached.
     telemetry:
         Collect engine telemetry (metrics registry, job stats, tick
         profiler) for every run this executor computes. Observational:
@@ -268,7 +258,6 @@ BatchSimulationEngine` batches of up to ``batch_size`` lanes; runs
         runner: Optional[ExperimentRunner] = None,
         batch_size: int = DEFAULT_BATCH_SIZE,
         propagation: str = "exact",
-        prefix_cache: bool = True,
         telemetry: bool = False,
         resilience: Optional[ResiliencePolicy] = None,
     ) -> None:
@@ -300,7 +289,6 @@ BatchSimulationEngine` batches of up to ``batch_size`` lanes; runs
         self.runner = runner if runner is not None else ExperimentRunner()
         self.batch_size = batch_size
         self.propagation = propagation
-        self.prefix_cache = prefix_cache
         self.telemetry = telemetry
         self.resilience = resilience
         self.stats = ResilienceStats()
@@ -401,16 +389,6 @@ BatchSimulationEngine` batches of up to ``batch_size`` lanes; runs
             if self.store is not None and self.store.has(key):
                 outcome_by_key[key] = RunOutcome(key, spec, "cached")
                 self._emit("cached", key)
-            elif (
-                self.prefix_cache
-                and self.store is not None
-                and self.store.serve_prefix(spec) is not None
-            ):
-                # A stored longer run of the same spec family covered
-                # this request; serve_prefix saved the truncation under
-                # the exact key, so loads below behave like a cache hit.
-                outcome_by_key[key] = RunOutcome(key, spec, "prefix")
-                self._emit("prefix", key)
             elif key in quarantined:
                 # Deterministic failure in an earlier campaign; skipped
                 # until the key is explicitly unquarantined.
@@ -430,12 +408,12 @@ BatchSimulationEngine` batches of up to ``batch_size`` lanes; runs
             if pending:
                 pairs = list(pending.items())
                 self._share_thermal_indices(pairs)
-                units = self._make_units(pairs)
                 self.runner.prepare(spec for _, spec in pairs)
                 if self.backend == "serial":
                     self._run_serial(pairs, strict, outcome_by_key, results)
                 else:
-                    self._run_pool(units, strict, outcome_by_key, results)
+                    self._run_pool(self._make_units(pairs), strict,
+                                   outcome_by_key, results)
         finally:
             if self.store is not None:
                 tally = self.stats.snapshot()
@@ -580,12 +558,11 @@ BatchSimulationEngine` batches of up to ``batch_size`` lanes; runs
     def _make_units(
         self, pending: List[Tuple[str, RunSpec]]
     ) -> List[List[Tuple[str, RunSpec]]]:
-        """Partition pending runs into submission units.
+        """Partition pending runs into pool submission units.
 
-        The ``serial`` and ``parallel`` backends take one run per unit
-        (the serial backend only uses the units to prepare). The
+        The ``parallel`` backend takes one run per unit. The
         ``batched`` backend groups batch-compatible runs (same exp,
-        grid, solver, duration — :meth:`ExperimentRunner.\
+        grid, duration, fidelity — :meth:`ExperimentRunner.\
 batch_group_key`) into units of up to ``batch_size`` lanes that a
         worker advances through one fused tick loop; incompatible
         leftovers stay singleton units on the plain per-run path.

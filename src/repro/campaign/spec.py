@@ -23,7 +23,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.analysis.runner import RunSpec
+from repro.analysis.runner import RunSpec, check_grid
 from repro.errors import ConfigurationError
 from repro.sched.engine import FIDELITY_MODES
 
@@ -97,8 +97,6 @@ def spec_from_dict(data: Dict[str, Any]) -> RunSpec:
     if unknown:
         raise ConfigurationError(f"unknown RunSpec fields: {unknown}")
     kwargs: Dict[str, Any] = dict(data)
-    if kwargs.get("grid") is not None:
-        kwargs["grid"] = tuple(kwargs["grid"])
     if kwargs.get("benchmark_mix") is not None:
         kwargs["benchmark_mix"] = tuple(
             (name, int(count)) for name, count in kwargs["benchmark_mix"]
@@ -128,44 +126,10 @@ def run_key(spec: RunSpec) -> str:
     return f"exp{spec.exp_id}-{slug}-{digest}"
 
 
-def prefix_key(spec: RunSpec) -> str:
-    """Content key of a run's *prefix family*: every field but duration.
-
-    Two specs share a prefix key exactly when one run's recording is a
-    tick-for-tick prefix of the other's — the engine's dynamics do not
-    depend on ``duration_s``, so a longer stored run can serve any
-    shorter request in the family by truncation (the store's cross-grid
-    prefix cache). Hashed under the same :data:`KEY_VERSION` as
-    :func:`run_key`, so version bumps invalidate prefix matches too.
-    """
-    data = spec_to_dict(spec)
-    data.pop("duration_s", None)
-    payload = json.dumps(
-        {"v": KEY_VERSION, "prefix": data},
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()[:12]
-    slug = re.sub(r"[^A-Za-z0-9]+", "_", spec.policy).strip("_").lower()
-    return f"exp{spec.exp_id}-{slug}-pfx-{digest}"
-
-
 def _as_tuple(value: Union[Sequence[Any], Any]) -> Tuple[Any, ...]:
     if isinstance(value, (list, tuple)):
         return tuple(value)
     return (value,)
-
-
-def _is_grid(value: Any) -> bool:
-    """Whether ``value`` is a ``(rows, cols)`` pair of positive ints."""
-    return (
-        isinstance(value, (list, tuple))
-        and len(value) == 2
-        and all(
-            isinstance(n, int) and not isinstance(n, bool) and n > 0
-            for n in value
-        )
-    )
 
 
 @dataclass(frozen=True)
@@ -206,11 +170,9 @@ class CampaignSpec:
                     f"unknown fidelity {fidelity!r}; "
                     f"expected one of {FIDELITY_MODES}"
                 )
-        for grid in (*self.grids, *(s.grid for s in self.extra_runs)):
-            if not _is_grid(grid):
-                raise ConfigurationError(
-                    f"grid {grid!r} is not two positive ints (rows, cols)"
-                )
+        # Each extra run checked its own grid when it was built.
+        object.__setattr__(self, "grids",
+                           tuple(check_grid(grid) for grid in self.grids))
 
     # ------------------------------------------------------------------
 
@@ -234,7 +196,7 @@ class CampaignSpec:
                                                     duration_s=duration,
                                                     with_dpm=with_dpm,
                                                     seed=seed,
-                                                    grid=tuple(grid),
+                                                    grid=grid,
                                                     benchmark_mix=mix,
                                                     workload_mix=wmix,
                                                     sensor_noise_sigma=noise,
@@ -290,14 +252,10 @@ class CampaignSpec:
             raise ConfigurationError(f"unknown campaign fields: {unknown}")
         kwargs: Dict[str, Any] = {"name": data["name"]}
         for axis in ("exp_ids", "policies", "durations_s", "dpm", "seeds",
-                     "workload_mixes", "sensor_noise_sigmas", "fidelities"):
+                     "grids", "workload_mixes", "sensor_noise_sigmas",
+                     "fidelities"):
             if axis in data:
                 kwargs[axis] = _as_tuple(data[axis])
-        if "grids" in data:
-            kwargs["grids"] = tuple(
-                tuple(g) if isinstance(g, list) else g
-                for g in _as_tuple(data["grids"])
-            )
         if "benchmark_mixes" in data:
             kwargs["benchmark_mixes"] = tuple(
                 None if mix is None

@@ -6,8 +6,7 @@ Layout under the store root::
                result_jobs.npy,       the lossless binary codec of
                result_meta.json       analysis/result_io.py
     runs/<key>/telemetry.json       — optional telemetry sidecar
-    runs/<key>/entry.json           — the run's record: status, spec,
-                                      key version, duration, prefix key
+    runs/<key>/entry.json           — the run's record: status and spec
     failures/<key>.json             — last failure of a key that has
                                       no result
     quarantine/<key>.json           — keys retired after deterministic
@@ -28,6 +27,12 @@ cache, built on open from ``runs/`` and ``failures/``;
 :meth:`ResultStore.has` checks the payload on disk, so a save by
 another instance is visible at once. A complete run dir always wins
 over a failure file.
+
+A key holds the simulation of its own spec and nothing else: no stored
+run serves another key, not even one that differs only in a shorter
+``duration_s``. ``entry.json`` files written by earlier versions also
+carry ``v``, ``duration_s`` and ``prefix`` fields; they are read like
+any other entry, and the fields are ignored.
 
 A store has one driver. Nothing stops a second one, and nothing needs
 to: the rename above keeps a key saved by two processes published and
@@ -70,17 +75,10 @@ import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
-from repro.analysis.result_io import (PAYLOAD_SUFFIXES, load_result,
-                                      save_result, truncate_result)
+from repro.analysis.result_io import PAYLOAD_SUFFIXES, load_result, save_result
 from repro.analysis.runner import RunSpec
 from repro.campaign.faults import claim_fault
-from repro.campaign.spec import (
-    KEY_VERSION,
-    prefix_key,
-    run_key,
-    spec_from_dict,
-    spec_to_dict,
-)
+from repro.campaign.spec import run_key, spec_from_dict, spec_to_dict
 from repro.errors import ConfigurationError
 from repro.sched.engine import SimulationResult
 
@@ -169,10 +167,6 @@ class ResultStore:
         _refuse_old_layout(self.root)
         self.root.mkdir(parents=True, exist_ok=True)
         self._runs = self.root / "runs"
-        # Plain-int effectiveness counter for the prefix cache, read by
-        # campaign telemetry summaries; counts serve_prefix() hits over
-        # this store instance's lifetime.
-        self.prefix_hits = 0
         # Whether the most recent save() published its run dir (won the
         # rename) and so is charged with the unit; True between saves.
         self.last_save_charged = True
@@ -257,21 +251,13 @@ class ResultStore:
     def save(self, spec: RunSpec, result: SimulationResult) -> str:
         """Persist one completed run; returns its key.
 
-        Besides the payload, ``entry.json`` records the key version,
-        the duration, and the duration-less :func:`prefix_key`, which is
-        what lets later campaigns serve shorter-duration requests of the
-        same spec family by truncation (:meth:`serve_prefix`). Sets
-        :attr:`last_save_charged` to whether this call published the
-        run dir. Raises ``OSError`` when the backing filesystem fails.
+        Besides the payload, ``entry.json`` records the status and the
+        spec. Sets :attr:`last_save_charged` to whether this call
+        published the run dir. Raises ``OSError`` when the backing
+        filesystem fails.
         """
         key = run_key(spec)
-        entry = {
-            "status": STATUS_OK,
-            "spec": spec_to_dict(spec),
-            "v": KEY_VERSION,
-            "duration_s": float(spec.duration_s),
-            "prefix": prefix_key(spec),
-        }
+        entry = {"status": STATUS_OK, "spec": spec_to_dict(spec)}
         self._runs.mkdir(parents=True, exist_ok=True)
         tmp = Path(tempfile.mkdtemp(dir=str(self._runs), prefix=f".{key}-"))
         try:
@@ -449,57 +435,6 @@ class ResultStore:
             for key, entry in self._index.items()
             if entry["status"] == STATUS_ERROR
         }
-
-    # ------------------------------------------------------------------
-    # cross-grid prefix cache
-
-    def find_prefix(self, spec: RunSpec) -> Optional[str]:
-        """Key of a stored run that can serve ``spec`` as a prefix.
-
-        A candidate must be a loadable ``ok`` entry saved under the
-        current :data:`KEY_VERSION` whose spec matches ``spec`` in every
-        field except ``duration_s``, with a duration at least as long.
-        Among candidates the shortest sufficient run wins (least
-        truncation). Entries from older key versions never match — the
-        version bump that invalidated their exact keys invalidates
-        their prefixes too.
-        """
-        target = prefix_key(spec)
-        best: Optional[Tuple[float, str]] = None
-        for key, entry in self._index.items():
-            if entry.get("status") != STATUS_OK:
-                continue
-            if entry.get("v") != KEY_VERSION:
-                continue
-            if entry.get("prefix") != target:
-                continue
-            duration = entry.get("duration_s")
-            if duration is None or duration < spec.duration_s:
-                continue
-            if not self.has(key):
-                continue
-            if best is None or duration < best[0]:
-                best = (float(duration), key)
-        return best[1] if best is not None else None
-
-    def serve_prefix(self, spec: RunSpec) -> Optional[SimulationResult]:
-        """Serve ``spec`` by truncating a stored longer run, if any.
-
-        On a hit the truncated result is saved under ``spec``'s exact
-        key (so subsequent lookups are plain cache hits) and returned;
-        on a miss returns ``None``. Per-tick series and completed jobs
-        of a served result are identical to what simulating ``spec``
-        would store; see :func:`repro.analysis.result_io.truncate_result`
-        for the two recomputed scalars (energy, exact under eager, and
-        migrations of still-running jobs).
-        """
-        source = self.find_prefix(spec)
-        if source is None:
-            return None
-        self.prefix_hits += 1
-        result = truncate_result(self.load(source), spec.duration_s)
-        self.save(spec, result)
-        return result
 
     # ------------------------------------------------------------------
     # quarantine (deterministically failing keys resume must skip)

@@ -10,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.analysis.result_io import export_result, load_result, save_result
+from repro.analysis.result_io import (export_result, load_result,
+                                      save_result, truncate_result)
 from repro.analysis.runner import ExperimentRunner, RunSpec
 from repro.analysis.sweep import sweep
 from repro.campaign import (
@@ -19,7 +20,6 @@ from repro.campaign import (
     ResultStore,
     campaign_report,
     campaign_status,
-    prefix_key,
     run_key,
     spec_from_dict,
     spec_to_dict,
@@ -123,6 +123,37 @@ class TestRunKey:
             spec_from_dict({"exp_id": 1, "policy": "Default", "bogus": 1})
 
 
+class TestRunSpecValues:
+    """One value, one key: a spec checks and normalizes its own fields,
+    so every spelling of one run keys to the run it simulates."""
+
+    @pytest.mark.parametrize("grid", [(4, 4, 4), (4.0, 4.0), (True, 4)])
+    def test_malformed_grid_rejected(self, grid):
+        # (4, 4, 4) would run a 4x4 simulation under a key no 4x4
+        # request hits; bools are ints to Python but are not sizes.
+        with pytest.raises(ConfigurationError, match="grid"):
+            tiny_spec(grid=grid)
+
+    def test_list_grid_is_the_tuple_grid(self):
+        spec = tiny_spec(grid=[4, 4], duration_s=1.0)
+        assert spec.grid == (4, 4)
+        assert spec == tiny_spec(duration_s=1.0)
+        assert run_key(spec) == run_key(tiny_spec(duration_s=1.0))
+        assert ExperimentRunner().run(spec).n_ticks == 10
+
+    def test_int_and_float_spellings_share_a_key(self):
+        assert run_key(tiny_spec(duration_s=2)) == run_key(tiny_spec())
+        assert tiny_spec(duration_s=2).duration_s == 2.0
+        assert (run_key(tiny_spec(sensor_noise_sigma=0))
+                == run_key(tiny_spec(sensor_noise_sigma=0.0)))
+        by_hand = CampaignSpec.from_dict({
+            "name": "x", "exp_ids": [1], "policies": ["Default"],
+            "durations_s": [2], "seeds": [1], "grids": [[4, 4]],
+            "sensor_noise_sigmas": [0],
+        })
+        assert by_hand.keys() == tiny_campaign(policies=("Default",)).keys()
+
+
 class TestGoldenKey:
     """Pin the key derivation to frozen digests.
 
@@ -149,21 +180,15 @@ class TestGoldenKey:
         fidelity="event",
     )
     GOLDEN_RUN_KEY = "exp4-adapt3d_dvfs_tt-6af1e3d4aca4"
-    GOLDEN_PREFIX_KEY = "exp4-adapt3d_dvfs_tt-pfx-c0e4980da4bc"
 
     def test_run_key_matches_frozen_digest(self):
         assert run_key(RunSpec(**self.GOLDEN_SPEC_KWARGS)) == self.GOLDEN_RUN_KEY
-
-    def test_prefix_key_matches_frozen_digest(self):
-        spec = RunSpec(**self.GOLDEN_SPEC_KWARGS)
-        assert prefix_key(spec) == self.GOLDEN_PREFIX_KEY
 
     def test_telemetry_does_not_feed_the_key(self):
         """Observability toggles must never invalidate cached results."""
         quiet = RunSpec(**self.GOLDEN_SPEC_KWARGS)
         loud = replace(quiet, telemetry=True)
         assert run_key(loud) == self.GOLDEN_RUN_KEY
-        assert prefix_key(loud) == self.GOLDEN_PREFIX_KEY
 
 
 class TestCampaignSpec:
@@ -438,6 +463,26 @@ class TestSerialExecutor:
         second = executor.run_campaign(campaign)
         assert second.counts() == {"cached": 4}
         assert runner.run_calls == 4  # nothing re-simulated
+
+    def test_shorter_duration_request_is_simulated(self, tmp_path):
+        """A key holds only its own spec's simulation. Truncating the
+        stored 12 s run would store 67 migrations for the 7.3 s spec,
+        whose simulation records 73."""
+        store = ResultStore(tmp_path)
+        runner = CountingRunner()
+        executor = CampaignExecutor(store=store, backend="serial",
+                                    runner=runner)
+        long_spec = RunSpec(exp_id=4, policy="Migr", duration_s=12.0, seed=3)
+        short_spec = replace(long_spec, duration_s=7.3)
+        executor.run_specs([long_spec])
+        run = executor.run_campaign(CampaignSpec(
+            name="short", exp_ids=(4,), policies=("Migr",),
+            durations_s=(7.3,), seeds=(3,),
+        ))
+        assert run.counts() == {"ok": 1}
+        assert runner.run_calls == 2
+        assert_bit_identical(store.load(run_key(short_spec)),
+                             ExperimentRunner().run(short_spec))
 
     def test_failed_run_recorded_without_killing_campaign(self, tmp_path):
         bad = tiny_spec(seed=5, benchmark_mix=(("not-a-benchmark", 4),))
@@ -851,18 +896,6 @@ class TestTelemetryCampaign:
         assert summary["ok"] == 2
         assert summary["with_telemetry"] == 1
 
-    def test_prefix_hit_counter(self, tmp_path):
-        store = ResultStore(tmp_path)
-        long = tiny_spec(duration_s=4.0)
-        CampaignExecutor(store=store, backend="serial").run_specs([long])
-        assert store.prefix_hits == 0
-        short = tiny_spec(duration_s=2.0)
-        assert store.serve_prefix(short) is not None
-        assert store.prefix_hits == 1
-        # Truncations carry no sidecar (stats of the longer run are not
-        # the shorter run's stats).
-        assert not store.has_telemetry(run_key(short))
-
 
 class TestProgressEvents:
     """Event-sequence contracts of the progress callback per backend."""
@@ -884,7 +917,9 @@ class TestProgressEvents:
         assert by_key[run_key(tiny_spec())] == ["start", "ok"]
         assert by_key[run_key(bad)] == ["start", "error"]
 
-    def test_serial_cached_and_prefix_events(self, tmp_path):
+    def test_serial_cached_then_simulated_events(self, tmp_path):
+        # A stored longer run serves only its own key: the shorter
+        # request is simulated.
         store = ResultStore(tmp_path)
         CampaignExecutor(store=store, backend="serial").run_specs(
             [tiny_spec(duration_s=4.0)]
@@ -894,7 +929,9 @@ class TestProgressEvents:
                                     progress=self._record(events))
         executor.run_specs([tiny_spec(duration_s=4.0),
                             tiny_spec(duration_s=2.0)])
-        assert [e for e, _ in events] == ["cached", "prefix"]
+        assert events == [("cached", run_key(tiny_spec(duration_s=4.0))),
+                          ("start", run_key(tiny_spec())),
+                          ("ok", run_key(tiny_spec()))]
 
     @pytest.mark.parametrize("with_store", [False, True],
                              ids=["no-store", "store"])
@@ -1113,167 +1150,35 @@ class TestWarmWorkers:
             assert_same_results(spawned[key], serial[key])
 
 
-class TestPrefixCache:
-    """Cross-grid prefix serving: duration-d requests filled by
-    truncating stored longer runs of the same spec family."""
+class TestTruncateResult:
+    """``truncate_result`` of a long run against a simulated short run.
 
-    def test_find_prefix_picks_shortest_sufficient(self, tmp_path):
-        store = ResultStore(tmp_path)
-        runner = ExperimentRunner()
-        long_spec = tiny_spec(duration_s=4.0)
-        longest_spec = tiny_spec(duration_s=6.0)
-        store.save(long_spec, runner.run(long_spec))
-        store.save(longest_spec, runner.run(longest_spec))
-        want = tiny_spec(duration_s=2.0)
-        assert store.find_prefix(want) == run_key(long_spec)
-        assert store.find_prefix(tiny_spec(duration_s=5.0)) == run_key(
-            longest_spec
-        )
-        assert store.find_prefix(tiny_spec(duration_s=8.0)) is None
-        # Different family members never match.
-        assert store.find_prefix(tiny_spec(duration_s=2.0, seed=9)) is None
-        assert store.find_prefix(
-            tiny_spec(duration_s=2.0, policy="Adapt3D")
-        ) is None
+    Every array, the completed jobs and ``energy_j`` are equal.
+    ``migrations`` is not compared: a truncation re-counts it from the
+    completed jobs only (see the ``truncate_result`` docstring)."""
 
     @staticmethod
-    def _served_match_fresh(tmp_path, fidelity):
-        """Serve a 2 s prefix of a stored 4 s run; check that it, and its
-        stored copy, equal a fresh 2 s run in memory in every per-tick
-        array and completed job. Returns both and the fresh run."""
-        store = ResultStore(tmp_path)
+    def _check(fidelity):
         runner = ExperimentRunner()
         long_spec = tiny_spec(duration_s=4.0, fidelity=fidelity)
-        store.save(long_spec, runner.run(long_spec))
-        short_spec = replace(long_spec, duration_s=2.0)
-        served = (store.serve_prefix(short_spec),
-                  store.load(run_key(short_spec)))
-        fresh = runner.run(short_spec)
-        for result in served:
-            for name in RESULT_ARRAYS:
-                np.testing.assert_array_equal(
-                    getattr(result, name), getattr(fresh, name),
-                    err_msg=name)
-            assert [(j.job_id, j.core, j.completion_time)
-                    for j in result.completed_jobs()] == [
-                (j.job_id, j.core, j.completion_time)
-                for j in fresh.completed_jobs()]
-        return served, fresh
+        truncated = truncate_result(runner.run(long_spec), 2.0)
+        fresh = runner.run(replace(long_spec, duration_s=2.0))
+        for name in RESULT_ARRAYS:
+            np.testing.assert_array_equal(
+                getattr(truncated, name), getattr(fresh, name),
+                err_msg=name)
+        assert truncated.completed_jobs() == fresh.completed_jobs()
+        assert truncated.energy_j == fresh.energy_j
 
-    def test_serve_prefix_series_match_fresh_run(self, tmp_path):
-        """The store keeps the simulated values, so a served eager
-        prefix is the fresh short run, energy included."""
-        served, fresh = self._served_match_fresh(tmp_path, "eager")
-        assert [result.energy_j for result in served] == [fresh.energy_j] * 2
+    def test_eager_truncation_matches_short_run(self):
+        self._check("eager")
 
-    def test_event_prefix_matches_fresh_run(self, tmp_path):
+    def test_event_truncation_matches_short_run(self):
         """An event run adds each tick's energy in tick order, jumps
-        included, so its served prefix is the fresh short run too."""
-        served, fresh = self._served_match_fresh(tmp_path, "event")
-        assert [result.energy_j for result in served] == [fresh.energy_j] * 2
-
-    def test_executor_serves_prefix_and_reports_it(self, tmp_path):
-        store = ResultStore(tmp_path)
-        runner = CountingRunner()
-        long_campaign = tiny_campaign(policies=("Default",),
-                                      durations_s=(4.0,))
-        executor = CampaignExecutor(store=store, backend="serial",
-                                    runner=runner)
-        executor.run_campaign(long_campaign)
-        assert runner.run_calls == 1
-
-        events = []
-        short_campaign = tiny_campaign(policies=("Default",),
-                                       durations_s=(2.0,))
-        executor2 = CampaignExecutor(
-            store=store, backend="serial", runner=runner,
-            progress=lambda e, k, d: events.append(e),
-        )
-        run = executor2.run_campaign(short_campaign)
-        assert run.counts() == {"prefix": 1}
-        assert events == ["prefix"]
-        assert runner.run_calls == 1  # nothing was simulated
-        # The truncation was persisted under the exact key: the next
-        # invocation is a plain cache hit.
-        assert executor2.run_campaign(short_campaign).counts() == {
-            "cached": 1
-        }
-
-    def test_prefix_cache_can_be_disabled(self, tmp_path):
-        store = ResultStore(tmp_path)
-        runner = CountingRunner()
-        executor = CampaignExecutor(store=store, backend="serial",
-                                    runner=runner, prefix_cache=False)
-        executor.run_campaign(tiny_campaign(policies=("Default",),
-                                            durations_s=(4.0,)))
-        run = executor.run_campaign(tiny_campaign(policies=("Default",),
-                                                  durations_s=(2.0,)))
-        assert run.counts() == {"ok": 1}
-        assert runner.run_calls == 2
-
-    def test_run_specs_round_trips_served_prefix(self, tmp_path):
-        store = ResultStore(tmp_path)
-        runner = ExperimentRunner()
-        long_spec = tiny_spec(duration_s=4.0)
-        store.save(long_spec, runner.run(long_spec))
-        short_spec = tiny_spec(duration_s=2.0)
-        executor = CampaignExecutor(store=store, backend="serial",
-                                    runner=CountingRunner())
-        results = executor.run_specs([short_spec])
-        assert results[run_key(short_spec)].n_ticks == 20
-
-    def test_equal_duration_serves_as_degenerate_prefix(self, tmp_path):
-        """A stored run of exactly the requested duration is a valid
-        prefix source — the truncation is a no-op and the served series
-        equal the stored ones tick for tick."""
-        store = ResultStore(tmp_path)
-        runner = ExperimentRunner()
-        spec = tiny_spec(duration_s=2.0)
-        key = store.save(spec, runner.run(spec))
-        assert store.find_prefix(spec) == key
-        served = store.serve_prefix(spec)
-        assert served is not None
-        assert served.n_ticks == 20
-        stored = store.load(key)
-        np.testing.assert_array_equal(served.unit_temps_k,
-                                      stored.unit_temps_k)
-        np.testing.assert_array_equal(served.times, stored.times)
-        assert served.energy_j == stored.energy_j
-
-    def test_shorter_stored_run_never_serves_longer_request(self, tmp_path):
-        """A stored 2 s run must not serve a 4 s request — prefixes only
-        truncate, never extrapolate — so the executor simulates."""
-        store = ResultStore(tmp_path)
-        runner = CountingRunner()
-        short_spec = tiny_spec(duration_s=2.0)
-        store.save(short_spec, ExperimentRunner().run(short_spec))
-        long_spec = tiny_spec(duration_s=4.0)
-        assert store.find_prefix(long_spec) is None
-        assert store.serve_prefix(long_spec) is None
-        executor = CampaignExecutor(store=store, backend="serial",
-                                    runner=runner)
-        run = executor.run_campaign(tiny_campaign(policies=("Default",),
-                                                  durations_s=(4.0,)))
-        assert run.counts() == {"ok": 1}
-        assert runner.run_calls == 1
-
-    def test_old_version_entries_never_serve(self, tmp_path):
-        """Entries saved before a KEY_VERSION bump must not serve
-        prefixes — the bump invalidated their semantics."""
-        store = ResultStore(tmp_path)
-        runner = ExperimentRunner()
-        long_spec = tiny_spec(duration_s=4.0)
-        key = store.save(long_spec, runner.run(long_spec))
-        entry_path = tmp_path / "runs" / key / "entry.json"
-        entry = json.loads(entry_path.read_text())
-        entry.pop("v")
-        entry_path.write_text(json.dumps(entry))
-        reopened = ResultStore(tmp_path)
-        assert reopened.find_prefix(tiny_spec(duration_s=2.0)) is None
+        included, so its truncation's energy is exact too."""
+        self._check("event")
 
     def test_truncate_result_validation(self):
-        from repro.analysis.result_io import truncate_result
-
         result = ExperimentRunner().run(tiny_spec(duration_s=2.0))
         with pytest.raises(ConfigurationError):
             truncate_result(result, 4.0)  # cannot extend

@@ -15,11 +15,15 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.runner import ExperimentRunner
-from repro.campaign import ResultStore
+from repro.campaign import CampaignExecutor, ResultStore
 from repro.campaign import faults
 from repro.errors import ConfigurationError
 
-from test_campaign_faults import assert_results_identical, tiny_spec
+from test_campaign_faults import (
+    assert_results_identical,
+    tiny_campaign,
+    tiny_spec,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -166,6 +170,32 @@ class TestRunDirRecord:
         assert all(path.startswith(f"runs/{key}/") for path in changed)
         assert set(before) - set(after) <= {f"failures/{key}.json"}
         assert store.has(key) and not store.failures()
+
+    def test_entry_with_retired_fields_still_serves(
+        self, tmp_path, tiny_result
+    ):
+        # Earlier versions also wrote the key version, the duration and
+        # a duration-less prefix key into entry.json. Their runs still
+        # read as present, load, and serve a campaign as cached.
+        root = tmp_path / "store"
+        spec = tiny_spec()
+        writer = ResultStore(root)
+        key = writer.save(spec, tiny_result)
+        saved = writer.load(key)
+        assert key == "exp1-default-d6f1f0a5b1a7"
+        path = root / "runs" / key / "entry.json"
+        entry = json.loads(path.read_text())
+        assert sorted(entry) == ["spec", "status"]
+        entry.update(v=9, duration_s=2.0,
+                     prefix="exp1-default-pfx-75126bd1cb7d")
+        path.write_text(json.dumps(entry, sort_keys=True))
+
+        store = ResultStore(root)
+        assert store.has(key) and store.load_spec(key) == spec
+        assert_results_identical(store.load(key), saved)
+        run = CampaignExecutor(store=store, backend="serial").run_campaign(
+            tiny_campaign(policies=("Default",)))
+        assert run.counts() == {"cached": 1}
 
     @pytest.mark.parametrize("layout", [
         ("store.json", "index/00.json", "journal/00.jsonl"),

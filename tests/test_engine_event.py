@@ -369,8 +369,9 @@ class TestEventOneResult:
 
     @pytest.mark.parametrize("name", sorted(SPECS))
     def test_truncated_run_is_the_short_run(self, name):
-        """The prefix cache's premise under event: the first 7.3 s of a
-        12 s run are a fresh 7.3 s run, energy included."""
+        """Truncation is exact under event: the first 7.3 s of a 12 s
+        run equal a fresh 7.3 s run in every array, the energy and the
+        completed jobs."""
         spec = replace(self.SPECS[name], fidelity="event")
         served = truncate_result(RUNNER.run(spec), 7.3)
         fresh = RUNNER.run(replace(spec, duration_s=7.3))
