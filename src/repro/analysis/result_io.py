@@ -25,13 +25,10 @@ library, and ``load_temperature_csv`` reads the temperature table back:
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
-import os
-import tempfile
 from operator import attrgetter
 from pathlib import Path
-from typing import List, Optional, Tuple, Union
+from typing import List, Tuple, Union
 
 import numpy as np
 
@@ -62,59 +59,6 @@ _INT_PLANES = ("vf_indices", "core_states")
 #: Numeric job fields in jobs column order.
 _JOB_COLUMNS = ("job_id", "thread_id", "arrival_time", "work_s",
                 "remaining_s", "completion_time", "migrations")
-
-#: Engine checkpoint sidecar framing: magic, then a SHA-256 of the
-#: pickle blob, then the blob. The digest turns every torn or corrupted
-#: write into a clean "no checkpoint" on load instead of a crash.
-CHECKPOINT_MAGIC = b"RPRCKPT1"
-_CHECKPOINT_HEADER = len(CHECKPOINT_MAGIC) + 32
-
-
-def save_checkpoint(path: Union[str, Path], blob: bytes) -> Path:
-    """Atomically persist an engine checkpoint blob.
-
-    Written to a temp file in the target directory and ``os.replace``d
-    into place, so a reader never observes a half-written checkpoint
-    under POSIX rename atomicity; a crash mid-write leaves the previous
-    checkpoint (or none) intact.
-    """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    digest = hashlib.sha256(blob).digest()
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=".ckpt-")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(CHECKPOINT_MAGIC)
-            handle.write(digest)
-            handle.write(blob)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-    return path
-
-
-def load_checkpoint(path: Union[str, Path]) -> Optional[bytes]:
-    """Read a checkpoint blob; ``None`` when absent, torn, or corrupt.
-
-    Integrity failures are a *normal* outcome here (the file is a
-    best-effort resume accelerator), so they are reported as "no
-    checkpoint" rather than raised.
-    """
-    path = Path(path)
-    try:
-        raw = path.read_bytes()
-    except (FileNotFoundError, OSError):
-        return None
-    if len(raw) < _CHECKPOINT_HEADER or not raw.startswith(CHECKPOINT_MAGIC):
-        return None
-    blob = raw[_CHECKPOINT_HEADER:]
-    if hashlib.sha256(blob).digest() != raw[len(CHECKPOINT_MAGIC):
-                                            _CHECKPOINT_HEADER]:
-        return None
-    return blob
-
 
 def export_result(result: SimulationResult, stem: Union[str, Path]) -> List[Path]:
     """Write the three CSV artifacts; returns the written paths."""

@@ -10,14 +10,12 @@ through here.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.analysis.result_io import load_checkpoint, save_checkpoint
 from repro.core.base import SystemView
 from repro.core.registry import build_policy
 from repro.core.thermal_index import compute_thermal_indices
-from repro.errors import CheckpointError, ConfigurationError, ReproError
+from repro.errors import ConfigurationError, ReproError
 from repro.floorplan.experiments import ExperimentConfig, build_experiment
 from repro.obs.telemetry import TelemetryConfig
 from repro.power.chip_power import ChipPowerModel
@@ -73,8 +71,8 @@ class RunSpec:
         heap events over a reduced-order modal thermal stepper) or
         ``"eager"`` (the per-event reference semantics). Event tracks
         eager within the tolerance documented in docs/ENGINE.md, and
-        every event path — clock jumps, batched lanes, resume — gives
-        one result per spec, bit for bit.
+        every event path — clock jumps, batched lanes — gives one
+        result per spec, bit for bit.
     telemetry:
         Collect engine telemetry (metrics registry, per-job latency
         stats, tick-phase profile) during the run. Strictly
@@ -291,48 +289,9 @@ class ExperimentRunner:
         self._assembly_cache.update(caches.assemblies)
         self._power_cache.update(caches.power)
 
-    def run(
-        self,
-        spec: RunSpec,
-        checkpoint_path: Optional[Path] = None,
-        checkpoint_every_ticks: int = 0,
-    ) -> SimulationResult:
-        """Build and execute one run.
-
-        ``checkpoint_path`` + ``checkpoint_every_ticks`` arm mid-run
-        checkpointing: a full engine snapshot is atomically written to
-        the sidecar every N ticks, and a valid snapshot already at the
-        path resumes the run mid-flight (bit-identical to running
-        uninterrupted).  A corrupt, torn or mismatched snapshot is
-        silently discarded and the run starts fresh — checkpoints are
-        an accelerator, never a correctness dependency.  Both arguments
-        are execution infrastructure, not :class:`RunSpec` fields, so
-        the campaign run key is untouched.
-        """
-        if checkpoint_path is None:
-            return self.build_engine(spec).run()
-        checkpoint_path = Path(checkpoint_path)
-        sink = None
-        if checkpoint_every_ticks > 0:
-            def sink(blob: bytes, tick: int) -> None:
-                save_checkpoint(checkpoint_path, blob)
-        engine = self.build_engine(spec)
-        resume = load_checkpoint(checkpoint_path)
-        if resume is not None:
-            try:
-                return engine.run(
-                    checkpoint_every=checkpoint_every_ticks,
-                    checkpoint_sink=sink,
-                    resume=resume,
-                )
-            except CheckpointError:
-                # Stale blob from an older run shape (or a half-restored
-                # engine): drop it and rebuild for a clean fresh start.
-                checkpoint_path.unlink(missing_ok=True)
-                engine = self.build_engine(spec)
-        return engine.run(
-            checkpoint_every=checkpoint_every_ticks, checkpoint_sink=sink
-        )
+    def run(self, spec: RunSpec) -> SimulationResult:
+        """Build and execute one run."""
+        return self.build_engine(spec).run()
 
     @staticmethod
     def batch_group_key(spec: RunSpec) -> Tuple:

@@ -21,13 +21,11 @@ into completed entries in a :class:`ResultStore`:
   retried with exponential backoff (see
   :class:`~repro.campaign.resilience.ResiliencePolicy`),
 - transient failures (worker crash, watchdog timeout) are retried up
-  to the policy's attempt budget; an ordinary exception with the same
-  signature on two consecutive attempts is classified deterministic
-  and the key is **quarantined** in the store so later campaigns skip
-  it until ``unquarantine``,
-- with a checkpoint cadence armed, workers persist engine checkpoints
-  under the store's ``checkpoints/`` sidecar dir and a retried run
-  resumes mid-simulation, bit-identical to an uninterrupted run.
+  to the policy's attempt budget, and a retried run is simulated again
+  from tick 0; an ordinary exception with the same signature on two
+  consecutive attempts is classified deterministic and the key is
+  **quarantined** in the store so later campaigns skip it until
+  ``unquarantine``.
 
 Results always travel driver-ward over the executor pipe; only the
 driver process writes the store. A store has one driver: a second
@@ -38,13 +36,13 @@ rename-published run dirs keep each key published and charged once.
 from __future__ import annotations
 
 import os
+import threading
 import time
 import traceback
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 from typing import (
     Any,
     Callable,
@@ -81,24 +79,17 @@ DEFAULT_BATCH_SIZE = 16
 # Per-worker state, created once by the pool initializer and reused for
 # every run the worker executes.
 _WORKER_RUNNER: Optional[ExperimentRunner] = None
-#: ``(checkpoint_dir, every_ticks)`` when the driver armed mid-run
-#: engine checkpointing, else None.
-_WORKER_CHECKPOINT: Optional[Tuple[str, int]] = None
 
 
-def _init_worker(
-    caches: RunnerCaches,
-    checkpoint: Optional[Tuple[str, int]] = None,
-) -> None:
+def _init_worker(caches: RunnerCaches) -> None:
     """Pool initializer: a plain runner holding the driver's caches.
 
     The one code path for every start method: ``fork`` inherits the
     arguments, ``spawn`` and ``forkserver`` unpickle them.
     """
-    global _WORKER_RUNNER, _WORKER_CHECKPOINT
+    global _WORKER_RUNNER
     _WORKER_RUNNER = ExperimentRunner()
     _WORKER_RUNNER.install_caches(caches)
-    _WORKER_CHECKPOINT = checkpoint
     # Fault plans are env-driven and fire-once markers live on disk;
     # drop any injector state inherited from a forked parent.
     reset_fault_cache()
@@ -127,26 +118,13 @@ def _run_in_worker(payload: Tuple[str, RunSpec]) -> Tuple[str, SimulationResult]
         # would turn an initializer failure into a bare AttributeError.
         raise RuntimeError("worker initializer did not run")
     maybe_crash_or_hang("worker_run", key)
-    if _WORKER_CHECKPOINT is not None:
-        ckpt_dir, every = _WORKER_CHECKPOINT
-        return key, _WORKER_RUNNER.run(
-            spec,
-            checkpoint_path=Path(ckpt_dir) / f"{key}.ckpt",
-            checkpoint_every_ticks=every,
-        )
     return key, _WORKER_RUNNER.run(spec)
 
 
 def _run_batch_in_worker(
     payload: Tuple[str, Tuple[Tuple[str, RunSpec], ...]],
 ) -> List[Tuple[str, SimulationResult]]:
-    """Run one batch unit through the worker's fused batch engine.
-
-    Fused batches never checkpoint: the lanes share one engine, so a
-    partial batch cannot resume lane-by-lane. A retried batch (or its
-    isolated singletons) restarts from tick zero instead — the per-run
-    checkpoint path only arms on the singleton route.
-    """
+    """Run one batch unit through the worker's fused batch engine."""
     propagation, pairs = payload
     if _WORKER_RUNNER is None:
         raise RuntimeError("worker initializer did not run")
@@ -236,13 +214,10 @@ BatchSimulationEngine` batches of up to ``batch_size`` lanes; runs
         run keys ignore the flag, so telemetry-on campaigns still reuse
         plain cached results (those simply lack a telemetry sidecar).
     resilience:
-        Watchdog/retry/checkpoint policy (default:
-        :class:`ResiliencePolicy()` — retries and watchdog on,
-        checkpointing off). Checkpointing requires a store. The pool
-        backends get the full treatment; the serial backend honors
-        checkpoint/resume but runs each spec exactly once (an
-        in-process crash would take the driver down with it, so
-        retrying there buys nothing).
+        Watchdog/retry policy (default: :class:`ResiliencePolicy()`).
+        The pool backends get the full treatment; the serial backend
+        runs each spec exactly once (an in-process crash would take
+        the driver down with it, so retrying there buys nothing).
 
     After each ``run_campaign``/``run_specs`` call, ``stats`` holds the
     resilience counters of that execution (also merged into the store's
@@ -277,11 +252,6 @@ BatchSimulationEngine` batches of up to ``batch_size`` lanes; runs
         resilience = (
             resilience if resilience is not None else ResiliencePolicy()
         )
-        if store is None and resilience.checkpoint_every_ticks > 0:
-            raise ConfigurationError(
-                "engine checkpointing requires a result store "
-                "(checkpoints live under the store's checkpoints/ dir)"
-            )
         self.store = store
         self.backend = backend
         self.max_workers = max_workers or (os.cpu_count() or 1)
@@ -303,8 +273,7 @@ BatchSimulationEngine` batches of up to ``batch_size`` lanes; runs
         outcome and the campaign goes on. A store error does not: an
         ``OSError`` from saving a result ends the campaign and
         propagates. Runs saved before it stay in the store, so the
-        next campaign resumes from them and from any checkpoint
-        sidecars.
+        next campaign serves them and simulates the rest from tick 0.
         """
         outcomes, _ = self._execute(campaign.expand(), strict=False,
                                     keep_results=False)
@@ -316,10 +285,11 @@ BatchSimulationEngine` batches of up to ``batch_size`` lanes; runs
         """Execute explicit specs and return their results by run key.
 
         Strict: the first failing run raises, and so does a store
-        error (an ``OSError`` from a save; see :meth:`run_campaign`).
-        With a store attached the returned results are store
-        round-trips, so values are identical whether a run was
-        computed now or loaded from a previous campaign.
+        error (an ``OSError`` from a save; see :meth:`run_campaign`)
+        and a key an earlier campaign quarantined. With a store
+        attached the returned results are store round-trips, so values
+        are identical whether a run was computed now or loaded from a
+        previous campaign.
         """
         outcomes, results = self._execute(
             list(specs), strict=True, keep_results=self.store is None
@@ -328,6 +298,12 @@ BatchSimulationEngine` batches of up to ``batch_size`` lanes; runs
             return {o.key: results[o.key] for o in outcomes}
         loaded: Dict[str, SimulationResult] = {}
         for o in outcomes:
+            if o.status == "quarantined":
+                raise ConfigurationError(
+                    f"run {o.key!r} is quarantined after a deterministic "
+                    f"failure: {o.error}; release it with `campaign "
+                    "unquarantine` to run it again"
+                )
             if not self.store.has(o.key):
                 raise ConfigurationError(
                     f"run {o.key!r} completed but its run dir is "
@@ -457,15 +433,6 @@ BatchSimulationEngine` batches of up to ``batch_size`` lanes; runs
                 if self.store is not None:
                     self.store.save_thermal_indices(exp_id, grid, indices)
 
-    def _worker_checkpoint(self) -> Optional[Tuple[str, int]]:
-        """Initializer arg arming mid-run checkpoints, or None."""
-        if self.store is None or self.resilience.checkpoint_every_ticks <= 0:
-            return None
-        return (
-            str(self.store.root / "checkpoints"),
-            self.resilience.checkpoint_every_ticks,
-        )
-
     def _record_ok(
         self,
         key: str,
@@ -478,12 +445,6 @@ BatchSimulationEngine` batches of up to ``batch_size`` lanes; runs
         if self.store is not None:
             self.store.save(spec, result)
             charged = self.store.last_save_charged
-            if self.store.has_checkpoint(key):
-                # The run checkpointed mid-flight at least once. The
-                # counter is per run, not per blob: blobs are written
-                # in workers, out of the driver's sight.
-                self.stats.checkpoint()
-                self.store.discard_checkpoint(key)
         results[key] = result
         outcomes[key] = RunOutcome(key, spec, "ok")
         if charged:
@@ -501,8 +462,6 @@ BatchSimulationEngine` batches of up to ``batch_size`` lanes; runs
         message: str,
         outcomes: Dict[str, RunOutcome],
     ) -> None:
-        # A checkpoint of an errored run is kept on purpose: the next
-        # campaign's attempt resumes from it instead of starting over.
         if self.store is not None:
             try:
                 self.store.record_failure(spec, message)
@@ -522,7 +481,6 @@ BatchSimulationEngine` batches of up to ``batch_size`` lanes; runs
             try:
                 self.store.quarantine(spec, message)
                 self.store.record_failure(spec, message)
-                self.store.discard_checkpoint(key)
             except OSError:
                 pass  # advisory records; the in-memory outcome stands
         outcomes[key] = RunOutcome(key, spec, "quarantined", error=message)
@@ -535,19 +493,10 @@ BatchSimulationEngine` batches of up to ``batch_size`` lanes; runs
         outcomes: Dict[str, RunOutcome],
         results: Dict[str, SimulationResult],
     ) -> None:
-        checkpoint = self._worker_checkpoint()
         for key, spec in pending:
             self._emit("start", key)
             try:
-                if checkpoint is not None:
-                    ckpt_dir, every = checkpoint
-                    result = self.runner.run(
-                        spec,
-                        checkpoint_path=Path(ckpt_dir) / f"{key}.ckpt",
-                        checkpoint_every_ticks=every,
-                    )
-                else:
-                    result = self.runner.run(spec)
+                result = self.runner.run(spec)
             except Exception as exc:
                 self._record_error(key, spec, _format_error(exc), outcomes)
                 if strict:
@@ -611,7 +560,7 @@ batch_group_key`) into units of up to ``batch_size`` lanes that a
         """
         policy = self.resilience
         retry = policy.retry
-        initargs = (self.runner.caches(), self._worker_checkpoint())
+        initargs = (self.runner.caches(),)
         queue: Deque[_UnitState] = deque(
             _UnitState(unit=unit) for unit in units
         )
@@ -719,9 +668,11 @@ batch_group_key`) into units of up to ``batch_size`` lanes that a
                 timeout = min(
                     state.deadline for state in inflight.values()
                 ) - time.monotonic()
+                # A wait past TIMEOUT_MAX overflows; a deadline that
+                # far off is simply waited for again on the next wake.
                 done, _ = wait(
                     set(inflight),
-                    timeout=max(timeout, 0.05),
+                    timeout=min(max(timeout, 0.05), threading.TIMEOUT_MAX),
                     return_when=FIRST_COMPLETED,
                 )
                 crashed = False

@@ -1,4 +1,4 @@
-"""Retry, watchdog, and checkpoint policy for campaign execution.
+"""Retry and watchdog policy for campaign execution.
 
 :class:`RetryPolicy` bounds how often a failing unit is re-attempted
 and spaces the attempts with exponential backoff.  The jitter term is
@@ -7,8 +7,9 @@ attempt)``, so two replays of the same campaign back off identically —
 chaos tests stay reproducible while distinct keys still decorrelate.
 
 :class:`ResiliencePolicy` bundles the retry policy with the per-unit
-watchdog deadline and the engine checkpoint cadence.  Failure
-*classification* lives here too:
+watchdog deadline.  A retried run is simulated again from tick 0: at
+the paper's run lengths that costs seconds, well under the watchdog's
+60 s floor.  Failure *classification* lives here too:
 
 - ``BrokenProcessPool`` and watchdog timeouts are **transient** — the
   environment failed, not the run — and are retried;
@@ -20,6 +21,7 @@ watchdog deadline and the engine checkpoint cadence.  Failure
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -74,26 +76,24 @@ class ResiliencePolicy:
 
     ``unit_timeout_s=None`` derives the watchdog deadline from the
     simulated duration and batch width; an explicit value is used
-    verbatim per unit.  ``checkpoint_every_ticks=0`` disables engine
-    checkpointing, which keeps the fault-free fast path identical to
-    the pre-resilience executor.
+    verbatim per unit.  Every deadline setting must be finite and
+    positive: a NaN deadline never expires, and an infinite one
+    overflows the pool's wait timeout.
     """
 
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     unit_timeout_s: Optional[float] = None
     timeout_scale_s: float = 5.0  # wall seconds per simulated second/lane
     min_timeout_s: float = 60.0
-    checkpoint_every_ticks: int = 0
 
     def __post_init__(self) -> None:
-        if self.unit_timeout_s is not None and self.unit_timeout_s <= 0:
-            raise ConfigurationError("unit_timeout_s must be positive")
-        if self.timeout_scale_s <= 0 or self.min_timeout_s <= 0:
-            raise ConfigurationError(
-                "timeout_scale_s and min_timeout_s must be positive")
-        if self.checkpoint_every_ticks < 0:
-            raise ConfigurationError(
-                "checkpoint_every_ticks must be >= 0")
+        for name in ("unit_timeout_s", "timeout_scale_s", "min_timeout_s"):
+            value = getattr(self, name)
+            if value is None and name == "unit_timeout_s":
+                continue
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigurationError(
+                    f"{name} must be finite and positive, got {value!r}")
 
     def unit_deadline_s(self, duration_s: float, lanes: int) -> float:
         """Wall-clock budget for one unit (single run or fused batch)."""

@@ -11,7 +11,6 @@ Layout under the store root::
                                       no result
     quarantine/<key>.json           — keys retired after deterministic
                                       failures (resume skips them)
-    checkpoints/<key>.ckpt          — engine checkpoint sidecars
     resilience.json                 — cumulative resilience tally
     indices/exp<E>_<R>x<C>.json     — thermal indices per (exp, grid)
 
@@ -38,9 +37,11 @@ A store has one driver. Nothing stops a second one, and nothing needs
 to: the rename above keeps a key saved by two processes published and
 charged once, so a second driver duplicates work but cannot corrupt
 the store. The work-claim and liveness dirs that older multi-driver
-versions kept beside ``runs/``, and the sibling store they wrote
-results to while this one failed, are ignored, not refused: they hold
-no result the store needs, and a result kept only there is recomputed.
+versions kept beside ``runs/``, the sibling store they wrote results
+to while this one failed, and the ``checkpoints/`` dir of mid-run
+engine snapshots that older versions resumed from are ignored, not
+refused: they hold no result the store needs, and a key with no run
+dir is simulated again from tick 0.
 
 Every small file is written through :func:`atomic_write` (temp file +
 ``os.replace``), so a reader sees the old file or the new one, never a
@@ -475,27 +476,6 @@ class ResultStore:
 
     def is_quarantined(self, key: str) -> bool:
         return self._quarantine_path(key).exists()
-
-    # ------------------------------------------------------------------
-    # engine checkpoint sidecars
-
-    def checkpoint_path(self, key: str) -> Path:
-        """Sidecar path of ``key``'s engine checkpoint.
-
-        Lives under ``checkpoints/``, not ``runs/<key>/``: a run dir is
-        published whole by ``save``, and a checkpoint must exist exactly
-        until its run completes.  Keyed by run key, so the next
-        campaign over a key whose run was killed adopts its checkpoint
-        and resumes instead of restarting.
-        """
-        return self.root / "checkpoints" / f"{key}.ckpt"
-
-    def has_checkpoint(self, key: str) -> bool:
-        return self.checkpoint_path(key).exists()
-
-    def discard_checkpoint(self, key: str) -> None:
-        """Drop ``key``'s checkpoint (called once its run completed)."""
-        _unlink(self.checkpoint_path(key))
 
     # ------------------------------------------------------------------
     # cumulative resilience tally (read by `campaign report`)

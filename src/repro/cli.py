@@ -225,7 +225,6 @@ def cmd_campaign_run(args: argparse.Namespace) -> int:
         resilience = ResiliencePolicy(
             retry=RetryPolicy(max_attempts=args.max_attempts),
             unit_timeout_s=args.unit_timeout,
-            checkpoint_every_ticks=args.checkpoint_every,
         )
         executor = CampaignExecutor(
             store=store,
@@ -396,11 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
                                    "unit in wall seconds (default: scaled "
                                    "from simulated duration and batch "
                                    "width)")
-    campaign_run.add_argument("--checkpoint-every", type=int, default=0,
-                              help="persist an engine checkpoint every N "
-                                   "ticks; a retried or resumed run "
-                                   "continues mid-simulation, bit-identical "
-                                   "(0 = off; run keys unchanged)")
     campaign_run.set_defaults(func=cmd_campaign_run)
 
     campaign_status_parser = campaign_sub.add_parser(

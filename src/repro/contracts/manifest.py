@@ -141,7 +141,6 @@ NULL_PARITY_PAIRS: Tuple[Tuple[str, str, str], ...] = (
     ("src/repro/obs/telemetry.py", "EngineTelemetry", "_NullTelemetry"),
     ("src/repro/obs/trace.py", "TraceRecorder", "_NullTrace"),
     ("src/repro/obs/profiler.py", "TickProfiler", "_NullProfiler"),
-    ("src/repro/obs/resilience.py", "ResilienceStats", "_NullResilienceStats"),
 )
 
 # ---------------------------------------------------------------------------

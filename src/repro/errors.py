@@ -36,13 +36,5 @@ class PolicyError(ReproError):
     """A DTM policy received inputs it cannot act on."""
 
 
-class CheckpointError(SchedulerError):
-    """An engine checkpoint is unreadable or from a different run.
-
-    Derives from :class:`SchedulerError` because a bad checkpoint is an
-    engine-state problem; callers that resume opportunistically catch
-    this and fall back to a fresh run."""
-
-
 class ConfigurationError(ReproError):
     """An experiment configuration is incomplete or contradictory."""

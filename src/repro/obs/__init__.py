@@ -23,11 +23,7 @@ from repro.obs.profiler import (
     TickProfiler,
     merge_phase_summaries,
 )
-from repro.obs.resilience import (
-    NULL_RESILIENCE_STATS,
-    RESILIENCE_COUNTERS,
-    ResilienceStats,
-)
+from repro.obs.resilience import RESILIENCE_COUNTERS, ResilienceStats
 from repro.obs.stats import JobStatsCollector
 from repro.obs.telemetry import (
     EngineTelemetry,
@@ -46,7 +42,6 @@ __all__ = [
     "NULL_HISTOGRAM",
     "NULL_REGISTRY",
     "NULL_PROFILER",
-    "NULL_RESILIENCE_STATS",
     "PHASES",
     "RESILIENCE_COUNTERS",
     "ResilienceStats",

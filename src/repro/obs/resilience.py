@@ -1,27 +1,21 @@
 """Resilience counters for campaign execution.
 
 The campaign executor records every watchdog firing, retry, worker
-crash, quarantine decision, and checkpoint through a
-:class:`ResilienceStats` instance.  Internally the stats object is a
-thin facade over a :class:`~repro.obs.metrics.MetricsRegistry`, so the
-counters live in the same registry namespace (``campaign.*``) as the
-engine metrics and serialize through the same ``snapshot()`` shape.
-
-Mirroring the telemetry layer, disabled paths hold the shared
-:data:`NULL_RESILIENCE_STATS` singleton instead of branching on an
-``enabled`` flag; the ``_NullResilienceStats`` twin is covered by the
-``null-parity`` contract rule.
+crash and quarantine decision through a :class:`ResilienceStats`
+instance.  Internally the stats object is a thin facade over a
+:class:`~repro.obs.metrics.MetricsRegistry`, so the counters live in
+the same registry namespace (``campaign.*``) as the engine metrics and
+serialize through the same ``snapshot()`` shape.
 """
 
 from __future__ import annotations
 
 from typing import Dict
 
-from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 
 __all__ = [
     "ResilienceStats",
-    "NULL_RESILIENCE_STATS",
 ]
 
 #: Counter names, in reporting order.  Kept as a module constant so the
@@ -31,7 +25,6 @@ RESILIENCE_COUNTERS = (
     "campaign.timeouts",
     "campaign.crashes",
     "campaign.quarantines",
-    "campaign.checkpoints",
 )
 
 
@@ -61,10 +54,6 @@ class ResilienceStats:
         """A run was classified deterministic-failing and quarantined."""
         self.registry.counter("campaign.quarantines").inc(n)
 
-    def checkpoint(self, n: int = 1) -> None:
-        """A run left (or consumed) an engine checkpoint sidecar."""
-        self.registry.counter("campaign.checkpoints").inc(n)
-
     def snapshot(self) -> Dict[str, int]:
         """Flat ``{short_name: count}`` view of the resilience counters."""
         counters = self.registry.snapshot()["counters"]
@@ -76,33 +65,3 @@ class ResilienceStats:
 
 def _short(name: str) -> str:
     return name.split(".", 1)[1]
-
-
-class _NullResilienceStats:
-    """No-op twin of :class:`ResilienceStats` (see null-parity rule)."""
-
-    __slots__ = ()
-
-    registry = NULL_REGISTRY
-
-    def retry(self, n: int = 1) -> None:
-        pass
-
-    def timeout(self, n: int = 1) -> None:
-        pass
-
-    def crash(self, n: int = 1) -> None:
-        pass
-
-    def quarantine(self, n: int = 1) -> None:
-        pass
-
-    def checkpoint(self, n: int = 1) -> None:
-        pass
-
-    def snapshot(self) -> Dict[str, int]:
-        return {}
-
-
-#: Shared no-op instance for disabled paths.
-NULL_RESILIENCE_STATS = _NullResilienceStats()

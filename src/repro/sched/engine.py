@@ -75,13 +75,12 @@ execution reproduces the eager reference semantics:
   harness lives in ``tests/test_engine_event.py``.
   Within event fidelity a spec has one result: a clock jump is an exact
   shortcut for the ticks it replaces (jumps on or off give the same
-  bits), and a resumed run continues the checkpointed modal stepper.
+  bits).
 """
 
 from __future__ import annotations
 
 import heapq
-import pickle
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -98,7 +97,7 @@ from repro.core.base import (
     TickContext,
     state_from_code,
 )
-from repro.errors import CheckpointError, SchedulerError
+from repro.errors import SchedulerError
 from repro.obs.profiler import (
     NULL_PROFILER,
     PH_DPM,
@@ -397,8 +396,7 @@ class SimulationEngine:
         }
         self._core_list: List[_CoreRuntime] = list(self._cores.values())
         self._arrivals: List[Tuple[float, int, Job]] = []
-        # Plain int (not itertools.count): the arrival tiebreaker is
-        # part of the checkpointable state and must pickle.
+        # Arrival tiebreaker: equal-time arrivals pop in push order.
         self._arrival_seq = 0
         self._jobs: List[Job] = []
         self._thread_last_core: Dict[int, str] = {}
@@ -656,216 +654,13 @@ class SimulationEngine:
         """
         return self._obs
 
-    def run(
-        self,
-        checkpoint_every: int = 0,
-        checkpoint_sink=None,
-        resume: Optional[bytes] = None,
-    ) -> SimulationResult:
-        """Execute the configured simulation and return the recording.
-
-        ``checkpoint_every`` > 0 (with a ``checkpoint_sink`` callable
-        taking ``(blob, tick)``) emits a full-state checkpoint every N
-        ticks; ``resume`` restores one such blob and continues the run
-        mid-flight.  A resumed run is bit-identical to an uninterrupted
-        one (covered by ``tests/test_campaign_faults.py``).  Both knobs
-        are execution-infrastructure arguments, not :class:`RunSpec`
-        fields, so they are key-neutral by construction — like
-        telemetry, they can never change what a result *is*.
-        """
+    def run(self) -> SimulationResult:
+        """Execute the configured simulation and return the recording."""
         n_ticks, dt = self._prepare_run()
         rec = _Recording.allocate(self, n_ticks)
-        start_tick = 0
-        energy0 = 0.0
-        unit_row: Optional[np.ndarray] = None
-        modal_state = None
-        if resume is not None:
-            start_tick, energy0, unit_row, modal_state = (
-                self._restore_checkpoint(resume, rec, n_ticks, dt)
-            )
-        else:
-            # The priming sensor read advances the noise RNG; on resume
-            # the restored RNG state already accounts for it.
-            self._temps_arr[:] = self.sensors.read_cores_vector()
-        energy = self._run_ticks(
-            rec, n_ticks, dt, start_tick, energy0, unit_row, modal_state,
-            checkpoint_every, checkpoint_sink,
-        )
+        self._temps_arr[:] = self.sensors.read_cores_vector()
+        energy = self._run_ticks(rec, n_ticks, dt)
         return self._build_result(rec, energy, dt)
-
-    # ------------------------------------------------------------------
-    # checkpoint / resume
-
-    # v2: the payload carries the open modal stepper ("modal_state").
-    _CHECKPOINT_VERSION = 2
-
-    def _checkpoint_payload(
-        self,
-        rec: _Recording,
-        next_tick: int,
-        energy: float,
-        dt: float,
-        n_ticks: int,
-        unit_row: np.ndarray,
-        modal_state: Optional[tuple],
-    ) -> bytes:
-        """Serialize the full run state at a tick boundary.
-
-        Everything mutable goes through ONE ``pickle.dumps`` call so
-        shared references (jobs living simultaneously in ``_jobs``,
-        core queues, the arrivals heap and the workload source) are
-        preserved by pickle's memo table and re-materialize as shared
-        on restore.  The recording prefix, the thermal node-state
-        vector, the structure-of-arrays rows, the sensor RNG state, the
-        loop's current unit readback row and an event run's open modal
-        stepper (:meth:`~repro.thermal.model.ModalJump.state`, ``None``
-        otherwise) ride along.  Called from the
-        hot tick loops but only every ``checkpoint_every`` ticks; the
-        dict display below is the checkpoint cost itself, not per-tick
-        overhead (the method is deliberately not in the hot-path
-        manifest).
-        """
-        payload = {
-            "version": SimulationEngine._CHECKPOINT_VERSION,
-            # identity guard: a blob may only resume the run it came from
-            "fidelity": self.config.fidelity,
-            "policy_name": self.policy.name,
-            "core_names": self._core_names_tuple,
-            "n_ticks": n_ticks,
-            "dt": dt,
-            # loop position
-            "next_tick": next_tick,
-            "energy": energy,
-            # recording prefix (ticks [0, next_tick))
-            "rec_times": rec.times[:next_tick].copy(),
-            "rec_unit_temps": rec.unit_temps[:next_tick].copy(),
-            "rec_core_temps": rec.core_temps[:next_tick].copy(),
-            "rec_core_peaks": rec.core_peaks[:next_tick].copy(),
-            "rec_spreads": rec.spreads[:next_tick].copy(),
-            "rec_utilization": rec.utilization[:next_tick].copy(),
-            "rec_vf_indices": rec.vf_indices[:next_tick].copy(),
-            "rec_core_states": rec.core_states[:next_tick].copy(),
-            "rec_total_power": rec.total_power[:next_tick].copy(),
-            # physical + scheduler state
-            "thermal_nodes": self.thermal.temperatures.copy(),
-            "sensor_rng": self.sensors.rng_state(),
-            "workload": self.workload,
-            "policy": self.policy,
-            "cores": self._core_list,
-            "arrivals": self._arrivals,
-            "arrival_seq": self._arrival_seq,
-            "jobs": self._jobs,
-            "thread_last_core": self._thread_last_core,
-            "migration_count": self._migration_count,
-            "event_heap": self._event_heap,
-            "finished_cores": self._finished_cores,
-            "mem_sum": self._mem_sum,
-            "mem_count": self._mem_count,
-            "any_gated": self._any_gated,
-            # structure-of-arrays rows (restored in place: the live
-            # ArrayBackedMapping views alias these buffers)
-            "ql_arr": self._ql_arr.copy(),
-            "state_arr": self._state_arr.copy(),
-            "vf_arr": self._vf_arr.copy(),
-            "temps_arr": self._temps_arr.copy(),
-            "dyn_scale_arr": self._dyn_scale_arr.copy(),
-            "voltage_arr": self._voltage_arr.copy(),
-            "ql_list": list(self._ql_list),
-            "state_list": list(self._state_list),
-            # the unit readback row exactly as carried by the loop (an
-            # event run's modal row is not the node state's readback)
-            "unit_row": unit_row.copy(),
-            # the open modal stepper, resumed as is: re-projecting the
-            # node state would move the run by ~1e-13 K
-            "modal_state": modal_state,
-        }
-        return pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-
-    def _restore_checkpoint(
-        self, blob: bytes, rec: _Recording, n_ticks: int, dt: float
-    ) -> Tuple[int, float, np.ndarray, Optional[tuple]]:
-        """Overwrite the freshly prepared run state from a checkpoint.
-
-        Must be called after :meth:`_prepare_run` (which re-arms the
-        telemetry sinks and the scratch buffers); this
-        method then replaces every piece of state the tick loops read.
-        Returns ``(next_tick, energy, unit_row, modal_state)`` for
-        :meth:`_run_ticks`. Raises :class:`CheckpointError` when the
-        blob is unreadable or belongs to a different run configuration.
-        """
-        try:
-            payload = pickle.loads(blob)
-        except Exception as exc:
-            raise CheckpointError(f"unreadable checkpoint: {exc}") from exc
-        if not isinstance(payload, dict):
-            raise CheckpointError("checkpoint payload is not a mapping")
-        if payload.get("version") != SimulationEngine._CHECKPOINT_VERSION:
-            raise CheckpointError(
-                f"unsupported checkpoint version {payload.get('version')!r}"
-            )
-        for name, want in (
-            ("fidelity", self.config.fidelity),
-            ("policy_name", self.policy.name),
-            ("core_names", self._core_names_tuple),
-            ("n_ticks", n_ticks),
-            ("dt", dt),
-        ):
-            if payload.get(name) != want:
-                raise CheckpointError(
-                    f"checkpoint mismatch on {name}: saved "
-                    f"{payload.get(name)!r}, this run expects {want!r}"
-                )
-        next_tick = int(payload["next_tick"])
-        if not 0 < next_tick < n_ticks:
-            raise CheckpointError(
-                f"checkpoint tick {next_tick} outside (0, {n_ticks})"
-            )
-
-        rec.times[:next_tick] = payload["rec_times"]
-        rec.unit_temps[:next_tick] = payload["rec_unit_temps"]
-        rec.core_temps[:next_tick] = payload["rec_core_temps"]
-        rec.core_peaks[:next_tick] = payload["rec_core_peaks"]
-        rec.spreads[:next_tick] = payload["rec_spreads"]
-        rec.utilization[:next_tick] = payload["rec_utilization"]
-        rec.vf_indices[:next_tick] = payload["rec_vf_indices"]
-        rec.core_states[:next_tick] = payload["rec_core_states"]
-        rec.total_power[:next_tick] = payload["rec_total_power"]
-
-        self.thermal.temperatures = payload["thermal_nodes"]
-        self.sensors.set_rng_state(payload["sensor_rng"])
-        self.workload = payload["workload"]
-        self.policy = payload["policy"]
-        core_list = payload["cores"]
-        self._core_list = core_list
-        self._cores = {core.name: core for core in core_list}
-        self._arrivals = payload["arrivals"]
-        self._arrival_seq = payload["arrival_seq"]
-        self._jobs = payload["jobs"]
-        self._thread_last_core = payload["thread_last_core"]
-        self._migration_count = payload["migration_count"]
-        self._event_heap = payload["event_heap"]
-        self._finished_cores = payload["finished_cores"]
-        self._mem_sum = payload["mem_sum"]
-        self._mem_count = payload["mem_count"]
-        self._any_gated = payload["any_gated"]
-        self._ql_arr[:] = payload["ql_arr"]
-        self._state_arr[:] = payload["state_arr"]
-        self._vf_arr[:] = payload["vf_arr"]
-        self._temps_arr[:] = payload["temps_arr"]
-        self._dyn_scale_arr[:] = payload["dyn_scale_arr"]
-        self._voltage_arr[:] = payload["voltage_arr"]
-        self._ql_list[:] = payload["ql_list"]
-        self._state_list[:] = payload["state_list"]
-        # Context shells are rebuilt lazily against the (unchanged)
-        # array buffers; the dirty flags start a resumed tick clean.
-        self._alloc_ctx = None
-        self._span_tick_ctx = None
-        self._span_dirty = False
-        self._in_fast_forward = False
-        return (
-            next_tick, float(payload["energy"]), payload["unit_row"],
-            payload["modal_state"],
-        )
 
     def _gather_utilization(self, dt: float) -> np.ndarray:
         """Per-core busy fraction of the elapsed interval (resets the
@@ -905,11 +700,7 @@ class SimulationEngine:
         rec.core_states[tick] = self._state_arr
         rec.total_power[tick] = tick_power
 
-    def _run_ticks(self, rec: _Recording, n_ticks: int, dt: float,
-                   start_tick: int = 0, energy0: float = 0.0,
-                   unit_row: Optional[np.ndarray] = None,
-                   modal_state: Optional[tuple] = None,
-                   checkpoint_every: int = 0, checkpoint_sink=None
+    def _run_ticks(self, rec: _Recording, n_ticks: int, dt: float
                    ) -> float:
         """The tick loop of both fidelities.
 
@@ -926,8 +717,7 @@ class SimulationEngine:
         - the thermal step: eager takes the dense ``step_vector``; event
           advances one run-persistent
           :class:`~repro.thermal.model.ModalJump` — the full node state
-          is only rematerialized at checkpoints and at the end of the
-          run;
+          is only rematerialized at the end of the run;
         - clock jumps: event crosses every stretch of whole ticks free
           of scheduler events (arrivals, completions, stall expiries)
           in one :meth:`_fast_forward_event` call, however long; the
@@ -936,42 +726,19 @@ class SimulationEngine:
         A policy tick that is a proven no-op (:meth:`_policy_tick_noop`)
         is skipped in both; the skip is exact, so eager stays
         bit-identical to the scan oracle, which calls every tick.
-        ``unit_row`` is the checkpointed readback row on resume (the
-        post-step readback of tick k is the pre-step temperature of
-        tick k+1, so one readback per tick suffices), and
-        ``modal_state`` the checkpointed modal stepper, which resumes
-        where it stopped instead of reopening from the node state.
+        The post-step readback of tick k is the pre-step temperature of
+        tick k+1, so one readback per tick suffices.
         """
-        energy = energy0
+        energy = 0.0
         powers_buf = np.zeros(len(self.thermal.unit_names))
         prof = self._prof
         span = self._use_span
-        next_ckpt = n_ticks + 1
-        if checkpoint_every > 0 and checkpoint_sink is not None:
-            next_ckpt = start_tick + checkpoint_every
-        if unit_row is None:
-            unit_row = self.thermal.unit_temperature_vector()
+        unit_row = self.thermal.unit_temperature_vector()
         modal = self.thermal.modal_jump() if span else None
         self._event_modal = modal
         self._event_modal_open = False
-        if modal is not None and modal_state is not None:
-            modal.restore(modal_state)
-            self._event_modal_open = True
-        tick = start_tick
+        tick = 0
         while tick < n_ticks:
-            if tick >= next_ckpt:
-                modal_state = None
-                if self._event_modal_open:
-                    modal.close()
-                    modal_state = modal.state()
-                checkpoint_sink(
-                    self._checkpoint_payload(
-                        rec, tick, energy, dt, n_ticks, unit_row,
-                        modal_state,
-                    ),
-                    tick,
-                )
-                next_ckpt = tick + checkpoint_every
             t0 = tick * dt
             if span:
                 quiet = self._quiet_ticks_event(t0, dt, n_ticks - tick)

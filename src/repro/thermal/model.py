@@ -769,15 +769,13 @@ class ModalJump:
     the decay, i.e. ``T_k = A (T_{k-1} - T_inf(P_k)) + T_inf(P_k)``.
 
     The model's node state goes stale after :meth:`open`.
-    :meth:`close` rematerializes ``T = V w + gain P + ambient``
-    without invalidating the modal coordinates, so a caller may close
-    mid-run (checkpoints) and keep advancing afterwards. Reopening
-    from that node state would re-project it (a ~1e-13 K round trip),
-    so a checkpoint carries :meth:`state` instead and a resumed run
-    continues from :meth:`restore`, bit for bit. The returned
-    readback rows are views into reused buffers, valid until the next
-    :meth:`advance` — consumers must copy (the recording planes do) or
-    finish reading first. Accuracy is bounded by the basis acceptance
+    :meth:`close` rematerializes ``T = V w + gain P + ambient``; the
+    engines close once, at the end of a run. Closing does not
+    invalidate the modal coordinates, but reopening from the
+    rematerialized node state would re-project it (a ~1e-13 K round
+    trip). The returned readback rows are views into reused buffers,
+    valid until the next :meth:`advance` — consumers must copy (the
+    recording planes do) or finish reading first. Accuracy is bounded by the basis acceptance
     tolerance: dropped modes carry no content after one tick, and the
     rows track the dense trajectory to ~1e-12 K over hundreds of ticks
     (asserted in the differential harness).
@@ -848,18 +846,6 @@ class ModalJump:
                 self._gathered, self._offsets
             )
         return self._mean_row, peak_row
-
-    def state(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Copies of the open stepper's packed coordinates and last
-        power row (what a checkpoint stores)."""
-        return self._z.copy(), self._p.copy()
-
-    def restore(self, state: Tuple[np.ndarray, np.ndarray]) -> None:
-        """Reopen from a :meth:`state` snapshot, exactly where it was
-        taken (no re-projection of the node state)."""
-        z, p = state
-        self._z[:] = z
-        self._p[:] = p
 
     def close(self) -> None:
         """Rematerialize the full node state onto the model."""

@@ -69,9 +69,7 @@ class SensorBank:
         rng = np.random.default_rng(seed) if noise_sigma > 0.0 else None
         self.model = model
         self.core_names: List[str] = model.core_names
-        # One shared generator across all sensors (kept on the bank too
-        # so checkpoint/resume can snapshot and restore its state).
-        self._rng = rng
+        # One shared generator across all sensors.
         self._sensors = {
             name: TemperatureSensor(noise_sigma, quantization_step, rng)
             for name in self.core_names
@@ -89,23 +87,6 @@ class SensorBank:
         """Whether readings are the true temperatures (no noise or
         quantization) — lets batched callers fuse the gather."""
         return self._ideal
-
-    def rng_state(self) -> Optional[dict]:
-        """Serializable state of the shared noise generator.
-
-        ``None`` for ideal/noise-free banks.  Together with
-        :meth:`set_rng_state` this makes a checkpoint-resumed noisy run
-        draw the exact sample sequence the uninterrupted run would.
-        """
-        if self._rng is None:
-            return None
-        return self._rng.bit_generator.state
-
-    def set_rng_state(self, state: Optional[dict]) -> None:
-        """Restore generator state captured by :meth:`rng_state`."""
-        if state is None or self._rng is None:
-            return
-        self._rng.bit_generator.state = state
 
     def read_cores(
         self, max_vector: Optional[np.ndarray] = None

@@ -19,8 +19,8 @@ site, the vectorized tick boundary (power kernel included) and the
 no-op tick skip against a reference that uses none of them
 (``tests/test_engine_heap.py``).
 
-Eager fidelity only; no checkpoints. Build one from a freshly built
-engine with :meth:`ScanEngine.from_engine`.
+Eager fidelity only. Build one from a freshly built engine with
+:meth:`ScanEngine.from_engine`.
 """
 
 from __future__ import annotations

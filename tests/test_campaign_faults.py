@@ -1,10 +1,11 @@
 """Campaign resilience tests: fault injection, watchdog, retry,
-quarantine, torn-save recovery, store failures, and checkpoint/resume
-identity.
+quarantine, torn-save recovery and store failures. A retried run is
+simulated again from tick 0, so every surviving run must equal a
+fault-free execution bit for bit.
 
 The fast slice runs in tier-1 as a chaos smoke; the full fault matrix
-and the resume bit-identity sweep carry ``@pytest.mark.slow`` and run
-in the weekly job (``pytest -m slow tests/test_campaign_faults.py``).
+carries ``@pytest.mark.slow`` and runs in the weekly job
+(``pytest -m slow tests/test_campaign_faults.py``).
 """
 
 import os
@@ -12,7 +13,6 @@ import os
 import numpy as np
 import pytest
 
-from repro.analysis.result_io import load_checkpoint
 from repro.analysis.runner import ExperimentRunner, RunSpec
 from repro.campaign import (
     CampaignExecutor,
@@ -124,6 +124,12 @@ class TestRetryPolicy:
             RetryPolicy(jitter=2.0)
         with pytest.raises(ConfigurationError):
             ResiliencePolicy(unit_timeout_s=0.0)
+        # A NaN deadline never expires, and an infinite one overflows
+        # the pool's wait timeout: both are refused up front.
+        for name in ("unit_timeout_s", "timeout_scale_s", "min_timeout_s"):
+            for value in (float("nan"), float("inf"), float("-inf")):
+                with pytest.raises(ConfigurationError, match=name):
+                    ResiliencePolicy(**{name: value})
 
     def test_unit_deadline_explicit_and_scaled(self):
         explicit = ResiliencePolicy(unit_timeout_s=7.0)
@@ -131,12 +137,6 @@ class TestRetryPolicy:
         scaled = ResiliencePolicy(timeout_scale_s=5.0, min_timeout_s=60.0)
         assert scaled.unit_deadline_s(2.0, 1) == 60.0  # floor wins
         assert scaled.unit_deadline_s(30.0, 4) == 600.0
-
-    def test_checkpoint_and_lease_require_store(self):
-        with pytest.raises(ConfigurationError):
-            CampaignExecutor(
-                resilience=ResiliencePolicy(checkpoint_every_ticks=5)
-            )
 
 
 class TestResilienceStats:
@@ -148,16 +148,8 @@ class TestResilienceStats:
         stats.timeout(2)
         assert stats.snapshot() == {
             "retries": 1, "timeouts": 2, "crashes": 0,
-            "quarantines": 0, "checkpoints": 0,
+            "quarantines": 0,
         }
-
-    def test_null_twin_is_inert(self):
-        from repro.obs import NULL_RESILIENCE_STATS
-
-        NULL_RESILIENCE_STATS.retry()
-        NULL_RESILIENCE_STATS.crash()
-        NULL_RESILIENCE_STATS.quarantine()
-        assert NULL_RESILIENCE_STATS.snapshot() == {}
 
 
 class TestFaultPlan:
@@ -254,6 +246,16 @@ class TestWatchdog:
         assert snapshot["timeouts"] == 1
         assert snapshot["retries"] == 1
 
+    def test_deadline_past_the_wait_limit_still_runs(self, tmp_path):
+        # A finite deadline beyond threading.TIMEOUT_MAX (~292 years)
+        # must not overflow the pool's wait.
+        executor = CampaignExecutor(
+            store=ResultStore(tmp_path), backend="parallel", max_workers=1,
+            resilience=fast_policy(unit_timeout_s=1e10),
+        )
+        run = executor.run_campaign(tiny_campaign(policies=("Default",)))
+        assert run.counts() == {"ok": 1}
+
 
 class TestQuarantine:
     def test_deterministic_failure_quarantined(self, tmp_path):
@@ -282,6 +284,21 @@ class TestQuarantine:
 
         store.unquarantine(key)
         assert not store.is_quarantined(key)
+
+    def test_run_specs_names_a_quarantined_key(self, tmp_path):
+        # A key an earlier campaign quarantined never completed:
+        # run_specs names it, its recorded error and the way out.
+        bad = tiny_spec(seed=5, benchmark_mix=(("not-a-benchmark", 4),))
+        store = ResultStore(tmp_path)
+        key = store.quarantine(bad, "WorkloadError: unknown benchmark")
+        executor = CampaignExecutor(store=store, backend="serial")
+        with pytest.raises(ConfigurationError) as info:
+            executor.run_specs([tiny_spec(), bad])
+        message = str(info.value)
+        assert key in message
+        assert "WorkloadError: unknown benchmark" in message
+        assert "campaign unquarantine" in message
+        assert store.has(run_key(tiny_spec()))  # the good spec still ran
 
     def test_flaky_failure_is_not_quarantined(self, tmp_path, monkeypatch):
         # A crash (transient class) never trips the same-signature rule.
@@ -346,107 +363,6 @@ class TestStoreFaults:
             "cached": 1, "ok": 1}
 
 
-class TestCheckpointResume:
-    def _engine_run(self, spec, every=0, sink=None, resume=None):
-        engine = ExperimentRunner().build_engine(spec)
-        return engine.run(checkpoint_every=every, checkpoint_sink=sink,
-                          resume=resume)
-
-    @pytest.mark.parametrize("fidelity", ["eager", "event"])
-    def test_resume_bit_identical_smoke(self, fidelity):
-        spec = tiny_spec(seed=3, fidelity=fidelity, sensor_noise_sigma=0.5)
-        clean = ExperimentRunner().run(spec)
-        blobs = []
-        checkpointed = self._engine_run(
-            spec, every=7,
-            sink=lambda blob, tick: blobs.append((tick, blob)),
-        )
-        # Checkpointing itself must not perturb the run.
-        assert_results_identical(clean, checkpointed)
-        assert [tick for tick, _ in blobs] == [7, 14]
-        for _, blob in blobs:
-            resumed = self._engine_run(spec, resume=blob)
-            assert_results_identical(clean, resumed)
-
-    @pytest.mark.slow
-    @pytest.mark.parametrize("fidelity", ["eager", "event"])
-    @pytest.mark.parametrize("noise", [0.0, 0.5])
-    @pytest.mark.parametrize("dpm", [False, True])
-    def test_resume_bit_identical_matrix(self, fidelity, noise, dpm):
-        spec = tiny_spec(seed=9, duration_s=3.0, fidelity=fidelity,
-                         sensor_noise_sigma=noise, with_dpm=dpm)
-        clean = ExperimentRunner().run(spec)
-        blobs = []
-        self._engine_run(spec, every=9,
-                         sink=lambda blob, tick: blobs.append(blob))
-        assert len(blobs) == 3  # ticks 9, 18, 27 of 30
-        for blob in blobs:
-            resumed = self._engine_run(spec, resume=blob)
-            assert_results_identical(clean, resumed)
-
-    def test_runner_resumes_from_checkpoint_file(self, tmp_path):
-        spec = tiny_spec(seed=11)
-        clean = ExperimentRunner().run(spec)
-        path = tmp_path / "run.ckpt"
-        first = ExperimentRunner().run(spec, checkpoint_path=path,
-                                       checkpoint_every_ticks=6)
-        assert_results_identical(clean, first)
-        # The completed run leaves its last checkpoint behind (the
-        # store discards it; a bare runner keeps it). A re-run resumes
-        # from tick 18 and must land on the same result.
-        assert load_checkpoint(path) is not None
-        resumed = ExperimentRunner().run(spec, checkpoint_path=path,
-                                         checkpoint_every_ticks=6)
-        assert_results_identical(clean, resumed)
-
-    def test_corrupt_checkpoint_file_ignored(self, tmp_path):
-        spec = tiny_spec(seed=12)
-        clean = ExperimentRunner().run(spec)
-        path = tmp_path / "run.ckpt"
-        path.write_bytes(b"RPRCKPT1" + b"\x00" * 40)  # bad digest
-        assert load_checkpoint(path) is None
-        result = ExperimentRunner().run(spec, checkpoint_path=path,
-                                        checkpoint_every_ticks=5)
-        assert_results_identical(clean, result)
-
-    def test_stale_checkpoint_of_other_run_discarded(self, tmp_path):
-        path = tmp_path / "run.ckpt"
-        ExperimentRunner().run(tiny_spec(policy="Adapt3D"),
-                               checkpoint_path=path,
-                               checkpoint_every_ticks=6)
-        spec = tiny_spec(policy="Default", seed=13)
-        clean = ExperimentRunner().run(spec)
-        # The leftover checkpoint belongs to a different run; the
-        # identity guard rejects it and the run starts fresh.
-        result = ExperimentRunner().run(spec, checkpoint_path=path,
-                                        checkpoint_every_ticks=6)
-        assert_results_identical(clean, result)
-
-    def test_executor_resumes_from_store_checkpoint(self, tmp_path):
-        spec = tiny_spec(seed=21)
-        key = run_key(spec)
-        store = ResultStore(tmp_path / "store")
-        clean = ExperimentRunner().run(spec)
-        # Simulate a killed driver: a mid-run checkpoint survives in
-        # the store, the result does not.
-        ExperimentRunner().run(spec, checkpoint_path=store.checkpoint_path(key),
-                               checkpoint_every_ticks=5)
-        assert store.has_checkpoint(key)
-        assert not store.has(key)
-
-        executor = CampaignExecutor(
-            store=store, backend="parallel", max_workers=1,
-            resilience=fast_policy(checkpoint_every_ticks=5),
-        )
-        results = executor.run_specs([spec])
-        assert executor.stats.snapshot()["checkpoints"] == 1
-        assert not store.has_checkpoint(key)  # discarded once completed
-
-        reference = ResultStore(tmp_path / "reference")
-        reference.save(spec, clean)
-        assert_results_identical(results[key], reference.load(key))
-
-
 class TestChaosCampaign:
     """The acceptance harness: a campaign under a mixed fault plan
     terminates, and every surviving run is bit-identical to a
@@ -492,8 +408,8 @@ class TestChaosCampaign:
 
     @pytest.mark.slow
     def test_chaos_full_matrix(self, tmp_path, monkeypatch):
-        # Crash storm + hang + torn saves across a four-run campaign
-        # with checkpointing armed.
+        # Crash storm + hang + torn saves across a four-run campaign;
+        # every retried run is simulated again from tick 0.
         install_plan(
             monkeypatch, tmp_path / "faults",
             FaultSpec("c1", "worker_run", "crash", times=2),
@@ -502,8 +418,7 @@ class TestChaosCampaign:
         )
         campaign = tiny_campaign(seeds=(1, 2))  # 4 runs
         store = ResultStore(tmp_path / "store")
-        policy = fast_policy(max_attempts=3, unit_timeout_s=3.0,
-                             checkpoint_every_ticks=5)
+        policy = fast_policy(max_attempts=3, unit_timeout_s=3.0)
         executor = CampaignExecutor(store=store, backend="parallel",
                                     max_workers=2, resilience=policy)
         run = self._run_until_done(executor, store, campaign, max_rounds=6)
@@ -548,10 +463,29 @@ class TestResilienceCli:
         )
         assert main([
             "campaign", "run", str(spec_path), "--serial",
-            "--max-attempts", "2", "--checkpoint-every", "5",
+            "--max-attempts", "2", "--unit-timeout", "30",
         ]) == 0
         out = capsys.readouterr().out
         assert "1/1 done" in out
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_unit_timeout_refused(
+        self, tmp_path, capsys, monkeypatch, value
+    ):
+        # A NaN deadline would switch the watchdog off silently, and an
+        # infinite one crashed the driver in the pool's wait.
+        from repro.cli import main
+
+        monkeypatch.chdir(tmp_path)
+        spec_path = tiny_campaign(name="nf", policies=("Default",)).to_json(
+            tmp_path / "nf.json"
+        )
+        assert main([
+            "campaign", "run", str(spec_path), "--workers", "1",
+            "--unit-timeout", value,
+        ]) == 2
+        assert "unit_timeout_s" in capsys.readouterr().err
+        assert not (tmp_path / "campaigns" / "nf" / "runs").exists()
 
     def test_unquarantine_subcommand(self, tmp_path, capsys, monkeypatch):
         from repro.cli import main

@@ -1,21 +1,23 @@
 """Result-store record tests: the run directory is the record.
 
 Layout and reopen, rename-arbitrated concurrent saves, old-layout
-fencing, torn small-file writes, and the open-time sweep of abandoned
-temp dirs.
+fencing, old stores that still serve, torn small-file writes, and the
+open-time sweep of abandoned temp dirs.
 """
 
+import hashlib
 import io
 import json
 import multiprocessing
 import os
+import pickle
 import time
 from pathlib import Path
 
 import pytest
 
 from repro.analysis.runner import ExperimentRunner
-from repro.campaign import CampaignExecutor, ResultStore
+from repro.campaign import CampaignExecutor, ResultStore, run_key
 from repro.campaign import faults
 from repro.errors import ConfigurationError
 
@@ -196,6 +198,56 @@ class TestRunDirRecord:
         run = CampaignExecutor(store=store, backend="serial").run_campaign(
             tiny_campaign(policies=("Default",)))
         assert run.counts() == {"cached": 1}
+
+    def test_store_with_checkpoint_sidecars_still_serves(
+        self, tmp_path, capsys
+    ):
+        # Older versions resumed killed runs from engine snapshots kept
+        # under checkpoints/ (magic, SHA-256 of the blob, the blob) and
+        # counted them in resilience.json. Such a store opens and
+        # serves; a key that left only a snapshot is simulated again
+        # from tick 0, and the snapshot is ignored, not refused.
+        from repro.cli import main
+
+        root = tmp_path / "store"
+        campaign = tiny_campaign(name="old")
+        done, killed = campaign.expand()
+        CampaignExecutor(store=ResultStore(root),
+                         backend="serial").run_specs([done])
+        blob = pickle.dumps({"version": 2, "next_tick": 7, "n_ticks": 20})
+        sidecars = root / "checkpoints"
+        sidecars.mkdir()
+        for spec in (done, killed):
+            (sidecars / f"{run_key(spec)}.ckpt").write_bytes(
+                b"RPRCKPT1" + hashlib.sha256(blob).digest() + blob)
+        (root / "resilience.json").write_text(
+            json.dumps({"checkpoints": 2, "retries": 1}))
+        before = _file_states(sidecars)
+
+        events = []
+        store = ResultStore(root)
+        run = CampaignExecutor(
+            store=store, backend="serial",
+            progress=lambda event, key, _: events.append((event, key)),
+        ).run_campaign(campaign)
+        assert run.counts() == {"cached": 1, "ok": 1}
+        assert ("cached", run_key(done)) in events
+        assert ("ok", run_key(killed)) in events
+        # A store keeps completed jobs only; round-trip the fresh run
+        # through the lossless codec to compare like with like.
+        reference = ResultStore(tmp_path / "reference")
+        reference.save(killed, ExperimentRunner().run(killed))
+        assert_results_identical(store.load(run_key(killed)),
+                                 reference.load(run_key(killed)))
+        assert _file_states(sidecars) == before
+
+        spec_path = campaign.to_json(tmp_path / "old.json")
+        capsys.readouterr()
+        assert main(["campaign", "report", str(spec_path),
+                     "--store", str(root)]) == 0
+        out = capsys.readouterr().out
+        assert "Default" in out and "Adapt3D" in out
+        assert "resilience (store lifetime)" in out
 
     @pytest.mark.parametrize("layout", [
         ("store.json", "index/00.json", "journal/00.jsonl"),

@@ -17,8 +17,7 @@ stack x policy x DPM matrix runs under the ``slow`` marker.
 
 Within event fidelity one spec has one result, bit for bit
 (``TestEventOneResult``): a clock jump is an exact shortcut for the
-ticks it replaces, a truncated run is the shorter run, and a resumed
-run is the uninterrupted one.
+ticks it replaces, and a truncated run is the shorter run.
 """
 
 import heapq
@@ -292,45 +291,6 @@ class TestEventTelemetry:
         assert "event_jump" in phases["phases"]
 
 
-class TestEventCheckpointResume:
-    """Checkpoint/resume across clock jumps: the checkpoint carries the
-    open modal stepper, and a resumed run continues it bit for bit."""
-
-    def _engine_run(self, spec, every=0, sink=None, resume=None):
-        engine = RUNNER.build_engine(spec)
-        return engine.run(checkpoint_every=every, checkpoint_sink=sink,
-                          resume=resume)
-
-    def test_resume_through_jumps(self, monkeypatch):
-        calls = count_event_jumps(monkeypatch)
-        spec = RunSpec(exp_id=4, policy="Default", duration_s=12.0, seed=7,
-                       with_dpm=True, benchmark_mix=IDLE_MIX,
-                       fidelity="event")
-        clean = RUNNER.run(spec)
-        assert calls["jumps"] > 0
-        blobs = []
-        checkpointed = self._engine_run(
-            spec, every=30,
-            sink=lambda blob, tick: blobs.append((tick, blob)),
-        )
-        # Checkpointing itself must not perturb the run: the mid-run
-        # modal close rematerializes node state without invalidating
-        # the reduced coordinates the loop keeps advancing.
-        np.testing.assert_array_equal(clean.vf_indices,
-                                      checkpointed.vf_indices)
-        np.testing.assert_array_equal(clean.core_states,
-                                      checkpointed.core_states)
-        np.testing.assert_array_equal(clean.unit_temps_k,
-                                      checkpointed.unit_temps_k)
-        assert clean.energy_j == checkpointed.energy_j
-        assert blobs
-        for _, blob in blobs:
-            # The stepper resumes from its checkpointed coordinates, not
-            # from a re-projection of the node state.
-            resumed = self._engine_run(spec, resume=blob)
-            assert_results_identical([clean], [resumed])
-
-
 class TestEventOneResult:
     """One spec, one result: the event paths that reach a result by a
     different route give the same bits."""
@@ -528,8 +488,9 @@ class TestModalPrimitives:
             assert np.isnan(peak_row[non_core]).all()
 
     def test_close_does_not_invalidate_coordinates(self, model):
-        """A mid-stretch close (checkpoint) rematerializes node state;
-        the caller keeps advancing the same reduced coordinates."""
+        """A close rematerializes the node state without touching the
+        reduced coordinates: advancing after it continues the same
+        trajectory."""
         self._settled_state(model)
         reference = ThermalModel(model.config, assembly=model.assembly)
         reference.temperatures = model.temperatures.copy()
@@ -539,7 +500,7 @@ class TestModalPrimitives:
         for _ in range(3):
             reference.step_vector(powers)
             modal.advance(powers)
-        modal.close()  # checkpoint
+        modal.close()
         np.testing.assert_allclose(
             model.temperatures, reference.temperatures,
             rtol=0.0, atol=1e-9,
