@@ -4,13 +4,20 @@
 A saved result is three files next to its stem (:data:`PAYLOAD_SUFFIXES`):
 every per-tick series as one float64 matrix (``_planes.npy``, columns in
 :data:`_PLANES` order), one float64 row per completed job (``_jobs.npy``,
-columns in :data:`_JOB_COLUMNS` order), and the scalars with every name
-list (``_meta.json``). float64 holds every recorded value and integer
-exactly, so the round trip is bit for bit, and one result always gives
-the same bytes, which the store's rename arbitration relies on. Only
-*completed* jobs are kept: every metric in :mod:`repro.metrics` uses
-completed jobs only. A stem saved in the CSV format of earlier versions
-fails the meta ``version`` check with :class:`ConfigurationError`.
+the completed rows of the result's
+:class:`~repro.workload.job.JobTable`, columns in
+:data:`~repro.workload.job.JOB_COLUMNS` order), and the scalars with
+every name list (``_meta.json``, which names each job's benchmark and
+core). float64 holds every recorded value and integer exactly, so the
+round trip is bit for bit, and one result always gives the same bytes,
+which the store's rename arbitration relies on. Only *completed* jobs
+are kept: every metric in :mod:`repro.metrics` uses completed jobs
+only. Neither direction builds a :class:`~repro.workload.job.Job`:
+``save_result`` writes the table's columns, and ``load_result`` makes
+the loaded jobs matrix the table's rows, so a loaded result's ``jobs``
+builds its :class:`~repro.workload.job.Job` objects only when iterated
+or indexed. A stem saved in the CSV format of earlier versions fails
+the meta ``version`` check with :class:`ConfigurationError`.
 
 ``export_result`` writes CSV artifacts for plotting outside this
 library, and ``load_temperature_csv`` reads the temperature table back:
@@ -26,7 +33,6 @@ from __future__ import annotations
 
 import csv
 import json
-from operator import attrgetter
 from pathlib import Path
 from typing import List, Tuple, Union
 
@@ -35,7 +41,7 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.sched.engine import SimulationResult
 from repro.workload.benchmarks import benchmark
-from repro.workload.job import Job
+from repro.workload.job import JOB_COLUMNS, JobTable
 
 #: Files :func:`save_result` writes, as suffixes of its stem: the
 #: per-tick planes, the completed jobs and the metadata.
@@ -55,10 +61,6 @@ _PLANES = (
 
 #: Planes the engine records as ``int``; every other plane is float64.
 _INT_PLANES = ("vf_indices", "core_states")
-
-#: Numeric job fields in jobs column order.
-_JOB_COLUMNS = ("job_id", "thread_id", "arrival_time", "work_s",
-                "remaining_s", "completion_time", "migrations")
 
 def export_result(result: SimulationResult, stem: Union[str, Path]) -> List[Path]:
     """Write the three CSV artifacts; returns the written paths."""
@@ -135,12 +137,9 @@ def save_result(result: SimulationResult, stem: Union[str, Path]) -> List[Path]:
     """
     planes_path, jobs_path, meta_path = paths = _payload_paths(stem)
     planes_path.parent.mkdir(parents=True, exist_ok=True)
-    jobs = result.completed_jobs()
+    jobs = result.jobs.take(result.jobs.finished())
     planes = np.column_stack([getattr(result, name) for name, _ in _PLANES])
-    rows = np.array(list(map(attrgetter(*_JOB_COLUMNS), jobs)),
-                    dtype=np.float64)
-    for path, matrix in ((planes_path, planes),
-                         (jobs_path, rows.reshape(-1, len(_JOB_COLUMNS)))):
+    for path, matrix in ((planes_path, planes), (jobs_path, jobs.rows)):
         with path.open("wb") as handle:
             np.save(handle, matrix, allow_pickle=False)
     meta = {
@@ -152,8 +151,8 @@ def save_result(result: SimulationResult, stem: Union[str, Path]) -> List[Path]:
         "unit_names": list(result.unit_names),
         "core_names": list(result.core_names),
         "n_dies": result.layer_spreads_k.shape[1],
-        "job_benchmarks": [job.benchmark.name for job in jobs],
-        "job_cores": [job.core for job in jobs],
+        "job_benchmarks": [spec.name for spec in jobs.benchmarks],
+        "job_cores": jobs.cores,
     }
     meta_path.write_text(json.dumps(meta, sort_keys=True) + "\n")
     return paths
@@ -187,7 +186,7 @@ def load_result(stem: Union[str, Path]) -> SimulationResult:
              "cores": len(meta["core_names"]), "dies": meta["n_dies"]}
     bounds = np.cumsum([width[kind] for _, kind in _PLANES])
     if (planes.ndim != 2 or planes.shape[1] != bounds[-1]
-            or rows.shape != (len(names), len(_JOB_COLUMNS))
+            or rows.shape != (len(names), len(JOB_COLUMNS))
             or len(cores) != len(names)):
         raise ConfigurationError(
             f"{stem}: payload shapes {planes.shape} and {rows.shape} "
@@ -201,20 +200,11 @@ def load_result(stem: Union[str, Path]) -> SimulationResult:
     }
 
     specs = {name: benchmark(name) for name in set(names)}
-    jobs: List[Job] = []
-    for (job_id, thread_id, arrival, work, remaining, completion,
-         migrations), name, core in zip(rows.tolist(), names, cores):
-        job = Job(int(job_id), int(thread_id), specs[name], arrival, work,
-                  core=core, completion_time=completion,
-                  migrations=int(migrations))
-        job.remaining_s = remaining
-        jobs.append(job)
-
     return SimulationResult(
         unit_names=meta["unit_names"],
         core_names=meta["core_names"],
         energy_j=meta["energy_j"],
-        jobs=jobs,
+        jobs=JobTable(rows, [specs[name] for name in names], cores),
         migrations=meta["migrations"],
         policy_name=meta["policy_name"],
         sampling_interval_s=meta["sampling_interval_s"],
@@ -260,10 +250,8 @@ def truncate_result(
     if n == result.n_ticks:
         return result
     end_time = float(result.times[n - 1])
-    jobs = [
-        job for job in result.jobs
-        if job.finished and job.completion_time <= end_time + 1e-9
-    ]
+    jobs = result.jobs.take(
+        result.jobs.column("completion_time") <= end_time + 1e-9)
     energy = 0.0
     for power in result.total_power_w[:n].tolist():
         energy += power * dt
@@ -281,7 +269,7 @@ def truncate_result(
         total_power_w=result.total_power_w[:n].copy(),
         energy_j=energy,
         jobs=jobs,
-        migrations=sum(job.migrations for job in jobs),
+        migrations=int(sum(jobs.column("migrations").tolist())),
         policy_name=result.policy_name,
         sampling_interval_s=dt,
     )

@@ -164,7 +164,9 @@ def campaign_report(
     """One metrics table over every completed run of the campaign.
 
     Failed or pending runs appear as ``--`` rows so the table always
-    reflects the full grid.
+    reflects the full grid, and a metric a stored run cannot define
+    (cycles of a run shorter than one window, delay when the run or its
+    baseline completed no job) as a ``--`` cell.
     """
     rows: List[List[object]] = []
     # Baseline runs are shared by every other policy row of the same
@@ -203,14 +205,15 @@ def campaign_report(
         report = summarize(result, baseline)
         if report.normalized_delay is not None:
             delay = f"{report.normalized_delay:.3f}"
-        elif spec.policy == baseline_policy:
+        elif (spec.policy == baseline_policy
+              and report.mean_response_s is not None):
             delay = "1.000"
         else:
             delay = "--"
         rows.append(prefix + [
             round(report.hot_spot_pct, 2),
             round(report.gradient_pct, 2),
-            round(report.cycle_pct, 2),
+            "--" if report.cycle_pct is None else round(report.cycle_pct, 2),
             round(report.peak_temperature_c, 1),
             delay,
         ])

@@ -53,19 +53,21 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
                              "(the per-event reference)")
 
 
-def _report_lines(report, with_delay: bool) -> List[List[object]]:
-    rows = [
+def _cell(value: Optional[float], digits: int) -> object:
+    """``value`` rounded for a table, or ``--`` for an undefined metric."""
+    return "--" if value is None else round(value, digits)
+
+
+def _report_lines(report) -> List[List[object]]:
+    return [
         ["hot spots (>85C) % time", round(report.hot_spot_pct, 2)],
         ["spatial gradients (>15C) % time", round(report.gradient_pct, 2)],
-        ["thermal cycles (>20C) % windows", round(report.cycle_pct, 2)],
+        ["thermal cycles (>20C) % windows", _cell(report.cycle_pct, 2)],
         ["peak temperature C", round(report.peak_temperature_c, 1)],
-        ["mean response time s", round(report.mean_response_s, 4)],
+        ["mean response time s", _cell(report.mean_response_s, 4)],
         ["average power W", round(report.avg_power_w, 1)],
         ["energy J", round(report.energy_j, 1)],
     ]
-    if with_delay and report.normalized_delay is not None:
-        rows.append(["delay vs Default", round(report.normalized_delay, 3)])
-    return rows
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -77,7 +79,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     report = summarize(result)
     print(format_table(
         ["metric", "value"],
-        _report_lines(report, with_delay=False),
+        _report_lines(report),
         title=f"{args.policy} on EXP-{args.exp} "
               f"({args.duration:.0f}s, DPM={'on' if args.dpm else 'off'})",
     ))
@@ -103,9 +105,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
             name,
             round(report.hot_spot_pct, 2),
             round(report.gradient_pct, 2),
-            round(report.cycle_pct, 2),
+            _cell(report.cycle_pct, 2),
             round(report.peak_temperature_c, 1),
-            round(report.normalized_delay, 3),
+            _cell(report.normalized_delay, 3),
         ])
     print(format_table(
         ["policy", "hot%", "grad%", "cycles%", "peak C", "delay"],

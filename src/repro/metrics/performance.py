@@ -6,6 +6,12 @@ job response time (arrival to completion) per run; the figure series is
 that value normalized to the Default policy's run on the same workload
 (1.0 = no overhead, higher = slower).
 
+The job metrics take a run's jobs as a
+:class:`~repro.workload.job.JobTable` (a list of :class:`Job` is
+converted first) and read its columns. Sums run left to right in job
+order over Python floats, as the builtin ``sum`` does, so every value
+equals the per-job formula bit for bit.
+
 Beyond the single paper mean, this module carries the shared latency
 toolkit used by the telemetry layer (``repro.obs.stats``): exact
 linear-interpolation percentiles and tail-latency summaries over
@@ -22,21 +28,28 @@ from __future__ import annotations
 from typing import Dict, List, Sequence
 
 from repro.errors import ConfigurationError
-from repro.workload.job import Job
+from repro.workload.job import Job, JobTable
 
 #: Default percentile set reported by summaries (median + tails).
 DEFAULT_PERCENTILES = (50.0, 95.0, 99.0)
 
 
-def mean_response_time(jobs: List[Job]) -> float:
-    """Mean arrival-to-completion latency (s) over finished jobs."""
-    finished = [job for job in jobs if job.finished]
-    if not finished:
+def _response_times(jobs: Sequence[Job]) -> List[float]:
+    """Response times (s) of the finished jobs, in job order; raises if
+    none finished."""
+    times = JobTable.of(jobs).response_times().tolist()
+    if not times:
         raise ConfigurationError("no completed jobs to evaluate")
-    return sum(job.response_time for job in finished) / len(finished)
+    return times
 
 
-def normalized_delay(jobs: List[Job], baseline_jobs: List[Job]) -> float:
+def mean_response_time(jobs: Sequence[Job]) -> float:
+    """Mean arrival-to-completion latency (s) over finished jobs."""
+    times = _response_times(jobs)
+    return sum(times) / len(times)
+
+
+def normalized_delay(jobs: Sequence[Job], baseline_jobs: Sequence[Job]) -> float:
     """Mean response time relative to the baseline run (1.0 = equal)."""
     baseline = mean_response_time(baseline_jobs)
     if baseline <= 0.0:
@@ -44,11 +57,11 @@ def normalized_delay(jobs: List[Job], baseline_jobs: List[Job]) -> float:
     return mean_response_time(jobs) / baseline
 
 
-def throughput(jobs: List[Job], duration_s: float) -> float:
+def throughput(jobs: Sequence[Job], duration_s: float) -> float:
     """Completed jobs per second of simulated time."""
     if duration_s <= 0.0:
         raise ConfigurationError("duration must be positive")
-    return sum(1 for job in jobs if job.finished) / duration_s
+    return int(JobTable.of(jobs).finished().sum()) / duration_s
 
 
 def percentile(values: Sequence[float], q: float) -> float:
@@ -95,7 +108,7 @@ def latency_summary(
 
 
 def response_time_percentiles(
-    jobs: List[Job],
+    jobs: Sequence[Job],
     percentiles: Sequence[float] = DEFAULT_PERCENTILES,
 ) -> Dict[str, float]:
     """Response-time percentiles (s) over finished jobs.
@@ -103,10 +116,8 @@ def response_time_percentiles(
     Raises if nothing finished — a run with zero completions has no
     meaningful response distribution.
     """
-    finished = [job.response_time for job in jobs if job.finished]
-    if not finished:
-        raise ConfigurationError("no completed jobs to evaluate")
-    return {_pct_key(q): percentile(finished, q) for q in percentiles}
+    times = _response_times(jobs)
+    return {_pct_key(q): percentile(times, q) for q in percentiles}
 
 
 def _pct_key(q: float) -> str:

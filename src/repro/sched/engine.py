@@ -122,7 +122,7 @@ from repro.sched.queue import DispatchQueue
 from repro.sched.workload_source import WorkloadSource
 from repro.thermal.model import ThermalModel
 from repro.thermal.sensors import SensorBank
-from repro.workload.job import Job
+from repro.workload.job import Job, JobTable
 
 _TIME_EPS = 1e-9
 
@@ -247,6 +247,15 @@ class SimulationResult:
     """Everything recorded during one run (input to the metrics layer).
 
     Temperature series are in kelvin. Rows are sampling ticks.
+
+    ``jobs`` is one :class:`~repro.workload.job.JobTable`: every job's
+    numeric fields as float64 columns (NaN completion while unfinished)
+    plus its benchmark and core. The engine fills it from its own
+    :class:`~repro.workload.job.Job` objects, which the table hands
+    back when iterated; a loaded or unpickled table builds them from
+    its rows on first iteration or indexing. The metrics and the result
+    codec read the columns, and a pickled result carries the columns,
+    not the objects. A list of jobs passed in is converted once, here.
     """
 
     times: np.ndarray
@@ -261,7 +270,7 @@ class SimulationResult:
     core_states: np.ndarray
     total_power_w: np.ndarray
     energy_j: float
-    jobs: List[Job] = field(default_factory=list)
+    jobs: JobTable = field(default_factory=lambda: JobTable.of(()))
     migrations: int = 0
     policy_name: str = ""
     sampling_interval_s: float = 0.1
@@ -269,6 +278,9 @@ class SimulationResult:
     #: engine counters) when the run was instrumented; ``None``
     #: otherwise. Persisted as ``telemetry.json`` by the result store.
     telemetry: Optional[Dict] = None
+
+    def __post_init__(self) -> None:
+        self.jobs = JobTable.of(self.jobs)
 
     @property
     def n_ticks(self) -> int:

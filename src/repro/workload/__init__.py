@@ -6,7 +6,8 @@ provides (see EXPERIMENTS.md, "Substitutions"):
 
 - :mod:`~repro.workload.benchmarks` — the published per-benchmark
   statistics (average utilization, L2 miss rates, FP instruction rates),
-- :mod:`~repro.workload.job` — the job/thread execution model,
+- :mod:`~repro.workload.job` — the job/thread execution model and the
+  columnar job table a finished run hands on,
 - :mod:`~repro.workload.generator` — a closed-loop synthetic workload
   whose statistics match Table I (bursty think/busy thread model),
 - :mod:`~repro.workload.trace` — open-loop per-core utilization traces
@@ -22,7 +23,7 @@ from repro.workload.benchmarks import (
     benchmark_names,
     default_server_mix,
 )
-from repro.workload.job import Job, ThreadState, WorkloadThread
+from repro.workload.job import Job, JobTable, ThreadState, WorkloadThread
 from repro.workload.generator import SyntheticWorkload
 from repro.workload.trace import UtilizationTrace
 from repro.workload.mpstat import parse_mpstat
@@ -34,6 +35,7 @@ __all__ = [
     "benchmark_names",
     "default_server_mix",
     "Job",
+    "JobTable",
     "ThreadState",
     "WorkloadThread",
     "SyntheticWorkload",

@@ -728,6 +728,27 @@ class TestReports:
         status = campaign_status(store, campaign)
         assert status["pending"] == 2
 
+    @pytest.mark.parametrize("duration", [2.0, 1.0])
+    def test_report_renders_runs_with_undefined_metrics(self, duration,
+                                                        tmp_path):
+        """A lone gzip thread completes no job in 2 s, so neither row has
+        a delay; 1 s is also shorter than the 20-tick cycle window."""
+        campaign = CampaignSpec(
+            name="idle", exp_ids=(1,), policies=("Default", "Adapt3D"),
+            durations_s=(duration,), benchmark_mixes=((("gzip", 1),),),
+            seeds=(1,))
+        store = ResultStore(tmp_path)
+        run = CampaignExecutor(store=store,
+                               backend="serial").run_campaign(campaign)
+        assert run.counts() == {"ok": 2}
+        lines = campaign_report(store, campaign).splitlines()
+        assert "2/2 runs" in lines[0]
+        rows = [line.split() for line in lines[3:]]
+        assert [row[1] for row in rows] == ["Default", "Adapt3D"]
+        for row in rows:
+            assert row[-1] == "--"
+            assert (row[-3] == "--") == (duration < 2.0)
+
 
 class TestCampaignCli:
     def test_run_status_report(self, tmp_path, capsys, monkeypatch):

@@ -35,6 +35,26 @@ class TestCli:
         assert "Adapt3D" in out
         assert "delay" in out
 
+    def test_run_shorter_than_cycle_window(self, capsys):
+        # 10 ticks cannot fill the 20-tick cycle window: the metric is
+        # undefined and prints as --, the rest of the report stands.
+        assert main([
+            "run", "Default", "--exp", "1", "--duration", "1",
+        ]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        cycles = next(line for line in lines if line.startswith("thermal"))
+        assert cycles.split()[-1] == "--"
+        assert any(line.startswith("mean response") for line in lines)
+
+    def test_compare_shorter_than_cycle_window(self, capsys):
+        assert main([
+            "compare", "Default", "Adapt3D",
+            "--exp", "1", "--duration", "1",
+        ]) == 0
+        rows = capsys.readouterr().out.splitlines()[3:]
+        assert [row.split()[0] for row in rows] == ["Default", "Adapt3D"]
+        assert all(row.split()[3] == "--" for row in rows)
+
     def test_compare_unknown_policy_fails(self, capsys):
         assert main(["compare", "NotAPolicy", "--duration", "5"]) == 2
 
