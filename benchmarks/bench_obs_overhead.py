@@ -8,8 +8,8 @@ in three telemetry states:
   disabled path must stay inside the hot-path gate: null-object
   singletons for the lifecycle hooks plus plain-int micro counters mean
   there is nothing to branch on in the tick loop.
-- ``metrics`` — registry + job stats + tick profiler (the ``campaign
-  run --telemetry`` configuration).
+- ``metrics`` — ``TelemetryConfig()``: job stats + tick profiler (the
+  ``campaign run --telemetry`` configuration).
 - ``full``    — metrics plus the trace ring buffer (the ``repro
   trace`` configuration).
 

@@ -9,6 +9,7 @@ through here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -39,9 +40,9 @@ class RunSpec:
     policy:
         Registry name, e.g. ``"Adapt3D"`` or ``"Adapt3D&DVFS_TT"``.
     duration_s:
-        Simulated seconds, stored as a float (the paper ran 30-minute
-        traces; the benches default shorter for runtime, see
-        EXPERIMENTS.md).
+        Simulated seconds, stored as a float, finite and above 0 (the
+        paper ran 30-minute traces; the benches default shorter for
+        runtime, see EXPERIMENTS.md).
     with_dpm:
         Enable the fixed-timeout power manager (Figures 4-6).
     seed:
@@ -57,9 +58,9 @@ class RunSpec:
         constructor — lets ablation sweeps (e.g. Adapt3D's beta
         constants) stay declarative and campaign-hashable.
     sensor_noise_sigma:
-        Additive Gaussian sensor noise in kelvin, stored as a float
-        (0 = ideal sensors); the sensor-noise campaign axis plumbs
-        through here.
+        Additive Gaussian sensor noise in kelvin, stored as a float,
+        finite and at least 0 (0 = ideal sensors); the sensor-noise
+        campaign axis plumbs through here.
     workload_mix:
         Optional named workload-mix scenario
         (:func:`repro.workload.benchmarks.named_mix`), scaled to the
@@ -74,8 +75,8 @@ class RunSpec:
         every event path — clock jumps, batched lanes — gives one
         result per spec, bit for bit.
     telemetry:
-        Collect engine telemetry (metrics registry, per-job latency
-        stats, tick-phase profile) during the run. Strictly
+        Collect engine telemetry (per-job stats, engine counters,
+        tick-phase profile) during the run. Strictly
         observational — results are identical either way — so the flag
         is **excluded from the campaign run key** (see
         ``repro.campaign.spec``): cached results satisfy telemetry-on
@@ -100,9 +101,10 @@ class RunSpec:
         # One value, one key: the run key hashes each field's JSON, in
         # which 2 and 2.0, or [4, 4] and (4, 4), are spelled apart.
         object.__setattr__(self, "grid", check_grid(self.grid))
-        object.__setattr__(self, "duration_s", float(self.duration_s))
+        object.__setattr__(self, "duration_s",
+                           check_duration(self.duration_s))
         object.__setattr__(self, "sensor_noise_sigma",
-                           float(self.sensor_noise_sigma))
+                           check_noise_sigma(self.sensor_noise_sigma))
 
 
 def check_grid(grid: object) -> Tuple[int, int]:
@@ -124,6 +126,41 @@ def check_grid(grid: object) -> Tuple[int, int]:
     raise ConfigurationError(
         f"grid {grid!r} is not two positive ints (rows, cols)"
     )
+
+
+def check_duration(duration_s: object) -> float:
+    """``duration_s`` as a float: finite and above 0 s.
+
+    Anything else raises :class:`ConfigurationError`; the engine counts
+    a run's ticks from it, and NaN or infinity has no tick count.
+    """
+    value = _finite_float(duration_s, "duration_s")
+    if value > 0.0:
+        return value
+    raise ConfigurationError(f"duration_s {duration_s!r} is not above 0 s")
+
+
+def check_noise_sigma(sigma: object) -> float:
+    """``sigma`` as a float: finite and at least 0 K.
+
+    Anything else raises :class:`ConfigurationError`: a NaN sigma would
+    draw no noise under a key of its own. ``-0.0`` is returned as
+    ``0.0``, which it equals but would not key as.
+    """
+    value = _finite_float(sigma, "sensor_noise_sigma")
+    if value >= 0.0:
+        return value + 0.0
+    raise ConfigurationError(f"sensor_noise_sigma {sigma!r} is below 0 K")
+
+
+def _finite_float(value: object, name: str) -> float:
+    try:
+        out = float(value)
+    except (TypeError, ValueError):
+        out = math.nan
+    if math.isfinite(out):
+        return out
+    raise ConfigurationError(f"{name} {value!r} is not a finite number")
 
 
 #: Key of the per-stack caches: ``(exp_id, (grid_rows, grid_cols))``.

@@ -209,7 +209,7 @@ BatchSimulationEngine` batches of up to ``batch_size`` lanes; runs
         deviation). Event lanes ignore it: they step the serial
         engine's modal stepper and are always bit-identical.
     telemetry:
-        Collect engine telemetry (metrics registry, job stats, tick
+        Collect engine telemetry (job stats, engine counters, tick
         profiler) for every run this executor computes. Observational:
         run keys ignore the flag, so telemetry-on campaigns still reuse
         plain cached results (those simply lack a telemetry sidecar).

@@ -23,7 +23,12 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.analysis.runner import RunSpec, check_grid
+from repro.analysis.runner import (
+    RunSpec,
+    check_duration,
+    check_grid,
+    check_noise_sigma,
+)
 from repro.errors import ConfigurationError
 from repro.sched.engine import FIDELITY_MODES
 
@@ -170,9 +175,14 @@ class CampaignSpec:
                     f"unknown fidelity {fidelity!r}; "
                     f"expected one of {FIDELITY_MODES}"
                 )
-        # Each extra run checked its own grid when it was built.
+        # Each extra run checked its own values when it was built.
         object.__setattr__(self, "grids",
                            tuple(check_grid(grid) for grid in self.grids))
+        object.__setattr__(self, "durations_s",
+                           tuple(check_duration(d) for d in self.durations_s))
+        object.__setattr__(self, "sensor_noise_sigmas",
+                           tuple(check_noise_sigma(sigma)
+                                 for sigma in self.sensor_noise_sigmas))
 
     # ------------------------------------------------------------------
 

@@ -30,7 +30,7 @@ from repro.contracts.cli import add_arguments as add_lint_arguments
 from repro.contracts.cli import run_from_args as run_lint_from_args
 from repro.contracts.loader import ContractError
 from repro.core.registry import policy_names
-from repro.errors import ConfigurationError
+from repro.errors import ReproError
 from repro.floorplan.experiments import EXPERIMENT_IDS, build_experiment
 from repro.metrics.report import summarize
 from repro.sched.engine import FIDELITY_MODES
@@ -182,11 +182,7 @@ def _print_campaign_telemetry(store, spec) -> None:
 def cmd_campaign_run(args: argparse.Namespace) -> int:
     from repro.campaign import CampaignExecutor, campaign_status, format_status
 
-    try:
-        spec, store = _load_campaign(args)
-    except ConfigurationError as exc:
-        print(exc, file=sys.stderr)
-        return 2
+    spec, store = _load_campaign(args)
 
     if args.fidelity is not None:
         # Override the spec's fidelity axis for this invocation; run
@@ -194,11 +190,7 @@ def cmd_campaign_run(args: argparse.Namespace) -> int:
         # (not instead of) eager ones in the store.
         from dataclasses import replace as dc_replace
 
-        try:
-            spec = dc_replace(spec, fidelities=(args.fidelity,))
-        except ConfigurationError as exc:
-            print(exc, file=sys.stderr)
-            return 2
+        spec = dc_replace(spec, fidelities=(args.fidelity,))
 
     total = len(spec.expand())
     done = {"n": 0}
@@ -221,26 +213,22 @@ def cmd_campaign_run(args: argparse.Namespace) -> int:
     backend = args.backend
     if args.serial:
         backend = "serial"
-    try:
-        from repro.campaign import ResiliencePolicy, RetryPolicy
+    from repro.campaign import ResiliencePolicy, RetryPolicy
 
-        resilience = ResiliencePolicy(
-            retry=RetryPolicy(max_attempts=args.max_attempts),
-            unit_timeout_s=args.unit_timeout,
-        )
-        executor = CampaignExecutor(
-            store=store,
-            backend=backend,
-            max_workers=args.workers,
-            progress=progress,
-            batch_size=args.batch_size,
-            propagation=args.propagation,
-            telemetry=args.telemetry,
-            resilience=resilience,
-        )
-    except ConfigurationError as exc:
-        print(exc, file=sys.stderr)
-        return 2
+    resilience = ResiliencePolicy(
+        retry=RetryPolicy(max_attempts=args.max_attempts),
+        unit_timeout_s=args.unit_timeout,
+    )
+    executor = CampaignExecutor(
+        store=store,
+        backend=backend,
+        max_workers=args.workers,
+        progress=progress,
+        batch_size=args.batch_size,
+        propagation=args.propagation,
+        telemetry=args.telemetry,
+        resilience=resilience,
+    )
     run = executor.run_campaign(spec)
     print(format_status(campaign_status(store, spec)))
     _print_campaign_telemetry(store, spec)
@@ -252,22 +240,14 @@ def cmd_campaign_run(args: argparse.Namespace) -> int:
 def cmd_campaign_status(args: argparse.Namespace) -> int:
     from repro.campaign import campaign_status, format_status
 
-    try:
-        spec, store = _load_campaign(args)
-    except ConfigurationError as exc:
-        print(exc, file=sys.stderr)
-        return 2
+    spec, store = _load_campaign(args)
     print(format_status(campaign_status(store, spec)))
     _print_campaign_telemetry(store, spec)
     return 0
 
 
 def cmd_campaign_unquarantine(args: argparse.Namespace) -> int:
-    try:
-        _, store = _load_campaign(args)
-    except ConfigurationError as exc:
-        print(exc, file=sys.stderr)
-        return 2
+    _, store = _load_campaign(args)
     quarantined = store.quarantined()
     keys = args.keys or sorted(quarantined)
     released = 0
@@ -286,11 +266,7 @@ def cmd_campaign_unquarantine(args: argparse.Namespace) -> int:
 def cmd_campaign_report(args: argparse.Namespace) -> int:
     from repro.campaign import campaign_report
 
-    try:
-        spec, store = _load_campaign(args)
-    except ConfigurationError as exc:
-        print(exc, file=sys.stderr)
-        return 2
+    spec, store = _load_campaign(args)
     print(campaign_report(store, spec, baseline_policy=args.baseline))
     _print_campaign_telemetry(store, spec)
     return 0
@@ -384,8 +360,9 @@ def build_parser() -> argparse.ArgumentParser:
                                    "clock jumps, the default axis) or "
                                    "eager (the per-event reference)")
     campaign_run.add_argument("--telemetry", action="store_true",
-                              help="collect engine telemetry (metrics, job "
-                                   "stats, tick-phase profile) per run; "
+                              help="collect engine telemetry (job stats, "
+                                   "engine counters, tick-phase profile) "
+                                   "per run; "
                                    "stored as telemetry.json next to each "
                                    "result, run keys unchanged")
     campaign_run.add_argument("--max-attempts", type=int, default=3,
@@ -460,8 +437,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    """Run one subcommand; a library error prints and exits 2."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ReproError as exc:
+        print(exc, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -68,7 +68,6 @@ HOT_PATH_METHOD_SWEEPS: Tuple[Tuple[str, str], ...] = (
 # ---------------------------------------------------------------------------
 #: Every top-level class in these modules must be slotted.
 SLOTS_MODULES: Tuple[str, ...] = (
-    "src/repro/obs/metrics.py",
     "src/repro/obs/trace.py",
     "src/repro/obs/profiler.py",
     "src/repro/obs/stats.py",
@@ -134,10 +133,6 @@ KEY_GOLDEN_PATH = "src/repro/contracts/key_golden.json"
 # null class.
 # ---------------------------------------------------------------------------
 NULL_PARITY_PAIRS: Tuple[Tuple[str, str, str], ...] = (
-    ("src/repro/obs/metrics.py", "Counter", "_NullCounter"),
-    ("src/repro/obs/metrics.py", "Gauge", "_NullGauge"),
-    ("src/repro/obs/metrics.py", "Histogram", "_NullHistogram"),
-    ("src/repro/obs/metrics.py", "MetricsRegistry", "_NullRegistry"),
     ("src/repro/obs/telemetry.py", "EngineTelemetry", "_NullTelemetry"),
     ("src/repro/obs/trace.py", "TraceRecorder", "_NullTrace"),
     ("src/repro/obs/profiler.py", "TickProfiler", "_NullProfiler"),

@@ -1,5 +1,5 @@
-"""Observability layer: metrics registry, trace recorder, tick profiler,
-and per-job latency statistics.
+"""Observability layer: per-job statistics, trace recorder, tick
+profiler, and campaign resilience counters.
 
 Everything here is strictly observational — enabling telemetry must
 never change a scheduling, power, or thermal outcome (the differential
@@ -7,23 +7,13 @@ harnesses assert eager runs stay bit-identical with telemetry on).
 See docs/OBSERVABILITY.md for the contracts and overhead numbers.
 """
 
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    NULL_COUNTER,
-    NULL_GAUGE,
-    NULL_HISTOGRAM,
-    NULL_REGISTRY,
-)
 from repro.obs.profiler import (
     NULL_PROFILER,
     PHASES,
     TickProfiler,
     merge_phase_summaries,
 )
-from repro.obs.resilience import RESILIENCE_COUNTERS, ResilienceStats
+from repro.obs.resilience import ResilienceStats
 from repro.obs.stats import JobStatsCollector
 from repro.obs.telemetry import (
     EngineTelemetry,
@@ -33,17 +23,8 @@ from repro.obs.telemetry import (
 from repro.obs.trace import EVENT_NAMES, NULL_TRACE, TraceRecorder
 
 __all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "NULL_COUNTER",
-    "NULL_GAUGE",
-    "NULL_HISTOGRAM",
-    "NULL_REGISTRY",
     "NULL_PROFILER",
     "PHASES",
-    "RESILIENCE_COUNTERS",
     "ResilienceStats",
     "TickProfiler",
     "merge_phase_summaries",

@@ -5,13 +5,13 @@ phases (interval maintenance, power, thermal step, sensors, DPM,
 policy, recording, event-mode clock jumps).  The engine calls ``begin()``
 at the top of each tick and ``lap(phase)`` after each section — a lap
 is two float reads and an add, cheap enough to leave on for whole
-campaigns.  When profiling is off the engine holds
+campaigns.  When telemetry is off the engine holds
 :data:`NULL_PROFILER`, whose methods are empty.
 
 ``summary()`` yields per-phase totals, ms/tick, and percentage shares —
 the live replacement for the hand-measured Amdahl table in
-docs/ENGINE.md.  ``merge()`` folds runs together for campaign-level
-aggregation.
+docs/ENGINE.md.  :func:`merge_phase_summaries` folds the summaries of
+many runs together for campaign-level aggregation.
 """
 
 from __future__ import annotations
@@ -75,17 +75,8 @@ class TickProfiler:
         self.totals[phase] += now - self._t0
         self._t0 = now
 
-    def add(self, phase: int, seconds: float) -> None:
-        """Credit externally measured time to a phase."""
-        self.totals[phase] += seconds
-
     def tick_done(self, n: int = 1) -> None:
         self.ticks += n
-
-    def merge(self, other: "TickProfiler") -> None:
-        for i, t in enumerate(other.totals):
-            self.totals[i] += t
-        self.ticks += other.ticks
 
     def summary(self) -> Dict[str, object]:
         """JSON-ready per-phase breakdown.
@@ -126,13 +117,7 @@ class _NullProfiler:
     def lap(self, phase: int) -> None:
         pass
 
-    def add(self, phase: int, seconds: float) -> None:
-        pass
-
     def tick_done(self, n: int = 1) -> None:
-        pass
-
-    def merge(self, other) -> None:
         pass
 
     def summary(self) -> Dict[str, object]:

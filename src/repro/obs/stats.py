@@ -1,15 +1,15 @@
 """Per-job lifecycle statistics collected from engine hooks.
 
-The engine (or any hook source) feeds the collector four lifecycle
-moments per job plus migration notifications:
+:class:`~repro.obs.telemetry.EngineTelemetry` updates the collector's
+fields in place at four lifecycle moments per job, plus migrations:
 
-- ``on_arrival`` — the job became runnable;
-- ``on_dispatch`` — the job was placed on a core's queue (first
-  placement defines *dispatch latency*: arrival -> queue);
-- ``on_start`` — the job reached the head of a run queue for the first
-  time (arrival -> head defines *queue wait*; with single-slot cores
-  the head job is the one executing);
-- ``on_complete`` — response-time sample (arrival -> completion).
+- arrival — the job became runnable;
+- dispatch — the job was placed on a core's queue (first placement
+  defines *dispatch latency*: arrival -> queue);
+- start — the job reached the head of a run queue for the first time
+  (arrival -> head defines *queue wait*; with single-slot cores the
+  head job is the one executing);
+- completion — response-time sample (arrival -> completion).
 
 Samples are exact (raw lists, not histograms) because jobs-per-run is
 thousands, not billions; summaries reuse the percentile helpers in
@@ -42,34 +42,11 @@ class JobStatsCollector:
         self.dispatch_latencies: List[float] = []
         self.queue_waits: List[float] = []
         self.responses: List[float] = []
-        # Public on purpose: EngineTelemetry's hot hooks update the
-        # collector's fields directly instead of going through the
-        # on_* wrappers (one method call per event adds up against the
-        # 10% overhead gate); the wrappers remain the API for any
-        # out-of-engine hook source.
+        # Public on purpose: EngineTelemetry's hooks update the
+        # collector's fields directly (one method call per event adds
+        # up against the 10% overhead gate).
         self.dispatched_ids: Set[int] = set()
         self.started_ids: Set[int] = set()
-
-    def on_arrival(self, t: float, job_id: int) -> None:
-        self.arrivals += 1
-
-    def on_dispatch(self, t: float, job_id: int, arrival_time: float) -> None:
-        self.dispatches += 1
-        if job_id not in self.dispatched_ids:
-            self.dispatched_ids.add(job_id)
-            self.dispatch_latencies.append(t - arrival_time)
-
-    def on_start(self, t: float, job_id: int, arrival_time: float) -> bool:
-        """Record first head-of-queue time; True if this was the first."""
-        if job_id in self.started_ids:
-            return False
-        self.started_ids.add(job_id)
-        self.queue_waits.append(t - arrival_time)
-        return True
-
-    def on_complete(self, t: float, job_id: int, arrival_time: float) -> None:
-        self.completions += 1
-        self.responses.append(t - arrival_time)
 
     def on_migration(self, preempt: bool) -> None:
         self.migrations += 1

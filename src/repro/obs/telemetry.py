@@ -4,10 +4,14 @@ The engine holds exactly one attribute, ``self._obs``.  When telemetry
 is off it is :data:`NULL_TELEMETRY` — a shared singleton whose hook
 methods are empty bodies, so disabled lifecycle sites cost one
 attribute load and an empty call, and the per-tick hot loop costs
-nothing at all (its micro-counters are plain ``int`` adds that never
-branch; see ``sched/engine.py``).  When on, the façade fans each hook
-out to the metrics registry, the per-job stats collector, and the
-trace ring buffer.
+nothing at all (its decision-site counters are plain ``int`` adds that
+never branch; see ``sched/engine.py``).  When on, the façade feeds
+each hook to the per-job stats collector and the trace ring buffer.
+
+Each fact has one home: lifecycle counts and latency samples live in
+the job stats, decision-site counts (heap traffic, clock jumps, DPM,
+V/f and gating transitions) in the engine's counters, events in the
+trace ring and phase times in the tick profiler.
 
 Hooks fire at *decision* sites only (dispatch, start-of-execution,
 completion, migration, DPM/V-f/gating transitions, span close,
@@ -22,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
-from repro.obs.metrics import MetricsRegistry, NULL_REGISTRY
+from repro.errors import ConfigurationError
 from repro.obs.profiler import NULL_PROFILER, TickProfiler
 from repro.obs.stats import JobStatsCollector
 from repro.obs.trace import (
@@ -43,74 +47,45 @@ from repro.obs.trace import (
 
 __all__ = ["TelemetryConfig", "EngineTelemetry", "NULL_TELEMETRY"]
 
-#: Bucket upper edges (seconds) for lifecycle latency histograms.
-#: Jobs are 10 ms .. tens of seconds; ticks are 100 ms.
-LATENCY_BOUNDS_S = (0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 60.0)
-
 
 @dataclass(frozen=True, slots=True)
 class TelemetryConfig:
-    """What to record.  All fields are observational — no setting here
-    may change scheduling, power, or thermal results."""
+    """What to record beyond the job stats and the tick profile, which
+    every telemetry run keeps.  Observational: no setting here may
+    change scheduling, power, or thermal results."""
 
-    metrics: bool = True
     trace: bool = False
-    profile: bool = True
     trace_capacity: int = 65536
 
-    @property
-    def enabled(self) -> bool:
-        return self.metrics or self.trace or self.profile
+    def __post_init__(self) -> None:
+        if self.trace_capacity < 1:
+            raise ConfigurationError(
+                "trace capacity must be at least 1 event, "
+                f"got {self.trace_capacity}"
+            )
 
 
 class EngineTelemetry:
-    """Live fan-out of engine lifecycle hooks to registry/stats/trace."""
+    """Live fan-out of engine lifecycle hooks to job stats and trace."""
 
-    __slots__ = (
-        "config", "registry", "stats", "trace", "profiler",
-        "_c_dispatch", "_c_complete", "_c_migration", "_c_preempt",
-        "_c_sleep", "_c_wake", "_c_vf", "_c_gate", "_c_span_close",
-        "_c_ev_jumps", "_c_ev_jump_ticks", "_c_ev_skipped",
-        "_h_response", "_h_queue_wait",
-    )
+    __slots__ = ("config", "stats", "trace", "profiler")
 
     enabled = True
 
     def __init__(self, config: Optional[TelemetryConfig] = None) -> None:
         self.config = config or TelemetryConfig()
-        self.registry = MetricsRegistry()
         self.stats = JobStatsCollector()
         self.trace = (
             TraceRecorder(self.config.trace_capacity)
             if self.config.trace else NULL_TRACE
         )
-        self.profiler = (
-            TickProfiler() if self.config.profile else NULL_PROFILER
-        )
-        reg = self.registry
-        self._c_dispatch = reg.counter("jobs.dispatched")
-        self._c_complete = reg.counter("jobs.completed")
-        self._c_migration = reg.counter("jobs.migrations")
-        self._c_preempt = reg.counter("jobs.preemptions")
-        self._c_sleep = reg.counter("dpm.sleeps")
-        self._c_wake = reg.counter("dpm.wakes")
-        self._c_vf = reg.counter("policy.vf_changes")
-        self._c_gate = reg.counter("policy.gate_changes")
-        self._c_span_close = reg.counter("span.closes")
-        self._c_ev_jumps = reg.counter("event.jumps")
-        self._c_ev_jump_ticks = reg.counter("event.jump_ticks")
-        self._c_ev_skipped = reg.counter("event.skipped_ticks")
-        self._h_response = reg.histogram("jobs.response_time_s",
-                                         LATENCY_BOUNDS_S)
-        self._h_queue_wait = reg.histogram("jobs.queue_wait_s",
-                                           LATENCY_BOUNDS_S)
+        self.profiler = TickProfiler()
 
     # -- job lifecycle -------------------------------------------------
     #
     # The four job hooks fire several times per tick, so they update
-    # the stats collector's fields and counter values directly rather
-    # than through their method wrappers — each saved call is ~100 ns
-    # x thousands of events against the 10% overhead gate in
+    # the stats collector's fields directly — each saved call is
+    # ~100 ns x thousands of events against the 10% overhead gate in
     # benchmarks/bench_obs_overhead.py.
 
     def job_arrival(self, t: float, job) -> None:
@@ -118,7 +93,6 @@ class EngineTelemetry:
         self.trace.emit(t, EV_ARRIVAL, -1, job.job_id, job.work_s)
 
     def job_dispatch(self, t: float, job, core_idx: int) -> None:
-        self._c_dispatch.value += 1
         st = self.stats
         st.dispatches += 1
         jid = job.job_id
@@ -132,25 +106,18 @@ class EngineTelemetry:
         jid = job.job_id
         if jid not in st.started_ids:
             st.started_ids.add(jid)
-            wait = t - job.arrival_time
-            st.queue_waits.append(wait)
-            self._h_queue_wait.observe(wait)
+            st.queue_waits.append(t - job.arrival_time)
         self.trace.emit(t, EV_START, core_idx, jid)
 
     def job_complete(self, t: float, job, core_idx: int) -> None:
-        self._c_complete.value += 1
         st = self.stats
         st.completions += 1
         response = t - job.arrival_time
         st.responses.append(response)
-        self._h_response.observe(response)
         self.trace.emit(t, EV_COMPLETION, core_idx, job.job_id, response)
 
     def migration(self, t: float, job, src_idx: int, dst_idx: int,
                   preempt: bool) -> None:
-        self._c_migration.inc()
-        if preempt:
-            self._c_preempt.inc()
         self.stats.on_migration(preempt)
         self.trace.emit(t, EV_MIGRATION, dst_idx, job.job_id,
                         float(src_idx))
@@ -158,31 +125,23 @@ class EngineTelemetry:
     # -- power / thermal management transitions ------------------------
 
     def dpm_sleep(self, t: float, core_idx: int) -> None:
-        self._c_sleep.inc()
         self.trace.emit(t, EV_DPM_SLEEP, core_idx)
 
     def dpm_wake(self, t: float, core_idx: int) -> None:
-        self._c_wake.inc()
         self.trace.emit(t, EV_DPM_WAKE, core_idx)
 
     def vf_change(self, t: float, core_idx: int, vf_index: int) -> None:
-        self._c_vf.inc()
         self.trace.emit(t, EV_VF_CHANGE, core_idx, -1, float(vf_index))
 
     def gate_change(self, t: float, core_idx: int, gated: bool) -> None:
-        self._c_gate.inc()
         self.trace.emit(t, EV_GATE, core_idx, -1, 1.0 if gated else 0.0)
 
     # -- event fidelity ------------------------------------------------
 
     def span_close(self, t: float, core_idx: int) -> None:
-        self._c_span_close.inc()
         self.trace.emit(t, EV_SPAN_CLOSE, core_idx)
 
-    def event_jump(self, t: float, ticks: int, skipped: int) -> None:
-        self._c_ev_jumps.inc()
-        self._c_ev_jump_ticks.inc(ticks)
-        self._c_ev_skipped.inc(skipped)
+    def event_jump(self, t: float, ticks: int) -> None:
         self.trace.emit(t, EV_EVENT_JUMP, -1, -1, float(ticks))
 
     # -- snapshot ------------------------------------------------------
@@ -194,15 +153,14 @@ class EngineTelemetry:
     ) -> Dict[str, object]:
         """JSON-ready telemetry for the obs-owned concerns.
 
-        The engine wraps this with its own micro-counters and cache
-        statistics to form the full ``SimulationResult.telemetry``
-        payload.
+        The engine adds its own ``engine`` section (fidelity, policy
+        and decision-site counters) to form the full
+        ``SimulationResult.telemetry`` payload.
         """
         out: Dict[str, object] = {
-            "registry": self.registry.snapshot(),
             "job_stats": self.stats.summary(core_names, core_occupancy),
         }
-        if self.profiler.enabled and self.profiler.ticks:
+        if self.profiler.ticks:
             out["phases"] = self.profiler.summary()
         if self.config.trace:
             out["trace"] = self.trace.to_lists()
@@ -214,15 +172,14 @@ class _NullTelemetry:
 
     Mirrors the full public surface of :class:`EngineTelemetry` (the
     static null-parity contract rule holds the two in lockstep):
-    instruments resolve to the shared no-op registry, ``stats`` is
-    ``None`` (callers gate on ``enabled`` before reading job stats),
-    and ``snapshot`` returns an empty-but-well-formed payload.
+    ``stats`` is ``None`` (callers gate on ``enabled`` before reading
+    job stats), and ``snapshot`` returns an empty-but-well-formed
+    payload.
     """
 
     __slots__ = ()
     enabled = False
     config = None
-    registry = NULL_REGISTRY
     stats = None
     profiler = NULL_PROFILER
     trace = NULL_TRACE
@@ -232,7 +189,7 @@ class _NullTelemetry:
         core_names: Sequence[str] = (),
         core_occupancy=None,
     ) -> Dict[str, object]:
-        return {"registry": NULL_REGISTRY.snapshot(), "job_stats": {}}
+        return {"job_stats": {}}
 
     def job_arrival(self, t, job):
         pass
@@ -264,7 +221,7 @@ class _NullTelemetry:
     def span_close(self, t, core_idx):
         pass
 
-    def event_jump(self, t, ticks, skipped):
+    def event_jump(self, t, ticks):
         pass
 
 

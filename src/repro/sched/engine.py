@@ -177,10 +177,11 @@ class EngineConfig:
         eager within the documented tolerance). ``RunSpec``, campaigns
         and the CLI default to ``"event"``.
     telemetry:
-        Optional :class:`~repro.obs.telemetry.TelemetryConfig`. ``None``
-        (default) disables all instrumentation — the engine holds the
-        no-op telemetry singleton and the hot loop pays nothing beyond
-        plain integer micro-counters. Telemetry is strictly
+        Optional :class:`~repro.obs.telemetry.TelemetryConfig`; any
+        config turns telemetry (job stats, tick profile, and the trace
+        if asked) on. ``None`` (default) turns it off — the engine
+        holds the no-op telemetry singleton and the hot loop pays
+        nothing beyond plain integer counters. Telemetry is strictly
         observational: enabling it never changes a scheduling, power,
         or thermal outcome (eager runs stay bit-identical; asserted in
         the differential harnesses).
@@ -274,8 +275,8 @@ class SimulationResult:
     migrations: int = 0
     policy_name: str = ""
     sampling_interval_s: float = 0.1
-    #: JSON-ready telemetry snapshot (registry, job stats, phases,
-    #: engine counters) when the run was instrumented; ``None``
+    #: JSON-ready telemetry snapshot (job stats, phases, engine
+    #: counters, trace) when the run was instrumented; ``None``
     #: otherwise. Persisted as ``telemetry.json`` by the result store.
     telemetry: Optional[Dict] = None
 
@@ -413,12 +414,15 @@ class SimulationEngine:
         self._jobs: List[Job] = []
         self._thread_last_core: Dict[int, str] = {}
         self._migration_count = 0
+        # An engine runs once: the job list, the arrival heap and the
+        # workload's stream are consumed by the run (_prepare_run).
+        self._has_run = False
 
         # Telemetry: lifecycle hooks fan out through _obs (the shared
         # no-op singleton when off), per-tick phases through _prof.
-        # The truly hot decision sites bump the plain-int _ob_*
-        # micro-counters below unconditionally — an int add is cheaper
-        # than any call or branch and can never perturb a decision.
+        # The decision sites bump the plain-int _ob_* counters below
+        # unconditionally — an int add is cheaper than any call or
+        # branch and can never perturb a decision.
         self._obs = NULL_TELEMETRY
         self._prof = NULL_PROFILER
         self._reset_micro_counters()
@@ -513,18 +517,19 @@ class SimulationEngine:
     # ------------------------------------------------------------------
 
     def _reset_micro_counters(self) -> None:
-        """Zero the hot-loop decision-site counters (per run)."""
+        """Zero the decision-site counters (per run)."""
         self._ob_heap_push = 0
         self._ob_heap_invalidate = 0
         self._ob_heap_pop = 0
         self._ob_heap_stale = 0
-        self._ob_heap_recompute = 0
         self._ob_span_touch = 0
-        self._ob_span_close = 0
         self._ob_event_jumps = 0
         self._ob_event_jump_ticks = 0
         self._ob_event_skipped = 0
-        self._ob_arrival_pop = 0
+        self._ob_dpm_sleeps = 0
+        self._ob_dpm_wakes = 0
+        self._ob_vf_changes = 0
+        self._ob_gate_changes = 0
 
     def _default_system_view(self) -> SystemView:
         config = self.thermal.config
@@ -550,8 +555,13 @@ class SimulationEngine:
         against the thermal model's interval, arms the event heap and
         the structure-of-arrays bookkeeping, initializes the thermal
         state and pushes the workload's initial arrivals. Returns
-        ``(n_ticks, dt)``.
+        ``(n_ticks, dt)``. Refuses an engine that has already run.
         """
+        if self._has_run:
+            raise SchedulerError(
+                "this engine has already run; build a fresh engine for "
+                "each run (ExperimentRunner.build_engine)"
+            )
         cfg = self.config
         if cfg.sampling_interval_s != self.thermal.sampling_interval:
             raise SchedulerError(
@@ -569,12 +579,10 @@ class SimulationEngine:
         n_ticks = int(round(cfg.duration_s / dt))
         if n_ticks < 1:
             raise SchedulerError("duration shorter than one sampling interval")
+        self._has_run = True
 
         tel = cfg.telemetry
-        if tel is not None and tel.enabled:
-            self._obs = EngineTelemetry(tel)
-        else:
-            self._obs = NULL_TELEMETRY
+        self._obs = NULL_TELEMETRY if tel is None else EngineTelemetry(tel)
         self._prof = self._obs.profiler
         self._reset_micro_counters()
         # Event fidelity runs entirely on the span substrate (lazy
@@ -608,17 +616,12 @@ class SimulationEngine:
         snap["engine"] = {
             "fidelity": self.config.fidelity,
             "policy": self.policy.name,
-            "jobs_total": len(self._jobs),
-            "jobs_completed": sum(1 for j in self._jobs if j.finished),
-            "migrations": self._migration_count,
             "counters": {
                 "heap_push": self._ob_heap_push,
                 "heap_invalidate": self._ob_heap_invalidate,
                 "heap_pop": self._ob_heap_pop,
                 "heap_stale_pop": self._ob_heap_stale,
-                "heap_recompute_on_pop": self._ob_heap_recompute,
                 "span_touch": self._ob_span_touch,
-                "span_close": self._ob_span_close,
                 "event_jumps": self._ob_event_jumps,
                 "event_jump_ticks": self._ob_event_jump_ticks,
                 "event_skipped_ticks": self._ob_event_skipped,
@@ -626,8 +629,10 @@ class SimulationEngine:
                     self._ob_event_jump_ticks / self._ob_event_jumps
                     if self._ob_event_jumps else 0.0
                 ),
-                "event_pop_arrivals": self._ob_arrival_pop,
-                "event_pop_completions": self._ob_heap_pop,
+                "dpm_sleeps": self._ob_dpm_sleeps,
+                "dpm_wakes": self._ob_dpm_wakes,
+                "vf_changes": self._ob_vf_changes,
+                "gate_changes": self._ob_gate_changes,
             },
         }
         return snap
@@ -1056,7 +1061,7 @@ class SimulationEngine:
         self._ob_event_jumps += 1
         self._ob_event_jump_ticks += consumed
         self._ob_event_skipped += skipped
-        self._obs.event_jump(t_end, consumed, skipped)
+        self._obs.event_jump(t_end, consumed)
         return consumed, energy, mean_row
 
     def _advance_interval_span(self, t0: float, t1: float) -> None:
@@ -1272,7 +1277,6 @@ class SimulationEngine:
                     break
                 heapq.heappop(heap)
                 self._ob_heap_pop += 1
-                self._ob_heap_recompute += 1
                 core.heap_seq += 1
                 event = self._next_core_event(core, now)
                 if event is not None:
@@ -1407,7 +1411,6 @@ class SimulationEngine:
             # span anchor (every mutation site materializes first, so
             # the cached time stays exact until the next invalidation).
             self._span_dirty = True
-            self._ob_span_close += 1
             self._obs.span_close(now, core.idx)
             event = self._next_core_event_span(core)
         else:
@@ -1509,7 +1512,6 @@ class SimulationEngine:
     def _process_arrivals(self, now: float) -> None:
         while self._arrivals and self._arrivals[0][0] <= now + _TIME_EPS:
             _, _, job = heapq.heappop(self._arrivals)
-            self._ob_arrival_pop += 1
             self._dispatch(job, now)
 
     def _allocation_context(self, job: Job, now: float) -> AllocationContext:
@@ -1565,6 +1567,7 @@ class SimulationEngine:
             core.halted = core.gated
             wake = self.config.dpm.wake_latency_s if self.config.dpm else 0.0
             core.stall_until = max(core.stall_until, now + wake)
+            self._ob_dpm_wakes += 1
             self._obs.dpm_wake(now, core.idx)
         core.queue.push(job)
         if job.remaining_s <= _TIME_EPS and len(core.jobs) == 1:
@@ -1593,6 +1596,7 @@ class SimulationEngine:
                 core.sleeping = True
                 core.halted = True
                 self._invalidate_event(core, now)
+                self._ob_dpm_sleeps += 1
                 self._obs.dpm_sleep(now, core.idx)
 
     def _tick_context(
@@ -1676,6 +1680,7 @@ class SimulationEngine:
                     core.gated = is_gated
                     core.halted = is_gated or core.sleeping
                     self._invalidate_event(core, now)
+                    self._ob_gate_changes += 1
                     self._obs.gate_change(now, core.idx, is_gated)
             self._any_gated = bool(gated)
 
@@ -1698,6 +1703,7 @@ class SimulationEngine:
         core.speed = speed
         self._sync_vf_row(core)
         self._invalidate_event(core, now)
+        self._ob_vf_changes += 1
         self._obs.vf_change(now, core.idx, level)
 
     def _migrate(self, migration: Migration, now: float) -> None:
@@ -1745,6 +1751,7 @@ class SimulationEngine:
             core.halted = core.gated
             wake = self.config.dpm.wake_latency_s if self.config.dpm else 0.0
             cost += wake
+            self._ob_dpm_wakes += 1
             self._obs.dpm_wake(now, core.idx)
         core.queue.push(job)
         if core.jobs[0].remaining_s <= _TIME_EPS:

@@ -30,6 +30,12 @@ from repro.errors import ConfigurationError
 SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
 
 
+#: A telemetry sidecar as stored before the metrics registry was
+#: deleted (``registry`` section, ``engine.jobs_total``).
+OLD_SIDECAR = Path(__file__).resolve().parent / "data" / \
+    "telemetry_with_registry.json"
+
+
 def tiny_spec(policy="Default", seed=1, **overrides) -> RunSpec:
     """A seconds-scale run for integration tests."""
     base = dict(exp_id=1, policy=policy, duration_s=2.0, seed=seed,
@@ -134,6 +140,20 @@ class TestRunSpecValues:
         with pytest.raises(ConfigurationError, match="grid"):
             tiny_spec(grid=grid)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("duration_s", float("nan")), ("duration_s", float("inf")),
+         ("duration_s", 0), ("duration_s", -2.0), ("duration_s", "two"),
+         ("sensor_noise_sigma", float("nan")),
+         ("sensor_noise_sigma", float("inf")),
+         ("sensor_noise_sigma", -0.5)],
+    )
+    def test_unusable_value_rejected(self, field, value):
+        # NaN and infinity have no tick count, and a NaN sigma would
+        # draw no noise under a key of its own.
+        with pytest.raises(ConfigurationError, match=field):
+            tiny_spec(**{field: value})
+
     def test_list_grid_is_the_tuple_grid(self):
         spec = tiny_spec(grid=[4, 4], duration_s=1.0)
         assert spec.grid == (4, 4)
@@ -145,7 +165,8 @@ class TestRunSpecValues:
         assert run_key(tiny_spec(duration_s=2)) == run_key(tiny_spec())
         assert tiny_spec(duration_s=2).duration_s == 2.0
         assert (run_key(tiny_spec(sensor_noise_sigma=0))
-                == run_key(tiny_spec(sensor_noise_sigma=0.0)))
+                == run_key(tiny_spec(sensor_noise_sigma=0.0))
+                == run_key(tiny_spec(sensor_noise_sigma=-0.0)))
         by_hand = CampaignSpec.from_dict({
             "name": "x", "exp_ids": [1], "policies": ["Default"],
             "durations_s": [2], "seeds": [1], "grids": [[4, 4]],
@@ -255,6 +276,18 @@ class TestCampaignSpec:
         key no 8x8 request ever hits."""
         with pytest.raises(ConfigurationError, match="grid"):
             CampaignSpec.from_dict({"name": "x", "grids": grids})
+
+    @pytest.mark.parametrize(
+        "axis, values",
+        [("durations_s", [2.0, float("nan")]), ("durations_s", [0]),
+         ("sensor_noise_sigmas", [float("inf")]),
+         ("sensor_noise_sigmas", [0.0, -1.0])],
+    )
+    def test_unusable_axis_value_rejected(self, axis, values):
+        field = {"durations_s": "duration_s",
+                 "sensor_noise_sigmas": "sensor_noise_sigma"}[axis]
+        with pytest.raises(ConfigurationError, match=field):
+            CampaignSpec.from_dict({"name": "x", axis: values})
 
     def test_malformed_extra_run_grid_rejected(self):
         with pytest.raises(ConfigurationError, match="grid"):
@@ -764,6 +797,18 @@ class TestCampaignCli:
         assert main(["campaign", "report", str(spec_path)]) == 0
         assert "Adapt3D" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["run", "status", "report"])
+    @pytest.mark.parametrize("duration", ["NaN", "Infinity", "0"])
+    def test_unusable_duration_fails_cleanly(self, tmp_path, capsys,
+                                             command, duration):
+        spec_path = tmp_path / "bad.json"
+        spec_path.write_text(
+            '{"name": "bad", "exp_ids": [1], "durations_s": [%s]}' % duration
+        )
+        assert main(["campaign", command, str(spec_path),
+                     "--store", str(tmp_path / "store")]) == 2
+        assert "duration_s" in capsys.readouterr().err
+
     def test_missing_spec_file_fails_cleanly(self, tmp_path, capsys):
         assert main(["campaign", "status", str(tmp_path / "nope.json")]) == 2
 
@@ -903,6 +948,32 @@ class TestTelemetryCampaign:
         rendered = format_telemetry(summary)
         assert "2/2 completed runs" in rendered
         assert "tick phases" in rendered
+
+    def test_sidecar_with_registry_still_reports(self, tmp_path, capsys):
+        """``telemetry_with_registry.json`` is a sidecar written when
+        telemetry also kept a metrics registry: its ``registry`` section
+        and ``engine`` job totals are ignored, and its job stats and
+        phases still aggregate."""
+        from repro.campaign import campaign_telemetry
+
+        store = ResultStore(tmp_path / "store")
+        campaign = tiny_campaign(policies=("Default",))
+        CampaignExecutor(store=store, backend="serial").run_campaign(campaign)
+        old = OLD_SIDECAR.read_text()
+        key = run_key(tiny_spec(fidelity="event"))
+        (tmp_path / "store" / "runs" / key / "telemetry.json").write_text(old)
+        old = json.loads(old)
+        assert "registry" in old and "jobs_total" in old["engine"]
+        summary = campaign_telemetry(store, campaign)
+        assert summary["with_telemetry"] == 1
+        assert summary["phases"]["ticks"] == old["phases"]["ticks"]
+        completions = summary["job_totals"]["completions"]
+        assert completions == old["job_stats"]["completions"]
+        assert completions == len(store.load(key).completed_jobs())
+        spec_path = campaign.to_json(tmp_path / "tiny.json")
+        assert main(["campaign", "report", str(spec_path),
+                     "--store", str(tmp_path / "store")]) == 0
+        assert "telemetry: 1/1 completed runs" in capsys.readouterr().out
 
     def test_aggregation_tolerates_partial_coverage(self, tmp_path):
         from repro.campaign import campaign_telemetry

@@ -84,6 +84,27 @@ class TestCli:
         ]) == 0
         assert "dropped" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("capacity", ["0", "-5"])
+    def test_trace_capacity_below_one_refused(self, tmp_path, capsys,
+                                              capacity):
+        out = tmp_path / "t.json"
+        assert main([
+            "trace", "Default", "--exp", "1", "--duration", "5",
+            "--out", str(out), "--capacity", capacity,
+        ]) == 2
+        assert "trace capacity" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "compare", "trace"])
+    @pytest.mark.parametrize("duration", ["nan", "inf", "0"])
+    def test_unusable_duration_refused(self, tmp_path, capsys, command,
+                                       duration):
+        argv = [command, "Default", "--exp", "1", "--duration", duration]
+        if command == "trace":
+            argv += ["--out", str(tmp_path / "t.json")]
+        assert main(argv) == 2
+        assert "duration_s" in capsys.readouterr().err
+
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
             main([])

@@ -72,6 +72,14 @@ class TestRunMechanics:
         with pytest.raises(SchedulerError):
             engine.run()
 
+    def test_second_run_refused(self):
+        """A run consumes the engine's job list, arrival heap and
+        workload stream, so a rerun would carry the first run's jobs."""
+        engine = RUNNER.build_engine(short_spec(duration_s=2.0, grid=(4, 4)))
+        engine.run()
+        with pytest.raises(SchedulerError, match="build_engine"):
+            engine.run()
+
 
 class TestWorkConservation:
     def test_completed_work_matches_utilization(self):

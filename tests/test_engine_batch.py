@@ -180,6 +180,16 @@ class TestBatchValidation:
         with pytest.raises(SchedulerError):
             BatchSimulationEngine([a, b])
 
+    def test_lane_reused_in_second_batch_refused(self):
+        lanes = [
+            RUNNER.build_engine(RunSpec(exp_id=1, policy="Default",
+                                        duration_s=2.0, seed=seed))
+            for seed in (1, 2)
+        ]
+        BatchSimulationEngine(lanes).run()
+        with pytest.raises(SchedulerError, match="build_engine"):
+            BatchSimulationEngine(lanes).run()
+
     def test_foreign_assembly_rejected(self):
         """Lanes from different runners hold different assemblies."""
         a = RUNNER.build_engine(

@@ -280,15 +280,93 @@ class TestEventTelemetry:
         assert counters["event_jumps"] == calls["jumps"] > 0
         assert counters["event_jump_ticks"] == calls["ticks"]
         assert 0 <= counters["event_skipped_ticks"] <= calls["ticks"]
-        # Registry mirrors agree with the micro counters.
-        reg = result.telemetry["registry"]["counters"]
-        assert reg["event.jumps"] == calls["jumps"]
-        assert reg["event.jump_ticks"] == calls["ticks"]
-        assert reg["event.skipped_ticks"] == counters["event_skipped_ticks"]
         # Profiler credits every reconstructed tick to the jump phase.
         phases = result.telemetry["phases"]
         assert phases["ticks"] == result.n_ticks
         assert "event_jump" in phases["phases"]
+
+
+#: Traced EXP-4 runs with DPM on: a DVFS policy, a gating policy and a
+#: migrating policy, under both fidelities.
+ONE_HOME_SPECS = tuple(
+    RunSpec(exp_id=4, policy=policy, duration_s=4.0, seed=2009,
+            grid=(4, 4), with_dpm=True, fidelity=fidelity)
+    for policy in ("DVFS_TT", "CGate", "Migr")
+    for fidelity in ("eager", "event")
+)
+
+#: Engine counter -> the trace event type its transition emits.
+TRANSITION_EVENTS = {
+    "dpm_sleeps": "dpm_sleep",
+    "dpm_wakes": "dpm_wake",
+    "vf_changes": "vf_change",
+    "gate_changes": "gate",
+}
+
+
+@pytest.fixture(scope="module")
+def one_home_snapshots():
+    from repro.obs.telemetry import TelemetryConfig
+
+    return [
+        RUNNER.build_engine(
+            spec, telemetry_config=TelemetryConfig(trace=True)
+        ).run().telemetry
+        for spec in ONE_HOME_SPECS
+    ]
+
+
+class TestOneHomePerFact:
+    """A run's telemetry records each fact once: lifecycle counts in
+    ``job_stats``, decision-site counts in ``engine.counters``, events
+    in the trace, phase times in ``phases``."""
+
+    def test_transition_counts_match_trace(self, one_home_snapshots):
+        from repro.obs.trace import EVENT_NAMES
+
+        totals = dict.fromkeys(TRANSITION_EVENTS, 0)
+        for snap in one_home_snapshots:
+            assert snap["trace"]["dropped"] == 0
+            counters = snap["engine"]["counters"]
+            for name, event in TRANSITION_EVENTS.items():
+                traced = sum(1 for row in snap["trace"]["rows"]
+                             if EVENT_NAMES[row[1]] == event)
+                assert counters[name] == traced, name
+                totals[name] += traced
+        assert all(totals.values()), totals
+
+    def test_snapshot_sections(self, one_home_snapshots):
+        for snap in one_home_snapshots:
+            assert set(snap) == {"engine", "job_stats", "phases", "trace"}
+            assert set(snap["engine"]) == {"fidelity", "policy", "counters"}
+            for name in ("completions", "migrations"):
+                assert name in snap["job_stats"]
+                assert not any(name[:-1] in key
+                               for key in snap["engine"]["counters"])
+
+    def test_no_count_under_two_names(self, one_home_snapshots):
+        """No two counts agree in every run, unless both are always 0
+        (the server mix leaves no clock jump to count)."""
+        rows = []
+        for snap in one_home_snapshots:
+            counts = {
+                f"job_stats.{k}": v for k, v in snap["job_stats"].items()
+                if isinstance(v, int)
+            }
+            counts.update(
+                (f"engine.counters.{k}", v)
+                for k, v in snap["engine"]["counters"].items()
+                if isinstance(v, int)
+            )
+            rows.append(counts)
+        names = sorted(rows[0])
+        assert all(sorted(row) == names for row in rows)
+        live = [name for name in names if any(row[name] for row in rows)]
+        twins = [
+            (a, b) for i, a in enumerate(live) for b in live[i + 1:]
+            if all(row[a] == row[b] for row in rows)
+        ]
+        assert not twins
 
 
 class TestEventOneResult:

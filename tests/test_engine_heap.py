@@ -193,13 +193,8 @@ class TestTelemetryCrossCheck:
         assert stats["completions"] == len(result.completed_jobs())
         assert stats["migrations"] == result.migrations
         assert stats["completions"] <= stats["dispatches"]
-        counters = snap["registry"]["counters"]
-        assert counters["jobs.completed"] == stats["completions"]
-        assert counters["jobs.migrations"] == result.migrations
-        engine_info = snap["engine"]
-        assert engine_info["jobs_completed"] == stats["completions"]
-        assert engine_info["migrations"] == result.migrations
-        assert engine_info["fidelity"] == "eager"
+        assert stats["arrivals"] == len(result.jobs)
+        assert snap["engine"]["fidelity"] == "eager"
 
     def test_oracle_never_touches_the_heap(self):
         """The differential compares the engine with a loop that keeps
@@ -227,10 +222,11 @@ class TestTelemetryCrossCheck:
         assert counters["heap_push"] > 0
         assert counters["heap_pop"] > 0
         assert counters["heap_invalidate"] > 0
-        # Every pop either recomputes-and-requeues or completes; stale
-        # pops are the lazy-invalidation discards.
+        # Every entry popped, live or stale (a lazy-invalidation
+        # discard), was pushed first.
         assert counters["heap_stale_pop"] >= 0
-        assert counters["heap_recompute_on_pop"] <= counters["heap_pop"]
+        assert (counters["heap_pop"] + counters["heap_stale_pop"]
+                <= counters["heap_push"])
 
     def test_trace_events_match_stats(self):
         from repro.obs.trace import EV_COMPLETION, EV_MIGRATION

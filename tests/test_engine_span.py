@@ -7,7 +7,7 @@ materializes it, utilization comes from span anchors, and cached
 completion events are trusted. The clock jumps themselves are covered
 by ``tests/test_engine_event.py``; this module covers the substrate:
 
-- telemetry counters of the substrate (span touches and closes);
+- telemetry of the substrate (span touches, and span closes traced);
 - fidelity validation at the engine and batch level;
 - batched event lanes, which run on the substrate and step their own
   modal stepper but never jump: bit-identical to serial event runs
@@ -23,6 +23,7 @@ import pytest
 from repro.analysis.runner import ExperimentRunner, RunSpec
 from repro.errors import SchedulerError
 from repro.obs.telemetry import TelemetryConfig
+from repro.obs.trace import EV_SPAN_CLOSE
 from repro.sched.batch import (
     BatchSimulationEngine,
     _DVFSBatchTick,
@@ -59,15 +60,19 @@ class TestSpanTelemetry:
                 == event.telemetry["job_stats"]["completions"])
 
     def test_span_close_counter(self):
+        """Every heap invalidation closes the core's span, so span
+        closes are counted once, as ``heap_invalidate``, and each shows
+        in the trace."""
         spec = RunSpec(exp_id=4, policy="Adapt3D", duration_s=6.0, seed=3)
         result = run_fidelity(spec, "event",
-                              telemetry=TelemetryConfig())
+                              telemetry=TelemetryConfig(trace=True))
         counters = result.telemetry["engine"]["counters"]
         assert counters["span_touch"] > 0
-        assert counters["span_close"] > 0
-        assert result.telemetry["registry"]["counters"]["span.closes"] == (
-            counters["span_close"]
-        )
+        assert "span_close" not in counters
+        trace = result.telemetry["trace"]
+        assert trace["dropped"] == 0
+        closes = sum(1 for row in trace["rows"] if row[1] == EV_SPAN_CLOSE)
+        assert closes == counters["heap_invalidate"] > 0
 
 
 class TestSpanConfigValidation:

@@ -2,28 +2,20 @@
 
 Engine-integrated behaviour (counter cross-checks, bit-identity with
 telemetry on) lives in test_engine_heap.py / test_engine_event.py; this
-file covers the primitives: metrics registry, trace ring buffer and
-Chrome-trace export, tick-phase profiler, job statistics, and the
-telemetry facade.
+file covers the primitives: trace ring buffer and Chrome-trace export,
+tick-phase profiler, job statistics, and the telemetry facade.
 """
 
 import json
+from dataclasses import fields
 
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.obs import (
-    Counter,
     EngineTelemetry,
     EVENT_NAMES,
-    Gauge,
-    Histogram,
-    JobStatsCollector,
-    MetricsRegistry,
-    NULL_COUNTER,
-    NULL_GAUGE,
-    NULL_HISTOGRAM,
     NULL_PROFILER,
-    NULL_REGISTRY,
     NULL_TELEMETRY,
     NULL_TRACE,
     PHASES,
@@ -37,7 +29,12 @@ from repro.obs.trace import (
     EV_ARRIVAL,
     EV_COMPLETION,
     EV_DISPATCH,
+    EV_DPM_SLEEP,
+    EV_DPM_WAKE,
+    EV_GATE,
     EV_MIGRATION,
+    EV_START,
+    EV_VF_CHANGE,
 )
 from repro.workload.benchmarks import benchmark
 from repro.workload.job import Job
@@ -45,90 +42,6 @@ from repro.workload.job import Job
 
 def make_job(job_id=1, arrival=0.0, work=1.0):
     return Job(job_id, 0, benchmark("gcc"), arrival, work)
-
-
-class TestCounterGauge:
-    def test_counter_increments(self):
-        c = Counter("x")
-        c.inc()
-        c.inc(4)
-        assert c.value == 5
-        assert c.snapshot() == 5
-
-    def test_gauge_last_write_wins(self):
-        g = Gauge("x")
-        g.set(1.5)
-        g.set(2.5)
-        assert g.snapshot() == 2.5
-
-    def test_null_counter_is_inert(self):
-        NULL_COUNTER.inc(100)
-        assert NULL_COUNTER.snapshot() == 0
-
-
-class TestHistogram:
-    def test_bucket_assignment(self):
-        h = Histogram("lat", (1.0, 2.0))
-        for v in (0.5, 1.0, 1.5, 5.0):
-            h.observe(v)
-        # bounds are inclusive upper edges; 5.0 overflows.
-        assert h.counts == [2, 1, 1]
-        assert h.count == 4
-        assert h.snapshot()["sum"] == pytest.approx(8.0)
-        assert h.snapshot()["min"] == 0.5
-        assert h.snapshot()["max"] == 5.0
-
-    def test_percentile_reports_bucket_bound(self):
-        h = Histogram("lat", (1.0, 2.0, 4.0))
-        for _ in range(99):
-            h.observe(0.5)
-        h.observe(3.0)
-        assert h.percentile(50.0) == 1.0
-        assert h.percentile(100.0) == 4.0
-
-    def test_overflow_percentile_is_exact_max(self):
-        h = Histogram("lat", (1.0,))
-        h.observe(7.25)
-        assert h.percentile(99.0) == 7.25
-
-    def test_empty_percentile_is_zero(self):
-        assert Histogram("lat", (1.0,)).percentile(50.0) == 0.0
-
-    def test_bad_bounds_rejected(self):
-        with pytest.raises(ValueError):
-            Histogram("lat", ())
-        with pytest.raises(ValueError):
-            Histogram("lat", (2.0, 1.0))
-        with pytest.raises(ValueError):
-            Histogram("lat", (1.0, 1.0))
-
-    def test_snapshot_json_round_trip(self):
-        h = Histogram("lat", (1.0, 2.0))
-        h.observe(0.3)
-        assert json.loads(json.dumps(h.snapshot())) == h.snapshot()
-
-
-class TestRegistry:
-    def test_get_or_create(self):
-        reg = MetricsRegistry()
-        assert reg.counter("a") is reg.counter("a")
-        assert reg.gauge("g") is reg.gauge("g")
-        h = reg.histogram("h", (1.0,))
-        assert reg.histogram("h") is h
-
-    def test_histogram_bounds_required_on_first_use(self):
-        with pytest.raises(ValueError):
-            MetricsRegistry().histogram("h")
-
-    def test_snapshot_sorted_and_grouped(self):
-        reg = MetricsRegistry()
-        reg.counter("b").inc()
-        reg.counter("a").inc(2)
-        reg.gauge("g").set(1.0)
-        snap = reg.snapshot()
-        assert list(snap["counters"]) == ["a", "b"]
-        assert snap["counters"]["a"] == 2
-        assert snap["gauges"]["g"] == 1.0
 
 
 class TestTraceRecorder:
@@ -214,43 +127,46 @@ class TestTraceRecorder:
         assert sorted(EVENT_NAMES) == list(range(1, 12))
 
 
+def profiler_with(ticks, **seconds):
+    """A profiler holding ``seconds`` per phase name over ``ticks``."""
+    prof = TickProfiler()
+    for name, spent in seconds.items():
+        prof.totals[PHASES.index(name)] = spent
+    prof.tick_done(ticks)
+    return prof
+
+
 class TestTickProfiler:
     def test_lap_accumulates(self):
         prof = TickProfiler()
         prof.begin()
         prof.lap(PH_THERMAL)
-        prof.add(PH_POLICY, 0.25)
+        prof.lap(PH_POLICY)
         prof.tick_done(10)
         summary = prof.summary()
         assert summary["ticks"] == 10
-        assert summary["phases"]["policy"]["total_s"] == pytest.approx(0.25)
-        assert summary["phases"]["policy"]["ms_per_tick"] == pytest.approx(25.0)
+        policy = summary["phases"]["policy"]
+        assert policy["ms_per_tick"] == pytest.approx(
+            policy["total_s"] / 10 * 1e3)
         assert "thermal" in summary["phases"]
+        assert summary["total_s"] == pytest.approx(sum(prof.totals))
 
     def test_zero_phases_omitted(self):
-        prof = TickProfiler()
-        prof.add(PH_POLICY, 1.0)
-        prof.tick_done()
+        prof = profiler_with(1, policy=1.0)
         assert list(prof.summary()["phases"]) == ["policy"]
 
     def test_merge(self):
-        a, b = TickProfiler(), TickProfiler()
-        a.add(PH_POLICY, 1.0)
-        a.tick_done(2)
-        b.add(PH_POLICY, 3.0)
-        b.tick_done(2)
-        a.merge(b)
-        assert a.summary()["phases"]["policy"]["total_s"] == pytest.approx(4.0)
-        assert a.ticks == 4
+        """Folding runs adds their phase times and their ticks."""
+        a = profiler_with(2, policy=1.0)
+        b = profiler_with(2, policy=3.0)
+        merged = merge_phase_summaries([a.summary(), b.summary()])
+        assert merged["phases"]["policy"]["total_s"] == pytest.approx(4.0)
+        assert merged["ticks"] == 4
+        assert merged["ms_per_tick"] == pytest.approx(1000.0)
 
     def test_merge_phase_summaries(self):
-        a = TickProfiler()
-        a.add(PH_POLICY, 1.0)
-        a.tick_done(10)
-        b = TickProfiler()
-        b.add(PH_POLICY, 1.0)
-        b.add(PH_THERMAL, 2.0)
-        b.tick_done(10)
+        a = profiler_with(10, policy=1.0)
+        b = profiler_with(10, policy=1.0, thermal=2.0)
         merged = merge_phase_summaries([a.summary(), None, b.summary(), {}])
         assert merged["runs"] == 2
         assert merged["ticks"] == 20
@@ -272,15 +188,17 @@ class TestTickProfiler:
 
 class TestJobStats:
     def test_lifecycle_counts_and_samples(self):
-        stats = JobStatsCollector()
-        stats.on_arrival(0.0, 1)
-        stats.on_dispatch(0.1, 1, 0.0)
-        stats.on_dispatch(0.5, 1, 0.0)  # re-dispatch: count, no new sample
-        assert stats.on_start(0.2, 1, 0.0) is True
-        assert stats.on_start(0.6, 1, 0.0) is False
-        stats.on_complete(1.0, 1, 0.0)
-        stats.on_migration(preempt=True)
-        stats.on_migration(preempt=False)
+        tel = EngineTelemetry()
+        job = make_job(job_id=1, arrival=0.0)
+        tel.job_arrival(0.0, job)
+        tel.job_dispatch(0.1, job, 0)
+        tel.job_dispatch(0.5, job, 0)  # re-dispatch: count, no new sample
+        tel.job_start(0.2, job, 0)
+        tel.job_start(0.6, job, 0)  # repeat start: no new sample
+        tel.job_complete(1.0, job, 0)
+        tel.migration(0.7, job, 0, 1, preempt=True)
+        tel.migration(0.8, job, 1, 0, preempt=False)
+        stats = tel.stats
         assert stats.arrivals == 1
         assert stats.dispatches == 2
         assert stats.completions == 1
@@ -291,12 +209,13 @@ class TestJobStats:
         assert stats.responses == [pytest.approx(1.0)]
 
     def test_summary_shape(self):
-        stats = JobStatsCollector()
-        stats.on_arrival(0.0, 1)
-        stats.on_dispatch(0.0, 1, 0.0)
-        stats.on_start(0.0, 1, 0.0)
-        stats.on_complete(2.0, 1, 0.0)
-        summary = stats.summary(("c0", "c1"), [0.5, 0.25])
+        tel = EngineTelemetry()
+        job = make_job(job_id=1, arrival=0.0)
+        tel.job_arrival(0.0, job)
+        tel.job_dispatch(0.0, job, 0)
+        tel.job_start(0.0, job, 0)
+        tel.job_complete(2.0, job, 0)
+        summary = tel.stats.summary(("c0", "c1"), [0.5, 0.25])
         assert summary["completions"] == 1
         assert summary["response_time_s"]["mean"] == pytest.approx(2.0)
         assert summary["response_time_s"]["p95"] == pytest.approx(2.0)
@@ -306,12 +225,18 @@ class TestJobStats:
 
 class TestTelemetryFacade:
     def test_config_enabled_logic(self):
-        assert TelemetryConfig().enabled
-        assert TelemetryConfig(metrics=False, profile=False,
-                               trace=True).enabled
-        assert not TelemetryConfig(metrics=False, profile=False).enabled
+        """Any config turns telemetry on; it has only the trace to set."""
+        assert EngineTelemetry(TelemetryConfig()).enabled
+        assert not NULL_TELEMETRY.enabled
+        assert [f.name for f in fields(TelemetryConfig)] == [
+            "trace", "trace_capacity"]
 
-    def test_hooks_feed_stats_registry_and_trace(self):
+    @pytest.mark.parametrize("capacity", [0, -5])
+    def test_trace_capacity_below_one_refused(self, capacity):
+        with pytest.raises(ConfigurationError, match="trace capacity"):
+            TelemetryConfig(trace=True, trace_capacity=capacity)
+
+    def test_hooks_feed_stats_and_trace(self):
         tel = EngineTelemetry(TelemetryConfig(trace=True, trace_capacity=64))
         job = make_job(job_id=7, arrival=0.0)
         tel.job_arrival(0.0, job)
@@ -324,19 +249,16 @@ class TestTelemetryFacade:
         tel.vf_change(0.8, 1, 3)
         tel.gate_change(0.9, 1, True)
         snap = tel.snapshot(("c0", "c1", "c2"), None)
-        counters = snap["registry"]["counters"]
-        assert counters["jobs.dispatched"] == 1
-        assert counters["jobs.completed"] == 1
-        assert counters["jobs.migrations"] == 1
-        assert counters["jobs.preemptions"] == 1
-        assert counters["dpm.sleeps"] == 1
-        assert counters["dpm.wakes"] == 1
-        assert counters["policy.vf_changes"] == 1
-        assert counters["policy.gate_changes"] == 1
-        assert snap["job_stats"]["completions"] == 1
+        assert set(snap) == {"job_stats", "trace"}
+        stats = snap["job_stats"]
+        assert (stats["arrivals"], stats["dispatches"], stats["completions"],
+                stats["migrations"], stats["preemptions"]) == (1, 1, 1, 1, 1)
+        assert stats["response_time_s"]["count"] == 1
         assert snap["trace"]["emitted"] == 9
-        hist = snap["registry"]["histograms"]["jobs.response_time_s"]
-        assert hist["count"] == 1
+        events = [row[1] for row in snap["trace"]["rows"]]
+        assert events == [EV_ARRIVAL, EV_DISPATCH, EV_START, EV_COMPLETION,
+                          EV_MIGRATION, EV_DPM_SLEEP, EV_DPM_WAKE,
+                          EV_VF_CHANGE, EV_GATE]
 
     def test_repeat_start_observed_once(self):
         tel = EngineTelemetry(TelemetryConfig())
@@ -344,7 +266,7 @@ class TestTelemetryFacade:
         tel.job_start(0.1, job, 0)
         tel.job_start(0.2, job, 0)
         snap = tel.snapshot((), None)
-        assert snap["registry"]["histograms"]["jobs.queue_wait_s"]["count"] == 1
+        assert snap["job_stats"]["queue_wait_s"]["count"] == 1
 
     def test_trace_disabled_by_default(self):
         tel = EngineTelemetry(TelemetryConfig())
@@ -367,10 +289,6 @@ class TestNullParity:
 
     def test_every_public_member_exists_on_the_null_twin(self):
         pairs = [
-            (Counter("x"), NULL_COUNTER),
-            (Gauge("x"), NULL_GAUGE),
-            (Histogram("x", (1.0,)), NULL_HISTOGRAM),
-            (MetricsRegistry(), NULL_REGISTRY),
             (TickProfiler(), NULL_PROFILER),
             (TraceRecorder(4), NULL_TRACE),
             (EngineTelemetry(), NULL_TELEMETRY),
@@ -399,29 +317,10 @@ class TestNullParity:
         t.vf_change(2.0, 0, 1)
         t.gate_change(2.0, 0, True)
         t.span_close(2.0, 0)
-        snap = t.snapshot(("c0",))
-        assert snap["registry"] == {
-            "counters": {}, "gauges": {}, "histograms": {},
-        }
-        assert snap["job_stats"] == {}
+        t.event_jump(2.0, 5)
+        assert t.snapshot(("c0",)) == {"job_stats": {}}
         assert t.stats is None and t.config is None
         assert t.trace is NULL_TRACE and t.profiler is NULL_PROFILER
-
-    def test_null_registry_hands_back_inert_instruments(self):
-        counter = NULL_REGISTRY.counter("jobs")
-        counter.inc(7)
-        assert counter is NULL_COUNTER and counter.snapshot() == 0
-        gauge = NULL_REGISTRY.gauge("temp")
-        gauge.set(2.5)
-        assert gauge is NULL_GAUGE and gauge.snapshot() == 0.0
-        hist = NULL_REGISTRY.histogram("lat")  # no bounds required
-        hist.observe(1.0)
-        assert hist is NULL_HISTOGRAM
-        assert hist.percentile(99.0) == 0.0
-        assert hist.snapshot()["count"] == 0
-        assert NULL_REGISTRY.snapshot() == {
-            "counters": {}, "gauges": {}, "histograms": {},
-        }
 
     def test_null_trace_exports_are_empty_but_well_formed(self, tmp_path):
         NULL_TRACE.emit(0.0, EV_ARRIVAL, 0, 1, 1.0)
@@ -435,17 +334,3 @@ class TestNullParity:
         jsonl_path = tmp_path / "trace.jsonl"
         NULL_TRACE.write_jsonl(jsonl_path)
         assert jsonl_path.read_text() == ""
-
-    def test_null_profiler_merge_is_inert(self):
-        real = TickProfiler()
-        real.add(PH_POLICY, 1.0)
-        real.tick_done()
-        NULL_PROFILER.begin()
-        NULL_PROFILER.lap(PH_POLICY)
-        NULL_PROFILER.add(PH_POLICY, 5.0)
-        NULL_PROFILER.tick_done()
-        NULL_PROFILER.merge(real)
-        assert NULL_PROFILER.ticks == 0
-        assert NULL_PROFILER.summary() == {
-            "ticks": 0, "total_s": 0.0, "ms_per_tick": 0.0, "phases": {},
-        }
