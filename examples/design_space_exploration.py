@@ -22,7 +22,13 @@ from collections import defaultdict
 from pathlib import Path
 
 from repro import build_experiment, summarize
-from repro.campaign import CampaignExecutor, CampaignSpec, ResultStore, run_key
+from repro.campaign import (
+    CampaignExecutor,
+    CampaignSpec,
+    ResultStore,
+    available_cpus,
+    run_key,
+)
 from repro.core.thermal_index import compute_thermal_indices
 from repro.power.chip_power import ChipPowerModel
 from repro.thermal.model import ThermalModel
@@ -60,7 +66,7 @@ def describe_indices(exp_id: int) -> None:
 
 def main() -> None:
     store = ResultStore(STORE_DIR)
-    workers = os.cpu_count() or 1
+    workers = available_cpus()
     executor = CampaignExecutor(
         store=store,
         backend="parallel" if workers > 1 else "serial",

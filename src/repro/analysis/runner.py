@@ -129,15 +129,22 @@ def check_grid(grid: object) -> Tuple[int, int]:
 
 
 def check_duration(duration_s: object) -> float:
-    """``duration_s`` as a float: finite and above 0 s.
+    """``duration_s`` as a float: finite and at least one tick long.
 
-    Anything else raises :class:`ConfigurationError`; the engine counts
-    a run's ticks from it, and NaN or infinity has no tick count.
+    Anything else raises :class:`ConfigurationError`. The engine runs
+    ``round(duration_s / sampling_interval_s)`` ticks and refuses zero,
+    so a duration that rounds to no tick at
+    ``EngineConfig.sampling_interval_s`` is refused here, before any
+    engine or pool starts; NaN or infinity has no tick count.
     """
     value = _finite_float(duration_s, "duration_s")
-    if value > 0.0:
+    # round() halves to even: 0.5 ticks is 0, anything above is >= 1.
+    if value / EngineConfig.sampling_interval_s > 0.5:
         return value
-    raise ConfigurationError(f"duration_s {duration_s!r} is not above 0 s")
+    raise ConfigurationError(
+        f"duration_s {duration_s!r} is shorter than one "
+        f"{EngineConfig.sampling_interval_s} s tick"
+    )
 
 
 def check_noise_sigma(sigma: object) -> float:

@@ -24,6 +24,7 @@ from repro.campaign.executor import (
     CampaignExecutor,
     CampaignRun,
     RunOutcome,
+    available_cpus,
     worker_runner,
 )
 from repro.campaign.faults import FaultPlan, FaultSpec
@@ -53,6 +54,7 @@ __all__ = [
     "ResultStore",
     "RetryPolicy",
     "RunOutcome",
+    "available_cpus",
     "campaign_report",
     "campaign_status",
     "campaign_telemetry",

@@ -27,10 +27,21 @@ into completed entries in a :class:`ResultStore`:
   **quarantined** in the store so later campaigns skip it until
   ``unquarantine``.
 
-Results always travel driver-ward over the executor pipe; only the
-driver process writes the store. A store has one driver: a second
-driver on the same store duplicates work, and the store's
-rename-published run dirs keep each key published and charged once.
+Pool workers write the store: each publishes the run dirs of the units
+it simulates (:func:`~repro.campaign.store.publish_run`, the code
+:meth:`ResultStore.save` runs on the serial backend) and reports back
+per lane only the key and whether its rename won. A result crosses the
+pipe only when the executor has no store. The driver writes the rest:
+thermal indices, failure and quarantine records and the resilience
+tally. A store error (an exception from a save, in the driver or in a
+worker) ends the campaign; it is not a run failure. A worker that dies
+before its rename leaves only a hidden temp dir, which is not a record,
+and the unit is retried; one that dies after the rename but before
+reporting leaves the key published, and the retry simulates the run
+again, loses the rename and reports ``cached`` (``save-race``). A store
+has one driver: a second driver on the same store duplicates work, and
+the rename keeps each key published and charged once across every
+process.
 """
 
 from __future__ import annotations
@@ -56,13 +67,13 @@ from typing import (
 )
 
 from repro.analysis.runner import ExperimentRunner, RunnerCaches, RunSpec
-from repro.campaign.faults import maybe_crash_or_hang, reset_fault_cache
+from repro.campaign.faults import inject_fault, reset_fault_cache
 from repro.campaign.resilience import (
     failure_signature,
     ResiliencePolicy,
 )
 from repro.campaign.spec import CampaignSpec, run_key
-from repro.campaign.store import ResultStore
+from repro.campaign.store import ResultStore, publish_run
 from repro.errors import ConfigurationError, ReproError
 from repro.obs.resilience import ResilienceStats
 from repro.sched.engine import SimulationResult
@@ -76,20 +87,42 @@ BACKENDS = ("serial", "parallel", "batched")
 #: Default lane count per fused batch of the ``batched`` backend.
 DEFAULT_BATCH_SIZE = 16
 
+#: What a pool unit reports per lane: ``(key, charged, result)``. With
+#: a store the worker has published the run, ``charged`` says whether
+#: its rename won, and ``result`` is None; without one the result
+#: crosses the pipe and ``charged`` is True.
+Lane = Tuple[str, bool, Optional[SimulationResult]]
+
 # Per-worker state, created once by the pool initializer and reused for
 # every run the worker executes.
 _WORKER_RUNNER: Optional[ExperimentRunner] = None
+_WORKER_STORE: Optional[str] = None  # root the worker publishes into
 
 
-def _init_worker(caches: RunnerCaches) -> None:
-    """Pool initializer: a plain runner holding the driver's caches.
+def available_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the
+    platform has one, else ``os.cpu_count()``."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _init_worker(
+    caches: RunnerCaches, store_root: Optional[str] = None
+) -> None:
+    """Pool initializer: a plain runner holding the driver's caches,
+    and the root of the store the worker publishes into (None: the
+    worker returns its results instead).
 
     The one code path for every start method: ``fork`` inherits the
-    arguments, ``spawn`` and ``forkserver`` unpickle them.
+    arguments, ``spawn`` and ``forkserver`` unpickle them. The store is
+    not opened: publishing lists no ``runs/`` and reads no record, and
+    the driver's open already swept old temp dirs.
     """
-    global _WORKER_RUNNER
+    global _WORKER_RUNNER, _WORKER_STORE
     _WORKER_RUNNER = ExperimentRunner()
     _WORKER_RUNNER.install_caches(caches)
+    _WORKER_STORE = store_root
     # Fault plans are env-driven and fire-once markers live on disk;
     # drop any injector state inherited from a forked parent.
     reset_fault_cache()
@@ -111,28 +144,53 @@ def worker_runner() -> ExperimentRunner:
     return _WORKER_RUNNER
 
 
-def _run_in_worker(payload: Tuple[str, RunSpec]) -> Tuple[str, SimulationResult]:
+def _publish_lanes(
+    pairs: Sequence[Tuple[str, RunSpec]],
+    results: Sequence[SimulationResult],
+) -> Tuple[List[Lane], Optional[Exception]]:
+    """Publish a unit's results in lane order; the lanes and any error.
+
+    A save that raises is a store error, not a run failure: the worker
+    stops there and hands the error back with the lanes published
+    before it, and the driver raises it.
+    """
+    lanes: List[Lane] = []
+    for (key, spec), result in zip(pairs, results):
+        if _WORKER_STORE is None:
+            lanes.append((key, True, result))
+            continue
+        try:
+            _, charged = publish_run(_WORKER_STORE, spec, result)
+        except Exception as exc:
+            return lanes, exc
+        lanes.append((key, charged, None))
+    return lanes, None
+
+
+def _run_in_worker(
+    payload: Tuple[str, RunSpec],
+) -> Tuple[List[Lane], Optional[Exception]]:
     key, spec = payload
     if _WORKER_RUNNER is None:
         # A plain raise (not assert): `python -O` strips asserts, which
         # would turn an initializer failure into a bare AttributeError.
         raise RuntimeError("worker initializer did not run")
-    maybe_crash_or_hang("worker_run", key)
-    return key, _WORKER_RUNNER.run(spec)
+    inject_fault("worker_run", key)
+    return _publish_lanes([payload], [_WORKER_RUNNER.run(spec)])
 
 
 def _run_batch_in_worker(
     payload: Tuple[str, Tuple[Tuple[str, RunSpec], ...]],
-) -> List[Tuple[str, SimulationResult]]:
+) -> Tuple[List[Lane], Optional[Exception]]:
     """Run one batch unit through the worker's fused batch engine."""
     propagation, pairs = payload
     if _WORKER_RUNNER is None:
         raise RuntimeError("worker initializer did not run")
-    maybe_crash_or_hang("worker_run", pairs[0][0])
+    inject_fault("worker_run", pairs[0][0])
     results = _WORKER_RUNNER.run_batch(
         [spec for _, spec in pairs], propagation=propagation
     )
-    return [(key, result) for (key, _), result in zip(pairs, results)]
+    return _publish_lanes(pairs, results)
 
 
 @dataclass(frozen=True)
@@ -193,7 +251,8 @@ BatchSimulationEngine` batches of up to ``batch_size`` lanes; runs
         with no batch partner fall back to the plain per-run pool
         path).
     max_workers:
-        Pool size for the pool backends (default: CPU count).
+        Pool size for the pool backends (default:
+        :func:`available_cpus`, the CPUs this process may run on).
     progress:
         Optional ``(event, key, detail)`` callback.
     runner:
@@ -254,7 +313,7 @@ BatchSimulationEngine` batches of up to ``batch_size`` lanes; runs
         )
         self.store = store
         self.backend = backend
-        self.max_workers = max_workers or (os.cpu_count() or 1)
+        self.max_workers = max_workers or available_cpus()
         self.progress = progress
         self.runner = runner if runner is not None else ExperimentRunner()
         self.batch_size = batch_size
@@ -271,9 +330,10 @@ BatchSimulationEngine` batches of up to ``batch_size`` lanes; runs
 
         A run that fails becomes an ``error`` (or ``quarantined``)
         outcome and the campaign goes on. A store error does not: an
-        ``OSError`` from saving a result ends the campaign and
-        propagates. Runs saved before it stay in the store, so the
-        next campaign serves them and simulates the rest from tick 0.
+        ``OSError`` from saving a result, in the driver or in a pool
+        worker, ends the campaign and propagates. Runs saved before it
+        stay in the store, so the next campaign serves them and
+        simulates the rest from tick 0.
         """
         outcomes, _ = self._execute(campaign.expand(), strict=False,
                                     keep_results=False)
@@ -437,15 +497,9 @@ BatchSimulationEngine` batches of up to ``batch_size`` lanes; runs
         self,
         key: str,
         spec: RunSpec,
-        result: SimulationResult,
+        charged: bool,
         outcomes: Dict[str, RunOutcome],
-        results: Dict[str, SimulationResult],
     ) -> None:
-        charged = True
-        if self.store is not None:
-            self.store.save(spec, result)
-            charged = self.store.last_save_charged
-        results[key] = result
         outcomes[key] = RunOutcome(key, spec, "ok")
         if charged:
             self._emit("ok", key)
@@ -502,7 +556,12 @@ BatchSimulationEngine` batches of up to ``batch_size`` lanes; runs
                 if strict:
                     raise
             else:
-                self._record_ok(key, spec, result, outcomes, results)
+                charged = True
+                if self.store is not None:
+                    self.store.save(spec, result)
+                    charged = self.store.last_save_charged
+                results[key] = result
+                self._record_ok(key, spec, charged, outcomes)
 
     def _make_units(
         self, pending: List[Tuple[str, RunSpec]]
@@ -554,13 +613,20 @@ batch_group_key`) into units of up to ``batch_size`` lanes that a
         batch mates; a singleton failing with the same signature on two
         consecutive attempts is deterministic and gets quarantined.
 
+        A store error a worker hands back raises here, after the lanes
+        it published are recorded, and the pool is killed so no worker
+        publishes after the campaign ends.
+
         In strict mode the queue still drains completely (matching the
         store-everything semantics of ``run_specs``) and the first
         terminal failure raises at the end.
         """
         policy = self.resilience
         retry = policy.retry
-        initargs = (self.runner.caches(),)
+        initargs = (
+            self.runner.caches(),
+            None if self.store is None else str(self.store.root),
+        )
         queue: Deque[_UnitState] = deque(
             _UnitState(unit=unit) for unit in units
         )
@@ -741,13 +807,17 @@ batch_group_key`) into units of up to ``batch_size`` lanes that a
                                 outcomes,
                             )
                     else:
-                        if len(unit) == 1:
-                            payload = [payload]
-                        pairs = {key: spec for key, spec in unit}
-                        for key, result in payload:
-                            self._record_ok(
-                                key, pairs[key], result, outcomes, results
-                            )
+                        lanes, store_error = payload
+                        specs = dict(unit)
+                        for key, charged, result in lanes:
+                            if self.store is None:
+                                results[key] = result
+                            else:
+                                self.store.note_saved(key, specs[key])
+                            self._record_ok(key, specs[key], charged,
+                                            outcomes)
+                        if store_error is not None:
+                            raise store_error
                 if crashed:
                     # The remaining inflight futures all ride the same
                     # broken pool; requeue them onto a fresh one.
@@ -775,6 +845,10 @@ batch_group_key`) into units of up to ``batch_size`` lanes that a
                         )
                     requeue_innocents()
                     kill_pool()
+        except BaseException:
+            # The campaign ends here (a store error, an interrupt).
+            kill_pool()
+            raise
         finally:
             if pool is not None:
                 pool.shutdown(wait=False, cancel_futures=True)

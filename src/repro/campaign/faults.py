@@ -17,9 +17,15 @@ Injection points:
     the simulation starts; supports ``crash`` (``os._exit``) and
     ``hang`` (sleep until the watchdog kills the worker)
 ``payload_save``
-    fires inside ``ResultStore.save`` just before the run dir is
-    published; ``corrupt_payload`` empties one payload file, so the
-    published run reads as absent — a save torn by a host crash
+    fires inside ``publish_run`` (every store save, in the process that
+    saves: a pool worker, or the driver on the serial backend) after
+    the run's temp dir is written and before the rename publishes it.
+    ``crash`` and ``hang`` kill or wedge that process mid-publish: the
+    temp dir is left behind as a hidden dir, which is not a record,
+    and the retried unit publishes the key. ``corrupt_payload``
+    empties one payload file, so the published run reads as absent —
+    a save torn by a host crash. On the serial backend ``crash`` and
+    ``hang`` take the driver down with them
 
 Faults are **fire-once by default** (``times`` raises the budget): a
 marker file is claimed with ``O_CREAT | O_EXCL`` *before* the fault
@@ -47,7 +53,7 @@ __all__ = [
     "FaultSpec",
     "FaultPlan",
     "claim_fault",
-    "maybe_crash_or_hang",
+    "inject_fault",
     "reset_fault_cache",
 ]
 
@@ -206,9 +212,7 @@ def reset_fault_cache() -> None:
 def claim_fault(point: str, key: str = "*") -> Optional[FaultSpec]:
     """Claim a matching fault firing; ``None`` when faults are disabled.
 
-    The caller is responsible for *acting* on the returned spec — used
-    by the store's hook, which implements ``corrupt_payload`` itself
-    because only it knows the paths.
+    The caller is responsible for *acting* on the returned spec.
     """
     inj = _injector()
     if inj is None:
@@ -216,14 +220,21 @@ def claim_fault(point: str, key: str = "*") -> Optional[FaultSpec]:
     return inj.claim(point, key)
 
 
-def maybe_crash_or_hang(point: str, key: str = "*") -> None:
-    """Worker-side hook: act immediately on crash/hang faults."""
+def inject_fault(point: str, key: str = "*") -> Optional[FaultSpec]:
+    """Claim a matching fault and act on ``crash`` and ``hang`` here.
+
+    Any other claimed fault is returned for the caller to act on: the
+    store implements ``corrupt_payload`` itself because only it knows
+    the paths. ``None`` when no fault fires.
+    """
     spec = claim_fault(point, key)
     if spec is None:
-        return
+        return None
     if spec.action == "crash":
         # os._exit skips interpreter teardown, exactly like a SIGKILLed
         # or OOM-killed worker; the parent sees BrokenProcessPool.
         os._exit(CRASH_EXIT_CODE)
-    elif spec.action == "hang":
+    if spec.action == "hang":
         time.sleep(spec.hang_s)
+        return None
+    return spec

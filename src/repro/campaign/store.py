@@ -14,11 +14,12 @@ Layout under the store root::
     resilience.json                 — cumulative resilience tally
     indices/exp<E>_<R>x<C>.json     — thermal indices per (exp, grid)
 
-The run directory is the record. :meth:`ResultStore.save` writes the
+The run directory is the record. :func:`publish_run` writes the
 payload, the sidecar and ``entry.json`` into a hidden temp dir under
-``runs/`` and publishes it with one ``rename``. Renaming onto a
-non-empty directory fails, so when two processes save one key the
-filesystem picks the winner: it is charged with the unit
+``runs/`` and publishes it with one ``rename``; it is the whole of
+:meth:`ResultStore.save` on disk, and what a pool worker runs to save.
+Renaming onto a non-empty directory fails, so when two processes save
+one key the filesystem picks the winner: it is charged with the unit
 (:attr:`ResultStore.last_save_charged`) and the other discards its
 identical copy (a save of a *different* payload under the key
 replaces the published one). The in-memory index is only a read
@@ -33,15 +34,17 @@ run serves another key, not even one that differs only in a shorter
 carry ``v``, ``duration_s`` and ``prefix`` fields; they are read like
 any other entry, and the fields are ignored.
 
-A store has one driver. Nothing stops a second one, and nothing needs
-to: the rename above keeps a key saved by two processes published and
-charged once, so a second driver duplicates work but cannot corrupt
-the store. The work-claim and liveness dirs that older multi-driver
-versions kept beside ``runs/``, the sibling store they wrote results
-to while this one failed, and the ``checkpoints/`` dir of mid-run
-engine snapshots that older versions resumed from are ignored, not
-refused: they hold no result the store needs, and a key with no run
-dir is simulated again from tick 0.
+A store has one driver, and its pool workers publish run dirs into it
+too (they never open it, so none builds the read cache). Nothing stops
+a second driver, and nothing needs to: the rename above keeps a key
+saved by two processes published and charged once, so a second driver
+duplicates work but cannot corrupt the store. The work-claim and
+liveness dirs that older multi-driver versions kept beside ``runs/``,
+the sibling store they wrote results to while this one failed, and
+the ``checkpoints/`` dir of mid-run engine snapshots that older
+versions resumed from are ignored, not refused: they hold no result
+the store needs, and a key with no run dir is simulated again from
+tick 0.
 
 Every small file is written through :func:`atomic_write` (temp file +
 ``os.replace``), so a reader sees the old file or the new one, never a
@@ -78,7 +81,7 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.analysis.result_io import PAYLOAD_SUFFIXES, load_result, save_result
 from repro.analysis.runner import RunSpec
-from repro.campaign.faults import claim_fault
+from repro.campaign.faults import inject_fault
 from repro.campaign.spec import run_key, spec_from_dict, spec_to_dict
 from repro.errors import ConfigurationError
 from repro.sched.engine import SimulationResult
@@ -146,6 +149,123 @@ def _read_json(path: Union[str, Path]) -> Optional[Dict[str, Any]]:
     except (OSError, ValueError):
         return None
     return data if isinstance(data, dict) else None
+
+
+def _complete(run_dir: str) -> bool:
+    """Whether ``run_dir`` (with a trailing separator) holds every run
+    file, each non-empty."""
+    for name in _RUN_FILES:
+        try:
+            if os.stat(run_dir + name).st_size == 0:
+                return False
+        except OSError:
+            return False
+    return True
+
+
+def _ok_entry(spec: RunSpec) -> Dict[str, Any]:
+    return {"status": STATUS_OK, "spec": spec_to_dict(spec)}
+
+
+def _failure_path(root: Path, key: str) -> Path:
+    return root / "failures" / f"{key}.json"
+
+
+def publish_run(
+    root: Union[str, Path], spec: RunSpec, result: SimulationResult
+) -> Tuple[str, bool]:
+    """Save one completed run under store ``root``; ``(key, charged)``.
+
+    The on-disk half of :meth:`ResultStore.save`, and all that a pool
+    worker runs to save: the payload, the telemetry sidecar and
+    ``entry.json`` are written into a hidden temp dir under ``runs/``,
+    one rename publishes it, and the key's failure record is dropped.
+    ``charged`` is whether this call won the rename. It opens no store:
+    nothing lists ``runs/`` or reads another run's record, so a worker
+    never builds the read cache. Raises ``OSError`` when the backing
+    filesystem fails.
+    """
+    root = Path(root)
+    runs = root / "runs"
+    key = run_key(spec)
+    runs.mkdir(parents=True, exist_ok=True)
+    tmp = Path(tempfile.mkdtemp(dir=str(runs), prefix=f".{key}-"))
+    try:
+        save_result(result, tmp / _RESULT)
+        if result.telemetry is not None:
+            # Optional sidecar, deliberately NOT in _RUN_FILES: a
+            # run saved without telemetry must still read as present.
+            (tmp / "telemetry.json").write_text(
+                json.dumps(result.telemetry, indent=2, sort_keys=True)
+                + "\n"
+            )
+        (tmp / _ENTRY).write_text(
+            json.dumps(_ok_entry(spec), sort_keys=True))
+    except BaseException:
+        shutil.rmtree(tmp, ignore_errors=True)
+        raise
+    # Injected faults: a crash or a hang here dies between the written
+    # temp dir and its rename; corrupt_payload is a save torn by a host
+    # crash, one payload file published empty.
+    fault = inject_fault("payload_save", key)
+    if fault is not None and fault.action == "corrupt_payload":
+        (tmp / _PAYLOAD[0]).write_text("")
+    charged = _publish(runs, tmp, key)
+    _unlink(_failure_path(root, key))
+    return key, charged
+
+
+def _publish(runs: Path, tmp: Path, key: str) -> bool:
+    """Rename a finished temp dir to ``runs/<key>``; True if it won.
+
+    The rename fails when ``runs/<key>`` is a non-empty directory, so
+    of several processes saving one key exactly one wins; the rest
+    discard their copies, which hold the same deterministic result.
+    A published dir with an incomplete payload (a torn save), or with a
+    different one (a deliberate overwrite of the key), is retired and
+    the rename retried.
+    """
+    published = runs / key
+    while True:
+        try:
+            os.rename(tmp, published)
+            return True
+        except OSError as exc:
+            if exc.errno not in (errno.ENOTEMPTY, errno.EEXIST):
+                shutil.rmtree(tmp, ignore_errors=True)
+                raise
+        if _complete(f"{published}/") and _same_record(tmp, published):
+            shutil.rmtree(tmp, ignore_errors=True)
+            return False
+        _retire(runs, key)
+
+
+def _same_record(tmp: Path, published: Path) -> bool:
+    """Whether ``tmp`` holds byte-identical run files to ``published``.
+
+    The telemetry sidecar is left out: it carries wall-clock timings,
+    so two processes computing one unit never agree on it.
+    """
+    try:
+        return all((tmp / name).read_bytes()
+                   == (published / name).read_bytes()
+                   for name in _RUN_FILES)
+    except OSError:
+        return False  # retired under us; the next rename decides
+
+
+def _retire(runs: Path, key: str) -> None:
+    """Unpublish ``runs/<key>`` with one rename, then delete it.
+
+    The hidden name it is moved to is swept by a later open if this
+    process dies mid-delete.
+    """
+    trash = runs / f".{key}-{os.urandom(4).hex()}.old"
+    try:
+        os.rename(runs / key, trash)
+    except FileNotFoundError:
+        return
+    shutil.rmtree(trash, ignore_errors=True)
 
 
 def _refuse_old_layout(root: Path) -> None:
@@ -222,9 +342,6 @@ class ResultStore:
     def _run_dir(self, key: str) -> Path:
         return self._runs / key
 
-    def _failure_path(self, key: str) -> Path:
-        return self.root / "failures" / f"{key}.json"
-
     def has(self, key: str) -> bool:
         """Whether ``key`` holds a complete, loadable run on disk.
 
@@ -234,13 +351,8 @@ class ResultStore:
         at load time. A complete run saved by another store instance is
         adopted into this one's cache.
         """
-        base = f"{self._runs}/{key}/"
-        for name in _RUN_FILES:
-            try:
-                if os.stat(base + name).st_size == 0:
-                    return False
-            except OSError:
-                return False
+        if not _complete(f"{self._runs}/{key}/"):
+            return False
         entry = self._index.get(key)
         if entry is None or entry.get("status") != STATUS_OK:
             entry = _read_json(self._run_dir(key) / _ENTRY)
@@ -252,89 +364,23 @@ class ResultStore:
     def save(self, spec: RunSpec, result: SimulationResult) -> str:
         """Persist one completed run; returns its key.
 
-        Besides the payload, ``entry.json`` records the status and the
-        spec. Sets :attr:`last_save_charged` to whether this call
-        published the run dir. Raises ``OSError`` when the backing
-        filesystem fails.
+        :func:`publish_run` writes it; besides the payload,
+        ``entry.json`` records the status and the spec. Sets
+        :attr:`last_save_charged` to whether this call published the
+        run dir. Raises ``OSError`` when the backing filesystem fails.
         """
-        key = run_key(spec)
-        entry = {"status": STATUS_OK, "spec": spec_to_dict(spec)}
-        self._runs.mkdir(parents=True, exist_ok=True)
-        tmp = Path(tempfile.mkdtemp(dir=str(self._runs), prefix=f".{key}-"))
-        try:
-            save_result(result, tmp / _RESULT)
-            if result.telemetry is not None:
-                # Optional sidecar, deliberately NOT in _RUN_FILES: a
-                # run saved without telemetry must still read as present.
-                (tmp / "telemetry.json").write_text(
-                    json.dumps(result.telemetry, indent=2, sort_keys=True)
-                    + "\n"
-                )
-            (tmp / _ENTRY).write_text(json.dumps(entry, sort_keys=True))
-        except BaseException:
-            shutil.rmtree(tmp, ignore_errors=True)
-            raise
-        fault = claim_fault("payload_save", key)
-        if fault is not None and fault.action == "corrupt_payload":
-            # Injected fault: a save torn by a host crash — one payload
-            # file published empty.
-            (tmp / _PAYLOAD[0]).write_text("")
-        self.last_save_charged = self._publish(tmp, key)
-        self._index[key] = entry
-        _unlink(self._failure_path(key))
+        key, self.last_save_charged = publish_run(self.root, spec, result)
+        self.note_saved(key, spec)
         return key
 
-    def _publish(self, tmp: Path, key: str) -> bool:
-        """Rename a finished temp dir to ``runs/<key>``; True if it won.
+    def note_saved(self, key: str, spec: RunSpec) -> None:
+        """Cache the record of a run :func:`publish_run` saved.
 
-        The rename fails when ``runs/<key>`` is a non-empty directory,
-        so of several processes saving one key exactly one wins; the
-        rest discard their copies, which hold the same deterministic
-        result.
-        A published dir with an incomplete payload (a torn save), or
-        with a different one (a deliberate overwrite of the key), is
-        retired and the rename retried.
+        :meth:`save` calls it, and so does the executor for each run a
+        pool worker saved, so the read cache (:meth:`keys`,
+        :meth:`failures`, ...) stays current without reading the disk.
         """
-        while True:
-            try:
-                os.rename(tmp, self._run_dir(key))
-                return True
-            except OSError as exc:
-                if exc.errno not in (errno.ENOTEMPTY, errno.EEXIST):
-                    shutil.rmtree(tmp, ignore_errors=True)
-                    raise
-            if self.has(key) and self._same_record(tmp, key):
-                shutil.rmtree(tmp, ignore_errors=True)
-                return False
-            self._retire(key)
-
-    def _same_record(self, tmp: Path, key: str) -> bool:
-        """Whether ``tmp`` holds byte-identical run files to ``runs/<key>``.
-
-        The telemetry sidecar is left out: it carries wall-clock
-        timings, so two processes computing one unit never agree on
-        it.
-        """
-        published = self._run_dir(key)
-        try:
-            return all((tmp / name).read_bytes()
-                       == (published / name).read_bytes()
-                       for name in _RUN_FILES)
-        except OSError:
-            return False  # retired under us; the next rename decides
-
-    def _retire(self, key: str) -> None:
-        """Unpublish ``runs/<key>`` with one rename, then delete it.
-
-        The hidden name it is moved to is swept by a later open if this
-        process dies mid-delete.
-        """
-        trash = self._runs / f".{key}-{os.urandom(4).hex()}.old"
-        try:
-            os.rename(self._run_dir(key), trash)
-        except FileNotFoundError:
-            return
-        shutil.rmtree(trash, ignore_errors=True)
+        self._index[key] = _ok_entry(spec)
 
     def record_failure(self, spec: RunSpec, error: str) -> str:
         """Record a failed run without a result payload; returns its key.
@@ -346,13 +392,13 @@ class ResultStore:
         key = run_key(spec)
         if self.has(key):
             return key
-        self._retire(key)
+        _retire(self._runs, key)
         entry = {
             "status": STATUS_ERROR,
             "spec": spec_to_dict(spec),
             "error": error,
         }
-        atomic_write(self._failure_path(key),
+        atomic_write(_failure_path(self.root, key),
                      json.dumps(entry, sort_keys=True))
         self._index[key] = entry
         return key
@@ -404,8 +450,8 @@ class ResultStore:
     def discard(self, key: str) -> None:
         """Drop a key's run and failure record (e.g. to force a re-run)."""
         self._index.pop(key, None)
-        self._retire(key)
-        _unlink(self._failure_path(key))
+        _retire(self._runs, key)
+        _unlink(_failure_path(self.root, key))
 
     def query(
         self,

@@ -341,7 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
     campaign_run.add_argument("--serial", action="store_true",
                               help="alias for --backend serial")
     campaign_run.add_argument("--workers", type=int, default=None,
-                              help="worker pool size (default: CPU count)")
+                              help="worker pool size (default: the CPUs "
+                                   "this process may run on)")
     campaign_run.add_argument("--batch-size", type=int, default=16,
                               help="max runs fused per batch "
                                    "(batched backend, default 16)")

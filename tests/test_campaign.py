@@ -146,13 +146,18 @@ class TestRunSpecValues:
          ("duration_s", 0), ("duration_s", -2.0), ("duration_s", "two"),
          ("sensor_noise_sigma", float("nan")),
          ("sensor_noise_sigma", float("inf")),
-         ("sensor_noise_sigma", -0.5)],
+         ("sensor_noise_sigma", -0.5),
+         ("duration_s", 0.04), ("duration_s", 0.05)],
     )
     def test_unusable_value_rejected(self, field, value):
-        # NaN and infinity have no tick count, and a NaN sigma would
-        # draw no noise under a key of its own.
+        # NaN and infinity have no tick count, 0.05 s rounds to no
+        # 0.1 s tick, and a NaN sigma would draw no noise under a key
+        # of its own.
         with pytest.raises(ConfigurationError, match=field):
             tiny_spec(**{field: value})
+
+    def test_shortest_duration_runs_one_tick(self):
+        assert ExperimentRunner().run(tiny_spec(duration_s=0.06)).n_ticks == 1
 
     def test_list_grid_is_the_tuple_grid(self):
         spec = tiny_spec(grid=[4, 4], duration_s=1.0)
@@ -281,7 +286,8 @@ class TestCampaignSpec:
         "axis, values",
         [("durations_s", [2.0, float("nan")]), ("durations_s", [0]),
          ("sensor_noise_sigmas", [float("inf")]),
-         ("sensor_noise_sigmas", [0.0, -1.0])],
+         ("sensor_noise_sigmas", [0.0, -1.0]),
+         ("durations_s", [2.0, 0.05])],
     )
     def test_unusable_axis_value_rejected(self, axis, values):
         field = {"durations_s": "duration_s",
@@ -798,7 +804,7 @@ class TestCampaignCli:
         assert "Adapt3D" in capsys.readouterr().out
 
     @pytest.mark.parametrize("command", ["run", "status", "report"])
-    @pytest.mark.parametrize("duration", ["NaN", "Infinity", "0"])
+    @pytest.mark.parametrize("duration", ["NaN", "Infinity", "0", "0.04"])
     def test_unusable_duration_fails_cleanly(self, tmp_path, capsys,
                                              command, duration):
         spec_path = tmp_path / "bad.json"
@@ -1240,6 +1246,135 @@ class TestWarmWorkers:
         for key, want in default.items():
             assert_same_results(spawned[key], want)
             assert_same_results(spawned[key], serial[key])
+
+    @pytest.mark.parametrize("backend", ["parallel", "batched"])
+    def test_spawned_workers_publish_serial_bytes(self, backend, tmp_path,
+                                                  monkeypatch):
+        """Under ``spawn`` the store root reaches the workers pickled,
+        and the run dirs they publish hold a serial store's bytes."""
+        import functools
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        import repro.campaign.executor as executor_module
+        from test_campaign_faults import run_dir_bytes
+
+        specs = _two_stack_specs()
+        CampaignExecutor(store=ResultStore(tmp_path / "serial"),
+                         backend="serial").run_specs(specs)
+        monkeypatch.setattr(
+            executor_module, "ProcessPoolExecutor",
+            functools.partial(ProcessPoolExecutor,
+                              mp_context=multiprocessing.get_context("spawn")),
+        )
+        CampaignExecutor(store=ResultStore(tmp_path / "spawned"),
+                         backend=backend, max_workers=2).run_specs(specs)
+        assert (run_dir_bytes(tmp_path / "spawned")
+                == run_dir_bytes(tmp_path / "serial"))
+
+
+class TestPoolPublish:
+    """Pool workers publish their own run dirs, through the code the
+    serial backend's saves run."""
+
+    def test_pool_run_dirs_equal_serial_bytes(self, tmp_path):
+        from test_campaign_faults import run_dir_bytes
+
+        specs = _two_stack_specs()
+        stored = {}
+        for backend in ("serial", "parallel", "batched"):
+            events = []
+            executor = CampaignExecutor(
+                store=ResultStore(tmp_path / backend), backend=backend,
+                max_workers=2,
+                progress=lambda event, key, _: events.append((event, key)),
+            )
+            executor.run_specs(specs)
+            assert sorted(events) == sorted(
+                (event, run_key(spec)) for spec in specs
+                for event in ("start", "ok"))
+            stored[backend] = run_dir_bytes(tmp_path / backend)
+        assert len(stored["serial"]) == len(specs)
+        assert stored["parallel"] == stored["serial"]
+        assert stored["batched"] == stored["serial"]
+
+    def test_worker_builds_no_read_cache(self, tmp_path, monkeypatch):
+        import multiprocessing
+        from itertools import takewhile
+
+        from repro.campaign import store as store_module
+
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("store calls are counted through patches that "
+                        "forked workers inherit")
+        store = ResultStore(tmp_path / "store")
+        result = ExperimentRunner().run(tiny_spec())
+        for seed in range(100, 300):
+            store.save(tiny_spec(seed=seed), result)
+        log = tmp_path / "calls.log"
+
+        def counted(kind, fn):
+            def wrapper(*args):
+                with log.open("a") as handle:
+                    handle.write(f"{os.getpid()} {kind} {args[-1]}\n")
+                return fn(*args)
+            return wrapper
+
+        for name in ("_listdir", "_read_json", "save_result"):
+            monkeypatch.setattr(store_module, name,
+                                counted(name, getattr(store_module, name)))
+        executor = CampaignExecutor(
+            store=ResultStore(tmp_path / "store"), backend="parallel",
+            max_workers=2,
+        )
+        run = executor.run_campaign(tiny_campaign(seeds=(1, 2)))
+        assert run.counts() == {"ok": 4}
+        # The driver caches the records its workers published.
+        assert len(executor.store.keys()) == 204
+        calls = [line.split(" ", 2) for line in log.read_text().splitlines()]
+        driver = str(os.getpid())
+        # The driver's open listed runs/ and read 200 records.
+        assert sum(1 for pid, kind, path in calls if pid == driver
+                   and kind == "_read_json"
+                   and path.endswith("entry.json")) >= 200
+        workers = {pid for pid, kind, _ in calls
+                   if pid != driver and kind == "save_result"}
+        assert workers
+        for worker in workers:
+            before_save = list(takewhile(
+                lambda call: call[1] != "save_result",
+                [call for call in calls if call[0] == worker]))
+            assert [path for _, kind, path in before_save
+                    if kind == "_read_json"
+                    and path.endswith("entry.json")] == []
+            assert [path for _, kind, path in before_save
+                    if kind == "_listdir"] == []
+
+    @pytest.mark.parametrize("backend", ["parallel", "batched"])
+    def test_pool_without_store_returns_results(self, backend):
+        specs = _two_stack_specs()
+        serial = CampaignExecutor(backend="serial").run_specs(specs)
+        pooled = CampaignExecutor(backend=backend,
+                                  max_workers=2).run_specs(specs)
+        assert list(pooled) == list(serial)
+        for key, want in serial.items():
+            assert_same_results(pooled[key], want)
+        runner = ExperimentRunner()
+        policies = ["Default", "Adapt3D"]
+        want = runner.run_policies(tiny_spec(), policies)
+        got = runner.run_policies(
+            tiny_spec(), policies,
+            CampaignExecutor(backend=backend, max_workers=2, runner=runner))
+        for name in policies:
+            assert_same_results(got[name], want[name])
+
+    def test_default_pool_follows_cpu_affinity(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        assert CampaignExecutor().max_workers == 1
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert CampaignExecutor().max_workers == 64
 
 
 class TestTruncateResult:

@@ -9,6 +9,7 @@ carries ``@pytest.mark.slow`` and runs in the weekly job
 """
 
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -83,6 +84,17 @@ def assert_results_identical(a, b) -> None:
         assert x.remaining_s == y.remaining_s
         assert x.completion_time == y.completion_time
         assert x.core == y.core
+
+
+def run_dir_bytes(root) -> dict:
+    """Key -> file name -> bytes of every published run dir of a store
+    (hidden temp dirs are not records and are left out)."""
+    runs = Path(root) / "runs"
+    return {
+        key: {name: (runs / key / name).read_bytes()
+              for name in sorted(os.listdir(runs / key))}
+        for key in sorted(os.listdir(runs)) if not key.startswith(".")
+    }
 
 
 @pytest.fixture(autouse=True)
@@ -363,6 +375,59 @@ class TestStoreFaults:
             "cached": 1, "ok": 1}
 
 
+    @pytest.mark.parametrize("backend", ["parallel", "batched"])
+    def test_failed_worker_save_ends_pool_campaign(
+        self, tmp_path, monkeypatch, backend
+    ):
+        # On the pool backends a worker saves, and a store error there
+        # is no run failure either: the campaign ends with that
+        # OSError, the key gets no retry, quarantine or failure
+        # record, the run published before it stays, and a rerun
+        # serves it and simulates the rest. One worker keeps the
+        # order fixed: on batched the three runs are one fused unit.
+        from repro.campaign import store as store_module
+
+        campaign = tiny_campaign(policies=("Default",), seeds=(1, 2, 3))
+        specs = campaign.expand()
+        first, bad, last = (run_key(spec) for spec in specs)
+        real_save_result = store_module.save_result
+
+        def save_fails_for_bad(result, path):
+            if Path(path).parent.name.startswith(f".{bad}-"):
+                raise OSError("injected: store unwritable")
+            return real_save_result(result, path)
+
+        for call, argument in (("run_campaign", campaign),
+                               ("run_specs", specs)):
+            root = tmp_path / call
+            events = []
+            executor = CampaignExecutor(
+                store=ResultStore(root), backend=backend, max_workers=1,
+                resilience=fast_policy(),
+                progress=lambda event, key, _: events.append((event, key)),
+            )
+            with monkeypatch.context() as patch:
+                patch.setattr(store_module, "save_result",
+                              save_fails_for_bad)
+                with pytest.raises(OSError, match="store unwritable"):
+                    getattr(executor, call)(argument)
+            assert [event for event, key in events if key == bad] == [
+                "start"]
+            assert [key for event, key in events if event == "ok"] == [
+                first]
+            snapshot = executor.stats.snapshot()
+            assert snapshot["retries"] == snapshot["quarantines"] == 0
+
+            reopened = ResultStore(root)
+            assert reopened.quarantined() == {}
+            assert reopened.failures() == {}
+            assert reopened.has(first) and not reopened.has(bad)
+            rerun = CampaignExecutor(store=reopened, backend=backend,
+                                     max_workers=1).run_campaign(campaign)
+            assert {o.key: o.status for o in rerun.outcomes} == {
+                first: "cached", bad: "ok", last: "ok"}
+
+
 class TestChaosCampaign:
     """The acceptance harness: a campaign under a mixed fault plan
     terminates, and every surviving run is bit-identical to a
@@ -449,6 +514,77 @@ class TestChaosCampaign:
             assert_results_identical(
                 chaos_store.load(key), reference.load(key)
             )
+
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("backend", ["parallel", "batched"])
+    def test_worker_dies_mid_publish(self, tmp_path, monkeypatch, backend):
+        # payload_save fires in the worker between its written temp dir
+        # and the rename. A crash or a hang there leaves only a hidden
+        # temp dir, which is not a record; the retried unit publishes
+        # the key. The campaign converges, every run dir holds the
+        # bytes a fault-free serial store holds, and no key reads as
+        # present with a torn payload.
+        install_plan(
+            monkeypatch, tmp_path / "faults",
+            FaultSpec("c1", "payload_save", "crash"),
+            FaultSpec("h1", "payload_save", "hang", hang_s=60.0),
+        )
+        campaign = tiny_campaign(seeds=(1, 2))  # 4 runs
+        store = ResultStore(tmp_path / "store")
+        policy = fast_policy(max_attempts=3, unit_timeout_s=3.0)
+        executor = CampaignExecutor(store=store, backend=backend,
+                                    max_workers=2, resilience=policy)
+        run = self._run_until_done(executor, store, campaign)
+        counts = run.counts()
+        assert counts.get("error", 0) == counts.get("quarantined", 0) == 0
+        tally = ResultStore(tmp_path / "store").resilience_tally()
+        assert tally.get("crashes", 0) >= 1
+        runs = tmp_path / "store" / "runs"
+        assert any(name.startswith(".") for name in os.listdir(runs))
+
+        monkeypatch.delenv(faults.ENV_PLAN)
+        faults.reset_fault_cache()
+        reference = tmp_path / "reference"
+        CampaignExecutor(store=ResultStore(reference),
+                         backend="serial").run_campaign(campaign)
+        assert run_dir_bytes(runs.parent) == run_dir_bytes(reference)
+        reopened = ResultStore(runs.parent)
+        assert sorted(reopened.keys()) == sorted(campaign.keys())
+        assert all(reopened.has(key) for key in campaign.keys())
+
+    @pytest.mark.slow
+    def test_worker_dies_after_publishing_a_lane(self, tmp_path,
+                                                 monkeypatch):
+        # A fused unit's worker publishes its first lane, then dies
+        # saving the second. The retry simulates both again: the first
+        # lane loses the rename to its own published dir and reports
+        # cached (save-race), the second publishes.
+        campaign = tiny_campaign(policies=("Default",), seeds=(1, 2))
+        first, second = (run_key(spec) for spec in campaign.expand())
+        install_plan(monkeypatch, tmp_path / "faults",
+                     FaultSpec("c1", "payload_save", "crash", key=second))
+        events = []
+        store = ResultStore(tmp_path / "store")
+        run = CampaignExecutor(
+            store=store, backend="batched", max_workers=1,
+            resilience=fast_policy(),
+            progress=lambda event, key, detail: events.append(
+                (event, key, detail)),
+        ).run_campaign(campaign)
+        assert run.counts() == {"ok": 2}
+        assert [e for e, k, _ in events if k == first] == [
+            "start", "retry", "start", "cached"]
+        assert ("cached", first, "save-race") in events
+        assert [e for e, k, _ in events if k == second] == [
+            "start", "start", "ok"]
+
+        monkeypatch.delenv(faults.ENV_PLAN)
+        faults.reset_fault_cache()
+        reference = tmp_path / "reference"
+        CampaignExecutor(store=ResultStore(reference),
+                         backend="serial").run_campaign(campaign)
+        assert run_dir_bytes(tmp_path / "store") == run_dir_bytes(reference)
 
 
 class TestResilienceCli:

@@ -96,7 +96,7 @@ class TestCli:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["run", "compare", "trace"])
-    @pytest.mark.parametrize("duration", ["nan", "inf", "0"])
+    @pytest.mark.parametrize("duration", ["nan", "inf", "0", "0.05"])
     def test_unusable_duration_refused(self, tmp_path, capsys, command,
                                        duration):
         argv = [command, "Default", "--exp", "1", "--duration", duration]
