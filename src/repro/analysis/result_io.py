@@ -1,23 +1,26 @@
 """Saving and reloading simulation results.
 
 ``save_result`` / ``load_result`` are the result store's payload codec.
-A saved result is three files next to its stem (:data:`PAYLOAD_SUFFIXES`):
-every per-tick series as one float64 matrix (``_planes.npy``, columns in
-:data:`_PLANES` order), one float64 row per completed job (``_jobs.npy``,
-the completed rows of the result's
-:class:`~repro.workload.job.JobTable`, columns in
-:data:`~repro.workload.job.JOB_COLUMNS` order), and the scalars with
-every name list (``_meta.json``, which names each job's benchmark and
-core). float64 holds every recorded value and integer exactly, so the
-round trip is bit for bit, and one result always gives the same bytes,
-which the store's rename arbitration relies on. Only *completed* jobs
-are kept: every metric in :mod:`repro.metrics` uses completed jobs
-only. Neither direction builds a :class:`~repro.workload.job.Job`:
-``save_result`` writes the table's columns, and ``load_result`` makes
-the loaded jobs matrix the table's rows, so a loaded result's ``jobs``
-builds its :class:`~repro.workload.job.Job` objects only when iterated
-or indexed. A stem saved in the CSV format of earlier versions fails
-the meta ``version`` check with :class:`ConfigurationError`.
+A saved result is one framed file next to its stem
+(:data:`PAYLOAD_SUFFIX`): a fixed-width preamble (a magic naming the
+format version, then the file's total size in bytes, which
+:func:`payload_complete` checks without parsing JSON); one JSON header
+line with the scalars, ``n_ticks`` and every name list, padded so the
+body starts on an 8-byte boundary; then each per-tick series in
+:data:`_PLANES` order and the completed jobs' rows (columns in
+:data:`~repro.workload.job.JOB_COLUMNS` order), each as its own
+C-contiguous little-endian float64 block. float64 holds every recorded
+value and integer exactly, so the round trip is bit for bit, and one
+result always gives the same bytes, which the store's rename
+arbitration relies on. ``load_result`` reads each block with
+``readinto`` into an array the loaded result owns. Only *completed*
+jobs are kept: every metric in :mod:`repro.metrics` uses completed jobs
+only. Neither direction builds a :class:`~repro.workload.job.Job`: the
+jobs block is the rows of the result's
+:class:`~repro.workload.job.JobTable`, which builds its jobs only when
+iterated or indexed. Stems saved by earlier versions (the CSV files of
+format 1, the ``.npy`` + JSON files of format 2) have no frame, so
+loading one raises :class:`ConfigurationError`.
 
 ``export_result`` writes CSV artifacts for plotting outside this
 library, and ``load_temperature_csv`` reads the temperature table back:
@@ -33,8 +36,11 @@ from __future__ import annotations
 
 import csv
 import json
+import math
+import os
+import re
 from pathlib import Path
-from typing import List, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -43,14 +49,20 @@ from repro.sched.engine import SimulationResult
 from repro.workload.benchmarks import benchmark
 from repro.workload.job import JOB_COLUMNS, JobTable
 
-#: Files :func:`save_result` writes, as suffixes of its stem: the
-#: per-tick planes, the completed jobs and the metadata.
-PAYLOAD_SUFFIXES = ("_planes.npy", "_jobs.npy", "_meta.json")
+#: Suffix of the payload file :func:`save_result` writes next to its stem.
+PAYLOAD_SUFFIX = ".bin"
 
-#: Meta ``version`` of the payload format; 1 was the CSV codec.
-FORMAT_VERSION = 2
+#: Payload format version, named in the preamble and the header; 1 was
+#: the CSV codec, 2 the ``.npy`` + JSON file triple.
+FORMAT_VERSION = 3
 
-#: Per-tick result fields in planes column order, with the width of
+#: Preamble: this magic, the frame's total size in bytes as 11
+#: zero-padded digits, and a newline.
+_MAGIC = b"repro-dtm result v%d " % FORMAT_VERSION
+_PREAMBLE = re.compile(re.escape(_MAGIC) + rb"(\d{11})\n")
+_PREAMBLE_BYTES = len(_MAGIC) + 12
+
+#: Per-tick result fields in payload block order, with the width of
 #: each: one column, or one per unit, core or die.
 _PLANES = (
     ("times", "one"), ("unit_temps_k", "units"), ("core_temps_k", "cores"),
@@ -61,6 +73,7 @@ _PLANES = (
 
 #: Planes the engine records as ``int``; every other plane is float64.
 _INT_PLANES = ("vf_indices", "core_states")
+
 
 def export_result(result: SimulationResult, stem: Union[str, Path]) -> List[Path]:
     """Write the three CSV artifacts; returns the written paths."""
@@ -122,27 +135,48 @@ def export_result(result: SimulationResult, stem: Union[str, Path]) -> List[Path
     return paths
 
 
-def _payload_paths(stem: Union[str, Path]) -> List[Path]:
-    """The files :func:`save_result` writes for ``stem``, in
-    :data:`PAYLOAD_SUFFIXES` order."""
+def payload_path(stem: Union[str, Path]) -> Path:
+    """The file :func:`save_result` writes for ``stem``."""
     stem = Path(stem)
-    return [stem.with_name(stem.name + suffix) for suffix in PAYLOAD_SUFFIXES]
+    return stem.with_name(stem.name + PAYLOAD_SUFFIX)
 
 
-def save_result(result: SimulationResult, stem: Union[str, Path]) -> List[Path]:
+def _declared_size(preamble: bytes) -> Optional[int]:
+    """The total size a frame preamble declares; None if ``preamble``
+    is not one of this format version."""
+    match = _PREAMBLE.fullmatch(preamble)
+    return int(match.group(1)) if match else None
+
+
+def payload_complete(path: Union[str, Path]) -> bool:
+    """Whether the payload file at ``path`` holds exactly the bytes its
+    preamble declares: a missing, empty, short or overlong file, or one
+    of another format version, is not. Reads the preamble only."""
+    try:
+        fd = os.open(path, os.O_RDONLY)
+    except OSError:
+        return False
+    try:
+        return _declared_size(os.read(fd, _PREAMBLE_BYTES)) \
+            == os.fstat(fd).st_size
+    except OSError:
+        return False
+    finally:
+        os.close(fd)
+
+
+def save_result(result: SimulationResult, stem: Union[str, Path]) -> Path:
     """Persist ``result`` so :func:`load_result` can reconstruct it.
 
-    Writes the three payload files (see the module docstring) and
-    returns their paths.
+    Writes the framed payload file (see the module docstring) and
+    returns its path.
     """
-    planes_path, jobs_path, meta_path = paths = _payload_paths(stem)
-    planes_path.parent.mkdir(parents=True, exist_ok=True)
+    path = payload_path(stem)
+    path.parent.mkdir(parents=True, exist_ok=True)
     jobs = result.jobs.take(result.jobs.finished())
-    planes = np.column_stack([getattr(result, name) for name, _ in _PLANES])
-    for path, matrix in ((planes_path, planes), (jobs_path, jobs.rows)):
-        with path.open("wb") as handle:
-            np.save(handle, matrix, allow_pickle=False)
-    meta = {
+    blocks = [np.ascontiguousarray(block, dtype="<f8") for block in
+              [getattr(result, name) for name, _ in _PLANES] + [jobs.rows]]
+    text = json.dumps({
         "version": FORMAT_VERSION,
         "policy_name": result.policy_name,
         "sampling_interval_s": result.sampling_interval_s,
@@ -151,54 +185,60 @@ def save_result(result: SimulationResult, stem: Union[str, Path]) -> List[Path]:
         "unit_names": list(result.unit_names),
         "core_names": list(result.core_names),
         "n_dies": result.layer_spreads_k.shape[1],
+        "n_ticks": result.n_ticks,
         "job_benchmarks": [spec.name for spec in jobs.benchmarks],
         "job_cores": jobs.cores,
-    }
-    meta_path.write_text(json.dumps(meta, sort_keys=True) + "\n")
-    return paths
-
-
-def _read_payload(path: Path):
-    """A payload file's content; ConfigurationError if unreadable."""
-    try:
-        if path.suffix == ".npy":
-            return np.load(path, allow_pickle=False)
-        return json.loads(path.read_text())
-    except (OSError, ValueError, EOFError) as exc:
-        raise ConfigurationError(
-            f"{path}: no readable saved result ({exc})"
-        ) from None
+    }, sort_keys=True).encode()
+    header = text + b" " * (-(_PREAMBLE_BYTES + len(text) + 1) % 8) + b"\n"
+    total = _PREAMBLE_BYTES + len(header) + sum(b.nbytes for b in blocks)
+    with path.open("wb") as handle:
+        handle.write(b"%s%011d\n" % (_MAGIC, total) + header)
+        for block in blocks:
+            handle.write(block)
+    return path
 
 
 def load_result(stem: Union[str, Path]) -> SimulationResult:
-    """Reconstruct a :class:`SimulationResult` written by :func:`save_result`."""
-    planes_path, jobs_path, meta_path = _payload_paths(stem)
-    meta = _read_payload(meta_path)
-    if not isinstance(meta, dict) or meta.get("version") != FORMAT_VERSION:
-        raise ConfigurationError(
-            f"{meta_path}: not a result in format version {FORMAT_VERSION} "
-            "(CSV results of earlier versions are not read; re-run them)"
-        )
-    planes = _read_payload(planes_path)
-    rows = _read_payload(jobs_path)
-    names, cores = meta["job_benchmarks"], meta["job_cores"]
-    width = {"one": 1, "units": len(meta["unit_names"]),
-             "cores": len(meta["core_names"]), "dies": meta["n_dies"]}
-    bounds = np.cumsum([width[kind] for _, kind in _PLANES])
-    if (planes.ndim != 2 or planes.shape[1] != bounds[-1]
-            or rows.shape != (len(names), len(JOB_COLUMNS))
-            or len(cores) != len(names)):
-        raise ConfigurationError(
-            f"{stem}: payload shapes {planes.shape} and {rows.shape} "
-            "disagree with its name lists"
-        )
-    fields = {
-        name: np.ascontiguousarray(block[:, 0] if kind == "one" else block,
-                                   dtype=int if name in _INT_PLANES else float)
-        for (name, kind), block in zip(
-            _PLANES, np.split(planes, bounds[:-1], axis=1))
-    }
+    """Reconstruct a :class:`SimulationResult` written by :func:`save_result`.
 
+    Raises :class:`ConfigurationError` naming the file when it is
+    missing, of another format, or holds a byte count that disagrees
+    with its header.
+    """
+    path = payload_path(stem)
+    try:
+        with path.open("rb") as handle:
+            declared = _declared_size(handle.read(_PREAMBLE_BYTES))
+            if declared is None:
+                raise ValueError(f"not a format-{FORMAT_VERSION} frame")
+            header = handle.readline()
+            meta = json.loads(header)
+            names, cores = meta["job_benchmarks"], meta["job_cores"]
+            width = {"one": (), "units": (len(meta["unit_names"]),),
+                     "cores": (len(meta["core_names"]),),
+                     "dies": (meta["n_dies"],)}
+            shapes = [(meta["n_ticks"],) + width[kind] for _, kind in _PLANES]
+            shapes.append((len(names), len(JOB_COLUMNS)))
+            listed = _PREAMBLE_BYTES + len(header) + 8 * sum(
+                map(math.prod, shapes))
+            actual = os.fstat(handle.fileno()).st_size
+            if not declared == listed == actual or len(cores) != len(names):
+                raise ConfigurationError(
+                    f"{path}: {actual} bytes, {declared} declared and "
+                    f"{listed} by its header's name lists ({len(names)} "
+                    f"job benchmarks, {len(cores)} job cores) disagree"
+                )
+            blocks = [np.empty(shape, dtype="<f8") for shape in shapes]
+            for block in blocks:
+                if handle.readinto(block) != block.nbytes:
+                    raise ValueError("file shrank while read")
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ConfigurationError(
+            f"{path}: no readable result in format version "
+            f"{FORMAT_VERSION} ({exc})"
+        ) from None
+
+    *planes, rows = blocks
     specs = {name: benchmark(name) for name in set(names)}
     return SimulationResult(
         unit_names=meta["unit_names"],
@@ -208,7 +248,8 @@ def load_result(stem: Union[str, Path]) -> SimulationResult:
         migrations=meta["migrations"],
         policy_name=meta["policy_name"],
         sampling_interval_s=meta["sampling_interval_s"],
-        **fields,
+        **{name: block.astype(int) if name in _INT_PLANES else block
+           for (name, _), block in zip(_PLANES, planes)},
     )
 
 

@@ -335,7 +335,7 @@ BatchSimulationEngine` batches of up to ``batch_size`` lanes; runs
         stay in the store, so the next campaign serves them and
         simulates the rest from tick 0.
         """
-        outcomes, _ = self._execute(campaign.expand(), strict=False,
+        outcomes, _ = self._execute(campaign.expand_keyed(), strict=False,
                                     keep_results=False)
         return CampaignRun(campaign=campaign, outcomes=outcomes)
 
@@ -352,7 +352,8 @@ BatchSimulationEngine` batches of up to ``batch_size`` lanes; runs
         previous campaign.
         """
         outcomes, results = self._execute(
-            list(specs), strict=True, keep_results=self.store is None
+            [(run_key(spec), spec) for spec in specs], strict=True,
+            keep_results=self.store is None,
         )
         if self.store is None:
             return {o.key: results[o.key] for o in outcomes}
@@ -406,7 +407,8 @@ BatchSimulationEngine` batches of up to ``batch_size`` lanes; runs
             self.progress(event, key, detail)
 
     def _execute(
-        self, specs: List[RunSpec], strict: bool, keep_results: bool
+        self, keyed: List[Tuple[str, RunSpec]], strict: bool,
+        keep_results: bool,
     ) -> Tuple[List[RunOutcome], Dict[str, SimulationResult]]:
         outcome_by_key: Dict[str, RunOutcome] = {}
         results: Dict[str, SimulationResult] = {}
@@ -417,8 +419,7 @@ BatchSimulationEngine` batches of up to ``batch_size`` lanes; runs
 
         keys: List[str] = []  # each key once, in first-listed order
         pending: Dict[str, RunSpec] = {}
-        for spec in specs:
-            key = run_key(spec)
+        for key, spec in keyed:
             if key in outcome_by_key or key in pending:
                 continue
             keys.append(key)

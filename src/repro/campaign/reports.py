@@ -12,7 +12,7 @@ delay against the campaign's baseline policy run on the same
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from repro.analysis.runner import RunSpec
 from repro.analysis.tables import format_table
@@ -20,6 +20,47 @@ from repro.campaign.spec import CampaignSpec, run_key
 from repro.campaign.store import STATUS_ERROR, ResultStore
 from repro.metrics.report import summarize
 from repro.obs.profiler import merge_phase_summaries
+
+
+def _status(
+    store: ResultStore, campaign: CampaignSpec,
+    keyed: List[Tuple[str, RunSpec]],
+) -> Tuple[Dict[str, object], Dict[str, str]]:
+    """:func:`campaign_status` over the expansion ``keyed``, plus each
+    key's state: ``quarantined``, ``ok``, ``error`` or ``pending``."""
+    ok = 0
+    failures: Dict[str, str] = {}
+    quarantines: Dict[str, str] = {}
+    pending: List[str] = []
+    states: Dict[str, str] = {}
+    quarantined = store.quarantined()
+    for key, _ in keyed:
+        entry = store.entry(key)
+        if key in quarantined:
+            states[key] = "quarantined"
+            quarantines[key] = str(quarantined[key].get("error", ""))
+        elif store.has(key):
+            states[key] = "ok"
+            ok += 1
+        elif entry is not None and entry["status"] == STATUS_ERROR:
+            states[key] = "error"
+            failures[key] = str(entry.get("error", ""))
+        else:
+            states[key] = "pending"
+            pending.append(key)
+    status = {
+        "name": campaign.name,
+        "total": len(keyed),
+        "ok": ok,
+        "error": len(failures),
+        "quarantined": len(quarantines),
+        "pending": len(pending),
+        "failures": failures,
+        "quarantines": quarantines,
+        "pending_keys": pending,
+    }
+    return status, states
+
 
 def campaign_status(
     store: ResultStore, campaign: CampaignSpec
@@ -33,34 +74,7 @@ def campaign_status(
     executor records an error entry alongside the quarantine mark.
     A run counts as done only when its payload is complete on disk.
     """
-    ok = 0
-    failures: Dict[str, str] = {}
-    quarantines: Dict[str, str] = {}
-    pending: List[str] = []
-    quarantined = store.quarantined()
-    specs = campaign.expand()
-    for spec in specs:
-        key = run_key(spec)
-        entry = store.entry(key)
-        if key in quarantined:
-            quarantines[key] = str(quarantined[key].get("error", ""))
-        elif store.has(key):
-            ok += 1
-        elif entry is not None and entry["status"] == STATUS_ERROR:
-            failures[key] = str(entry.get("error", ""))
-        else:
-            pending.append(key)
-    return {
-        "name": campaign.name,
-        "total": len(specs),
-        "ok": ok,
-        "error": len(failures),
-        "quarantined": len(quarantines),
-        "pending": len(pending),
-        "failures": failures,
-        "quarantines": quarantines,
-        "pending_keys": pending,
-    }
+    return _status(store, campaign, campaign.expand_keyed())[0]
 
 
 def format_status(status: Dict[str, object]) -> str:
@@ -94,8 +108,7 @@ def campaign_telemetry(
     """
     n_ok = 0
     snapshots: List[Dict[str, object]] = []
-    for spec in campaign.expand():
-        key = run_key(spec)
+    for key, _ in campaign.expand_keyed():
         if not store.has(key):
             continue
         n_ok += 1
@@ -163,11 +176,16 @@ def campaign_report(
 ) -> str:
     """One metrics table over every completed run of the campaign.
 
-    Failed or pending runs appear as ``--`` rows so the table always
-    reflects the full grid, and a metric a stored run cannot define
-    (cycles of a run shorter than one window, delay when the run or its
-    baseline completed no job) as a ``--`` cell.
+    Failed (or quarantined) and pending runs appear as ``FAILED`` and
+    ``pending`` rows so the table always reflects the full grid, and a
+    metric a stored run cannot define (cycles of a run shorter than one
+    window, delay when the run or its baseline completed no job) as a
+    ``--`` cell. The title counts and the rows come from one expansion
+    and one state per key, the same as :func:`campaign_status`'s.
     """
+    keyed = campaign.expand_keyed()
+    status, states = _status(store, campaign, keyed)
+    key_of = {spec: key for key, spec in keyed}
     rows: List[List[object]] = []
     # Baseline runs are shared by every other policy row of the same
     # grid point; cache them instead of reloading them per row.
@@ -178,8 +196,7 @@ def campaign_report(
             baselines[key] = store.load(key)
         return baselines[key]
 
-    for spec in campaign.expand():
-        key = run_key(spec)
+    for key, spec in keyed:
         prefix = [
             spec.exp_id,
             spec.policy,
@@ -187,10 +204,8 @@ def campaign_report(
             spec.seed,
             round(spec.duration_s, 1),
         ]
-        if not store.has(key):
-            entry = store.entry(key)
-            failed = entry is not None and entry["status"] == STATUS_ERROR
-            state = "FAILED" if failed else "pending"
+        if states[key] != "ok":
+            state = "pending" if states[key] == "pending" else "FAILED"
             rows.append(prefix + [state, "--", "--", "--", "--"])
             continue
         result = (
@@ -199,8 +214,10 @@ def campaign_report(
         )
         baseline = None
         if spec.policy != baseline_policy:
-            base_key = run_key(replace(spec, policy=baseline_policy))
-            if store.has(base_key):
+            base_spec = replace(spec, policy=baseline_policy)
+            base_key = key_of.get(base_spec) or run_key(base_spec)
+            if (states[base_key] == "ok" if base_key in states
+                    else store.has(base_key)):
                 baseline = load_cached(base_key)
         report = summarize(result, baseline)
         if report.normalized_delay is not None:
@@ -217,7 +234,6 @@ def campaign_report(
             round(report.peak_temperature_c, 1),
             delay,
         ])
-    status = campaign_status(store, campaign)
     title = (
         f"Campaign {campaign.name} — {status['ok']}/{status['total']} runs "
         f"({status['error']} failed, {status['pending']} pending)"

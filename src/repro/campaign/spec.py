@@ -62,7 +62,11 @@ from repro.sched.engine import FIDELITY_MODES
 # v9: the exact step became the only thermal integrator and RunSpec lost
 # the field selecting it, which changes every serialized spec; results
 # are bit-identical.
-KEY_VERSION = 9
+# v10: a stored result became one framed payload file (result_io format
+# 3) in place of three files. Run dirs in the older format read as
+# absent and are simulated again, so their keys move with the format;
+# results and serialized specs are bit-identical.
+KEY_VERSION = 10
 
 
 def _canonical(value: Any) -> Any:
@@ -186,8 +190,9 @@ class CampaignSpec:
 
     # ------------------------------------------------------------------
 
-    def expand(self) -> List[RunSpec]:
-        """The deterministic run list of this campaign."""
+    def expand_keyed(self) -> List[Tuple[str, RunSpec]]:
+        """``(run_key(spec), spec)`` for every run of :meth:`expand`, in
+        its order: the keys it hashes to drop duplicates."""
         specs: List[RunSpec] = []
         seen: set = set()
         for exp_id in self.exp_ids:
@@ -213,17 +218,21 @@ class CampaignSpec:
                                                     fidelity=fid,
                                                 ))
         specs.extend(self.extra_runs)
-        unique: List[RunSpec] = []
+        unique: List[Tuple[str, RunSpec]] = []
         for spec in specs:
             key = run_key(spec)
             if key not in seen:
                 seen.add(key)
-                unique.append(spec)
+                unique.append((key, spec))
         return unique
+
+    def expand(self) -> List[RunSpec]:
+        """The deterministic run list of this campaign."""
+        return [spec for _, spec in self.expand_keyed()]
 
     def keys(self) -> List[str]:
         """Run keys in expansion order."""
-        return [run_key(spec) for spec in self.expand()]
+        return [key for key, _ in self.expand_keyed()]
 
     # ------------------------------------------------------------------
     # serialization (the CLI reads campaign specs from JSON files)

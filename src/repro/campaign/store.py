@@ -2,9 +2,10 @@
 
 Layout under the store root::
 
-    runs/<key>/result_planes.npy,   — one saved SimulationResult, in
-               result_jobs.npy,       the lossless binary codec of
-               result_meta.json       analysis/result_io.py
+    runs/<key>/result.bin           — one saved SimulationResult, one
+                                      framed file in the lossless
+                                      binary codec of
+                                      analysis/result_io.py
     runs/<key>/telemetry.json       — optional telemetry sidecar
     runs/<key>/entry.json           — the run's record: status and spec
     failures/<key>.json             — last failure of a key that has
@@ -53,10 +54,12 @@ torn mix.
 Durability: nothing is fsynced. A save survives a process kill at any
 point — an unpublished temp dir is not a record, and an open sweeps
 old ones — but not a host crash, which can leave published files
-empty. ``has`` treats an empty payload file as absent, so such a run is
-recomputed instead of served. A run dir saved in the CSV format of
-earlier versions lacks the binary payload files, so it reads as absent
-too, and the next save of its key replaces it.
+empty or short. The payload's preamble declares its size, and ``has``
+treats a payload of any other size (or an empty ``entry.json``) as
+absent, so such a run is recomputed instead of served. A run dir saved
+by earlier versions (the CSV files, or the three ``.npy`` + JSON payload
+files) lacks ``result.bin``, so it reads as absent too, and the next
+save of its key replaces it.
 
 Stores in an older layout (a sharded ``index/`` + ``journal/`` with
 ``store.json``, or a monolithic ``index.json`` + ``journal.jsonl``) are
@@ -79,7 +82,12 @@ import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
-from repro.analysis.result_io import PAYLOAD_SUFFIXES, load_result, save_result
+from repro.analysis.result_io import (
+    PAYLOAD_SUFFIX,
+    load_result,
+    payload_complete,
+    save_result,
+)
 from repro.analysis.runner import RunSpec
 from repro.campaign.faults import inject_fault
 from repro.campaign.spec import run_key, spec_from_dict, spec_to_dict
@@ -95,15 +103,13 @@ _TEMP_STALE_S = 60.0
 
 _ENTRY = "entry.json"
 
-#: Stem of the saved result inside a run dir, and the files its save
-#: writes (result_io decides the format).
+#: Stem of the saved result inside a run dir, and the payload file its
+#: save writes (result_io decides the format).
 _RESULT = "result"
-_PAYLOAD = tuple(_RESULT + suffix for suffix in PAYLOAD_SUFFIXES)
+_PAYLOAD = _RESULT + PAYLOAD_SUFFIX
 
-#: Files every published run dir holds; has() requires each to exist
-#: and be non-empty, so a torn save or a manually pruned run dir reads
-#: as "absent" instead of surfacing a broken load later.
-_RUN_FILES = (_ENTRY,) + _PAYLOAD
+#: Files every published run dir holds (see :func:`_complete`).
+_RUN_FILES = (_ENTRY, _PAYLOAD)
 
 #: Top-level names of retired store layouts; a root holding any of
 #: them is refused on open.
@@ -152,15 +158,16 @@ def _read_json(path: Union[str, Path]) -> Optional[Dict[str, Any]]:
 
 
 def _complete(run_dir: str) -> bool:
-    """Whether ``run_dir`` (with a trailing separator) holds every run
-    file, each non-empty."""
-    for name in _RUN_FILES:
-        try:
-            if os.stat(run_dir + name).st_size == 0:
-                return False
-        except OSError:
+    """Whether ``run_dir`` (with a trailing separator) holds a non-empty
+    ``entry.json`` and a payload of exactly the size its preamble
+    declares, so a torn save or a manually pruned run dir reads as
+    absent instead of surfacing a broken load later."""
+    try:
+        if os.stat(run_dir + _ENTRY).st_size == 0:
             return False
-    return True
+    except OSError:
+        return False
+    return payload_complete(run_dir + _PAYLOAD)
 
 
 def _ok_entry(spec: RunSpec) -> Dict[str, Any]:
@@ -206,10 +213,10 @@ def publish_run(
         raise
     # Injected faults: a crash or a hang here dies between the written
     # temp dir and its rename; corrupt_payload is a save torn by a host
-    # crash, one payload file published empty.
+    # crash, its payload file published empty.
     fault = inject_fault("payload_save", key)
     if fault is not None and fault.action == "corrupt_payload":
-        (tmp / _PAYLOAD[0]).write_text("")
+        (tmp / _PAYLOAD).write_text("")
     charged = _publish(runs, tmp, key)
     _unlink(_failure_path(root, key))
     return key, charged
@@ -345,11 +352,12 @@ class ResultStore:
     def has(self, key: str) -> bool:
         """Whether ``key`` holds a complete, loadable run on disk.
 
-        Every payload file must exist and be non-empty: a run dir torn
-        by a host crash, pruned by hand, or published incomplete reads
-        as absent, so the campaign re-runs the spec instead of failing
-        at load time. A complete run saved by another store instance is
-        adopted into this one's cache.
+        ``entry.json`` must be non-empty and the payload exactly the
+        size its preamble declares: a run dir torn by a host crash,
+        pruned by hand, or published incomplete reads as absent, so the
+        campaign re-runs the spec instead of failing at load time. A
+        complete run saved by another store instance is adopted into
+        this one's cache.
         """
         if not _complete(f"{self._runs}/{key}/"):
             return False

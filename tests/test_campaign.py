@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from repro.analysis.result_io import (export_result, load_result,
-                                      save_result, truncate_result)
+                                      payload_path, save_result,
+                                      truncate_result)
 from repro.analysis.runner import ExperimentRunner, RunSpec
 from repro.analysis.sweep import sweep
 from repro.campaign import (
@@ -26,6 +27,8 @@ from repro.campaign import (
 )
 from repro.cli import main
 from repro.errors import ConfigurationError
+
+from test_job_table import frame
 
 SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -185,7 +188,7 @@ class TestGoldenKey:
 
     Result stores index completed runs by ``run_key``; if the digest for a
     fixed spec ever changes, every cached campaign silently misses and
-    re-runs.  These digests were frozen when KEY_VERSION reached 9 — a
+    re-runs.  These digests were frozen when KEY_VERSION reached 10 — a
     mismatch means either an accidental serialization change (fix it) or a
     deliberate one (bump KEY_VERSION in repro.campaign.spec, refresh the
     contract golden via ``repro-dtm lint --update-golden``, then update the
@@ -205,7 +208,7 @@ class TestGoldenKey:
         workload_mix="server",
         fidelity="event",
     )
-    GOLDEN_RUN_KEY = "exp4-adapt3d_dvfs_tt-6af1e3d4aca4"
+    GOLDEN_RUN_KEY = "exp4-adapt3d_dvfs_tt-66a5f3e8aa99"
 
     def test_run_key_matches_frozen_digest(self):
         assert run_key(RunSpec(**self.GOLDEN_SPEC_KWARGS)) == self.GOLDEN_RUN_KEY
@@ -331,6 +334,16 @@ def round_trip(result, stem):
     return load_result(stem)
 
 
+def split_frame(path):
+    """A saved payload frame as (header dict, planes bytes, jobs bytes)."""
+    data = path.read_bytes()
+    end = data.index(b"\n", 32) + 1
+    meta = json.loads(data[32:end])
+    body = data[end:]
+    cut = len(body) - 8 * 7 * len(meta["job_benchmarks"])
+    return meta, body[:cut], body[cut:]
+
+
 class TestResultRoundTrip:
     def test_save_load_preserves_arrays(self, tiny_result, tmp_path):
         assert_bit_identical(round_trip(tiny_result, tmp_path / "run"),
@@ -357,29 +370,51 @@ class TestResultRoundTrip:
     def test_two_saves_give_the_same_bytes(self, tiny_result, tmp_path):
         first = save_result(tiny_result, tmp_path / "a" / "run")
         second = save_result(tiny_result, tmp_path / "b" / "run")
-        assert [path.name for path in first] == [
-            path.name for path in second]
-        for a, b in zip(first, second):
-            assert a.read_bytes() == b.read_bytes(), a.name
+        assert first == payload_path(tmp_path / "a" / "run")
+        assert first.name == second.name
+        assert first.read_bytes() == second.read_bytes()
 
     @pytest.mark.parametrize("tampered", ["meta", "jobs"])
     def test_shape_disagreeing_with_name_lists_raises(self, tiny_result,
                                                        tampered, tmp_path):
+        # The preamble declares the tampered file's true size, so only
+        # the header's name lists disagree with the body.
         stem = tmp_path / "run"
-        _, jobs_path, meta_path = save_result(tiny_result, stem)
+        path = save_result(tiny_result, stem)
+        meta, planes, jobs = split_frame(path)
+        assert len(jobs) == 56 * len(tiny_result.completed_jobs()) > 56
         if tampered == "meta":
-            meta = json.loads(meta_path.read_text())
             meta["unit_names"] = meta["unit_names"][:-1]
-            meta_path.write_text(json.dumps(meta))
         else:
-            np.save(jobs_path, np.zeros((1, 7)))
-        with pytest.raises(ConfigurationError, match="disagree"):
+            jobs = np.zeros((1, 7)).tobytes()
+        path.write_bytes(frame(meta, planes + jobs))
+        with pytest.raises(ConfigurationError, match="disagree") as info:
             load_result(stem)
+        assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize("change", ["trailing_byte", "short"])
+    def test_payload_size_disagreeing_with_its_header_raises(
+            self, tiny_result, change, tmp_path):
+        stem = tmp_path / "run"
+        path = save_result(tiny_result, stem)
+        data = path.read_bytes()
+        path.write_bytes(data + b"\0" if change == "trailing_byte"
+                         else data[:-8])
+        with pytest.raises(ConfigurationError, match="disagree") as info:
+            load_result(stem)
+        assert str(path) in str(info.value)
 
     def test_csv_era_stem_raises(self, tiny_result, tmp_path):
         stem = write_csv_era_result(tiny_result, tmp_path / "run")
-        with pytest.raises(ConfigurationError, match="format version"):
+        with pytest.raises(ConfigurationError, match="format version") as info:
             load_result(stem)
+        assert str(payload_path(stem)) in str(info.value)
+
+    def test_format_2_stem_raises(self, tiny_result, tmp_path):
+        stem = write_format_2_result(tiny_result, tmp_path / "run")
+        with pytest.raises(ConfigurationError, match="format version") as info:
+            load_result(stem)
+        assert str(payload_path(stem)) in str(info.value)
 
     def test_load_missing_stem_raises(self, tmp_path):
         with pytest.raises(ConfigurationError):
@@ -396,6 +431,25 @@ def write_csv_era_result(result, stem):
          "sampling_interval_s": result.sampling_interval_s,
          "energy_j": result.energy_j, "migrations": result.migrations,
          "core_names": result.core_names}))
+    return stem
+
+
+def write_format_2_result(result, stem):
+    """The three files format 2 saved at ``stem``: the planes as one
+    ``.npy`` matrix, the completed jobs as another, and the meta."""
+    planes = np.column_stack([getattr(result, name)
+                              for name in RESULT_ARRAYS])
+    jobs = result.jobs.take(result.jobs.finished())
+    np.save(stem.with_name(stem.name + "_planes.npy"), planes)
+    np.save(stem.with_name(stem.name + "_jobs.npy"), jobs.rows)
+    stem.with_name(stem.name + "_meta.json").write_text(json.dumps(
+        {"version": 2, "policy_name": result.policy_name,
+         "sampling_interval_s": result.sampling_interval_s,
+         "energy_j": result.energy_j, "migrations": result.migrations,
+         "unit_names": result.unit_names, "core_names": result.core_names,
+         "n_dies": result.layer_spreads_k.shape[1],
+         "job_benchmarks": [spec.name for spec in jobs.benchmarks],
+         "job_cores": jobs.cores}, sort_keys=True) + "\n")
     return stem
 
 
@@ -708,31 +762,68 @@ class TestStoreStalePayloads:
         assert not store.has(key)
 
     def test_has_tolerates_partial_payload(self, tiny_result, tmp_path):
+        # A run dir missing either of its two files reads as absent.
         store = ResultStore(tmp_path)
-        spec = tiny_spec()
-        key = store.save(spec, tiny_result)
-        (store.root / "runs" / key / "result_meta.json").unlink()
+        for seed, removed in ((1, "result.bin"), (2, "entry.json")):
+            key = store.save(tiny_spec(seed=seed), tiny_result)
+            run_dir = store.root / "runs" / key
+            assert sorted(os.listdir(run_dir)) == ["entry.json",
+                                                   "result.bin"]
+            (run_dir / removed).unlink()
+            assert not store.has(key)
+
+    @pytest.mark.parametrize("cut", ["one_byte", "half"])
+    def test_short_payload_reads_absent_and_is_simulated_again(
+        self, cut, tmp_path
+    ):
+        # A host crash can leave a published payload short. The size
+        # its preamble declares makes such a run read as absent: the
+        # report renders it pending and a rerun simulates it again.
+        campaign = tiny_campaign()
+        store = ResultStore(tmp_path)
+        CampaignExecutor(store=store, backend="serial").run_campaign(campaign)
+        key = run_key(tiny_spec(policy="Adapt3D"))
+        payload = tmp_path / "runs" / key / "result.bin"
+        size = payload.stat().st_size
+        os.truncate(payload, size - 1 if cut == "one_byte" else size // 2)
         assert not store.has(key)
+        reopened = ResultStore(tmp_path)
+        assert not reopened.has(key)
+        lines = campaign_report(reopened, campaign).splitlines()
+        assert "1/2 runs (0 failed, 1 pending)" in lines[0]
+        assert lines[-1].split()[1:] == ["Adapt3D", "off", "1", "2.00",
+                                         "pending", "--", "--", "--", "--"]
+        runner = CountingRunner()
+        run = CampaignExecutor(store=reopened, backend="serial",
+                               runner=runner).run_campaign(campaign)
+        assert {o.key: o.status for o in run.outcomes}[key] == "ok"
+        assert run.counts() == {"cached": 1, "ok": 1}
+        assert runner.run_calls == 1
+        assert reopened.has(key) and payload.stat().st_size == size
+        assert "2/2 runs" in campaign_report(reopened, campaign).splitlines()[0]
 
     def test_csv_era_run_dir_reads_absent_and_is_replaced(
         self, tiny_result, tmp_path
     ):
+        # Run dirs of the CSV codec (format 1) and of the three-file
+        # .npy codec (format 2) hold no result.bin.
         store = ResultStore(tmp_path)
         spec = tiny_spec()
         key = store.save(spec, tiny_result)
         run_dir = tmp_path / "runs" / key
-        for path in run_dir.glob("result_*"):
-            path.unlink()
-        write_csv_era_result(tiny_result, run_dir / "result")
-        reopened = ResultStore(tmp_path)
-        assert not reopened.has(key)
-        assert campaign_status(reopened, tiny_campaign(
-            policies=("Default",)))["pending"] == 1
-        reopened.save(spec, tiny_result)
-        assert reopened.last_save_charged
-        assert reopened.has(key)
-        assert not list(run_dir.glob("*.csv"))
-        assert_bit_identical(reopened.load(key), tiny_result)
+        for write_old in (write_csv_era_result, write_format_2_result):
+            (run_dir / "result.bin").unlink()
+            write_old(tiny_result, run_dir / "result")
+            reopened = ResultStore(tmp_path)
+            assert not reopened.has(key)
+            assert campaign_status(reopened, tiny_campaign(
+                policies=("Default",)))["pending"] == 1
+            reopened.save(spec, tiny_result)
+            assert reopened.last_save_charged
+            assert reopened.has(key)
+            assert sorted(os.listdir(run_dir)) == ["entry.json",
+                                                   "result.bin"]
+            assert_bit_identical(reopened.load(key), tiny_result)
 
     def test_missing_payload_triggers_rerun(self, tmp_path):
         import shutil
@@ -766,6 +857,51 @@ class TestReports:
         assert "pending" in text
         status = campaign_status(store, campaign)
         assert status["pending"] == 2
+
+    def test_report_counts_and_rows_follow_each_keys_state(self, tmp_path,
+                                                           monkeypatch):
+        # Seed 1: both ok. Seed 2: Default failed, Adapt3D quarantined
+        # (the executor records a failure with the quarantine). Seed 3:
+        # both pending.
+        campaign = tiny_campaign(seeds=(1, 2, 3))
+        store = ResultStore(tmp_path)
+        CampaignExecutor(store=store, backend="serial").run_specs(
+            [tiny_spec(seed=1), tiny_spec(policy="Adapt3D", seed=1)])
+        store.record_failure(tiny_spec(seed=2), "boom")
+        store.quarantine(tiny_spec(policy="Adapt3D", seed=2), "stuck")
+        store.record_failure(tiny_spec(policy="Adapt3D", seed=2), "stuck")
+
+        from repro.campaign import reports, spec as spec_module
+        calls = []
+
+        def counting(spec):
+            calls.append(spec)
+            return run_key(spec)
+
+        for module in (spec_module, reports):
+            monkeypatch.setattr(module, "run_key", counting)
+        lines = campaign_report(store, campaign).splitlines()
+        assert len(calls) == len(campaign.expand()) == 6
+        status = campaign_status(store, campaign)
+        assert (status["ok"], status["error"], status["quarantined"],
+                status["pending"]) == (2, 1, 1, 2)
+        assert lines[0] == ("Campaign tiny — 2/6 runs (1 failed, "
+                            "2 pending) [1 quarantined]")
+        cells = {(row[1], int(row[3])): row[5:]
+                 for row in (line.split() for line in lines[3:])}
+        for policy in ("Default", "Adapt3D"):
+            assert cells[policy, 1][0] not in ("FAILED", "pending")
+            assert cells[policy, 2] == ["FAILED", "--", "--", "--", "--"]
+            assert cells[policy, 3] == ["pending", "--", "--", "--", "--"]
+        assert cells["Default", 1][-1] == "1.000"
+
+        # A baseline outside the campaign is hashed for each value row.
+        calls.clear()
+        only = tiny_campaign(policies=("Adapt3D",), seeds=(1, 2, 3))
+        lines = campaign_report(store, only).splitlines()
+        assert [(spec.policy, spec.seed) for spec in calls] == [
+            ("Adapt3D", 1), ("Adapt3D", 2), ("Adapt3D", 3), ("Default", 1)]
+        assert lines[3].split()[-1] != "--"  # delay against seed 1's Default
 
     @pytest.mark.parametrize("duration", [2.0, 1.0])
     def test_report_renders_runs_with_undefined_metrics(self, duration,

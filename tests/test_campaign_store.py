@@ -184,7 +184,7 @@ class TestRunDirRecord:
         writer = ResultStore(root)
         key = writer.save(spec, tiny_result)
         saved = writer.load(key)
-        assert key == "exp1-default-d6f1f0a5b1a7"
+        assert key == "exp1-default-34a306b42c7b"
         path = root / "runs" / key / "entry.json"
         entry = json.loads(path.read_text())
         assert sorted(entry) == ["spec", "status"]

@@ -6,8 +6,8 @@ the metrics did before a result's jobs became one
 bytes and the same floats.
 """
 
-import io
 import json
+import os
 import pickle
 import pickletools
 from operator import attrgetter
@@ -38,16 +38,21 @@ def spec(exp_id=1, policy="Default", seed=1, **overrides) -> RunSpec:
     return RunSpec(**base)
 
 
+#: Per-tick result fields, in the payload's block order.
+PLANES = ("times", "unit_temps_k", "core_temps_k", "core_peak_temps_k",
+          "layer_spreads_k", "utilization", "vf_indices", "core_states",
+          "total_power_w")
+
+
 def reference_payload(result):
-    """``_jobs.npy`` and ``_meta.json`` bytes as encoded per Job object:
-    one attrgetter row per completed job."""
+    """The payload frame as encoded per Job object: one attrgetter row
+    per completed job after the planes, each plane as little-endian
+    float64, behind the 32-byte size preamble and the header line."""
     jobs = result.completed_jobs()
     rows = np.array(list(map(attrgetter(*JOB_COLUMNS), jobs)),
                     dtype=np.float64).reshape(-1, len(JOB_COLUMNS))
-    buffer = io.BytesIO()
-    np.save(buffer, rows, allow_pickle=False)
     meta = {
-        "version": 2,
+        "version": 3,
         "policy_name": result.policy_name,
         "sampling_interval_s": result.sampling_interval_s,
         "energy_j": result.energy_j,
@@ -55,10 +60,23 @@ def reference_payload(result):
         "unit_names": list(result.unit_names),
         "core_names": list(result.core_names),
         "n_dies": result.layer_spreads_k.shape[1],
+        "n_ticks": len(result.times),
         "job_benchmarks": [job.benchmark.name for job in jobs],
         "job_cores": [job.core for job in jobs],
     }
-    return buffer.getvalue(), json.dumps(meta, sort_keys=True) + "\n"
+    body = b"".join(getattr(result, name).astype("<f8").tobytes()
+                    for name in PLANES) + rows.astype("<f8").tobytes()
+    return frame(meta, body)
+
+
+def frame(meta, body):
+    """A format-3 payload frame built by hand: the 32-byte preamble
+    declaring the frame's size, ``meta`` as one JSON line space-padded
+    to an 8-byte boundary, then ``body``."""
+    header = json.dumps(meta, sort_keys=True).encode()
+    header += b" " * (-(32 + len(header) + 1) % 8) + b"\n"
+    size = 32 + len(header) + len(body)
+    return b"repro-dtm result v3 %011d\n" % size + header + body
 
 
 def job_fields(job):
@@ -96,16 +114,32 @@ def case(request):
 class TestCodecBytes:
     def test_payload_matches_per_job_encoder(self, case, tmp_path):
         name, result = case
-        save_result(result, tmp_path / "r")
-        jobs_bytes, meta_text = reference_payload(result)
-        assert (tmp_path / "r_jobs.npy").read_bytes() == jobs_bytes
-        assert (tmp_path / "r_meta.json").read_text() == meta_text
+        path = save_result(result, tmp_path / "r")
+        assert os.listdir(tmp_path) == ["r.bin"]
+        assert path.read_bytes() == reference_payload(result)
         if name == "no_completed_job":
             assert len(result.jobs) and not result.completed_jobs()
         else:
             # Every case but the idle one ends with jobs still running,
             # which the payload leaves out.
             assert 0 < len(result.completed_jobs()) < len(result.jobs)
+
+    def test_loaded_arrays_own_their_data(self, case, tmp_path):
+        # Each plane and the job rows are arrays of their own, not views
+        # into a read buffer that would pin the file's bytes, with the
+        # dtypes the engine records.
+        _, result = case
+        save_result(result, tmp_path / "r")
+        loaded = load_result(tmp_path / "r")
+        for name in PLANES:
+            array, fresh = getattr(loaded, name), getattr(result, name)
+            assert array.flags.owndata and array.flags.c_contiguous, name
+            assert (array.dtype, array.shape) == (fresh.dtype, fresh.shape)
+            assert array.dtype == (
+                int if name in ("vf_indices", "core_states") else float)
+        rows = loaded.jobs.rows
+        assert rows.flags.owndata and rows.dtype == np.float64
+        assert rows.shape == (len(result.completed_jobs()), len(JOB_COLUMNS))
 
     def test_loaded_jobs_equal_the_fresh_runs_completed_jobs(
             self, case, tmp_path):
