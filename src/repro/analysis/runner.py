@@ -204,6 +204,11 @@ class ExperimentRunner:
       parameters, so the key fully determines the assembly,
     - the (stateless) :class:`ChipPowerModel` per exp_id.
 
+    The frozen :class:`ExperimentConfig` is cached per exp_id too, beside
+    the power model: building it re-validates every floorplan (an
+    O(n²) overlap check). It stays out of :class:`RunnerCaches`, since
+    any process rebuilds it in well under a millisecond.
+
     A campaign driver fills them for every pending run
     (:meth:`prepare`) and installs them in each pool worker's runner
     (:meth:`caches`, :meth:`install_caches`).
@@ -213,8 +218,15 @@ class ExperimentRunner:
         self._index_cache: Dict[StackKey, Dict[str, float]] = {}
         self._assembly_cache: Dict[StackKey, ThermalAssembly] = {}
         self._power_cache: Dict[int, ChipPowerModel] = {}
+        self._config_cache: Dict[int, ExperimentConfig] = {}
 
     # ------------------------------------------------------------------
+
+    def _experiment(self, exp_id: int) -> ExperimentConfig:
+        config = self._config_cache.get(exp_id)
+        if config is None:
+            config = self._config_cache[exp_id] = build_experiment(exp_id)
+        return config
 
     def _build_thermal(
         self,
@@ -249,7 +261,7 @@ class ExperimentRunner:
         without it ``spec.telemetry`` selects a plain
         :class:`TelemetryConfig` or none at all.
         """
-        config = build_experiment(spec.exp_id)
+        config = self._experiment(spec.exp_id)
         thermal = self._build_thermal(spec.exp_id, spec.grid, config)
         power = self._build_power(spec.exp_id, config)
         indices = self._thermal_indices(spec, config, thermal, power)
@@ -309,7 +321,7 @@ class ExperimentRunner:
             needs[key] = needs.get(key, False) or spec.fidelity == "event"
         for (exp_id, grid), modal in needs.items():
             try:
-                config = build_experiment(exp_id)
+                config = self._experiment(exp_id)
                 self._build_power(exp_id, config)
                 thermal = self._build_thermal(exp_id, grid, config)
                 if modal:
@@ -442,7 +454,7 @@ class ExperimentRunner:
         """
         key = (exp_id, (grid[0], grid[1]))
         if key not in self._index_cache:
-            config = build_experiment(exp_id)
+            config = self._experiment(exp_id)
             thermal = self._build_thermal(exp_id, grid, config)
             power = self._build_power(exp_id, config)
             self._index_cache[key] = compute_thermal_indices(thermal, power)

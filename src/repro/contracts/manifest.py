@@ -49,6 +49,7 @@ HOT_PATH_FUNCTIONS: Tuple[Tuple[str, str], ...] = (
     ("src/repro/sched/engine.py", "SimulationEngine._policy_tick_noop"),
     ("src/repro/thermal/model.py", "ThermalModel.step_vector"),
     ("src/repro/thermal/model.py", "ModalJump.advance"),
+    ("src/repro/thermal/model.py", "ModalJump.advance_rows"),
     ("src/repro/power/chip_power.py", "ChipPowerModel.power_factors"),
     ("src/repro/power/chip_power.py", "ChipPowerModel.power_eval"),
     ("src/repro/power/chip_power.py", "ChipPowerModel.event_factors"),

@@ -125,10 +125,10 @@ class ProbabilisticAllocator(Policy):
     ) -> None:
         """Re-home the probability/history state onto caller-owned rows.
 
-        The batched multi-run engine stacks R compatible allocators
-        into one ``(R, n)`` probability matrix and one ``(R, n,
-        window)`` history block so the per-tick §III-B update runs once
-        for the whole batch; per-dispatch scoring keeps reading this
+        The batched multi-run engine stacks the R allocators of one
+        history window into one ``(R, n)`` probability matrix and one
+        ``(R, n, window)`` history block so the per-tick §III-B update
+        runs once for them all; per-dispatch scoring keeps reading this
         policy's (now shared-storage) row. Mirrors the engine's
         ``_adopt_core_rows`` idiom.
         """

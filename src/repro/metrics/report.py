@@ -30,8 +30,10 @@ class MetricsReport:
     gradient_pct:
         % of ticks with a per-layer spatial gradient above 15 C (Fig 5).
     cycle_pct:
-        % of sliding windows with core-averaged ΔT above 20 C (Fig 6);
-        ``None`` when the run is shorter than one window.
+        % of (core, sliding window) pairs whose peak-temperature ΔT
+        exceeds 20 C (Fig 6; :func:`thermal_cycle_fraction`'s default
+        ``aggregate="per_core"``, so each core's cycles count on their
+        own); ``None`` when the run is shorter than one window.
     mean_response_s:
         Mean job response time; ``None`` when no job completed.
     normalized_delay:

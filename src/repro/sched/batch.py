@@ -26,8 +26,8 @@ tick loop, so that overhead is paid once per *batch* per tick:
   :meth:`unit_mean_block`);
 - recording is one ``(R, ...)`` plane write per field per tick.
 
-Per-run scheduler state — event heaps, dispatch queues, policies, DPM,
-workload generators — stays scalar: each run's
+Per-run scheduler state — event heaps, dispatch queues, DPM, workload
+generators — stays scalar: each run's
 :class:`~repro.sched.engine.SimulationEngine` acts as its lane's state
 machine, driven lock-step by the shared boundary sweep. The lanes'
 structure-of-arrays bookkeeping is re-homed onto rows of batch-owned
@@ -36,20 +36,37 @@ with zero per-lane gathering.
 
 With ``EngineConfig(fidelity="event")`` lanes (uniform across the
 batch), the per-lane interval advance switches to the span substrate —
-lazy per-core spans, trusted completion events — and each lane steps
-its own :class:`~repro.thermal.model.ModalJump`, the stepper a serial
-event run steps, fed the lane's contiguous power row. Two further
-batch-level fusions engage: ideal-sensor reads become one gather over
-the peak block, and batches whose policies are all plain probabilistic
-allocators — or all the same plain §III-A DVFS policy — tick their
-per-lane policy state through one stacked ``(R, n_cores)`` update
-(:class:`_ProbabilisticBatchTick` / :class:`_DVFSBatchTick`) instead of
-R per-lane ``on_tick`` sweeps. The serial engine's event clock jumps do
-not engage in the fused loop: they are an alternative to the batch's
-amortization, not an addition to it, and a jump is an exact shortcut
-for the ticks it replaces, so leaving it out changes no bit. Shrinking
-the per-lane scalar term is what breaks the eager batch's Amdahl cap
-(docs/ENGINE.md). Event lanes are bit-identical to serial event runs
+lazy per-core spans, trusted completion events — and three further
+batch-level fusions engage:
+
+- the thermal step is one block step. Each lane's
+  :class:`~repro.thermal.model.ModalJump` (the stepper a serial event
+  run steps) is re-homed onto rows of ``(R, ·)`` blocks
+  (:meth:`~repro.thermal.model.ModalJump.stack`), so every elementwise
+  op and the peak segment max run once per batch and only the two
+  GEMVs run per lane, on contiguous rows
+  (:meth:`~repro.thermal.model.ModalJump.advance_rows`);
+- ideal-sensor reads become one gather over the peak block;
+- policy ticks are stacked per family (:func:`_stack_policy_ticks`).
+  Every plain probabilistic allocator — a §III-C hybrid's Adapt3D half
+  included — ticks in one §III-B update per history window
+  (:class:`_ProbabilisticBatchTick`), and every plain §III-A DVFS
+  policy — a hybrid's DVFS half included — in one update per exact
+  class (:class:`_DVFSBatchTick`), whose V/f transitions one
+  ``levels != vf`` compare finds. Lanes whose policy has no family
+  (Default, CGate, Migr, custom policies, Adapt3D with the online
+  index estimator) keep their own ``on_tick``, skipped when provably a
+  no-op, as in serial.
+
+The serial engine's event clock jumps do not engage in the fused loop:
+they are an alternative to the batch's amortization, not an addition
+to it, and a jump is an exact shortcut for the ticks it replaces, so
+leaving it out changes no bit. What stays per lane is the interval
+advance (dispatch, completions, spans), the utilization and memory
+readback, DPM, the V/f transitions and migrations the families find,
+and the fallback lanes' policy calls. Shrinking the per-lane scalar
+term is what breaks the eager batch's Amdahl cap (docs/ENGINE.md).
+Event lanes are bit-identical to serial event runs
 (``tests/test_engine_batch.py``, ``tests/test_engine_span.py``).
 
 Bit-identity
@@ -79,7 +96,7 @@ the serial GEMVs):
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -89,6 +106,7 @@ from repro.core.default import IMBALANCE_THRESHOLD
 from repro.core.dvfs_flp import DVFSFloorplanAware
 from repro.core.dvfs_tt import DVFSTemperatureTriggered
 from repro.core.dvfs_util import DVFSUtilizationBased
+from repro.core.hybrid import HybridPolicy
 from repro.core.probabilistic import ProbabilisticAllocator
 from repro.errors import SchedulerError
 from repro.obs.profiler import (
@@ -103,60 +121,128 @@ from repro.obs.profiler import (
     TickProfiler,
 )
 from repro.sched.engine import SimulationEngine, _Recording
+from repro.thermal.model import ModalJump
 
 PROPAGATION_MODES = ("exact", "gemm")
 
+#: The plain §III-A DVFS classes a stacked family can tick.
+_DVFS_KINDS = (
+    DVFSTemperatureTriggered,
+    DVFSUtilizationBased,
+    DVFSFloorplanAware,
+)
+
+
+def _plain_allocator(policy) -> bool:
+    """A probabilistic allocator whose tick is exactly the §III-B
+    update (base ``on_tick``, or Adapt3D's without the online index
+    estimator)."""
+    if not isinstance(policy, ProbabilisticAllocator):
+        return False
+    tick = type(policy).on_tick
+    if tick is ProbabilisticAllocator.on_tick:
+        return True
+    return tick is Adapt3D.on_tick and policy.online_index_window is None
+
+
+def _stack_parts(lane: SimulationEngine):
+    """``(allocator, dvfs, migrate)``: the halves of a lane's policy the
+    stacked families take over, or ``None`` when the lane has no family.
+
+    Plain allocators and plain DVFS policies stand alone (a DVFS policy
+    keeps its base load-balancing migration); a :class:`HybridPolicy`
+    of the two splits into both halves and drops the DVFS half's
+    migration, as its ``on_tick`` does. A policy that does not decide
+    in the engine's core order keeps its own ``on_tick``, which raises
+    or maps names as in a serial run.
+    """
+    policy = lane.policy
+    if type(policy) is HybridPolicy:
+        allocator, dvfs, migrate = policy.allocator, policy.dvfs, False
+        if not (_plain_allocator(allocator) and type(dvfs) in _DVFS_KINDS):
+            return None
+    elif _plain_allocator(policy):
+        allocator, dvfs, migrate = policy, None, False
+    elif type(policy) in _DVFS_KINDS:
+        allocator, dvfs, migrate = None, policy, True
+    else:
+        return None
+    for part in (allocator, dvfs):
+        if (
+            part is not None
+            and tuple(part.system.core_names) != lane._core_names_tuple
+        ):
+            return None
+    return allocator, dvfs, migrate
+
+
+def _stack_policy_ticks(
+    lanes: Sequence[SimulationEngine],
+) -> Tuple[list, List[SimulationEngine]]:
+    """Partition event lanes into stacked policy families.
+
+    Returns ``(families, fallback)``. Every plain probabilistic
+    allocator (a hybrid's Adapt3D half included) joins one
+    :class:`_ProbabilisticBatchTick` per history window (and cursor);
+    every plain DVFS policy (a hybrid's DVFS half included) joins one
+    :class:`_DVFSBatchTick` per exact class (and V/f table). A lane
+    whose policy has no family — Default, CGate, Migr, custom policies,
+    Adapt3D with ``online_index_window`` — is returned in ``fallback``
+    and keeps its own ``on_tick``.
+    """
+    prob: Dict[tuple, list] = {}
+    dvfs: Dict[tuple, list] = {}
+    fallback = []
+    for row, lane in enumerate(lanes):
+        parts = _stack_parts(lane)
+        if parts is None:
+            fallback.append(lane)
+            continue
+        allocator, dvfs_part, migrate = parts
+        if allocator is not None:
+            key = (
+                allocator.history_window,
+                allocator._hist_pos,
+                allocator._hist_len,
+            )
+            prob.setdefault(key, []).append((row, allocator))
+        if dvfs_part is not None:
+            freqs = tuple(
+                level.frequency for level in dvfs_part.system.vf_table._levels
+            )
+            dvfs.setdefault((type(dvfs_part), freqs), []).append(
+                (row, lane, dvfs_part, migrate)
+            )
+    families: list = [
+        _ProbabilisticBatchTick(members) for members in prob.values()
+    ]
+    families += [_DVFSBatchTick(members) for members in dvfs.values()]
+    return families, fallback
+
 
 class _ProbabilisticBatchTick:
-    """One §III-B probability update per tick for a whole event batch.
+    """One §III-B probability update per tick for a family of lanes.
 
-    When every lane's policy is a plain probabilistic allocator (base
-    ``on_tick``, or Adapt3D without the online index estimator), the
-    per-tick update is R independent copies of the same handful of
-    vector expressions. This helper re-homes each policy's probability
-    row and temperature history onto stacked ``(R, n)`` / ``(R, n,
-    window)`` matrices and applies the update once per tick for the
-    batch — row ``r`` evolves exactly as lane ``r``'s own ``on_tick``
-    would evolve it (all operations are row-independent), and the
-    allocators issue no tick actions, so the per-lane policy sweep
-    disappears entirely. Event fidelity only; the eager batch keeps the
-    per-lane calls that its bit-identity contract is proven against.
+    The per-tick update of a plain probabilistic allocator is a handful
+    of vector expressions, the same for every lane. This helper
+    re-homes each member allocator's probability row and temperature
+    history onto stacked ``(R, n)`` / ``(R, n, window)`` matrices and
+    applies the update once per tick for the family — row ``i`` evolves
+    exactly as member ``i``'s own ``on_tick`` would evolve it (all
+    operations are row-independent), and allocators issue no tick
+    actions. Members share the history window and cursor. Built from
+    ``(batch row, allocator)`` pairs; event fidelity only.
     """
 
-    @staticmethod
-    def build(lanes) -> Optional["_ProbabilisticBatchTick"]:
-        policies = [lane.policy for lane in lanes]
-        for policy in policies:
-            if not isinstance(policy, ProbabilisticAllocator):
-                return None
-            tick = type(policy).on_tick
-            if tick is ProbabilisticAllocator.on_tick:
-                continue
-            if (
-                tick is Adapt3D.on_tick
-                and policy.online_index_window is None
-            ):
-                continue
-            return None
+    def __init__(self, members) -> None:
+        rows, policies = zip(*members)
+        self.rows = np.array(rows, dtype=np.intp)
+        self.policies = list(policies)
         base = policies[0]
         n = len(base._names)
-        window = base.history_window
-        for policy in policies:
-            if (
-                len(policy._names) != n
-                or policy.history_window != window
-                or policy._hist_len != base._hist_len
-                or policy._hist_pos != base._hist_pos
-            ):
-                return None
-        return _ProbabilisticBatchTick(policies, n, window)
-
-    def __init__(self, policies, n: int, window: int) -> None:
-        r = len(policies)
-        self.policies = policies
-        self.window = window
-        self.prob_mat = np.empty((r, n))
-        self.hist_block = np.empty((r, n, window))
+        self.window = base.history_window
+        self.prob_mat = np.empty((len(policies), n))
+        self.hist_block = np.empty((len(policies), n, self.window))
         for i, policy in enumerate(policies):
             policy._adopt_batch_rows(self.prob_mat[i], self.hist_block[i])
         self.alpha_mat = np.stack([p._alpha_arr for p in policies])
@@ -168,12 +254,13 @@ class _ProbabilisticBatchTick:
         self.thr_col = np.array(
             [[p.system.thermal_threshold_k] for p in policies]
         )
-        self.hist_pos = policies[0]._hist_pos
-        self.hist_len = policies[0]._hist_len
+        self.hist_pos = base._hist_pos
+        self.hist_len = base._hist_len
 
-    def tick(self, temps_mat: np.ndarray) -> None:
-        """Advance every lane's probability state by one tick."""
-        self.hist_block[:, :, self.hist_pos] = temps_mat
+    def tick(self, now, temps_mat, util_mat, ql_mat, vf_mat) -> None:
+        """Advance every member's probability state by one tick."""
+        temps = temps_mat[self.rows]
+        self.hist_block[:, :, self.hist_pos] = temps
         self.hist_pos = (self.hist_pos + 1) % self.window
         if self.hist_len < self.window:
             self.hist_len += 1
@@ -189,7 +276,7 @@ class _ProbabilisticBatchTick:
         )
         prob = self.prob_mat
         prob += weight
-        prob[temps_mat >= self.thr_col] = 0.0
+        prob[temps >= self.thr_col] = 0.0
         np.maximum(prob, 0.0, out=prob)
         totals = prob.sum(axis=1)
         positive = totals > 0.0
@@ -201,109 +288,86 @@ class _ProbabilisticBatchTick:
             policy._prob_list = None
 
     def finish(self) -> None:
-        """Write the shared cursor back to the per-lane policies."""
+        """Write the shared cursor back to the member allocators."""
         for policy in self.policies:
             policy._hist_pos = self.hist_pos
             policy._hist_len = self.hist_len
 
 
 class _DVFSBatchTick:
-    """One stacked §III-A DVFS update per tick for a whole event batch.
+    """One stacked §III-A DVFS update per tick for a family of lanes.
 
-    When every lane runs the same plain DVFS policy
-    (:class:`DVFSTemperatureTriggered`, :class:`DVFSUtilizationBased`
-    or :class:`DVFSFloorplanAware`, unmodified ``on_tick``), the
-    per-tick decision is R copies of the same per-core level rule plus
-    the base load-balancing imbalance check. This helper computes the
-    ``(R, n)`` level matrix in a handful of vector expressions and
-    routes the (rare) transitions through the engine's single V/f
-    writer, :meth:`SimulationEngine._apply_vf_level`, so each lane's
-    discrete stream is exactly what its own ``on_tick`` sweep would
-    produce. Transitions are applied in the same per-lane core order
-    the serial loop iterates ``actions.vf_settings`` in (core order for
-    TT/Util, susceptibility-ranked order for FLP) so event-heap
+    Members run one plain DVFS class (:class:`DVFSTemperatureTriggered`,
+    :class:`DVFSUtilizationBased` or :class:`DVFSFloorplanAware`,
+    unmodified ``on_tick``), standalone or as a hybrid's DVFS half. The
+    per-tick decision is the same per-core level rule for every member,
+    computed as one ``(R, n)`` level matrix; one ``levels != vf``
+    compare finds the (rare) transitions, which go through the engine's
+    single V/f writer, :meth:`SimulationEngine._apply_vf_level`, in the
+    order the serial loop iterates ``actions.vf_settings`` (core order
+    for TT/Util, susceptibility-ranked order for FLP), so event-heap
     invalidation sequence numbers — and therefore same-time event
-    tie-breaks — match the serial engine. Event fidelity only.
+    tie-breaks — match the serial engine. Standalone members then take
+    the base load-balancing migration, decided on the queue lengths the
+    tick saw; hybrid members drop it, as :class:`HybridPolicy` does.
+    Built from ``(batch row, lane, policy, migrate)`` tuples; event
+    fidelity only.
     """
 
-    @staticmethod
-    def build(lanes) -> Optional["_DVFSBatchTick"]:
-        policies = [lane.policy for lane in lanes]
-        cls = type(policies[0])
-        if cls not in (
-            DVFSTemperatureTriggered,
-            DVFSUtilizationBased,
-            DVFSFloorplanAware,
-        ):
-            return None
-        freqs = tuple(
-            level.frequency for level in policies[0].system.vf_table._levels
-        )
-        for policy in policies:
-            if type(policy) is not cls:
-                return None
-            lane_freqs = tuple(
-                level.frequency for level in policy.system.vf_table._levels
-            )
-            if lane_freqs != freqs:
-                return None
-        return _DVFSBatchTick(lanes, policies, cls)
-
-    def __init__(self, lanes, policies, cls) -> None:
+    def __init__(self, members) -> None:
+        rows, lanes, policies, migrate = zip(*members)
+        self.rows = np.array(rows, dtype=np.intp)
         self.lanes = list(lanes)
-        self.policies = policies
+        self.policies = list(policies)
+        self.migrate_rows = np.flatnonzero(migrate)
         base = policies[0]
+        cls = self.kind = type(base)
         table = base.system.vf_table
-        names = list(base.system.core_names)
-        n = len(names)
-        r = len(policies)
-        self.core_names = names
-        self.speeds = [table[i].frequency for i in range(len(table))]
+        names = self.core_names = list(base.system.core_names)
         self.lowest = table.lowest_index
-        self.kind = cls
-        # Per-lane column application order: must match the serial
-        # loop's ``actions.vf_settings`` iteration order (see class
-        # docstring).
-        col_index = {name: i for i, name in enumerate(names)}
+        self.order = None
         if cls is DVFSFloorplanAware:
-            self.col_orders = [
-                [col_index[name] for name in policy._assignment]
-                for policy in policies
-            ]
+            # Static levels; transitions are found in each member's
+            # assignment order.
+            col_index = {name: i for i, name in enumerate(names)}
+            self.order = np.array(
+                [[col_index[name] for name in p._assignment] for p in policies],
+                dtype=np.intp,
+            )
             self.level_mat = np.array(
-                [
-                    [policy._assignment[name] for name in names]
-                    for policy in policies
-                ],
+                [[p._assignment[name] for name in names] for p in policies],
                 dtype=np.int64,
             )
-        else:
-            self.col_orders = [list(range(n))] * r
-            self.level_mat = np.empty((r, n), dtype=np.int64)
-        if cls is DVFSTemperatureTriggered:
-            for i, policy in enumerate(policies):
-                row = self.level_mat[i]
-                for j, name in enumerate(names):
-                    row[j] = policy._levels[name]
-            self.thr_col = np.array(
-                [[policy.system.thermal_threshold_k] for policy in policies]
+            self.ordered_levels = np.take_along_axis(
+                self.level_mat, self.order, axis=1
             )
-        elif cls is DVFSUtilizationBased:
+        elif cls is DVFSTemperatureTriggered:
+            self.level_mat = np.array(
+                [[p._levels[name] for name in names] for p in policies],
+                dtype=np.int64,
+            )
+            self.thr_col = np.array(
+                [[p.system.thermal_threshold_k] for p in policies]
+            )
+        else:
+            self.level_mat = np.empty((len(policies), len(names)), np.int64)
             # Table frequencies are descending; negate so searchsorted
             # sees an ascending key and the per-row count of levels
             # still covering the utilization is one call.
-            self.neg_freqs = -np.asarray(self.speeds)
+            self.neg_freqs = -np.array(
+                [level.frequency for level in table._levels]
+            )
 
     def advance_levels(
-        self, temps_mat: np.ndarray, util_mat: np.ndarray
+        self, temps: np.ndarray, utils: np.ndarray
     ) -> np.ndarray:
-        """Stacked level decision: row ``r`` is lane ``r``'s levels."""
+        """Stacked level decision: row ``i`` is member ``i``'s levels."""
         levels = self.level_mat
         if self.kind is DVFSTemperatureTriggered:
             np.copyto(
                 levels,
                 np.where(
-                    temps_mat >= self.thr_col,
+                    temps >= self.thr_col,
                     np.minimum(levels + 1, self.lowest),
                     np.maximum(levels - 1, 0),
                 ),
@@ -312,64 +376,72 @@ class _DVFSBatchTick:
             # lowest_covering(u): largest index whose frequency still
             # covers u — the count of covering levels minus one,
             # clamped to the nominal setting when none covers.
-            counts = np.searchsorted(self.neg_freqs, -util_mat, side="right")
+            counts = np.searchsorted(self.neg_freqs, -utils, side="right")
             np.maximum(counts - 1, 0, out=levels)
         return levels
 
-    def tick(
-        self,
-        now: float,
-        temps_mat: np.ndarray,
-        util_mat: np.ndarray,
-        ql_mat: np.ndarray,
-        vf_mat: np.ndarray,
-    ) -> None:
-        """Advance every lane's DVFS decision by one tick."""
-        levels = self.advance_levels(temps_mat, util_mat)
-        speeds = self.speeds
-        for r, lane in enumerate(self.lanes):
-            row = levels[r]
-            vf_row = vf_mat[r]
-            core_list = lane._core_list
-            for i in self.col_orders[r]:
-                level = int(row[i])
-                if vf_row[i] != level:
-                    lane._apply_vf_level(
-                        core_list[i], level, speeds[level], now
-                    )
-        # Base load-balancing migration (DefaultLoadBalancing.on_tick):
-        # first-max / first-min over core order, as Python's max/min
-        # resolve ties.
-        longest = ql_mat.argmax(axis=1)
-        shortest = ql_mat.argmin(axis=1)
-        rows = np.arange(ql_mat.shape[0])
-        imbalanced = (
-            ql_mat[rows, longest] - ql_mat[rows, shortest]
-            >= IMBALANCE_THRESHOLD
-        )
-        if imbalanced.any():
-            names = self.core_names
-            for r in np.nonzero(imbalanced)[0]:
-                lane = self.lanes[r]
-                lane._migrate(
-                    Migration(
-                        names[longest[r]],
-                        names[shortest[r]],
-                        move_running=False,
-                        swap=False,
-                    ),
+    def tick(self, now, temps_mat, util_mat, ql_mat, vf_mat) -> None:
+        """Advance every member's DVFS decision by one tick."""
+        rows = self.rows
+        temps = temps_mat[rows]
+        utils = util_mat[rows]
+        ql = ql_mat[rows]
+        vf = vf_mat[rows]
+        levels = self.advance_levels(temps, utils)
+        # Load balancing decides on the queues on_tick sees, before any
+        # action applies.
+        moves = []
+        if self.migrate_rows.size:
+            ql = ql[self.migrate_rows]
+            for k in np.flatnonzero(
+                ql.max(axis=1) - ql.min(axis=1) >= IMBALANCE_THRESHOLD
+            ).tolist():
+                moves.append((self.migrate_rows[k], ql[k]))
+        order = self.order
+        if order is None:
+            changed = levels != vf
+        else:
+            changed = self.ordered_levels != np.take_along_axis(
+                vf, order, axis=1
+            )
+        if changed.any():
+            members, cols = np.nonzero(changed)
+            if order is not None:
+                cols = order[members, cols]
+            for i, col, level in zip(
+                members.tolist(),
+                cols.tolist(),
+                levels[members, cols].tolist(),
+            ):
+                lane = self.lanes[i]
+                lane._apply_vf_level(
+                    lane._core_list[col],
+                    level,
+                    lane.vf_table[level].frequency,
                     now,
                 )
+        names = self.core_names
+        for i, queues in moves:
+            # First longest / first shortest in core order, as
+            # DefaultLoadBalancing.on_tick resolves ties.
+            self.lanes[i]._migrate(
+                Migration(
+                    names[queues.argmax()],
+                    names[queues.argmin()],
+                    move_running=False,
+                    swap=False,
+                ),
+                now,
+            )
 
     def finish(self) -> None:
-        """Write the stacked level state back to the per-lane policies."""
+        """Write the stacked level state back to the member policies."""
         if self.kind is not DVFSTemperatureTriggered:
             return
         names = self.core_names
-        for r, policy in enumerate(self.policies):
-            row = self.level_mat[r]
-            for i, name in enumerate(names):
-                policy._levels[name] = int(row[i])
+        for policy, row in zip(self.policies, self.level_mat.tolist()):
+            for name, level in zip(names, row):
+                policy._levels[name] = level
 
 
 class BatchSimulationEngine:
@@ -465,12 +537,6 @@ class BatchSimulationEngine:
         n_ticks, dt = shapes[0]
         if any(shape != (n_ticks, dt) for shape in shapes[1:]):
             raise SchedulerError("batched runs disagree on tick layout")
-
-        # Each event lane steps its own modal stepper, as serial event
-        # does; propagation applies to eager lanes only.
-        modals = (
-            [lane.thermal.modal_jump() for lane in lanes] if use_span else None
-        )
         exact = self.propagation == "exact"
 
         # Initial sensor read (the serial engine does this between
@@ -500,38 +566,38 @@ class BatchSimulationEngine:
         n_units = len(thermal.unit_names)
         n_dies = thermal.n_dies
 
-        if modals is None:
+        # Readback rows, one per lane: ``unit_rows`` (mean) and
+        # ``peak_rows`` (max, NaN outside core units on event lanes).
+        # The post-step readback of tick k is the pre-step temperature
+        # of tick k+1; the initial rows use the same per-lane GEMV the
+        # serial engine starts from.
+        if use_span:
+            # Each event lane's ModalJump, the stepper serial event
+            # steps, re-homed onto rows of (R, ·) blocks: a tick is one
+            # block step (ModalJump.advance_rows).
+            modals = [lane.thermal.modal_jump() for lane in lanes]
+            modal_blocks = ModalJump.stack(modals)
+            unit_rows = modal_blocks["mean"]
+            peak_rows = modal_blocks["peak"]
+        else:
             # (n_nodes, R) thermal state: column r is lane r's node
-            # vector.
+            # vector; the readback blocks are (n_units, R), read through
+            # their transposes.
             temps_block = np.empty((n_nodes, n_lanes))
             for r, lane in enumerate(lanes):
                 temps_block[:, r] = lane.thermal.temperatures
-        else:
-            # Modal lanes hold their state in the steppers; their peak
-            # rows are NaN outside core units, as in serial event.
-            peak_block = np.full((n_units, n_lanes), np.nan)
-
-        # Post-step readback of tick k is the pre-step temperature of
-        # tick k+1; the initial row uses the same per-lane GEMV the
-        # serial engine starts from.
-        unit_block = np.empty((n_units, n_lanes))
+            unit_rows = np.empty((n_units, n_lanes)).T
         for r, lane in enumerate(lanes):
-            unit_block[:, r] = lane.thermal.unit_temperature_vector()
+            unit_rows[r] = lane.thermal.unit_temperature_vector()
 
         recs = [_Recording.allocate(lane, n_ticks) for lane in lanes]
         core_cols = recs[0].core_cols
         die_starts = recs[0].die_starts
-        # Event batches of plain probabilistic allocators tick their
-        # probability state once per tick for the whole batch; batches
-        # of plain DVFS policies stack their level math the same way.
-        policy_batch = (
-            _ProbabilisticBatchTick.build(lanes) if use_span else None
-        )
-        dvfs_batch = (
-            _DVFSBatchTick.build(lanes)
-            if use_span and policy_batch is None
-            else None
-        )
+        # Event lanes tick each policy family once for the batch
+        # (_stack_policy_ticks); lanes without a family keep their own
+        # on_tick.
+        if use_span:
+            families, fallback = _stack_policy_ticks(lanes)
         # Ideal sensors read the true per-core peaks, so the whole
         # batch's sensor sweep is one gather (bitwise equal to the
         # per-lane reads); noisy lanes keep their per-lane RNG draws.
@@ -595,12 +661,11 @@ class BatchSimulationEngine:
             prof.lap(PH_INTERVAL)
 
             # Fused boundary: one power kernel call for the whole batch
-            # and, for dense lanes, one thermal block step and one
-            # blocked max-readback. Event lanes take the event kernel
-            # on their rows (elementwise, then one GEMV per lane on its
-            # contiguous row: serial event's bits). Eager lanes take the
-            # oracle-exact kernel with cores/units down axis 0, one
-            # column per lane. Either way the thermal step gets a
+            # and one thermal block step. Event lanes take the event
+            # kernel on their rows (elementwise, then one GEMV per lane
+            # on its contiguous row: serial event's bits). Eager lanes
+            # take the oracle-exact kernel with cores/units down axis
+            # 0, one column per lane. Either way the thermal step gets a
             # C-contiguous (R, n_units) power block, so its per-lane
             # GEMV operands are contiguous rows as in serial.
             if use_span:
@@ -608,38 +673,32 @@ class BatchSimulationEngine:
                     state_mat, util_mat, dyn_mat, volt_mat, mem_col,
                     event_power,
                 )
-                power.event_eval(event_power, unit_block.T, power_mat)
+                power.event_eval(event_power, unit_rows, power_mat)
             else:
                 base_mat, leak_mat = power.power_factors(
                     state_mat.T, util_mat.T, dyn_mat.T, volt_mat.T, mem_vec
                 )
                 power_mat = np.ascontiguousarray(
-                    power.power_eval(base_mat, leak_mat, unit_block).T
+                    power.power_eval(base_mat, leak_mat, unit_rows.T).T
                 )
             prof.lap(PH_POWER)
-            if modals is None:
+            if use_span:
+                if tick == 0:
+                    for r, modal in enumerate(modals):
+                        modal.open(power_mat[r])
+                ModalJump.advance_rows(modals, modal_blocks, power_mat)
+            else:
                 temps_block = thermal.step_block(
                     power_mat, temps_block, column_exact=exact
                 )
-                peak_block = thermal.unit_max_block(temps_block)
-            else:
-                # The serial loop's stepper per lane, fed the lane's
-                # contiguous power row: every GEMV operand is laid out
-                # exactly as in serial event, so each lane keeps its bits.
-                for r, modal in enumerate(modals):
-                    power_row = power_mat[r]
-                    if tick == 0:
-                        modal.open(power_row)
-                    mean_row, peak_row = modal.advance(power_row)
-                    unit_block[:, r] = mean_row
-                    peak_block[:, r] = peak_row
+                peak_rows = thermal.unit_max_block(temps_block).T
             prof.lap(PH_THERMAL)
             if all_ideal:
-                temps_mat[:, :] = peak_block[core_cols].T
+                temps_mat[:, :] = peak_rows[:, core_cols]
             else:
                 for r, lane in enumerate(lanes):
                     lane._temps_arr[:] = lane.sensors.read_cores_vector(
-                        peak_block[:, r]
+                        peak_rows[r]
                     )
             prof.lap(PH_SENSORS)
 
@@ -648,15 +707,15 @@ class BatchSimulationEngine:
                 lane._apply_dpm(t1)
             prof.lap(PH_DPM)
 
-            if policy_batch is not None:
-                policy_batch.tick(temps_mat)
-            elif dvfs_batch is not None:
-                dvfs_batch.tick(t1, temps_mat, util_mat, ql_mat, vf_mat)
-            elif use_span:
-                # Event lanes view their live batch rows through one
-                # persistent per-lane context (no snapshot copies).
-                for lane in lanes:
-                    lane._run_policy(t1)
+            if use_span:
+                for family in families:
+                    family.tick(t1, temps_mat, util_mat, ql_mat, vf_mat)
+                # Lanes without a family view their live batch rows
+                # through one persistent per-lane context (no snapshot
+                # copies) and skip a provable no-op tick, as serial.
+                for lane in fallback:
+                    if not lane._policy_tick_noop():
+                        lane._run_policy(t1)
             else:
                 # One batch copy per snapshot field; each lane's
                 # TickArrays is a row view of the copies (identical
@@ -682,18 +741,17 @@ class BatchSimulationEngine:
             # Record the end-of-interval state: one blocked mean
             # readback (modal lanes filled theirs at the step), then one
             # plane write per field.
-            if modals is None:
-                unit_block = thermal.unit_mean_block(
+            if not use_span:
+                unit_rows = thermal.unit_mean_block(
                     temps_block, column_exact=exact
-                )
+                ).T
             times[tick] = t1
-            plane_unit[tick] = unit_block.T
-            plane_core[tick] = unit_block[core_cols].T
-            plane_peak[tick] = peak_block[core_cols].T
-            plane_spread[tick] = (
-                np.maximum.reduceat(unit_block, die_starts, axis=0)
-                - np.minimum.reduceat(unit_block, die_starts, axis=0)
-            ).T
+            plane_unit[tick] = unit_rows
+            plane_core[tick] = unit_rows[:, core_cols]
+            plane_peak[tick] = peak_rows[:, core_cols]
+            plane_spread[tick] = np.maximum.reduceat(
+                unit_rows, die_starts, axis=1
+            ) - np.minimum.reduceat(unit_rows, die_starts, axis=1)
             plane_util[tick] = util_mat
             plane_vf[tick] = vf_mat
             plane_state[tick] = state_mat
@@ -704,10 +762,9 @@ class BatchSimulationEngine:
             prof.lap(PH_RECORD)
             prof.tick_done()
 
-        if policy_batch is not None:
-            policy_batch.finish()
-        if dvfs_batch is not None:
-            dvfs_batch.finish()
+        if use_span:
+            for family in families:
+                family.finish()
 
         # Unpack the planes into per-lane recordings and hand each lane
         # its state back.
@@ -723,10 +780,10 @@ class BatchSimulationEngine:
             rec.vf_indices[:] = plane_vf[:, r]
             rec.core_states[:] = plane_state[:, r]
             rec.total_power[:] = plane_power[:, r]
-            if modals is None:
-                lane.thermal.temperatures = temps_block[:, r].copy()
-            else:
+            if use_span:
                 modals[r].close()
+            else:
+                lane.thermal.temperatures = temps_block[:, r].copy()
             results.append(lane._build_result(rec, energies[r], dt))
         if prof.enabled:
             batch_phases = prof.summary()

@@ -44,7 +44,7 @@ per-instance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -775,7 +775,10 @@ class ModalJump:
     rematerialized node state would re-project it (a ~1e-13 K round
     trip). The returned readback rows are views into reused buffers,
     valid until the next :meth:`advance` — consumers must copy (the
-    recording planes do) or finish reading first. Accuracy is bounded by the basis acceptance
+    recording planes do) or finish reading first. The batched engine
+    re-homes its event lanes' steppers onto shared ``(R, ·)`` blocks
+    (:meth:`stack`) and steps them as one (:meth:`advance_rows`).
+    Accuracy is bounded by the basis acceptance
     tolerance: dropped modes carry no content after one tick, and the
     rows track the dense trajectory to ~1e-12 K over hundreds of ticks
     (asserted in the differential harness).
@@ -853,6 +856,89 @@ class ModalJump:
         state += self._gain @ self._p
         state += self._ambient
         self._model.temperatures = state
+
+    # -- R steppers on one set of (R, ·) blocks (batched event lanes) --
+
+    @staticmethod
+    def stack(modals: Sequence["ModalJump"]) -> Dict[str, np.ndarray]:
+        """Re-home R steppers on one pack onto rows of shared blocks.
+
+        The batched engine's ``_adopt_core_rows`` idiom: each stepper's
+        state (``z``, ``p``, the readback buffer ``r``) and scratch
+        (``g``, ``dp``) become row views of ``(R, ·)`` blocks, values
+        copied over, so :meth:`advance_rows` runs every elementwise op
+        once per batch while :meth:`open`, :meth:`advance` and
+        :meth:`close` keep working per stepper. Returns the blocks plus
+        the batch readback views ``mean`` (``(R, n_units)``) and
+        ``peak`` (its own ``(R, n_units)`` block, NaN outside core
+        units).
+        """
+        head = modals[0]
+        runs = len(modals)
+        m = head._rho.size
+        n_units = head._n_units
+        z = np.empty((runs, head._z.size))
+        g = np.empty_like(z)
+        p = np.empty((runs, n_units))
+        dp = np.empty_like(p)
+        r = np.empty((runs, head._r.size))
+        for i, modal in enumerate(modals):
+            z[i] = modal._z
+            p[i] = modal._p
+            r[i] = modal._r
+            modal._z = z[i]
+            modal._zw = z[i, :m]
+            modal._ztail = z[i, m:]
+            modal._gbuf = g[i]
+            modal._p = p[i]
+            modal._dp = dp[i]
+            modal._r = r[i]
+            modal._mean_row = r[i, :n_units]
+            modal._gathered = r[i, n_units:]
+        return {
+            "z": z,
+            "zw": z[:, :m],
+            "ztail": z[:, m:],
+            "g": g,
+            "p": p,
+            "dp": dp,
+            "r": r,
+            "mean": r[:, :n_units],
+            "gathered": r[:, n_units:],
+            "peak": np.full((runs, n_units), np.nan),
+        }
+
+    @staticmethod
+    def advance_rows(
+        modals: Sequence["ModalJump"],
+        blocks: Dict[str, np.ndarray],
+        power_rows: np.ndarray,
+    ) -> None:
+        """:meth:`advance` for the R steppers :meth:`stack` re-homed
+        onto ``blocks``, row ``i`` under ``power_rows[i]``.
+
+        Every elementwise op and the peak segment max run once over the
+        blocks; the two GEMVs run once per stepper on its contiguous
+        1-D rows, the operands serial event passes, so each row keeps
+        the bits of its stepper's own :meth:`advance`. The readback
+        lands in ``blocks["mean"]`` and ``blocks["peak"]``.
+        """
+        head = modals[0]
+        np.subtract(power_rows, blocks["p"], out=blocks["dp"])
+        reprice = head._reprice
+        for modal in modals:
+            np.dot(reprice, modal._dp, out=modal._gbuf)
+        blocks["z"] -= blocks["g"]
+        blocks["p"][:] = power_rows
+        blocks["zw"] *= head._rho
+        readout = head._readout
+        for modal in modals:
+            np.dot(readout, modal._zw, out=modal._r)
+        blocks["r"] += blocks["ztail"]
+        if head._node_idx.size:
+            blocks["peak"][:, head._scatter] = np.maximum.reduceat(
+                blocks["gathered"], head._offsets, axis=1
+            )
 
 
 def _build_node_projection(

@@ -2,11 +2,13 @@
 
 import pytest
 
+import repro.analysis.runner as runner_module
 from repro.analysis.figures import FigureSeries
 from repro.analysis.runner import ExperimentRunner, RunSpec
 from repro.analysis.sweep import sweep
 from repro.analysis.tables import format_table
 from repro.errors import ConfigurationError
+from repro.floorplan.experiments import build_experiment
 from repro.metrics.report import summarize
 
 
@@ -25,6 +27,25 @@ class TestRunner:
         before = runner._index_cache[(1, (8, 8))]
         runner.build_engine(RunSpec(exp_id=1, policy="Adapt3D", duration_s=5.0))
         assert runner._index_cache[(1, (8, 8))] is before
+
+    def test_experiment_config_built_once_per_stack(self, monkeypatch):
+        """Floorplan validation is O(n²) per build: prepare, the index
+        solve and every engine share one frozen config per exp_id."""
+        builds = []
+
+        def counted(exp_id):
+            builds.append(exp_id)
+            return build_experiment(exp_id)
+
+        monkeypatch.setattr(runner_module, "build_experiment", counted)
+        runner = ExperimentRunner()
+        specs = [RunSpec(exp_id=1, policy=policy, duration_s=5.0)
+                 for policy in ("Default", "Adapt3D")]
+        runner.prepare(specs)
+        runner.thermal_indices(1)
+        engines = [runner.build_engine(spec) for spec in specs]
+        assert builds == [1]
+        assert engines[0].thermal.config is engines[1].thermal.config
 
     def test_explicit_benchmark_mix(self):
         spec = RunSpec(

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.runner import ExperimentRunner, RunSpec
+from repro.core.registry import policy_names
 from repro.errors import ConfigurationError, SchedulerError
 from repro.sched.batch import BatchSimulationEngine
 
@@ -132,14 +133,12 @@ class TestBatchDifferentialFast:
 @pytest.mark.parametrize("fidelity", ["eager", "event"])
 class TestBatchDifferentialMatrix:
     """Full stack x policy x DPM differential matrix, multi-seed, under
-    both fidelities."""
+    both fidelities: every registered policy, so each stacked policy
+    family of the event batch (and each hybrid's split into two) is
+    checked on every stack."""
 
     @pytest.mark.parametrize("exp_id", [1, 2, 3, 4])
-    @pytest.mark.parametrize(
-        "policy",
-        ["Default", "Adapt3D", "Adapt3D&DVFS_TT", "Migr", "CGate",
-         "DVFS_Util"],
-    )
+    @pytest.mark.parametrize("policy", policy_names())
     @pytest.mark.parametrize("with_dpm", [False, True])
     def test_batch_matches_serial(self, exp_id, policy, with_dpm, fidelity):
         specs = seed_sweep(
