@@ -28,7 +28,7 @@ from repro.campaign.executor import (
     worker_runner,
 )
 from repro.campaign.faults import FaultPlan, FaultSpec
-from repro.campaign.resilience import ResiliencePolicy, RetryPolicy
+from repro.campaign.resilience import ResiliencePolicy
 from repro.campaign.reports import (
     campaign_report,
     campaign_status,
@@ -52,7 +52,6 @@ __all__ = [
     "FaultSpec",
     "ResiliencePolicy",
     "ResultStore",
-    "RetryPolicy",
     "RunOutcome",
     "available_cpus",
     "campaign_report",

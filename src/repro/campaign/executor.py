@@ -18,28 +18,27 @@ into completed entries in a :class:`ResultStore`:
   factorization on load,
 - every pool unit runs under a wall-clock **watchdog**; a hung worker
   is killed, innocents are requeued uncharged, and the culprit is
-  retried with exponential backoff (see
-  :class:`~repro.campaign.resilience.ResiliencePolicy`),
-- transient failures (worker crash, watchdog timeout) are retried up
-  to the policy's attempt budget, and a retried run is simulated again
-  from tick 0; an ordinary exception with the same signature on two
-  consecutive attempts is classified deterministic and the key is
-  **quarantined** in the store so later campaigns skip it until
-  ``unquarantine``.
+  retried (see :class:`~repro.campaign.resilience.ResiliencePolicy`),
+- one failure model on every backend: a run that raises is recorded as
+  ``error`` at once, with no retry in that campaign, and the next
+  campaign tries the key once more. Only a worker death or a watchdog
+  timeout is retried, up to the policy's attempt budget, and a retried
+  run is simulated again from tick 0. A fused unit that raises splits
+  into singletons to find the failing lane.
 
 Pool workers write the store: each publishes the run dirs of the units
 it simulates (:func:`~repro.campaign.store.publish_run`, the code
 :meth:`ResultStore.save` runs on the serial backend) and reports back
 per lane only the key and whether its rename won. A result crosses the
 pipe only when the executor has no store. The driver writes the rest:
-thermal indices, failure and quarantine records and the resilience
-tally. A store error (an exception from a save, in the driver or in a
-worker) ends the campaign; it is not a run failure. A worker that dies
-before its rename leaves only a hidden temp dir, which is not a record,
-and the unit is retried; one that dies after the rename but before
-reporting leaves the key published, and the retry simulates the run
-again, loses the rename and reports ``cached`` (``save-race``). A store
-has one driver: a second driver on the same store duplicates work, and
+thermal indices, failure records and the resilience tally. A store
+error (an exception from a save, in the driver or in a worker) ends
+the campaign; it is not a run failure. A worker that dies before its
+rename leaves only a hidden temp dir, which is not a record, and the
+unit is retried; one that dies after the rename but before reporting
+leaves the key published, and the retry simulates the run again,
+loses the rename and reports ``cached`` (``save-race``). A store has
+one driver: a second driver on the same store duplicates work, and
 the rename keeps each key published and charged once across every
 process.
 """
@@ -68,18 +67,15 @@ from typing import (
 
 from repro.analysis.runner import ExperimentRunner, RunnerCaches, RunSpec
 from repro.campaign.faults import inject_fault, reset_fault_cache
-from repro.campaign.resilience import (
-    failure_signature,
-    ResiliencePolicy,
-)
+from repro.campaign.resilience import ResiliencePolicy
 from repro.campaign.spec import CampaignSpec, run_key
 from repro.campaign.store import ResultStore, publish_run
 from repro.errors import ConfigurationError, ReproError
 from repro.obs.resilience import ResilienceStats
 from repro.sched.engine import SimulationResult
 
-#: ``progress(event, key, detail)`` with event in {"cached",
-#: "quarantined", "start", "retry", "ok", "error"}.
+#: ``progress(event, key, detail)`` with event in {"cached", "start",
+#: "retry", "ok", "error"}.
 ProgressCallback = Callable[[str, str, str], None]
 
 BACKENDS = ("serial", "parallel", "batched")
@@ -97,6 +93,12 @@ Lane = Tuple[str, bool, Optional[SimulationResult]]
 # every run the worker executes.
 _WORKER_RUNNER: Optional[ExperimentRunner] = None
 _WORKER_STORE: Optional[str] = None  # root the worker publishes into
+
+#: Attribute under which a pool worker attaches a failed run's error
+#: record (:func:`_format_error`) to the exception it raises: formatted
+#: while the run's traceback is live, since the pool hands the driver
+#: the exception with only a text copy of it.
+_RECORD = "campaign_error_record"
 
 
 def available_cpus() -> int:
@@ -167,30 +169,38 @@ def _publish_lanes(
     return lanes, None
 
 
+def _simulate(
+    pairs: Sequence[Tuple[str, RunSpec]], propagation: str
+) -> List[SimulationResult]:
+    """A pool unit's results: one run, or one fused batch.
+
+    A run that raises leaves with its error record attached under
+    :data:`_RECORD`, so the record a pool run leaves is the one line
+    the serial backend records for it.
+    """
+    try:
+        if _WORKER_RUNNER is None:
+            # A plain raise (not assert): `python -O` strips asserts,
+            # which would turn an initializer failure into a bare
+            # AttributeError.
+            raise RuntimeError("worker initializer did not run")
+        inject_fault("worker_run", pairs[0][0])
+        if len(pairs) == 1:
+            return [_WORKER_RUNNER.run(pairs[0][1])]
+        return _WORKER_RUNNER.run_batch(
+            [spec for _, spec in pairs], propagation=propagation
+        )
+    except Exception as exc:
+        setattr(exc, _RECORD, _format_error(exc))
+        raise
+
+
 def _run_in_worker(
-    payload: Tuple[str, RunSpec],
-) -> Tuple[List[Lane], Optional[Exception]]:
-    key, spec = payload
-    if _WORKER_RUNNER is None:
-        # A plain raise (not assert): `python -O` strips asserts, which
-        # would turn an initializer failure into a bare AttributeError.
-        raise RuntimeError("worker initializer did not run")
-    inject_fault("worker_run", key)
-    return _publish_lanes([payload], [_WORKER_RUNNER.run(spec)])
-
-
-def _run_batch_in_worker(
     payload: Tuple[str, Tuple[Tuple[str, RunSpec], ...]],
 ) -> Tuple[List[Lane], Optional[Exception]]:
-    """Run one batch unit through the worker's fused batch engine."""
+    """Simulate one pool unit and publish its runs."""
     propagation, pairs = payload
-    if _WORKER_RUNNER is None:
-        raise RuntimeError("worker initializer did not run")
-    inject_fault("worker_run", pairs[0][0])
-    results = _WORKER_RUNNER.run_batch(
-        [spec for _, spec in pairs], propagation=propagation
-    )
-    return _publish_lanes(pairs, results)
+    return _publish_lanes(pairs, _simulate(pairs, propagation))
 
 
 @dataclass(frozen=True)
@@ -199,7 +209,7 @@ class RunOutcome:
 
     key: str
     spec: RunSpec
-    status: str  # "ok" | "error" | "cached" | "quarantined"
+    status: str  # "ok" | "error" | "cached"
     error: Optional[str] = None
 
 
@@ -209,10 +219,8 @@ class _UnitState:
 
     unit: List[Tuple[str, RunSpec]]
     attempts: int = 0
-    not_before: float = 0.0  # monotonic; backoff gate for resubmission
     deadline: float = 0.0  # monotonic; watchdog expiry of the attempt
     started: float = 0.0  # monotonic; submission time of the attempt
-    last_signature: Optional[str] = None  # previous attempt's failure
 
 
 @dataclass
@@ -273,10 +281,12 @@ BatchSimulationEngine` batches of up to ``batch_size`` lanes; runs
         run keys ignore the flag, so telemetry-on campaigns still reuse
         plain cached results (those simply lack a telemetry sidecar).
     resilience:
-        Watchdog/retry policy (default: :class:`ResiliencePolicy()`).
-        The pool backends get the full treatment; the serial backend
-        runs each spec exactly once (an in-process crash would take
-        the driver down with it, so retrying there buys nothing).
+        Watchdog deadline and attempt budget of the pool backends
+        (default: :class:`ResiliencePolicy()`). A run that raises is
+        recorded as failed at once on every backend; only a worker
+        death or a watchdog timeout is retried, and only the pool
+        backends have either (an in-process crash takes the serial
+        driver down with it).
 
     After each ``run_campaign``/``run_specs`` call, ``stats`` holds the
     resilience counters of that execution (also merged into the store's
@@ -328,12 +338,12 @@ BatchSimulationEngine` batches of up to ``batch_size`` lanes; runs
     def run_campaign(self, campaign: CampaignSpec) -> CampaignRun:
         """Execute every pending run of ``campaign``.
 
-        A run that fails becomes an ``error`` (or ``quarantined``)
-        outcome and the campaign goes on. A store error does not: an
-        ``OSError`` from saving a result, in the driver or in a pool
-        worker, ends the campaign and propagates. Runs saved before it
-        stay in the store, so the next campaign serves them and
-        simulates the rest from tick 0.
+        A run that fails becomes an ``error`` outcome and the campaign
+        goes on; the next campaign tries it once more. A store error
+        does not: an ``OSError`` from saving a result, in the driver or
+        in a pool worker, ends the campaign and propagates. Runs saved
+        before it stay in the store, so the next campaign serves them
+        and simulates the rest from tick 0.
         """
         outcomes, _ = self._execute(campaign.expand_keyed(), strict=False,
                                     keep_results=False)
@@ -344,12 +354,11 @@ BatchSimulationEngine` batches of up to ``batch_size`` lanes; runs
     ) -> Dict[str, SimulationResult]:
         """Execute explicit specs and return their results by run key.
 
-        Strict: the first failing run raises, and so does a store
-        error (an ``OSError`` from a save; see :meth:`run_campaign`)
-        and a key an earlier campaign quarantined. With a store
-        attached the returned results are store round-trips, so values
-        are identical whether a run was computed now or loaded from a
-        previous campaign.
+        Strict: the first failing run raises its own exception, and so
+        does a store error (an ``OSError`` from a save; see
+        :meth:`run_campaign`). With a store attached the returned
+        results are store round-trips, so values are identical whether
+        a run was computed now or loaded from a previous campaign.
         """
         outcomes, results = self._execute(
             [(run_key(spec), spec) for spec in specs], strict=True,
@@ -359,12 +368,6 @@ BatchSimulationEngine` batches of up to ``batch_size`` lanes; runs
             return {o.key: results[o.key] for o in outcomes}
         loaded: Dict[str, SimulationResult] = {}
         for o in outcomes:
-            if o.status == "quarantined":
-                raise ConfigurationError(
-                    f"run {o.key!r} is quarantined after a deterministic "
-                    f"failure: {o.error}; release it with `campaign "
-                    "unquarantine` to run it again"
-                )
             if not self.store.has(o.key):
                 raise ConfigurationError(
                     f"run {o.key!r} completed but its run dir is "
@@ -413,9 +416,6 @@ BatchSimulationEngine` batches of up to ``batch_size`` lanes; runs
         outcome_by_key: Dict[str, RunOutcome] = {}
         results: Dict[str, SimulationResult] = {}
         self.stats = ResilienceStats()
-        quarantined = (
-            self.store.quarantined() if self.store is not None else {}
-        )
 
         keys: List[str] = []  # each key once, in first-listed order
         pending: Dict[str, RunSpec] = {}
@@ -426,14 +426,6 @@ BatchSimulationEngine` batches of up to ``batch_size`` lanes; runs
             if self.store is not None and self.store.has(key):
                 outcome_by_key[key] = RunOutcome(key, spec, "cached")
                 self._emit("cached", key)
-            elif key in quarantined:
-                # Deterministic failure in an earlier campaign; skipped
-                # until the key is explicitly unquarantined.
-                message = str(quarantined[key].get("error", ""))
-                outcome_by_key[key] = RunOutcome(
-                    key, spec, "quarantined", error=message
-                )
-                self._emit("quarantined", key, message)
             else:
                 if self.telemetry and not spec.telemetry:
                     # Key-neutral: run_key ignores the telemetry flag,
@@ -525,22 +517,6 @@ BatchSimulationEngine` batches of up to ``batch_size`` lanes; runs
         outcomes[key] = RunOutcome(key, spec, "error", error=message)
         self._emit("error", key, message)
 
-    def _record_quarantined(
-        self,
-        key: str,
-        spec: RunSpec,
-        message: str,
-        outcomes: Dict[str, RunOutcome],
-    ) -> None:
-        if self.store is not None:
-            try:
-                self.store.quarantine(spec, message)
-                self.store.record_failure(spec, message)
-            except OSError:
-                pass  # advisory records; the in-memory outcome stands
-        outcomes[key] = RunOutcome(key, spec, "quarantined", error=message)
-        self._emit("quarantined", key, message)
-
     def _run_serial(
         self,
         pending: List[Tuple[str, RunSpec]],
@@ -601,18 +577,21 @@ batch_group_key`) into units of up to ``batch_size`` lanes that a
         outcomes: Dict[str, RunOutcome],
         results: Dict[str, SimulationResult],
     ) -> None:
-        """Drive submission units through a watchdogged, retrying pool.
+        """Drive submission units through a watchdogged pool.
 
-        A unit is either one run or one fused batch. Each submitted
-        attempt carries a wall-clock deadline; when it expires the pool
-        is killed (the only way to reap a hung worker), innocents are
-        requeued uncharged, and the culprit is retried with backoff. A
-        worker crash (``BrokenProcessPool``) is handled the same way,
-        blamed on the first unit observed failing. A batch whose worker
-        raised an ordinary exception is retried as singletons so the
-        failure isolates to the offending spec instead of poisoning its
-        batch mates; a singleton failing with the same signature on two
-        consecutive attempts is deterministic and gets quarantined.
+        A unit is either one run or one fused batch. A run that raises
+        is recorded as ``error`` at once: runs are deterministic, so a
+        retry would raise again. A fused unit that raises is split into
+        singletons, so the failure isolates to the offending spec
+        instead of poisoning its batch mates.
+
+        Only the environment failing is retried, up to the policy's
+        attempt budget. Each submitted attempt carries a wall-clock
+        deadline; when it expires the pool is killed (the only way to
+        reap a hung worker), innocents are requeued uncharged, and the
+        culprit is retried on a fresh pool. A worker crash
+        (``BrokenProcessPool``) is handled the same way, blamed on the
+        first unit observed failing.
 
         A store error a worker hands back raises here, after the lanes
         it published are recorded, and the pool is killed so no worker
@@ -623,7 +602,6 @@ batch_group_key`) into units of up to ``batch_size`` lanes that a
         terminal failure raises at the end.
         """
         policy = self.resilience
-        retry = policy.retry
         initargs = (
             self.runner.caches(),
             None if self.store is None else str(self.store.root),
@@ -636,23 +614,19 @@ batch_group_key`) into units of up to ``batch_size`` lanes that a
         first_error: Optional[Exception] = None
 
         def submit(state: _UnitState) -> None:
-            state.attempts += 1
             state.started = time.monotonic()
-            lanes = len(state.unit)
             duration = max(spec.duration_s for _, spec in state.unit)
             state.deadline = state.started + policy.unit_deadline_s(
-                duration, lanes
+                duration, len(state.unit)
             )
             for key, _ in state.unit:
                 self._emit("start", key)
-            if lanes == 1:
-                future = pool.submit(_run_in_worker, state.unit[0])
-            else:
-                future = pool.submit(
-                    _run_batch_in_worker,
-                    (self.propagation, tuple(state.unit)),
-                )
-            inflight[future] = state
+            # Raises BrokenProcessPool when a worker died since the last
+            # wake; the unit is then not charged an attempt.
+            inflight[pool.submit(
+                _run_in_worker, (self.propagation, tuple(state.unit))
+            )] = state
+            state.attempts += 1
 
         def kill_pool() -> None:
             # Cooperative shutdown never reaps a worker stuck inside a
@@ -680,21 +654,17 @@ batch_group_key`) into units of up to ``batch_size`` lanes that a
                 queue.append(state)
             inflight.clear()
 
-        def fail_transient(
-            state: _UnitState, message: str, elapsed: float
-        ) -> None:
+        def fail_transient(state: _UnitState, message: str) -> None:
             # Crash/timeout: environment trouble, not the run's fault.
-            # Retry with backoff while attempts remain.
+            # Retry on a fresh pool while attempts remain.
             nonlocal first_error
             key0, spec0 = state.unit[0]
-            if state.attempts < retry.max_attempts:
+            if state.attempts < policy.max_attempts:
                 self.stats.retry()
-                state.not_before = time.monotonic() + retry.backoff_s(
-                    key0, state.attempts
-                )
                 self._emit("retry", key0, message)
                 queue.append(state)
                 return
+            elapsed = time.monotonic() - state.started
             full = f"{message} (attempt {state.attempts}, {elapsed:.1f}s)"
             if strict and first_error is None:
                 first_error = ConfigurationError(full)
@@ -707,7 +677,6 @@ batch_group_key`) into units of up to ``batch_size`` lanes that a
 
         try:
             while queue or inflight:
-                now = time.monotonic()
                 if pool is None:
                     pool = ProcessPoolExecutor(
                         max_workers=min(
@@ -716,22 +685,17 @@ batch_group_key`) into units of up to ``batch_size`` lanes that a
                         initializer=_init_worker,
                         initargs=initargs,
                     )
-                # Submit every ready unit up to the pool width; one
-                # bounded rotation, so backing-off units are revisited
-                # next wake instead of spinning here.
-                for _ in range(len(queue)):
-                    if len(inflight) >= self.max_workers:
-                        break
-                    state = queue.popleft()
-                    if state.not_before > now:
-                        queue.append(state)
+                try:
+                    while queue and len(inflight) < self.max_workers:
+                        submit(queue[0])
+                        queue.popleft()
+                except BrokenProcessPool:
+                    # The pool takes no more units, so this one stays
+                    # queued. An inflight future reports the crash
+                    # below; with none inflight, start a fresh pool.
+                    if not inflight:
+                        kill_pool()
                         continue
-                    submit(state)
-                if not inflight:
-                    # Everything runnable is backing off.
-                    wake = min(state.not_before for state in queue)
-                    time.sleep(min(max(wake - time.monotonic(), 0.0), 1.0))
-                    continue
                 timeout = min(
                     state.deadline for state in inflight.values()
                 ) - time.monotonic()
@@ -748,7 +712,6 @@ batch_group_key`) into units of up to ``batch_size`` lanes that a
                     if state is None:
                         continue
                     unit = state.unit
-                    elapsed = time.monotonic() - state.started
                     try:
                         payload = future.result()
                     except BrokenProcessPool as exc:
@@ -764,49 +727,20 @@ batch_group_key`) into units of up to ``batch_size`` lanes that a
                             state,
                             "worker process crashed during this run: "
                             f"{exc}",
-                            elapsed,
                         )
                     except Exception as exc:
                         if len(unit) > 1:
-                            # One lane poisoned the whole batch; retry
-                            # its members individually to isolate it.
+                            # One lane poisoned the whole batch; run
+                            # its members alone to find it.
                             for pair in unit:
                                 queue.append(_UnitState(unit=[pair]))
                             continue
+                        if strict and first_error is None:
+                            first_error = exc
                         key, spec = unit[0]
-                        signature = failure_signature(exc)
-                        if signature == state.last_signature:
-                            # Same failure on consecutive attempts:
-                            # deterministic. Quarantine the key so
-                            # later campaigns stop burning attempts.
-                            self.stats.quarantine()
-                            if strict and first_error is None:
-                                first_error = exc
-                            self._record_quarantined(
-                                key,
-                                spec,
-                                _format_error(exc, elapsed, state.attempts),
-                                outcomes,
-                            )
-                            continue
-                        state.last_signature = signature
-                        if state.attempts < retry.max_attempts:
-                            self.stats.retry()
-                            state.not_before = (
-                                time.monotonic()
-                                + retry.backoff_s(key, state.attempts)
-                            )
-                            self._emit("retry", key, signature)
-                            queue.append(state)
-                        else:
-                            if strict and first_error is None:
-                                first_error = exc
-                            self._record_error(
-                                key,
-                                spec,
-                                _format_error(exc, elapsed, state.attempts),
-                                outcomes,
-                            )
+                        message = (getattr(exc, _RECORD, None)
+                                   or _format_error(exc))
+                        self._record_error(key, spec, message, outcomes)
                     else:
                         lanes, store_error = payload
                         specs = dict(unit)
@@ -842,7 +776,6 @@ batch_group_key`) into units of up to ``batch_size`` lanes that a
                             state,
                             "run exceeded its "
                             f"{budget:.0f}s watchdog deadline",
-                            now - state.started,
                         )
                     requeue_innocents()
                     kill_pool()
@@ -857,11 +790,7 @@ batch_group_key`) into units of up to ``batch_size`` lanes that a
             raise first_error
 
 
-def _format_error(
-    exc: BaseException,
-    elapsed_s: Optional[float] = None,
-    attempt: Optional[int] = None,
-) -> str:
+def _format_error(exc: BaseException) -> str:
     """One-line error class + message plus the root-cause frame.
 
     The location comes from the end of the exception's cause chain
@@ -869,14 +798,9 @@ def _format_error(
     so a run that wraps a low-level failure — ``raise
     ConfigurationError(...) from exc`` — still points at the line that
     actually went wrong, and the root cause's own type/message is
-    appended when it differs from the outer exception. Frames inside
-    ``concurrent.futures`` are skipped: exceptions from a worker
-    re-raise through the pool machinery, and those frames say nothing
-    about the failing run.
-
-    ``elapsed_s``/``attempt`` (when known) append the wall-clock the
-    failing attempt burned and its ordinal, so an error entry records
-    how much retrying it already absorbed.
+    appended when it differs from the outer exception. A pool worker
+    calls it while the run's traceback is live (:func:`_simulate`), so
+    a run records the same line on every backend.
     """
     root = exc
     seen = {id(root)}
@@ -888,15 +812,9 @@ def _format_error(
             break
         seen.add(id(nxt))
         root = nxt
-    frames = [
-        frame
-        for frame in traceback.extract_tb(root.__traceback__)
-        if "concurrent/futures" not in frame.filename.replace("\\", "/")
-    ]
+    frames = traceback.extract_tb(root.__traceback__)
     location = f" [{frames[-1].filename}:{frames[-1].lineno}]" if frames else ""
     message = f"{type(exc).__name__}: {exc}"
     if root is not exc:
         message += f" (caused by {type(root).__name__}: {root})"
-    if attempt is not None:
-        message += f" (attempt {attempt}, {elapsed_s:.1f}s)"
     return message + location

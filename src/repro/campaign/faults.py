@@ -13,8 +13,8 @@ worker and driver processes through two environment variables:
 Injection points:
 
 ``worker_run``
-    fires inside ``_run_in_worker`` / ``_run_batch_in_worker`` before
-    the simulation starts; supports ``crash`` (``os._exit``) and
+    fires inside a pool worker (``executor._simulate``) before the
+    simulation starts; supports ``crash`` (``os._exit``) and
     ``hang`` (sleep until the watchdog kills the worker)
 ``payload_save``
     fires inside ``publish_run`` (every store save, in the process that

@@ -27,19 +27,14 @@ def _status(
     keyed: List[Tuple[str, RunSpec]],
 ) -> Tuple[Dict[str, object], Dict[str, str]]:
     """:func:`campaign_status` over the expansion ``keyed``, plus each
-    key's state: ``quarantined``, ``ok``, ``error`` or ``pending``."""
+    key's state: ``ok``, ``error`` or ``pending``."""
     ok = 0
     failures: Dict[str, str] = {}
-    quarantines: Dict[str, str] = {}
     pending: List[str] = []
     states: Dict[str, str] = {}
-    quarantined = store.quarantined()
     for key, _ in keyed:
         entry = store.entry(key)
-        if key in quarantined:
-            states[key] = "quarantined"
-            quarantines[key] = str(quarantined[key].get("error", ""))
-        elif store.has(key):
+        if store.has(key):
             states[key] = "ok"
             ok += 1
         elif entry is not None and entry["status"] == STATUS_ERROR:
@@ -53,10 +48,8 @@ def _status(
         "total": len(keyed),
         "ok": ok,
         "error": len(failures),
-        "quarantined": len(quarantines),
         "pending": len(pending),
         "failures": failures,
-        "quarantines": quarantines,
         "pending_keys": pending,
     }
     return status, states
@@ -67,29 +60,21 @@ def campaign_status(
 ) -> Dict[str, object]:
     """Coverage of ``campaign`` in ``store``.
 
-    Returns ``{"name", "total", "ok", "error", "quarantined", "pending",
-    "failures", "quarantines", "pending_keys"}`` where failures and
-    quarantines map run key -> error text.  A quarantined key counts
-    only as quarantined, never as a plain failure, even though the
-    executor records an error entry alongside the quarantine mark.
-    A run counts as done only when its payload is complete on disk.
+    Returns ``{"name", "total", "ok", "error", "pending", "failures",
+    "pending_keys"}`` where failures maps run key -> error text. A run
+    counts as done only when its payload is complete on disk.
     """
     return _status(store, campaign, campaign.expand_keyed())[0]
 
 
 def format_status(status: Dict[str, object]) -> str:
     """Human-readable rendering of :func:`campaign_status`."""
-    line = (
+    lines = [
         f"campaign {status['name']}: {status['ok']}/{status['total']} done, "
         f"{status['error']} failed, {status['pending']} pending"
-    )
-    if status.get("quarantined"):
-        line += f", {status['quarantined']} quarantined"
-    lines = [line]
+    ]
     for key, error in sorted(dict(status["failures"]).items()):  # type: ignore[arg-type]
         lines.append(f"  FAILED {key}: {error}")
-    for key, error in sorted(dict(status.get("quarantines", {})).items()):  # type: ignore[arg-type]
-        lines.append(f"  QUARANTINED {key}: {error}")
     return "\n".join(lines)
 
 
@@ -176,11 +161,10 @@ def campaign_report(
 ) -> str:
     """One metrics table over every completed run of the campaign.
 
-    Failed (or quarantined) and pending runs appear as ``FAILED`` and
-    ``pending`` rows so the table always reflects the full grid, and a
-    metric a stored run cannot define (cycles of a run shorter than one
-    window, delay when the run or its baseline completed no job) as a
-    ``--`` cell. The title counts and the rows come from one expansion
+    Failed and pending runs appear as ``FAILED`` and ``pending`` rows
+    so the table always reflects the full grid, and a metric a stored
+    run cannot define (cycles of a run shorter than one window, delay
+    when the run or its baseline completed no job) as a ``--`` cell. The title counts and the rows come from one expansion
     and one state per key, the same as :func:`campaign_status`'s.
     """
     keyed = campaign.expand_keyed()
@@ -238,8 +222,6 @@ def campaign_report(
         f"Campaign {campaign.name} — {status['ok']}/{status['total']} runs "
         f"({status['error']} failed, {status['pending']} pending)"
     )
-    if status.get("quarantined"):
-        title += f" [{status['quarantined']} quarantined]"
     table = format_table(
         ["exp", "policy", "dpm", "seed", "dur s",
          "hot%", "grad%", "cycles%", "peak C", "delay"],

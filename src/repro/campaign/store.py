@@ -9,9 +9,8 @@ Layout under the store root::
     runs/<key>/telemetry.json       — optional telemetry sidecar
     runs/<key>/entry.json           — the run's record: status and spec
     failures/<key>.json             — last failure of a key that has
-                                      no result
-    quarantine/<key>.json           — keys retired after deterministic
-                                      failures (resume skips them)
+                                      no result (the next campaign
+                                      tries the key again)
     resilience.json                 — cumulative resilience tally
     indices/exp<E>_<R>x<C>.json     — thermal indices per (exp, grid)
 
@@ -41,11 +40,13 @@ a second driver, and nothing needs to: the rename above keeps a key
 saved by two processes published and charged once, so a second driver
 duplicates work but cannot corrupt the store. The work-claim and
 liveness dirs that older multi-driver versions kept beside ``runs/``,
-the sibling store they wrote results to while this one failed, and
-the ``checkpoints/`` dir of mid-run engine snapshots that older
-versions resumed from are ignored, not refused: they hold no result
-the store needs, and a key with no run dir is simulated again from
-tick 0.
+the sibling store they wrote results to while this one failed, the
+``checkpoints/`` dir of mid-run engine snapshots that older versions
+resumed from, and the ``quarantine/`` dir of keys older versions
+stopped trying are ignored, not refused: they hold no result the store
+needs, and a key with no run dir is simulated again from tick 0. (An
+older version wrote a quarantined key's ``failures/`` record beside its
+quarantine record, so such a key reads as a plain failure.)
 
 Every small file is written through :func:`atomic_write` (temp file +
 ``os.replace``), so a reader sees the old file or the new one, never a
@@ -490,46 +491,6 @@ class ResultStore:
             for key, entry in self._index.items()
             if entry["status"] == STATUS_ERROR
         }
-
-    # ------------------------------------------------------------------
-    # quarantine (deterministically failing keys resume must skip)
-
-    def _quarantine_path(self, key: str) -> Path:
-        return self.root / "quarantine" / f"{key}.json"
-
-    def quarantined(self) -> Dict[str, Dict[str, Any]]:
-        """Key -> {spec, error} for every quarantined run.
-
-        An unreadable quarantine file is skipped — the worst outcome is
-        re-attempting a broken run, never losing a good one.
-        """
-        out: Dict[str, Dict[str, Any]] = {}
-        folder = self.root / "quarantine"
-        for name in _listdir(folder):
-            if name.endswith(".json"):
-                data = _read_json(folder / name)
-                if data is not None:
-                    out[name[: -len(".json")]] = data
-        return out
-
-    def quarantine(self, spec: RunSpec, error: str) -> str:
-        """Retire a run after a deterministic failure; returns its key.
-
-        Quarantined keys are skipped by subsequent campaigns (status
-        ``quarantined`` in the outcome map) until explicitly released
-        with :meth:`unquarantine`.
-        """
-        key = run_key(spec)
-        atomic_write(self._quarantine_path(key), json.dumps(
-            {"spec": spec_to_dict(spec), "error": error}, sort_keys=True))
-        return key
-
-    def unquarantine(self, key: str) -> None:
-        """Release a key back into circulation (e.g. after a code fix)."""
-        _unlink(self._quarantine_path(key))
-
-    def is_quarantined(self, key: str) -> bool:
-        return self._quarantine_path(key).exists()
 
     # ------------------------------------------------------------------
     # cumulative resilience tally (read by `campaign report`)

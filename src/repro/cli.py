@@ -213,11 +213,10 @@ def cmd_campaign_run(args: argparse.Namespace) -> int:
     backend = args.backend
     if args.serial:
         backend = "serial"
-    from repro.campaign import ResiliencePolicy, RetryPolicy
+    from repro.campaign import ResiliencePolicy
 
     resilience = ResiliencePolicy(
-        retry=RetryPolicy(max_attempts=args.max_attempts),
-        unit_timeout_s=args.unit_timeout,
+        max_attempts=args.max_attempts, unit_timeout_s=args.unit_timeout,
     )
     executor = CampaignExecutor(
         store=store,
@@ -232,9 +231,7 @@ def cmd_campaign_run(args: argparse.Namespace) -> int:
     run = executor.run_campaign(spec)
     print(format_status(campaign_status(store, spec)))
     _print_campaign_telemetry(store, spec)
-    counts = run.counts()
-    failed = counts.get("error", 0) + counts.get("quarantined", 0)
-    return 1 if failed else 0
+    return 1 if run.counts().get("error", 0) else 0
 
 
 def cmd_campaign_status(args: argparse.Namespace) -> int:
@@ -243,23 +240,6 @@ def cmd_campaign_status(args: argparse.Namespace) -> int:
     spec, store = _load_campaign(args)
     print(format_status(campaign_status(store, spec)))
     _print_campaign_telemetry(store, spec)
-    return 0
-
-
-def cmd_campaign_unquarantine(args: argparse.Namespace) -> int:
-    _, store = _load_campaign(args)
-    quarantined = store.quarantined()
-    keys = args.keys or sorted(quarantined)
-    released = 0
-    for key in keys:
-        if key in quarantined:
-            store.unquarantine(key)
-            released += 1
-            print(f"released {key}")
-        else:
-            print(f"not quarantined: {key}", file=sys.stderr)
-    print(f"{released} key(s) released; the next `campaign run` "
-          "re-attempts them")
     return 0
 
 
@@ -367,9 +347,10 @@ def build_parser() -> argparse.ArgumentParser:
                                    "stored as telemetry.json next to each "
                                    "result, run keys unchanged")
     campaign_run.add_argument("--max-attempts", type=int, default=3,
-                              help="attempt budget per run for transient "
-                                   "failures (crash/timeout; default 3, "
-                                   "1 disables retries)")
+                              help="attempt budget per pool unit whose "
+                                   "worker crashes or times out (default "
+                                   "3, 1 disables retries); a run that "
+                                   "raises is never retried")
     campaign_run.add_argument("--unit-timeout", type=float, default=None,
                               help="explicit watchdog deadline per pool "
                                    "unit in wall seconds (default: scaled "
@@ -382,16 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_campaign_arguments(campaign_status_parser)
     campaign_status_parser.set_defaults(func=cmd_campaign_status)
-
-    campaign_unq_parser = campaign_sub.add_parser(
-        "unquarantine",
-        help="release quarantined runs back into circulation",
-    )
-    _add_campaign_arguments(campaign_unq_parser)
-    campaign_unq_parser.add_argument(
-        "keys", nargs="*",
-        help="run keys to release (default: every quarantined key)")
-    campaign_unq_parser.set_defaults(func=cmd_campaign_unquarantine)
 
     campaign_report_parser = campaign_sub.add_parser(
         "report", help="aggregate a finished campaign into a metrics table"

@@ -1,9 +1,10 @@
 """Resilience counters for campaign execution.
 
-The campaign executor records every watchdog firing, retry, worker
-crash and quarantine decision through a :class:`ResilienceStats`
-instance: four plain counts, flattened by ``snapshot()`` for the
-store's lifetime tally and the reports layer.
+The campaign executor records every watchdog firing, worker crash and
+the retry each of them causes through a :class:`ResilienceStats`
+instance: three plain counts, flattened by ``snapshot()`` for the
+store's lifetime tally and the reports layer. A run that raises is not
+counted here: it is recorded as failed, not retried.
 """
 
 from __future__ import annotations
@@ -18,16 +19,15 @@ __all__ = [
 class ResilienceStats:
     """Live resilience counters of one campaign pass."""
 
-    __slots__ = ("retries", "timeouts", "crashes", "quarantines")
+    __slots__ = ("retries", "timeouts", "crashes")
 
     def __init__(self) -> None:
         self.retries = 0
         self.timeouts = 0
         self.crashes = 0
-        self.quarantines = 0
 
     def retry(self, n: int = 1) -> None:
-        """A unit was requeued after a transient failure."""
+        """A unit was requeued after a crash or a timeout."""
         self.retries += n
 
     def timeout(self, n: int = 1) -> None:
@@ -38,15 +38,10 @@ class ResilienceStats:
         """A worker process died (``BrokenProcessPool``)."""
         self.crashes += n
 
-    def quarantine(self, n: int = 1) -> None:
-        """A run was classified deterministic-failing and quarantined."""
-        self.quarantines += n
-
     def snapshot(self) -> Dict[str, int]:
         """Flat ``{name: count}`` view of the resilience counters."""
         return {
             "retries": self.retries,
             "timeouts": self.timeouts,
             "crashes": self.crashes,
-            "quarantines": self.quarantines,
         }

@@ -860,15 +860,12 @@ class TestReports:
 
     def test_report_counts_and_rows_follow_each_keys_state(self, tmp_path,
                                                            monkeypatch):
-        # Seed 1: both ok. Seed 2: Default failed, Adapt3D quarantined
-        # (the executor records a failure with the quarantine). Seed 3:
-        # both pending.
+        # Seed 1: both ok. Seed 2: both failed. Seed 3: both pending.
         campaign = tiny_campaign(seeds=(1, 2, 3))
         store = ResultStore(tmp_path)
         CampaignExecutor(store=store, backend="serial").run_specs(
             [tiny_spec(seed=1), tiny_spec(policy="Adapt3D", seed=1)])
         store.record_failure(tiny_spec(seed=2), "boom")
-        store.quarantine(tiny_spec(policy="Adapt3D", seed=2), "stuck")
         store.record_failure(tiny_spec(policy="Adapt3D", seed=2), "stuck")
 
         from repro.campaign import reports, spec as spec_module
@@ -883,10 +880,8 @@ class TestReports:
         lines = campaign_report(store, campaign).splitlines()
         assert len(calls) == len(campaign.expand()) == 6
         status = campaign_status(store, campaign)
-        assert (status["ok"], status["error"], status["quarantined"],
-                status["pending"]) == (2, 1, 1, 2)
-        assert lines[0] == ("Campaign tiny — 2/6 runs (1 failed, "
-                            "2 pending) [1 quarantined]")
+        assert (status["ok"], status["error"], status["pending"]) == (2, 2, 2)
+        assert lines[0] == "Campaign tiny — 2/6 runs (2 failed, 2 pending)"
         cells = {(row[1], int(row[3])): row[5:]
                  for row in (line.split() for line in lines[3:])}
         for policy in ("Default", "Adapt3D"):
@@ -1200,17 +1195,14 @@ class TestProgressEvents:
             by_key.setdefault(key, []).append(event)
         for spec in tiny_campaign().expand():
             assert by_key[run_key(spec)] == ["start", "ok"]
-        # A deterministic failure is retried once, then quarantined when
-        # the second attempt fails with the same signature.
-        assert by_key[run_key(bad)] == [
-            "start", "retry", "start", "quarantined",
-        ]
+        # A run that raises is recorded at once: no retry.
+        assert by_key[run_key(bad)] == ["start", "error"]
 
     @pytest.mark.slow
     def test_batched_poisoned_batch_event_sequence(self, tmp_path):
         """Batch mates of a failing spec re-emit start on the singleton
-        retry and still end with exactly one ok; the failing spec is
-        retried once as a singleton, then quarantined."""
+        retry and still end with exactly one ok; the failing spec runs
+        once more alone, which finds it, and is recorded as failed."""
         bad = tiny_spec(seed=5, benchmark_mix=(("not-a-benchmark", 4),))
         events = []
         run = CampaignExecutor(
@@ -1218,7 +1210,7 @@ class TestProgressEvents:
             batch_size=8, progress=self._record(events),
         ).run_campaign(tiny_campaign(policies=("Default",), seeds=(1, 2),
                                      extra_runs=(bad,)))
-        assert run.counts() == {"ok": 2, "quarantined": 1}
+        assert run.counts() == {"ok": 2, "error": 1}
         by_key = {}
         for event, key in events:
             by_key.setdefault(key, []).append(event)
@@ -1226,9 +1218,7 @@ class TestProgressEvents:
             key = run_key(spec)
             # One start from the batch attempt, one from the retry.
             assert by_key[key] == ["start", "start", "ok"]
-        assert by_key[run_key(bad)] == [
-            "start", "start", "retry", "start", "quarantined",
-        ]
+        assert by_key[run_key(bad)] == ["start", "start", "error"]
 
 
 @pytest.mark.slow
@@ -1258,7 +1248,7 @@ class TestParallelExecutor:
         run = CampaignExecutor(
             store=store, backend="parallel", max_workers=2
         ).run_campaign(campaign)
-        assert run.counts() == {"ok": 1, "quarantined": 1}
+        assert run.counts() == {"ok": 1, "error": 1}
         assert "not-a-benchmark" in store.failures()[run_key(bad)]
 
     def test_parallel_resume(self, tmp_path):
@@ -1613,7 +1603,7 @@ class TestBatchedExecutor:
         run = CampaignExecutor(
             store=store, backend="batched", max_workers=2, batch_size=8,
         ).run_campaign(campaign)
-        assert run.counts() == {"ok": 2, "quarantined": 1}
+        assert run.counts() == {"ok": 2, "error": 1}
         assert "not-a-benchmark" in store.failures()[run_key(bad)]
 
     def test_batched_resume(self, tmp_path):

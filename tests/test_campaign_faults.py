@@ -1,6 +1,8 @@
-"""Campaign resilience tests: fault injection, watchdog, retry,
-quarantine, torn-save recovery and store failures. A retried run is
-simulated again from tick 0, so every surviving run must equal a
+"""Campaign resilience tests: fault injection, watchdog, the one
+failure model (a run that raises fails once per campaign on every
+backend; only crashes and timeouts are retried), torn-save recovery,
+store failures and old stores with quarantine records. A retried run
+is simulated again from tick 0, so every surviving run must equal a
 fault-free execution bit for bit.
 
 The fast slice runs in tier-1 as a chaos smoke; the full fault matrix
@@ -8,7 +10,10 @@ carries ``@pytest.mark.slow`` and runs in the weekly job
 (``pytest -m slow tests/test_campaign_faults.py``).
 """
 
+import json
 import os
+import time
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -22,12 +27,14 @@ from repro.campaign import (
     FaultSpec,
     ResiliencePolicy,
     ResultStore,
-    RetryPolicy,
+    campaign_report,
     campaign_status,
     format_status,
     run_key,
+    spec_to_dict,
 )
 from repro.campaign import faults
+from repro.campaign.executor import _format_error
 from repro.errors import ConfigurationError
 
 RESULT_ARRAYS = (
@@ -54,14 +61,8 @@ def tiny_campaign(name="chaos", policies=("Default", "Adapt3D"), seeds=(1,),
     return CampaignSpec(**base)
 
 
-def fast_policy(max_attempts=3, **overrides) -> ResiliencePolicy:
-    """Millisecond backoffs so chaos tests converge quickly."""
-    base = dict(
-        retry=RetryPolicy(max_attempts=max_attempts, base_delay_s=0.01,
-                          max_delay_s=0.05),
-    )
-    base.update(overrides)
-    return ResiliencePolicy(**base)
+#: A spec that raises on every attempt: its mix names no benchmark.
+BROKEN = tiny_spec(seed=5, benchmark_mix=(("not-a-benchmark", 4),))
 
 
 def install_plan(monkeypatch, plan_dir, *fault_specs) -> None:
@@ -113,42 +114,25 @@ def tiny_result():
 
 
 class TestRetryPolicy:
-    def test_backoff_is_deterministic_and_bounded(self):
-        policy = RetryPolicy(base_delay_s=0.1, max_delay_s=5.0,
-                             jitter=0.5, seed=7)
-        first = policy.backoff_s("some-key", 1)
-        assert first == policy.backoff_s("some-key", 1)
-        assert 0.05 <= first <= 0.15  # nominal 0.1 +/- 50%
-        third = policy.backoff_s("some-key", 3)
-        assert 0.2 <= third <= 0.6  # nominal 0.4 +/- 50%
-        assert policy.backoff_s("other-key", 1) != first
-
-    def test_zero_jitter_is_pure_exponential(self):
-        policy = RetryPolicy(base_delay_s=0.1, max_delay_s=1.0, jitter=0.0)
-        assert policy.backoff_s("k", 1) == pytest.approx(0.1)
-        assert policy.backoff_s("k", 2) == pytest.approx(0.2)
-        assert policy.backoff_s("k", 5) == pytest.approx(1.0)  # capped
+    """The attempt budget and watchdog deadline of ResiliencePolicy."""
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
-            RetryPolicy(max_attempts=0)
-        with pytest.raises(ConfigurationError):
-            RetryPolicy(jitter=2.0)
+            ResiliencePolicy(max_attempts=0)
         with pytest.raises(ConfigurationError):
             ResiliencePolicy(unit_timeout_s=0.0)
         # A NaN deadline never expires, and an infinite one overflows
         # the pool's wait timeout: both are refused up front.
-        for name in ("unit_timeout_s", "timeout_scale_s", "min_timeout_s"):
-            for value in (float("nan"), float("inf"), float("-inf")):
-                with pytest.raises(ConfigurationError, match=name):
-                    ResiliencePolicy(**{name: value})
+        for value in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ConfigurationError, match="unit_timeout_s"):
+                ResiliencePolicy(unit_timeout_s=value)
 
     def test_unit_deadline_explicit_and_scaled(self):
         explicit = ResiliencePolicy(unit_timeout_s=7.0)
         assert explicit.unit_deadline_s(30.0, 16) == 7.0
-        scaled = ResiliencePolicy(timeout_scale_s=5.0, min_timeout_s=60.0)
+        scaled = ResiliencePolicy()
         assert scaled.unit_deadline_s(2.0, 1) == 60.0  # floor wins
-        assert scaled.unit_deadline_s(30.0, 4) == 600.0
+        assert scaled.unit_deadline_s(30.0, 4) == 600.0  # 5 s per s x lane
 
 
 class TestResilienceStats:
@@ -158,10 +142,7 @@ class TestResilienceStats:
         stats = ResilienceStats()
         stats.retry()
         stats.timeout(2)
-        assert stats.snapshot() == {
-            "retries": 1, "timeouts": 2, "crashes": 0,
-            "quarantines": 0,
-        }
+        assert stats.snapshot() == {"retries": 1, "timeouts": 2, "crashes": 0}
 
 
 class TestFaultPlan:
@@ -201,7 +182,7 @@ class TestCrashRecovery:
                      FaultSpec("c1", "worker_run", "crash"))
         store = ResultStore(tmp_path / "store")
         executor = CampaignExecutor(store=store, backend="parallel",
-                                    max_workers=2, resilience=fast_policy())
+                                    max_workers=2)
         run = executor.run_campaign(tiny_campaign())
         assert run.counts() == {"ok": 2}
         snapshot = executor.stats.snapshot()
@@ -219,7 +200,7 @@ class TestCrashRecovery:
         store = ResultStore(tmp_path / "store")
         executor = CampaignExecutor(
             store=store, backend="parallel", max_workers=1,
-            resilience=fast_policy(max_attempts=2),
+            resilience=ResiliencePolicy(max_attempts=2),
         )
         run = executor.run_campaign(tiny_campaign(policies=("Default",)))
         assert run.counts() == {"error": 1}
@@ -236,7 +217,7 @@ class TestCrashRecovery:
         store = ResultStore(tmp_path / "store")
         executor = CampaignExecutor(
             store=store, backend="batched", max_workers=2,
-            resilience=fast_policy(max_attempts=1),
+            resilience=ResiliencePolicy(max_attempts=1),
         )
         run = executor.run_campaign(tiny_campaign())
         counts = run.counts()
@@ -244,12 +225,46 @@ class TestCrashRecovery:
         assert counts["ok"] == 1
 
 
+    def test_pool_broken_before_a_submit(self, tmp_path, monkeypatch):
+        # The first unit's worker crashes before the driver submits the
+        # second, so the pool refuses it. It stays queued, uncharged,
+        # and the crash is retried like any other; the campaign does
+        # not end with BrokenProcessPool. (`_broken` is the CPython
+        # pool's flag that a worker died.)
+        from concurrent.futures import ProcessPoolExecutor
+
+        campaign = tiny_campaign()
+        install_plan(monkeypatch, tmp_path / "faults",
+                     FaultSpec("c1", "worker_run", "crash",
+                               key=run_key(campaign.expand()[0])))
+        real_submit = ProcessPoolExecutor.submit
+        calls = []
+
+        def submit_once_broken(self, fn, /, *args, **kwargs):
+            calls.append(fn)
+            if len(calls) == 2:
+                deadline = time.monotonic() + 30
+                while not self._broken and time.monotonic() < deadline:
+                    time.sleep(0.005)
+                assert self._broken
+            return real_submit(self, fn, *args, **kwargs)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "submit",
+                            submit_once_broken)
+        executor = CampaignExecutor(store=ResultStore(tmp_path / "store"),
+                                    backend="parallel", max_workers=2)
+        run = executor.run_campaign(campaign)
+        assert run.counts() == {"ok": 2}
+        assert executor.stats.snapshot() == {
+            "retries": 1, "timeouts": 0, "crashes": 1}
+
+
 class TestWatchdog:
     def test_hung_worker_reaped_and_retried(self, tmp_path, monkeypatch):
         install_plan(monkeypatch, tmp_path / "faults",
                      FaultSpec("h1", "worker_run", "hang", hang_s=60.0))
         store = ResultStore(tmp_path / "store")
-        policy = fast_policy(max_attempts=2, unit_timeout_s=2.0)
+        policy = ResiliencePolicy(max_attempts=2, unit_timeout_s=2.0)
         executor = CampaignExecutor(store=store, backend="parallel",
                                     max_workers=1, resilience=policy)
         run = executor.run_campaign(tiny_campaign(policies=("Default",)))
@@ -263,66 +278,129 @@ class TestWatchdog:
         # must not overflow the pool's wait.
         executor = CampaignExecutor(
             store=ResultStore(tmp_path), backend="parallel", max_workers=1,
-            resilience=fast_policy(unit_timeout_s=1e10),
+            resilience=ResiliencePolicy(unit_timeout_s=1e10),
         )
         run = executor.run_campaign(tiny_campaign(policies=("Default",)))
         assert run.counts() == {"ok": 1}
 
 
+class TestOneFailureModel:
+    """A run that raises fails once per campaign, on every backend: it
+    is recorded as ``error`` at once, with no retry, and the next
+    campaign tries it once more."""
+
+    @pytest.mark.parametrize("backend", ["serial", "parallel", "batched"])
+    def test_broken_key_is_simulated_once_per_campaign(self, tmp_path,
+                                                       backend):
+        campaign = tiny_campaign(policies=("Default",), extra_runs=(BROKEN,))
+        key = run_key(BROKEN)
+        events = []
+        executor = CampaignExecutor(
+            store=ResultStore(tmp_path), backend=backend, max_workers=2,
+            progress=lambda event, k, _: events.append((event, k)),
+        )
+        # On batched the first campaign fuses the broken run with the
+        # good one, then runs it alone to find the failing lane.
+        first = 2 if backend == "batched" else 1
+        for starts, counts in ((first, {"ok": 1, "error": 1}),
+                               (1, {"cached": 1, "error": 1})):
+            events.clear()
+            run = executor.run_campaign(campaign)
+            assert run.counts() == counts
+            assert [e for e, k in events if k == key] == (
+                ["start"] * starts + ["error"])
+            assert executor.stats.snapshot()["retries"] == 0
+
+    @pytest.mark.parametrize("backend", ["serial", "parallel", "batched"])
+    def test_failure_record_is_one_line_on_every_backend(self, tmp_path,
+                                                         backend):
+        # A pool run records the serial backend's line: the error and
+        # the frame that raised it, formatted in the worker while the
+        # run's traceback is live. No remote traceback, no pool frames,
+        # no attempt suffix. Strict run_specs raises the run's own type.
+        with pytest.raises(Exception) as info:
+            ExperimentRunner().run(BROKEN)
+        frame = traceback.extract_tb(info.value.__traceback__)[-1]
+        store = ResultStore(tmp_path)
+        executor = CampaignExecutor(store=store, backend=backend,
+                                    max_workers=2)
+        executor.run_campaign(
+            tiny_campaign(policies=("Default",), extra_runs=(BROKEN,)))
+        record = store.failures()[run_key(BROKEN)]
+        assert record == _format_error(info.value)
+        assert "\n" not in record
+        assert record.endswith(f" [{frame.filename}:{frame.lineno}]")
+        with pytest.raises(type(info.value), match="not-a-benchmark"):
+            executor.run_specs([BROKEN])
+
+
 class TestQuarantine:
+    """Older versions retired a key whose pool run raised the same error
+    twice, and skipped it until `campaign unquarantine`. Quarantine is
+    gone: only a crash or a timeout is retried, and a store those
+    versions wrote still opens, its quarantined keys read and run as
+    plain failures."""
+
     def test_deterministic_failure_quarantined(self, tmp_path):
-        bad = tiny_spec(seed=5, benchmark_mix=(("not-a-benchmark", 4),))
-        campaign = tiny_campaign(policies=("Default",), extra_runs=(bad,))
-        store = ResultStore(tmp_path)
-        executor = CampaignExecutor(store=store, backend="parallel",
-                                    max_workers=2, resilience=fast_policy())
-        run = executor.run_campaign(campaign)
-        assert run.counts() == {"ok": 1, "quarantined": 1}
-        key = run_key(bad)
-        assert store.is_quarantined(key)
-        snapshot = executor.stats.snapshot()
-        assert snapshot["quarantines"] == 1
-        assert snapshot["retries"] >= 1  # classified after a second look
+        # What an older version wrote for a key it quarantined: the
+        # quarantine record, the failure record beside it, and the
+        # count in the lifetime tally. Its bug has since been fixed
+        # (here the spec runs), and the next campaign simulates the key
+        # once, with no command.
+        campaign = tiny_campaign(name="old")
+        done, quarantined = campaign.expand()
+        key = run_key(quarantined)
+        root = tmp_path / "store"
+        CampaignExecutor(store=ResultStore(root),
+                         backend="serial").run_specs([done])
+        error = "WorkloadError: unknown benchmark (attempt 2, 0.0s)"
+        spec = spec_to_dict(quarantined)
+        for folder, record in (
+            ("quarantine", {"spec": spec, "error": error}),
+            ("failures", {"status": "error", "spec": spec, "error": error}),
+        ):
+            (root / folder).mkdir()
+            (root / folder / f"{key}.json").write_text(
+                json.dumps(record, sort_keys=True))
+        (root / "resilience.json").write_text(
+            json.dumps({"quarantines": 1, "retries": 1}))
 
-        # A resumed campaign skips the key without burning attempts.
-        rerun = executor.run_campaign(campaign)
-        assert rerun.counts() == {"cached": 1, "quarantined": 1}
-        assert executor.stats.snapshot()["retries"] == 0
-
+        store = ResultStore(root)
         status = campaign_status(store, campaign)
-        assert status["quarantined"] == 1
-        assert status["error"] == 0  # not double-counted as a failure
-        assert "QUARANTINED" in format_status(status)
+        assert (status["ok"], status["error"], status["pending"]) == (1, 1, 0)
+        assert status["failures"] == {key: error}
+        assert f"FAILED {key}: {error}" in format_status(status)
 
-        store.unquarantine(key)
-        assert not store.is_quarantined(key)
-
-    def test_run_specs_names_a_quarantined_key(self, tmp_path):
-        # A key an earlier campaign quarantined never completed:
-        # run_specs names it, its recorded error and the way out.
-        bad = tiny_spec(seed=5, benchmark_mix=(("not-a-benchmark", 4),))
-        store = ResultStore(tmp_path)
-        key = store.quarantine(bad, "WorkloadError: unknown benchmark")
-        executor = CampaignExecutor(store=store, backend="serial")
-        with pytest.raises(ConfigurationError) as info:
-            executor.run_specs([tiny_spec(), bad])
-        message = str(info.value)
-        assert key in message
-        assert "WorkloadError: unknown benchmark" in message
-        assert "campaign unquarantine" in message
-        assert store.has(run_key(tiny_spec()))  # the good spec still ran
+        events = []
+        run = CampaignExecutor(
+            store=store, backend="parallel", max_workers=2,
+            progress=lambda event, k, _: events.append((event, k)),
+        ).run_campaign(campaign)
+        assert run.counts() == {"cached": 1, "ok": 1}
+        assert [e for e, k in events if k == key] == ["start", "ok"]
+        assert campaign_report(store, campaign).splitlines()[-1] == (
+            "resilience (store lifetime): quarantines=1, retries=1")
+        assert (root / "quarantine" / f"{key}.json").exists()  # ignored
 
     def test_flaky_failure_is_not_quarantined(self, tmp_path, monkeypatch):
-        # A crash (transient class) never trips the same-signature rule.
+        # Two crashes within a 3-attempt budget end ok: the environment
+        # failed, not the run, so each crash retries the unit on a
+        # fresh pool.
         install_plan(monkeypatch, tmp_path / "faults",
                      FaultSpec("c1", "worker_run", "crash", times=2))
         store = ResultStore(tmp_path / "store")
-        executor = CampaignExecutor(store=store, backend="parallel",
-                                    max_workers=1,
-                                    resilience=fast_policy(max_attempts=3))
+        events = []
+        executor = CampaignExecutor(
+            store=store, backend="parallel", max_workers=1,
+            resilience=ResiliencePolicy(max_attempts=3),
+            progress=lambda event, key, _: events.append(event),
+        )
         run = executor.run_campaign(tiny_campaign(policies=("Default",)))
         assert run.counts() == {"ok": 1}
-        assert store.quarantined() == {}
+        assert events == ["start", "retry", "start", "retry", "start", "ok"]
+        assert executor.stats.snapshot() == {
+            "retries": 2, "timeouts": 0, "crashes": 2}
+        assert store.failures() == {}
 
 
 class TestStoreFaults:
@@ -381,10 +459,10 @@ class TestStoreFaults:
     ):
         # On the pool backends a worker saves, and a store error there
         # is no run failure either: the campaign ends with that
-        # OSError, the key gets no retry, quarantine or failure
-        # record, the run published before it stays, and a rerun
-        # serves it and simulates the rest. One worker keeps the
-        # order fixed: on batched the three runs are one fused unit.
+        # OSError, the key gets no retry or failure record, the run
+        # published before it stays, and a rerun serves it and
+        # simulates the rest. One worker keeps the order fixed: on
+        # batched the three runs are one fused unit.
         from repro.campaign import store as store_module
 
         campaign = tiny_campaign(policies=("Default",), seeds=(1, 2, 3))
@@ -403,7 +481,6 @@ class TestStoreFaults:
             events = []
             executor = CampaignExecutor(
                 store=ResultStore(root), backend=backend, max_workers=1,
-                resilience=fast_policy(),
                 progress=lambda event, key, _: events.append((event, key)),
             )
             with monkeypatch.context() as patch:
@@ -415,11 +492,9 @@ class TestStoreFaults:
                 "start"]
             assert [key for event, key in events if event == "ok"] == [
                 first]
-            snapshot = executor.stats.snapshot()
-            assert snapshot["retries"] == snapshot["quarantines"] == 0
+            assert executor.stats.snapshot()["retries"] == 0
 
             reopened = ResultStore(root)
-            assert reopened.quarantined() == {}
             assert reopened.failures() == {}
             assert reopened.has(first) and not reopened.has(bad)
             rerun = CampaignExecutor(store=reopened, backend=backend,
@@ -454,7 +529,7 @@ class TestChaosCampaign:
         campaign = tiny_campaign()
         store = ResultStore(tmp_path / "store")
         executor = CampaignExecutor(store=store, backend="parallel",
-                                    max_workers=2, resilience=fast_policy())
+                                    max_workers=2)
         self._run_until_done(executor, store, campaign)
 
         monkeypatch.delenv(faults.ENV_PLAN)
@@ -483,13 +558,11 @@ class TestChaosCampaign:
         )
         campaign = tiny_campaign(seeds=(1, 2))  # 4 runs
         store = ResultStore(tmp_path / "store")
-        policy = fast_policy(max_attempts=3, unit_timeout_s=3.0)
+        policy = ResiliencePolicy(max_attempts=3, unit_timeout_s=3.0)
         executor = CampaignExecutor(store=store, backend="parallel",
                                     max_workers=2, resilience=policy)
         run = self._run_until_done(executor, store, campaign, max_rounds=6)
-        counts = run.counts()
-        assert counts.get("error", 0) == 0
-        assert counts.get("quarantined", 0) == 0
+        assert run.counts().get("error", 0) == 0
 
         tally = ResultStore(tmp_path / "store").resilience_tally()
         assert tally.get("crashes", 0) >= 1
@@ -532,12 +605,11 @@ class TestChaosCampaign:
         )
         campaign = tiny_campaign(seeds=(1, 2))  # 4 runs
         store = ResultStore(tmp_path / "store")
-        policy = fast_policy(max_attempts=3, unit_timeout_s=3.0)
+        policy = ResiliencePolicy(max_attempts=3, unit_timeout_s=3.0)
         executor = CampaignExecutor(store=store, backend=backend,
                                     max_workers=2, resilience=policy)
         run = self._run_until_done(executor, store, campaign)
-        counts = run.counts()
-        assert counts.get("error", 0) == counts.get("quarantined", 0) == 0
+        assert run.counts().get("error", 0) == 0
         tally = ResultStore(tmp_path / "store").resilience_tally()
         assert tally.get("crashes", 0) >= 1
         runs = tmp_path / "store" / "runs"
@@ -568,7 +640,6 @@ class TestChaosCampaign:
         store = ResultStore(tmp_path / "store")
         run = CampaignExecutor(
             store=store, backend="batched", max_workers=1,
-            resilience=fast_policy(),
             progress=lambda event, key, detail: events.append(
                 (event, key, detail)),
         ).run_campaign(campaign)
@@ -622,19 +693,3 @@ class TestResilienceCli:
         ]) == 2
         assert "unit_timeout_s" in capsys.readouterr().err
         assert not (tmp_path / "campaigns" / "nf" / "runs").exists()
-
-    def test_unquarantine_subcommand(self, tmp_path, capsys, monkeypatch):
-        from repro.cli import main
-
-        monkeypatch.chdir(tmp_path)
-        bad = tiny_spec(seed=5, benchmark_mix=(("not-a-benchmark", 4),))
-        campaign = tiny_campaign(name="unq", policies=("Default",),
-                                 extra_runs=(bad,))
-        spec_path = campaign.to_json(tmp_path / "unq.json")
-        store = ResultStore(tmp_path / "campaigns" / "unq")
-        key = store.quarantine(bad, "boom")
-        assert main(["campaign", "status", str(spec_path)]) == 0
-        assert "quarantined" in capsys.readouterr().out
-        assert main(["campaign", "unquarantine", str(spec_path)]) == 0
-        assert f"released {key}" in capsys.readouterr().out
-        assert not store.is_quarantined(key)
