@@ -15,7 +15,17 @@ from repro.core.default import DefaultLoadBalancing
 
 
 class DVFSTemperatureTriggered(DefaultLoadBalancing):
-    """Stepwise per-core DVFS keyed on the thermal threshold."""
+    """Stepwise per-core DVFS keyed on the thermal threshold.
+
+    A tick that throttles or recovers returns one V/f setting per core,
+    in core order. A cool, unthrottled tick (every reading below the
+    threshold, every level in ``_levels`` and every running level in
+    the context at nominal) returns none: each core would step "up" to
+    nominal, where it already runs, so neither ``_levels`` nor the
+    applied V/f could change. Omitted cores keep their setting
+    (:class:`~repro.core.base.PolicyActions`), so the two answers are
+    the same decision on any context.
+    """
 
     name = "DVFS_TT"
 
@@ -35,6 +45,14 @@ class DVFSTemperatureTriggered(DefaultLoadBalancing):
         threshold = self.system.thermal_threshold_k
         temps = ctx.arrays.temperature_k.tolist()
         levels = self._levels
+        if max(temps) < threshold:
+            nominal = table.nominal_index
+            running = ctx.arrays.vf_index.tolist()
+            if (
+                list(levels.values()).count(nominal) == len(levels)
+                and running.count(nominal) == len(running)
+            ):
+                return actions
         vf_settings = actions.vf_settings
         for core, temp in zip(ctx.arrays.core_names, temps):
             if temp >= threshold:

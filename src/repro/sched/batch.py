@@ -564,7 +564,6 @@ class BatchSimulationEngine:
         power = base.power
         n_nodes = thermal.network.n_nodes
         n_units = len(thermal.unit_names)
-        n_dies = thermal.n_dies
 
         # Readback rows, one per lane: ``unit_rows`` (mean) and
         # ``peak_rows`` (max, NaN outside core units on event lanes).
@@ -592,7 +591,6 @@ class BatchSimulationEngine:
 
         recs = [_Recording.allocate(lane, n_ticks) for lane in lanes]
         core_cols = recs[0].core_cols
-        die_starts = recs[0].die_starts
         # Event lanes tick each policy family once for the batch
         # (_stack_policy_ticks); lanes without a family keep their own
         # on_tick.
@@ -604,16 +602,14 @@ class BatchSimulationEngine:
         all_ideal = all(lane.sensors.ideal for lane in lanes)
 
         # Per-tick planes, written once per field per tick and unpacked
-        # into the per-lane recordings at the end.
+        # into the per-lane recordings at the end (which derive their
+        # times, core means and die spreads from the unit rows).
         plane_unit = np.empty((n_ticks, n_lanes, n_units))
-        plane_core = np.empty((n_ticks, n_lanes, n_cores))
         plane_peak = np.empty((n_ticks, n_lanes, n_cores))
-        plane_spread = np.empty((n_ticks, n_lanes, n_dies))
         plane_util = np.empty((n_ticks, n_lanes, n_cores))
         plane_vf = np.empty((n_ticks, n_lanes, n_cores), dtype=np.int64)
         plane_state = np.empty((n_ticks, n_lanes, n_cores), dtype=np.int64)
         plane_power = np.empty((n_ticks, n_lanes))
-        times = np.empty(n_ticks)
 
         energies = [0.0] * n_lanes
         mem_vec = np.empty(n_lanes)
@@ -745,13 +741,8 @@ class BatchSimulationEngine:
                 unit_rows = thermal.unit_mean_block(
                     temps_block, column_exact=exact
                 ).T
-            times[tick] = t1
             plane_unit[tick] = unit_rows
-            plane_core[tick] = unit_rows[:, core_cols]
             plane_peak[tick] = peak_rows[:, core_cols]
-            plane_spread[tick] = np.maximum.reduceat(
-                unit_rows, die_starts, axis=1
-            ) - np.minimum.reduceat(unit_rows, die_starts, axis=1)
             plane_util[tick] = util_mat
             plane_vf[tick] = vf_mat
             plane_state[tick] = state_mat
@@ -771,15 +762,13 @@ class BatchSimulationEngine:
         results = []
         for r, lane in enumerate(lanes):
             rec = recs[r]
-            rec.times[:] = times
             rec.unit_temps[:] = plane_unit[:, r]
-            rec.core_temps[:] = plane_core[:, r]
             rec.core_peaks[:] = plane_peak[:, r]
-            rec.spreads[:] = plane_spread[:, r]
             rec.utilization[:] = plane_util[:, r]
             rec.vf_indices[:] = plane_vf[:, r]
             rec.core_states[:] = plane_state[:, r]
             rec.total_power[:] = plane_power[:, r]
+            rec.derive_planes(dt)
             if use_span:
                 modals[r].close()
             else:

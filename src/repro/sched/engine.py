@@ -301,6 +301,14 @@ class _Recording:
     shared by the serial engine and the batched multi-run engine (which
     records whole ``(R, ...)`` planes per tick and hands each run a
     contiguous copy of its slice at the end).
+
+    A tick writes only the rows it produces: unit means, core peaks,
+    utilization, V/f, states and total power. ``times``,
+    ``core_temps`` and ``spreads`` are pure functions of the tick index
+    and of ``unit_temps``, so :meth:`derive_planes` fills them once per
+    run, after the last tick, with the same bits a per-tick write
+    gives. The test-only scan oracle writes every plane per tick
+    instead, as the reference.
     """
 
     times: np.ndarray
@@ -313,7 +321,6 @@ class _Recording:
     core_states: np.ndarray
     total_power: np.ndarray
     core_cols: np.ndarray
-    die_slices: List[slice]
     die_starts: np.ndarray
 
     @classmethod
@@ -324,7 +331,7 @@ class _Recording:
         n_dies = engine.thermal.n_dies
         # Recording layout, computed once: the thermal model's vector
         # readback is already in unit_names order, so a core->column
-        # gather and per-die slices replace per-tick name lookups.
+        # gather and the die boundaries replace name lookups.
         unit_index = {name: i for i, name in enumerate(unit_names)}
         core_cols = np.fromiter(
             (unit_index[name] for name in engine.core_names),
@@ -333,7 +340,7 @@ class _Recording:
         )
         die_slices = engine.thermal.die_unit_slices()
         # die_slices are contiguous and ordered, so per-die max/min
-        # reduce to one reduceat pair over a unit row.
+        # reduce to one reduceat pair over the unit rows.
         die_starts = np.fromiter(
             (sl.start for sl in die_slices), dtype=np.intp,
             count=len(die_slices),
@@ -349,8 +356,24 @@ class _Recording:
             core_states=np.zeros((n_ticks, n_cores), dtype=int),
             total_power=np.zeros(n_ticks),
             core_cols=core_cols,
-            die_slices=die_slices,
             die_starts=die_starts,
+        )
+
+    def derive_planes(self, dt: float) -> None:
+        """Fill ``times``, ``core_temps`` and ``spreads`` from the
+        recorded unit rows: tick ``k`` ends at ``k*dt + dt`` (the float
+        arithmetic of every tick loop), a core reads its unit's mean,
+        and a die's spread is its unit maximum minus its unit minimum.
+        Gathers, maxima and minima are exact and each spread is the one
+        subtraction a per-tick write makes, so the planes equal a
+        per-tick write bit for bit."""
+        self.times[:] = np.arange(self.times.shape[0]) * dt + dt
+        unit_temps = self.unit_temps
+        np.take(unit_temps, self.core_cols, axis=1, out=self.core_temps)
+        np.subtract(
+            np.maximum.reduceat(unit_temps, self.die_starts, axis=1),
+            np.minimum.reduceat(unit_temps, self.die_starts, axis=1),
+            out=self.spreads,
         )
 
 
@@ -677,6 +700,7 @@ class SimulationEngine:
         rec = _Recording.allocate(self, n_ticks)
         self._temps_arr[:] = self.sensors.read_cores_vector()
         energy = self._run_ticks(rec, n_ticks, dt)
+        rec.derive_planes(dt)
         return self._build_result(rec, energy, dt)
 
     def _gather_utilization(self, dt: float) -> np.ndarray:
@@ -697,21 +721,17 @@ class SimulationEngine:
         self,
         rec: _Recording,
         tick: int,
-        t1: float,
         unit_row: np.ndarray,
         peak_row: np.ndarray,
         util_arr: np.ndarray,
         tick_power: float,
     ) -> None:
-        """Write one end-of-interval row of the recording (per-tick path
-        and clock jumps alike)."""
-        rec.times[tick] = t1
+        """Write the rows one end-of-interval produces (per-tick path
+        and clock jumps alike). The tick's time, core means and die
+        spreads are derived once per run
+        (:meth:`_Recording.derive_planes`)."""
         rec.unit_temps[tick] = unit_row
-        rec.core_temps[tick] = unit_row[rec.core_cols]
         rec.core_peaks[tick] = peak_row[rec.core_cols]
-        rec.spreads[tick] = np.maximum.reduceat(
-            unit_row, rec.die_starts
-        ) - np.minimum.reduceat(unit_row, rec.die_starts)
         rec.utilization[tick] = util_arr
         rec.vf_indices[tick] = self._vf_arr
         rec.core_states[tick] = self._state_arr
@@ -827,7 +847,7 @@ class SimulationEngine:
                 unit_row = self.thermal.unit_temperature_vector()
             tick_power = self.power.total_power(powers_vec)
             self._record_tick(
-                rec, tick, t1, unit_row, peak_row, util_arr, tick_power
+                rec, tick, unit_row, peak_row, util_arr, tick_power
             )
             energy += tick_power * dt
             prof.lap(PH_RECORD)
@@ -1015,10 +1035,6 @@ class SimulationEngine:
         peak_row = unit_row
         try:
             for i in range(1, quiet + 1):
-                # Same float arithmetic as the per-tick loops (t0 + dt
-                # for the absolute tick), so recorded times and policy
-                # timestamps match the eager recording bitwise.
-                t_i = (tick + i - 1) * dt + dt
                 powers_vec = power.event_eval(factors, mean_row, powers_buf)
                 if not self._event_modal_open:
                     modal.open(powers_vec)
@@ -1027,13 +1043,17 @@ class SimulationEngine:
                 if i <= noctl:
                     skipped += 1
                 else:
+                    # Same float arithmetic as the per-tick loops (t0 +
+                    # dt for the absolute tick), so policy and DPM
+                    # timestamps match the eager ones bitwise.
+                    t_i = (tick + i - 1) * dt + dt
                     self._temps_arr[:] = sensors.read_cores_vector(peak_row)
                     self._apply_dpm(t_i)
                     if not self._policy_tick_noop():
                         self._run_policy(t_i, util_arr)
                 tick_power = power.total_power(powers_vec)
                 self._record_tick(
-                    rec, tick + i - 1, t_i, mean_row, peak_row, util_arr,
+                    rec, tick + i - 1, mean_row, peak_row, util_arr,
                     tick_power,
                 )
                 energy += tick_power * dt

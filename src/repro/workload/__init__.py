@@ -23,7 +23,7 @@ from repro.workload.benchmarks import (
     benchmark_names,
     default_server_mix,
 )
-from repro.workload.job import Job, JobTable, ThreadState, WorkloadThread
+from repro.workload.job import Job, JobTable, WorkloadThread
 from repro.workload.generator import SyntheticWorkload
 from repro.workload.trace import UtilizationTrace
 from repro.workload.mpstat import parse_mpstat
@@ -36,7 +36,6 @@ __all__ = [
     "default_server_mix",
     "Job",
     "JobTable",
-    "ThreadState",
     "WorkloadThread",
     "SyntheticWorkload",
     "UtilizationTrace",

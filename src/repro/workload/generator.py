@@ -22,17 +22,20 @@ import numpy as np
 
 from repro.errors import WorkloadError
 from repro.workload.benchmarks import BenchmarkSpec
-from repro.workload.job import Job, ThreadState, WorkloadThread
+from repro.workload.job import Job, WorkloadThread
 
 # Burst/lull think-time scales; chosen so a burstiness of 1 produces
-# ~4x denser arrivals during bursts. The lull scale is derived per
-# thread to keep the time-average scale at 1. Dwell times are tens of
-# seconds: real server traces (the paper's SLAMD/mpstat profiles) show
-# load phases on that scale, and those phases are what drives the
+# ~4x denser arrivals during bursts. Dwell times are tens of seconds:
+# real server traces (the paper's SLAMD/mpstat profiles) show load
+# phases on that scale, and those phases are what drives the
 # sleep/wake thermal cycling the paper evaluates in Figure 6.
 _BURST_SCALE = 0.22
 _BURST_DWELL_S = 6.0
 _LULL_DWELL_S = 12.0
+# Burst fraction of time under the dwell means above, and the lull
+# scale that keeps the time-average scale at one.
+_P_BURST = _BURST_DWELL_S / (_BURST_DWELL_S + _LULL_DWELL_S)
+_LULL_SCALE = (1.0 - _P_BURST * _BURST_SCALE) / (1.0 - _P_BURST)
 
 
 @dataclass(slots=True)
@@ -127,7 +130,6 @@ class SyntheticWorkload:
     ) -> Tuple[float, Job]:
         """Schedule the thread's next job after its think phase."""
         thread = self._thread(thread_id)
-        thread.state = ThreadState.THINKING
         think = self._draw_think(thread, completion_time)
         arrival = completion_time + think
         return arrival, self._make_job(thread, arrival)
@@ -135,10 +137,9 @@ class SyntheticWorkload:
     # ------------------------------------------------------------------
 
     def _thread(self, thread_id: int) -> WorkloadThread:
-        try:
-            return self.threads[thread_id]
-        except IndexError:
-            raise WorkloadError(f"unknown thread id {thread_id}") from None
+        if not 0 <= thread_id < len(self.threads):
+            raise WorkloadError(f"unknown thread id {thread_id}")
+        return self.threads[thread_id]
 
     def _make_job(self, thread: WorkloadThread, arrival: float) -> Job:
         work = float(self._draw_exp(thread.benchmark.mean_busy_s))
@@ -152,8 +153,6 @@ class SyntheticWorkload:
             work_s=work,
         )
         self._next_job_id += 1
-        thread.state = ThreadState.RUNNABLE
-        thread.jobs_issued += 1
         return job
 
     def _draw_think(self, thread: WorkloadThread, now: float) -> float:
@@ -174,10 +173,7 @@ class SyntheticWorkload:
                 dwell = float(self._draw_exp(_BURST_DWELL_S))
             mod.in_burst = not mod.in_burst
             mod.until = max(mod.until, now) + dwell
-        # Burst fraction of time under the dwell means above.
-        p_burst = _BURST_DWELL_S / (_BURST_DWELL_S + _LULL_DWELL_S)
-        lull_scale = (1.0 - p_burst * _BURST_SCALE) / (1.0 - p_burst)
-        full = _BURST_SCALE if mod.in_burst else lull_scale
+        full = _BURST_SCALE if mod.in_burst else _LULL_SCALE
         # Blend toward 1 for low-burstiness benchmarks.
         return burstiness * full + (1.0 - burstiness)
 

@@ -16,7 +16,6 @@ building a :class:`Job` per row.
 
 from __future__ import annotations
 
-import enum
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -203,13 +202,6 @@ def _job(row: List[float], spec: BenchmarkSpec, core: Optional[str]) -> Job:
     return job
 
 
-class ThreadState(enum.Enum):
-    """Lifecycle state of a workload thread."""
-
-    THINKING = "thinking"
-    RUNNABLE = "runnable"
-
-
 @dataclass(slots=True)
 class WorkloadThread:
     """One closed-loop thread: alternates think and busy phases.
@@ -220,17 +212,7 @@ class WorkloadThread:
         Unique id within a workload.
     benchmark:
         The Table I benchmark characterizing this thread.
-    state:
-        Current lifecycle state.
-    last_core:
-        Core the thread's previous job ran on (locality hint for the
-        default load-balancing policy).
-    jobs_issued:
-        Count of busy intervals generated so far.
     """
 
     thread_id: int
     benchmark: BenchmarkSpec
-    state: ThreadState = ThreadState.THINKING
-    last_core: Optional[str] = None
-    jobs_issued: int = 0

@@ -71,6 +71,7 @@ class ScanEngine(SimulationEngine):
             raise SchedulerError("the scan oracle runs eager fidelity only")
         n_ticks, dt = self._prepare_run()
         rec = _Recording.allocate(self, n_ticks)
+        die_slices = self.thermal.die_unit_slices()
         self._sensor_temps = self.sensors.read_cores()
         core_list = self._core_list
         energy = 0.0
@@ -111,7 +112,7 @@ class ScanEngine(SimulationEngine):
             rec.core_peaks[tick] = peak_row[rec.core_cols]
             rec.spreads[tick] = [
                 unit_row[sl].max() - unit_row[sl].min()
-                for sl in rec.die_slices
+                for sl in die_slices
             ]
             rec.utilization[tick] = utils
             rec.vf_indices[tick] = [core.vf_index for core in core_list]

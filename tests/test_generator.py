@@ -97,6 +97,16 @@ class TestStatistics:
         with pytest.raises(WorkloadError):
             workload.next_arrival(99, 1.0)
 
+    @pytest.mark.parametrize("thread_id", [-1, 2])
+    def test_thread_id_outside_range_raises(self, thread_id):
+        """A negative id must not wrap around to the last thread."""
+        workload = SyntheticWorkload(
+            [(benchmark("gzip"), 1), (benchmark("MPlayer"), 1)]
+        )
+        with pytest.raises(WorkloadError,
+                           match=f"unknown thread id {thread_id}"):
+            workload.next_arrival(thread_id, 1.0)
+
     def test_deterministic_given_seed(self):
         mix = [(benchmark("Web-med"), 4)]
         a = SyntheticWorkload(mix, seed=3)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import WorkloadError
 from repro.workload.benchmarks import benchmark
-from repro.workload.job import Job, ThreadState, WorkloadThread
+from repro.workload.job import Job
 
 
 def make_job(work=1.0, arrival=0.0):
@@ -38,11 +38,3 @@ class TestJob:
         assert not job.finished
         job.completion_time = 1.0
         assert job.finished
-
-
-class TestThread:
-    def test_initial_state(self):
-        thread = WorkloadThread(0, benchmark("gzip"))
-        assert thread.state is ThreadState.THINKING
-        assert thread.last_core is None
-        assert thread.jobs_issued == 0

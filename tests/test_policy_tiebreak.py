@@ -9,7 +9,10 @@ both on heavily tied inputs — few distinct temperatures including
 exactly 85 C, queue lengths 0-3, utilizations on the V/f boundaries,
 sleeping and gated cores — through both context shapes (dict-built,
 packed at construction; and array-built, as the engine builds them)
-and requires identical decisions, in identical order.
+and requires identical decisions, in identical order. DVFS_TT is held
+to its effective decisions: it returns no setting on a cool tick with
+every level at nominal, where the reference re-sends every core's
+running level (omitted cores keep their setting).
 """
 
 from __future__ import annotations
@@ -273,6 +276,19 @@ def decisions(actions: PolicyActions):
     )
 
 
+def effective_decisions(actions: PolicyActions, names, running):
+    """:func:`decisions` without the V/f settings equal to the core's
+    ``running`` level, which change nothing; the order of the rest is
+    kept."""
+    level_of = dict(zip(names, running))
+    migrations, gated, vf = decisions(actions)
+    return (
+        migrations,
+        gated,
+        [(core, level) for core, level in vf if level != level_of[core]],
+    )
+
+
 @given(scenarios())
 @settings(max_examples=150, deadline=None)
 def test_array_policies_match_mapping_references(scenario):
@@ -286,11 +302,15 @@ def test_array_policies_match_mapping_references(scenario):
             policy = cls()
             policy.attach(system)
             for row in ticks:
-                expected = decisions(ref.on_tick(dict_tick(names, row)))
-                assert decisions(policy.on_tick(build(names, row))) == expected
+                expected = ref.on_tick(dict_tick(names, row))
+                got = policy.on_tick(build(names, row))
                 if ref_cls is RefDVFSTT:
+                    assert effective_decisions(got, names, row["vf"]) == (
+                        effective_decisions(expected, names, row["vf"]))
                     assert list(policy._levels.items()) == list(
                         ref._levels.items())
+                else:
+                    assert decisions(got) == decisions(expected)
 
     for build in (dict_alloc, array_alloc):
         ref = RefDefault()
@@ -304,3 +324,62 @@ def test_array_policies_match_mapping_references(scenario):
             got = policy.select_core(job, build(names, row, last_core))
             assert got == expected
             assert policy._rr_next == ref._rr_next
+
+
+def test_dvfs_tt_closed_loop_matches_reference():
+    """DVFS_TT against its reference over a closed loop: each tick's
+    applied levels are the next context's running levels, as in the
+    engine, and the temperatures cross 85 C in both directions. The
+    property test above rarely draws a context whose running levels
+    are all nominal, so this is the test of the cool, unthrottled tick
+    that returns no setting."""
+    rng = np.random.default_rng(85)
+    system = make_system_view(16, n_layers=4)
+    names = system.core_names
+    n = len(names)
+    nominal = system.vf_table.nominal_index
+    threshold = system.thermal_threshold_k
+    ref = RefDVFSTT()
+    ref.attach(system)
+    policy = DVFSTemperatureTriggered()
+    policy.attach(system)
+    running = [nominal] * n
+    hot_stretch = was_hot = False
+    heat_ups = cool_downs = cool_nominal_ticks = 0
+    for _ in range(400):
+        # Cool and hot stretches of geometric length (mean four ticks);
+        # in a hot one each core reads at or above 85 C with
+        # probability 0.3.
+        if rng.random() < 0.25:
+            hot_stretch = not hot_stretch
+        temps_c = rng.choice([60.0, 80.0, 84.9], size=n)
+        if hot_stretch:
+            temps_c[rng.random(n) < 0.3] = rng.choice([85.0, 90.0])
+        row = {
+            "temps": [kelvin(t) for t in temps_c],
+            "utils": [0.5] * n,
+            "queues": [1] * n,
+            "states": [CoreState.ACTIVE] * n,
+            "vf": running,
+        }
+        cool_nominal = (
+            max(row["temps"]) < threshold
+            and set(running) == {nominal}
+            and set(ref._levels.values()) == {nominal}
+        )
+        expected = ref.on_tick(dict_tick(names, row))
+        got = policy.on_tick(array_tick(names, row))
+        assert effective_decisions(got, names, running) == (
+            effective_decisions(expected, names, running))
+        assert list(policy._levels.items()) == list(ref._levels.items())
+        if cool_nominal:
+            assert got.vf_settings == {}
+            cool_nominal_ticks += 1
+        is_hot = max(row["temps"]) >= threshold
+        heat_ups += is_hot and not was_hot
+        cool_downs += was_hot and not is_hot
+        was_hot = is_hot
+        running = [got.vf_settings.get(name, level)
+                   for name, level in zip(names, running)]
+    assert heat_ups >= 10 and cool_downs >= 10
+    assert cool_nominal_ticks >= 50
