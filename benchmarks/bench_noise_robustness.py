@@ -7,7 +7,7 @@ stack (EXP-4) and reports how the §V metrics degrade: a robust policy
 should hold its hot-spot and peak-temperature numbers as sigma grows,
 while a threshold-chasing policy starts mis-reading which cores are
 hot. The multi-seed sweep rides the campaign store (resumable, shared
-with the figure benches) through the batched backend.
+with the figure benches) on the serial backend.
 
 Emits ``noise_robustness.txt`` and merges a machine-readable section
 into ``BENCH_noise_robustness.json`` under ``benchmarks/results/``.

@@ -4,7 +4,9 @@ This is the top of the stack: it assembles the thermal model, power
 model, thermal indices, policy, and workload into a
 :class:`~repro.sched.engine.SimulationEngine`, with every knob
 defaulted to the paper's setup. The figure benches and examples all go
-through here.
+through here. :meth:`ExperimentRunner.run_batch` fuses compatible
+event runs into one :class:`~repro.sched.batch.BatchSimulationEngine`
+tick loop; an eager run always runs alone.
 """
 
 from __future__ import annotations
@@ -350,24 +352,21 @@ class ExperimentRunner:
         return self.build_engine(spec).run()
 
     @staticmethod
-    def batch_group_key(spec: RunSpec) -> Tuple:
-        """Compatibility key of the batched engine.
+    def batch_group_key(spec: RunSpec) -> Optional[Tuple]:
+        """Compatibility key of the batched engine, or ``None`` for a
+        spec that runs alone.
 
-        Runs sharing this key can ride one
+        Event runs sharing this key can ride one
         :class:`~repro.sched.batch.BatchSimulationEngine` tick loop:
-        same stack and grid (one :class:`ThermalAssembly`), the same
+        same stack and grid (one :class:`ThermalAssembly`) and the same
         duration (the fused loop advances every lane the same number
-        of ticks) and the same fidelity
-        (eager and event lanes advance their intervals differently).
-        Policies, seeds, DPM, mixes and sensor noise may differ within
-        a group.
+        of ticks). Policies, seeds, DPM, mixes and sensor noise may
+        differ within a group. An eager run, the per-event reference,
+        never fuses.
         """
-        return (
-            spec.exp_id,
-            (spec.grid[0], spec.grid[1]),
-            spec.duration_s,
-            spec.fidelity,
-        )
+        if spec.fidelity != "event":
+            return None
+        return (spec.exp_id, (spec.grid[0], spec.grid[1]), spec.duration_s)
 
     @classmethod
     def group_batchable(
@@ -375,37 +374,49 @@ class ExperimentRunner:
     ) -> List[List[int]]:
         """Partition spec indices into batch-compatible groups.
 
-        Groups preserve first-occurrence order and each group preserves
-        input order, so callers can map results back by index.
+        Each eager spec is a group of its own. Groups preserve
+        first-occurrence order and each group preserves input order,
+        so callers can map results back by index.
         """
-        groups: Dict[Tuple, List[int]] = {}
-        order: List[Tuple] = []
+        groups: List[List[int]] = []
+        by_key: Dict[Tuple, List[int]] = {}
         for i, spec in enumerate(specs):
             key = cls.batch_group_key(spec)
-            if key not in groups:
-                groups[key] = []
-                order.append(key)
-            groups[key].append(i)
-        return [groups[key] for key in order]
+            if key is None:
+                groups.append([i])
+            elif key in by_key:
+                by_key[key].append(i)
+            else:
+                by_key[key] = [i]
+                groups.append(by_key[key])
+        return groups
 
     def run_batch(
         self, specs: Sequence[RunSpec], propagation: str = "exact"
     ) -> List[SimulationResult]:
         """Run several specs, batching compatible ones into fused loops.
 
-        Specs are grouped by :meth:`batch_group_key`; each multi-run
-        group advances through one
+        Specs are grouped by :meth:`group_batchable`; each multi-run
+        group of event specs advances through one
         :class:`~repro.sched.batch.BatchSimulationEngine` (every lane
         shares this runner's cached :class:`ThermalAssembly` and power
-        model), singleton groups fall back to a plain serial run.
-        Results come back in input order. With the default
-        ``propagation="exact"`` every result is bit-identical to
-        :meth:`run` on the same spec; ``"gemm"`` selects the fused
-        one-GEMM thermal propagation for eager lanes (ulp-level
-        deviation, fastest). Event lanes are bit-identical either way.
+        model), and every other spec runs alone through :meth:`run`.
+        Results come back in input order, each bit-identical to
+        :meth:`run` on the same spec.
+
+        ``propagation`` accepts only ``"exact"`` and raises
+        :class:`~repro.errors.ConfigurationError` for anything else.
+        perfbench's seed-batch check still passes it; a change to the
+        benchmark removes that argument and this parameter together
+        (ROADMAP item 1).
         """
         from repro.sched.batch import BatchSimulationEngine
 
+        if propagation != "exact":
+            raise ConfigurationError(
+                f"unknown propagation mode {propagation!r}; the batched "
+                "engine has one thermal step, 'exact'"
+            )
         specs = list(specs)
         results: List[Optional[SimulationResult]] = [None] * len(specs)
         for group in self.group_batchable(specs):
@@ -413,7 +424,7 @@ class ExperimentRunner:
                 results[group[0]] = self.run(specs[group[0]])
                 continue
             lanes = [self.build_engine(specs[i]) for i in group]
-            batch = BatchSimulationEngine(lanes, propagation=propagation)
+            batch = BatchSimulationEngine(lanes)
             for i, result in zip(group, batch.run()):
                 results[i] = result
         return results  # type: ignore[return-value]

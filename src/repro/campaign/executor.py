@@ -16,6 +16,10 @@ into completed entries in a :class:`ResultStore`:
   copy-on-write; under ``spawn`` and ``forkserver`` they are pickled,
   and each assembly's steady-state solver refactorizes its LU
   factorization on load,
+- the ``batched`` backend packs compatible event runs into units that
+  a worker advances through one fused tick loop
+  (:class:`~repro.sched.batch.BatchSimulationEngine`); an eager run is
+  a unit of its own, simulated by the serial engine,
 - every pool unit runs under a wall-clock **watchdog**; a hung worker
   is killed, innocents are requeued uncharged, and the culprit is
   retried (see :class:`~repro.campaign.resilience.ResiliencePolicy`),
@@ -169,9 +173,7 @@ def _publish_lanes(
     return lanes, None
 
 
-def _simulate(
-    pairs: Sequence[Tuple[str, RunSpec]], propagation: str
-) -> List[SimulationResult]:
+def _simulate(pairs: Sequence[Tuple[str, RunSpec]]) -> List[SimulationResult]:
     """A pool unit's results: one run, or one fused batch.
 
     A run that raises leaves with its error record attached under
@@ -187,20 +189,17 @@ def _simulate(
         inject_fault("worker_run", pairs[0][0])
         if len(pairs) == 1:
             return [_WORKER_RUNNER.run(pairs[0][1])]
-        return _WORKER_RUNNER.run_batch(
-            [spec for _, spec in pairs], propagation=propagation
-        )
+        return _WORKER_RUNNER.run_batch([spec for _, spec in pairs])
     except Exception as exc:
         setattr(exc, _RECORD, _format_error(exc))
         raise
 
 
 def _run_in_worker(
-    payload: Tuple[str, Tuple[Tuple[str, RunSpec], ...]],
+    pairs: Tuple[Tuple[str, RunSpec], ...],
 ) -> Tuple[List[Lane], Optional[Exception]]:
     """Simulate one pool unit and publish its runs."""
-    propagation, pairs = payload
-    return _publish_lanes(pairs, _simulate(pairs, propagation))
+    return _publish_lanes(pairs, _simulate(pairs))
 
 
 @dataclass(frozen=True)
@@ -253,11 +252,11 @@ class CampaignExecutor:
         in memory only (used by ``run_policies`` and ``sweep``).
     backend:
         ``"serial"`` (in-process), ``"parallel"`` (process pool, one
-        run per task) or ``"batched"`` (process pool, compatible runs
-        packed into fused :class:`~repro.sched.batch.\
-BatchSimulationEngine` batches of up to ``batch_size`` lanes; runs
-        with no batch partner fall back to the plain per-run pool
-        path).
+        run per task) or ``"batched"`` (process pool, compatible event
+        runs packed into fused :class:`~repro.sched.batch.\
+BatchSimulationEngine` batches of up to ``batch_size`` lanes; eager
+        runs and runs with no batch partner fall back to the plain
+        per-run pool path).
     max_workers:
         Pool size for the pool backends (default:
         :func:`available_cpus`, the CPUs this process may run on).
@@ -269,12 +268,6 @@ BatchSimulationEngine` batches of up to ``batch_size`` lanes; runs
         runner shares its index cache.
     batch_size:
         Max lanes per fused batch (``batched`` backend only).
-    propagation:
-        Thermal propagation of the batched engine's eager lanes:
-        ``"exact"`` (default; batch results bit-identical to serial
-        runs) or ``"gemm"`` (one-GEMM propagation, fastest, ulp-level
-        deviation). Event lanes ignore it: they step the serial
-        engine's modal stepper and are always bit-identical.
     telemetry:
         Collect engine telemetry (job stats, engine counters, tick
         profiler) for every run this executor computes. Observational:
@@ -301,7 +294,6 @@ BatchSimulationEngine` batches of up to ``batch_size`` lanes; runs
         progress: Optional[ProgressCallback] = None,
         runner: Optional[ExperimentRunner] = None,
         batch_size: int = DEFAULT_BATCH_SIZE,
-        propagation: str = "exact",
         telemetry: bool = False,
         resilience: Optional[ResiliencePolicy] = None,
     ) -> None:
@@ -313,11 +305,6 @@ BatchSimulationEngine` batches of up to ``batch_size`` lanes; runs
             raise ConfigurationError("max_workers must be >= 1")
         if batch_size < 1:
             raise ConfigurationError("batch_size must be >= 1")
-        if propagation not in ("exact", "gemm"):
-            raise ConfigurationError(
-                f"unknown propagation mode {propagation!r}; "
-                "known: ['exact', 'gemm']"
-            )
         resilience = (
             resilience if resilience is not None else ResiliencePolicy()
         )
@@ -327,7 +314,6 @@ BatchSimulationEngine` batches of up to ``batch_size`` lanes; runs
         self.progress = progress
         self.runner = runner if runner is not None else ExperimentRunner()
         self.batch_size = batch_size
-        self.propagation = propagation
         self.telemetry = telemetry
         self.resilience = resilience
         self.stats = ResilienceStats()
@@ -546,11 +532,12 @@ BatchSimulationEngine` batches of up to ``batch_size`` lanes; runs
         """Partition pending runs into pool submission units.
 
         The ``parallel`` backend takes one run per unit. The
-        ``batched`` backend groups batch-compatible runs (same exp,
-        grid, duration, fidelity — :meth:`ExperimentRunner.\
+        ``batched`` backend groups batch-compatible event runs (same
+        exp, grid, duration — :meth:`ExperimentRunner.\
 batch_group_key`) into units of up to ``batch_size`` lanes that a
-        worker advances through one fused tick loop; incompatible
-        leftovers stay singleton units on the plain per-run path.
+        worker advances through one fused tick loop; eager runs and
+        incompatible leftovers stay singleton units on the plain
+        per-run path.
         Within a group the chunk size is also capped so one compatible
         sweep splits across the whole pool (a single 16-lane batch on
         an 8-worker pool would leave 7 workers idle and lose to the
@@ -623,9 +610,7 @@ batch_group_key`) into units of up to ``batch_size`` lanes that a
                 self._emit("start", key)
             # Raises BrokenProcessPool when a worker died since the last
             # wake; the unit is then not charged an attempt.
-            inflight[pool.submit(
-                _run_in_worker, (self.propagation, tuple(state.unit))
-            )] = state
+            inflight[pool.submit(_run_in_worker, tuple(state.unit))] = state
             state.attempts += 1
 
         def kill_pool() -> None:

@@ -224,7 +224,6 @@ def cmd_campaign_run(args: argparse.Namespace) -> int:
         max_workers=args.workers,
         progress=progress,
         batch_size=args.batch_size,
-        propagation=args.propagation,
         telemetry=args.telemetry,
         resilience=resilience,
     )
@@ -316,8 +315,9 @@ def build_parser() -> argparse.ArgumentParser:
                               choices=("serial", "parallel", "batched"),
                               help="execution backend: serial (in-process), "
                                    "parallel (one run per pool task), or "
-                                   "batched (compatible runs fused into one "
-                                   "tick loop per pool task)")
+                                   "batched (compatible event runs fused "
+                                   "into one tick loop per pool task; eager "
+                                   "runs go alone)")
     campaign_run.add_argument("--serial", action="store_true",
                               help="alias for --backend serial")
     campaign_run.add_argument("--workers", type=int, default=None,
@@ -326,14 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     campaign_run.add_argument("--batch-size", type=int, default=16,
                               help="max runs fused per batch "
                                    "(batched backend, default 16)")
-    campaign_run.add_argument("--propagation", default="exact",
-                              choices=("exact", "gemm"),
-                              help="thermal propagation of the batched "
-                                   "backend's eager lanes: exact "
-                                   "(bit-identical to serial runs) or "
-                                   "gemm (one-GEMM batching, fastest, "
-                                   "~1e-13 K deviation); event lanes are "
-                                   "always bit-identical")
     campaign_run.add_argument("--fidelity", default=None,
                               choices=FIDELITY_MODES,
                               help="override the campaign's fidelity axis "

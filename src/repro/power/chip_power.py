@@ -22,9 +22,9 @@ at a temperature row.
   is the oracle-exact kernel, ``power = base + leak_mul *
   (density*area * leak_poly(T))`` in the scalar model's floating-point
   order: bit for bit the test oracle (``tests/power_oracle.py``). Eager
-  ticks (serial and batched), the warm start and the thermal-index
-  characterization take it. Eager is the bit-identity reference, and
-  the engine-vs-scan-oracle differential can only hold bitwise if the
+  ticks, the warm start and the thermal-index characterization take
+  it, one run per call. Eager is the bit-identity reference, and the
+  engine-vs-scan-oracle differential can only hold bitwise if the
   engine prices power with the oracle's bits.
 - :meth:`ChipPowerModel.event_factors` / :meth:`ChipPowerModel.event_eval`
   is the event kernel, ``base = K + M @ x`` with one precomputed unit ×
@@ -351,7 +351,7 @@ class ChipPowerModel:
         core_utils: np.ndarray,
         core_dyn_scale: np.ndarray,
         core_voltage: np.ndarray,
-        memory_intensity: Union[float, np.ndarray],
+        memory_intensity: float,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Fold one interval's activity into ``(base, leak_mul)``.
 
@@ -359,34 +359,25 @@ class ChipPowerModel:
         ----------
         core_states:
             :data:`~repro.power.states.STATE_CODE` codes in canonical
-            ``core_names`` order: ``(n_cores,)`` for one run, or
-            ``(n_cores, R)`` for R runs (column ``r`` is run ``r``).
+            ``core_names`` order, ``(n_cores,)``.
         core_utils:
             Busy fraction of the interval, in [0, 1]; same shape.
         core_dyn_scale, core_voltage:
             ``VFLevel.dynamic_scale`` and relative voltage; same shape.
         memory_intensity:
-            Normalized L2 traffic of the running mix, in [0, 1]: a
-            float, or a length-R vector with ``(n_cores, R)`` inputs.
+            Normalized L2 traffic of the running mix, in [0, 1].
 
-        Returns ``(base, leak_mul)``, each ``(n_units,)`` or
-        ``(n_units, R)`` in canonical ``unit_names`` order, for
-        :meth:`power_eval`. ``base`` is the activity-dependent power:
-        state/DVFS core power (``sleep_w`` outright for a sleeping core,
-        whose state power already includes leakage), cache access
-        power, crossbar and misc activity power. ``leak_mul`` scales
-        each unit's leakage: ``V²`` for a core, 0 for a sleeping one, 1
-        elsewhere. The core/unit axis comes first, so every gather and
-        segment reduction runs down axis 0 and a column of an
-        ``(n_cores, R)`` call is bit-identical to the single-run call
-        with that column's inputs.
+        Returns ``(base, leak_mul)``, each ``(n_units,)`` in canonical
+        ``unit_names`` order, for :meth:`power_eval`. ``base`` is the
+        activity-dependent power: state/DVFS core power (``sleep_w``
+        outright for a sleeping core, whose state power already
+        includes leakage), cache access power, crossbar and misc
+        activity power. ``leak_mul`` scales each unit's leakage: ``V²``
+        for a core, 0 for a sleeping one, 1 elsewhere.
         """
-        run_axes = core_utils.shape[1:]
-        # Per-unit and per-segment constants broadcast down axis 0.
-        col = (slice(None),) + (None,) * len(run_axes)
-        shape = (len(self._unit_names),) + run_axes
-        base = np.empty(shape)
-        leak_mul = np.ones(shape)
+        n_units = len(self._unit_names)
+        base = np.empty(n_units)
+        leak_mul = np.ones(n_units)
 
         core = self.core_model
         busy = core.active_w * core_utils + core.idle_w * (1.0 - core_utils)
@@ -401,10 +392,10 @@ class ChipPowerModel:
 
         # L2 banks: the served cores' mean utilization scales the
         # access rate.
-        mean_util = np.zeros((len(self._cache_idx),) + run_axes)
+        mean_util = np.zeros(len(self._cache_idx))
         mean_util[self._cache_fed] = np.add.reduceat(
-            core_utils[self._cache_served], self._cache_starts, axis=0
-        ) / self._cache_sizes[col]
+            core_utils[self._cache_served], self._cache_starts
+        ) / self._cache_sizes
         cache = self.cache_model
         access = mean_util * memory_intensity
         base[self._cache_idx] = cache.full_power_w * (
@@ -415,9 +406,8 @@ class ChipPowerModel:
         # last fraction is the chip's.
         active = (core_states == _ACTIVE_CODE) | (core_utils > 0.0)
         fractions = np.add.reduceat(
-            active[self._act_cores], self._act_starts, axis=0,
-            dtype=np.float64,
-        ) / self._act_sizes[col]
+            active[self._act_cores], self._act_starts, dtype=np.float64
+        ) / self._act_sizes
         xbar = self.crossbar_model
         activity = fractions[:-1] * (0.5 + 0.5 * memory_intensity)
         base[self._xbar_idx] = xbar.full_power_w * (
@@ -430,7 +420,7 @@ class ChipPowerModel:
             OTHER_BASELINE_FRACTION
             + (1.0 - OTHER_BASELINE_FRACTION) * fractions[-1]
         )
-        base[self._other_idx] = self._other_dyn_w[col] * scale
+        base[self._other_idx] = self._other_dyn_w * scale
         return base, leak_mul
 
     def power_eval(
@@ -443,7 +433,7 @@ class ChipPowerModel:
         """Per-unit power (W) of :meth:`power_factors` at ``unit_temps``.
 
         ``base + leak_mul * (density*area * leak_poly(unit_temps))``,
-        where ``unit_temps`` (K) is shaped like ``base``. The leakage
+        where ``unit_temps`` (K) is an ``(n_units,)`` row. The leakage
         term is the scalar model's product in its order — density·area,
         then the polynomial, then the voltage factor — added to the
         dynamic power last (a sleeping core adds an exact ``+0.0``).
@@ -452,10 +442,9 @@ class ChipPowerModel:
         frozen, so they can be evaluated at any number of temperature
         rows.
         """
-        dens_area = self._leak_dens_area
-        if unit_temps.ndim > 1:
-            dens_area = dens_area[:, None]
-        leak = dens_area * self.leakage_model.normalized_array(unit_temps)
+        leak = self._leak_dens_area * self.leakage_model.normalized_array(
+            unit_temps
+        )
         leak *= leak_mul
         return np.add(base, leak, out=out)
 
@@ -478,8 +467,8 @@ class ChipPowerModel:
         """Fold one interval's activity into ``buf.base`` / ``buf.weight``.
 
         The event kernel's factor half, over the inputs of
-        :meth:`power_factors` with the run axis first: ``(n_cores,)``
-        rows for one run, or C-contiguous ``(R, n_cores)`` matrices
+        :meth:`power_factors`: ``(n_cores,)`` rows for one run, or
+        C-contiguous ``(R, n_cores)`` matrices for a batch
         (row ``r`` is run ``r``) with ``memory_intensity`` an ``(R, 1)``
         column. ``base = K + M @ x`` is the activity-dependent power,
         one GEMV per run on its contiguous ``x`` row (no GEMM, so a row

@@ -1,44 +1,19 @@
-"""Batched multi-run engine: one tick loop shared by R simulations.
+"""Batched multi-run engine: one tick loop shared by R event runs.
 
 A campaign grid is mostly *independent* runs over the same stack —
-seeds, policies, noise points. After the exponential-propagator rework
-each serial run spends its tick boundary in a fixed set of small NumPy
-calls (power kernel, thermal step, readback, recording) whose ~1 us/op
-dispatch overhead is paid once per run per tick. The
-:class:`BatchSimulationEngine` advances R runs that share one
+seeds, policies, noise points. Each serial run spends its tick boundary
+in a fixed set of small NumPy calls (power kernel, thermal step,
+readback, recording) whose ~1 us/op dispatch overhead is paid once per
+run per tick. The :class:`BatchSimulationEngine` advances R event-
+fidelity runs that share one
 :class:`~repro.thermal.model.ThermalAssembly` through a single fused
 tick loop, so that overhead is paid once per *batch* per tick:
 
-- power injection is one power-kernel call for the whole batch: eager
-  lanes take the oracle-exact kernel
-  (:meth:`~repro.power.chip_power.ChipPowerModel.power_factors` then
-  ``power_eval``) on the transposed ``(R, n_cores)``
-  state/utilization/V-f matrices, one column per lane; event lanes
-  take the event kernel
+- power injection is one event-kernel call for the whole batch
   (:meth:`~repro.power.chip_power.ChipPowerModel.event_factors` then
-  ``event_eval``) on the rows themselves — elementwise, then one GEMV
-  per lane on its contiguous row, as serial event issues it;
-- eager lanes hold the thermal state as one ``(n_nodes, R)`` matrix
-  advanced by :meth:`~repro.thermal.model.ThermalModel.step_block` —
-  the exact step as (up to) one GEMM ``A @ T`` over the whole batch —
-  and read it back with one blocked gather
-  (:meth:`~repro.thermal.model.ThermalModel.unit_max_block` /
-  :meth:`unit_mean_block`);
-- recording is one ``(R, ...)`` plane write per field per tick.
-
-Per-run scheduler state — event heaps, dispatch queues, DPM, workload
-generators — stays scalar: each run's
-:class:`~repro.sched.engine.SimulationEngine` acts as its lane's state
-machine, driven lock-step by the shared boundary sweep. The lanes'
-structure-of-arrays bookkeeping is re-homed onto rows of batch-owned
-``(R, n_cores)`` matrices at construction, so the boundary reads them
-with zero per-lane gathering.
-
-With ``EngineConfig(fidelity="event")`` lanes (uniform across the
-batch), the per-lane interval advance switches to the span substrate —
-lazy per-core spans, trusted completion events — and three further
-batch-level fusions engage:
-
+  ``event_eval``) on the ``(R, n_cores)`` state/utilization/V-f rows:
+  elementwise, then one GEMV per lane on its contiguous row, as serial
+  event issues it;
 - the thermal step is one block step. Each lane's
   :class:`~repro.thermal.model.ModalJump` (the stepper a serial event
   run steps) is re-homed onto rows of ``(R, ·)`` blocks
@@ -56,7 +31,17 @@ batch-level fusions engage:
   ``levels != vf`` compare finds. Lanes whose policy has no family
   (Default, CGate, Migr, custom policies, Adapt3D with the online
   index estimator) keep their own ``on_tick``, skipped when provably a
-  no-op, as in serial.
+  no-op, as in serial;
+- recording is one ``(R, ...)`` plane write per field per tick.
+
+Per-run scheduler state — event heaps, dispatch queues, DPM, workload
+generators — stays scalar: each run's
+:class:`~repro.sched.engine.SimulationEngine` acts as its lane's state
+machine, driven lock-step by the shared boundary sweep on the span
+substrate (lazy per-core spans, trusted completion events). The lanes'
+structure-of-arrays bookkeeping is re-homed onto rows of batch-owned
+``(R, n_cores)`` matrices at construction, so the boundary reads them
+with zero per-lane gathering.
 
 The serial engine's event clock jumps do not engage in the fused loop:
 they are an alternative to the batch's amortization, not an addition
@@ -64,34 +49,22 @@ to it, and a jump is an exact shortcut for the ticks it replaces, so
 leaving it out changes no bit. What stays per lane is the interval
 advance (dispatch, completions, spans), the utilization and memory
 readback, DPM, the V/f transitions and migrations the families find,
-and the fallback lanes' policy calls. Shrinking the per-lane scalar
-term is what breaks the eager batch's Amdahl cap (docs/ENGINE.md).
-Event lanes are bit-identical to serial event runs
-(``tests/test_engine_batch.py``, ``tests/test_engine_span.py``).
+and the fallback lanes' policy calls.
 
 Bit-identity
 ------------
 
-Everything except the three dense products of the exact thermal step
-(steady gain, propagator, mean readback) batches with *exactly* the
-serial engine's floating-point behavior: elementwise ops, segment
-``reduceat`` and the event power kernel's per-lane GEMVs all process a
-run's lane independently of its neighbors. The dense products are the
-one exception — BLAS GEMM kernels accumulate differently from the
-single-column GEMV — so the engine offers two propagation modes for
-eager lanes (event lanes ignore the mode: their modal steppers issue
-the serial GEMVs):
+Every batched operation processes a run's lane independently of its
+neighbors: elementwise ops, segment ``reduceat``, and the per-lane
+GEMVs of the event power kernel and of the modal step, each on a
+contiguous row as the serial loop passes it. Lanes are therefore
+bit-identical to serial event runs (``tests/test_engine_batch.py``,
+``tests/test_engine_span.py``). One GEMM over the batch would not be:
+BLAS GEMM columns differ from GEMV at ~1e-13 K.
 
-- ``propagation="exact"`` (default): dense products are applied
-  column-by-column with the same GEMV calls the serial engine makes.
-  Results are **bit-identical** to running each lane through
-  :meth:`SimulationEngine.run` (covered across the policy x stack
-  matrix by ``tests/test_engine_batch.py``).
-- ``propagation="gemm"``: the dense products are single GEMMs over the
-  state matrix — the fastest path — at BLAS-kernel-level deviation
-  (~1e-13 K per step, eleven orders below the 0.01 K accuracy budget).
-  Scheduling decisions compare temperatures against thresholds, so in
-  practice the discrete stream (jobs, migrations, V/f) still matches.
+Eager runs, the per-event reference, never fuse: the engine refuses an
+eager lane, and ``ExperimentRunner.group_batchable`` hands each eager
+spec to :meth:`SimulationEngine.run` alone.
 """
 
 from __future__ import annotations
@@ -101,7 +74,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from repro.core.adapt3d import Adapt3D
-from repro.core.base import Migration, TickArrays
+from repro.core.base import Migration
 from repro.core.default import IMBALANCE_THRESHOLD
 from repro.core.dvfs_flp import DVFSFloorplanAware
 from repro.core.dvfs_tt import DVFSTemperatureTriggered
@@ -122,8 +95,6 @@ from repro.obs.profiler import (
 )
 from repro.sched.engine import SimulationEngine, _Recording
 from repro.thermal.model import ModalJump
-
-PROPAGATION_MODES = ("exact", "gemm")
 
 #: The plain §III-A DVFS classes a stacked family can tick.
 _DVFS_KINDS = (
@@ -179,7 +150,7 @@ def _stack_parts(lane: SimulationEngine):
 def _stack_policy_ticks(
     lanes: Sequence[SimulationEngine],
 ) -> Tuple[list, List[SimulationEngine]]:
-    """Partition event lanes into stacked policy families.
+    """Partition lanes into stacked policy families.
 
     Returns ``(families, fallback)``. Every plain probabilistic
     allocator (a hybrid's Adapt3D half included) joins one
@@ -231,7 +202,7 @@ class _ProbabilisticBatchTick:
     exactly as member ``i``'s own ``on_tick`` would evolve it (all
     operations are row-independent), and allocators issue no tick
     actions. Members share the history window and cursor. Built from
-    ``(batch row, allocator)`` pairs; event fidelity only.
+    ``(batch row, allocator)`` pairs.
     """
 
     def __init__(self, members) -> None:
@@ -310,8 +281,7 @@ class _DVFSBatchTick:
     tie-breaks — match the serial engine. Standalone members then take
     the base load-balancing migration, decided on the queue lengths the
     tick saw; hybrid members drop it, as :class:`HybridPolicy` does.
-    Built from ``(batch row, lane, policy, migrate)`` tuples; event
-    fidelity only.
+    Built from ``(batch row, lane, policy, migrate)`` tuples.
     """
 
     def __init__(self, members) -> None:
@@ -445,40 +415,34 @@ class _DVFSBatchTick:
 
 
 class BatchSimulationEngine:
-    """Run R compatible simulations through one fused tick loop.
+    """Run R compatible event simulations through one fused tick loop.
 
     Parameters
     ----------
     engines:
-        The lanes: one fully-built :class:`SimulationEngine` per run.
-        All lanes must share the same :class:`ThermalAssembly` and
+        The lanes: one fully-built :class:`SimulationEngine` per run,
+        each with ``EngineConfig(fidelity="event")``; an eager lane is
+        refused (run it alone with :meth:`SimulationEngine.run`). All
+        lanes must share the same :class:`ThermalAssembly` and
         :class:`ChipPowerModel` instances (the
         :class:`~repro.analysis.runner.ExperimentRunner` caches
         guarantee this for runs on the same (exp, grid)), the same
-        sampling interval, duration and fidelity.
-        Policies, workloads, seeds, DPM and sensor noise may differ per
-        lane.
-    propagation:
-        ``"exact"`` (bit-identical to serial runs, default) or
-        ``"gemm"`` (single-GEMM thermal propagation, see module docs);
-        eager lanes only — event lanes are always bit-identical.
+        sampling interval and duration. Policies, workloads, seeds, DPM
+        and sensor noise may differ per lane.
     """
 
-    def __init__(
-        self,
-        engines: Sequence[SimulationEngine],
-        propagation: str = "exact",
-    ) -> None:
+    def __init__(self, engines: Sequence[SimulationEngine]) -> None:
         lanes = list(engines)
         if not lanes:
             raise SchedulerError("batch engine needs at least one run")
-        if propagation not in PROPAGATION_MODES:
-            raise SchedulerError(
-                f"unknown propagation mode {propagation!r}; "
-                f"expected one of {PROPAGATION_MODES}"
-            )
         base = lanes[0]
-        for lane in lanes[1:]:
+        for lane in lanes:
+            if lane.config.fidelity != "event":
+                raise SchedulerError(
+                    "batched lanes run at event fidelity, got "
+                    f"{lane.config.fidelity!r}; run the engine alone "
+                    "with SimulationEngine.run"
+                )
             if lane.thermal.assembly is not base.thermal.assembly:
                 raise SchedulerError(
                     "batched runs must share one ThermalAssembly; build "
@@ -498,13 +462,7 @@ class BatchSimulationEngine:
                 )
             if lane.config.duration_s != base.config.duration_s:
                 raise SchedulerError("batched runs must share the duration")
-            if lane.config.fidelity != base.config.fidelity:
-                raise SchedulerError(
-                    "batched runs must share the fidelity mode; eager "
-                    "and event lanes advance their intervals differently"
-                )
         self.lanes = lanes
-        self.propagation = propagation
 
     @property
     def n_runs(self) -> int:
@@ -517,27 +475,17 @@ class BatchSimulationEngine:
         """Advance every lane to completion; results in lane order.
 
         Returns one :class:`~repro.sched.engine.SimulationResult` per
-        lane, each indistinguishable from (and for event lanes or in
-        ``exact`` mode bit-identical to) the lane's own
+        lane, bit-identical to the lane's own
         :meth:`SimulationEngine.run`.
         """
         lanes = self.lanes
         n_lanes = len(lanes)
         base = lanes[0]
-        # Event lanes advance event-to-event on the span substrate
-        # (lazy per-core spans, trusted completion heap) and report
-        # utilization from span anchors. The serial engine's event clock
-        # jumps do not engage here — the batch already amortizes the
-        # boundary they would skip, and R lanes are almost never quiet
-        # simultaneously; a jump is an exact shortcut for the ticks it
-        # replaces, so skipping it changes no bit.
-        use_span = base.config.fidelity == "event"
 
         shapes = [lane._prepare_run() for lane in lanes]
         n_ticks, dt = shapes[0]
         if any(shape != (n_ticks, dt) for shape in shapes[1:]):
             raise SchedulerError("batched runs disagree on tick layout")
-        exact = self.propagation == "exact"
 
         # Initial sensor read (the serial engine does this between
         # preparation and the first tick).
@@ -560,42 +508,28 @@ class BatchSimulationEngine:
                 temps_mat[r], dyn_mat[r], volt_mat[r],
             )
 
-        thermal = base.thermal
         power = base.power
-        n_nodes = thermal.network.n_nodes
-        n_units = len(thermal.unit_names)
+        n_units = len(base.thermal.unit_names)
 
-        # Readback rows, one per lane: ``unit_rows`` (mean) and
-        # ``peak_rows`` (max, NaN outside core units on event lanes).
-        # The post-step readback of tick k is the pre-step temperature
-        # of tick k+1; the initial rows use the same per-lane GEMV the
-        # serial engine starts from.
-        if use_span:
-            # Each event lane's ModalJump, the stepper serial event
-            # steps, re-homed onto rows of (R, ·) blocks: a tick is one
-            # block step (ModalJump.advance_rows).
-            modals = [lane.thermal.modal_jump() for lane in lanes]
-            modal_blocks = ModalJump.stack(modals)
-            unit_rows = modal_blocks["mean"]
-            peak_rows = modal_blocks["peak"]
-        else:
-            # (n_nodes, R) thermal state: column r is lane r's node
-            # vector; the readback blocks are (n_units, R), read through
-            # their transposes.
-            temps_block = np.empty((n_nodes, n_lanes))
-            for r, lane in enumerate(lanes):
-                temps_block[:, r] = lane.thermal.temperatures
-            unit_rows = np.empty((n_units, n_lanes)).T
+        # Each lane's ModalJump, the stepper serial event steps,
+        # re-homed onto rows of (R, ·) blocks: a tick is one block step
+        # (ModalJump.advance_rows), which also fills the readback rows
+        # ``unit_rows`` (mean) and ``peak_rows`` (max, NaN outside core
+        # units). The post-step readback of tick k is the pre-step
+        # temperature of tick k+1; the initial rows use the same
+        # per-lane GEMV the serial engine starts from.
+        modals = [lane.thermal.modal_jump() for lane in lanes]
+        modal_blocks = ModalJump.stack(modals)
+        unit_rows = modal_blocks["mean"]
+        peak_rows = modal_blocks["peak"]
         for r, lane in enumerate(lanes):
             unit_rows[r] = lane.thermal.unit_temperature_vector()
 
         recs = [_Recording.allocate(lane, n_ticks) for lane in lanes]
         core_cols = recs[0].core_cols
-        # Event lanes tick each policy family once for the batch
-        # (_stack_policy_ticks); lanes without a family keep their own
-        # on_tick.
-        if use_span:
-            families, fallback = _stack_policy_ticks(lanes)
+        # Each policy family ticks once for the batch; lanes without a
+        # family keep their own on_tick.
+        families, fallback = _stack_policy_ticks(lanes)
         # Ideal sensors read the true per-core peaks, so the whole
         # batch's sensor sweep is one gather (bitwise equal to the
         # per-lane reads); noisy lanes keep their per-lane RNG draws.
@@ -614,13 +548,11 @@ class BatchSimulationEngine:
         energies = [0.0] * n_lanes
         mem_vec = np.empty(n_lanes)
         util_mat = np.empty((n_lanes, n_cores))
-        if use_span:
-            # Event lanes price power with the event kernel on the
-            # C-contiguous (R, ·) rows, one GEMV per lane.
-            event_power = power.event_buffers(n_lanes)
-            mem_col = mem_vec[:, None]
-            power_mat = np.empty((n_lanes, n_units))
-        core_names_tuples = [lane._core_names_tuple for lane in lanes]
+        # The event kernel prices power on the C-contiguous (R, ·) rows,
+        # one GEMV per lane.
+        event_power = power.event_buffers(n_lanes)
+        mem_col = mem_vec[:, None]
+        power_mat = np.empty((n_lanes, n_units))
         dpm_lanes = [lane for lane in lanes if lane.config.dpm is not None]
 
         # Batch-level tick-phase profiler: the fused boundary runs once
@@ -640,54 +572,28 @@ class BatchSimulationEngine:
             t1 = t0 + dt
             prof.begin()
 
-            # Per-lane interval execution (scalar state machines, in
-            # lane order — lanes are independent).
-            if use_span:
-                for lane in lanes:
-                    lane._advance_interval_span(t0, t1)
-                for r, lane in enumerate(lanes):
-                    util_mat[r] = lane._span_utilization(dt, t0, t1)
-                    mem_vec[r] = lane._memory_intensity()
-            else:
-                for lane in lanes:
-                    lane._advance_interval_heap(t0, t1)
-                for r, lane in enumerate(lanes):
-                    util_mat[r] = lane._gather_utilization(dt)
-                    mem_vec[r] = lane._memory_intensity()
+            # Per-lane interval execution on the span substrate (scalar
+            # state machines, in lane order — lanes are independent).
+            for lane in lanes:
+                lane._advance_interval_span(t0, t1)
+            for r, lane in enumerate(lanes):
+                util_mat[r] = lane._span_utilization(dt, t0, t1)
+                mem_vec[r] = lane._memory_intensity()
             prof.lap(PH_INTERVAL)
 
-            # Fused boundary: one power kernel call for the whole batch
-            # and one thermal block step. Event lanes take the event
-            # kernel on their rows (elementwise, then one GEMV per lane
-            # on its contiguous row: serial event's bits). Eager lanes
-            # take the oracle-exact kernel with cores/units down axis
-            # 0, one column per lane. Either way the thermal step gets a
-            # C-contiguous (R, n_units) power block, so its per-lane
-            # GEMV operands are contiguous rows as in serial.
-            if use_span:
-                power.event_factors(
-                    state_mat, util_mat, dyn_mat, volt_mat, mem_col,
-                    event_power,
-                )
-                power.event_eval(event_power, unit_rows, power_mat)
-            else:
-                base_mat, leak_mat = power.power_factors(
-                    state_mat.T, util_mat.T, dyn_mat.T, volt_mat.T, mem_vec
-                )
-                power_mat = np.ascontiguousarray(
-                    power.power_eval(base_mat, leak_mat, unit_rows.T).T
-                )
+            # Fused boundary: one event-kernel call for the whole batch
+            # (elementwise, then one GEMV per lane on its contiguous
+            # row: serial event's bits) and one modal block step.
+            power.event_factors(
+                state_mat, util_mat, dyn_mat, volt_mat, mem_col,
+                event_power,
+            )
+            power.event_eval(event_power, unit_rows, power_mat)
             prof.lap(PH_POWER)
-            if use_span:
-                if tick == 0:
-                    for r, modal in enumerate(modals):
-                        modal.open(power_mat[r])
-                ModalJump.advance_rows(modals, modal_blocks, power_mat)
-            else:
-                temps_block = thermal.step_block(
-                    power_mat, temps_block, column_exact=exact
-                )
-                peak_rows = thermal.unit_max_block(temps_block).T
+            if tick == 0:
+                for r, modal in enumerate(modals):
+                    modal.open(power_mat[r])
+            ModalJump.advance_rows(modals, modal_blocks, power_mat)
             prof.lap(PH_THERMAL)
             if all_ideal:
                 temps_mat[:, :] = peak_rows[:, core_cols]
@@ -698,49 +604,23 @@ class BatchSimulationEngine:
                     )
             prof.lap(PH_SENSORS)
 
-            # DPM before the policy snapshots, as in the serial loop.
+            # DPM before the policy reads the rows, as in the serial loop.
             for lane in dpm_lanes:
                 lane._apply_dpm(t1)
             prof.lap(PH_DPM)
 
-            if use_span:
-                for family in families:
-                    family.tick(t1, temps_mat, util_mat, ql_mat, vf_mat)
-                # Lanes without a family view their live batch rows
-                # through one persistent per-lane context (no snapshot
-                # copies) and skip a provable no-op tick, as serial.
-                for lane in fallback:
-                    if not lane._policy_tick_noop():
-                        lane._run_policy(t1)
-            else:
-                # One batch copy per snapshot field; each lane's
-                # TickArrays is a row view of the copies (identical
-                # values to the serial per-run copies, without R small
-                # allocations).
-                temps_snap = temps_mat.copy()
-                state_snap = state_mat.copy()
-                vf_snap = vf_mat.copy()
-                ql_snap = ql_mat.copy()
-                util_snap = util_mat.copy()
-                for r, lane in enumerate(lanes):
-                    arrays = TickArrays(
-                        core_names=core_names_tuples[r],
-                        temperature_k=temps_snap[r],
-                        utilization=util_snap[r],
-                        state_codes=state_snap[r],
-                        vf_index=vf_snap[r],
-                        queue_length=ql_snap[r],
-                    )
-                    lane._run_policy(t1, util_mat[r], arrays=arrays)
+            for family in families:
+                family.tick(t1, temps_mat, util_mat, ql_mat, vf_mat)
+            # Lanes without a family view their live batch rows through
+            # one persistent per-lane context (no snapshot copies) and
+            # skip a provable no-op tick, as serial.
+            for lane in fallback:
+                if not lane._policy_tick_noop():
+                    lane._run_policy(t1)
             prof.lap(PH_POLICY)
 
-            # Record the end-of-interval state: one blocked mean
-            # readback (modal lanes filled theirs at the step), then one
-            # plane write per field.
-            if not use_span:
-                unit_rows = thermal.unit_mean_block(
-                    temps_block, column_exact=exact
-                ).T
+            # Record the end-of-interval state (the block step filled
+            # the mean rows): one plane write per field.
             plane_unit[tick] = unit_rows
             plane_peak[tick] = peak_rows[:, core_cols]
             plane_util[tick] = util_mat
@@ -753,9 +633,8 @@ class BatchSimulationEngine:
             prof.lap(PH_RECORD)
             prof.tick_done()
 
-        if use_span:
-            for family in families:
-                family.finish()
+        for family in families:
+            family.finish()
 
         # Unpack the planes into per-lane recordings and hand each lane
         # its state back.
@@ -769,10 +648,7 @@ class BatchSimulationEngine:
             rec.core_states[:] = plane_state[:, r]
             rec.total_power[:] = plane_power[:, r]
             rec.derive_planes(dt)
-            if use_span:
-                modals[r].close()
-            else:
-                lane.thermal.temperatures = temps_block[:, r].copy()
+            modals[r].close()
             results.append(lane._build_result(rec, energies[r], dt))
         if prof.enabled:
             batch_phases = prof.summary()

@@ -75,7 +75,9 @@ execution reproduces the eager reference semantics:
   harness lives in ``tests/test_engine_event.py``.
   Within event fidelity a spec has one result: a clock jump is an exact
   shortcut for the ticks it replaces (jumps on or off give the same
-  bits).
+  bits), and a lane of the batched multi-run engine
+  (:mod:`repro.sched.batch`) gives the serial run's bits too. Only
+  event runs fuse into batches; an eager run always runs here alone.
 """
 
 from __future__ import annotations
@@ -380,11 +382,11 @@ class _Recording:
 class SimulationEngine:
     """One policy, one workload, one 3D system — run to completion.
 
-    :meth:`run` drives one tick loop for both fidelities. The class
-    doubles as the per-run state machine of the batched multi-run
-    engine (:class:`repro.sched.batch.BatchSimulationEngine`):
-    scheduler state, interval execution, DPM and policy control are all
-    per-run methods here, while the batch engine replaces only the
+    :meth:`run` drives one tick loop for both fidelities. An event
+    engine doubles as a lane of the batched multi-run engine
+    (:class:`repro.sched.batch.BatchSimulationEngine`): scheduler
+    state, interval execution, DPM and policy control are all per-run
+    methods here, while the batch engine replaces only the
     tick-boundary power/thermal/readback calls with blocked ones. The
     test-only scan oracle (``tests/scan_engine.py``) subclasses it,
     overriding the loop, the interval advance and how both policy
@@ -1620,10 +1622,7 @@ class SimulationEngine:
                 self._obs.dpm_sleep(now, core.idx)
 
     def _tick_context(
-        self,
-        now: float,
-        util_arr: Optional[np.ndarray],
-        arrays: Optional[TickArrays],
+        self, now: float, util_arr: Optional[np.ndarray]
     ) -> TickContext:
         """The context ``on_tick`` decides on at the boundary ``now``."""
         if self._use_span:
@@ -1655,18 +1654,15 @@ class SimulationEngine:
             return ctx
         # Structure-of-arrays snapshot: policies decide on the arrays,
         # and the CoreSnapshot mapping (the custom-policy interface) is
-        # materialized only on access. The batch engine passes a
-        # prebuilt ``arrays`` (rows of one per-tick batch copy) so
-        # lanes skip the per-run copies.
-        if arrays is None:
-            arrays = TickArrays(
-                core_names=self._core_names_tuple,
-                temperature_k=self._temps_arr.copy(),
-                utilization=util_arr.copy(),
-                state_codes=self._state_arr.copy(),
-                vf_index=self._vf_arr.copy(),
-                queue_length=self._ql_arr.copy(),
-            )
+        # materialized only on access.
+        arrays = TickArrays(
+            core_names=self._core_names_tuple,
+            temperature_k=self._temps_arr.copy(),
+            utilization=util_arr.copy(),
+            state_codes=self._state_arr.copy(),
+            vf_index=self._vf_arr.copy(),
+            queue_length=self._ql_arr.copy(),
+        )
         return TickContext(
             time=now,
             cores=SnapshotArrayMapping(self._core_index, arrays),
@@ -1674,12 +1670,9 @@ class SimulationEngine:
         )
 
     def _run_policy(
-        self,
-        now: float,
-        util_arr: Optional[np.ndarray] = None,
-        arrays: Optional[TickArrays] = None,
+        self, now: float, util_arr: Optional[np.ndarray] = None
     ) -> None:
-        ctx = self._tick_context(now, util_arr, arrays)
+        ctx = self._tick_context(now, util_arr)
         actions = self.policy.on_tick(ctx)
 
         for name, level in actions.vf_settings.items():

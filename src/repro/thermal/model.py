@@ -26,9 +26,10 @@ The thermal step is the exact one: power is held constant across each
 sampling interval, and ``T' = T_inf + A (T - T_inf)`` with the
 interval propagator ``A = expm(-C^-1 G dt)`` solves the RC network
 exactly over it (:mod:`repro.thermal.solver`). Eager runs apply it
-densely (:meth:`ThermalModel.step_vector`, :meth:`ThermalModel.step_block`);
-event runs step the same propagator in its truncated eigenbasis
-(:class:`ModalJump`).
+densely, one run at a time (:meth:`ThermalModel.step_vector`); event
+runs step the same propagator in its truncated eigenbasis
+(:class:`ModalJump`), and a batch of event runs steps its lanes'
+steppers as one block (:meth:`ModalJump.advance_rows`).
 
 The expensive immutable parts of a model — stack, RC network, the
 steady-state factorization, the propagator, grid mappers, the
@@ -552,104 +553,6 @@ class ThermalModel:
         back to the model.
         """
         return ModalJump(self, self.assembly.modal_pack())
-
-    def step_block(
-        self,
-        power_rows: np.ndarray,
-        temps_block: np.ndarray,
-        column_exact: bool = False,
-    ) -> np.ndarray:
-        """Advance R runs one sampling interval in a single block step.
-
-        Parameters
-        ----------
-        power_rows:
-            ``(R, n_units)`` per-run unit powers in canonical order
-            (for eager lanes the transpose of one
-            :meth:`~repro.power.chip_power.ChipPowerModel.power_eval`
-            result on ``(n_units, R)`` factors, for event lanes one
-            :meth:`~repro.power.chip_power.ChipPowerModel.event_eval`
-            result), C-contiguous so each run's row is a contiguous
-            GEMV operand.
-        temps_block:
-            ``(n_nodes, R)`` node-temperature state matrix; column ``r``
-            is run ``r``'s state. Not modified; the advanced block is
-            returned.
-        column_exact:
-            Apply the dense products column-by-column with the same
-            GEMVs :meth:`step_vector` uses, making every column
-            bit-identical to a serial step at ~3x the propagation cost.
-            With the default one-GEMM path, columns deviate from serial
-            steps only at BLAS-kernel rounding level (~1e-13 K).
-
-        The batched analogue of :meth:`step_vector`:
-        ``T' = T_inf + A (T - T_inf)`` evaluated as (up to) three GEMMs
-        over the whole batch.
-        """
-        n_units = self._projection.shape[1]
-        if power_rows.ndim != 2 or power_rows.shape[1] != n_units:
-            raise ThermalModelError(
-                f"expected (R, {n_units}) power matrix, "
-                f"got {power_rows.shape}"
-            )
-        n_runs = power_rows.shape[0]
-        if temps_block.shape != (self.network.n_nodes, n_runs):
-            raise ThermalModelError(
-                f"expected ({self.network.n_nodes}, {n_runs}) temperature "
-                f"block, got {temps_block.shape}"
-            )
-        propagator, gain, ambient = self._exp_step
-        if column_exact:
-            t_inf = np.empty_like(temps_block)
-            for r in range(n_runs):
-                t_inf[:, r] = gain @ power_rows[r]
-        else:
-            t_inf = gain @ power_rows.T
-        t_inf += ambient[:, None]
-        deviation = temps_block - t_inf
-        if column_exact:
-            step = np.empty_like(temps_block)
-            for r in range(n_runs):
-                step[:, r] = propagator @ deviation[:, r]
-        else:
-            step = propagator @ deviation
-        step += t_inf
-        return step
-
-    def unit_mean_block(
-        self, temps_block: np.ndarray, column_exact: bool = False
-    ) -> np.ndarray:
-        """Per-unit mean temperatures of R runs, ``(n_units, R)``.
-
-        Column ``r`` is :meth:`unit_temperature_vector` evaluated on
-        state column ``r``: one readback GEMM for the whole batch, or
-        per-column GEMVs under ``column_exact`` (bitwise-equal to the
-        serial readback).
-        """
-        if column_exact:
-            out = np.empty((self._readback.mean_weights.shape[0],
-                            temps_block.shape[1]))
-            for r in range(temps_block.shape[1]):
-                out[:, r] = self._readback.mean_weights @ temps_block[:, r]
-            return out
-        return self._readback.mean_weights @ temps_block
-
-    def unit_max_block(self, temps_block: np.ndarray) -> np.ndarray:
-        """Per-unit max temperatures of R runs, ``(n_units, R)``.
-
-        The blocked gather behind the batched sensor readback: one fancy
-        gather plus a segment ``maximum.reduceat`` down the node axis.
-        ``reduceat`` reduces each column independently in the same
-        order as the 1-D readback, so every column is bit-identical to
-        :meth:`unit_max_vector` on that run's state.
-        """
-        rb = self._readback
-        out = np.full((rb.n_units, temps_block.shape[1]), np.nan)
-        if rb.max_node_idx.size:
-            out[rb.max_scatter] = np.maximum.reduceat(
-                temps_block[rb.max_node_idx], rb.max_offsets, axis=0
-            )
-        return out
 
     def steady_state(self, powers: Dict[str, float]) -> Dict[str, float]:
         """Equilibrium per-unit temperatures without changing the state."""

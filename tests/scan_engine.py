@@ -180,7 +180,7 @@ class ScanEngine(SimulationEngine):
             last_core=self._thread_last_core.get(job.thread_id),
         )
 
-    def _tick_context(self, now: float, util_arr, arrays) -> TickContext:
+    def _tick_context(self, now: float, util_arr) -> TickContext:
         # ``util_arr`` is the loop's per-core utilization list.
         return TickContext(
             time=now,

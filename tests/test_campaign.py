@@ -363,8 +363,7 @@ class TestResultRoundTrip:
             result = runner.run(tiny_spec(fidelity="event", with_dpm=True))
         else:
             result = runner.run_batch(
-                [tiny_spec(seed=1), tiny_spec(policy="Adapt3D", seed=2)],
-                propagation="exact")[1]
+                [tiny_spec(seed=1), tiny_spec(policy="Adapt3D", seed=2)])[1]
         assert_bit_identical(round_trip(result, tmp_path / "run"), result)
 
     def test_two_saves_give_the_same_bytes(self, tiny_result, tmp_path):
@@ -948,6 +947,19 @@ class TestCampaignCli:
 
     def test_missing_spec_file_fails_cleanly(self, tmp_path, capsys):
         assert main(["campaign", "status", str(tmp_path / "nope.json")]) == 2
+
+    def test_propagation_option_refused(self, tmp_path, capsys):
+        """The batched backend has one thermal step, so ``campaign run``
+        has no ``--propagation``: argparse refuses it and runs
+        nothing."""
+        spec_path = tiny_campaign(name="prop").to_json(tmp_path / "p.json")
+        store = tmp_path / "store"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["campaign", "run", str(spec_path), "--store", str(store),
+                  "--backend", "batched", "--propagation", "gemm"])
+        assert exit_info.value.code == 2
+        assert "--propagation" in capsys.readouterr().err
+        assert not store.exists()
 
 
 class TestFormatError:
@@ -1568,8 +1580,6 @@ class TestBatchedBackendUnits:
     def test_invalid_batch_options_rejected(self):
         with pytest.raises(ConfigurationError):
             CampaignExecutor(backend="batched", batch_size=0)
-        with pytest.raises(ConfigurationError):
-            CampaignExecutor(backend="batched", propagation="bogus")
 
 
 @pytest.mark.slow

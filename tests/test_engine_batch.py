@@ -1,20 +1,19 @@
 """Batched multi-run engine tests.
 
-Three families:
+Two families:
 
 - differential tests proving a :class:`BatchSimulationEngine`
   reproduces per-run serial :meth:`SimulationEngine.run` results bit
-  for bit (every recorded array, energy, jobs, migrations) under both
-  fidelities: eager lanes in ``exact`` propagation mode, event lanes
-  (one modal stepper each) always — a fast multi-seed slice runs in
-  tier-1, the full stack x policy x DPM matrix under the ``slow``
+  for bit (every recorded array, energy, jobs, migrations) on its
+  event lanes (one modal stepper each) — a fast multi-seed slice runs
+  in tier-1, the full stack x policy x DPM matrix under the ``slow``
   marker;
-- ``gemm`` propagation tests pinning the fused one-GEMM path of eager
-  lanes to the serial results within BLAS-kernel rounding;
-- unit tests of the batching contract: compatibility validation,
-  ``run_batch`` grouping/order, and the noise/mix plumbing through the
-  batched path.
+- unit tests of the batching contract: compatibility validation (an
+  eager lane is refused), ``run_batch`` grouping/order (eager specs
+  run alone), and the noise/mix plumbing through the batched path.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -38,8 +37,6 @@ RESULT_ARRAYS = (
     "total_power_w",
 )
 
-DISCRETE_ARRAYS = ("times", "utilization", "vf_indices", "core_states")
-
 
 def seed_sweep(exp_id, policy, n_seeds=3, duration_s=6.0, **overrides):
     """A small multi-seed batch of otherwise identical specs."""
@@ -54,9 +51,9 @@ def run_serial(specs):
     return [RUNNER.run(spec) for spec in specs]
 
 
-def run_batched(specs, propagation="exact"):
+def run_batched(specs):
     lanes = [RUNNER.build_engine(spec) for spec in specs]
-    return BatchSimulationEngine(lanes, propagation=propagation).run()
+    return BatchSimulationEngine(lanes).run()
 
 
 def assert_results_identical(serial, batched):
@@ -80,7 +77,8 @@ def assert_jobs_identical(s, b):
 
 
 class TestBatchDifferentialFast:
-    """Tier-1 smoke slice: batched exact mode is bit-identical."""
+    """Tier-1 smoke slice: batched event lanes, and eager specs on the
+    batched route, are bit-identical."""
 
     @pytest.mark.parametrize("exp_id", [1, 4])
     @pytest.mark.parametrize("policy", ["Default", "Adapt3D&DVFS_TT"])
@@ -91,8 +89,11 @@ class TestBatchDifferentialFast:
     @pytest.mark.parametrize("exp_id", [1, 4])
     @pytest.mark.parametrize("policy", ["Default", "Adapt3D&DVFS_TT"])
     def test_eager_batch_matches_serial(self, exp_id, policy):
+        """Eager specs on the batched route run alone and keep the
+        serial bytes."""
         specs = seed_sweep(exp_id, policy, fidelity="eager")
-        assert_results_identical(run_serial(specs), run_batched(specs))
+        assert ExperimentRunner.group_batchable(specs) == [[0], [1], [2]]
+        assert_results_identical(run_serial(specs), RUNNER.run_batch(specs))
 
     def test_batch_matches_serial_with_dpm(self):
         specs = seed_sweep(1, "Migr", with_dpm=True)
@@ -104,54 +105,31 @@ class TestBatchDifferentialFast:
         specs = seed_sweep(4, "Adapt3D", sensor_noise_sigma=1.0)
         assert_results_identical(run_serial(specs), run_batched(specs))
 
-    def test_gemm_mode_tracks_serial_within_ulp(self):
-        """The one-GEMM propagation deviates only at BLAS-kernel
-        rounding; the discrete scheduling stream stays identical."""
-        specs = seed_sweep(4, "Adapt3D", fidelity="eager")
-        serial = run_serial(specs)
-        batched = run_batched(specs, propagation="gemm")
-        for s, b in zip(serial, batched):
-            np.testing.assert_allclose(
-                s.unit_temps_k, b.unit_temps_k, rtol=0.0, atol=1e-9
-            )
-            np.testing.assert_allclose(
-                s.core_peak_temps_k, b.core_peak_temps_k, rtol=0.0, atol=1e-9
-            )
-            for name in DISCRETE_ARRAYS:
-                np.testing.assert_array_equal(
-                    getattr(s, name), getattr(b, name), err_msg=name
-                )
-            assert s.migrations == b.migrations
-            assert_jobs_identical(s, b)
-
     def test_single_lane_batch_is_bitwise(self):
         spec = RunSpec(exp_id=1, policy="Adapt3D", duration_s=6.0, seed=2009)
         assert_results_identical(run_serial([spec]), run_batched([spec]))
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("fidelity", ["eager", "event"])
 class TestBatchDifferentialMatrix:
-    """Full stack x policy x DPM differential matrix, multi-seed, under
-    both fidelities: every registered policy, so each stacked policy
-    family of the event batch (and each hybrid's split into two) is
-    checked on every stack."""
+    """Full stack x policy x DPM differential matrix, multi-seed, on
+    event lanes: every registered policy, so each stacked policy family
+    of the batch (and each hybrid's split into two) is checked on every
+    stack."""
 
     @pytest.mark.parametrize("exp_id", [1, 2, 3, 4])
     @pytest.mark.parametrize("policy", policy_names())
     @pytest.mark.parametrize("with_dpm", [False, True])
-    def test_batch_matches_serial(self, exp_id, policy, with_dpm, fidelity):
+    def test_batch_matches_serial(self, exp_id, policy, with_dpm):
         specs = seed_sweep(
             exp_id, policy, n_seeds=2, duration_s=12.0, with_dpm=with_dpm,
-            fidelity=fidelity,
         )
         assert_results_identical(run_serial(specs), run_batched(specs))
 
-    def test_mixed_policy_batch(self, fidelity):
+    def test_mixed_policy_batch(self):
         """Lanes need not be homogeneous: one batch may mix policies."""
         specs = [
-            RunSpec(exp_id=3, policy=policy, duration_s=12.0, seed=2009,
-                    fidelity=fidelity)
+            RunSpec(exp_id=3, policy=policy, duration_s=12.0, seed=2009)
             for policy in ("Default", "Adapt3D", "Migr", "Adapt3D&DVFS_TT")
         ]
         assert_results_identical(run_serial(specs), run_batched(specs))
@@ -162,12 +140,15 @@ class TestBatchValidation:
         with pytest.raises(SchedulerError):
             BatchSimulationEngine([])
 
-    def test_unknown_propagation_rejected(self):
-        engine = RUNNER.build_engine(
-            RunSpec(exp_id=1, policy="Default", duration_s=2.0)
-        )
-        with pytest.raises(SchedulerError):
-            BatchSimulationEngine([engine], propagation="bogus")
+    def test_eager_lane_rejected(self):
+        """An eager lane runs alone: the batch refuses it, even beside
+        event lanes, and names the serial entry point."""
+        spec = RunSpec(exp_id=1, policy="Default", duration_s=2.0)
+        event = RUNNER.build_engine(spec)
+        eager = RUNNER.build_engine(replace(spec, seed=2, fidelity="eager"))
+        for lanes in ([eager], [event, eager]):
+            with pytest.raises(SchedulerError, match="SimulationEngine.run"):
+                BatchSimulationEngine(lanes)
 
     def test_mixed_duration_rejected(self):
         a = RUNNER.build_engine(
@@ -204,13 +185,17 @@ class TestBatchValidation:
 class TestRunBatch:
     def test_groups_and_preserves_order(self):
         """Mixed-stack spec lists come back in input order, each result
-        bit-identical to a serial run."""
+        bit-identical to a serial run; the eager specs run alone."""
         specs = [
             RunSpec(exp_id=1, policy="Default", duration_s=4.0, seed=1),
             RunSpec(exp_id=4, policy="Adapt3D", duration_s=4.0, seed=1),
             RunSpec(exp_id=1, policy="Adapt3D", duration_s=4.0, seed=2),
+            RunSpec(exp_id=1, policy="Migr", duration_s=4.0, seed=4,
+                    fidelity="eager"),
             RunSpec(exp_id=4, policy="Adapt3D", duration_s=4.0, seed=2),
             RunSpec(exp_id=1, policy="Default", duration_s=2.0, seed=3),
+            RunSpec(exp_id=1, policy="Adapt3D", duration_s=4.0, seed=5,
+                    fidelity="eager"),
         ]
         serial = run_serial(specs)
         batched = RUNNER.run_batch(specs)
@@ -222,9 +207,23 @@ class TestRunBatch:
             RunSpec(exp_id=4, policy="Default", duration_s=4.0, seed=1),
             RunSpec(exp_id=1, policy="Adapt3D", duration_s=4.0, seed=2),
             RunSpec(exp_id=1, policy="Default", duration_s=8.0, seed=1),
+            RunSpec(exp_id=1, policy="Default", duration_s=4.0, seed=3,
+                    fidelity="eager"),
+            RunSpec(exp_id=1, policy="Adapt3D", duration_s=4.0, seed=4,
+                    fidelity="eager"),
         ]
         groups = ExperimentRunner.group_batchable(specs)
-        assert groups == [[0, 2], [1], [3]]
+        assert groups == [[0, 2], [1], [3], [4], [5]]
+
+    def test_non_exact_propagation_rejected(self):
+        """``propagation`` accepts only ``"exact"``: no other thermal
+        step exists, so anything else is refused before any run."""
+        specs = seed_sweep(1, "Default", n_seeds=2, duration_s=2.0)
+        assert_results_identical(
+            run_serial(specs), RUNNER.run_batch(specs, propagation="exact")
+        )
+        with pytest.raises(ConfigurationError, match="propagation"):
+            RUNNER.run_batch(specs, propagation="gemm")
 
     def test_named_mix_plumbs_through_batch(self):
         specs = seed_sweep(

@@ -99,7 +99,7 @@ class TestSpanConfigValidation:
         eager_lane = RUNNER.build_engine(spec)
         event_lane = RUNNER.build_engine(replace(spec, seed=2))
         event_lane.config = replace(event_lane.config, fidelity="event")
-        with pytest.raises(SchedulerError):
+        with pytest.raises(SchedulerError, match="event fidelity"):
             BatchSimulationEngine([eager_lane, event_lane])
 
 
@@ -115,13 +115,14 @@ class TestSpanBatch:
             for i in range(n_seeds)
         ]
 
-    @pytest.mark.parametrize("propagation", ["exact", "gemm"])
+    @pytest.mark.parametrize("propagation", ["exact"])
     def test_batch_span_matches_serial_eager(self, propagation):
-        """``propagation`` applies to eager lanes only: event lanes
-        step their modal steppers either way."""
+        """Event lanes fused by ``run_batch`` (whose one thermal step
+        is ``"exact"``) track the serial eager reference within the
+        event tolerance and keep serial event's bits."""
         specs = self.seed_sweep("Adapt3D")
-        lanes = [RUNNER.build_engine(spec) for spec in specs]
-        batched = BatchSimulationEngine(lanes, propagation=propagation).run()
+        assert ExperimentRunner.group_batchable(specs) == [[0, 1, 2]]
+        batched = RUNNER.run_batch(specs, propagation=propagation)
         for spec, result in zip(specs, batched):
             eager = RUNNER.run(replace(spec, fidelity="eager"))
             assert_event_close(eager, result)
@@ -211,7 +212,7 @@ class TestDVFSBatch:
             _DVFSBatchTick,
         )
         lanes = [RUNNER.build_engine(spec) for spec in specs]
-        batched = BatchSimulationEngine(lanes, propagation="exact").run()
+        batched = BatchSimulationEngine(lanes).run()
         assert_results_identical(serial, batched)
 
     def test_batch_tt_hot_stack_matches_serial(self):
@@ -242,19 +243,6 @@ class TestDVFSBatch:
             assert policy_state(b_lane.policy) == policy_state(s_lane.policy)
         assert all(result.vf_indices.max() > 0 for result in batched)
         assert batched[1].migrations > 0
-
-    def test_batch_dvfs_event_lanes(self):
-        """The stacked DVFS tick with ``propagation="gemm"``, which
-        event lanes ignore: still bit for bit the serial event runs."""
-        specs = self.seed_sweep("DVFS_Util")
-        serial = [RUNNER.run(spec) for spec in specs]
-        assert isinstance(
-            one_family([RUNNER.build_engine(spec) for spec in specs]),
-            _DVFSBatchTick,
-        )
-        lanes = [RUNNER.build_engine(spec) for spec in specs]
-        batched = BatchSimulationEngine(lanes, propagation="gemm").run()
-        assert_results_identical(serial, batched)
 
     def test_mixed_dvfs_policies_stack_per_class(self):
         """Each DVFS class stacks in a family of its own. A hybrid's

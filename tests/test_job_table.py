@@ -99,8 +99,7 @@ CODEC_CASES = {
     "eager": lambda: RUNNER.run(spec(exp_id=4, policy="Migr",
                                      fidelity="eager")),
     "batch_lane": lambda: RUNNER.run_batch(
-        [spec(seed=1), spec(policy="Adapt3D", seed=2)],
-        propagation="exact")[1],
+        [spec(seed=1), spec(policy="Adapt3D", seed=2)])[1],
     "no_completed_job": lambda: RUNNER.run(
         spec(duration_s=2.0, benchmark_mix=(("gzip", 1),))),
 }

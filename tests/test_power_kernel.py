@@ -5,8 +5,8 @@ all-sleep and all-gated chips), utilizations of exactly 0 and 1, every
 V/f level, temperatures from 250 to 450 K (both leakage clamps fire)
 and memory intensities of 0, 1 and in between. Every comparison is
 bitwise (``array_equal`` / ``==``): the kernel is the oracle's equations
-in the oracle's floating-point order, and the engine-vs-oracle and
-batch-vs-serial differentials rely on that.
+in the oracle's floating-point order, and the engine-vs-oracle
+differential relies on that.
 
 The event kernel (``event_factors`` / ``event_eval``) runs over the
 same seeded cases but is held to a per-unit relative tolerance
@@ -190,23 +190,16 @@ class TestKernelAgainstOracle:
         assert (poly == DEFAULT_LEAKAGE.ceiling).any()
 
     def test_columns_match_single_run(self, model, seed):
+        """One-run kernel calls held as the columns of a unit-major
+        batch matrix: ``total_power_rows`` over its rows totals each
+        run with ``total_power``'s bits and the oracle's sum."""
         batch = cases(model, seed)
-        base, leak_mul = model.power_factors(
-            np.stack([c.states for c in batch], axis=1),
-            np.stack([c.utils for c in batch], axis=1),
-            np.stack([c.dyn for c in batch], axis=1),
-            np.stack([c.volt for c in batch], axis=1),
-            np.array([c.memory for c in batch]),
-        )
-        temps = np.stack([c.temps for c in batch], axis=1)
-        powers = model.power_eval(base, leak_mul, temps)
+        powers = np.stack([case.kernel(model) for case in batch], axis=1)
         assert powers.shape == (len(model.unit_names), len(batch))
-        for r, case in enumerate(batch):
-            np.testing.assert_array_equal(powers[:, r], case.kernel(model))
         rows = np.ascontiguousarray(powers.T)
         assert model.total_power_rows(rows) == [
             model.total_power(row) for row in rows
-        ]
+        ] == [sum(case.oracle(model)[0].values()) for case in batch]
 
     def test_frozen_factors_reevaluate(self, model, seed):
         rng = np.random.default_rng(seed + 1000)
@@ -257,6 +250,9 @@ class TestEventKernel:
             np.testing.assert_array_equal(buf.base[r], single.base)
             np.testing.assert_array_equal(buf.weight[r], single.weight)
             np.testing.assert_array_equal(powers[r], case.event(model))
+        assert model.total_power_rows(powers) == [
+            model.total_power(row) for row in powers
+        ]
 
     def test_frozen_factors_reevaluate(self, model, seed):
         rng = np.random.default_rng(seed + 1000)
@@ -353,10 +349,8 @@ class TestWarmStartInputs:
             engine.run()
         assert not engine.workload.arrivals_read
 
-    @pytest.mark.parametrize("fidelity", ["eager", "event"])
-    def test_batched_lanes_check_too(self, fidelity):
-        lanes = [RUNNER.build_engine(replace(SPEC, seed=s, fidelity=fidelity))
-                 for s in (1, 2)]
+    def test_batched_lanes_check_too(self):
+        lanes = [RUNNER.build_engine(replace(SPEC, seed=s)) for s in (1, 2)]
         lanes[1].workload = FixedIntensity(lanes[1].workload, 1.2)
         with pytest.raises(SchedulerError, match="memory_intensity"):
             BatchSimulationEngine(lanes).run()

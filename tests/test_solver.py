@@ -145,11 +145,5 @@ class TestTransient:
 
     def test_shape_checks(self):
         model = transient_model(0.1)
-        n_units = len(model.unit_names)
         with pytest.raises(ThermalModelError):
             model.step_vector(np.zeros(3))
-        temps = np.full((model.network.n_nodes, 2), AMBIENT_K)
-        with pytest.raises(ThermalModelError):
-            model.step_block(np.zeros((2, 3)), temps)
-        with pytest.raises(ThermalModelError):
-            model.step_block(np.zeros((2, n_units)), temps[:-1])
