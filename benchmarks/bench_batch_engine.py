@@ -20,24 +20,23 @@ cannot amortize, so they clear the Amdahl cap an eager batch once hit
 below, against its own measured baseline so the gate stays
 machine-relative.
 
-Emits a ``batch`` section merged into ``BENCH_engine.json`` (results
-dir + repo-root mirror). ``REPRO_BENCH_SMOKE=1`` shortens the runs and
+Merges a ``batch`` section into ``BENCH_engine.json`` (results dir,
+and the tracked repo-root copy in full mode only; see
+``merge_artifact``). ``REPRO_BENCH_SMOKE=1`` shortens the runs and
 skips the timing gate (CI runs the bench for the artifact and the
 bit-identity check, not for timings on shared runners).
 """
 
-import json
 import os
 import time
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 
 from repro.analysis.runner import ExperimentRunner, RunSpec
 from repro.sched.batch import BatchSimulationEngine
 
-from benchmarks.conftest import BENCH_SEED, emit
+from benchmarks.conftest import BENCH_SEED, emit, merge_artifact
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
 
@@ -48,8 +47,6 @@ REPS = 1 if SMOKE else 2
 #: Event lanes (the span substrate) must clear the eager Amdahl cap
 #: (~1.75x) with room to spare: measured ~2.6x on the bench machine.
 GATE_EVENT_VS_SERIAL = 2.5
-
-REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 def _specs():
@@ -129,20 +126,8 @@ def test_batch_engine_throughput(results_dir):
         },
     }
 
-    # Merge into BENCH_engine.json next to the hot-path section so the
-    # whole engine perf story lives in one artifact; fall back to the
-    # tracked repo-root mirror when results/ starts clean, and never
-    # overwrite that mirror with smoke-mode figures.
-    merged = {}
-    existing = results_dir / "BENCH_engine.json"
-    source = existing if existing.exists() else REPO_ROOT / "BENCH_engine.json"
-    if source.exists():
-        merged = json.loads(source.read_text())
-    merged["batch"] = payload_section
-    text = json.dumps(merged, indent=2) + "\n"
-    existing.write_text(text)
-    if not SMOKE:
-        (REPO_ROOT / "BENCH_engine.json").write_text(text)
+    merge_artifact(results_dir, "BENCH_engine.json",
+                   {"batch": payload_section}, SMOKE)
 
     lines = [
         f"Batched multi-run engine ({n_runs}-seed EXP-4 Adapt3D sweep, "

@@ -13,8 +13,10 @@ eager-only, and the hot-path gate was set on eager):
 Also reports the engine-assembly reuse win from the runner's
 ThermalAssembly cache (which now amortizes the ``expm`` build too).
 
-Emits ``BENCH_engine.json`` into ``benchmarks/results/`` and mirrors it
-to the repo root so the perf trajectory is tracked at top level.
+Merges its sections into ``BENCH_engine.json`` under
+``benchmarks/results/`` and, in full mode only, into the tracked
+repo-root copy (``merge_artifact``), so the perf trajectory is tracked
+at top level.
 
 Reference points on the ROADMAP trajectory machine: EXP-4 cost
 0.85 ms/tick at seed, 0.61 after PR 1, 0.37 after PR 2 (event heap).
@@ -25,18 +27,16 @@ which costs less than the backward-Euler scan ``PR2_SCAN_EXP4_MS`` was
 measured on, so the scaling can only tighten the gate.
 """
 
-import json
 import os
 import time
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 
 from repro.analysis.runner import ExperimentRunner, RunSpec
 from repro.campaign.spec import run_key
 
-from benchmarks.conftest import BENCH_SEED, emit
+from benchmarks.conftest import BENCH_SEED, emit, merge_artifact
 from tests.scan_engine import ScanEngine
 
 #: REPRO_BENCH_SMOKE=1 shortens the measurement and skips the timing
@@ -70,8 +70,6 @@ CONFIGS = (
 IDLE_MIX = (("gzip", 1), ("MPlayer", 1))
 GATE_EVENT_VS_SERIAL = 5.0
 STRETCH_EVENT_VS_SERIAL = 10.0
-
-REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 def _spec(exp_id: int) -> RunSpec:
@@ -155,25 +153,7 @@ def test_engine_hotpath(results_dir):
         "assembly_first_build_ms": round(first_build_ms, 2),
         "assembly_cached_build_ms": round(cached_build_ms, 2),
     }
-    # Preserve the batch-engine section bench_batch_engine.py merges
-    # into the same artifact (collection order is alphabetical, so the
-    # batch bench usually runs first); fall back to the tracked
-    # repo-root mirror when results/ starts clean so a standalone run
-    # does not silently drop the recorded batch numbers.
-    existing = results_dir / "BENCH_engine.json"
-    source = existing if existing.exists() else REPO_ROOT / "BENCH_engine.json"
-    if source.exists():
-        previous = json.loads(source.read_text())
-        for section in ("batch", "event"):
-            if section in previous:
-                payload[section] = previous[section]
-    text = json.dumps(payload, indent=2) + "\n"
-    existing.write_text(text)
-    # Mirror to the repo root so the perf trajectory is tracked at top
-    # level — full runs only; smoke-mode figures must never replace the
-    # tracked trajectory numbers.
-    if not SMOKE:
-        (REPO_ROOT / "BENCH_engine.json").write_text(text)
+    merge_artifact(results_dir, "BENCH_engine.json", payload, SMOKE)
 
     lines = [
         "Engine hot path (ms per 100 ms tick, best of "
@@ -266,18 +246,8 @@ def test_engine_event_idle(results_dir):
         "stretch_event_vs_serial": STRETCH_EVENT_VS_SERIAL,
     }
 
-    # Merge alongside the hot-path and batch sections (results dir +
-    # repo-root mirror; smoke figures never replace the tracked ones).
-    merged = {}
-    existing = results_dir / "BENCH_engine.json"
-    source = existing if existing.exists() else REPO_ROOT / "BENCH_engine.json"
-    if source.exists():
-        merged = json.loads(source.read_text())
-    merged["event"] = section
-    text = json.dumps(merged, indent=2) + "\n"
-    existing.write_text(text)
-    if not SMOKE:
-        (REPO_ROOT / "BENCH_engine.json").write_text(text)
+    merge_artifact(results_dir, "BENCH_engine.json", {"event": section},
+                   SMOKE)
 
     emit(
         results_dir,

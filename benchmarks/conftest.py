@@ -8,6 +8,8 @@ from the store instead of re-simulating.
 
 Every bench writes its regenerated table to ``benchmarks/results/`` so
 the numbers survive pytest's output capture; they are also printed.
+The engine benches merge their sections into one JSON artifact with
+:func:`merge_artifact`, whose repo-root copy is tracked.
 
 CAUTION: run keys hash the *spec* (exp, policy, duration, seed, ...),
 not the simulator code. After changing simulation behavior, delete
@@ -17,6 +19,7 @@ figures are regenerated instead of served stale.
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 from typing import Dict
 
@@ -32,6 +35,7 @@ from repro.sched.engine import SimulationResult
 BENCH_DURATION_S = 90.0
 BENCH_SEED = 2009
 
+REPO_ROOT = Path(__file__).resolve().parents[1]
 RESULTS_DIR = Path(__file__).parent / "results"
 STORE_DIR = RESULTS_DIR / "campaign_store"
 
@@ -94,3 +98,17 @@ def emit(results_dir: Path, name: str, text: str) -> None:
     print()
     print(text)
     (results_dir / f"{name}.txt").write_text(text + "\n")
+
+
+def merge_artifact(results_dir: Path, name: str, sections: Dict[str, object],
+                   smoke: bool, root: Path = REPO_ROOT) -> None:
+    """Merge ``sections`` into the JSON artifact ``name``.
+
+    The copy under results/ always takes them, the tracked copy at the
+    repo root only in full mode. Each copy merges into its own previous
+    contents, so smoke figures in results/ never reach the tracked one.
+    """
+    for path in [results_dir / name] + ([] if smoke else [root / name]):
+        merged = json.loads(path.read_text()) if path.exists() else {}
+        merged.update(sections)
+        path.write_text(json.dumps(merged, indent=2) + "\n")

@@ -1,9 +1,17 @@
-"""Setuptools entry point.
+"""Setuptools entry point: the ``repro`` package and the ``repro-dtm`` command.
 
-Kept alongside pyproject.toml so ``pip install -e .`` works in offline
-environments without the ``wheel`` package (legacy editable install).
+``python setup.py develop`` installs both in place without network
+access. ``pip install -e .`` works too where the ``wheel`` package is
+installed.
 """
 
-from setuptools import setup
+from setuptools import find_packages, setup
 
-setup()
+setup(
+    name="repro-dtm",
+    version="1.0.0",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    install_requires=["numpy", "scipy"],
+    entry_points={"console_scripts": ["repro-dtm = repro.cli:main"]},
+)

@@ -9,7 +9,7 @@ Top-level convenience imports cover the common workflow::
     result = runner.run(RunSpec(exp_id=3, policy="Adapt3D", with_dpm=True))
     print(summarize(result))
 
-See docs/ for the engine, campaign, telemetry and contract designs and
+See docs/ for the engine, campaign and telemetry designs and
 EXPERIMENTS.md for the paper-vs-measured record.
 """
 

@@ -12,9 +12,6 @@ Subcommands:
   docs/CAMPAIGNS.md).
 - ``trace``      — simulate one run with full telemetry and export a
   Chrome-trace/Perfetto JSON timeline (see docs/OBSERVABILITY.md).
-- ``lint``       — run the AST contract checker over the repo's own
-  sources (hot-path allocation, span sync, key neutrality, NULL
-  parity, slots and config coverage; see docs/CONTRACTS.md).
 """
 
 from __future__ import annotations
@@ -26,9 +23,6 @@ from typing import List, Optional
 
 from repro.analysis.runner import ExperimentRunner, RunSpec
 from repro.analysis.tables import format_table
-from repro.contracts.cli import add_arguments as add_lint_arguments
-from repro.contracts.cli import run_from_args as run_lint_from_args
-from repro.contracts.loader import ContractError
 from repro.core.registry import policy_names
 from repro.errors import ReproError
 from repro.floorplan.experiments import EXPERIMENT_IDS, build_experiment
@@ -210,9 +204,6 @@ def cmd_campaign_run(args: argparse.Namespace) -> int:
             line += f"  {detail}"
         print(line, flush=True)
 
-    backend = args.backend
-    if args.serial:
-        backend = "serial"
     from repro.campaign import ResiliencePolicy
 
     resilience = ResiliencePolicy(
@@ -220,7 +211,7 @@ def cmd_campaign_run(args: argparse.Namespace) -> int:
     )
     executor = CampaignExecutor(
         store=store,
-        backend=backend,
+        backend=args.backend,
         max_workers=args.workers,
         progress=progress,
         batch_size=args.batch_size,
@@ -255,14 +246,6 @@ def cmd_policies(_args: argparse.Namespace) -> int:
     for name in policy_names():
         print(name)
     return 0
-
-
-def cmd_lint(args: argparse.Namespace) -> int:
-    try:
-        return run_lint_from_args(args)
-    except ContractError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 def cmd_floorplan(args: argparse.Namespace) -> int:
@@ -318,8 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
                                    "batched (compatible event runs fused "
                                    "into one tick loop per pool task; eager "
                                    "runs go alone)")
-    campaign_run.add_argument("--serial", action="store_true",
-                              help="alias for --backend serial")
     campaign_run.add_argument("--workers", type=int, default=None,
                               help="worker pool size (default: the CPUs "
                                    "this process may run on)")
@@ -389,13 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
     floorplan_parser.add_argument("--exp", type=int, default=1,
                                   choices=EXPERIMENT_IDS)
     floorplan_parser.set_defaults(func=cmd_floorplan)
-
-    lint_parser = sub.add_parser(
-        "lint",
-        help="check the engine's static contracts (docs/CONTRACTS.md)",
-    )
-    add_lint_arguments(lint_parser)
-    lint_parser.set_defaults(func=cmd_lint)
 
     return parser
 

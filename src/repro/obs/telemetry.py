@@ -170,8 +170,8 @@ class EngineTelemetry:
 class _NullTelemetry:
     """Disabled telemetry: every hook is an empty body.
 
-    Mirrors the full public surface of :class:`EngineTelemetry` (the
-    static null-parity contract rule holds the two in lockstep):
+    Mirrors the full public surface of :class:`EngineTelemetry`
+    (``tests/test_obs.py::TestNullParity`` holds the two in lockstep):
     ``stats`` is ``None`` (callers gate on ``enabled`` before reading
     job stats), and ``snapshot`` returns an empty-but-well-formed
     payload.

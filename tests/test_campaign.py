@@ -190,9 +190,8 @@ class TestGoldenKey:
     fixed spec ever changes, every cached campaign silently misses and
     re-runs.  These digests were frozen when KEY_VERSION reached 10 — a
     mismatch means either an accidental serialization change (fix it) or a
-    deliberate one (bump KEY_VERSION in repro.campaign.spec, refresh the
-    contract golden via ``repro-dtm lint --update-golden``, then update the
-    digests here).
+    deliberate one (bump KEY_VERSION in repro.campaign.spec, then update
+    the digests here).
     """
 
     GOLDEN_SPEC_KWARGS = dict(
@@ -923,11 +922,13 @@ class TestCampaignCli:
     def test_run_status_report(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         spec_path = tiny_campaign(name="cli").to_json(tmp_path / "cli.json")
-        assert main(["campaign", "run", str(spec_path), "--serial"]) == 0
+        assert main(["campaign", "run", str(spec_path),
+                     "--backend", "serial"]) == 0
         out = capsys.readouterr().out
         assert "2/2 done" in out
         # resumes from the default store location (campaigns/<name>)
-        assert main(["campaign", "run", str(spec_path), "--serial"]) == 0
+        assert main(["campaign", "run", str(spec_path),
+                     "--backend", "serial"]) == 0
         assert "cached" in capsys.readouterr().out
         assert main(["campaign", "status", str(spec_path)]) == 0
         assert main(["campaign", "report", str(spec_path)]) == 0
@@ -959,6 +960,19 @@ class TestCampaignCli:
                   "--backend", "batched", "--propagation", "gemm"])
         assert exit_info.value.code == 2
         assert "--propagation" in capsys.readouterr().err
+        assert not store.exists()
+
+    def test_serial_flag_refused(self, tmp_path, capsys):
+        """``--backend serial`` is the one way to pick the in-process
+        backend: the old ``--serial`` alias is refused and runs
+        nothing."""
+        spec_path = tiny_campaign(name="ser").to_json(tmp_path / "s.json")
+        store = tmp_path / "store"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["campaign", "run", str(spec_path), "--store", str(store),
+                  "--serial"])
+        assert exit_info.value.code == 2
+        assert "--serial" in capsys.readouterr().err
         assert not store.exists()
 
 

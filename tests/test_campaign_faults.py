@@ -669,7 +669,7 @@ class TestResilienceCli:
             tmp_path / "flags.json"
         )
         assert main([
-            "campaign", "run", str(spec_path), "--serial",
+            "campaign", "run", str(spec_path), "--backend", "serial",
             "--max-attempts", "2", "--unit-timeout", "30",
         ]) == 0
         out = capsys.readouterr().out

@@ -1,8 +1,13 @@
 """CLI tests."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from repro.cli import main
+import repro
+from repro.cli import build_parser, main
 
 
 class TestCli:
@@ -108,3 +113,16 @@ class TestCli:
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
             main([])
+
+
+class TestPackaging:
+    def test_setup_declares_the_cli_package(self):
+        """An install ships the ``repro-dtm`` command the parser is
+        named after, at the version the package reports."""
+        out = subprocess.run(
+            [sys.executable, "setup.py", "--name", "--version"],
+            cwd=Path(__file__).resolve().parents[1],
+            capture_output=True, text=True, check=True,
+        ).stdout.split()
+        assert out == [build_parser().prog, repro.__version__]
+        assert out[0] == "repro-dtm"

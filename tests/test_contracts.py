@@ -1,63 +1,292 @@
-"""Contract-checker tests (repro.contracts).
+"""Static checks on the engine's per-tick code and its config surface.
 
-Two families:
+Three properties that no behavioural test sees, each checked over the
+lists kept below as module constants:
 
-- fixture-snippet tests per rule: each rule must fire on a seeded
-  violation (true positive) and stay quiet on the sanctioned pattern
-  (true negative), exercised against throwaway module trees under
-  ``tmp_path`` via manifest overrides;
-- self-check: the shipped manifests run clean against the repo itself
-  (modulo the checked-in baseline), which is the same gate CI applies.
+- config coverage: every ``EngineConfig`` and ``RunSpec`` field is set
+  as a keyword somewhere in the four differential harness files, so no
+  knob ships without a harness that compares it;
+- slots coverage: the listed per-tick classes and every class defined
+  in the ``obs`` modules declare ``__slots__``, so their instances
+  carry no ``__dict__``;
+- hot-path allocation: the listed per-tick functions and every
+  ``select_core`` under ``src/repro/core/`` build no comprehension,
+  display, closure, f-string or ``**`` splat.
+
+A listed name that no longer resolves fails its check, so a rename
+cannot drop coverage silently. Each check also runs on a fixture that
+seeds a violation.
 """
 
-import json
+import ast
+import importlib
 import textwrap
-from dataclasses import replace
+import types
+from dataclasses import dataclass, fields
+from pathlib import Path
 
 import pytest
 
-from repro.contracts import (
-    ContractError,
-    Finding,
-    Manifest,
-    ModuleCache,
-    RuleContext,
-    default_root,
-    run_contracts,
+from repro.analysis.runner import RunSpec
+from repro.sched.engine import EngineConfig
+
+REPO = Path(__file__).resolve().parents[1]
+
+# -- config coverage ---------------------------------------------------
+
+HARNESS_FILES = (
+    "tests/test_engine_heap.py",
+    "tests/test_engine_span.py",
+    "tests/test_engine_event.py",
+    "tests/test_engine_batch.py",
 )
-from repro.contracts.baseline import (
-    load_baseline,
-    split_findings,
-    write_baseline,
+#: field -> another keyword that covers it (``RunSpec.with_dpm`` is the
+#: declarative switch that builds ``EngineConfig.dpm``).
+COVERAGE_ALIASES = {"dpm": "with_dpm"}
+
+
+def uncovered_fields(config_classes, harness_paths, aliases):
+    """``Class.field`` for each field no harness call sets by keyword."""
+    used = set()
+    for path in harness_paths:
+        for node in ast.walk(ast.parse(Path(path).read_text())):
+            if isinstance(node, ast.Call):
+                used.update(kw.arg for kw in node.keywords if kw.arg)
+    return [
+        f"{cls.__name__}.{field.name}"
+        for cls in config_classes
+        for field in fields(cls)
+        if field.name not in used and aliases.get(field.name) not in used
+    ]
+
+
+class TestConfigCoverageRule:
+    @dataclass(frozen=True)
+    class Config:
+        covered: float = 1.0
+        aliased: bool = False
+        uncovered: int = 3
+
+    def harness(self, tmp_path, call):
+        path = tmp_path / "test_diff.py"
+        path.write_text(f"def test_one():\n    {call}\n")
+        return [path]
+
+    def test_fires_on_uncovered_knob_and_honours_aliases(self, tmp_path):
+        paths = self.harness(tmp_path, "run(covered=2.0, with_alias=True)")
+        assert uncovered_fields(
+            [self.Config], paths, {"aliased": "with_alias"}
+        ) == ["Config.uncovered"]
+
+    def test_quiet_when_all_knobs_covered(self, tmp_path):
+        paths = self.harness(
+            tmp_path, "run(covered=2.0, aliased=True, uncovered=5)"
+        )
+        assert uncovered_fields([self.Config], paths, {}) == []
+
+    def test_every_engine_knob_meets_a_harness(self):
+        assert uncovered_fields(
+            [EngineConfig, RunSpec],
+            [REPO / name for name in HARNESS_FILES],
+            COVERAGE_ALIASES,
+        ) == []
+
+
+# -- slots coverage ----------------------------------------------------
+
+#: Every class defined in these modules must be slotted.
+SLOTS_MODULES = (
+    "repro.obs.trace",
+    "repro.obs.profiler",
+    "repro.obs.stats",
+    "repro.obs.telemetry",
+    "repro.obs.resilience",
 )
-from repro.contracts.findings import assign_indices
-from repro.contracts.rules import (
-    config_coverage,
-    hot_path,
-    key_neutrality,
-    null_parity,
-    slots,
-    span_sync,
+#: Per-tick (or per-event) classes elsewhere. ``SystemView`` is built
+#: once per run and stays unlisted.
+SLOTS_CLASSES = (
+    "repro.sched.engine._CoreRuntime",
+    "repro.core.base.ArrayBackedMapping",
+    "repro.core.base.SnapshotArrayMapping",
+    "repro.core.base.TickArrays",
+    "repro.core.base.CoreSnapshot",
+    "repro.core.base.TickContext",
+    "repro.core.base.AllocationContext",
+    "repro.core.base.Migration",
+    "repro.core.base.PolicyActions",
 )
 
 
-def make_ctx(tmp_path, **manifest_overrides):
-    manifest = replace(Manifest(), **manifest_overrides)
-    return RuleContext(
-        root=tmp_path, cache=ModuleCache(tmp_path), manifest=manifest
-    )
+def module_classes(module):
+    return [
+        obj for obj in vars(module).values()
+        if isinstance(obj, type) and obj.__module__ == module.__name__
+    ]
 
 
-def write_module(tmp_path, relpath, source):
-    target = tmp_path / relpath
-    target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(textwrap.dedent(source), encoding="utf-8")
-    return relpath
+def unslotted(classes):
+    """Names of the classes whose own body declares no ``__slots__``
+    (``@dataclass(slots=True)`` declares them)."""
+    return [cls.__name__ for cls in classes if "__slots__" not in vars(cls)]
+
+
+def fixture_module(source):
+    module = types.ModuleType("fixture_mod")
+    exec(textwrap.dedent(source), vars(module))
+    return module
+
+
+class TestSlotsRule:
+    def test_fires_on_unslotted_class(self):
+        module = fixture_module("""\
+            class Slotted:
+                __slots__ = ("x",)
+
+            class NoSlots:
+                def __init__(self):
+                    self.x = 1
+
+            class Subclass(Slotted):
+                pass
+            """)
+        assert unslotted(module_classes(module)) == ["NoSlots", "Subclass"]
+
+    def test_quiet_on_slots_and_dataclass_slots(self):
+        module = fixture_module("""\
+            from dataclasses import dataclass
+
+            class Plain:
+                __slots__ = ("x",)
+
+            @dataclass(frozen=True, slots=True)
+            class Data:
+                x: int = 0
+            """)
+        assert [cls.__name__ for cls in module_classes(module)] == [
+            "Plain", "Data",
+        ]
+        assert unslotted(module_classes(module)) == []
+
+    def test_per_tick_classes_are_slotted(self):
+        classes = []
+        for name in SLOTS_MODULES:
+            classes += module_classes(importlib.import_module(name))
+        for dotted in SLOTS_CLASSES:
+            module, _, name = dotted.rpartition(".")
+            classes.append(getattr(importlib.import_module(module), name))
+        assert unslotted(classes) == []
+
+
+# -- hot-path allocation -----------------------------------------------
+
+#: file -> the functions in it that run per tick (or several times a tick).
+HOT_PATH_FUNCTIONS = {
+    "src/repro/sched/engine.py": (
+        "SimulationEngine._run_ticks",
+        "SimulationEngine._quiet_ticks_event",
+        "SimulationEngine._advance_interval_heap",
+        "SimulationEngine._advance_interval_span",
+        "SimulationEngine._pop_due_completions",
+        "SimulationEngine._touch_core",
+        "SimulationEngine._execute",
+        "SimulationEngine._span_utilization",
+        "SimulationEngine._sync_queue_state",
+        "SimulationEngine._sync_vf_row",
+        "SimulationEngine._apply_vf_level",
+        "SimulationEngine._dispatch",
+        "SimulationEngine._allocation_context",
+        "SimulationEngine._run_policy",
+        "SimulationEngine._tick_context",
+        "SimulationEngine._policy_tick_noop",
+    ),
+    "src/repro/thermal/model.py": (
+        "ThermalModel.step_vector",
+        "ModalJump.advance",
+        "ModalJump.advance_rows",
+    ),
+    "src/repro/power/chip_power.py": (
+        "ChipPowerModel.power_factors",
+        "ChipPowerModel.power_eval",
+        "ChipPowerModel.event_factors",
+        "ChipPowerModel.event_eval",
+    ),
+}
+#: Every ``select_core`` (dispatch-time scoring) here is hot too.
+SELECT_CORE_DIR = "src/repro/core"
+#: The one sanctioned exception: scalar scoring over plain lists, ~2x
+#: faster than the vectorized NumPy form at the paper's n <= 16 cores
+#: (ROADMAP, measured dead ends).
+HOT_PATH_EXEMPT = [
+    ("ProbabilisticAllocator.select_core", "ListComp"),
+] * 3
+
+#: Constructs that allocate on every call.
+_ALLOCATING = (
+    ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp, ast.List,
+    ast.Set, ast.Dict, ast.Lambda, ast.JoinedStr,
+)
+
+
+def find_function(tree, qualname):
+    node = tree
+    for part in qualname.split("."):
+        node = next((child for child in node.body
+                     if isinstance(child, (ast.ClassDef, ast.FunctionDef))
+                     and child.name == part), None)
+        if node is None:
+            raise LookupError(f"{qualname} not found")
+    return node
+
+
+def select_cores(directory):
+    """``(Class.select_core, def)`` for every definition under ``directory``."""
+    for path in sorted(Path(directory).glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                for child in node.body:
+                    if (isinstance(child, ast.FunctionDef)
+                            and child.name == "select_core"):
+                        yield f"{node.name}.select_core", child
+
+
+def allocations(qualname, func):
+    """``(qualname, construct)`` for each allocation in ``func``'s body.
+
+    A ``raise`` statement is exempt (error paths are cold), and so are
+    defaults and decorators (evaluated once, at ``def`` time). A nested
+    ``def`` is a closure; its own body is not searched.
+    """
+    found = []
+
+    def visit(node):
+        if isinstance(node, ast.Raise):
+            return
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found.append((qualname, "closure"))
+            return
+        if isinstance(node, _ALLOCATING):
+            found.append((qualname, type(node).__name__))
+        if isinstance(node, ast.Call) and any(
+            kw.arg is None for kw in node.keywords
+        ):
+            found.append((qualname, "kwargs-splat"))
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    for stmt in func.body:
+        visit(stmt)
+    return found
+
+
+def write_module(path, source):
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(textwrap.dedent(source))
+    return path
 
 
 class TestHotPathRule:
-    def test_fires_on_each_forbidden_construct(self, tmp_path):
-        rel = write_module(tmp_path, "mod.py", """\
+    def test_fires_on_each_forbidden_construct(self):
+        tree = ast.parse(textwrap.dedent("""\
             class Engine:
                 def tick(self, items):
                     pairs = {"k": 1}
@@ -68,22 +297,16 @@ class TestHotPathRule:
                         return 1
                     self.call(**pairs)
                     return squares, label, fn, helper
-            """)
-        ctx = make_ctx(
-            tmp_path,
-            hot_path_functions=((rel, "Engine.tick"),),
-            hot_path_method_sweeps=(),
-        )
-        details = {f.detail for f in hot_path.check(ctx)}
-        assert details == {
-            "dict-display", "list-comp", "f-string", "lambda", "closure",
-            "kwargs-splat",
-        }
+            """))
+        kinds = {kind for _, kind in allocations(
+            "Engine.tick", find_function(tree, "Engine.tick"))}
+        assert kinds == {"Dict", "ListComp", "JoinedStr", "Lambda",
+                         "closure", "kwargs-splat"}
 
-    def test_quiet_on_clean_function_and_raise_exemption(self, tmp_path):
-        rel = write_module(tmp_path, "mod.py", """\
+    def test_quiet_on_clean_function_and_raise_exemption(self):
+        tree = ast.parse(textwrap.dedent("""\
             class Engine:
-                def tick(self, items, buf):
+                def tick(self, items, buf, scale=[1.0]):
                     total = 0
                     for i, item in enumerate(items):
                         buf[i] = item
@@ -91,338 +314,46 @@ class TestHotPathRule:
                     if total < 0:
                         raise ValueError(f"bad total: {[total]}")
                     return total
-            """)
-        ctx = make_ctx(
-            tmp_path,
-            hot_path_functions=((rel, "Engine.tick"),),
-            hot_path_method_sweeps=(),
-        )
-        assert hot_path.check(ctx) == []
+            """))
+        assert allocations(
+            "Engine.tick", find_function(tree, "Engine.tick")) == []
 
-    def test_missing_manifest_entry_is_a_finding(self, tmp_path):
-        rel = write_module(tmp_path, "mod.py", "x = 1\n")
-        ctx = make_ctx(
-            tmp_path,
-            hot_path_functions=((rel, "Engine.gone"),),
-            hot_path_method_sweeps=(),
-        )
-        [finding] = hot_path.check(ctx)
-        assert finding.detail == "missing-function"
+    def test_missing_manifest_entry_is_a_finding(self):
+        tree = ast.parse("class Engine:\n    def tick(self):\n        pass\n")
+        with pytest.raises(LookupError, match="Engine.gone"):
+            find_function(tree, "Engine.gone")
 
     def test_method_sweep_covers_every_definition(self, tmp_path):
-        write_module(tmp_path, "pol/a.py", """\
+        write_module(tmp_path / "pol" / "a.py", """\
             class A:
                 def select_core(self, job, ctx):
                     return [c for c in ctx][0]
             """)
-        write_module(tmp_path, "pol/b.py", """\
+        write_module(tmp_path / "pol" / "b.py", """\
             class B:
                 def select_core(self, job, ctx):
                     return ctx.best
             """)
-        ctx = make_ctx(
-            tmp_path,
-            hot_path_functions=(),
-            hot_path_method_sweeps=(("pol", "select_core"),),
-        )
-        [finding] = hot_path.check(ctx)
-        assert finding.scope == "A.select_core"
-        assert finding.detail == "list-comp"
+        swept = list(select_cores(tmp_path / "pol"))
+        assert [name for name, _ in swept] == ["A.select_core",
+                                               "B.select_core"]
+        assert [hit for name, func in swept
+                for hit in allocations(name, func)] == [
+            ("A.select_core", "ListComp")]
 
+    def test_hot_path_allocates_only_where_exempt(self):
+        """No listed per-tick function allocates.
 
-class TestSlotsRule:
-    def test_fires_on_unslotted_class(self, tmp_path):
-        rel = write_module(tmp_path, "mod.py", """\
-            class NoSlots:
-                def __init__(self):
-                    self.x = 1
-            """)
-        ctx = make_ctx(tmp_path, slots_modules=(rel,), slots_classes=())
-        [finding] = slots.check(ctx)
-        assert finding.detail == "missing-slots"
-        assert finding.scope == "NoSlots"
-
-    def test_quiet_on_slots_and_dataclass_slots(self, tmp_path):
-        rel = write_module(tmp_path, "mod.py", """\
-            from dataclasses import dataclass
-
-            class Plain:
-                __slots__ = ("x",)
-
-            @dataclass(frozen=True, slots=True)
-            class Data:
-                x: int = 0
-            """)
-        ctx = make_ctx(
-            tmp_path,
-            slots_modules=(rel,),
-            slots_classes=((rel, "Plain"), (rel, "Data")),
-        )
-        assert slots.check(ctx) == []
-
-
-class TestSpanSyncRule:
-    ENGINE_DIRTY = """\
-        class Engine:
-            def _apply(self, core):
-                core.gated = True
+        A seeded 16-element comprehension costs under a microsecond
+        (0.3-0.7 us on a shared 2-vCPU host) against ~65 us per traced
+        paper-figures tick, so no end-to-end timing shows one: this
+        check is what stops such allocations piling up.
         """
-    ENGINE_CLEAN = """\
-        class Engine:
-            def _apply(self, core, now):
-                core.gated = True
-                self._invalidate_event(core, now)
-
-            def _other(self, core):
-                core.gated = False
-                self._span_dirty = True
-        """
-
-    def test_fires_on_unsynced_mutation(self, tmp_path):
-        rel = write_module(tmp_path, "engine.py", self.ENGINE_DIRTY)
-        ctx = make_ctx(tmp_path, span_engine_module=rel,
-                       span_exempt_scopes=frozenset())
-        [finding] = span_sync.check(ctx)
-        assert finding.detail == "unsynced-gated"
-        assert finding.scope == "Engine._apply"
-
-    def test_quiet_when_span_is_closed(self, tmp_path):
-        rel = write_module(tmp_path, "engine.py", self.ENGINE_CLEAN)
-        ctx = make_ctx(tmp_path, span_engine_module=rel,
-                       span_exempt_scopes=frozenset())
-        assert span_sync.check(ctx) == []
-
-    def test_exempt_scope_is_skipped(self, tmp_path):
-        rel = write_module(tmp_path, "engine.py", self.ENGINE_DIRTY)
-        ctx = make_ctx(
-            tmp_path, span_engine_module=rel,
-            span_exempt_scopes=frozenset({"Engine._apply"}),
-        )
-        assert span_sync.check(ctx) == []
-
-
-KEY_RUNNER = """\
-    from dataclasses import dataclass
-
-    @dataclass(frozen=True)
-    class RunSpec:
-        exp_id: int = 1
-        policy: str = "Default"
-        telemetry: bool = False
-    """
-KEY_SPEC = """\
-    KEY_VERSION = 2
-
-    from dataclasses import dataclass
-
-    @dataclass(frozen=True)
-    class CampaignSpec:
-        name: str = "c"
-        policies: tuple = ()
-
-    def spec_to_dict(spec):
-        data = dict(spec.__dict__)
-        data.pop("telemetry", None)
-        return data
-    """
-
-
-class TestKeyNeutralityRule:
-    def setup_fixture(self, tmp_path):
-        runner = write_module(tmp_path, "runner.py", KEY_RUNNER)
-        spec = write_module(tmp_path, "spec.py", KEY_SPEC)
-        return dict(
-            key_runspec_module=runner,
-            key_spec_module=spec,
-            key_golden_path="golden.json",
-        )
-
-    def write_golden(self, tmp_path, **overrides):
-        golden = {
-            "key_version": 2,
-            "runspec_fields": ["exp_id", "policy", "telemetry"],
-            "dropped_fields": ["telemetry"],
-            "serialized_fields": ["exp_id", "policy"],
-            "campaign_axes": ["name", "policies"],
-        }
-        golden.update(overrides)
-        (tmp_path / "golden.json").write_text(json.dumps(golden))
-
-    def test_quiet_when_golden_matches(self, tmp_path):
-        overrides = self.setup_fixture(tmp_path)
-        self.write_golden(tmp_path)
-        assert key_neutrality.check(make_ctx(tmp_path, **overrides)) == []
-
-    def test_fires_on_field_drift_without_bump(self, tmp_path):
-        overrides = self.setup_fixture(tmp_path)
-        self.write_golden(tmp_path, serialized_fields=["exp_id"])
-        [finding] = key_neutrality.check(make_ctx(tmp_path, **overrides))
-        assert finding.detail == "fields-drift"
-        assert "policy" in finding.message
-
-    def test_fires_on_version_mismatch(self, tmp_path):
-        overrides = self.setup_fixture(tmp_path)
-        self.write_golden(tmp_path, key_version=1,
-                          serialized_fields=["exp_id"])
-        [finding] = key_neutrality.check(make_ctx(tmp_path, **overrides))
-        assert finding.detail == "stale-golden"
-
-    def test_missing_golden_is_a_finding(self, tmp_path):
-        overrides = self.setup_fixture(tmp_path)
-        [finding] = key_neutrality.check(make_ctx(tmp_path, **overrides))
-        assert finding.detail == "missing-golden"
-
-    def test_update_golden_writes_and_check_passes(self, tmp_path):
-        overrides = self.setup_fixture(tmp_path)
-        ctx = make_ctx(tmp_path, **overrides)
-        key_neutrality.update_golden(ctx)
-        assert key_neutrality.check(ctx) == []
-        golden = json.loads((tmp_path / "golden.json").read_text())
-        assert golden["serialized_fields"] == ["exp_id", "policy"]
-
-    def test_update_golden_refuses_unversioned_drift(self, tmp_path):
-        overrides = self.setup_fixture(tmp_path)
-        self.write_golden(tmp_path, serialized_fields=["exp_id"])
-        with pytest.raises(ContractError):
-            key_neutrality.update_golden(make_ctx(tmp_path, **overrides))
-
-
-class TestNullParityRule:
-    def test_fires_on_missing_member(self, tmp_path):
-        rel = write_module(tmp_path, "mod.py", """\
-            class Real:
-                enabled = True
-
-                def __init__(self):
-                    self.registry = object()
-
-                def emit(self, value):
-                    pass
-
-                def __len__(self):
-                    return 0
-
-            class _NullReal:
-                enabled = False
-
-                def emit(self, value):
-                    pass
-            """)
-        ctx = make_ctx(
-            tmp_path, null_parity_pairs=((rel, "Real", "_NullReal"),)
-        )
-        details = {f.detail for f in null_parity.check(ctx)}
-        assert details == {"missing-registry", "missing-__len__"}
-
-    def test_quiet_on_full_parity(self, tmp_path):
-        rel = write_module(tmp_path, "mod.py", """\
-            class Real:
-                def __init__(self):
-                    self.registry = object()
-
-                def emit(self, value):
-                    pass
-
-            class _NullReal:
-                registry = None
-
-                def emit(self, value):
-                    pass
-            """)
-        ctx = make_ctx(
-            tmp_path, null_parity_pairs=((rel, "Real", "_NullReal"),)
-        )
-        assert null_parity.check(ctx) == []
-
-
-class TestConfigCoverageRule:
-    CONFIG = """\
-        from dataclasses import dataclass
-
-        @dataclass(frozen=True)
-        class Config:
-            covered: float = 1.0
-            aliased: bool = False
-            uncovered: int = 3
-        """
-
-    def test_fires_on_uncovered_knob_and_honours_aliases(self, tmp_path):
-        cfg = write_module(tmp_path, "config.py", self.CONFIG)
-        tests = write_module(tmp_path, "test_diff.py", """\
-            def test_one():
-                run(covered=2.0, with_alias=True)
-            """)
-        ctx = make_ctx(
-            tmp_path,
-            config_sources=((cfg, "Config"),),
-            coverage_test_files=(tests,),
-            coverage_aliases=(("aliased", ("with_alias",)),),
-        )
-        [finding] = config_coverage.check(ctx)
-        assert finding.detail == "knob-uncovered"
-        assert finding.scope == "Config.uncovered"
-
-    def test_quiet_when_all_knobs_covered(self, tmp_path):
-        cfg = write_module(tmp_path, "config.py", self.CONFIG)
-        tests = write_module(tmp_path, "test_diff.py", """\
-            def test_one():
-                run(covered=2.0, aliased=True, uncovered=5)
-            """)
-        ctx = make_ctx(
-            tmp_path,
-            config_sources=((cfg, "Config"),),
-            coverage_test_files=(tests,),
-            coverage_aliases=(),
-        )
-        assert config_coverage.check(ctx) == []
-
-
-class TestFindingsAndBaseline:
-    def test_fingerprint_ignores_line_numbers(self):
-        a = Finding(rule="r", path="p.py", line=10, scope="S.f",
-                    detail="d", message="m")
-        b = Finding(rule="r", path="p.py", line=99, scope="S.f",
-                    detail="d", message="m")
-        assert a.fingerprint == b.fingerprint
-
-    def test_assign_indices_disambiguates_duplicates(self):
-        f = Finding(rule="r", path="p.py", line=1, scope="S.f",
-                    detail="d", message="m")
-        indexed = assign_indices([f, f, f])
-        assert [x.fingerprint for x in indexed] == [
-            "r::p.py::S.f::d::0", "r::p.py::S.f::d::1", "r::p.py::S.f::d::2",
-        ]
-
-    def test_baseline_round_trip_preserves_notes(self, tmp_path):
-        f = Finding(rule="r", path="p.py", line=1, scope="S.f",
-                    detail="d", message="m")
-        path = tmp_path / "baseline.json"
-        write_baseline(path, [f], {f.fingerprint: "measured faster"})
-        baseline = load_baseline(path)
-        assert baseline == {f.fingerprint: "measured faster"}
-        new, old = split_findings([f], baseline)
-        assert new == [] and old == [f]
-
-    def test_unknown_rule_rejected(self):
-        with pytest.raises(ContractError):
-            run_contracts(rules=["no-such-rule"])
-
-
-class TestRepoSelfCheck:
-    """The shipped manifests against the repo itself: the CI gate."""
-
-    def test_repo_is_clean_modulo_baseline(self):
-        root = default_root()
-        findings = run_contracts(root=root)
-        baseline = load_baseline(root / Manifest().baseline_path)
-        new, baselined = split_findings(findings, baseline)
-        assert new == [], "\n" + "\n".join(f.render() for f in new)
-        # every baseline entry must still correspond to a live finding
-        live = {f.fingerprint for f in baselined}
-        stale = set(baseline) - live
-        assert not stale, f"stale baseline entries: {sorted(stale)}"
-
-    def test_cli_lint_exits_zero(self, capsys):
-        from repro.cli import main
-        assert main(["lint"]) == 0
-        assert "clean" in capsys.readouterr().out
+        found = []
+        for path, qualnames in HOT_PATH_FUNCTIONS.items():
+            tree = ast.parse((REPO / path).read_text())
+            for qualname in qualnames:
+                found += allocations(qualname, find_function(tree, qualname))
+        for qualname, func in select_cores(REPO / SELECT_CORE_DIR):
+            found += allocations(qualname, func)
+        assert found == HOT_PATH_EXEMPT

@@ -97,8 +97,9 @@ class TestDifferentialFast:
 
     def test_heap_matches_scan_nondefault_knobs(self):
         """Differential coverage of the knobs the default specs leave
-        untouched (the config-coverage contract: every EngineConfig /
-        RunSpec field must meet at least one differential harness).
+        untouched (``tests/test_contracts.py`` checks that every
+        EngineConfig / RunSpec field meets at least one differential
+        harness).
         The 50 ms tick runs on a thermal model stepping 50 ms."""
         assert_bit_identical(
             RunSpec(

@@ -283,9 +283,10 @@ class TestTelemetryFacade:
 
 
 class TestNullParity:
-    """Runtime complement to the static null-parity contract rule
-    (`repro-dtm lint`): every public method/attribute on the NULL_*
-    singletons must exist, be callable, and stay inert."""
+    """Every public method/attribute of a real telemetry object exists
+    on its NULL_* singleton, is callable, and stays inert. Telemetry is
+    off by default, so a missing member would raise only on the
+    untraced path."""
 
     def test_every_public_member_exists_on_the_null_twin(self):
         pairs = [
