@@ -27,7 +27,12 @@ from repro.sched.dpm import FixedTimeoutDPM
 from repro.sched.engine import EngineConfig, SimulationEngine, SimulationResult
 from repro.sched.workload_source import ClosedLoopSource, WorkloadSource
 from repro.thermal.model import ThermalAssembly, ThermalModel
-from repro.workload.benchmarks import default_server_mix
+from repro.workload.benchmarks import (
+    BenchmarkSpec,
+    benchmark,
+    default_server_mix,
+    named_mix,
+)
 from repro.workload.generator import SyntheticWorkload
 
 
@@ -208,8 +213,13 @@ class ExperimentRunner:
 
     The frozen :class:`ExperimentConfig` is cached per exp_id too, beside
     the power model: building it re-validates every floorplan (an
-    O(n²) overlap check). It stays out of :class:`RunnerCaches`, since
-    any process rebuilds it in well under a millisecond.
+    O(n²) overlap check). So are what :meth:`build_engine` reads off
+    it for every run — the system view's core positions and layer map
+    per exp_id, and each named or default benchmark mix per (exp_id,
+    workload_mix). They stay out of :class:`RunnerCaches`, since any
+    process rebuilds them in well under a millisecond. What a run's
+    seed draws (the thread permutation, the initial arrivals) is never
+    cached.
 
     A campaign driver fills them for every pending run
     (:meth:`prepare`) and installs them in each pool worker's runner
@@ -221,6 +231,12 @@ class ExperimentRunner:
         self._assembly_cache: Dict[StackKey, ThermalAssembly] = {}
         self._power_cache: Dict[int, ChipPowerModel] = {}
         self._config_cache: Dict[int, ExperimentConfig] = {}
+        self._geometry_cache: Dict[
+            int, Tuple[Dict[str, Tuple[float, float]], Dict[str, int]]
+        ] = {}
+        self._mix_cache: Dict[
+            Tuple[int, Optional[str]], List[Tuple[BenchmarkSpec, int]]
+        ] = {}
 
     # ------------------------------------------------------------------
 
@@ -229,6 +245,22 @@ class ExperimentRunner:
         if config is None:
             config = self._config_cache[exp_id] = build_experiment(exp_id)
         return config
+
+    def _core_geometry(
+        self, exp_id: int, config: ExperimentConfig
+    ) -> Tuple[Dict[str, Tuple[float, float]], Dict[str, int]]:
+        """``(core positions, core layer map)`` of exp_id's system view,
+        shared by every run on it (policies read them, never write)."""
+        geometry = self._geometry_cache.get(exp_id)
+        if geometry is None:
+            positions = {}
+            for plan in config.layers:
+                for unit in plan.cores():
+                    positions[unit.name] = unit.center
+            geometry = self._geometry_cache[exp_id] = (
+                positions, config.core_layer_map()
+            )
+        return geometry
 
     def _build_thermal(
         self,
@@ -268,13 +300,10 @@ class ExperimentRunner:
         power = self._build_power(spec.exp_id, config)
         indices = self._thermal_indices(spec, config, thermal, power)
 
-        positions = {}
-        for plan in config.layers:
-            for unit in plan.cores():
-                positions[unit.name] = unit.center
+        positions, core_layer = self._core_geometry(spec.exp_id, config)
         view = SystemView(
             core_names=tuple(power.core_names),
-            core_layer=config.core_layer_map(),
+            core_layer=core_layer,
             n_layers=config.n_layers,
             vf_table=DEFAULT_VF_TABLE,
             thermal_indices=indices,
@@ -501,15 +530,21 @@ class ExperimentRunner:
                 "set either workload_mix (named scenario) or "
                 "benchmark_mix (explicit pairs), not both"
             )
-        if spec.workload_mix is not None:
-            from repro.workload.benchmarks import named_mix
-
-            mix = named_mix(spec.workload_mix, config.n_cores)
-        elif spec.benchmark_mix is None:
-            mix = default_server_mix(config.n_cores)
+        if spec.benchmark_mix is not None:
+            # Explicit pairs resolve as written, on every run: a count
+            # spelled 2.0 must fail as it always did, not borrow the
+            # mix of an equal-hashing 2.
+            mix = [
+                (benchmark(name), count) for name, count in spec.benchmark_mix
+            ]
         else:
-            from repro.workload.benchmarks import benchmark
-
-            mix = [(benchmark(name), count) for name, count in spec.benchmark_mix]
+            key = (spec.exp_id, spec.workload_mix)
+            mix = self._mix_cache.get(key)
+            if mix is None:
+                if spec.workload_mix is not None:
+                    mix = named_mix(spec.workload_mix, config.n_cores)
+                else:
+                    mix = default_server_mix(config.n_cores)
+                self._mix_cache[key] = mix
         workload = SyntheticWorkload(mix, seed=spec.seed)
         return ClosedLoopSource(workload)

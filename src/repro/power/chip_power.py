@@ -116,9 +116,11 @@ class EventPowerBuffers:
         self.state = np.zeros((4,) + lead + (n_cores,))
         self.state_rows = tuple(self.state)
         self.act = np.zeros(lead + (4 * n_cores,))
-        self.dyn, self.umem, self.amem, self.active = np.split(
-            self.act, 4, axis=-1
-        )
+        act = self.act
+        self.dyn = act[..., :n_cores]
+        self.umem = act[..., n_cores:2 * n_cores]
+        self.amem = act[..., 2 * n_cores:3 * n_cores]
+        self.active = act[..., 3 * n_cores:]
         # [1, V²·awake per core]: gathered onto the units, so every
         # non-core unit reads the leading 1.
         self.leak = np.ones(lead + (n_cores + 1,))

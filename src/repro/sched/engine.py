@@ -327,26 +327,15 @@ class _Recording:
 
     @classmethod
     def allocate(cls, engine: "SimulationEngine", n_ticks: int) -> "_Recording":
-        unit_names = engine.thermal.unit_names
-        n_units = len(unit_names)
+        # Recording layout, the stack's own (built once per assembly):
+        # the thermal model's vector readback is in unit order, so a
+        # core->column gather and the die boundaries replace name
+        # lookups. Die slices are contiguous and ordered, so per-die
+        # max/min reduce to one reduceat pair over the unit rows.
+        layout = engine.thermal.layout
+        n_units = len(layout.unit_index)
         n_cores = len(engine.core_names)
-        n_dies = engine.thermal.n_dies
-        # Recording layout, computed once: the thermal model's vector
-        # readback is already in unit_names order, so a core->column
-        # gather and the die boundaries replace name lookups.
-        unit_index = {name: i for i, name in enumerate(unit_names)}
-        core_cols = np.fromiter(
-            (unit_index[name] for name in engine.core_names),
-            dtype=np.intp,
-            count=n_cores,
-        )
-        die_slices = engine.thermal.die_unit_slices()
-        # die_slices are contiguous and ordered, so per-die max/min
-        # reduce to one reduceat pair over the unit rows.
-        die_starts = np.fromiter(
-            (sl.start for sl in die_slices), dtype=np.intp,
-            count=len(die_slices),
-        )
+        n_dies = len(layout.die_slices)
         return cls(
             times=np.zeros(n_ticks),
             unit_temps=np.zeros((n_ticks, n_units)),
@@ -357,8 +346,8 @@ class _Recording:
             vf_indices=np.zeros((n_ticks, n_cores), dtype=int),
             core_states=np.zeros((n_ticks, n_cores), dtype=int),
             total_power=np.zeros(n_ticks),
-            core_cols=core_cols,
-            die_starts=die_starts,
+            core_cols=layout.core_cols,
+            die_starts=layout.die_starts,
         )
 
     def derive_planes(self, dt: float) -> None:
@@ -411,7 +400,10 @@ class SimulationEngine:
         self.vf_table = vf_table
 
         self.core_names = power.core_names
-        if thermal.unit_names != power.unit_names:
+        if (
+            thermal.unit_names != power.unit_names
+            or list(thermal.layout.core_names) != self.core_names
+        ):
             raise SchedulerError(
                 "thermal and power models disagree on unit order; "
                 "build both from the same experiment configuration"
@@ -455,8 +447,10 @@ class SimulationEngine:
         # Event heap of (cached completion time, core.heap_seq, name).
         self._event_heap: List[Tuple[float, int, str]] = []
         # Cores whose queue head crossed the completion threshold since
-        # the last _process_completions call (only these are checked,
-        # instead of rescanning every core).
+        # the last completion pass (only these are checked, instead of
+        # rescanning every core): every eager completion, and on the
+        # span substrate the finished heads a control site materializes
+        # (due completions complete in place, _complete_due).
         self._finished_cores: List[_CoreRuntime] = []
 
         # Span-substrate state (event fidelity): incremental head-job
@@ -1093,7 +1087,11 @@ class SimulationEngine:
         touches a running job between its own invalidation sites — so
         the loop pops events straight off the heap (no
         recompute-on-pop) and materializes only the affected cores;
-        there is no per-boundary all-core execution sweep.
+        there is no per-boundary all-core execution sweep. At each
+        boundary the due completions run first (:meth:`_complete_due`),
+        then any completion a control site flagged
+        (:meth:`_complete_flagged`), then the due arrivals, each
+        dispatched as it is popped.
         """
         now = t0
         arrivals = self._arrivals
@@ -1119,20 +1117,39 @@ class SimulationEngine:
             elif next_time > t1:
                 next_time = t1
             now = next_time
-            if cached_time is not None and cached_time <= now + _TIME_EPS:
-                self._pop_due_completions(now)
+            due = now + _TIME_EPS
+            if cached_time is not None and cached_time <= due:
+                self._complete_due(now)
             if self._finished_cores:
-                self._process_completions(now)
-            if arrivals and arrivals[0][0] <= now + _TIME_EPS:
-                self._process_arrivals(now)
+                self._complete_flagged(now)
+            while arrivals and arrivals[0][0] <= due:
+                self._dispatch(heapq.heappop(arrivals)[2], now)
 
-    def _pop_due_completions(self, now: float) -> None:
-        """Consume every live heap event due at ``now`` and materialize
-        the owning cores (their heads complete here, up to eps-scale
-        boundary coincidences, which re-arm)."""
+    def _complete_due(self, now: float) -> None:
+        """Pop every live heap event due at ``now`` and complete its core.
+
+        One pass per event: the pop, the span's materialization (the
+        update :meth:`_touch_core` makes, in place) and, when the head
+        is done, its completion and re-arm (:meth:`_complete_core`). A
+        live entry always belongs to a core with a running head: every
+        change to a core's queue head, gating or sleep re-arms it and
+        so stales its entry. A head still running after the update (an
+        eps-scale boundary coincidence) is re-armed.
+
+        Completions keep one order: the cores a control site flagged
+        (``_finished_cores``) first, then the due cores in pop order,
+        each completed only once every due event of the pass is
+        materialized. A due completion therefore completes here only
+        when it is the pass's only one (the next live entry is not
+        due) and no flag is pending; otherwise it joins the flags for
+        :meth:`_complete_flagged`. Either way an event armed by a
+        completion is never popped in the pass that armed it.
+        """
         heap = self._event_heap
         cores = self._cores
+        flagged = self._finished_cores
         due = now + _TIME_EPS
+        lone = None
         while heap:
             cached_time, seq, name = heap[0]
             core = cores[name]
@@ -1142,22 +1159,95 @@ class SimulationEngine:
                 continue
             if cached_time > due:
                 break
+            if lone is not None:
+                flagged.append(lone)
+                lone = None
             heapq.heappop(heap)
             self._ob_heap_pop += 1
-            core.heap_seq += 1
-            self._touch_core(core, now)
-            if not (core.jobs and core.jobs[0].remaining_s <= _TIME_EPS):
-                self._invalidate_event(core, now)
+            core.heap_seq = seq + 1
+            job = core.jobs[0]
+            start = core.span_start
+            if now > start:
+                self._ob_span_touch += 1
+                stall = core.stall_until
+                exec_start = start if start >= stall else stall
+                if now > exec_start:
+                    remaining = (
+                        job.remaining_s - (now - exec_start) * core.speed
+                    )
+                    if remaining <= _TIME_EPS:
+                        remaining = 0.0
+                    job.remaining_s = remaining
+                    busy_from = core.busy_anchor
+                    if busy_from < exec_start:
+                        busy_from = exec_start
+                    if now > busy_from:
+                        core.busy_in_tick += now - busy_from
+                core.span_start = now
+                core.busy_anchor = now
+            if job.remaining_s > _TIME_EPS:
+                self._rearm(core, now)
+            elif flagged:
+                flagged.append(core)
+            else:
+                lone = core
+        if lone is not None:
+            self._complete_core(lone, now)
+
+    def _complete_core(self, core: _CoreRuntime, now: float) -> None:
+        """Complete a materialized core's finished head(s) and re-arm it.
+
+        Each finished head is popped and stamped, its thread remembers
+        the core, and the workload's follow-up arrival is pushed; then
+        the next head starts (or the core goes idle) and the core is
+        re-armed from the new head."""
+        jobs = core.jobs
+        pop = core.queue.pop_head
+        name = core.name
+        idx = core.idx
+        obs = self._obs
+        on_completion = self.workload.on_completion
+        while jobs and jobs[0].remaining_s <= _TIME_EPS:
+            job = pop()
+            job.completion_time = now
+            self._thread_last_core[job.thread_id] = name
+            obs.job_complete(now, job, idx)
+            follow_up = on_completion(job, now)
+            if follow_up is not None:
+                self._push_arrival(follow_up[0], follow_up[1])
+        if jobs:
+            obs.job_start(now, jobs[0], idx)
+        else:
+            core.idle_since = now
+        self._rearm(core, now)
+
+    def _complete_flagged(self, now: float) -> None:
+        """Complete the cores in ``_finished_cores``, in list order.
+
+        A control site (dispatch of a zero-work job, a migration, a V/f,
+        gating or DPM change) that materializes a finished head flags
+        its core there; :meth:`_complete_due` adds due cores behind
+        earlier flags. A core whose head is no longer finished (listed
+        twice, or its head moved away) is skipped."""
+        flagged = self._finished_cores
+        for core in flagged:
+            jobs = core.jobs
+            if jobs and jobs[0].remaining_s <= _TIME_EPS:
+                self._complete_core(core, now)
+        flagged.clear()
 
     def _touch_core(self, core: _CoreRuntime, now: float) -> None:
         """Materialize a core's lazy span up to ``now``.
 
-        Called at every site that mutates what the span compiled over
-        — dispatch, completion, migration, V/f or gating change, DPM
-        transition — and at due completion events. Decrements the head
-        job's remaining work in one closed-form update and accounts
-        the unaccounted busy time (suppressed during a clock jump,
-        which records utilization in closed form instead).
+        Called at every control site that mutates what the span
+        compiled over — migration, V/f or gating change, DPM
+        transition; dispatch onto an idle core and due completion
+        events make the same update in place (:meth:`_dispatch`,
+        :meth:`_complete_due`). Decrements the head job's remaining
+        work in one closed-form update, flags a head it finishes in
+        ``_finished_cores``, and accounts the unaccounted busy time
+        (suppressed during a clock jump, which records utilization in
+        closed form instead).
         """
         start = core.span_start
         if now <= start:
@@ -1217,18 +1307,6 @@ class SimulationEngine:
         np.minimum(util_arr, 1.0, out=util_arr)
         return util_arr
 
-    def _next_core_event_span(
-        self, core: _CoreRuntime
-    ) -> Optional[float]:
-        """Completion time of the core's lazy span (exact while the
-        span stays untouched — the heap can trust it)."""
-        jobs = core.jobs
-        if not jobs or core.halted:
-            return None
-        stall = core.stall_until
-        start = core.span_start if core.span_start >= stall else stall
-        return start + jobs[0].remaining_s / core.speed
-
     # ------------------------------------------------------------------
     # initialization
 
@@ -1239,7 +1317,16 @@ class SimulationEngine:
 
         Both load inputs come from outside the engine (the config and
         the workload plug-in) and the power kernel does not range-check,
-        so they are checked here, before any arrival or tick.
+        so they are checked here, on every run, before any arrival or
+        tick.
+
+        The equilibrium is a function of the stack and of the load's
+        inputs alone, so the assembly memoizes it
+        (``ThermalAssembly.warm_starts``) under a key holding every one
+        of them: the power model, the nominal V/f level, the
+        utilization, the mix memory intensity and the ambient. A run
+        whose load was solved before copies that solve's node
+        temperatures — the same bits a fresh solve gives.
         """
         utilization = _check_fraction(
             "EngineConfig.warmup_utilization", self.config.warmup_utilization
@@ -1247,14 +1334,20 @@ class SimulationEngine:
         memory_intensity = _check_fraction(
             "workload memory_intensity()", self.workload.memory_intensity()
         )
-        self.thermal.initialize_steady_state(
-            self.power.uniform_load(
-                utilization,
-                self.vf_table[self.vf_table.nominal_index],
-                memory_intensity,
-                self.thermal.ambient_k,
+        nominal = self.vf_table[self.vf_table.nominal_index]
+        ambient = self.thermal.ambient_k
+        memo = self.thermal.assembly.warm_starts
+        key = (self.power, nominal, utilization, memory_intensity, ambient)
+        warm = memo.get(key)
+        if warm is None:
+            self.thermal.initialize_steady_state(
+                self.power.uniform_load(
+                    utilization, nominal, memory_intensity, ambient
+                )
             )
-        )
+            memo[key] = self.thermal.temperatures.copy()
+        else:
+            self.thermal.temperatures = warm.copy()
 
     # ------------------------------------------------------------------
     # discrete-event interval execution
@@ -1352,25 +1445,6 @@ class SimulationEngine:
             code = _IDLE_CODE
         self._state_arr[i] = code
         self._state_list[i] = code
-        if self._use_span:
-            # Incremental head-job memory-intensity accumulator: queue
-            # heads only change at sites that sync this row, so the
-            # span substrate reads the mix intensity in O(1) instead of
-            # sweeping every core each tick.
-            new_mem = jobs[0].benchmark.memory_intensity if jobs else None
-            old_mem = core.head_mem
-            if old_mem is None:
-                if new_mem is not None:
-                    self._mem_sum += new_mem
-                    self._mem_count += 1
-            elif new_mem is None:
-                self._mem_sum -= old_mem
-                self._mem_count -= 1
-                if not self._mem_count:
-                    self._mem_sum = 0.0  # shed accumulated drift
-            elif new_mem != old_mem:
-                self._mem_sum += new_mem - old_mem
-            core.head_mem = new_mem
 
     def _adopt_core_rows(
         self,
@@ -1422,24 +1496,62 @@ class SimulationEngine:
         (source and destination), V/f change, gating flip, and sleep
         transitions. The structure-of-arrays row (queue length, state
         code, V/f level) is synced here too, since its inputs change at
-        exactly these sites.
+        exactly these sites. On the span substrate this is
+        :meth:`_rearm`.
         """
+        if self._use_span:
+            self._rearm(core, now)
+            return
         self._sync_queue_state(core)
         core.heap_seq += 1
         self._ob_heap_invalidate += 1
-        if self._use_span:
-            # Invalidation implies a state mutation — close any open
-            # clock jump — and the fresh event is computed from the
-            # span anchor (every mutation site materializes first, so
-            # the cached time stays exact until the next invalidation).
-            self._span_dirty = True
-            self._obs.span_close(now, core.idx)
-            event = self._next_core_event_span(core)
-        else:
-            event = self._next_core_event(core, now)
+        event = self._next_core_event(core, now)
         if event is not None:
             heapq.heappush(
                 self._event_heap, (event, core.heap_seq, core.name)
+            )
+            self._ob_heap_push += 1
+
+    def _rearm(self, core: _CoreRuntime, now: float) -> None:
+        """The span substrate's invalidation: sync the core's row,
+        close any open clock jump and push its span's completion.
+
+        Every mutation site materializes the span first, so the pushed
+        time — the span anchor (or the stall end) plus the head's
+        remaining work at the core's speed — stays exact until the
+        next re-arm. Queue heads change only at re-arm sites, so the
+        head-job memory-intensity accumulator is kept here and the
+        mix intensity reads in O(1) instead of sweeping every core
+        each tick.
+        """
+        self._sync_queue_state(core)
+        jobs = core.jobs
+        new_mem = jobs[0].benchmark.memory_intensity if jobs else None
+        old_mem = core.head_mem
+        if old_mem is None:
+            if new_mem is not None:
+                self._mem_sum += new_mem
+                self._mem_count += 1
+        elif new_mem is None:
+            self._mem_sum -= old_mem
+            self._mem_count -= 1
+            if not self._mem_count:
+                self._mem_sum = 0.0  # shed accumulated drift
+        elif new_mem != old_mem:
+            self._mem_sum += new_mem - old_mem
+        core.head_mem = new_mem
+        seq = core.heap_seq = core.heap_seq + 1
+        self._ob_heap_invalidate += 1
+        self._span_dirty = True
+        self._obs.span_close(now, core.idx)
+        if jobs and not core.halted:
+            stall = core.stall_until
+            start = core.span_start
+            if start < stall:
+                start = stall
+            heapq.heappush(
+                self._event_heap,
+                (start + jobs[0].remaining_s / core.speed, seq, core.name),
             )
             self._ob_heap_push += 1
 
@@ -1482,37 +1594,19 @@ class SimulationEngine:
                 finished.append(core)
 
     def _process_completions(self, now: float) -> None:
-        # Only cores flagged since the last call can hold a finished
-        # head: _execute flags the crossing, and _dispatch /
-        # _place_migrated flag the (degenerate) arrival of an
-        # already-finished head. _core_list order is preserved because
-        # _execute iterates it in order.
+        # Eager completion processing (the span substrate completes in
+        # _complete_due / _complete_flagged). Only cores flagged since
+        # the last call can hold a finished head: _execute flags the
+        # crossing, and _dispatch / _place_migrated flag the
+        # (degenerate) arrival of an already-finished head. _core_list
+        # order is preserved because _execute iterates it in order.
         finished = self._finished_cores
         if not finished:
             return
         self._finished_cores = []
-        use_span = self._use_span
         for core in finished:
             jobs = core.jobs
             if not jobs or jobs[0].remaining_s > _TIME_EPS:
-                continue
-            if use_span:
-                # Heads reaching this path were just materialized to
-                # zero remaining work; pop them without the re-checks.
-                pop = core.queue.pop_head
-                while jobs and jobs[0].remaining_s <= _TIME_EPS:
-                    job = pop()
-                    job.completion_time = now
-                    self._thread_last_core[job.thread_id] = core.name
-                    self._obs.job_complete(now, job, core.idx)
-                    follow_up = self.workload.on_completion(job, now)
-                    if follow_up is not None:
-                        self._push_arrival(*follow_up)
-                if not jobs:
-                    core.idle_since = now
-                else:
-                    self._obs.job_start(now, jobs[0], core.idx)
-                self._invalidate_event(core, now)
                 continue
             while True:
                 job = core.queue.running
@@ -1569,21 +1663,30 @@ class SimulationEngine:
         target = self.policy.select_core(
             job, self._allocation_context(job, now)
         )
-        if target not in self._cores:
+        core = self._cores.get(target)
+        if core is None:
             raise SchedulerError(
                 f"policy {self.policy.name} selected unknown core {target!r}"
             )
-        core = self._cores[target]
         if self._use_span:
+            i = core.idx
             if core.jobs:
                 # Tail insert behind a running head: the cached
-                # completion event stays valid (a core with queued work
-                # is never sleeping), so only the queue row changes.
+                # completion event, the state code (a core with queued
+                # work never sleeps) and the head stay as they are, so
+                # only the queue length changes.
                 core.queue.push(job)
-                self._sync_queue_state(core)
-                self._obs.job_dispatch(now, job, core.idx)
+                ql = len(core.jobs)
+                self._ql_arr[i] = ql
+                self._ql_list[i] = ql
+                self._obs.job_dispatch(now, job, i)
                 return
-            self._touch_core(core, now)
+            # An idle core holds no span to materialize: the touch
+            # only moves its anchors.
+            if now > core.span_start:
+                self._ob_span_touch += 1
+                core.span_start = now
+                core.busy_anchor = now
         if core.sleeping:
             core.sleeping = False
             core.halted = core.gated

@@ -99,6 +99,28 @@ class ReadbackIndex:
     n_units: int
 
 
+@dataclass(frozen=True)
+class UnitLayout:
+    """Where each unit and core sits in the vectors of one stack.
+
+    ``unit_index`` maps every unit name to its position in the
+    die-major ``unit_names`` order (each die's units in its mapper's
+    order), and ``unit_die`` to its die ordinal; ``core_names`` lists
+    the core units in that order and ``core_cols`` their positions.
+    Each die's units are the contiguous ``die_slices`` run, starting at
+    ``die_starts``. The thermal model's lookups, the sensors' core
+    gather and the engine's recording all read this one layout, built
+    once per :class:`ThermalAssembly`.
+    """
+
+    unit_index: Dict[str, int]
+    unit_die: Dict[str, int]
+    core_names: Tuple[str, ...]
+    core_cols: np.ndarray
+    die_slices: Tuple[slice, ...]
+    die_starts: np.ndarray
+
+
 @dataclass
 class ThermalAssembly:
     """The immutable, shareable parts of one thermal configuration.
@@ -115,6 +137,11 @@ class ThermalAssembly:
     steady-state SuperLU factorization is recomputed on load (see
     :mod:`repro.thermal.solver`), so runs on an unpickled copy are
     bit-identical to runs on the original.
+
+    Two things beside them are per stack too: the :class:`UnitLayout`
+    (``layout``) every model, sensor bank and recording on the stack
+    reads, and ``warm_starts``, the memo of steady-state warm starts by
+    load that the engine fills (one node vector per distinct load).
     """
 
     stack: Stack3D
@@ -137,6 +164,11 @@ class ThermalAssembly:
         ] = None
         self._modal_basis: Optional[Dict[str, np.ndarray]] = None
         self._modal_pack: Optional[Dict[str, np.ndarray]] = None
+        self.layout = _build_layout(self.mappers)
+        # Node temperatures keyed by every input of the load that
+        # produced them (the engine's _initialize_thermal_state builds
+        # the key); runs copy theirs out.
+        self.warm_starts: Dict[tuple, np.ndarray] = {}
 
     def exponential_step(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(propagator, steady_gain, ambient_vec)`` of the exact step.
@@ -374,35 +406,8 @@ class ThermalModel:
         self._readback = self.assembly.readback
         self._exp_step = self.assembly.exponential_step()
 
-        # Global unit name -> (die ordinal, name); names are unique across
-        # layers by construction of the experiment configs.
-        self._unit_die: Dict[str, int] = {}
-        self._unit_global_index: Dict[str, int] = {}
-        for die_ordinal, mapper in enumerate(self._mappers):
-            for name in mapper.unit_names:
-                if name in self._unit_die:
-                    raise ThermalModelError(
-                        f"unit name {name!r} appears on multiple dies"
-                    )
-                self._unit_global_index[name] = len(self._unit_die)
-                self._unit_die[name] = die_ordinal
-
-        self._core_names = [
-            u.name
-            for mapper in self._mappers
-            for u in mapper.floorplan.cores()
-        ]
+        self.layout = self.assembly.layout
         self.temperatures = np.full(self.network.n_nodes, ambient_k)
-
-        # Vector-readback layout: unit_names order is the die-major
-        # concatenation of each mapper's unit order, so per-die slices
-        # into that order are contiguous.
-        self._die_unit_slices: List[slice] = []
-        offset = 0
-        for mapper in self._mappers:
-            count = len(mapper.unit_names)
-            self._die_unit_slices.append(slice(offset, offset + count))
-            offset += count
 
     @staticmethod
     def _check_assembly(
@@ -440,12 +445,12 @@ class ThermalModel:
     @property
     def unit_names(self) -> List[str]:
         """All unit names across all dies."""
-        return list(self._unit_die)
+        return list(self.layout.unit_die)
 
     @property
     def core_names(self) -> List[str]:
         """Core unit names in canonical (layer-major) order."""
-        return list(self._core_names)
+        return list(self.layout.core_names)
 
     @property
     def ambient_k(self) -> float:
@@ -468,7 +473,7 @@ class ThermalModel:
 
     def _require_die(self, name: str) -> int:
         try:
-            return self._unit_die[name]
+            return self.layout.unit_die[name]
         except KeyError:
             raise ThermalModelError(f"unknown unit {name!r}") from None
 
@@ -480,8 +485,8 @@ class ThermalModel:
 
         Unknown unit names raise; units omitted from the dict get 0 W.
         """
-        vec = np.zeros(len(self._unit_global_index))
-        index = self._unit_global_index
+        index = self.layout.unit_index
+        vec = np.zeros(len(index))
         for name, power in powers.items():
             try:
                 vec[index[name]] = power
@@ -571,7 +576,7 @@ class ThermalModel:
 
     def _unit_temps_from(self, temps: np.ndarray) -> Dict[str, float]:
         vector = self._mean_vector_from(temps)
-        return {name: float(vector[i]) for i, name in enumerate(self._unit_die)}
+        return {name: float(vector[i]) for i, name in enumerate(self.layout.unit_die)}
 
     def unit_temperatures(self) -> Dict[str, float]:
         """Current area-weighted mean temperature (K) of every unit."""
@@ -580,7 +585,7 @@ class ThermalModel:
     def unit_max_temperatures(self) -> Dict[str, float]:
         """Current max cell temperature (K) over each unit."""
         vector = self.unit_max_vector()
-        return {name: float(vector[i]) for i, name in enumerate(self._unit_die)}
+        return {name: float(vector[i]) for i, name in enumerate(self.layout.unit_die)}
 
     def die_unit_slices(self) -> List[slice]:
         """Per-die contiguous slices into the ``unit_names`` order.
@@ -589,7 +594,7 @@ class ThermalModel:
         per-layer aggregates of :meth:`unit_temperature_vector` without
         rebuilding name dicts.
         """
-        return list(self._die_unit_slices)
+        return list(self.layout.die_slices)
 
     def unit_temperature_vector(self) -> np.ndarray:
         """Current per-unit mean temperatures (K), ``unit_names`` order.
@@ -616,7 +621,7 @@ class ThermalModel:
     def core_temperatures(self) -> Dict[str, float]:
         """Current per-core temperatures (K), canonical order preserved."""
         all_units = self.unit_temperatures()
-        return {name: all_units[name] for name in self._core_names}
+        return {name: all_units[name] for name in self.layout.core_names}
 
     def layer_unit_spread(self) -> List[float]:
         """Hottest-minus-coolest unit temperature per die layer (K).
@@ -628,7 +633,7 @@ class ThermalModel:
         vector = self.unit_temperature_vector()
         return [
             float(vector[sl].max() - vector[sl].min())
-            for sl in self._die_unit_slices
+            for sl in self.layout.die_slices
         ]
 
     def vertical_gradients(self) -> List[float]:
@@ -842,6 +847,43 @@ class ModalJump:
             blocks["peak"][:, head._scatter] = np.maximum.reduceat(
                 blocks["gathered"], head._offsets, axis=1
             )
+
+
+def _build_layout(mappers: List[GridMapper]) -> UnitLayout:
+    """The :class:`UnitLayout` of dies ``mappers`` (sink first).
+
+    Unit names must be unique across dies (the experiment configs
+    prefix each die's names); a repeat raises
+    :class:`ThermalModelError`.
+    """
+    unit_index: Dict[str, int] = {}
+    unit_die: Dict[str, int] = {}
+    core_names: List[str] = []
+    die_slices: List[slice] = []
+    for die_ordinal, mapper in enumerate(mappers):
+        start = len(unit_index)
+        for name in mapper.unit_names:
+            if name in unit_index:
+                raise ThermalModelError(
+                    f"unit name {name!r} appears on multiple dies"
+                )
+            unit_index[name] = len(unit_index)
+            unit_die[name] = die_ordinal
+        core_names.extend(unit.name for unit in mapper.floorplan.cores())
+        die_slices.append(slice(start, len(unit_index)))
+    core_cols = np.array([unit_index[name] for name in core_names], np.intp)
+    die_starts = np.array([sl.start for sl in die_slices], np.intp)
+    # Every run on the stack shares these arrays.
+    core_cols.flags.writeable = False
+    die_starts.flags.writeable = False
+    return UnitLayout(
+        unit_index=unit_index,
+        unit_die=unit_die,
+        core_names=tuple(core_names),
+        core_cols=core_cols,
+        die_slices=tuple(die_slices),
+        die_starts=die_starts,
+    )
 
 
 def _build_node_projection(

@@ -74,12 +74,8 @@ class SensorBank:
             name: TemperatureSensor(noise_sigma, quantization_step, rng)
             for name in self.core_names
         }
-        unit_index = {name: i for i, name in enumerate(model.unit_names)}
-        self._core_cols = np.fromiter(
-            (unit_index[name] for name in self.core_names),
-            dtype=np.intp,
-            count=len(self.core_names),
-        )
+        # The stack's core columns in the unit readback order.
+        self._core_cols = model.layout.core_cols
         self._ideal = noise_sigma == 0.0 and quantization_step == 0.0
 
     @property

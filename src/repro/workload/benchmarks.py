@@ -17,6 +17,7 @@ run; L2 instruction/data misses and floating-point instructions are per
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
@@ -41,6 +42,12 @@ class BenchmarkSpec:
         Arrival burstiness in [0, 1] (0 = steady batch arrivals).
     mean_busy_s:
         Mean CPU demand of one job in seconds (at nominal frequency).
+
+    ``memory_intensity`` and ``mean_think_s`` are derived once, at
+    construction, and read as plain attributes: the engine reads the
+    first at every queue-head change and the generator the second at
+    every arrival. They are not fields, so equality, hashing and
+    ``repr`` still cover the published statistics only.
     """
 
     name: str
@@ -59,8 +66,35 @@ class BenchmarkSpec:
             )
         if not 0.0 <= self.burstiness <= 1.0:
             raise WorkloadError(f"{self.name}: burstiness must be in [0,1]")
-        if self.mean_busy_s <= 0.0:
-            raise WorkloadError(f"{self.name}: mean busy time must be positive")
+        if not 0.0 < self.mean_busy_s < math.inf:
+            raise WorkloadError(
+                f"{self.name}: mean busy time must be positive and finite, "
+                f"got {self.mean_busy_s}"
+            )
+        # Counts feed the cache and crossbar power: a negative or
+        # non-finite one would price power below the idle baseline (or
+        # read as full intensity, since min(1.0, nan) is 1.0).
+        for label, count in (
+            ("l2_imiss", self.l2_imiss),
+            ("l2_dmiss", self.l2_dmiss),
+            ("fp_per_100k", self.fp_per_100k),
+        ):
+            if not 0.0 <= count < math.inf:
+                raise WorkloadError(
+                    f"{self.name}: {label} must be a finite count >= 0, "
+                    f"got {count}"
+                )
+        # L2 traffic normalized to the most memory-bound benchmark.
+        object.__setattr__(
+            self, "memory_intensity",
+            min(1.0, self.l2_traffic / _MAX_L2_TRAFFIC),
+        )
+        # Mean think time so busy/(busy+think) matches the target
+        # utilization in an uncontended closed loop.
+        u = self.utilization
+        object.__setattr__(
+            self, "mean_think_s", self.mean_busy_s * (1.0 - u) / u
+        )
 
     @property
     def utilization(self) -> float:
@@ -71,18 +105,6 @@ class BenchmarkSpec:
     def l2_traffic(self) -> float:
         """Total L2 misses per 100K instructions."""
         return self.l2_imiss + self.l2_dmiss
-
-    @property
-    def memory_intensity(self) -> float:
-        """L2 traffic normalized to the most memory-bound benchmark."""
-        return min(1.0, self.l2_traffic / _MAX_L2_TRAFFIC)
-
-    @property
-    def mean_think_s(self) -> float:
-        """Mean think time so busy/(busy+think) matches the target
-        utilization in an uncontended closed loop."""
-        u = self.utilization
-        return self.mean_busy_s * (1.0 - u) / u
 
 
 # Normalization constant: Web-high's 67.6 + 288.7 misses per 100K.

@@ -10,7 +10,22 @@ the original traces (EXPERIMENTS.md, "Substitutions").
 
 The generator is callback-driven: the engine asks for the initial
 arrivals and then, on every job completion, for the thread's next
-arrival. Everything is deterministic given the seed.
+arrival. Everything is deterministic given the seed, drawn from one
+``numpy.random.default_rng(seed)`` stream in this order:
+
+1. the thread permutation (``permutation(n_threads)``);
+2. per thread, in thread order: one ``uniform(0, max(mean_think_s,
+   0.05))`` offset, then the first job's work;
+3. per completion: the thread's burst/lull dwell draws (bursty threads
+   only, as many as bring its modulator past the completion time), its
+   think time, then the next job's work.
+
+Every exponential draw (work, think, dwell) is ``scale *`` the next
+value of a 256-value ``standard_exponential`` block, drawn from the
+stream when the previous block runs out; the first block is drawn by
+the first thread's work, right after its offset.
+``tests/test_generator.py`` derives the sequence from these rules
+alone and compares.
 """
 
 from __future__ import annotations
@@ -94,15 +109,23 @@ class SyntheticWorkload:
         # consumed, so per-seed realizations differ from pre-block
         # versions — same distributions, different samples (campaign
         # KEY_VERSION 4 invalidated stored trajectories accordingly).
-        self._exp_buf = np.empty(0)
+        # The block is held as a list: its floats are the float64
+        # values exactly, and scaling a Python float is cheaper.
+        self._exp_buf: List[float] = []
         self._exp_pos = 0
+
+    def _exp_block(self) -> List[float]:
+        """Draw the next standard-exponential block (position 0)."""
+        buf = self._exp_buf = self._rng.standard_exponential(256).tolist()
+        self._exp_pos = 0
+        return buf
 
     def _draw_exp(self, scale: float) -> float:
         """One exponential draw with the given scale (block-buffered)."""
-        pos = self._exp_pos
         buf = self._exp_buf
-        if pos >= buf.shape[0]:
-            buf = self._exp_buf = self._rng.standard_exponential(256)
+        pos = self._exp_pos
+        if pos == len(buf):
+            buf = self._exp_block()
             pos = 0
         self._exp_pos = pos + 1
         return scale * buf[pos]
@@ -128,11 +151,52 @@ class SyntheticWorkload:
     def next_arrival(
         self, thread_id: int, completion_time: float
     ) -> Tuple[float, Job]:
-        """Schedule the thread's next job after its think phase."""
+        """Schedule the thread's next job after its think phase.
+
+        One pass over the thread's draws, in stream order: the
+        burst/lull dwell draws that carry a bursty thread's modulator
+        past ``completion_time``, the think time (its mean scaled by
+        the burst/lull multiplier, floored at 1 ms) and the next job's
+        work (floored at 1 ms). The multiplier blends the burst or lull
+        scale toward one by the benchmark's burstiness, so its time
+        average is one.
+        """
         thread = self._thread(thread_id)
-        think = self._draw_think(thread, completion_time)
+        spec = thread.benchmark
+        buf = self._exp_buf
+        pos = self._exp_pos
+        scale = 1.0
+        burstiness = spec.burstiness
+        if burstiness > 0.0:
+            mod = self._modulators[thread.thread_id]
+            while completion_time >= mod.until:
+                if pos == len(buf):
+                    buf = self._exp_block()
+                    pos = 0
+                if mod.in_burst:
+                    dwell = _LULL_DWELL_S * buf[pos]
+                else:
+                    dwell = _BURST_DWELL_S * buf[pos]
+                pos += 1
+                mod.in_burst = not mod.in_burst
+                mod.until = max(mod.until, completion_time) + dwell
+            full = _BURST_SCALE if mod.in_burst else _LULL_SCALE
+            scale = burstiness * full + (1.0 - burstiness)
+        if pos == len(buf):
+            buf = self._exp_block()
+            pos = 0
+        think = max(spec.mean_think_s * scale, 1e-3) * buf[pos]
+        pos += 1
+        if pos == len(buf):
+            buf = self._exp_block()
+            pos = 0
+        # Avoid degenerate zero-length jobs from the exponential tail.
+        work = max(spec.mean_busy_s * buf[pos], 1e-3)
+        self._exp_pos = pos + 1
         arrival = completion_time + think
-        return arrival, self._make_job(thread, arrival)
+        job = Job(self._next_job_id, thread.thread_id, spec, arrival, work)
+        self._next_job_id += 1
+        return arrival, job
 
     # ------------------------------------------------------------------
 
@@ -142,9 +206,8 @@ class SyntheticWorkload:
         return self.threads[thread_id]
 
     def _make_job(self, thread: WorkloadThread, arrival: float) -> Job:
-        work = float(self._draw_exp(thread.benchmark.mean_busy_s))
         # Avoid degenerate zero-length jobs from the exponential tail.
-        work = max(work, 1e-3)
+        work = max(self._draw_exp(thread.benchmark.mean_busy_s), 1e-3)
         job = Job(
             job_id=self._next_job_id,
             thread_id=thread.thread_id,
@@ -154,28 +217,6 @@ class SyntheticWorkload:
         )
         self._next_job_id += 1
         return job
-
-    def _draw_think(self, thread: WorkloadThread, now: float) -> float:
-        scale = self._modulation_scale(thread, now)
-        mean = thread.benchmark.mean_think_s * scale
-        return float(self._draw_exp(max(mean, 1e-3)))
-
-    def _modulation_scale(self, thread: WorkloadThread, now: float) -> float:
-        """Burst/lull think-time multiplier with time-average one."""
-        burstiness = thread.benchmark.burstiness
-        if burstiness <= 0.0:
-            return 1.0
-        mod = self._modulators[thread.thread_id]
-        while now >= mod.until:
-            if mod.in_burst:
-                dwell = float(self._draw_exp(_LULL_DWELL_S))
-            else:
-                dwell = float(self._draw_exp(_BURST_DWELL_S))
-            mod.in_burst = not mod.in_burst
-            mod.until = max(mod.until, now) + dwell
-        full = _BURST_SCALE if mod.in_burst else _LULL_SCALE
-        # Blend toward 1 for low-burstiness benchmarks.
-        return burstiness * full + (1.0 - burstiness)
 
     # ------------------------------------------------------------------
 

@@ -55,6 +55,23 @@ class TestRunner:
         result = ExperimentRunner().run(spec)
         assert result.utilization.mean() < 0.3  # gzip is a 9% benchmark
 
+    def test_explicit_mix_resolves_as_written(self):
+        """A count spelled 8.0 equals and hashes like 8 but fails the
+        workload's thread expansion; one runner must treat each
+        spelling as a fresh runner does, in either order."""
+        as_int = RunSpec(exp_id=1, policy="Default", duration_s=1.0,
+                         benchmark_mix=(("gzip", 8),))
+        as_float = RunSpec(exp_id=1, policy="Default", duration_s=1.0,
+                           benchmark_mix=(("gzip", 8.0),))
+        runner = ExperimentRunner()
+        for spec in (as_float, as_int, as_float):
+            if spec is as_int:
+                threads = runner.build_engine(spec).workload.workload.threads
+                assert len(threads) == 8
+            else:
+                with pytest.raises(TypeError):
+                    runner.build_engine(spec)
+
     def test_run_policies_share_spec(self):
         runner = ExperimentRunner()
         base = RunSpec(exp_id=1, policy="Default", duration_s=5.0)

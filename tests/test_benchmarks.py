@@ -61,6 +61,36 @@ class TestDerivedParameters:
         with pytest.raises(WorkloadError):
             BenchmarkSpec("bad", 50.0, 1, 1, 1, 1.5, 0.5)
 
+    @pytest.mark.parametrize("field,value", [
+        ("l2_imiss", -100.0), ("l2_dmiss", -10.0), ("fp_per_100k", -1.0),
+        ("l2_imiss", float("nan")), ("l2_dmiss", float("inf")),
+        ("fp_per_100k", float("nan")),
+    ])
+    def test_validation_rejects_bad_counts(self, field, value):
+        # A negative count once gave memory_intensity -0.309, which
+        # priced cache power below its idle baseline; a NaN count read
+        # as intensity 1.0 (min(1.0, nan) is 1.0).
+        counts = {"l2_imiss": 12.9, "l2_dmiss": 167.7, "fp_per_100k": 31.2}
+        counts[field] = value
+        with pytest.raises(WorkloadError, match=field):
+            BenchmarkSpec("bad", 50.0, counts["l2_imiss"],
+                          counts["l2_dmiss"], counts["fp_per_100k"], 0.5, 0.3)
+
+    @pytest.mark.parametrize("busy", [float("inf"), float("nan"), 0.0, -1.0])
+    def test_validation_rejects_bad_busy_time(self, busy):
+        # An infinite mean makes every think and work draw infinite.
+        with pytest.raises(WorkloadError, match="busy"):
+            BenchmarkSpec("bad", 50.0, 1, 1, 1, 0.5, busy)
+
+    def test_derived_values_are_fixed_at_construction(self):
+        spec = BenchmarkSpec("x", 40.0, 30.0, 100.0, 5.0, 0.5, 0.2)
+        assert spec.memory_intensity == min(1.0, (30.0 + 100.0) / 356.3)
+        assert spec.mean_think_s == 0.2 * (1.0 - 0.4) / 0.4
+        # Derived values are attributes, not fields: equality and repr
+        # cover the published statistics only.
+        assert spec == BenchmarkSpec("x", 40.0, 30.0, 100.0, 5.0, 0.5, 0.2)
+        assert "memory_intensity" not in repr(spec)
+
 
 class TestServerMix:
     def test_thread_count_exact(self):

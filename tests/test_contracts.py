@@ -186,7 +186,13 @@ HOT_PATH_FUNCTIONS = {
         "SimulationEngine._quiet_ticks_event",
         "SimulationEngine._advance_interval_heap",
         "SimulationEngine._advance_interval_span",
-        "SimulationEngine._pop_due_completions",
+        "SimulationEngine._complete_due",
+        "SimulationEngine._complete_core",
+        "SimulationEngine._complete_flagged",
+        "SimulationEngine._rearm",
+        "SimulationEngine._invalidate_event",
+        "SimulationEngine._push_arrival",
+        "SimulationEngine._process_arrivals",
         "SimulationEngine._touch_core",
         "SimulationEngine._execute",
         "SimulationEngine._span_utilization",
@@ -210,7 +216,14 @@ HOT_PATH_FUNCTIONS = {
         "ChipPowerModel.event_factors",
         "ChipPowerModel.event_eval",
     ),
+    "src/repro/workload/generator.py": (
+        "SyntheticWorkload.next_arrival",
+    ),
 }
+# Eager's ``SimulationEngine._process_completions`` runs per event too
+# but stays unlisted: it is the per-event reference the scan oracle
+# reproduces, kept as it is (with its per-call list swap) until eager
+# leaves ``src/``.
 #: Every ``select_core`` (dispatch-time scoring) here is hot too.
 SELECT_CORE_DIR = "src/repro/core"
 #: The one sanctioned exception: scalar scoring over plain lists, ~2x

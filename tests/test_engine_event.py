@@ -523,9 +523,7 @@ class TestModalPrimitives:
         reference.temperatures = model.temperatures.copy()
         modal = model.modal_jump()
         assert modal is not None
-        core_idx = np.array(
-            [model._unit_global_index[name] for name in model._core_names]
-        )
+        core_idx = model.layout.core_cols
         n_units = len(model.unit_names)
         powers = rng.uniform(0.1, 2.0, n_units)
         modal.open(powers)
@@ -557,9 +555,7 @@ class TestModalPrimitives:
         powers = np.full(len(model.unit_names), 0.5)
         modal.open(powers)
         _, peak_row = modal.advance(powers)
-        core_idx = np.array(
-            [model._unit_global_index[name] for name in model._core_names]
-        )
+        core_idx = model.layout.core_cols
         assert np.isfinite(peak_row[core_idx]).all()
         non_core = np.setdiff1d(np.arange(peak_row.size), core_idx)
         if non_core.size:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import WorkloadError
-from repro.workload.benchmarks import benchmark
+from repro.workload.benchmarks import BenchmarkSpec, benchmark
 from repro.workload.generator import SyntheticWorkload
 
 
@@ -114,3 +114,108 @@ class TestStatistics:
         arr_a = [(t, j.work_s) for t, j in a.initial_arrivals()]
         arr_b = [(t, j.work_s) for t, j in b.initial_arrivals()]
         assert arr_a == arr_b
+
+
+def closed_loop(initial, next_arrival, n_jobs):
+    """``(thread_id, arrival, work_s)`` of the first ``n_jobs`` jobs of an
+    uncontended closed loop: each job completes ``work_s`` after it
+    arrives, and its thread's next job comes from
+    ``next_arrival(thread_id, completion) -> (arrival, work_s)``.
+    ``initial`` holds each thread's first ``(arrival, thread_id,
+    work_s)``."""
+    pending = list(initial)
+    jobs = []
+    while len(jobs) < n_jobs:
+        pending.sort(key=lambda entry: entry[0])
+        arrival, thread_id, work = pending.pop(0)
+        jobs.append((thread_id, arrival, work))
+        nxt, nxt_work = next_arrival(thread_id, arrival + work)
+        pending.append((nxt, thread_id, nxt_work))
+    return jobs
+
+
+class TestDrawOrder:
+    """The generator's stream, derived from its documented draw order.
+
+    The expected jobs come straight from ``np.random.default_rng(seed)``
+    following the module docstring: the thread permutation; per thread
+    one uniform offset and the first job's work; per completion the
+    burst/lull dwell draws, the think time and the work. Exponential
+    draws scale the next value of 256-value ``standard_exponential``
+    blocks. 800 jobs cross several block refills.
+    """
+
+    MIX = [
+        (benchmark("Web-high"), 3),  # bursty (0.5)
+        (benchmark("gcc"), 2),       # barely bursty (0.1)
+        # Steady arrivals: no dwell draws, think scale one.
+        (BenchmarkSpec("steady", 40.0, 10.0, 50.0, 1.0, 0.0, 0.5), 3),
+    ]
+
+    @staticmethod
+    def derive(mix, seed, n_jobs):
+        import numpy as np
+
+        from repro.workload.generator import (
+            _BURST_DWELL_S,
+            _BURST_SCALE,
+            _LULL_DWELL_S,
+            _LULL_SCALE,
+        )
+
+        rng = np.random.default_rng(seed)
+        specs = [spec for spec, count in mix for _ in range(count)]
+        threads = [specs[i] for i in rng.permutation(len(specs))]
+        block = []
+
+        def draw(scale):
+            if not block:
+                block.extend(rng.standard_exponential(256).tolist())
+            return scale * block.pop(0)
+
+        initial = []
+        for thread_id, spec in enumerate(threads):
+            offset = float(rng.uniform(0.0, max(spec.mean_think_s, 0.05)))
+            initial.append(
+                (offset, thread_id, max(draw(spec.mean_busy_s), 1e-3))
+            )
+        # Per thread: [in burst, burst/lull phase end].
+        phase = [[False, 0.0] for _ in threads]
+
+        def next_arrival(thread_id, done):
+            spec = threads[thread_id]
+            scale = 1.0
+            if spec.burstiness > 0.0:
+                state = phase[thread_id]
+                while done >= state[1]:
+                    dwell = draw(_LULL_DWELL_S if state[0] else _BURST_DWELL_S)
+                    state[0] = not state[0]
+                    state[1] = max(state[1], done) + dwell
+                full = _BURST_SCALE if state[0] else _LULL_SCALE
+                scale = spec.burstiness * full + (1.0 - spec.burstiness)
+            think = draw(max(spec.mean_think_s * scale, 1e-3))
+            return done + think, max(draw(spec.mean_busy_s), 1e-3)
+
+        return closed_loop(initial, next_arrival, n_jobs)
+
+    @staticmethod
+    def generate(mix, seed, n_jobs):
+        workload = SyntheticWorkload(mix, seed=seed)
+        initial = [
+            (arrival, job.thread_id, job.work_s)
+            for arrival, job in workload.initial_arrivals()
+        ]
+
+        def next_arrival(thread_id, done):
+            arrival, job = workload.next_arrival(thread_id, done)
+            assert job.arrival_time == arrival
+            return arrival, job.work_s
+
+        return closed_loop(initial, next_arrival, n_jobs)
+
+    @pytest.mark.parametrize("seed", [2009, 77])
+    def test_generator_follows_documented_draw_order(self, seed):
+        expected = self.derive(self.MIX, seed, 800)
+        assert self.generate(self.MIX, seed, 800) == expected
+        # Every thread ran, and bursty and steady threads alike.
+        assert {thread for thread, _, _ in expected} == set(range(8))
